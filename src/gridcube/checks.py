@@ -9,7 +9,7 @@ where a check is explicitly defined by sampling.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +18,7 @@ from .base2d import Embedding2D, fill_columns
 from .caterpillars import CubeLabeling, best_labeling, gray_label
 from .grids import GridSpec, compute_exponents, level_budget
 from .rounding import BinaryMatrix
-from .stages import StageEmbedding, build_fk, s_sequence, nu_distance
+from .stages import StageEmbedding, build_fk, s_sequence
 
 # ---------------------------------------------------------------------------
 # Check results
@@ -594,20 +594,30 @@ class CoordinateDiffs:
         return tuple(max(row) for row in table)
 
 
+def _grid_edges(spec: GridSpec) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Grid edges per dimension as (i0, src, stride), non-empty dimensions only.
+
+    The edges stepping in dimension i0 join rank src to rank src + stride.
+    One dimension is generated at a time, so callers that scan and discard
+    hold only its edges.
+    """
+    ranks = np.arange(spec.size, dtype=np.int64)
+    for i0 in range(1, spec.k + 1):
+        stride = spec.prefix_product(i0 - 1)
+        pos = ranks // stride % spec.dims[i0 - 1]
+        src = ranks[pos < spec.dims[i0 - 1] - 1]
+        if len(src):
+            yield i0, src, stride
+
+
 def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
     """Exhaustive edge scan of output-coordinate differences."""
     spec = fk.spec
     k = spec.k
     coords = fk.coords.astype(np.int64)
-    ranks = np.arange(spec.size, dtype=np.int64)
     cyc = np.zeros((k, k), dtype=np.int64)
     absd = np.zeros((k, k), dtype=np.int64)
-    for i0 in range(1, k + 1):
-        stride = spec.prefix_product(i0 - 1)
-        pos = ranks // stride % spec.dims[i0 - 1]
-        src = ranks[pos < spec.dims[i0 - 1] - 1]
-        if not len(src):
-            continue
+    for i0, src, stride in _grid_edges(spec):
         a = coords[src]
         b = coords[src + stride]
         for jdim in range(1, k + 1):
@@ -805,7 +815,7 @@ class DilationReport:
         return out
 
 
-def dilation(emb: HypercubeEmbedding, threads: int = 1) -> DilationReport:
+def dilation(emb: HypercubeEmbedding) -> DilationReport:
     """Exact dilation over all grid edges, plus the labeling-implied bound.
 
     Also verifies, exhaustively per edge and dimension, that whenever a
@@ -815,23 +825,8 @@ def dilation(emb: HypercubeEmbedding, threads: int = 1) -> DilationReport:
     spec = emb.spec
     diffs = coordinate_diffs(emb.fk)
     labels = emb.labels
-    ranks = np.arange(spec.size, dtype=np.int64)
-    pairs = []
-    for i0 in range(1, spec.k + 1):
-        stride = spec.prefix_product(i0 - 1)
-        pos = ranks // stride % spec.dims[i0 - 1]
-        src = ranks[pos < spec.dims[i0 - 1] - 1]
-        if len(src):
-            pairs.append((src, src + stride))
-
-    def edge_distances(src, dst):
-        return _popcount(labels[src] ^ labels[dst])
-
-    if threads > 1 and pairs:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            dists = list(pool.map(lambda p: edge_distances(*p), pairs))
-    else:
-        dists = [edge_distances(*p) for p in pairs]
+    pairs = [(src, src + stride) for _, src, stride in _grid_edges(spec)]
+    dists = [_popcount(labels[src] ^ labels[dst]) for src, dst in pairs]
     alld = np.concatenate(dists) if dists else np.zeros(0, dtype=np.int64)
     dil = int(alld.max()) if len(alld) else 0
     hist = np.bincount(alld, minlength=dil + 1)
@@ -1042,15 +1037,10 @@ def audit_file(text: str) -> list[CheckResult]:
             and bool((parsed.labels >= 0).all()),
         )
     )
-    ranks = np.arange(spec.size, dtype=np.int64)
     dil = 0
-    for i0 in range(1, spec.k + 1):
-        stride = spec.prefix_product(i0 - 1)
-        pos = ranks // stride % spec.dims[i0 - 1]
-        src = ranks[pos < spec.dims[i0 - 1] - 1]
-        if len(src):
-            dist = _popcount(parsed.labels[src] ^ parsed.labels[src + stride])
-            dil = max(dil, int(dist.max()))
+    for _, src, stride in _grid_edges(spec):
+        dist = _popcount(parsed.labels[src] ^ parsed.labels[src + stride])
+        dil = max(dil, int(dist.max()))
     out.append(_report("file.dilation", dil))
     return out
 
@@ -1063,7 +1053,6 @@ def audit_file(text: str) -> list[CheckResult]:
 def audit_grid(
     spec: GridSpec,
     seed_matrices: list[BinaryMatrix] | None = None,
-    threads: int = 1,
 ) -> tuple[list[CheckResult], HypercubeEmbedding, DilationReport]:
     """Run the full invariant battery for a grid and return the artifacts."""
     checks: list[CheckResult] = []
@@ -1080,6 +1069,6 @@ def audit_grid(
         )
     emb = assemble_Hk(fk)
     checks.append(_check("embedding.injective", True))
-    report = dilation(emb, threads=threads)
+    report = dilation(emb)
     checks.extend(report.checks())
     return checks, emb, report

@@ -7,12 +7,10 @@ instances).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .caterpillars import (
-    SearchExhausted,
     caterpillar_for,
     gray_label,
     label_from_caterpillar,
@@ -32,10 +30,6 @@ from .rounding import parse_matrices
 from .stages import build_fk, dump_stage
 
 PASS, CHECK_FAILED, USAGE = 0, 1, 2
-
-
-def _default_threads() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 def _spec_from(dims: list[int], cap: int | None) -> GridSpec:
@@ -90,7 +84,7 @@ def cmd_embed(args) -> int:
     if args.windows is not None:
         labelings = _labelings_from_windows(spec, args.windows)
     emb = assemble_Hk(fk, labelings)
-    report = dilation(emb, threads=args.threads)
+    report = dilation(emb)
     text = dump_embedding(emb)
     if args.out:
         Path(args.out).write_text(text)
@@ -121,24 +115,15 @@ def cmd_audit(args) -> int:
                 "audit takes either grid side lengths or one file path"
             ) from None
         spec = _spec_from(dims, args.cap)
-        checks, _, _ = audit_grid(
-            spec, seed_matrices=_load_seeds(args.seed), threads=args.threads
-        )
+        checks, _, _ = audit_grid(spec, seed_matrices=_load_seeds(args.seed))
     sys.stdout.write(render_report(checks))
     return PASS if not failed(checks) else CHECK_FAILED
 
 
 def cmd_cat(args) -> int:
-    try:
-        if args.start is not None:
-            if not args.start < args.t:
-                raise ValueError("--from must name a smaller dimension")
-            caterpillar_for(args.start, args.leaf_degree, args.cache)
-        cat = caterpillar_for(args.t, args.leaf_degree, args.cache)
-    except SearchExhausted as exc:
-        raise ValueError(str(exc)) from None
+    cat = caterpillar_for(args.t, args.leaf_degree)
     labeling = label_from_caterpillar(cat)
-    breach = verify_window(labeling, labeling.window, 3, threads=args.threads)
+    breach = verify_window(labeling, labeling.window, 3)
     if breach is not None:
         a, b, dist = breach
         print(
@@ -146,10 +131,9 @@ def cmd_cat(args) -> int:
             file=sys.stdout,
         )
         return CHECK_FAILED
-    note = f"; cached in {args.cache}" if args.cache else ""
     print(
         f"Cat({cat.spine_length},{cat.leaf_degree}) at Q_{cat.t}: "
-        f"window {labeling.window} verified{note}"
+        f"window {labeling.window} verified"
     )
     return PASS
 
@@ -174,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="dump_stage",
         help="dump one intermediate stage instead of the final embedding",
     )
-    pe.add_argument("--threads", type=int, default=_default_threads())
     pe.add_argument("--cap", type=int, help="vertex-count cap override")
     pe.add_argument(
         "--windows",
@@ -188,20 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
         "target", nargs="+", help="grid side lengths, or one embedding file"
     )
     pa.add_argument("--seed", help="file of designation matrices to use")
-    pa.add_argument("--threads", type=int, default=_default_threads())
     pa.add_argument("--cap", type=int, help="vertex-count cap override")
 
-    pc = sub.add_parser("cat", help="search or load a cube caterpillar")
+    pc = sub.add_parser(
+        "cat",
+        help="build a cube caterpillar from its built-in base and verify it",
+    )
     pc.add_argument("t", type=int, help="cube dimension")
     pc.add_argument("leaf_degree", type=int, help="leaves per spine vertex")
-    pc.add_argument(
-        "--from",
-        dest="start",
-        type=int,
-        help="first make sure this smaller dimension is cached",
-    )
-    pc.add_argument("--cache", help="cache directory")
-    pc.add_argument("--threads", type=int, default=_default_threads())
     return parser
 
 

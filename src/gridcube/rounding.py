@@ -396,11 +396,6 @@ def check_forward(F: BinaryMatrix, T, r: int, h: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dump format
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # Validators
 # ---------------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ from random import Random
 import pytest
 
 from gridcube.caterpillars import (
+    caterpillar_for,
     double_caterpillar,
     label_from_caterpillar,
     search_caterpillar,
@@ -183,6 +184,9 @@ def test_criterion_08_caterpillar_labelings():
     assert (cat31.spine_length, cat31.leaf_degree) == (4, 1)
     cat63 = search_caterpillar(6, 3)
     assert (cat63.spine_length, cat63.leaf_degree) == (16, 3)
+    # the search is the oracle for the built-in base caterpillars
+    assert cat31 == caterpillar_for(3, 1)
+    assert cat63 == caterpillar_for(6, 3)
     family = [cat31, double_caterpillar(cat31)]
     assert family[-1].t == 4
     chain = [cat63]

@@ -11,12 +11,9 @@ from gridcube.caterpillars import (
     double_caterpillar,
     gray_label,
     label_from_caterpillar,
-    load_caterpillar,
-    save_caterpillar,
     search_caterpillar,
     verify_window,
 )
-from gridcube.caterpillars import _MEMO
 
 
 @pytest.fixture(scope="module")
@@ -166,46 +163,6 @@ def test_hamming_bound_values(cat6):
     assert gray.hamming_bound(7) == 7
 
 
-def test_save_load_roundtrip(cat3, cat6):
-    for cat in (cat3, cat6):
-        assert load_caterpillar(save_caterpillar(cat)) == cat
-    text = save_caterpillar(cat3)
-    assert text.splitlines()[0] == "CAT 3 0 4"
-    with pytest.raises(ValueError, match="missing CAT header"):
-        load_caterpillar("001\n010\n")
-    with pytest.raises(ValueError, match="header must read"):
-        load_caterpillar("CAT 3 0\n")
-    with pytest.raises(ValueError, match="body lines"):
-        load_caterpillar("\n".join(text.splitlines()[:-1]))
-    with pytest.raises(ValueError, match="disagrees"):
-        load_caterpillar(text.replace("CAT 3 0 4", "CAT 3 1 4"))
-
-
-def test_disk_cache_roundtrip(tmp_path, cat3):
-    _MEMO.clear()
-    try:
-        first = caterpillar_for(3, 1, cache_dir=tmp_path)
-        cache = tmp_path / "cat_t3_r0.txt"
-        assert cache.is_file()
-        _MEMO.clear()
-        again = caterpillar_for(3, 1, cache_dir=tmp_path)
-        assert again == first == cat3
-        # A cache file holding the wrong dimension is rejected, not used.
-        cache.write_text(save_caterpillar(double_caterpillar(cat3)))
-        _MEMO.clear()
-        with pytest.raises(ValueError, match="wrong caterpillar"):
-            caterpillar_for(3, 1, cache_dir=tmp_path)
-    finally:
-        _MEMO.clear()
-
-
-def test_memo_hit_still_persists(tmp_path, cat3):
-    # cat3 is memoized by the fixture; a later call naming a cache dir
-    # must still leave the file behind for other processes.
-    caterpillar_for(3, 1, cache_dir=tmp_path)
-    assert (tmp_path / "cat_t3_r0.txt").is_file()
-
-
 def test_caterpillar_for_rejections():
     with pytest.raises(ValueError, match="no feasible base dimension"):
         caterpillar_for(6, 5)
@@ -225,10 +182,3 @@ def test_best_labeling_selection():
         lab = best_labeling(t)
         assert lab.t == t and lab.window == 5
 
-
-def test_threaded_verification_matches_serial(cat6):
-    lab8 = label_from_caterpillar(
-        double_caterpillar(double_caterpillar(cat6))
-    )
-    assert verify_window(lab8, 5, 3, threads=4) is None
-    assert verify_window(lab8, 6, 3, threads=4) == verify_window(lab8, 6, 3)

@@ -203,14 +203,6 @@ def test_dilation_histogram_counts_every_edge():
     assert report.histogram[report.dilation] > 0
 
 
-def test_dilation_threaded_matches_single():
-    emb = assemble_Hk(build_fk(GridSpec((5, 5, 5))))
-    single = dilation(emb, threads=1)
-    multi = dilation(emb, threads=4)
-    assert single.dilation == multi.dilation
-    assert single.histogram == multi.histogram
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------

@@ -128,24 +128,21 @@ def test_cat_base_search():
     code, out, _ = run_cli(["cat", "3", "1"])
     assert code == 0
     assert out.strip() == "Cat(4,1) at Q_3: window 3 verified"
-
-
-def test_cat_doubling_with_cache(tmp_path):
-    cache = tmp_path / "cats"
-    code, out, _ = run_cli(
-        ["cat", "4", "1", "--from", "3", "--cache", str(cache)]
-    )
+    code, out, _ = run_cli(["cat", "6", "3"])
     assert code == 0
-    assert "Cat(8,1) at Q_4: window 3 verified" in out
-    assert (cache / "cat_t3_r0.txt").is_file()
-    assert (cache / "cat_t4_r0.txt").is_file()
+    assert out.strip() == "Cat(16,3) at Q_6: window 5 verified"
+
+
+def test_cat_doubling_with_cache():
+    code, out, _ = run_cli(["cat", "4", "1"])
+    assert code == 0
+    assert out.strip() == "Cat(8,1) at Q_4: window 3 verified"
 
 
 def test_cat_infeasible_parameters():
     code, _, err = run_cli(["cat", "5", "3"])
     assert code == 2
-    code, _, err = run_cli(["cat", "4", "1", "--from", "6"])
-    assert code == 2
+    assert "needs dimension >= 6" in err
 
 
 def test_usage_errors_from_parser():
@@ -154,4 +151,7 @@ def test_usage_errors_from_parser():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run_cli(["embed"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["embed", "3", "7", "4", "--threads", "2"])
     assert exc.value.code == 2
