@@ -5,13 +5,17 @@ into columns of the box {1..2^{e_1}} x {1..m}.  A circulant 0/1 matrix decides
 which chains contribute two points to which columns, spreading the surplus
 2^{e_1} - a_1 evenly; the filling loop below is the literal stateful
 construction, with a closed-form prefix-count formula kept alongside as a
-cross-check oracle and asserted equal at build time.
+cross-check oracle.  The closed form is exact integer floor division, so it
+is evaluated for every (chain, column prefix) at once as one array and
+asserted equal to the loop's counts at build time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
+
+import numpy as np
 
 from .grids import GridSpec, kappa, level_budget
 
@@ -71,16 +75,19 @@ def consecutive_sum(R: CirculantR, t: int) -> int:
     return s_t
 
 
-def chain_prefix_count(R: CirculantR, i: int, j: int) -> int:
+def chain_prefix_count(R: CirculantR, i, j):
     """Closed form for N_ij, the points of chain i in columns 1..j.
 
-    N_ij = j + floor(q i) - floor(q (i-j)); negative arguments floor exactly.
-    Used as an independent oracle against the filling loop.
+    N_ij = j + floor(q i) - floor(q (i-j)) with q = p / a1, p = 2^{e1} - a1,
+    evaluated as j + (p i) // a1 - (p (i-j)) // a1: floor division is exact
+    for negative arguments in Python and in numpy.  ``i`` and ``j`` may be
+    ints or numpy integer arrays (broadcast against each other).  Used as an
+    independent oracle against the filling loop.
     """
-    if j < 0:
+    if np.any(np.asarray(j) < 0):
         raise ValueError("column prefix must be nonnegative")
-    q = R.q
-    return j + floor(q * i) - floor(q * (i - j))
+    p = (1 << R.e1) - R.a1
+    return j + (p * i) // R.a1 - (p * (i - j)) // R.a1
 
 
 @dataclass(frozen=True)
@@ -209,12 +216,15 @@ def fill_columns(a1: int, e1: int, m: int, spec: GridSpec | None = None) -> Embe
         tuple(tuple(c) for c in cols),
         spec=spec,
     )
-    for i in range(1, a1 + 1):
-        for j in range(m + 1):
-            if emb.N(i, j) != chain_prefix_count(R, i, j):
-                raise AssertionError(
-                    f"prefix count N({i},{j}) disagrees with the closed form"
-                )
+    closed = chain_prefix_count(
+        R, np.arange(1, a1 + 1)[:, None], np.arange(m + 1)[None, :]
+    )
+    bad = np.argwhere(np.array(emb.prefix_counts, dtype=np.int64) != closed)
+    if len(bad):
+        i, j = bad[0]
+        raise AssertionError(
+            f"prefix count N({i + 1},{j}) disagrees with the closed form"
+        )
     return emb
 
 

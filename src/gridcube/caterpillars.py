@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rounding import _Dinic
+from .flow import FlowNetwork
 
 
 class SearchExhausted(RuntimeError):
@@ -100,22 +100,30 @@ def _assign_leaves(
             return None
         adjacency.append(hits)
     e = len(spine)
-    # node ids: 0 source, 1..len(others) leaves, then spine slots, then sink
+    # node ids: 0 source, 1..len(others) leaves, then spine slots, then sink;
+    # edges: per leaf its source edge then its spine edges, then sink edges
     spine_base = 1 + len(others)
     sink = spine_base + e
-    net = _Dinic(sink + 1)
+    tail: list[int] = []
+    head: list[int] = []
     leaf_edges = []
     for idx, hits in enumerate(adjacency):
-        net.add_edge(0, 1 + idx)
-        leaf_edges.append([(net.add_edge(1 + idx, spine_base + i), i) for i in hits])
-    for i in range(e):
-        net.add_edge(spine_base + i, sink, leaf_degree)
+        tail.append(0)
+        head.append(1 + idx)
+        leaf_edges.append([(len(tail) + p, i) for p, i in enumerate(hits)])
+        tail.extend([1 + idx] * len(hits))
+        head.extend(spine_base + i for i in hits)
+    tail.extend(spine_base + i for i in range(e))
+    head.extend([sink] * e)
+    cap = [1] * (len(tail) - e) + [leaf_degree] * e
+    net = FlowNetwork(sink + 1, tail, head, cap)
     if net.max_flow(0, sink) != len(others):
         return None
+    saturated = (net.residual(range(len(tail))) == 0).tolist()
     buckets: list[list[int]] = [[] for _ in range(e)]
     for idx, edges in enumerate(leaf_edges):
         for eid, i in edges:
-            if net.cap[eid] == 0:
+            if saturated[eid]:
                 buckets[i].append(others[idx])
                 break
     return tuple(tuple(sorted(b)) for b in buckets)

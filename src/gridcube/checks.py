@@ -11,12 +11,14 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
-from .base2d import Embedding2D, fill_columns
+from .base2d import fill_columns
 from .caterpillars import CubeLabeling, best_labeling, gray_label
-from .grids import GridSpec, compute_exponents, level_budget
+from .grids import GridSpec, level_budget
 from .rounding import BinaryMatrix
 from .stages import StageEmbedding, build_fk, s_sequence
 
@@ -681,7 +683,7 @@ def diff_case_checks(diffs: CoordinateDiffs) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-_POPCOUNT = np.array([bin(x).count("1") for x in range(1 << 16)], dtype=np.int64)
+_POPCOUNT = sum((np.arange(1 << 16, dtype=np.int64) >> b) & 1 for b in range(16))
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
@@ -748,6 +750,11 @@ class HypercubeEmbedding:
     def windows(self) -> tuple[int, ...]:
         return tuple(lab.window for lab in self.labelings)
 
+    @cached_property
+    def diffs(self) -> CoordinateDiffs:
+        """The stage map's coordinate differences, scanned once per embedding."""
+        return coordinate_diffs(self.fk)
+
 
 def assemble_Hk(
     fk: StageEmbedding, labelings: list[CubeLabeling] | None = None
@@ -759,16 +766,19 @@ def assemble_Hk(
     cyclic differences exceed the candidate's window (the windowed guarantee
     would then be vacuous while Gray still bounds distance by difference).
     """
-    if labelings is None:
-        diffs = coordinate_diffs(fk).per_dimension()
-        picked = []
-        for jdim in range(1, fk.spec.k + 1):
-            lab = best_labeling(fk.spec.block_width(jdim))
-            if lab.window and diffs[jdim - 1] > lab.window:
-                lab = gray_label(fk.spec.block_width(jdim))
-            picked.append(lab)
-        labelings = picked
-    return HypercubeEmbedding(fk, tuple(labelings))
+    if labelings is not None:
+        return HypercubeEmbedding(fk, tuple(labelings))
+    diffs = coordinate_diffs(fk)
+    per_dim = diffs.per_dimension()
+    picked = []
+    for jdim in range(1, fk.spec.k + 1):
+        lab = best_labeling(fk.spec.block_width(jdim))
+        if lab.window and per_dim[jdim - 1] > lab.window:
+            lab = gray_label(fk.spec.block_width(jdim))
+        picked.append(lab)
+    emb = HypercubeEmbedding(fk, tuple(picked))
+    emb.__dict__["diffs"] = diffs  # the scan that chose the labelings
+    return emb
 
 
 @dataclass(frozen=True)
@@ -823,7 +833,7 @@ def dilation(emb: HypercubeEmbedding) -> DilationReport:
     the realized block distance was at most 3.
     """
     spec = emb.spec
-    diffs = coordinate_diffs(emb.fk)
+    diffs = emb.diffs
     labels = emb.labels
     pairs = [(src, src + stride) for _, src, stride in _grid_edges(spec)]
     dists = [_popcount(labels[src] ^ labels[dst]) for src, dst in pairs]
@@ -954,11 +964,18 @@ def dump_embedding(emb: HypercubeEmbedding) -> str:
         str(spec.n) + " " + " ".join(str(e) for e in spec.exponents[1:]),
         "labelings " + " ".join(str(w) for w in emb.windows()),
     ]
-    for rank in range(spec.size):
-        coords = spec.coords_of(rank)
-        lines.append(
-            " ".join(str(x) for x in coords) + " " + emb.label_bits(rank)
-        )
+    # Ranks run with coordinate 1 fastest, so walking the higher coordinates
+    # with itertools.product (last coordinate slowest) and coordinate 1
+    # innermost lists the vertices in rank order, one block of a_1 ranks at
+    # a time.
+    fmt = f"0{spec.n}b"
+    a1 = spec.dims[0]
+    first = [f"{x} " for x in range(1, a1 + 1)]
+    higher = [[f"{x} " for x in range(1, a + 1)] for a in reversed(spec.dims[1:])]
+    for block, upper in enumerate(product(*higher)):
+        rest = "".join(reversed(upper))
+        labels = emb.labels[block * a1 : (block + 1) * a1].tolist()
+        lines.extend([x + rest + format(label, fmt) for x, label in zip(first, labels)])
     return "\n".join(lines) + "\n"
 
 
@@ -1059,7 +1076,8 @@ def audit_grid(
     checks.extend(chain_battery(spec.dims[0]))
     fk = build_fk(spec, seed_matrices=seed_matrices)
     checks.extend(pipeline_battery(fk))
-    diffs = coordinate_diffs(fk)
+    emb = assemble_Hk(fk)
+    diffs = emb.diffs
     checks.extend(diff_case_checks(diffs))
     for jdim in range(1, spec.k + 1):
         checks.append(
@@ -1067,7 +1085,6 @@ def audit_grid(
                 f"diffs.max.dim{jdim}", diffs.per_dimension()[jdim - 1]
             )
         )
-    emb = assemble_Hk(fk)
     checks.append(_check("embedding.injective", True))
     report = dilation(emb)
     checks.extend(report.checks())

@@ -1,18 +1,27 @@
 """Consistent roundings: two-way sequence rounding, matrix rounding, F^X.
 
-All arithmetic is exact (fractions.Fraction), so the strict "< 1" rounding
-contracts are decidable at the boundary.  The two-way rounding solver is a
+All arithmetic is exact, so the strict "< 1" rounding contracts are
+decidable at the boundary.  The public functions take exact rationals
+(fractions.Fraction) and convert them once to integer numerators over one
+common denominator; the solver then works in Python integers, which cannot
+overflow however large the denominator.  The two-way rounding solver is a
 deterministic unit-capacity flow over prefix windows: the v-th one placed in
 each scan order must land where that order's fractional prefix sum crosses
 (v-1, v], and a perfect assignment of ones to both orders' windows is exactly
-a valid rounding.  Scan order is fixed (ascending node index), so identical
+a valid rounding.  The flow is the iterative Dinic of ``flow``; node
+numbering and edge order are fixed (ascending node index), so identical
 inputs give identical outputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from itertools import accumulate
+from math import ceil, lcm
+
+import numpy as np
+
+from .flow import FlowNetwork
 
 
 def _frac(x) -> Fraction:
@@ -140,135 +149,103 @@ class RoundingSpec:
 # ---------------------------------------------------------------------------
 
 
-class _Dinic:
-    """Unit-capacity max flow with fixed (ascending) adjacency order."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.head: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int = 1) -> int:
-        i = len(self.to)
-        self.head[u].append(i)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(i + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return i
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.size
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for ei in self.head[u]:
-                    v = self.to[ei]
-                    if self.cap[ei] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.size
-
-            def dfs(u: int) -> bool:
-                if u == t:
-                    return True
-                while it[u] < len(self.head[u]):
-                    ei = self.head[u][it[u]]
-                    v = self.to[ei]
-                    if self.cap[ei] > 0 and level[v] == level[u] + 1 and dfs(v):
-                        self.cap[ei] -= 1
-                        self.cap[ei ^ 1] += 1
-                        return True
-                    it[u] += 1
-                return False
-
-            while dfs(s):
-                flow += 1
-
-
-def _prefix_windows(order: list[int], fracs: list[Fraction], total_ones: int):
-    """For each fractional item, the slots it may serve in the given order.
+def _prefix_windows(order: list[int], fracs: list[int], D: int, total_ones: int):
+    """Slot window (lo, hi) of every position in the given scan order.
 
     Slot v (v-th one placed, 1-based) must land at a position k where the
     fractional prefix sum G satisfies G_{k-1} < v <= ceil(G_k); equivalently
-    item at position k serves slots floor(G_{k-1}) < v <= ceil(G_k).  Window
-    size is at most 2 because each fraction is below 1.
+    the item at position k serves slots floor(G_{k-1}) < v <= ceil(G_k),
+    capped at total_ones (empty when lo > hi).  The fractions are numerators
+    over D and the prefix sums exact integers, so lo = G_{k-1} // D + 1 and
+    hi = min(ceil(G_k / D), total_ones).  A window holds at most two slots
+    because each fraction is below 1.  Returns arrays indexed by position.
     """
-    serve: dict[int, list[int]] = {}
-    g = Fraction(0)
-    for pos in order:
-        f = fracs[pos]
-        if f == 0:
-            continue
-        lo = floor(g) + 1
-        g += f
-        hi = min(ceil(g), total_ones)
-        if lo <= hi:
-            serve[pos] = list(range(lo, hi + 1))
-        else:
-            serve[pos] = []
-    return serve
+    sums = list(accumulate([fracs[p] for p in order]))
+    floors = np.array([0] + [g // D for g in sums[:-1]], dtype=np.int64)
+    ceils = np.array([-(-g // D) for g in sums], dtype=np.int64)
+    lo = np.empty(len(fracs), dtype=np.int64)
+    hi = np.empty(len(fracs), dtype=np.int64)
+    lo[order] = floors + 1
+    hi[order] = np.minimum(ceils, total_ones)
+    return lo, hi
 
 
-def _try_round(fracs: list[Fraction], order_b: list[int], total_ones: int):
+def _try_round(fracs: list[int], D: int, order_b: list[int], total_ones: int):
+    """Place total_ones ones on the nonzero fractions (numerators over D) so
+    that the v-th one falls in slot v's window in both scan orders, or
+    return None when no placement exists."""
     n = len(fracs)
-    items = [i for i in range(n) if fracs[i] != 0]
     if total_ones == 0:
         return [0] * n
-    order_a = list(range(n))
-    serve_a = _prefix_windows(order_a, fracs, total_ones)
-    serve_b = _prefix_windows(order_b, fracs, total_ones)
+    items = np.array([k for k in range(n) if fracs[k]], dtype=np.int64)
+    lo_a, hi_a = _prefix_windows(list(range(n)), fracs, D, total_ones)
+    lo_b, hi_b = _prefix_windows(order_b, fracs, D, total_ones)
+    lo_a, hi_a, lo_b, hi_b = lo_a[items], hi_a[items], lo_b[items], hi_b[items]
 
-    # a position can host at most one unit, so each item is an in/out node
-    # pair joined by a single unit edge
-    item_in = {k: total_ones + 1 + 2 * idx for idx, k in enumerate(items)}
-    b_base = total_ones + 1 + 2 * len(items)
-    sink = b_base + total_ones + 1
-    net = _Dinic(sink + 1)
-    for v in range(1, total_ones + 1):
-        net.add_edge(0, v)
-    item_edge: dict[int, int] = {}
-    for k in items:
-        for v in serve_a[k]:
-            net.add_edge(v, item_in[k])
-        item_edge[k] = net.add_edge(item_in[k], item_in[k] + 1)
-        for v in serve_b[k]:
-            net.add_edge(item_in[k] + 1, b_base + v)
-    for v in range(1, total_ones + 1):
-        net.add_edge(b_base + v, sink)
+    # Node ids: 0 source, 1..B the slots of the first order, then an in/out
+    # pair per item (a position hosts at most one unit, so the pair is joined
+    # by a single unit edge), then the slots of the second order, then the
+    # sink.  Edges go in source edges, per item (its first-order slots, its
+    # own edge, its second-order slots), then sink edges; each item has at
+    # most five, laid out in a fixed row and kept where its window has them.
+    B = total_ones
+    item_in = B + 1 + 2 * np.arange(len(items), dtype=np.int64)
+    b_base = B + 1 + 2 * len(items)
+    sink = b_base + B + 1
+    slots = np.arange(1, B + 1, dtype=np.int64)
+    tail = np.stack([lo_a, lo_a + 1, item_in, item_in + 1, item_in + 1], axis=1)
+    head = np.stack(
+        [item_in, item_in, item_in + 1, b_base + lo_b, b_base + lo_b + 1], axis=1
+    )
+    keep = np.stack(
+        [
+            hi_a >= lo_a,
+            hi_a > lo_a,
+            np.ones(len(items), dtype=bool),
+            hi_b >= lo_b,
+            hi_b > lo_b,
+        ],
+        axis=1,
+    )
+    item_edge = B + np.cumsum(keep.ravel())[2::5] - 1
+    net = FlowNetwork(
+        sink + 1,
+        np.concatenate([np.zeros(B, dtype=np.int64), tail[keep], b_base + slots]),
+        np.concatenate([slots, head[keep], np.full(B, sink, dtype=np.int64)]),
+    )
+    del tail, head, keep
     if net.max_flow(0, sink) != total_ones:
         return None
-    return [
-        1 if k in item_edge and net.cap[item_edge[k]] == 0 else 0
-        for k in range(n)
-    ]
+    out = [0] * n
+    for k in items[net.residual(item_edge) == 0].tolist():
+        out[k] = 1
+    return out
 
 
-def _two_way_round_core(values: list[Fraction], order_b: list[int]) -> list[int]:
-    """Round arbitrary nonnegative rationals consistently in two scan orders.
+def _two_way_round_core(nums: list[int], D: int, order_b: list[int]) -> list[int]:
+    """Round nonnegative rationals nums[i] / D consistently in two scan orders.
 
     order_b lists 0-based positions in the second scan order; the first order
     is the list order.  Returns integers x with x_i in {floor, ceil} of
-    values[i] and all prefix sums (both orders) within the floor/ceil of the
-    exact prefix sums.
+    nums[i] / D and all prefix sums (both orders) within the floor/ceil of
+    the exact prefix sums.
     """
-    floors = [floor(v) for v in values]
-    fracs = [v - f for v, f in zip(values, floors)]
-    total = sum(fracs, Fraction(0))
-    candidates = [int(total)] if total.denominator == 1 else [floor(total), ceil(total)]
-    for b in candidates:
-        bits = _try_round(fracs, order_b, b)
+    floors = [x // D for x in nums]
+    fracs = [x % D for x in nums]
+    low, rem = divmod(sum(fracs), D)
+    for b in [low] if rem == 0 else [low, low + 1]:
+        bits = _try_round(fracs, D, order_b, b)
         if bits is not None:
             return [f + o for f, o in zip(floors, bits)]
     raise RuntimeError(
         "two-way rounding solver found no feasible rounding; this is a bug"
     )
+
+
+def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+    """Numerators of the values over D = lcm of their denominators, and D."""
+    D = lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
 
 
 def two_way_round(seq, perm) -> list[int]:
@@ -287,7 +264,8 @@ def two_way_round(seq, perm) -> list[int]:
     order = [int(p) - 1 for p in perm]
     if sorted(order) != list(range(n)):
         raise ValueError("perm must be a bijection on 1..n")
-    return _two_way_round_core(values, order)
+    nums, D = _over_common_denominator(values)
+    return _two_way_round_core(nums, D, order)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +295,26 @@ def round_matrix(T) -> BinaryMatrix:
         for x in row:
             if not 0 <= x <= 1:
                 raise ValueError(f"entry {x} outside [0, 1]")
-    m = len(rows)
-    row_sums = [sum(row, Fraction(0)) for row in rows]
-    col_sums = [sum(row[j] for row in rows) for j in range(n)]
-    grand = sum(row_sums, Fraction(0))
-    ext = [row + [ceil(row_sums[i]) - row_sums[i]] for i, row in enumerate(rows)]
-    ext.append([ceil(c) - c for c in col_sums] + [grand])
-    values = [x for row in ext for x in row]
+    nums, D = _over_common_denominator([x for row in rows for x in row])
+    return _round_matrix_core([nums[i : i + n] for i in range(0, len(nums), n)], D)
+
+
+def _round_matrix_core(rows: list[list[int]], D: int) -> BinaryMatrix:
+    """round_matrix on entries given as numerators over D."""
+    m, n = len(rows), len(rows[0])
+    row_sums = [sum(row) for row in rows]
+    col_sums = [sum(col) for col in zip(*rows)]
+    values = []
+    for row, total in zip(rows, row_sums):
+        values.extend(row)
+        values.append(-total % D)  # ceil(total / D) - total / D, over D
+    values.extend(-total % D for total in col_sums)
+    values.append(sum(row_sums))
     order_b = [i * (n + 1) + j for j in range(n + 1) for i in range(m + 1)]
-    rounded = _two_way_round_core(values, order_b)
-    out = [
-        tuple(rounded[i * (n + 1) + j] for j in range(n)) for i in range(m)
-    ]
-    return BinaryMatrix(tuple(out))
+    rounded = _two_way_round_core(values, D, order_b)
+    return BinaryMatrix(
+        tuple(tuple(rounded[i * (n + 1) : i * (n + 1) + n]) for i in range(m))
+    )
 
 
 def build_FX(spec: RoundingSpec) -> BinaryMatrix:
@@ -338,11 +323,12 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     Row i of the output sums to exactly X[i]; initial column sums of equal
     depth differ by at most 1 and initial row sums of equal width by at most
     2.  The all-zero X short-circuits to the zero matrix without the solver.
+    Every entry is X[i]/n, so the entries go to the solver as numerators X[i]
+    over n.
     """
     if all(s == 0 for s in spec.X):
         return BinaryMatrix(tuple(tuple(0 for _ in range(spec.n)) for _ in spec.X))
-    T = [[Fraction(s, spec.n)] * spec.n for s in spec.X]
-    F = round_matrix(T)
+    F = _round_matrix_core([[s] * spec.n for s in spec.X], spec.n)
     for i, s in enumerate(spec.X):
         if F.row_counts[i] != s:
             raise RuntimeError("row sum drifted from its exact target; bug")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
+import oracles
 import pytest
 
+from gridcube import base2d
 from gridcube.base2d import (
     build_R,
     build_f2,
@@ -81,6 +84,34 @@ def test_prefix_counts_match_closed_form():
             run += 1 + emb.R.R(i, j)
             assert emb.N(i, j) == run
             assert chain_prefix_count(emb.R, i, j) == run
+
+
+def test_integer_prefix_count_matches_fraction_form():
+    # the criterion-04 range, every column prefix, so j > i is covered
+    m = 256
+    for a1 in range(3, 65):
+        R = build_R(a1, (a1 - 1).bit_length())
+        got = chain_prefix_count(
+            R, np.arange(1, a1 + 1)[:, None], np.arange(m + 1)[None, :]
+        )
+        assert got.tolist() == oracles.chain_prefix_counts(R.a1, R.e1, m), a1
+        assert chain_prefix_count(R, a1, m) == int(got[-1, -1])
+    with pytest.raises(ValueError):
+        chain_prefix_count(build_R(5, 3), 1, -1)
+
+
+def test_fill_columns_reports_first_prefix_mismatch(monkeypatch):
+    real = base2d.chain_prefix_count
+
+    def off_at_2_3(R, i, j):
+        closed = real(R, i, j)
+        closed[1, 3] += 1
+        closed[4, 7] += 1
+        return closed
+
+    monkeypatch.setattr(base2d, "chain_prefix_count", off_at_2_3)
+    with pytest.raises(AssertionError, match=r"prefix count N\(2,3\) disagrees"):
+        fill_columns(5, 3, 12)
 
 
 def test_column_profile_occupancy():

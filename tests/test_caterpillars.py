@@ -1,9 +1,12 @@
 """Tests for spanning caterpillars, their labelings, and window checks."""
 from __future__ import annotations
 
+import oracles
 import pytest
 
 from gridcube.caterpillars import (
+    _BASE_SPINES,
+    _assign_leaves,
     Caterpillar,
     SearchExhausted,
     best_labeling,
@@ -182,3 +185,11 @@ def test_best_labeling_selection():
         lab = best_labeling(t)
         assert lab.t == t and lab.window == 5
 
+
+
+@pytest.mark.parametrize("t, leaf_degree", [(3, 1), (6, 3)])
+def test_assign_leaves_matches_oracle_on_base_spines(t, leaf_degree):
+    spine = list(_BASE_SPINES[leaf_degree])
+    leaves = _assign_leaves(t, spine, leaf_degree)
+    assert leaves == oracles.assign_leaves(t, spine, leaf_degree)
+    assert caterpillar_for(t, leaf_degree).leaves == leaves

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import numpy as np
+import oracles
 import pytest
 
+from gridcube import checks as checks_module
 from gridcube.checks import (
     CheckResult,
     assemble_Hk,
@@ -248,6 +250,14 @@ def test_dump_and_parse_round_trip():
     assert np.array_equal(parsed.labels, emb.labels)
 
 
+@pytest.mark.parametrize(
+    "dims", [(2, 2), (3, 7, 4), (5, 3, 2, 4), (9, 9, 9), (2, 3, 4, 2, 3, 4), (3,) * 7]
+)
+def test_dump_matches_per_rank_reference(dims):
+    emb = assemble_Hk(build_fk(GridSpec(dims)))
+    assert dump_embedding(emb) == oracles.dump_embedding(emb)
+
+
 def test_dump_is_deterministic():
     spec = GridSpec((3, 7, 4))
     a = dump_embedding(assemble_Hk(build_fk(spec)))
@@ -306,3 +316,41 @@ def test_audit_grid_smoke():
     assert "pipeline.stage2.injective" in names
     assert "diffs.within-17" in names
     assert "dilation.value" in names
+
+
+def count_coordinate_diffs(monkeypatch) -> list[int]:
+    calls = [0]
+    real = checks_module.coordinate_diffs
+
+    def counted(fk):
+        calls[0] += 1
+        return real(fk)
+
+    monkeypatch.setattr(checks_module, "coordinate_diffs", counted)
+    return calls
+
+
+def test_embedding_scans_coordinate_differences_once(monkeypatch):
+    calls = count_coordinate_diffs(monkeypatch)
+    fk = build_fk(GridSpec((9, 9, 9)))
+    emb = assemble_Hk(fk)
+    report = dilation(emb)
+    assert calls[0] == 1
+    assert report.diffs is emb.diffs
+    assert emb.diffs == coordinate_diffs(fk)
+    # labelings given up front: the scan runs on first use, still once
+    emb = assemble_Hk(fk, list(emb.labelings))
+    calls[0] = 0
+    assert dilation(emb).diffs is emb.diffs
+    assert calls[0] == 1
+
+
+def test_audit_grid_scans_coordinate_differences_once(monkeypatch):
+    calls = count_coordinate_diffs(monkeypatch)
+    checks, emb, report = audit_grid(GridSpec((5, 6, 7)))
+    assert calls[0] == 1
+    assert failed(checks) == []
+    names = [c.name for c in checks]
+    assert names.index("pipeline.stage3.injective") < names.index("diffs.within-17")
+    assert names.index("diffs.max.dim3") < names.index("embedding.injective")
+    assert names.index("embedding.injective") < names.index("dilation.value")

@@ -6,8 +6,12 @@ from fractions import Fraction
 from math import ceil, floor
 from pathlib import Path
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridcube.grids import GridSpec
 from gridcube.rounding import (
     BinaryMatrix,
     RealSequence,
@@ -24,6 +28,7 @@ from gridcube.rounding import (
     window_violations,
     zero_index,
 )
+from gridcube.stages import s_sequence
 
 DATA = Path(__file__).parent / "data"
 
@@ -249,6 +254,64 @@ def test_build_FX_deterministic():
     a = build_FX(RoundingSpec((2, 3, 3, 3), 8))
     b = build_FX(RoundingSpec((2, 3, 3, 3), 8))
     assert a.rows == b.rows
+
+
+# ---------------------------------------------------------------------------
+# the integer solver against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def two_valued_specs(max_m: int, ns) -> list[tuple[tuple[int, ...], int]]:
+    """Every (X, n) with 1 <= m <= max_m, X two-valued and kappa + 1 <= n."""
+    specs = set()
+    for n in ns:
+        for m in range(1, max_m + 1):
+            for kappa in range(n):
+                for X in itertools.product((kappa, kappa + 1), repeat=m):
+                    if min(X) + 1 <= n:
+                        specs.add((X, n))
+    return sorted(specs)
+
+
+def test_build_FX_matches_oracle_exhaustively():
+    specs = two_valued_specs(6, range(2, 9))
+    assert len(specs) == 4200
+    for X, n in specs:
+        spec = RoundingSpec(X, n)
+        assert build_FX(spec).rows == oracles.build_FX(spec).rows, (X, n)
+
+
+@pytest.mark.parametrize("dims", [(17, 17, 17), (33, 33, 33), (5, 5, 5, 5, 5)])
+def test_build_FX_matches_oracle_on_stage_specs(dims):
+    grid = GridSpec(dims)
+    for i in range(2, grid.k):
+        spec = RoundingSpec(s_sequence(grid, i), 1 << grid.block_width(i))
+        assert build_FX(spec).rows == oracles.build_FX(spec).rows, (dims, i)
+
+
+rationals = st.integers(1, 12).flatmap(
+    lambda d: st.integers(0, d).map(lambda k: Fraction(k, d))
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(rationals, min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_two_way_round_matches_oracle(values, rnd):
+    perm = list(range(1, len(values) + 1))
+    rnd.shuffle(perm)
+    assert two_way_round(values, perm) == oracles.two_way_round(values, perm)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=6
+        )
+    )
+)
+def test_round_matrix_matches_oracle(T):
+    assert round_matrix(T).rows == oracles.round_matrix(T).rows
 
 
 # ---------------------------------------------------------------------------
