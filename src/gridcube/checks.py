@@ -20,7 +20,13 @@ from .base2d import fill_columns
 from .caterpillars import CubeLabeling, best_labeling, gray_label
 from .grids import GridSpec, level_budget
 from .rounding import BinaryMatrix
-from .stages import StageEmbedding, build_fk, s_sequence
+from .stages import (
+    StageEmbedding,
+    budget_break,
+    build_fk,
+    packed_address,
+    s_sequence,
+)
 
 # ---------------------------------------------------------------------------
 # Check results
@@ -310,9 +316,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     M = 1 << spec.exponents[j - 1]
     level_size = 1 << spec.exponents[j - 2]
     prefprod = spec.prefix_product(j - 1)
-    addr = np.zeros(spec.size, dtype=np.int64)
-    for t in range(j - 1):
-        addr += (coords[:, t] - 1) << spec.exponents[t]
+    addr = packed_address(spec, coords[:, : j - 1])
 
     def ceil_div(a: int, b: int) -> int:
         return -(-a // b)
@@ -320,8 +324,9 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     # level coverage: every nonblank level outside the last section is hit
     # by exactly level_size vertices
     counts = np.bincount(emb.source_level, minlength=plan.pages * plan.width + 1)
-    interior = [g for g in plan.nonblank_levels if plan.section_of(g) <= P - 1]
-    ok = all(int(counts[g]) == level_size for g in interior)
+    levels = plan.level_table
+    interior = levels[plan.section_of(levels) <= P - 1]
+    ok = bool((counts[interior] == level_size).all())
     out.append(_gated(pre + "level-coverage", ok, asserted))
 
     # cumulative stack heights per address over section prefixes
@@ -554,17 +559,7 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
         out.append(_check(f"pipeline.stage{nxt.stage}.prefix-stability", stable))
 
     for i in range(2, spec.k):
-        s = s_sequence(spec, i)
-        width = 1 << spec.block_width(i)
-        half = 1 << spec.exponents[i - 1]
-        prefix = spec.prefix_product(i)
-        total = 0
-        ok = True
-        for r, val in enumerate(s, start=1):
-            total += val
-            if -(-r * prefix // half) + total != r * width:
-                ok = False
-                break
+        ok = budget_break(spec, i, s_sequence(spec, i)) is None
         out.append(_check(f"pipeline.stage{i}.blank-budget", ok))
 
     for st in chain:
@@ -616,17 +611,19 @@ def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
     """Exhaustive edge scan of output-coordinate differences."""
     spec = fk.spec
     k = spec.k
-    coords = fk.coords.astype(np.int64)
+    coords = fk.coords
+    widths = np.array(
+        [1 << spec.block_width(j) for j in range(1, k + 1)], dtype=coords.dtype
+    )
     cyc = np.zeros((k, k), dtype=np.int64)
     absd = np.zeros((k, k), dtype=np.int64)
     for i0, src, stride in _grid_edges(spec):
-        a = coords[src]
-        b = coords[src + stride]
-        for jdim in range(1, k + 1):
-            width = 1 << spec.block_width(jdim)
-            d = np.abs(a[:, jdim - 1] - b[:, jdim - 1])
-            absd[jdim - 1, i0 - 1] = int(d.max())
-            cyc[jdim - 1, i0 - 1] = int(np.minimum(d, width - d).max())
+        d = coords[src]
+        d -= coords[src + stride]
+        np.abs(d, out=d)
+        absd[:, i0 - 1] = d.max(axis=0)
+        wrap = widths - d
+        cyc[:, i0 - 1] = np.minimum(d, wrap, out=wrap).max(axis=0)
     return CoordinateDiffs(
         spec,
         tuple(tuple(int(x) for x in row) for row in cyc),

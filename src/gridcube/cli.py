@@ -2,12 +2,14 @@
 
 Exit codes: 0 when every applicable assertion passed, 1 when a check failed,
 2 for usage errors (bad arguments, malformed files, infeasible or oversized
-instances).
+instances), 3 for an internal error (out of memory or any other unexpected
+exception; the traceback goes to stderr).
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .caterpillars import (
@@ -29,7 +31,7 @@ from .grids import GridSpec, level_budget
 from .rounding import parse_matrices
 from .stages import build_fk, dump_stage
 
-PASS, CHECK_FAILED, USAGE = 0, 1, 2
+PASS, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _spec_from(dims: list[int], cap: int | None) -> GridSpec:
@@ -193,6 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        summary = traceback.format_exception_only(exc)[-1].strip()
+        print(f"internal error: {summary}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -205,36 +205,3 @@ def level_budget(spec: GridSpec, i: int) -> int:
         raise ValueError(f"stage {i} outside [2, {spec.k}]")
     half = 1 << spec.exponents[i - 1]
     return -(-spec.size // half)
-
-
-@dataclass(frozen=True)
-class LevelAddress:
-    """A level at stage i: global index c, split into (section, offset).
-
-    Stage-i levels are grouped into sections of 2^{e_i - e_{i-1}} consecutive
-    levels; c = (section - 1) * width + offset with 1-based section/offset.
-    """
-
-    stage: int
-    level: int
-    width: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level index must be positive")
-        if self.width < 1:
-            raise ValueError("section width must be positive")
-
-    @classmethod
-    def of(cls, spec: GridSpec, i: int, level: int) -> "LevelAddress":
-        if not 2 <= i <= spec.k:
-            raise ValueError(f"stage {i} outside [2, {spec.k}]")
-        return cls(i, level, 1 << spec.block_width(i))
-
-    @property
-    def section(self) -> int:
-        return (self.level - 1) // self.width + 1
-
-    @property
-    def offset(self) -> int:
-        return (self.level - 1) % self.width + 1

@@ -55,32 +55,42 @@ class RealSequence:
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """An m x n 0/1 matrix with cached per-row population counts."""
+    """An m x n 0/1 matrix.
+
+    The rows are validated once, in one numpy pass, into ``bits``: a
+    read-only m x n int8 array that every reader of the matrix works from.
+    ``rows`` keeps the same entries as tuples of Python ints.
+    """
 
     rows: tuple[tuple[int, ...], ...]
+    bits: np.ndarray = field(init=False, repr=False, compare=False)
     row_counts: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(b) for b in row) for row in self.rows)
-        if not rows or not rows[0]:
+        if not len(self.rows) or not len(self.rows[0]):
             raise ValueError("matrix must be nonempty")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            for b in row:
-                if b not in (0, 1):
-                    raise ValueError("entries must be bits")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "row_counts", tuple(sum(r) for r in rows))
+        width = len(self.rows[0])
+        if any(len(row) != width for row in self.rows):
+            raise ValueError("ragged rows")
+        try:
+            bits = np.array(self.rows, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("entries must be bits") from None
+        if bits.ndim != 2 or ((bits != 0) & (bits != 1)).any():
+            raise ValueError("entries must be bits")
+        bits = bits.astype(np.int8)
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "rows", tuple(map(tuple, bits.tolist())))
+        object.__setattr__(self, "row_counts", tuple(bits.sum(axis=1).tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return self.bits.shape[0]
 
     @property
     def n(self) -> int:
-        return len(self.rows[0])
+        return self.bits.shape[1]
 
     def entry(self, r: int, c: int) -> int:
         """1-based accessor."""
@@ -89,20 +99,12 @@ class BinaryMatrix:
     def row(self, r: int) -> tuple[int, ...]:
         return self.rows[r - 1]
 
-    def ones_in_row(self, r: int) -> int:
-        return self.row_counts[r - 1]
-
     def zeros_in_row(self, r: int) -> int:
         return self.n - self.row_counts[r - 1]
 
     def zero_columns(self, r: int) -> tuple[int, ...]:
         """1-based column indices of the zeros in row r, left to right."""
-        return tuple(j + 1 for j, b in enumerate(self.rows[r - 1]) if b == 0)
-
-    def validate(self) -> None:
-        for cached, row in zip(self.row_counts, self.rows):
-            if cached != sum(row):
-                raise AssertionError("cached row count out of sync")
+        return tuple((np.flatnonzero(self.bits[r - 1] == 0) + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -312,9 +314,7 @@ def _round_matrix_core(rows: list[list[int]], D: int) -> BinaryMatrix:
     values.append(sum(row_sums))
     order_b = [i * (n + 1) + j for j in range(n + 1) for i in range(m + 1)]
     rounded = _two_way_round_core(values, D, order_b)
-    return BinaryMatrix(
-        tuple(tuple(rounded[i * (n + 1) : i * (n + 1) + n]) for i in range(m))
-    )
+    return BinaryMatrix(np.array(rounded).reshape(m + 1, n + 1)[:m, :n])
 
 
 def build_FX(spec: RoundingSpec) -> BinaryMatrix:
@@ -327,11 +327,10 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     over n.
     """
     if all(s == 0 for s in spec.X):
-        return BinaryMatrix(tuple(tuple(0 for _ in range(spec.n)) for _ in spec.X))
+        return BinaryMatrix(np.zeros((spec.m, spec.n), dtype=np.int8))
     F = _round_matrix_core([[s] * spec.n for s in spec.X], spec.n)
-    for i, s in enumerate(spec.X):
-        if F.row_counts[i] != s:
-            raise RuntimeError("row sum drifted from its exact target; bug")
+    if F.row_counts != spec.X:
+        raise RuntimeError("row sum drifted from its exact target; bug")
     return F
 
 
@@ -427,8 +426,6 @@ def balance_violations(F: BinaryMatrix, X) -> list[str]:
     equal width have counts within 2.  Returns violation strings (empty list
     means F passes).
     """
-    import numpy as np
-
     X = tuple(int(s) for s in X)
     if len(X) != F.m:
         raise ValueError("row-sum sequence length disagrees with matrix")
@@ -436,12 +433,11 @@ def balance_violations(F: BinaryMatrix, X) -> list[str]:
     for i, (got, want) in enumerate(zip(F.row_counts, X), start=1):
         if got != want:
             out.append(f"row {i} sums to {got}, expected {want}")
-    arr = np.array(F.rows, dtype=np.int64)
-    colpref = arr.cumsum(axis=0)
+    colpref = F.bits.cumsum(axis=0)
     spread = colpref.max(axis=1) - colpref.min(axis=1)
     for d in np.nonzero(spread > 1)[0]:
         out.append(f"column prefixes of depth {d + 1} spread {spread[d]} > 1")
-    rowpref = arr.cumsum(axis=1)
+    rowpref = F.bits.cumsum(axis=1)
     spread = rowpref.max(axis=0) - rowpref.min(axis=0)
     for h in np.nonzero(spread > 2)[0]:
         out.append(f"row prefixes of width {h + 1} spread {spread[h]} > 2")
@@ -464,8 +460,6 @@ def window_violations(spec: RoundingSpec, F: BinaryMatrix) -> list[str]:
 
     Returns violation strings; an empty list means F passes.
     """
-    import numpy as np
-
     if not spec.supports_window_queries:
         raise ValueError("window bounds require kappa+1 <= n/2")
     if F.m != spec.m or F.n != spec.n:
@@ -479,7 +473,7 @@ def window_violations(spec: RoundingSpec, F: BinaryMatrix) -> list[str]:
     # parity class settles every window at once.
     for i in range(1, F.m + 1):
         s = spec.X[i - 1]
-        fpref = np.concatenate([[0], np.cumsum(F.row(i))])
+        fpref = np.concatenate([[0], np.cumsum(F.bits[i - 1])])
         h_idx = np.arange(n + 1)
         ceil_t = -(-h_idx * s // n)
         forward = fpref == ceil_t
@@ -500,7 +494,7 @@ def window_violations(spec: RoundingSpec, F: BinaryMatrix) -> list[str]:
             )
         # Zero-gap form: with A[x] = (column of x-th zero) - 2x, the gap
         # bound after the d-th zero is a suffix-maximum condition on A.
-        zeros = np.array(F.zero_columns(i), dtype=np.int64)
+        zeros = np.flatnonzero(F.bits[i - 1] == 0) + 1
         a = zeros - 2 * np.arange(1, len(zeros) + 1)
         asuffmax = np.maximum.accumulate(a[::-1])[::-1]
         zallow = np.where(forward[zeros], 0, 2)
@@ -513,11 +507,11 @@ def window_violations(spec: RoundingSpec, F: BinaryMatrix) -> list[str]:
     # e >= 0.  Writing x = d+e and A_r[x] = N_r(x) - 2x, the bound reads
     # A_r[x] <= 4 + min(A_s[1..min(x, zeros in s)]), so per-row prefix
     # minima (extended flat past each row's last zero) settle all pairs.
-    qmax = max(F.zeros_in_row(i) for i in range(1, F.m + 1))
+    qmax = F.n - min(F.row_counts)
     lowest = np.full((F.m, qmax), np.iinfo(np.int64).min, dtype=np.int64)
     prefmin = np.empty((F.m, qmax), dtype=np.int64)
     for i in range(1, F.m + 1):
-        zeros = np.array(F.zero_columns(i), dtype=np.int64)
+        zeros = np.flatnonzero(F.bits[i - 1] == 0) + 1
         a = zeros - 2 * np.arange(1, len(zeros) + 1)
         lowest[i - 1, : len(a)] = a
         padded = np.concatenate([a, np.full(qmax - len(a), a[-1])])

@@ -12,15 +12,15 @@ Sections, pages, offsets and heights are 1-based at this API surface.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, product
 
 import numpy as np
 
 from .base2d import Embedding2D, build_f2
 from .grids import GridSpec, level_budget
-from .rounding import BinaryMatrix, RoundingSpec, build_FX
+from .rounding import BinaryMatrix, RoundingSpec, balance_violations, build_FX
 
 
 def s_sequence(spec: GridSpec, i: int) -> tuple[int, ...]:
@@ -48,16 +48,31 @@ def s_sequence(spec: GridSpec, i: int) -> tuple[int, ...]:
         cur = (j * phi_num) // half
         s.append(base + cur - prev)
         prev = cur
-    total = 0
-    for r, val in enumerate(s, start=1):
+    for val in set(s):
         if val not in (base, base + 1):
             raise AssertionError(f"blank count {val} outside {{{base}, {base + 1}}}")
         if 2 * val > width:
             raise AssertionError(f"blank count {val} above half the section width")
-        total += val
-        if -(-r * prefix // half) + total != r * width:
-            raise AssertionError(f"budget identity fails at section prefix {r}")
+    r = budget_break(spec, i, s)
+    if r is not None:
+        raise AssertionError(f"budget identity fails at section prefix {r}")
     return tuple(s)
+
+
+def budget_break(spec: GridSpec, i: int, s) -> int | None:
+    """First section prefix r where the budget identity fails, else None.
+
+    The identity: the nonblank slots of sections 1..r, r * width minus the
+    blanks s(1) + ... + s(r), exactly hold the ceil(r A / h) stage-i levels
+    those sections need (A = a_1...a_i, h = 2^{e_{i-1}}).
+    """
+    width = 1 << spec.block_width(i)
+    half = 1 << spec.exponents[i - 1]
+    prefix = spec.prefix_product(i)
+    for r, total in enumerate(accumulate(s), start=1):
+        if -(-r * prefix // half) + total != r * width:
+            return r
+    return None
 
 
 @dataclass(frozen=True)
@@ -66,24 +81,33 @@ class BlankPlan:
 
     Entry (r, d) = 1 marks slot d of section r blank; zeros are the nonblank
     levels, in row-major order the global level sequence the inflation step
-    maps onto.
+    maps onto.  Two tables are read off ``F.bits`` once: ``level_table[c-1]``
+    is the global index of the c-th nonblank level, and ``ordinal_table[g]``
+    is the ordinal of level g among its own section's nonblanks (the
+    cumulative nonblank count along the row; 0 at blanks and at the unused
+    index 0).
     """
 
     spec: GridSpec
     stage: int
     s: tuple[int, ...]
     F: BinaryMatrix
-    zero_cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    nonblank_levels: tuple[int, ...] = field(init=False, repr=False)
+    level_table: np.ndarray = field(init=False, repr=False, compare=False)
+    ordinal_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        zero_cols = tuple(self.F.zero_columns(r) for r in range(1, self.F.m + 1))
-        object.__setattr__(self, "zero_cols", zero_cols)
-        width = self.width
-        levels = []
-        for r, cols in enumerate(zero_cols):
-            levels.extend(r * width + c for c in cols)
-        object.__setattr__(self, "nonblank_levels", tuple(levels))
+        nonblank = 1 - self.F.bits
+        ordinals = np.zeros(nonblank.size + 1, dtype=np.int64)
+        ordinals[1:] = (nonblank.cumsum(axis=1) * nonblank).ravel()
+        levels = np.flatnonzero(ordinals)
+        for name, table in (("level_table", levels), ("ordinal_table", ordinals)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+
+    @cached_property
+    def nonblank_levels(self) -> tuple[int, ...]:
+        """Global indices of the nonblank levels, in order."""
+        return tuple(self.level_table.tolist())
 
     @property
     def width(self) -> int:
@@ -100,53 +124,37 @@ class BlankPlan:
 
     def inflate_level(self, c: int) -> int:
         """Global index of the c-th nonblank level."""
-        if not 1 <= c <= len(self.nonblank_levels):
+        count = len(self.level_table)
+        if not 1 <= c <= count:
             raise ValueError(
-                f"level ordinal {c} outside the {len(self.nonblank_levels)} "
-                "nonblank levels"
+                f"level ordinal {c} outside the {count} nonblank levels"
             )
-        return self.nonblank_levels[c - 1]
+        return int(self.level_table[c - 1])
 
-    def section_of(self, level: int) -> int:
+    def section_of(self, level):
+        """Section of a level (an int or an int array), 1-based."""
         return (level - 1) // self.width + 1
 
-    def offset_of(self, level: int) -> int:
+    def offset_of(self, level):
+        """Slot of a level within its section (an int or an int array), 1-based."""
         return (level - 1) % self.width + 1
 
     def nu_of(self, level: int) -> int:
         """Ordinal of a nonblank level among its own section's nonblanks."""
-        r = self.section_of(level)
-        cols = self.zero_cols[r - 1]
-        off = self.offset_of(level)
-        idx = bisect_right(cols, off)
-        if idx == 0 or cols[idx - 1] != off:
+        last = len(self.ordinal_table) - 1
+        if not 1 <= level <= last:
+            raise ValueError(f"level {level} outside 1..{last}")
+        nu = int(self.ordinal_table[level])
+        if nu == 0:
             raise ValueError(f"level {level} is blank")
-        return idx
+        return nu
 
     def violations(self) -> list[str]:
-        """Contract check: exact row sums, balanced column and row prefixes."""
-        bad = []
-        F, width = self.F, self.width
-        if F.m != self.pages or F.n != width:
-            bad.append(
-                f"shape {F.m}x{F.n}, want {self.pages}x{width}"
-            )
-            return bad
-        for r, want in enumerate(self.s, start=1):
-            if F.row_counts[r - 1] != want:
-                bad.append(f"section {r} has {F.row_counts[r - 1]} blanks, want {want}")
-        cols = np.array(F.rows, dtype=np.int64)
-        depth = np.cumsum(cols, axis=0)
-        for t in range(F.m):
-            spread = int(depth[t].max() - depth[t].min())
-            if spread > 1:
-                bad.append(f"column prefixes at depth {t + 1} spread {spread}")
-        across = np.cumsum(cols, axis=1)
-        for w in range(F.n):
-            spread = int(across[:, w].max() - across[:, w].min())
-            if spread > 2:
-                bad.append(f"row prefixes at width {w + 1} spread {spread}")
-        return bad
+        """Contract check: the stage's shape, then the balance contract."""
+        F = self.F
+        if F.m != self.pages or F.n != self.width:
+            return [f"shape {F.m}x{F.n}, want {self.pages}x{self.width}"]
+        return balance_violations(F, self.s)
 
 
 def build_blank_plan(
@@ -232,7 +240,7 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> InflatedStage:
     """
     if plan.stage != prev.stage:
         raise ValueError("plan stage does not match embedding stage")
-    table = np.asarray(plan.nonblank_levels, dtype=np.int64)
+    table = plan.level_table
     idx = prev.coords[:, prev.stage - 1].astype(np.int64) - 1
     if idx.min() < 0 or idx.max() >= len(table):
         raise RuntimeError(
@@ -240,6 +248,19 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> InflatedStage:
             "budget identity violated"
         )
     return InflatedStage(prev, plan, table[idx])
+
+
+def packed_address(spec: GridSpec, coords: np.ndarray) -> np.ndarray:
+    """The leading block coordinates of each row packed into one int64.
+
+    Column t (0-based, values 1..2^{e_{t+1} - e_t}) fills bits e_t up to
+    e_{t+1} - 1, so t columns pack below 2^{e_t} and two rows get the same
+    key exactly when they agree in every column.
+    """
+    key = np.zeros(len(coords), dtype=np.int64)
+    for t in range(coords.shape[1]):
+        key += (coords[:, t].astype(np.int64) - 1) << spec.exponents[t]
+    return key
 
 
 def stack(inflated: InflatedStage, plan: BlankPlan) -> StageEmbedding:
@@ -254,28 +275,21 @@ def stack(inflated: InflatedStage, plan: BlankPlan) -> StageEmbedding:
         raise ValueError("stack must use the plan that produced the inflation")
     prev = inflated.prev
     i = prev.stage
-    width = plan.width
     levels = inflated.levels
-    sections = (levels - 1) // width + 1
-    offsets = (levels - 1) % width + 1
-    address = prev.coords[:, : i - 1].astype(np.int64)
-    keys = [offsets] + [address[:, t] for t in range(i - 1)]
-    order = np.lexsort([sections] + keys)
-    key_mat = np.column_stack(keys)[order]
+    sections = plan.section_of(levels)
+    coords = np.empty((len(levels), i + 1), dtype=np.int32)
+    coords[:, : i - 1] = prev.coords[:, : i - 1]
+    coords[:, i - 1] = plan.offset_of(levels)
+    key = packed_address(prev.spec, coords[:, :i])
+    order = np.lexsort((sections, key))
+    key_sorted = key[order]
     sec_sorted = sections[order]
     new_group = np.ones(len(order), dtype=bool)
-    new_group[1:] = (key_mat[1:] != key_mat[:-1]).any(axis=1)
+    new_group[1:] = key_sorted[1:] != key_sorted[:-1]
     if not (new_group[1:] | (sec_sorted[1:] > sec_sorted[:-1])).all():
         raise AssertionError("two same-section points share an address and slot")
-    group_ids = np.cumsum(new_group) - 1
     starts = np.flatnonzero(new_group)
-    heights_sorted = np.arange(len(order)) - starts[group_ids] + 1
-    heights = np.empty(len(order), dtype=np.int64)
-    heights[order] = heights_sorted
-    coords = np.column_stack([address, offsets, heights]).astype(np.int32)
-    nu_lookup = np.zeros(plan.pages * width + 1, dtype=np.int64)
-    for g in plan.nonblank_levels:
-        nu_lookup[g] = plan.nu_of(g)
+    coords[order, i] = np.arange(len(order)) - starts[np.cumsum(new_group) - 1] + 1
     return StageEmbedding(
         prev.spec,
         i + 1,
@@ -283,7 +297,7 @@ def stack(inflated: InflatedStage, plan: BlankPlan) -> StageEmbedding:
         plan=plan,
         source_level=levels,
         source_section=sections.astype(np.int32),
-        source_nu=nu_lookup[levels].astype(np.int32),
+        source_nu=plan.ordinal_table[levels].astype(np.int32),
         prev=prev,
     )
 

@@ -4,13 +4,19 @@ These are the literal Fraction forms of the integer-exact construction
 core: the prefix windows and the two-way rounding in fractions.Fraction, a
 recursive Dinic with adjacency lists, the leaf matching built on it, the
 Fraction closed form of the chain prefix counts, and the embedding file
-written one rank at a time.  They run in tests only; the library's integer
-and table-driven forms must reproduce their outputs exactly.
+written one rank at a time.  Beside them sit the per-row forms of the blank
+plan tables (nonblank levels, and section ordinals by bisection) and the
+per-column coordinate-difference scan.  They run in tests only; the
+library's integer and table-driven forms must reproduce their outputs
+exactly.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import ceil, floor
+
+import numpy as np
 
 from gridcube.rounding import BinaryMatrix, RoundingSpec
 
@@ -210,3 +216,54 @@ def dump_embedding(emb) -> str:
         coords = spec.coords_of(rank)
         lines.append(" ".join(str(x) for x in coords) + " " + emb.label_bits(rank))
     return "\n".join(lines) + "\n"
+
+
+def zero_columns(F: BinaryMatrix) -> list[tuple[int, ...]]:
+    """1-based columns of the zeros of every row, left to right."""
+    return [tuple(j + 1 for j, b in enumerate(row) if b == 0) for row in F.rows]
+
+
+def nonblank_levels(zero_cols: list[tuple[int, ...]], width: int) -> tuple[int, ...]:
+    """Global indices of the zeros, row by row (sections of ``width``)."""
+    levels = []
+    for r, cols in enumerate(zero_cols):
+        levels.extend(r * width + c for c in cols)
+    return tuple(levels)
+
+
+def nu_of(zero_cols: list[tuple[int, ...]], width: int, level: int) -> int:
+    """Ordinal of a nonblank level among its section's nonblanks, by
+    bisection in the section's zero columns; ValueError at a blank."""
+    cols = zero_cols[(level - 1) // width]
+    off = (level - 1) % width + 1
+    idx = bisect_right(cols, off)
+    if idx == 0 or cols[idx - 1] != off:
+        raise ValueError(f"level {level} is blank")
+    return idx
+
+
+def coordinate_diffs(fk) -> tuple[tuple, tuple]:
+    """(cyclic, absolute) coordinate-difference tables, one output dimension
+    and one grid dimension at a time."""
+    spec = fk.spec
+    k = spec.k
+    coords = fk.coords.astype(np.int64)
+    ranks = np.arange(spec.size, dtype=np.int64)
+    cyc = np.zeros((k, k), dtype=np.int64)
+    absd = np.zeros((k, k), dtype=np.int64)
+    for i0 in range(1, k + 1):
+        stride = spec.prefix_product(i0 - 1)
+        src = ranks[ranks // stride % spec.dims[i0 - 1] < spec.dims[i0 - 1] - 1]
+        if not len(src):
+            continue
+        a = coords[src]
+        b = coords[src + stride]
+        for jdim in range(1, k + 1):
+            width = 1 << spec.block_width(jdim)
+            d = np.abs(a[:, jdim - 1] - b[:, jdim - 1])
+            absd[jdim - 1, i0 - 1] = int(d.max())
+            cyc[jdim - 1, i0 - 1] = int(np.minimum(d, width - d).max())
+    return (
+        tuple(tuple(int(x) for x in row) for row in cyc),
+        tuple(tuple(int(x) for x in row) for row in absd),
+    )

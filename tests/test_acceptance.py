@@ -1,7 +1,8 @@
 """Acceptance suite: ten criteria, one test (and one result line) each.
 
 Each test carries its stated time budget and asserts it; the grids shared by
-the battery criteria are built once per module.
+the battery criteria (the ``battery_grids`` fixture of conftest.py) are built
+once per session.
 """
 from __future__ import annotations
 
@@ -46,21 +47,6 @@ from gridcube.stages import (
 )
 
 DATA = Path(__file__).parent / "data"
-
-BATTERY_SIDES = (5, 6, 7, 8, 9, 12)
-BATTERY_KS = (2, 3, 4, 5)
-
-
-@pytest.fixture(scope="module")
-def battery_grids():
-    grids = {}
-    for k in BATTERY_KS:
-        for a in BATTERY_SIDES:
-            spec = GridSpec((a,) * k)
-            assert spec.size <= 1 << 20
-            grids[(k, a)] = build_fk(spec)
-    return grids
-
 
 def load_seed(name: str):
     return parse_matrix((DATA / name).read_text())

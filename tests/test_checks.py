@@ -148,6 +148,13 @@ def test_coordinate_diffs_two_dimensional_bounds():
             assert c <= a
 
 
+def test_coordinate_diffs_match_per_column_oracle(battery_grids):
+    fks = list(battery_grids.values()) + [build_fk(GridSpec((3,) * 6))]
+    for fk in fks:
+        diffs = coordinate_diffs(fk)
+        assert (diffs.cyclic, diffs.absolute) == oracles.coordinate_diffs(fk)
+
+
 def test_diff_case_checks_asserted_at_threshold():
     fk = build_fk(GridSpec((8, 8)))
     results = diff_case_checks(coordinate_diffs(fk))

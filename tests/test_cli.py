@@ -155,3 +155,15 @@ def test_usage_errors_from_parser():
     with pytest.raises(SystemExit) as exc:
         run_cli(["embed", "3", "7", "4", "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_internal_errors_exit_three(monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("gridcube.cli.build_fk", out_of_memory)
+    code, out, err = run_cli(["embed", "3", "7", "4"])
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert err.rstrip().endswith("internal error: MemoryError")

@@ -7,7 +7,6 @@ import pytest
 from gridcube.grids import (
     GridSpec,
     GridVertex,
-    LevelAddress,
     compute_exponents,
     kappa,
     level_budget,
@@ -141,17 +140,3 @@ def test_level_budget_golden():
         level_budget(g, 1)
     with pytest.raises(ValueError):
         level_budget(g, 5)
-
-
-def test_level_address_decomposition():
-    spec = GridSpec((3, 7, 4, 3))
-    # stage 3 sections are 4 levels wide (e_3 - e_2 = 2)
-    addr = LevelAddress.of(spec, 3, 11)
-    assert addr.width == 4
-    assert (addr.section, addr.offset) == (3, 3)
-    for c in range(1, 33):
-        a = LevelAddress.of(spec, 3, c)
-        assert (a.section - 1) * a.width + a.offset == c
-        assert 1 <= a.offset <= a.width
-    with pytest.raises(ValueError):
-        LevelAddress.of(spec, 3, 0)

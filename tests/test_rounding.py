@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import ceil, floor
 from pathlib import Path
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,27 @@ def test_build_FX_small_examples():
     assert fx_contracts_hold(F, (1, 1, 2)) == []
     F = build_FX(RoundingSpec((0, 0, 0), 4))
     assert F.rows == ((0, 0, 0, 0),) * 3
+
+
+def test_binary_matrix_validates_rows():
+    F = BinaryMatrix(((1, 0, 1), (0, 0, 1)))
+    assert F.bits.tolist() == [[1, 0, 1], [0, 0, 1]]
+    assert (F.m, F.n, F.row_counts) == (2, 3, (2, 1))
+    assert F.zero_columns(2) == (1, 2)
+    assert not F.bits.flags.writeable
+    # anything int() maps to a bit is accepted, as one tuple-of-ints matrix
+    for same in ([[1, 0, 1], [0, 0, 1]], np.array(F.rows), [[True, "0", 1], [0.0, 0, 1]]):
+        assert BinaryMatrix(same) == F and BinaryMatrix(same).rows == F.rows
+    for bad, message in [
+        ((), "nonempty"),
+        (((),), "nonempty"),
+        (((1, 0), (1,)), "ragged"),
+        (((1, 2),), "bits"),
+        (((-1, 0),), "bits"),
+        (((2**70, 0),), "bits"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            BinaryMatrix(bad)
 
 
 def test_rounding_spec_rejects():

@@ -4,10 +4,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from gridcube.grids import GridSpec, level_budget
-from gridcube.rounding import parse_matrix
+from gridcube.rounding import BinaryMatrix, parse_matrix
 from gridcube.stages import (
     BlankPlan,
     build_blank_plan,
@@ -85,9 +86,46 @@ def test_blank_plan_from_seed_matches_hand_data():
 
 def test_blank_plan_rejects_wrong_row_sums():
     spec = GridSpec((3, 7, 4))
+    assert s_sequence(spec, 2) == (2, 3, 3, 3)
+    # right row sums, but after two rows columns 1-2 hold 2 blanks, 4-8 none
     bad = parse_matrix("4 8\n11000000\n11100000\n11100000\n11100000\n")
-    with pytest.raises(ValueError, match="rejected"):
+    with pytest.raises(ValueError, match="rejected.*depth 2 spread 2 > 1"):
         build_blank_plan(spec, 2, matrix=bad)
+    good = build_blank_plan(spec, 2).F
+    swapped = BinaryMatrix((good.rows[1], good.rows[0]) + good.rows[2:])
+    with pytest.raises(ValueError, match="rejected.*row 1 sums to 3, expected 2"):
+        build_blank_plan(spec, 2, matrix=swapped)
+    narrow = parse_matrix("4 4\n1100\n1010\n0101\n0011\n")
+    with pytest.raises(ValueError, match="rejected: shape 4x4, want 4x8"):
+        build_blank_plan(spec, 2, matrix=narrow)
+
+
+def assert_plan_tables_match_oracle(plan):
+    width = plan.width
+    zero_cols = oracles.zero_columns(plan.F)
+    levels = oracles.nonblank_levels(zero_cols, width)
+    assert plan.nonblank_levels == levels
+    for c, g in enumerate(levels, start=1):
+        assert plan.inflate_level(c) == g
+    for g in range(1, plan.pages * width + 1):
+        try:
+            want = oracles.nu_of(zero_cols, width, g)
+        except ValueError:
+            want = 0
+            with pytest.raises(ValueError, match="blank"):
+                plan.nu_of(g)
+        else:
+            assert plan.nu_of(g) == want
+        assert plan.ordinal_table[g] == want
+
+
+def test_plan_tables_match_per_row_oracle(battery_grids, emb_3743):
+    plans = [emb_3743.prev.plan, emb_3743.plan]
+    for fk in battery_grids.values():
+        plans.extend(st.plan for st in fk.stage_chain() if st.plan is not None)
+    assert len(plans) == 2 + sum(k - 2 for k, _ in battery_grids)
+    for plan in plans:
+        assert_plan_tables_match_oracle(plan)
 
 
 def test_generated_plans_pass_contracts():
