@@ -3,15 +3,16 @@
 Chains of the grid (rows of the folded two-dimensional layout) are poured
 into columns of the box {1..2^{e_1}} x {1..m}.  A circulant 0/1 matrix decides
 which chains contribute two points to which columns, spreading the surplus
-2^{e_1} - a_1 evenly; the filling loop below is the literal stateful
-construction, with a closed-form prefix-count formula kept alongside as a
-cross-check oracle.  The closed form is exact integer floor division, so it
-is evaluated for every (chain, column prefix) at once as one array and
-asserted equal to the loop's counts at build time.
+2^{e_1} - a_1 evenly.  The layout is built as flat int arrays straight from
+the circulant (the literal stateful filling loop is the tests' reference);
+a closed-form prefix-count formula is kept alongside as a cross-check.  The
+closed form is exact integer floor division, so it is evaluated for every
+(chain, column prefix) at once as one array and asserted equal, at build
+time, to the counts read off the built columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
@@ -82,7 +83,7 @@ def chain_prefix_count(R: CirculantR, i, j):
     evaluated as j + (p i) // a1 - (p (i-j)) // a1: floor division is exact
     for negative arguments in Python and in numpy.  ``i`` and ``j`` may be
     ints or numpy integer arrays (broadcast against each other).  Used as an
-    independent oracle against the filling loop.
+    independent cross-check of the built layout.
     """
     if np.any(np.asarray(j) < 0):
         raise ValueError("column prefix must be nonnegative")
@@ -94,34 +95,20 @@ def chain_prefix_count(R: CirculantR, i, j):
 class Embedding2D:
     """The filled box: chains 1..a1 poured into m columns of height 2^{e1}.
 
-    `chains[i-1][p-1]` is the (row, col) image of the p-th point of chain i;
-    `columns[j-1][row-1]` inverts it.  When a spec is attached, the grid's
-    own vertices map through their chain fold (kappa).
+    The p-th point of chain i sits at row `rows[t]` and column `cols[t]`,
+    t = offsets[i-1] + p - 1 (flat chain-major arrays); `prefix_counts[i-1, j]`
+    is N_ij, the points of chain i in columns 1..j.  All four arrays are
+    read-only.  When a spec is attached, the grid's own vertices map through
+    their chain fold (kappa).
     """
 
     R: CirculantR
     m: int
-    chains: tuple[tuple[tuple[int, int], ...], ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    offsets: np.ndarray
+    prefix_counts: np.ndarray
     spec: GridSpec | None = None
-    prefix_counts: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        counts = []
-        for chain in self.chains:
-            row = [0]
-            seen = 0
-            at = 1
-            for _, col in chain:
-                while at < col:
-                    row.append(seen)
-                    at += 1
-                seen += 1
-            while at <= self.m:
-                row.append(seen)
-                at += 1
-            counts.append(tuple(row))
-        object.__setattr__(self, "prefix_counts", tuple(counts))
 
     @property
     def a1(self) -> int:
@@ -133,25 +120,40 @@ class Embedding2D:
 
     def f(self, i: int, p: int) -> tuple[int, int]:
         """Image of the p-th point of chain i in the extended domain."""
-        return self.chains[i - 1][p - 1]
+        if not 1 <= p <= self.chain_length(i):
+            raise IndexError(f"chain {i} has no point {p}")
+        t = self.offsets[i - 1] + p - 1
+        return int(self.rows[t]), int(self.cols[t])
 
     def chain_length(self, i: int) -> int:
-        return len(self.chains[i - 1])
+        if not 1 <= i <= self.a1:
+            raise IndexError(f"no chain {i}")
+        return int(self.offsets[i] - self.offsets[i - 1])
 
     def N(self, i: int, j: int) -> int:
         """Points of chain i placed in columns 1..j (N_ij)."""
-        return self.prefix_counts[i - 1][j]
-
-    def column(self, j: int) -> tuple[tuple[int, int], ...]:
-        """Column j bottom-up: (chain, position) per row."""
-        return self.columns[j - 1]
+        return int(self.prefix_counts[i - 1, j])
 
     def f2(self, v) -> tuple[int, int]:
         """Image of a grid vertex: fold onto its chain, then map the chain."""
         if self.spec is None:
             raise ValueError("no grid attached to this embedding")
-        x1, y = kappa(v, self.spec)
-        return self.chains[x1 - 1][y - 1]
+        return self.f(*kappa(v, self.spec))
+
+    def column_inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chain and chain position of the point in every cell.
+
+        Two m x 2^{e1} int32 arrays indexed [column-1, row-1]; 0 marks a
+        cell that no point fills.
+        """
+        lengths = np.diff(self.offsets)
+        chain = np.repeat(np.arange(1, self.a1 + 1, dtype=np.int32), lengths)
+        pos = np.arange(1, len(self.rows) + 1) - np.repeat(self.offsets[:-1], lengths)
+        owner = np.zeros((self.m, self.height), dtype=np.int32)
+        at = np.zeros_like(owner)
+        owner[self.cols - 1, self.rows - 1] = chain
+        at[self.cols - 1, self.rows - 1] = pos
+        return owner, at
 
 
 def build_f2(spec: GridSpec, columns: int | None = None) -> Embedding2D:
@@ -167,91 +169,67 @@ def build_f2(spec: GridSpec, columns: int | None = None) -> Embedding2D:
         raise ValueError(f"need at least u_2 = {u2} columns, got {m}")
     emb = fill_columns(spec.dims[0], spec.exponents[1], m, spec=spec)
     per_chain = spec.page_count(1)
-    for i in range(1, emb.a1 + 1):
-        if emb.chain_length(i) < per_chain:
-            raise AssertionError(
-                f"chain {i} holds {emb.chain_length(i)} points, "
-                f"fewer than the grid's {per_chain}"
-            )
-    return emb
-
-
-def fill_columns(a1: int, e1: int, m: int, spec: GridSpec | None = None) -> Embedding2D:
-    """The literal filling loop over columns j = 1..m.
-
-    Scanning chains in order, chain i contributes 1 + R(i,j) points to column
-    j; a double contribution is placed descending (the later chain position
-    below the earlier) exactly when j is even, ascending when j is odd.
-    """
-    R = build_R(a1, e1)
-    fc = R.first_column
-    height = 1 << e1
-    chains: list[list[tuple[int, int]]] = [[] for _ in range(a1)]
-    cols: list[list[tuple[int, int]]] = []
-    for j in range(1, m + 1):
-        col: list[tuple[int, int]] = []
-        for i in range(1, a1 + 1):
-            npts = len(chains[i - 1])
-            c = len(col)
-            if fc[(i - j) % a1] == 0:
-                col.append((i, npts + 1))
-                chains[i - 1].append((c + 1, j))
-            elif j % 2 == 0:
-                col.append((i, npts + 2))
-                col.append((i, npts + 1))
-                chains[i - 1].append((c + 2, j))
-                chains[i - 1].append((c + 1, j))
-            else:
-                col.append((i, npts + 1))
-                col.append((i, npts + 2))
-                chains[i - 1].append((c + 1, j))
-                chains[i - 1].append((c + 2, j))
-        if len(col) != height:
-            raise AssertionError(f"column {j} holds {len(col)} points, not {height}")
-        cols.append(col)
-    emb = Embedding2D(
-        R,
-        m,
-        tuple(tuple(ch) for ch in chains),
-        tuple(tuple(c) for c in cols),
-        spec=spec,
-    )
-    closed = chain_prefix_count(
-        R, np.arange(1, a1 + 1)[:, None], np.arange(m + 1)[None, :]
-    )
-    bad = np.argwhere(np.array(emb.prefix_counts, dtype=np.int64) != closed)
-    if len(bad):
-        i, j = bad[0]
+    lengths = np.diff(emb.offsets)
+    short = np.flatnonzero(lengths < per_chain)
+    if len(short):
+        i = short[0]
         raise AssertionError(
-            f"prefix count N({i + 1},{j}) disagrees with the closed form"
+            f"chain {i + 1} holds {lengths[i]} points, "
+            f"fewer than the grid's {per_chain}"
         )
     return emb
 
 
-def f2_column_profile(emb: Embedding2D, i: int, j: int) -> tuple[tuple[int, int], ...]:
-    """Rows of chain i within column j, as (row, chain position) pairs.
+def fill_columns(a1: int, e1: int, m: int, spec: GridSpec | None = None) -> Embedding2D:
+    """The filled box over columns j = 1..m, built from the circulant.
 
-    The occupancy is 1 + R(i,j); a double contribution sits on consecutive
-    rows.
+    Scanning chains in order, chain i contributes 1 + R(i,j) points to column
+    j, on the rows just above those of chains 1..i-1; a double contribution
+    is placed descending (the later chain position below the earlier)
+    exactly when j is even, ascending when j is odd.  Every column must come
+    out full, and the prefix counts read off the built columns must agree
+    with the closed form.
     """
-    if not 1 <= i <= emb.a1 or not 1 <= j <= emb.m:
-        raise ValueError("chain or column out of range")
-    hits = tuple(
-        (row + 1, pos)
-        for row, (chain, pos) in enumerate(emb.columns[j - 1])
-        if chain == i
+    R = build_R(a1, e1)
+    height = 1 << e1
+    j = np.arange(1, m + 1)
+    double = np.array(R.first_column, dtype=np.int64)[
+        (np.arange(1, a1 + 1)[:, None] - j) % a1
+    ]
+    cells = 1 + double
+    below = np.cumsum(cells, axis=0) - cells
+    descending = double * (1 - j % 2)
+    # one entry per point, chain-major: its (chain, column) cell and whether
+    # it is the second point its chain puts there
+    per_cell = cells.ravel()
+    cell = np.repeat(np.arange(a1 * m), per_cell)
+    second = np.arange(len(cell)) - (np.cumsum(per_cell) - per_cell)[cell]
+    rows = below.ravel()[cell] + 1 + (second ^ descending.ravel()[cell])
+    rows = rows.astype(np.int32)
+    cols = (cell % m + 1).astype(np.int32)
+    lengths = cells.sum(axis=1)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+
+    chain = np.repeat(np.arange(a1), lengths)
+    filled = np.bincount(chain * (m + 1) + cols, minlength=a1 * (m + 1))
+    filled = filled.reshape(a1, m + 1)
+    per_column = filled.sum(axis=0)[1:]
+    bad = np.flatnonzero(per_column != height)
+    if len(bad):
+        j0 = bad[0]
+        raise AssertionError(
+            f"column {j0 + 1} holds {per_column[j0]} points, not {height}"
+        )
+    counts = np.cumsum(filled, axis=1)
+    closed = chain_prefix_count(
+        R, np.arange(1, a1 + 1)[:, None], np.arange(m + 1)[None, :]
     )
-    if len(hits) != 1 + emb.R.R(i, j):
-        raise AssertionError(f"occupancy of chain {i} in column {j} is off")
-    if len(hits) == 2 and abs(hits[0][0] - hits[1][0]) != 1:
-        raise AssertionError(f"double contribution in column {j} not consecutive")
-    return hits
-
-
-def dump_columns(emb: Embedding2D) -> str:
-    """Per-column dump: "col j: (chain, pos) ..." bottom row first."""
-    lines = []
-    for j in range(1, emb.m + 1):
-        cells = " ".join(f"({i}, {p})" for i, p in emb.column(j))
-        lines.append(f"col {j}: {cells}")
-    return "\n".join(lines) + "\n"
+    bad = np.argwhere(counts != closed)
+    if len(bad):
+        i, j0 = bad[0]
+        raise AssertionError(
+            f"prefix count N({i + 1},{j0}) disagrees with the closed form"
+        )
+    for arr in (rows, cols, offsets, counts):
+        arr.flags.writeable = False
+    return Embedding2D(R, m, rows, cols, offsets, counts, spec=spec)

@@ -25,7 +25,6 @@ from .stages import (
     budget_break,
     build_fk,
     packed_address,
-    s_sequence,
 )
 
 # ---------------------------------------------------------------------------
@@ -107,9 +106,9 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     height = 1 << e1
     out: list[CheckResult] = []
 
-    rows = [np.array([r for r, _ in ch], dtype=np.int64) for ch in emb.chains]
-    cols = [np.array([c for _, c in ch], dtype=np.int64) for ch in emb.chains]
-    lengths = np.array([len(ch) for ch in emb.chains], dtype=np.int64)
+    rows, cols = emb.rows, emb.cols
+    chain_start = emb.offsets[:-1]
+    lengths = np.diff(emb.offsets)
 
     first = np.array(emb.R.first_column, dtype=np.int64)
     i_idx = np.arange(1, a1 + 1)[:, None]
@@ -120,35 +119,28 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 
     # occupancy 1 + R(i,j) per (chain, column); doubles at successive rows;
     # column index monotone along each chain with steps 0 or 1
-    ok = True
-    for i in range(a1):
-        counts = np.bincount(cols[i], minlength=m + 1)[1:]
-        if not np.array_equal(counts, 1 + Rmat[i]):
-            ok = False
-            break
-        step = np.diff(cols[i])
-        if not np.isin(step, (0, 1)).all():
-            ok = False
-            break
-        stay = np.flatnonzero(step == 0)
-        if not (np.abs(rows[i][stay + 1] - rows[i][stay]) == 1).all():
-            ok = False
-            break
+    ok = np.array_equal(np.diff(emb.prefix_counts, axis=1), 1 + Rmat)
+    inside = np.ones(len(cols) - 1, dtype=bool)
+    inside[chain_start[1:] - 1] = False
+    step = np.diff(cols)[inside]
+    stay = np.flatnonzero(inside)[step == 0]
+    ok = (
+        ok
+        and bool(np.isin(step, (0, 1)).all())
+        and bool((np.abs(rows[stay + 1] - rows[stay]) == 1).all())
+    )
     out.append(_check("chain.occupancy-and-monotone", ok))
 
     # columns list chains bottom-up in chain order (initial segments), and
     # the first r chains fill exactly r + sum_{i<=r} R(i,j) cells
+    owner, _ = emb.column_inverse()
     sizes = np.arange(1, a1 + 1)[:, None] + np.cumsum(Rmat, axis=0)
-    ok = True
-    for j in range(1, m + 1):
-        ids = [c for c, _ in emb.column(j)]
-        if any(b < a for a, b in zip(ids, ids[1:])):
-            ok = False
-            break
-        seen = np.bincount(np.array(ids), minlength=a1 + 1)[1:]
-        if not np.array_equal(np.cumsum(seen), sizes[:, j - 1]):
-            ok = False
-            break
+    seen = np.bincount(
+        (np.arange(m)[:, None] * (a1 + 1) + owner).ravel(), minlength=m * (a1 + 1)
+    ).reshape(m, a1 + 1)
+    ok = bool((np.diff(owner, axis=1) >= 0).all()) and np.array_equal(
+        np.cumsum(seen[:, 1:], axis=1), sizes.T
+    )
     out.append(_check("chain.initial-segments", ok))
 
     # per-chain window counts over any column interval take one of the two
@@ -190,7 +182,7 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     )
 
     # the full box is covered exactly: every column holds `height` cells
-    dense = all(len(emb.column(j)) == height for j in range(1, m + 1))
+    dense = bool((owner > 0).all())
     out.append(_check("chain.box-cover", dense and int(lengths.sum()) == m * height))
 
     # grid restriction of chain length L fits the box and covers all but the
@@ -206,7 +198,7 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 
     # same position across chains lands in columns within 1
     pmin = int(lengths.min())
-    poscols = np.stack([c[:pmin] for c in cols])
+    poscols = cols[chain_start[:, None] + np.arange(pmin)]
     pspread = poscols.max(axis=0) - poscols.min(axis=0)
     out.append(_check("chain.position-columns", bool((pspread <= 1).all())))
 
@@ -214,7 +206,13 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     out.append(
         _check(
             "chain.chain-rows",
-            all(int(r.max() - r.min()) <= 2 for r in rows),
+            bool(
+                (
+                    np.maximum.reduceat(rows, chain_start)
+                    - np.minimum.reduceat(rows, chain_start)
+                    <= 2
+                ).all()
+            ),
         )
     )
 
@@ -235,8 +233,8 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 
     # grid adjacency: consecutive chain positions and same-position
     # neighbours move at most 3 rows and 1 column
-    gr = np.stack([r[:L] for r in rows])
-    gc = np.stack([c[:L] for c in cols])
+    gr = rows[chain_start[:, None] + np.arange(L)]
+    gc = cols[chain_start[:, None] + np.arange(L)]
     drow = np.abs(np.diff(gr, axis=1))
     dcol = np.abs(np.diff(gc, axis=1))
     xrow = np.abs(np.diff(gr, axis=0))
@@ -558,9 +556,12 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
         )
         out.append(_check(f"pipeline.stage{nxt.stage}.prefix-stability", stable))
 
-    for i in range(2, spec.k):
-        ok = budget_break(spec, i, s_sequence(spec, i)) is None
-        out.append(_check(f"pipeline.stage{i}.blank-budget", ok))
+    # the identity on the blanks per section of the matrix each stage used
+    for st in chain:
+        if st.plan is not None:
+            i = st.plan.stage
+            ok = budget_break(spec, i, st.plan.F.row_counts) is None
+            out.append(_check(f"pipeline.stage{i}.blank-budget", ok))
 
     for st in chain:
         if st.stage >= 3:
@@ -1082,7 +1083,9 @@ def audit_grid(
                 f"diffs.max.dim{jdim}", diffs.per_dimension()[jdim - 1]
             )
         )
-    checks.append(_check("embedding.injective", True))
+    checks.append(
+        _check("embedding.injective", len(np.unique(emb.labels)) == spec.size)
+    )
     report = dilation(emb)
     checks.extend(report.checks())
     return checks, emb, report

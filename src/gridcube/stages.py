@@ -304,14 +304,9 @@ def stack(inflated: InflatedStage, plan: BlankPlan) -> StageEmbedding:
 
 def _stage2(spec: GridSpec, base: Embedding2D) -> StageEmbedding:
     a1 = spec.dims[0]
-    per_chain = spec.page_count(1)
-    table = np.zeros((a1, per_chain, 2), dtype=np.int32)
-    for i in range(a1):
-        chain = base.chains[i][:per_chain]
-        table[i, :, 0] = [row for row, _ in chain]
-        table[i, :, 1] = [col for _, col in chain]
     ranks = np.arange(spec.size)
-    coords = table[ranks % a1, ranks // a1]
+    at = base.offsets[ranks % a1] + ranks // a1
+    coords = np.stack((base.rows[at], base.cols[at]), axis=1)
     return StageEmbedding(spec, 2, coords, base=base)
 
 

@@ -4,9 +4,10 @@ These are the literal Fraction forms of the integer-exact construction
 core: the prefix windows and the two-way rounding in fractions.Fraction, a
 recursive Dinic with adjacency lists, the leaf matching built on it, the
 Fraction closed form of the chain prefix counts, and the embedding file
-written one rank at a time.  Beside them sit the per-row forms of the blank
-plan tables (nonblank levels, and section ordinals by bisection) and the
-per-column coordinate-difference scan.  They run in tests only; the
+written one rank at a time.  Beside them sit the literal column-filling loop
+of the base map, the per-row forms of the blank plan tables (nonblank
+levels, and section ordinals by bisection) and the per-column
+coordinate-difference scan.  They run in tests only; the
 library's integer and table-driven forms must reproduce their outputs
 exactly.
 """
@@ -18,6 +19,7 @@ from math import ceil, floor
 
 import numpy as np
 
+from gridcube.base2d import build_R
 from gridcube.rounding import BinaryMatrix, RoundingSpec
 
 
@@ -200,6 +202,44 @@ def chain_prefix_counts(a1: int, e1: int, m: int) -> list[list[int]]:
         [j + floor_q[i] - floor_q[i - j] for j in range(m + 1)]
         for i in range(1, a1 + 1)
     ]
+
+
+def fill_columns(a1: int, e1: int, m: int):
+    """The literal filling loop over columns j = 1..m.
+
+    Scanning chains in order, chain i contributes 1 + R(i,j) points to column
+    j; a double contribution is placed descending (the later chain position
+    below the earlier) exactly when j is even, ascending when j is odd.
+    Returns (chains, columns): `chains[i-1][p-1]` is the (row, col) image of
+    the p-th point of chain i, `columns[j-1][row-1]` is the (chain, position)
+    in that cell, bottom-up.
+    """
+    fc = build_R(a1, e1).first_column
+    height = 1 << e1
+    chains: list[list[tuple[int, int]]] = [[] for _ in range(a1)]
+    cols: list[list[tuple[int, int]]] = []
+    for j in range(1, m + 1):
+        col: list[tuple[int, int]] = []
+        for i in range(1, a1 + 1):
+            npts = len(chains[i - 1])
+            c = len(col)
+            if fc[(i - j) % a1] == 0:
+                col.append((i, npts + 1))
+                chains[i - 1].append((c + 1, j))
+            elif j % 2 == 0:
+                col.append((i, npts + 2))
+                col.append((i, npts + 1))
+                chains[i - 1].append((c + 2, j))
+                chains[i - 1].append((c + 1, j))
+            else:
+                col.append((i, npts + 1))
+                col.append((i, npts + 2))
+                chains[i - 1].append((c + 1, j))
+                chains[i - 1].append((c + 2, j))
+        if len(col) != height:
+            raise AssertionError(f"column {j} holds {len(col)} points, not {height}")
+        cols.append(col)
+    return tuple(tuple(ch) for ch in chains), tuple(tuple(c) for c in cols)
 
 
 def dump_embedding(emb) -> str:

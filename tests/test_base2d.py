@@ -10,11 +10,10 @@ from gridcube.base2d import (
     build_f2,
     chain_prefix_count,
     consecutive_sum,
-    dump_columns,
-    f2_column_profile,
     fill_columns,
 )
 from gridcube.grids import GridSpec, level_budget
+from gridcube.stages import build_fk
 
 
 def test_build_R_golden():
@@ -59,20 +58,59 @@ def test_consecutive_sum_examples():
 def test_first_image_is_origin():
     emb = fill_columns(3, 2, 4)
     assert emb.f(1, 1) == (1, 1)
+    # positions past either end of a chain do not read a neighbouring chain
+    for p in (0, emb.chain_length(1) + 1):
+        with pytest.raises(IndexError):
+            emb.f(1, p)
+    with pytest.raises(IndexError):
+        emb.chain_length(4)
 
 
 def test_fill_columns_structure():
     emb = fill_columns(5, 3, 12)
     # every image distinct, every column exactly full
-    seen = set()
-    for i in range(1, 6):
-        for p in range(1, emb.chain_length(i) + 1):
-            seen.add(emb.f(i, p))
-    assert len(seen) == 12 * 8
+    seen = set(zip(emb.rows.tolist(), emb.cols.tolist()))
+    assert len(seen) == len(emb.rows) == 12 * 8
+    assert np.bincount(emb.cols)[1:].tolist() == [8] * 12
     # chain positions advance monotonically through columns
     for i in range(1, 6):
-        cols = [c for _, c in emb.chains[i - 1]]
-        assert cols == sorted(cols)
+        cols = emb.cols[emb.offsets[i - 1] : emb.offsets[i]]
+        assert (np.diff(cols) >= 0).all()
+    for arr in (emb.rows, emb.cols, emb.offsets, emb.prefix_counts):
+        assert not arr.flags.writeable
+
+
+def layout(emb):
+    """The built arrays in the literal loop's form: (chains, columns)."""
+    rows, cols, off = emb.rows.tolist(), emb.cols.tolist(), emb.offsets.tolist()
+    chains = tuple(tuple(zip(rows[a:b], cols[a:b])) for a, b in zip(off, off[1:]))
+    owner, pos = emb.column_inverse()
+    columns = tuple(
+        tuple(zip(o, p)) for o, p in zip(owner.tolist(), pos.tolist())
+    )
+    return chains, columns
+
+
+def test_fill_columns_matches_literal_loop():
+    # the criterion-04 range
+    for a1 in range(2, 65):
+        e1 = (a1 - 1).bit_length()
+        want = oracles.fill_columns(a1, e1, 256)
+        assert layout(fill_columns(a1, e1, 256)) == want, a1
+
+
+def test_build_f2_matches_literal_loop(battery_grids):
+    stage_maps = [*battery_grids.values(), build_fk(GridSpec((3, 7, 4, 3)))]
+    for fk in stage_maps:
+        st2 = fk.stage_chain()[0]
+        emb, spec = st2.base, fk.spec
+        chains, columns = oracles.fill_columns(spec.dims[0], spec.exponents[1], emb.m)
+        assert layout(emb) == (chains, columns), spec.dims
+        # the stage-2 map gathers rank r from point r // a1 + 1 of chain
+        # r mod a1 + 1
+        a1 = spec.dims[0]
+        want = [chains[r % a1][r // a1] for r in range(spec.size)]
+        assert list(map(tuple, st2.coords.tolist())) == want, spec.dims
 
 
 def test_prefix_counts_match_closed_form():
@@ -115,33 +153,38 @@ def test_fill_columns_reports_first_prefix_mismatch(monkeypatch):
 
 
 def test_column_profile_occupancy():
+    # chain i fills 1 + R(i,j) cells of column j, a double on successive rows
     emb = fill_columns(5, 3, 10)
+    owner, _ = emb.column_inverse()
     for i in range(1, 6):
         for j in range(1, 11):
-            hits = f2_column_profile(emb, i, j)
+            hits = np.flatnonzero(owner[j - 1] == i)
             assert len(hits) == 1 + emb.R.R(i, j)
             if len(hits) == 2:
-                assert abs(hits[0][0] - hits[1][0]) == 1
+                assert hits[1] - hits[0] == 1
     # power-of-two chain count: always single
-    emb8 = fill_columns(8, 3, 6)
+    owner8, _ = fill_columns(8, 3, 6).column_inverse()
     for i in range(1, 9):
-        for j in range(1, 7):
-            assert len(f2_column_profile(emb8, i, j)) == 1
+        assert ((owner8 == i).sum(axis=1) == 1).all()
 
 
 def test_double_contribution_parity():
     # in even columns the later chain position sits on the lower row
     emb = fill_columns(3, 2, 8)
+    owner, pos = emb.column_inverse()
+    doubles = 0
     for i in range(1, 4):
         for j in range(1, 9):
-            hits = f2_column_profile(emb, i, j)
-            if len(hits) == 2:
-                rows = {pos: row for row, pos in hits}
+            hits = np.flatnonzero(owner[j - 1] == i)
+            rows = {int(pos[j - 1, r]): r + 1 for r in hits}
+            if len(rows) == 2:
+                doubles += 1
                 p1, p2 = sorted(rows)
                 if j % 2 == 0:
                     assert rows[p1] == rows[p2] + 1
                 else:
                     assert rows[p2] == rows[p1] + 1
+    assert doubles == 8
 
 
 def test_build_f2_golden_vertex():
@@ -193,9 +236,3 @@ def test_adjacent_vertices_stay_close_2d():
                         if t == 1:
                             assert abs(img[1] - other[1]) <= 1
 
-
-def test_dump_columns_format():
-    emb = fill_columns(3, 2, 2)
-    lines = dump_columns(emb).splitlines()
-    assert lines[0].startswith("col 1: (1, 1) (2, 1) (3, 1)")
-    assert len(lines) == 2

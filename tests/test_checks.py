@@ -1,6 +1,8 @@
 """Tests for the verification batteries, assembly, dilation, and file IO."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import oracles
 import pytest
@@ -24,7 +26,8 @@ from gridcube.checks import (
 )
 from gridcube.caterpillars import gray_label
 from gridcube.grids import GridSpec
-from gridcube.stages import build_fk
+from gridcube.rounding import BinaryMatrix
+from gridcube.stages import BlankPlan, build_fk
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +124,20 @@ def test_pipeline_battery_detects_corruption():
     results = pipeline_battery(fk)
     bad = failed(results)
     assert any(c.name == "pipeline.stage3.injective" for c in bad)
+
+
+def test_pipeline_battery_fails_a_broken_budget_identity():
+    # the 3x7x4 plan has blanks per section (2, 3, 3, 3); with its first two
+    # rows swapped the identity breaks after the first section
+    fk = build_fk(GridSpec((3, 7, 4)))
+    plan = fk.plan
+    rows = [list(r) for r in plan.F.rows]
+    rows[0], rows[1] = rows[1], rows[0]
+    swapped = BlankPlan(plan.spec, plan.stage, plan.s, BinaryMatrix(rows))
+    results = pipeline_battery(dataclasses.replace(fk, plan=swapped))
+    assert [c.name for c in results] == [c.name for c in pipeline_battery(fk)]
+    status = {c.name: c.status for c in results}
+    assert status["pipeline.stage2.blank-budget"] == "FAIL"
 
 
 def test_power_of_two_grid_has_no_blanks():
@@ -323,6 +340,22 @@ def test_audit_grid_smoke():
     assert "pipeline.stage2.injective" in names
     assert "diffs.within-17" in names
     assert "dilation.value" in names
+
+
+def test_audit_grid_fails_colliding_labels(monkeypatch):
+    real = checks_module.assemble_Hk
+
+    def colliding(fk):
+        emb = real(fk)
+        labels = emb.labels.copy()
+        labels[1] = labels[0]
+        object.__setattr__(emb, "labels", labels)
+        return emb
+
+    monkeypatch.setattr(checks_module, "assemble_Hk", colliding)
+    checks, _, _ = audit_grid(GridSpec((5, 5)))
+    status = {c.name: c.status for c in checks}
+    assert status["embedding.injective"] == "FAIL"
 
 
 def count_coordinate_diffs(monkeypatch) -> list[int]:
