@@ -163,17 +163,9 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     # they can differ by up to 3 (not 2: the sets slide when the surplus
     # run sum steps)
     nspread = cumN[:, 1:].max(axis=0) - cumN[:, 1:].min(axis=0)
-    rspread = sizes.max(axis=1) - sizes.min(axis=1)
-    cross = np.array(
-        [
-            max(
-                sizes[r + 1].max() - sizes[r].min(),
-                sizes[r].max() - sizes[r + 1].min(),
-            )
-            for r in range(a1 - 1)
-        ]
-        or [0]
-    )
+    smax, smin = sizes.max(axis=1), sizes.min(axis=1)
+    rspread = smax - smin
+    cross = np.maximum(smax[1:] - smin[:-1], smax[:-1] - smin[1:])
     out.append(
         _check(
             "chain.prefix-balance",
@@ -218,17 +210,10 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 
     # where the circulant doubles a chain's contribution, the next column's
     # fill is no larger and the next chain's prefix count is no larger
-    ok = True
-    for r in range(a1):
-        hit = np.flatnonzero(Rmat[r, : m - 1] == 1)
-        if not (sizes[r, hit] >= sizes[r, hit + 1]).all():
-            ok = False
-            break
-        if r + 1 < a1:
-            hit = np.flatnonzero(Rmat[r] == 1)
-            if not (cumN[r, hit + 1] >= cumN[r + 1, hit + 1]).all():
-                ok = False
-                break
+    doubled = Rmat == 1
+    ok = bool((~doubled[:, :-1] | (sizes[:, :-1] >= sizes[:, 1:])).all()) and bool(
+        (~doubled[:-1] | (cumN[:-1, 1:] >= cumN[1:, 1:])).all()
+    )
     out.append(_check("chain.shift-monotone", ok))
 
     # grid adjacency: consecutive chain positions and same-position
@@ -271,14 +256,13 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 
     # two-position page prefixes: the columns they reach are covered fully
     # below the last one, and overshoot the page size by less than a column
-    ok = True
-    for r in range(1, L // 2 + 1):
-        redge = int(gc[:, 2 * r - 1].max())
-        npts = a1 * 2 * r
-        below = int(np.minimum(cumN[:, redge - 1], 2 * r).sum())
-        if below != (redge - 1) * height or not 0 <= redge * height - npts < height:
-            ok = False
-            break
+    two_r = np.arange(2, 2 * (L // 2) + 1, 2)
+    redge = gc[:, two_r - 1].max(axis=0)
+    below = np.minimum(cumN[:, redge - 1], two_r).sum(axis=0)
+    over = redge * height - a1 * two_r
+    ok = bool(
+        ((below == (redge - 1) * height) & (over >= 0) & (over < height)).all()
+    )
     out.append(_check("chain.page-prefixes", ok))
     return out
 
@@ -296,7 +280,11 @@ def _vertex_pages(spec: GridSpec, i: int) -> np.ndarray:
 
 
 def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]:
-    """Checks for one stacking transition (embedding stage j >= 3)."""
+    """Checks for one stacking transition (embedding stage j >= 3).
+
+    Every table is one integer array over vertices, pages, or addresses by
+    sections (M x P, under 2|G| entries), so memory stays O(|G| + P).
+    """
     spec = emb.spec
     j = emb.stage
     plan = emb.plan
@@ -315,9 +303,15 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     level_size = 1 << spec.exponents[j - 2]
     prefprod = spec.prefix_product(j - 1)
     addr = packed_address(spec, coords[:, : j - 1])
+    # the page bracket ceil(r A / M) for page prefixes r = 0..P
+    r = np.arange(P + 1, dtype=np.int64)
+    l_of = -(-r * prefprod // M)
+    l_arr = l_of[1:]
 
-    def ceil_div(a: int, b: int) -> int:
-        return -(-a // b)
+    def prefix_table(cols: np.ndarray) -> np.ndarray:
+        """Vertices per (address, column <= c) as one M x P array."""
+        table = np.bincount(addr * P + cols - 1, minlength=M * P).reshape(M, P)
+        return np.cumsum(table, axis=1, out=table)
 
     # level coverage: every nonblank level outside the last section is hit
     # by exactly level_size vertices
@@ -328,12 +322,8 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     out.append(_gated(pre + "level-coverage", ok, asserted))
 
     # cumulative stack heights per address over section prefixes
-    T_sec = np.zeros((M, P), dtype=np.int64)
-    np.add.at(T_sec, (addr, sec - 1), 1)
-    T_sec = np.cumsum(T_sec, axis=1)
+    T_sec = prefix_table(sec)
     bracket = T_sec.max(axis=0)
-
-    l_arr = np.array([ceil_div(r * prefprod, M) for r in range(1, P + 1)])
     if P > 1:
         band = (T_sec[:, : P - 1] >= l_arr[: P - 1] - 1) & (
             T_sec[:, : P - 1] <= l_arr[: P - 1]
@@ -343,31 +333,28 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
         grouped = T_sec[:, : P - 1].reshape(w_last, M // w_last, P - 1)
         same = grouped.max(axis=1) == grouped.min(axis=1)
         out.append(_gated(pre + "stack-last-coordinate", bool(same.all()), asserted))
+    del T_sec
 
-    arith = all(
-        0 <= int(l_arr[r - 1]) * M - r * prefprod < M for r in range(1, P + 1)
-    )
+    slack = l_arr * M - r[1:] * prefprod
+    arith = bool(((slack >= 0) & (slack < M)).all())
     out.append(
         _gated(
             pre + "stack-height-formula",
             bool(np.array_equal(bracket, l_arr)) and arith,
             asserted,
-            f"measured {bracket.tolist()[:8]}..., expected {l_arr.tolist()[:8]}...",
+            f"measured {bracket[:8].tolist()}..., expected {l_arr[:8].tolist()}...",
         )
     )
 
     # per-vertex level bounds: height within the page budgets and u_j
-    l_of_pg = np.array([0] + [ceil_div(r * prefprod, M) for r in range(1, P + 1)])
     nextprod = spec.prefix_product(j) if j < spec.k else spec.size
     P_next = spec.page_count(j) if j < spec.k else 1
-    lp_of_pg = np.array(
-        [0] + [ceil_div(r * nextprod, M) for r in range(1, P_next + 1)]
-    )
+    lp_of = -(-np.arange(P_next + 1, dtype=np.int64) * nextprod // M)
     pg_next = _vertex_pages(spec, j)
     u_j = level_budget(spec, j)
     ok = (
-        bool((h <= l_of_pg[pg]).all())
-        and bool((h <= lp_of_pg[pg_next]).all())
+        bool((h <= l_of[pg]).all())
+        and bool((h <= lp_of[pg_next]).all())
         and bool((h <= u_j).all())
         and bool((h >= 1).all())
     )
@@ -375,24 +362,13 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
 
     # sections track pages: the image of a page prefix stays inside the
     # matching section prefix, and the next section prefix is strictly larger
-    strict = all(
-        ceil_div(r * prefprod, level_size) * level_size < (r + 1) * prefprod
-        for r in range(1, P)
+    inner = r[1:P]
+    strict = bool(
+        (-(-inner * prefprod // level_size) * level_size < (inner + 1) * prefprod).all()
     )
-    out.append(
-        _gated(
-            pre + "page-section-containment",
-            bool((sec <= pg).all()) and bool((pg <= sec + 1).all()) and strict,
-            asserted,
-        )
-    )
-    out.append(
-        _gated(
-            pre + "section-page-window",
-            bool(((pg - sec) >= 0).all()) and bool(((pg - sec) <= 1).all()),
-            asserted,
-        )
-    )
+    window = bool(((sec <= pg) & (pg <= sec + 1)).all())
+    out.append(_gated(pre + "page-section-containment", window and strict, asserted))
+    out.append(_gated(pre + "section-page-window", window, asserted))
 
     # stacking order: within a stack, height ascends exactly with the source
     # section, and source pages never descend
@@ -417,41 +393,39 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
 
     # page-prefix stacks: counts within 2 of the section-prefix maximum, and
     # everything below the top two levels is already covered by the prefix
-    T_both = np.zeros((M, P), dtype=np.int64)
-    np.add.at(T_both, (addr, np.maximum(sec, pg) - 1), 1)
-    T_both = np.cumsum(T_both, axis=1)
+    T_both = prefix_table(np.maximum(sec, pg))
     ok = bool(((T_both >= bracket - 2) & (T_both <= bracket)).all())
+    del T_both
     need = np.searchsorted(bracket, h + 2)
     covered = need >= P
     ok2 = bool((pg[~covered] <= need[~covered] + 1).all())
     out.append(_gated(pre + "stack-missing-top", ok and ok2, asserted))
 
-    # top-two-level occupancy of each page prefix exceeds one full level
-    hmax = int(bracket[-1])
-    Lvl = np.zeros((hmax + 1, P), dtype=np.int64)
-    np.add.at(Lvl, (h, pg - 1), 1)
-    Lvl = np.cumsum(Lvl, axis=1)
-    ok = True
-    worst = None
-    for r in range(2, P + 1):
-        br = int(bracket[r - 1])
-        got = int(Lvl[br - 1, r - 1]) + int(Lvl[br, r - 1])
-        if got <= M:
-            ok = False
-            worst = (r, got)
-            break
+    # top-two-level occupancy of each page prefix exceeds one full level:
+    # top[r - 1] counts the vertices of pages 1..r at height bracket[r - 1]
+    # or one below; since the bracket never decreases, each vertex counts on
+    # one interval of r, added through a difference array
+    start = np.maximum(np.searchsorted(bracket, h), pg - 1)
+    stop = np.searchsorted(bracket, h + 1, side="right")
+    live = start < stop
+    top = np.cumsum(
+        np.bincount(start[live], minlength=P + 1)
+        - np.bincount(stop[live], minlength=P + 1)
+    )
+    short = np.flatnonzero(top[1:P] <= M) + 1
     out.append(
         _gated(
             pre + "stack-top-occupancy",
-            ok,
+            not len(short),
             asserted,
-            f"prefix {worst[0]} holds {worst[1]} <= {M}" if worst else "",
+            f"prefix {short[0] + 1} holds {top[short[0]]} <= {M}" if len(short) else "",
         )
     )
-    if P >= 1:
-        br = int(bracket[0])
-        got = int(Lvl[br, 0]) + (int(Lvl[br - 1, 0]) if br >= 2 else 0)
-        out.append(_report(pre + "stack-top-occupancy-first", f"{got} vs {M}"))
+    br = int(bracket[0])
+    first = (pg == 1) & ((h == br) | ((h == br - 1) & (br >= 2)))
+    out.append(
+        _report(pre + "stack-top-occupancy-first", f"{np.count_nonzero(first)} vs {M}")
+    )
 
     # single-page stack slices: at most two entries, at successive heights,
     # within two of the section-prefix maximum
@@ -476,36 +450,36 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     )
     out.append(_gated(pre + "page-stack-pair", ok, asserted))
 
-    # same subpage position => nonblank-level ordinals within 3 cyclically
+    # same subpage position => nonblank-level ordinals within 3 cyclically;
+    # the first pair past 3 in (ordinal, row size) order is the one reported
     a_next = spec.dims[j - 2]
     q_sub = (pg_prev - 1) % a_next + 1
-    zeros = plan.zeros_per_row
-    mr = np.array([0] + list(zeros))[sec]
-    ok = True
+    mr = np.concatenate([[0], plan.zeros_per_row])[sec]
     worst = ""
     for q in range(1, a_next + 1):
         sel = q_sub == q
         combos = np.unique(np.stack([nu[sel], mr[sel]], axis=1), axis=0)
-        for v1, m1 in combos:
-            for v2, m2 in combos:
-                d = min(abs(int(v2) - int(v1)), int(m1 - v1 + v2), int(m2 - v2 + v1))
-                if d > 3:
-                    ok = False
-                    worst = f"ordinals {v1},{v2} at distance {d}"
-                    break
-            if not ok:
-                break
-        if not ok:
+        v1, m1 = combos[:, :1], combos[:, 1:]
+        v2, m2 = v1.T, m1.T
+        dist = np.minimum(np.abs(v2 - v1), np.minimum(m1 - v1 + v2, m2 - v2 + v1))
+        far = np.flatnonzero(dist > 3)
+        if len(far):
+            a, b = divmod(int(far[0]), len(combos))
+            worst = f"ordinals {v1[a, 0]},{v1[b, 0]} at distance {dist[a, b]}"
             break
-    out.append(_gated(pre + "subpage-level-alignment", ok, asserted, worst))
+    out.append(_gated(pre + "subpage-level-alignment", not worst, asserted, worst))
 
     # heights across one section or page stay within the stated spreads
     def spreads(groups: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-        hi = np.full(count + 1, -1, dtype=np.int64)
-        lo = np.full(count + 1, np.iinfo(np.int64).max, dtype=np.int64)
-        np.maximum.at(hi, groups, h)
-        np.minimum.at(lo, groups, h)
-        return lo[1:], hi[1:]
+        """Lowest and highest height of each group 1..count (empty: max, -1)."""
+        order = np.lexsort((h, groups))
+        hs = h[order]
+        bounds = np.searchsorted(groups[order], np.arange(1, count + 2))
+        start, stop = bounds[:-1], bounds[1:]
+        full = start < stop
+        lo = np.where(full, hs[np.minimum(start, len(hs) - 1)], np.iinfo(np.int64).max)
+        hi = np.where(full, hs[stop - 1], -1)
+        return lo, hi
 
     lo, hi = spreads(sec, P)
     ok1 = bool((hi - lo <= 1).all())
@@ -681,14 +655,6 @@ def diff_case_checks(diffs: CoordinateDiffs) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-_POPCOUNT = sum((np.arange(1 << 16, dtype=np.int64) >> b) & 1 for b in range(16))
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    arr = arr.astype(np.int64)
-    return _POPCOUNT[arr & 0xFFFF] + _POPCOUNT[(arr >> 16) & 0xFFFF]
-
-
 @dataclass(frozen=True)
 class HypercubeEmbedding:
     """Grid vertices labeled with hypercube corners of the optimal dimension.
@@ -833,32 +799,32 @@ def dilation(emb: HypercubeEmbedding) -> DilationReport:
     spec = emb.spec
     diffs = emb.diffs
     labels = emb.labels
-    pairs = [(src, src + stride) for _, src, stride in _grid_edges(spec)]
-    dists = [_popcount(labels[src] ^ labels[dst]) for src, dst in pairs]
-    alld = np.concatenate(dists) if dists else np.zeros(0, dtype=np.int64)
-    dil = int(alld.max()) if len(alld) else 0
-    hist = np.bincount(alld, minlength=dil + 1)
-
+    coords = emb.fk.coords
+    windowed = []
+    shift = spec.n
+    for jdim, lab in enumerate(emb.labelings, start=1):
+        shift -= lab.t
+        if lab.window:
+            windowed.append((coords[:, jdim - 1], shift, lab))
+    hist = np.zeros(spec.n + 1, dtype=np.int64)
     sound = True
-    coords = emb.fk.coords.astype(np.int64)
-    for (src, dst) in pairs:
-        shift = spec.n
-        for jdim in range(1, spec.k + 1):
-            lab = emb.labelings[jdim - 1]
-            shift -= lab.t
-            if not lab.window:
-                continue
+    # one grid dimension at a time: the label XOR across its edges gives the
+    # Hamming distances, and block jdim of it the block distances, since
+    # ((a >> s) ^ (b >> s)) & w == ((a ^ b) >> s) & w
+    for _, src, stride in _grid_edges(spec):
+        dst = src + stride
+        x = labels[src] ^ labels[dst]
+        hist += np.bincount(np.bitwise_count(x), minlength=spec.n + 1)
+        for col, shift, lab in windowed:
             width = 1 << lab.t
-            d = np.abs(coords[src, jdim - 1] - coords[dst, jdim - 1])
+            d = np.abs(col[src] - col[dst])
             d = np.minimum(d, width - d)
             mask = (d > 0) & (d <= lab.window)
-            if not mask.any():
-                continue
-            block = ((labels[src[mask]] >> shift) ^ (labels[dst[mask]] >> shift)) & (
-                width - 1
-            )
-            if int(_popcount(block).max()) > 3:
-                sound = False
+            if mask.any():
+                block = (x[mask] >> shift) & (width - 1)
+                sound = sound and int(np.bitwise_count(block).max()) <= 3
+    dil = int(np.flatnonzero(hist).max(initial=0))
+    hist = hist[: dil + 1]
 
     per_dim = diffs.per_dimension()
     implied = 0
@@ -965,7 +931,7 @@ def dump_embedding(emb: HypercubeEmbedding) -> str:
     # Ranks run with coordinate 1 fastest, so walking the higher coordinates
     # with itertools.product (last coordinate slowest) and coordinate 1
     # innermost lists the vertices in rank order, one block of a_1 ranks at
-    # a time.
+    # a time; each block is joined into one string as it is made.
     fmt = f"0{spec.n}b"
     a1 = spec.dims[0]
     first = [f"{x} " for x in range(1, a1 + 1)]
@@ -973,7 +939,8 @@ def dump_embedding(emb: HypercubeEmbedding) -> str:
     for block, upper in enumerate(product(*higher)):
         rest = "".join(reversed(upper))
         labels = emb.labels[block * a1 : (block + 1) * a1].tolist()
-        lines.extend([x + rest + format(label, fmt) for x, label in zip(first, labels)])
+        rows = [x + rest + format(label, fmt) for x, label in zip(first, labels)]
+        lines.append("\n".join(rows))
     return "\n".join(lines) + "\n"
 
 
@@ -1054,7 +1021,7 @@ def audit_file(text: str) -> list[CheckResult]:
     )
     dil = 0
     for _, src, stride in _grid_edges(spec):
-        dist = _popcount(parsed.labels[src] ^ parsed.labels[src + stride])
+        dist = np.bitwise_count(parsed.labels[src] ^ parsed.labels[src + stride])
         dil = max(dil, int(dist.max()))
     out.append(_report("file.dilation", dil))
     return out

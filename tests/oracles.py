@@ -6,21 +6,28 @@ recursive Dinic with adjacency lists, the leaf matching built on it, the
 Fraction closed form of the chain prefix counts, and the embedding file
 written one rank at a time.  Beside them sit the literal column-filling loop
 of the base map, the per-row forms of the blank plan tables (nonblank
-levels, and section ordinals by bisection) and the per-column
-coordinate-difference scan.  They run in tests only; the
-library's integer and table-driven forms must reproduce their outputs
-exactly.
+levels, and section ordinals by bisection), the per-column
+coordinate-difference scan, and the chain and transition batteries with
+their per-page, per-prefix and per-chain loops and dense count tables.
+They run in tests only; the library's integer and table-driven forms must
+reproduce their outputs exactly.
 """
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from fractions import Fraction
 from math import ceil, floor
+from unittest import mock
 
 import numpy as np
 
+from gridcube import base2d, checks
 from gridcube.base2d import build_R
+from gridcube.checks import CheckResult, _check, _gated, _report, _vertex_pages
+from gridcube.grids import level_budget
 from gridcube.rounding import BinaryMatrix, RoundingSpec
+from gridcube.stages import StageEmbedding, packed_address
 
 
 class Dinic:
@@ -307,3 +314,433 @@ def coordinate_diffs(fk) -> tuple[tuple, tuple]:
         tuple(tuple(int(x) for x in row) for row in cyc),
         tuple(tuple(int(x) for x in row) for row in absd),
     )
+
+
+def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
+    """Exhaustive property battery for the base 2-dimensional map.
+
+    Builds the filled box of `m` columns for `a1` chains and checks every
+    occupancy, initial-segment, window-count, balance, coverage, and
+    adjacency property, plus the page-prefix containments for the grid
+    restriction of chain length floor(m 2^{e1} / a1).  All checks are hard
+    assertions except the step-total, which is measured and reported, and
+    the segment-span check, which is sampled by its definition.
+    """
+    if a1 < 2:
+        raise ValueError("need at least two chains")
+    if m < 2:
+        raise ValueError("need at least two columns")
+    e1 = (a1 - 1).bit_length()
+    emb = base2d.fill_columns(a1, e1, m)
+    height = 1 << e1
+    out: list[CheckResult] = []
+
+    rows, cols = emb.rows, emb.cols
+    chain_start = emb.offsets[:-1]
+    lengths = np.diff(emb.offsets)
+
+    first = np.array(emb.R.first_column, dtype=np.int64)
+    i_idx = np.arange(1, a1 + 1)[:, None]
+    j_idx = np.arange(1, m + 1)[None, :]
+    Rmat = first[(i_idx - j_idx) % a1]
+    cumN = np.zeros((a1, m + 1), dtype=np.int64)
+    cumN[:, 1:] = j_idx + np.cumsum(Rmat, axis=1)
+
+    # occupancy 1 + R(i,j) per (chain, column); doubles at successive rows;
+    # column index monotone along each chain with steps 0 or 1
+    ok = np.array_equal(np.diff(emb.prefix_counts, axis=1), 1 + Rmat)
+    inside = np.ones(len(cols) - 1, dtype=bool)
+    inside[chain_start[1:] - 1] = False
+    step = np.diff(cols)[inside]
+    stay = np.flatnonzero(inside)[step == 0]
+    ok = (
+        ok
+        and bool(np.isin(step, (0, 1)).all())
+        and bool((np.abs(rows[stay + 1] - rows[stay]) == 1).all())
+    )
+    out.append(_check("chain.occupancy-and-monotone", ok))
+
+    # columns list chains bottom-up in chain order (initial segments), and
+    # the first r chains fill exactly r + sum_{i<=r} R(i,j) cells
+    owner, _ = emb.column_inverse()
+    sizes = np.arange(1, a1 + 1)[:, None] + np.cumsum(Rmat, axis=0)
+    seen = np.bincount(
+        (np.arange(m)[:, None] * (a1 + 1) + owner).ravel(), minlength=m * (a1 + 1)
+    ).reshape(m, a1 + 1)
+    ok = bool((np.diff(owner, axis=1) >= 0).all()) and np.array_equal(
+        np.cumsum(seen[:, 1:], axis=1), sizes.T
+    )
+    out.append(_check("chain.initial-segments", ok))
+
+    # per-chain window counts over any column interval take one of the two
+    # values allowed by the surplus density (so same-width windows on any
+    # chains differ by at most 1)
+    small = cumN.astype(np.int32)
+    big = small[:, None, 1:] - small[:, :-1, None]
+    starts = np.arange(m, dtype=np.int32)[:, None]
+    ends = np.arange(1, m + 1, dtype=np.int32)[None, :]
+    W = ends - starts
+    valid = W >= 1
+    SW = ((height - a1) * W.astype(np.int64) // a1).astype(np.int32)
+    low = W + SW
+    okmat = (big == low) | (big == low + 1) | ~valid
+    out.append(_check("chain.window-counts", bool(okmat.all())))
+    del big, okmat
+
+    # balance of chain prefix counts and column fill sizes; fills of
+    # consecutive chain prefixes sit in two-value sets one step apart, so
+    # they can differ by up to 3 (not 2: the sets slide when the surplus
+    # run sum steps)
+    nspread = cumN[:, 1:].max(axis=0) - cumN[:, 1:].min(axis=0)
+    rspread = sizes.max(axis=1) - sizes.min(axis=1)
+    cross = np.array(
+        [
+            max(
+                sizes[r + 1].max() - sizes[r].min(),
+                sizes[r].max() - sizes[r + 1].min(),
+            )
+            for r in range(a1 - 1)
+        ]
+        or [0]
+    )
+    out.append(
+        _check(
+            "chain.prefix-balance",
+            bool((nspread <= 1).all() and (rspread <= 1).all() and (cross <= 3).all()),
+        )
+    )
+
+    # the full box is covered exactly: every column holds `height` cells
+    dense = bool((owner > 0).all())
+    out.append(_check("chain.box-cover", dense and int(lengths.sum()) == m * height))
+
+    # grid restriction of chain length L fits the box and covers all but the
+    # last column
+    L = (m * height) // a1
+    ok = (
+        L >= 1
+        and -(-a1 * L // height) == m
+        and bool((lengths >= L).all())
+        and bool((cumN[:, m - 1] <= L).all())
+    )
+    out.append(_check("chain.grid-cover", ok, f"chain length {L}"))
+
+    # same position across chains lands in columns within 1
+    pmin = int(lengths.min())
+    poscols = cols[chain_start[:, None] + np.arange(pmin)]
+    pspread = poscols.max(axis=0) - poscols.min(axis=0)
+    out.append(_check("chain.position-columns", bool((pspread <= 1).all())))
+
+    # each chain stays within three consecutive rows
+    out.append(
+        _check(
+            "chain.chain-rows",
+            bool(
+                (
+                    np.maximum.reduceat(rows, chain_start)
+                    - np.minimum.reduceat(rows, chain_start)
+                    <= 2
+                ).all()
+            ),
+        )
+    )
+
+    # where the circulant doubles a chain's contribution, the next column's
+    # fill is no larger and the next chain's prefix count is no larger
+    ok = True
+    for r in range(a1):
+        hit = np.flatnonzero(Rmat[r, : m - 1] == 1)
+        if not (sizes[r, hit] >= sizes[r, hit + 1]).all():
+            ok = False
+            break
+        if r + 1 < a1:
+            hit = np.flatnonzero(Rmat[r] == 1)
+            if not (cumN[r, hit + 1] >= cumN[r + 1, hit + 1]).all():
+                ok = False
+                break
+    out.append(_check("chain.shift-monotone", ok))
+
+    # grid adjacency: consecutive chain positions and same-position
+    # neighbours move at most 3 rows and 1 column
+    gr = rows[chain_start[:, None] + np.arange(L)]
+    gc = cols[chain_start[:, None] + np.arange(L)]
+    drow = np.abs(np.diff(gr, axis=1))
+    dcol = np.abs(np.diff(gc, axis=1))
+    xrow = np.abs(np.diff(gr, axis=0))
+    xcol = np.abs(np.diff(gc, axis=0))
+    ok = (
+        bool((drow <= 3).all())
+        and bool((dcol <= 1).all())
+        and (xrow.size == 0 or bool((xrow <= 3).all()))
+        and (xcol.size == 0 or bool((xcol <= 1).all()))
+    )
+    out.append(_check("chain.adjacent-steps", ok))
+    total = 0
+    if drow.size:
+        total = max(total, int((drow + dcol).max()))
+    if xrow.size:
+        total = max(total, int((xrow + xcol).max()))
+    out.append(_report("chain.adjacent-step-total", total))
+
+    # sampled: equally long chain segments span column counts within 1
+    rng = random.Random(10_000 + a1)
+    ok = True
+    if L >= 2:
+        for _ in range(24):
+            p = rng.randint(2, L)
+            spans = []
+            for _ in range(8):
+                i = rng.randrange(a1)
+                s = rng.randint(1, L - p + 1)
+                spans.append(int(gc[i, s + p - 2] - gc[i, s - 1]) + 1)
+            if max(spans) - min(spans) > 1:
+                ok = False
+                break
+    out.append(_check("chain.segment-spans", ok))
+
+    # two-position page prefixes: the columns they reach are covered fully
+    # below the last one, and overshoot the page size by less than a column
+    ok = True
+    for r in range(1, L // 2 + 1):
+        redge = int(gc[:, 2 * r - 1].max())
+        npts = a1 * 2 * r
+        below = int(np.minimum(cumN[:, redge - 1], 2 * r).sum())
+        if below != (redge - 1) * height or not 0 <= redge * height - npts < height:
+            ok = False
+            break
+    out.append(_check("chain.page-prefixes", ok))
+    return out
+
+
+def transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]:
+    """Checks for one stacking transition (embedding stage j >= 3)."""
+    spec = emb.spec
+    j = emb.stage
+    plan = emb.plan
+    assert plan is not None and emb.source_section is not None
+    pre = f"pipeline.stage{j}."
+    out: list[CheckResult] = []
+
+    coords = emb.coords.astype(np.int64)
+    h = coords[:, j - 1]
+    sec = emb.source_section.astype(np.int64)
+    nu = emb.source_nu.astype(np.int64)
+    P = plan.pages
+    pg = _vertex_pages(spec, j - 1)
+    pg_prev = _vertex_pages(spec, j - 2)
+    M = 1 << spec.exponents[j - 1]
+    level_size = 1 << spec.exponents[j - 2]
+    prefprod = spec.prefix_product(j - 1)
+    addr = packed_address(spec, coords[:, : j - 1])
+
+    def ceil_div(a: int, b: int) -> int:
+        return -(-a // b)
+
+    # level coverage: every nonblank level outside the last section is hit
+    # by exactly level_size vertices
+    counts = np.bincount(emb.source_level, minlength=plan.pages * plan.width + 1)
+    levels = plan.level_table
+    interior = levels[plan.section_of(levels) <= P - 1]
+    ok = bool((counts[interior] == level_size).all())
+    out.append(_gated(pre + "level-coverage", ok, asserted))
+
+    # cumulative stack heights per address over section prefixes
+    T_sec = np.zeros((M, P), dtype=np.int64)
+    np.add.at(T_sec, (addr, sec - 1), 1)
+    T_sec = np.cumsum(T_sec, axis=1)
+    bracket = T_sec.max(axis=0)
+
+    l_arr = np.array([ceil_div(r * prefprod, M) for r in range(1, P + 1)])
+    if P > 1:
+        band = (T_sec[:, : P - 1] >= l_arr[: P - 1] - 1) & (
+            T_sec[:, : P - 1] <= l_arr[: P - 1]
+        )
+        out.append(_gated(pre + "stack-two-value", bool(band.all()), asserted))
+        w_last = 1 << spec.block_width(j - 1)
+        grouped = T_sec[:, : P - 1].reshape(w_last, M // w_last, P - 1)
+        same = grouped.max(axis=1) == grouped.min(axis=1)
+        out.append(_gated(pre + "stack-last-coordinate", bool(same.all()), asserted))
+
+    arith = all(
+        0 <= int(l_arr[r - 1]) * M - r * prefprod < M for r in range(1, P + 1)
+    )
+    out.append(
+        _gated(
+            pre + "stack-height-formula",
+            bool(np.array_equal(bracket, l_arr)) and arith,
+            asserted,
+            f"measured {bracket.tolist()[:8]}..., expected {l_arr.tolist()[:8]}...",
+        )
+    )
+
+    # per-vertex level bounds: height within the page budgets and u_j
+    l_of_pg = np.array([0] + [ceil_div(r * prefprod, M) for r in range(1, P + 1)])
+    nextprod = spec.prefix_product(j) if j < spec.k else spec.size
+    P_next = spec.page_count(j) if j < spec.k else 1
+    lp_of_pg = np.array(
+        [0] + [ceil_div(r * nextprod, M) for r in range(1, P_next + 1)]
+    )
+    pg_next = _vertex_pages(spec, j)
+    u_j = level_budget(spec, j)
+    ok = (
+        bool((h <= l_of_pg[pg]).all())
+        and bool((h <= lp_of_pg[pg_next]).all())
+        and bool((h <= u_j).all())
+        and bool((h >= 1).all())
+    )
+    out.append(_gated(pre + "page-level-bounds", ok, asserted))
+
+    # sections track pages: the image of a page prefix stays inside the
+    # matching section prefix, and the next section prefix is strictly larger
+    strict = all(
+        ceil_div(r * prefprod, level_size) * level_size < (r + 1) * prefprod
+        for r in range(1, P)
+    )
+    out.append(
+        _gated(
+            pre + "page-section-containment",
+            bool((sec <= pg).all()) and bool((pg <= sec + 1).all()) and strict,
+            asserted,
+        )
+    )
+    out.append(
+        _gated(
+            pre + "section-page-window",
+            bool(((pg - sec) >= 0).all()) and bool(((pg - sec) <= 1).all()),
+            asserted,
+        )
+    )
+
+    # stacking order: within a stack, height ascends exactly with the source
+    # section, and source pages never descend
+    order = np.lexsort((h, addr))
+    a_s = addr[order]
+    same_addr = a_s[1:] == a_s[:-1]
+    sec_s = sec[order]
+    pg_s = pg[order]
+    out.append(
+        _check(
+            pre + "stack-section-monotone",
+            bool((sec_s[1:][same_addr] > sec_s[:-1][same_addr]).all()),
+        )
+    )
+    out.append(
+        _gated(
+            pre + "stack-page-monotone",
+            bool((pg_s[1:][same_addr] >= pg_s[:-1][same_addr]).all()),
+            asserted,
+        )
+    )
+
+    # page-prefix stacks: counts within 2 of the section-prefix maximum, and
+    # everything below the top two levels is already covered by the prefix
+    T_both = np.zeros((M, P), dtype=np.int64)
+    np.add.at(T_both, (addr, np.maximum(sec, pg) - 1), 1)
+    T_both = np.cumsum(T_both, axis=1)
+    ok = bool(((T_both >= bracket - 2) & (T_both <= bracket)).all())
+    need = np.searchsorted(bracket, h + 2)
+    covered = need >= P
+    ok2 = bool((pg[~covered] <= need[~covered] + 1).all())
+    out.append(_gated(pre + "stack-missing-top", ok and ok2, asserted))
+
+    # top-two-level occupancy of each page prefix exceeds one full level
+    hmax = int(bracket[-1])
+    Lvl = np.zeros((hmax + 1, P), dtype=np.int64)
+    np.add.at(Lvl, (h, pg - 1), 1)
+    Lvl = np.cumsum(Lvl, axis=1)
+    ok = True
+    worst = None
+    for r in range(2, P + 1):
+        br = int(bracket[r - 1])
+        got = int(Lvl[br - 1, r - 1]) + int(Lvl[br, r - 1])
+        if got <= M:
+            ok = False
+            worst = (r, got)
+            break
+    out.append(
+        _gated(
+            pre + "stack-top-occupancy",
+            ok,
+            asserted,
+            f"prefix {worst[0]} holds {worst[1]} <= {M}" if worst else "",
+        )
+    )
+    if P >= 1:
+        br = int(bracket[0])
+        got = int(Lvl[br, 0]) + (int(Lvl[br - 1, 0]) if br >= 2 else 0)
+        out.append(_report(pre + "stack-top-occupancy-first", f"{got} vs {M}"))
+
+    # single-page stack slices: at most two entries, at successive heights,
+    # within two of the section-prefix maximum
+    mask = sec <= pg
+    am, pm, hm = addr[mask], pg[mask], h[mask]
+    order = np.lexsort((hm, pm, am))
+    am, pm, hm = am[order], pm[order], hm[order]
+    samekey = (am[1:] == am[:-1]) & (pm[1:] == pm[:-1])
+    runstart = np.ones(len(am), dtype=bool)
+    runstart[1:] = ~samekey
+    runid = np.cumsum(runstart) - 1
+    runlen = np.bincount(runid)
+    ok = bool((runlen <= 2).all())
+    if ok and len(am):
+        second = np.flatnonzero(samekey) + 1
+        ok = bool((hm[second] - hm[second - 1] == 1).all())
+    bracket_of = np.concatenate([[0], bracket])
+    ok = (
+        ok
+        and bool((hm <= bracket_of[pm]).all())
+        and bool((hm >= bracket_of[pm] - 2).all())
+    )
+    out.append(_gated(pre + "page-stack-pair", ok, asserted))
+
+    # same subpage position => nonblank-level ordinals within 3 cyclically
+    a_next = spec.dims[j - 2]
+    q_sub = (pg_prev - 1) % a_next + 1
+    zeros = plan.zeros_per_row
+    mr = np.array([0] + list(zeros))[sec]
+    ok = True
+    worst = ""
+    for q in range(1, a_next + 1):
+        sel = q_sub == q
+        combos = np.unique(np.stack([nu[sel], mr[sel]], axis=1), axis=0)
+        for v1, m1 in combos:
+            for v2, m2 in combos:
+                d = min(abs(int(v2) - int(v1)), int(m1 - v1 + v2), int(m2 - v2 + v1))
+                if d > 3:
+                    ok = False
+                    worst = f"ordinals {v1},{v2} at distance {d}"
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    out.append(_gated(pre + "subpage-level-alignment", ok, asserted, worst))
+
+    # heights across one section or page stay within the stated spreads
+    def spreads(groups: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        hi = np.full(count + 1, -1, dtype=np.int64)
+        lo = np.full(count + 1, np.iinfo(np.int64).max, dtype=np.int64)
+        np.maximum.at(hi, groups, h)
+        np.minimum.at(lo, groups, h)
+        return lo[1:], hi[1:]
+
+    lo, hi = spreads(sec, P)
+    ok1 = bool((hi - lo <= 1).all())
+    ok2 = bool(
+        (np.maximum(hi[1:], hi[:-1]) - np.minimum(lo[1:], lo[:-1]) <= 2).all()
+    )
+    out.append(_gated(pre + "section-height-spread", ok1 and ok2, asserted))
+    lo, hi = spreads(pg, P)
+    ok1 = bool((hi - lo <= 2).all())
+    ok2 = bool(
+        (np.maximum(hi[1:], hi[:-1]) - np.minimum(lo[1:], lo[:-1]) <= 3).all()
+    )
+    out.append(_gated(pre + "page-height-spread", ok1 and ok2, asserted))
+    return out
+
+
+def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
+    """The library's pipeline battery with transition_checks above in place
+    of its array form."""
+    with mock.patch.object(checks, "_transition_checks", transition_checks):
+        return checks.pipeline_battery(emb)

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridcube import base2d
 from gridcube import checks as checks_module
 from gridcube.checks import (
     CheckResult,
@@ -24,10 +28,16 @@ from gridcube.checks import (
     pipeline_battery,
     render_report,
 )
-from gridcube.caterpillars import gray_label
+from gridcube.caterpillars import CubeLabeling, gray_label
 from gridcube.grids import GridSpec
-from gridcube.rounding import BinaryMatrix
+from gridcube.rounding import BinaryMatrix, parse_matrix
 from gridcube.stages import BlankPlan, build_fk
+
+DATA = Path(__file__).parent / "data"
+
+
+def triples(checks):
+    return [(c.name, c.status, c.detail) for c in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +83,44 @@ def test_chain_battery_spot_checks():
 def test_chain_battery_small_box():
     results = chain_battery(5, m=16)
     assert failed(results) == []
+
+
+def test_chain_battery_matches_oracle():
+    for a1 in range(2, 65):
+        assert triples(chain_battery(a1)) == triples(oracles.chain_battery(a1)), a1
+    assert triples(chain_battery(5, m=16)) == triples(oracles.chain_battery(5, m=16))
+
+
+def clumped_circulant(emb):
+    """The base map with its circulant's doubles moved to the first chains."""
+    R = emb.R
+    first = tuple(sorted(R.first_column, reverse=True))
+    return dataclasses.replace(emb, R=base2d.CirculantR(R.a1, R.e1, first))
+
+
+def late_first_chain(emb):
+    """The base map with chain 1 one column further right from point 31."""
+    cols = emb.cols.copy()
+    tail = slice(30, int(emb.offsets[1]))
+    cols[tail] = np.minimum(cols[tail] + 1, emb.m)
+    return dataclasses.replace(emb, cols=cols)
+
+
+@pytest.mark.parametrize("corrupt", [clumped_circulant, late_first_chain])
+def test_chain_battery_matches_oracle_on_corrupted_maps(monkeypatch, corrupt):
+    real = base2d.fill_columns
+
+    def fill_columns(a1, e1, m):
+        return corrupt(real(a1, e1, m))
+
+    monkeypatch.setattr(base2d, "fill_columns", fill_columns)
+    monkeypatch.setattr(checks_module, "fill_columns", fill_columns)
+    failing = set()
+    for a1 in (5, 12, 33):
+        results = chain_battery(a1)
+        assert triples(results) == triples(oracles.chain_battery(a1))
+        failing |= {c.name for c in failed(results)}
+    assert {"chain.prefix-balance", "chain.page-prefixes"} & failing
 
 
 def test_chain_battery_rejects_degenerate():
@@ -138,6 +186,97 @@ def test_pipeline_battery_fails_a_broken_budget_identity():
     assert [c.name for c in results] == [c.name for c in pipeline_battery(fk)]
     status = {c.name: c.status for c in results}
     assert status["pipeline.stage2.blank-budget"] == "FAIL"
+
+
+def test_pipeline_battery_matches_oracle(battery_grids):
+    seeds = [
+        parse_matrix((DATA / f"seed_3743_stage{i}.txt").read_text()) for i in (2, 3)
+    ]
+    spec = GridSpec((3, 7, 4, 3))
+    fks = [*battery_grids.values(), build_fk(spec), build_fk(spec, seed_matrices=seeds)]
+    for fk in fks:
+        assert triples(pipeline_battery(fk)) == triples(oracles.pipeline_battery(fk))
+
+
+def with_stage(fk, new):
+    """The stage chain of fk with its stage new.stage replaced by new."""
+    if fk.stage == new.stage:
+        return new
+    return dataclasses.replace(fk, prev=with_stage(fk.prev, new))
+
+
+def stage_mutants(stage):
+    """Seeded corruptions of one stacked stage: a far ordinal, swapped
+    heights, a moved section, and two points at one address."""
+    j = stage.stage
+    rng = np.random.default_rng(j)
+    pages = stage.plan.pages
+    for v, w in rng.choice(stage.spec.size, size=(8, 2), replace=False):
+        nu = stage.source_nu.copy()
+        row = stage.plan.zeros_per_row[stage.source_section[v] - 1]
+        nu[v] = (nu[v] - 1 + row // 2) % row + 1
+        yield dataclasses.replace(stage, source_nu=nu)
+        coords = stage.coords.copy()
+        coords[[v, w], j - 1] = coords[[w, v], j - 1]
+        yield dataclasses.replace(stage, coords=coords)
+        section = stage.source_section.copy()
+        section[v] = section[v] % pages + 1
+        yield dataclasses.replace(stage, source_section=section)
+        coords = stage.coords.copy()
+        coords[v, : j - 1] = coords[w, : j - 1]
+        yield dataclasses.replace(stage, coords=coords)
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3), (17, 17, 17)])
+def test_pipeline_battery_matches_oracle_on_mutants(dims):
+    fk = build_fk(GridSpec(dims))
+    for stage in fk.stage_chain()[1:]:
+        for bad in stage_mutants(stage):
+            mutant = with_stage(fk, bad)
+            expected = triples(oracles.pipeline_battery(mutant))
+            assert triples(pipeline_battery(mutant)) == expected
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3)])
+def test_height_above_the_bracket_fails_instead_of_raising(dims):
+    fk = build_fk(GridSpec(dims))
+    stage3 = fk.stage_chain()[1]
+    coords = stage3.coords.copy()
+    coords[7, 2] = 50
+    mutant = with_stage(fk, dataclasses.replace(stage3, coords=coords))
+    with pytest.raises(IndexError):
+        oracles.pipeline_battery(mutant)
+    status = {c.name: c.status for c in pipeline_battery(mutant)}
+    assert status["pipeline.stage3.coordinate-range"] == "FAIL"
+    expected = "FAIL" if min(dims) >= 5 else "REPORTED"
+    assert status["pipeline.stage3.page-level-bounds"] == expected
+
+
+@st.composite
+def family_grids(draw):
+    """k in 2..6, sides in 2..40, at most 2^16 vertices."""
+    k = draw(st.integers(2, 6))
+    dims = []
+    budget = 1 << 16
+    for rest in range(k - 1, -1, -1):
+        a = draw(st.integers(2, min(40, budget >> rest)))
+        dims.append(a)
+        budget //= a
+    return tuple(dims)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(family_grids())
+def test_batteries_and_dilation_over_random_grids(dims):
+    spec = GridSpec(dims)
+    a1 = dims[0]
+    assert triples(chain_battery(a1)) == triples(oracles.chain_battery(a1))
+    fk = build_fk(spec)
+    assert triples(pipeline_battery(fk)) == triples(oracles.pipeline_battery(fk))
+    emb = assemble_Hk(fk)
+    report = dilation(emb)
+    assert report.dilation <= report.implied_bound
+    assert np.array_equal(parse_embedding(dump_embedding(emb)).labels, emb.labels)
 
 
 def test_power_of_two_grid_has_no_blanks():
@@ -227,6 +366,17 @@ def test_dilation_histogram_counts_every_edge():
     assert sum(report.histogram) == edges
     assert report.dilation <= report.implied_bound
     assert report.histogram[report.dilation] > 0
+
+
+def test_window_implication_fails_for_a_counting_labeling():
+    # binary counting is no windowed labeling: labels 8 and 9 of the 4-bit
+    # block (vertices 0111 and 1000) sit at label distance 1 and Hamming 4
+    fk = build_fk(GridSpec((9, 9, 9)))
+    counting = CubeLabeling(4, tuple(range(16)), 5)
+    report = dilation(assemble_Hk(fk, [counting, gray_label(3), gray_label(3)]))
+    assert not report.window_implication_sound
+    status = {c.name: c.status for c in report.checks()}
+    assert status["dilation.window-implication"] == "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +506,16 @@ def test_audit_grid_fails_colliding_labels(monkeypatch):
     checks, _, _ = audit_grid(GridSpec((5, 5)))
     status = {c.name: c.status for c in checks}
     assert status["embedding.injective"] == "FAIL"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="diffs.case-step-above reads 7 against the bound 6 "
+    "(coordinate 3 across dimension-4 edges)",
+)
+def test_audit_of_12_17_22_14_has_no_failure():
+    checks, _, _ = audit_grid(GridSpec((12, 17, 22, 14)))
+    assert failed(checks) == []
 
 
 def count_coordinate_diffs(monkeypatch) -> list[int]:

