@@ -9,10 +9,11 @@ where a check is explicitly defined by sampling.
 from __future__ import annotations
 
 import random
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .stages import (
     StageEmbedding,
     budget_break,
     build_fk,
+    distinct_rows,
     packed_address,
 )
 
@@ -458,7 +460,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     worst = ""
     for q in range(1, a_next + 1):
         sel = q_sub == q
-        combos = np.unique(np.stack([nu[sel], mr[sel]], axis=1), axis=0)
+        combos, _ = distinct_rows(np.stack([nu[sel], mr[sel]], axis=1))
         v1, m1 = combos[:, :1], combos[:, 1:]
         v2, m2 = v1.T, m1.T
         dist = np.minimum(np.abs(v2 - v1), np.minimum(m1 - v1 + v2, m2 - v2 + v1))
@@ -685,7 +687,7 @@ class HypercubeEmbedding:
             if vals.min() < 1 or vals.max() > len(table):
                 raise ValueError(f"coordinate {jdim} outside the labeling domain")
             labels = (labels << lab.t) | table[vals - 1]
-        if len(np.unique(labels)) != spec.size:
+        if len(distinct_rows(labels)[0]) != spec.size:
             raise RuntimeError("labels collide; embedding bug")
         object.__setattr__(self, "labels", labels)
 
@@ -696,12 +698,6 @@ class HypercubeEmbedding:
     @property
     def n(self) -> int:
         return self.spec.n
-
-    def label_of(self, rank: int) -> int:
-        return int(self.labels[rank])
-
-    def label_bits(self, rank: int) -> str:
-        return format(int(self.labels[rank]), f"0{self.n}b")
 
     def block_value(self, rank: int, jdim: int) -> int:
         """Decode block jdim of a vertex's label back to the map coordinate."""
@@ -915,33 +911,36 @@ def brute_force_dilation(spec: GridSpec, d: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Embedding file format
+# Embedding file format: `_header` and `_vertex_lines` are its one definition
 # ---------------------------------------------------------------------------
+
+
+def _header(spec: GridSpec, windows) -> str:
+    """Magic, sides, exponents n e_1 ... e_k, and labeling windows."""
+    return (
+        f"GRIDCUBE 1\ndims {' '.join(map(str, spec.dims))}\n"
+        f"{spec.n} {' '.join(map(str, spec.exponents[1:]))}\n"
+        f"labelings {' '.join(map(str, windows))}\n"
+    )
+
+
+def _vertex_lines(spec: GridSpec, label_blocks) -> Iterator[str]:
+    """Lines "x_1 ... x_k label" in rank order, one string per block of a_1
+    ranks, whose label fields `label_blocks` yields.  Ranks run with x_1
+    fastest: itertools.product over the higher coordinates, x_1 innermost."""
+    first = [f"{x} " for x in range(1, spec.dims[0] + 1)]
+    higher = [[f"{x} " for x in range(1, a + 1)] for a in reversed(spec.dims[1:])]
+    for upper, labels in zip(product(*higher), label_blocks):
+        rest = "".join(reversed(upper))
+        yield "".join([f"{x}{rest}{label}\n" for x, label in zip(first, labels)])
 
 
 def dump_embedding(emb: HypercubeEmbedding) -> str:
     """Render the labeled embedding in the GRIDCUBE text format."""
-    spec = emb.spec
-    lines = [
-        "GRIDCUBE 1",
-        "dims " + " ".join(str(a) for a in spec.dims),
-        str(spec.n) + " " + " ".join(str(e) for e in spec.exponents[1:]),
-        "labelings " + " ".join(str(w) for w in emb.windows()),
-    ]
-    # Ranks run with coordinate 1 fastest, so walking the higher coordinates
-    # with itertools.product (last coordinate slowest) and coordinate 1
-    # innermost lists the vertices in rank order, one block of a_1 ranks at
-    # a time; each block is joined into one string as it is made.
-    fmt = f"0{spec.n}b"
-    a1 = spec.dims[0]
-    first = [f"{x} " for x in range(1, a1 + 1)]
-    higher = [[f"{x} " for x in range(1, a + 1)] for a in reversed(spec.dims[1:])]
-    for block, upper in enumerate(product(*higher)):
-        rest = "".join(reversed(upper))
-        labels = emb.labels[block * a1 : (block + 1) * a1].tolist()
-        rows = [x + rest + format(label, fmt) for x, label in zip(first, labels)]
-        lines.append("\n".join(rows))
-    return "\n".join(lines) + "\n"
+    spec, fmt = emb.spec, f"0{emb.n}b"
+    rows = emb.labels.reshape(-1, spec.dims[0])  # one row per block of a_1 ranks
+    blocks = ([format(label, fmt) for label in row.tolist()] for row in rows)
+    return _header(spec, emb.windows()) + "".join(_vertex_lines(spec, blocks))
 
 
 @dataclass(frozen=True)
@@ -954,42 +953,43 @@ class ParsedEmbedding:
 
 
 def parse_embedding(text: str) -> ParsedEmbedding:
-    """Parse a GRIDCUBE file, validating arithmetic and coverage."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 5 or lines[0] != "GRIDCUBE 1":
+    """Parse a GRIDCUBE file: exactly the writer's layout, any n-bit labels.
+
+    The header must re-render unchanged from its sides and windows (int()
+    reads "1_0", "03" or "+2", the re-render does not).  The body must hold
+    |G| lines, counted before anything of size |G| is built, and equal the
+    vertex lines rendered with "." in each label bit, where it holds 0 or 1.
+    """
+    head = re.match("(.*)\n" * 4, text)
+    if head is None or head[1] != "GRIDCUBE 1":
         raise ValueError("not a GRIDCUBE file")
-    head = lines[1].split()
-    if head[0] != "dims" or len(head) < 3:
-        raise ValueError("bad dims line")
-    dims = tuple(int(x) for x in head[1:])
-    spec = GridSpec(dims)
-    exps = [int(x) for x in lines[2].split()]
-    if exps != [spec.n, *spec.exponents[1:]]:
-        raise ValueError("exponent line disagrees with the dims")
-    labs = lines[3].split()
-    if labs[0] != "labelings" or len(labs) != spec.k + 1:
+    spec = GridSpec(tuple(int(x) for x in head[2].split(" ")[1:]))
+    windows = tuple(int(x) for x in head[4].split(" ")[1:])
+    if len(windows) != spec.k or min(windows) < 0:
         raise ValueError("bad labelings line")
-    windows = tuple(int(x) for x in labs[1:])
-    body = lines[4:]
-    if len(body) != spec.size:
-        raise ValueError(
-            f"expected {spec.size} vertex lines, found {len(body)}"
-        )
+    for got, want in zip(head.groups(), _header(spec, windows).split("\n")):
+        if got != want:
+            raise ValueError(f"header line {got!r} is not {want!r}")
+    found = text.count("\n", head.end())
+    if found != spec.size or not text.endswith("\n"):
+        raise ValueError(f"expected {spec.size} vertex lines, found {found} newlines")
+    blank = repeat(["." * spec.n] * spec.dims[0])
+    expect = np.frombuffer("".join(_vertex_lines(spec, blank)).encode(), np.uint8)
+    got = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    # both bodies hold |G| lines, so unequal lengths differ within the shorter
+    size = min(len(expect), len(got) - head.end())
+    expect, got = expect[:size], got[head.end() : head.end() + size]
+    slot, bad = expect == ord("."), got != expect
+    del expect
+    bits = got[slot] - ord("0")  # 0 or 1 for a label bit, above 1 otherwise
+    bad[slot] = bits > 1
+    if bad.any():
+        rank = int(np.count_nonzero(got[: bad.argmax()] == ord("\n")))
+        raise ValueError(f"line {rank + 5} is not the line of rank {rank}")
     labels = np.zeros(spec.size, dtype=np.int64)
-    seen = np.zeros(spec.size, dtype=bool)
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != spec.k + 1:
-            raise ValueError(f"bad vertex line: {ln!r}")
-        coords = tuple(int(x) for x in parts[:-1])
-        bits = parts[-1]
-        if len(bits) != spec.n or set(bits) - {"0", "1"}:
-            raise ValueError(f"bad label field: {bits!r}")
-        rank = spec.rank_of(coords)
-        if seen[rank]:
-            raise ValueError(f"vertex {coords} listed twice")
-        seen[rank] = True
-        labels[rank] = int(bits, 2)
+    for column in bits.reshape(spec.size, spec.n).T:
+        labels <<= 1
+        labels |= column
     return ParsedEmbedding(spec, windows, labels)
 
 
@@ -1005,23 +1005,14 @@ def audit_file(text: str) -> list[CheckResult]:
     except ValueError as exc:
         return [CheckResult("file.parse", "FAIL", str(exc))]
     out.append(_check("file.parse", True))
-    spec = parsed.spec
-    out.append(
-        _check(
-            "file.label-injective",
-            len(np.unique(parsed.labels)) == spec.size,
-        )
-    )
-    out.append(
-        _check(
-            "file.label-width",
-            bool((parsed.labels < (1 << spec.n)).all())
-            and bool((parsed.labels >= 0).all()),
-        )
-    )
+    spec, labels = parsed.spec, parsed.labels
+    injective = len(distinct_rows(labels)[0]) == spec.size
+    out.append(_check("file.label-injective", injective))
+    width = bool((labels < (1 << spec.n)).all()) and bool((labels >= 0).all())
+    out.append(_check("file.label-width", width))
     dil = 0
     for _, src, stride in _grid_edges(spec):
-        dist = np.bitwise_count(parsed.labels[src] ^ parsed.labels[src + stride])
+        dist = np.bitwise_count(labels[src] ^ labels[src + stride])
         dil = max(dil, int(dist.max()))
     out.append(_report("file.dilation", dil))
     return out
@@ -1051,7 +1042,7 @@ def audit_grid(
             )
         )
     checks.append(
-        _check("embedding.injective", len(np.unique(emb.labels)) == spec.size)
+        _check("embedding.injective", len(distinct_rows(emb.labels)[0]) == spec.size)
     )
     report = dilation(emb)
     checks.extend(report.checks())

@@ -211,7 +211,7 @@ class StageEmbedding:
         return tuple(int(c) for c in self.coords[rank])
 
     def is_injective(self) -> bool:
-        return len(np.unique(self.coords, axis=0)) == self.spec.size
+        return len(distinct_rows(self.coords)[0]) == self.spec.size
 
     def stage_chain(self) -> "list[StageEmbedding]":
         """This stage and all retained predecessors, earliest first."""
@@ -248,6 +248,16 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> InflatedStage:
             "budget identity violated"
         )
     return InflatedStage(prev, plan, table[idx])
+
+
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, axis=0, return_counts=True) from one sort and a neighbour
+    compare: the distinct rows (entries, if 1-d) in order, and their counts."""
+    s = np.sort(a) if a.ndim == 1 else a[np.lexsort(a.T[::-1])]
+    new = s[1:] != s[:-1]
+    new = np.concatenate([[True], new if a.ndim == 1 else new.any(axis=1)])
+    starts = np.flatnonzero(new[: len(s)])  # an empty `a` has no first row
+    return s[starts], np.diff(starts, append=len(s))
 
 
 def packed_address(spec: GridSpec, coords: np.ndarray) -> np.ndarray:
@@ -337,11 +347,8 @@ def _height_table(emb: StageEmbedding, mask) -> dict[tuple[int, ...], int]:
     i = emb.stage - 1
     box = [range(1, (1 << spec.block_width(j)) + 1) for j in range(1, i + 1)]
     table = {addr: 0 for addr in product(*box)}
-    addrs = emb.coords[mask][:, :i]
-    if len(addrs):
-        uniq, counts = np.unique(addrs, axis=0, return_counts=True)
-        for row, cnt in zip(uniq, counts):
-            table[tuple(int(x) for x in row)] = int(cnt)
+    uniq, counts = distinct_rows(emb.coords[mask][:, :i])
+    table.update(zip(map(tuple, uniq.tolist()), counts.tolist()))
     return table
 
 

@@ -4,13 +4,13 @@ These are the literal Fraction forms of the integer-exact construction
 core: the prefix windows and the two-way rounding in fractions.Fraction, a
 recursive Dinic with adjacency lists, the leaf matching built on it, the
 Fraction closed form of the chain prefix counts, and the embedding file
-written one rank at a time.  Beside them sit the literal column-filling loop
-of the base map, the per-row forms of the blank plan tables (nonblank
-levels, and section ordinals by bisection), the per-column
-coordinate-difference scan, and the chain and transition batteries with
-their per-page, per-prefix and per-chain loops and dense count tables.
-They run in tests only; the library's integer and table-driven forms must
-reproduce their outputs exactly.
+written one rank at a time and read one line at a time.  Beside them sit
+the literal column-filling loop of the base map, the per-row forms of the
+blank plan tables (nonblank levels, and section ordinals by bisection), the
+per-column coordinate-difference scan, and the chain and transition
+batteries with their per-page, per-prefix and per-chain loops and dense
+count tables.  They run in tests only; the library's integer and
+table-driven forms must reproduce their outputs exactly.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from gridcube import base2d, checks
 from gridcube.base2d import build_R
 from gridcube.checks import CheckResult, _check, _gated, _report, _vertex_pages
-from gridcube.grids import level_budget
+from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, RoundingSpec
 from gridcube.stages import StageEmbedding, packed_address
 
@@ -250,8 +250,8 @@ def fill_columns(a1: int, e1: int, m: int):
 
 
 def dump_embedding(emb) -> str:
-    """The GRIDCUBE text built one rank at a time from coords_of and
-    label_bits."""
+    """The GRIDCUBE text built one rank at a time from coords_of and the
+    label's n-bit binary form."""
     spec = emb.spec
     lines = [
         "GRIDCUBE 1",
@@ -261,8 +261,54 @@ def dump_embedding(emb) -> str:
     ]
     for rank in range(spec.size):
         coords = spec.coords_of(rank)
-        lines.append(" ".join(str(x) for x in coords) + " " + emb.label_bits(rank))
+        bits = format(int(emb.labels[rank]), f"0{spec.n}b")
+        lines.append(" ".join(str(x) for x in coords) + " " + bits)
     return "\n".join(lines) + "\n"
+
+
+def parse_embedding(text: str) -> checks.ParsedEmbedding:
+    """The GRIDCUBE reader one vertex line at a time, with int() fields.
+
+    It accepts more than the writer produces: int() also reads "1_0", "+2"
+    and "03", split() skips doubled spaces, CRLF line ends and blank lines,
+    and the vertex lines may come in any order.
+    """
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 5 or lines[0] != "GRIDCUBE 1":
+        raise ValueError("not a GRIDCUBE file")
+    head = lines[1].split()
+    if head[0] != "dims" or len(head) < 3:
+        raise ValueError("bad dims line")
+    dims = tuple(int(x) for x in head[1:])
+    spec = GridSpec(dims)
+    exps = [int(x) for x in lines[2].split()]
+    if exps != [spec.n, *spec.exponents[1:]]:
+        raise ValueError("exponent line disagrees with the dims")
+    labs = lines[3].split()
+    if labs[0] != "labelings" or len(labs) != spec.k + 1:
+        raise ValueError("bad labelings line")
+    windows = tuple(int(x) for x in labs[1:])
+    body = lines[4:]
+    if len(body) != spec.size:
+        raise ValueError(
+            f"expected {spec.size} vertex lines, found {len(body)}"
+        )
+    labels = np.zeros(spec.size, dtype=np.int64)
+    seen = np.zeros(spec.size, dtype=bool)
+    for ln in body:
+        parts = ln.split()
+        if len(parts) != spec.k + 1:
+            raise ValueError(f"bad vertex line: {ln!r}")
+        coords = tuple(int(x) for x in parts[:-1])
+        bits = parts[-1]
+        if len(bits) != spec.n or set(bits) - {"0", "1"}:
+            raise ValueError(f"bad label field: {bits!r}")
+        rank = spec.rank_of(coords)
+        if seen[rank]:
+            raise ValueError(f"vertex {coords} listed twice")
+        seen[rank] = True
+        labels[rank] = int(bits, 2)
+    return checks.ParsedEmbedding(spec, windows, labels)
 
 
 def zero_columns(F: BinaryMatrix) -> list[tuple[int, ...]]:

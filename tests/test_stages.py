@@ -1,6 +1,7 @@
 """Stage pipeline tests: blank sequences, plans, inflation, stacking."""
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from gridcube.stages import (
     BlankPlan,
     build_blank_plan,
     build_fk,
+    distinct_rows,
     dump_stage,
     full_stack_heights,
     inflate,
@@ -232,6 +234,27 @@ def test_pipeline_injective_and_bounded():
         heights = emb.coords[:, spec.k - 1]
         assert heights.min() >= 1
         assert heights.max() <= level_budget(spec, spec.k)
+
+
+def test_distinct_rows_matches_unique():
+    rng = np.random.default_rng(7)
+    for shape in [(0,), (0, 3), (1,), (1, 2), (60,), (60, 3), (500, 4)]:
+        a = rng.integers(0, 4, size=shape)
+        rows, counts = distinct_rows(a)
+        expected, expected_counts = np.unique(a, axis=0, return_counts=True)
+        assert np.array_equal(rows, expected) and rows.shape == expected.shape
+        assert np.array_equal(counts, expected_counts)
+
+
+def test_is_injective_matches_unique(battery_grids):
+    for fk in battery_grids.values():
+        for st in fk.stage_chain():
+            expected = len(np.unique(st.coords, axis=0)) == st.spec.size
+            assert st.is_injective() == expected
+    st = build_fk(GridSpec((5, 6, 7)))
+    coords = st.coords.copy()
+    coords[3] = coords[40]
+    assert not dataclasses.replace(st, coords=coords).is_injective()
 
 
 def test_stack_heights_two_value_contract_asserts():
