@@ -12,7 +12,7 @@ import random
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product, repeat
 
 import numpy as np
@@ -1023,13 +1023,20 @@ def audit_file(text: str) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _chain_checks(a1: int) -> tuple[CheckResult, ...]:
+    """``chain_battery(a1)``, built once per a1 in a process: the battery
+    depends on nothing but a1 and the fixed m = 256."""
+    return tuple(chain_battery(a1))
+
+
 def audit_grid(
     spec: GridSpec,
     seed_matrices: list[BinaryMatrix] | None = None,
 ) -> tuple[list[CheckResult], HypercubeEmbedding, DilationReport]:
     """Run the full invariant battery for a grid and return the artifacts."""
     checks: list[CheckResult] = []
-    checks.extend(chain_battery(spec.dims[0]))
+    checks.extend(_chain_checks(spec.dims[0]))
     fk = build_fk(spec, seed_matrices=seed_matrices)
     checks.extend(pipeline_battery(fk))
     emb = assemble_Hk(fk)

@@ -108,7 +108,9 @@ def cmd_audit(args) -> int:
         path = Path(tokens[0])
         if not path.is_file():
             raise ValueError(f"no such file: {path}")
-        checks = audit_file(path.read_text())
+        # decoded without newline translation, so a CRLF file reaches the
+        # parser as written and fails it
+        checks = audit_file(path.read_bytes().decode())
     else:
         try:
             dims = [int(t) for t in tokens]

@@ -19,6 +19,11 @@ admissible arcs, into nodes that can reach the sink along them; and a node
 found exhausted is marked dead (every later visit in the phase would fail).
 The level computation and the admissible-arc selection are numpy array
 passes; only the depth-first search walks arcs one at a time.
+
+Phases read nothing but the residual capacities, so ``push`` can load the
+paths of phases computed elsewhere (the rounding solver finds its first
+phase in one greedy pass) and ``max_flow`` runs the remaining phases from
+that flow exactly as it would have after computing them itself.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ class FlowNetwork:
     """A flow network on nodes 0..size-1 with edges given in insertion order.
 
     ``tail``, ``head`` and ``cap`` are per-edge sequences; ``cap`` defaults
-    to 1 on every edge.
+    to 1 on every edge.  ``edges`` is the number of edges.
     """
 
     def __init__(self, size: int, tail, head, cap=None):
@@ -52,6 +57,7 @@ class FlowNetwork:
         start = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(np.bincount(arc_from, minlength=size), out=start[1:])
         self.size = size
+        self.edges = edges
         self._forward = slot[0::2]
         self._tail = arc_from[order]
         self._head = arc_to[order]
@@ -61,6 +67,17 @@ class FlowNetwork:
         self._cap = array("q", arc_cap[order].tobytes())
         self._rev = array("q", slot[order ^ 1].tobytes())
         self._start = start
+
+    def push(self, edges) -> None:
+        """Add one unit of flow on each listed edge (by insertion index).
+
+        Listing the edges of augmenting paths found outside the network loads
+        their flow; ``max_flow`` then continues from it.
+        """
+        cap = np.frombuffer(self._cap, dtype=np.int64)
+        forward = self._forward[edges]
+        np.subtract.at(cap, forward, 1)
+        np.add.at(cap, np.frombuffer(self._rev, dtype=np.int64)[forward], 1)
 
     def residual(self, edges) -> np.ndarray:
         """Residual capacity of each listed edge (by insertion index)."""
@@ -93,7 +110,9 @@ class FlowNetwork:
         return level
 
     def max_flow(self, s: int, t: int) -> int:
-        """Push a maximum flow from s to t, one unit per augmenting path."""
+        """Complete a maximum flow from s to t, one unit per augmenting path,
+        starting from whatever flow the network already carries; returns the
+        units added."""
         cap, rev = self._cap, self._rev
         flow = 0
         while True:

@@ -11,9 +11,19 @@ each scan order must land where that order's fractional prefix sum crosses
 a valid rounding.  The flow is the iterative Dinic of ``flow``; node
 numbering and edge order are fixed (ascending node index), so identical
 inputs give identical outputs.
+
+Every window holds at most two slots per scan order (the setting of Knuth's
+two-way rounding, SIAM J. Discrete Math. 8, 1995), and on that network
+Dinic's first phase is one left-to-right greedy over the first-order slots.
+The solver computes that phase directly.  When it places every one, the
+flow is already maximal and no network is built; otherwise the network is
+built, the greedy's paths are pushed into it, and ``max_flow`` runs the
+remaining phases from that flow, so the result is the one Dinic gives from
+zero.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -172,18 +182,64 @@ def _prefix_windows(order: list[int], fracs: list[int], D: int, total_ones: int)
     return lo, hi
 
 
-def _try_round(fracs: list[int], D: int, order_b: list[int], total_ones: int):
-    """Place total_ones ones on the nonzero fractions (numerators over D) so
-    that the v-th one falls in slot v's window in both scan orders, or
-    return None when no placement exists."""
-    n = len(fracs)
-    if total_ones == 0:
-        return [0] * n
-    items = np.array([k for k in range(n) if fracs[k]], dtype=np.int64)
-    lo_a, hi_a = _prefix_windows(list(range(n)), fracs, D, total_ones)
-    lo_b, hi_b = _prefix_windows(order_b, fracs, D, total_ones)
-    lo_a, hi_a, lo_b, hi_b = lo_a[items], hi_a[items], lo_b[items], hi_b[items]
+def _first_phase(lo_a, hi_a, lo_b, hi_b, total_ones: int):
+    """Dinic's first phase on the rounding network, as one greedy pass.
 
+    The first-order slots v = 1..total_ones are taken in turn.  Slot v goes to the
+    lowest-index item whose first-order window holds v and that is neither
+    used nor dead; the item takes the first free second-order slot among
+    lo_b and lo_b + 1 (up to hi_b), and if both are taken it is dead for the
+    rest of the pass.  The phase's level graph is source -> slot -> item in
+    -> item out -> slot -> sink with every arc scanned in insertion order, so
+    this is the path, in order, that each depth-first search of
+    ``FlowNetwork.max_flow`` finds in its first phase.  Windows are
+    nondecreasing in item order (both bounds come from prefix sums in
+    position order), so the items holding v are one contiguous run and the
+    pass is linear.  Returns one row (v, item, w) per path found.
+    """
+    # flat machine-integer arrays: as fast to read here as lists, and they
+    # hold no int objects
+    lo_a, hi_a, lo_b, hi_b = (array("q", x.tobytes()) for x in (lo_a, hi_a, lo_b, hi_b))
+    count = len(lo_a)
+    spent = bytearray(count)  # items used or dead
+    taken = bytearray(total_ones + 2)  # second-order slots already filled
+    paths = array("q")
+    first = 0
+    for v in range(1, total_ones + 1):
+        while first < count and hi_a[first] < v:
+            first += 1
+        i = first
+        while i < count and lo_a[i] <= v:
+            if not spent[i]:
+                spent[i] = 1
+                w = lo_b[i]
+                if taken[w]:
+                    w += 1
+                if w <= hi_b[i] and not taken[w]:
+                    taken[w] = 1
+                    paths.extend((v, i, w))
+                    break
+            i += 1
+    return np.frombuffer(paths, dtype=np.int64).reshape(-1, 3)
+
+
+def _item_windows(fracs: list[int], D: int, order_b: list[int], total_ones: int):
+    """The positions with a nonzero fraction (the items), and each item's
+    slot windows (lo_a, hi_a) in the list order and (lo_b, hi_b) in
+    order_b."""
+    items = np.array([k for k in range(len(fracs)) if fracs[k]], dtype=np.int64)
+    lo_a, hi_a = _prefix_windows(list(range(len(fracs))), fracs, D, total_ones)
+    lo_b, hi_b = _prefix_windows(order_b, fracs, D, total_ones)
+    return items, lo_a[items], hi_a[items], lo_b[items], hi_b[items]
+
+
+def _network(lo_a, hi_a, lo_b, hi_b, total_ones: int, paths):
+    """The slot-assignment network of the item windows, carrying one unit
+    along each (v, item, w) row of ``paths``.
+
+    Returns the network, the insertion index of each item's own edge, and
+    the sink.
+    """
     # Node ids: 0 source, 1..B the slots of the first order, then an in/out
     # pair per item (a position hosts at most one unit, so the pair is joined
     # by a single unit edge), then the slots of the second order, then the
@@ -191,8 +247,8 @@ def _try_round(fracs: list[int], D: int, order_b: list[int], total_ones: int):
     # own edge, its second-order slots), then sink edges; each item has at
     # most five, laid out in a fixed row and kept where its window has them.
     B = total_ones
-    item_in = B + 1 + 2 * np.arange(len(items), dtype=np.int64)
-    b_base = B + 1 + 2 * len(items)
+    item_in = B + 1 + 2 * np.arange(len(lo_a), dtype=np.int64)
+    b_base = B + 1 + 2 * len(lo_a)
     sink = b_base + B + 1
     slots = np.arange(1, B + 1, dtype=np.int64)
     tail = np.stack([lo_a, lo_a + 1, item_in, item_in + 1, item_in + 1], axis=1)
@@ -203,23 +259,57 @@ def _try_round(fracs: list[int], D: int, order_b: list[int], total_ones: int):
         [
             hi_a >= lo_a,
             hi_a > lo_a,
-            np.ones(len(items), dtype=bool),
+            np.ones(len(lo_a), dtype=bool),
             hi_b >= lo_b,
             hi_b > lo_b,
         ],
         axis=1,
     )
-    item_edge = B + np.cumsum(keep.ravel())[2::5] - 1
+    row_edge = (B + np.cumsum(keep.ravel()) - 1).reshape(-1, 5)
     net = FlowNetwork(
         sink + 1,
         np.concatenate([np.zeros(B, dtype=np.int64), tail[keep], b_base + slots]),
         np.concatenate([slots, head[keep], np.full(B, sink, dtype=np.int64)]),
     )
-    del tail, head, keep
-    if net.max_flow(0, sink) != total_ones:
-        return None
-    out = [0] * n
-    for k in items[net.residual(item_edge) == 0].tolist():
+    if len(paths):
+        # a path's edges: source, first-order slot, the item's own edge,
+        # second-order slot, sink
+        v, i, w = paths.T
+        net.push(
+            np.concatenate(
+                [
+                    v - 1,
+                    row_edge[i, v - lo_a[i]],
+                    row_edge[i, 2],
+                    row_edge[i, 3 + w - lo_b[i]],
+                    net.edges - B + w - 1,
+                ]
+            )
+        )
+    return net, row_edge[:, 2].copy(), sink
+
+
+def _try_round(fracs: list[int], D: int, order_b: list[int], total_ones: int):
+    """Place total_ones ones on the nonzero fractions (numerators over D) so
+    that the v-th one falls in slot v's window in both scan orders, or
+    return None when no placement exists.
+
+    The first phase of the flow comes from ``_first_phase``; when it already
+    places every one, the flow is maximal and no network is built.
+    """
+    out = [0] * len(fracs)
+    if total_ones == 0:
+        return out
+    items, *windows = _item_windows(fracs, D, order_b, total_ones)
+    paths = _first_phase(*windows, total_ones)
+    if len(paths) == total_ones:
+        used = paths[:, 1]
+    else:
+        net, own_edge, sink = _network(*windows, total_ones, paths)
+        if len(paths) + net.max_flow(0, sink) != total_ones:
+            return None
+        used = net.residual(own_edge) == 0
+    for k in items[used].tolist():
         out[k] = 1
     return out
 

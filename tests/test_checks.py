@@ -274,8 +274,11 @@ def test_batteries_and_dilation_over_random_grids(dims):
     fk = build_fk(spec)
     assert triples(pipeline_battery(fk)) == triples(oracles.pipeline_battery(fk))
     emb = assemble_Hk(fk)
+    assert len(np.unique(emb.labels)) == spec.size
     report = dilation(emb)
     assert report.dilation <= report.implied_bound
+    if report.guaranteed_3k:
+        assert report.dilation <= 3 * spec.k
     text = dump_embedding(emb)
     assert np.array_equal(parse_embedding(text).labels, emb.labels)
     assert_parses_like_oracle(text)
@@ -659,3 +662,25 @@ def test_audit_grid_scans_coordinate_differences_once(monkeypatch):
     assert names.index("pipeline.stage3.injective") < names.index("diffs.within-17")
     assert names.index("diffs.max.dim3") < names.index("embedding.injective")
     assert names.index("embedding.injective") < names.index("dilation.value")
+
+
+def test_audit_grid_builds_the_chain_battery_once_per_first_side(monkeypatch):
+    calls = []
+    real = checks_module.chain_battery
+
+    def counted(a1, m=256):
+        calls.append((a1, m))
+        return real(a1, m)
+
+    checks_module._chain_checks.cache_clear()
+    monkeypatch.setattr(checks_module, "chain_battery", counted)
+    first, _, _ = audit_grid(GridSpec((5, 5, 6)))
+    second, _, _ = audit_grid(GridSpec((5, 7, 4)))
+    assert calls == [(5, 256)]
+    fresh = triples(real(5))
+    assert triples(first[: len(fresh)]) == fresh
+    assert triples(second[: len(fresh)]) == fresh
+    # each audit gets its own list, and the memo keeps no reference to it
+    first.append(checks_module.CheckResult("extra", "FAIL"))
+    assert triples(second[: len(fresh)]) == fresh
+    assert triples(checks_module._chain_checks(5)) == fresh

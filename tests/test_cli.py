@@ -162,6 +162,17 @@ def test_audit_mutated_file_fails(tmp_path):
     assert out.startswith("file.parse: FAIL line 6 is not the line of rank 1")
 
 
+def test_audit_of_a_crlf_file_fails(tmp_path):
+    # the file must reach the parser byte for byte: a universal-newline read
+    # would turn CRLF back into LF and pass it
+    target = tmp_path / "emb.txt"
+    run_cli(["embed", "3", "7", "4", "--out", str(target)])
+    target.write_bytes(target.read_bytes().replace(b"\n", b"\r\n"))
+    code, out, _ = run_cli(["audit", str(target)])
+    assert code == 1
+    assert out.startswith("file.parse: FAIL")
+
+
 # A header that declares 2^26 vertices over a three-line body.  The parse
 # must count the lines before it renders the 2.4 GB expected body; measured
 # tracemalloc peak 3 kB on a 2-vCPU Xeon virtual machine (Python 3.11.7,

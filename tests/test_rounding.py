@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import ceil, floor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcube import rounding
 from gridcube.grids import GridSpec
 from gridcube.rounding import (
     BinaryMatrix,
@@ -334,6 +336,86 @@ def test_two_way_round_matches_oracle(values, rnd):
 )
 def test_round_matrix_matches_oracle(T):
     assert round_matrix(T).rows == oracles.round_matrix(T).rows
+
+
+# ---------------------------------------------------------------------------
+# the greedy first phase against Dinic run from zero
+# ---------------------------------------------------------------------------
+
+
+def solver_calls(run) -> list[tuple]:
+    """The arguments (fracs, D, order_b, total_ones) of every two-way
+    rounding attempt that run() makes."""
+    with mock.patch.object(rounding, "_try_round", wraps=rounding._try_round) as spy:
+        run()
+    return [call.args for call in spy.call_args_list]
+
+
+def first_phase_outcome(fracs, D, order_b, total_ones) -> tuple[int, int]:
+    """Finish the flow from the greedy's paths and check every edge's
+    residual against one max_flow run from zero; returns the units the
+    greedy placed and the units max_flow added after them."""
+    _, *windows = rounding._item_windows(fracs, D, order_b, total_ones)
+    paths = rounding._first_phase(*windows, total_ones)
+    ref, _, sink = rounding._network(*windows, total_ones, paths[:0])
+    net, _, _ = rounding._network(*windows, total_ones, paths)
+    total = ref.max_flow(0, sink)
+    added = net.max_flow(0, sink)
+    assert len(paths) + added == total
+    every = np.arange(ref.edges)
+    assert net.residual(every).tolist() == ref.residual(every).tolist()
+    return len(paths), added
+
+
+def stage_rounding_specs(grid: GridSpec) -> list[RoundingSpec]:
+    return [
+        RoundingSpec(s_sequence(grid, i), 1 << grid.block_width(i))
+        for i in range(2, grid.k)
+    ]
+
+
+def test_first_phase_matches_dinic_on_stage_specs(battery_grids):
+    specs = {
+        RoundingSpec(st.plan.s, st.plan.F.n)
+        for fk in battery_grids.values()
+        for st in fk.stage_chain()
+        if st.plan is not None
+    }
+    for dims in [(17, 17, 17), (5, 5, 5, 5, 5)]:
+        specs.update(stage_rounding_specs(GridSpec(dims)))
+    outcomes = []
+    for spec in sorted(specs, key=lambda sp: (sp.n, sp.X)):
+        for args in solver_calls(lambda: build_FX(spec)):
+            outcomes.append(first_phase_outcome(*args))
+    # both branches of the solver are exercised
+    assert any(added == 0 for _, added in outcomes)
+    assert any(added > 0 for _, added in outcomes)
+
+
+@settings(max_examples=150)
+@given(st.lists(rationals, min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_first_phase_matches_dinic_on_small_inputs(values, rnd):
+    perm = list(range(1, len(values) + 1))
+    rnd.shuffle(perm)
+    for args in solver_calls(lambda: two_way_round(values, perm)):
+        first_phase_outcome(*args)
+
+
+def test_complete_first_phase_builds_no_network():
+    values = [Fraction(3, 4)] * 2
+    [args] = solver_calls(lambda: two_way_round(values, [1, 2]))
+    assert first_phase_outcome(*args) == (1, 0)
+    with mock.patch.object(rounding, "FlowNetwork") as network:
+        assert two_way_round(values, [1, 2]) == [1, 0]
+    network.assert_not_called()
+
+
+def test_incomplete_first_phase_is_finished_by_max_flow():
+    values = [Fraction(3, 4), Fraction(3, 4), Fraction(1, 2), Fraction(3, 4)]
+    perm = [3, 1, 4, 2]
+    [args] = solver_calls(lambda: two_way_round(values, perm))
+    assert first_phase_outcome(*args) == (1, 1)
+    assert two_way_round(values, perm) == oracles.two_way_round(values, perm)
 
 
 # ---------------------------------------------------------------------------
