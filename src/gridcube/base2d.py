@@ -29,11 +29,6 @@ class CirculantR:
     e1: int
     first_column: tuple[int, ...]
 
-    @property
-    def q(self) -> Fraction:
-        """Surplus density (2^{e1} - a1) / a1."""
-        return Fraction((1 << self.e1) - self.a1, self.a1)
-
     def R(self, i: int, j: int) -> int:
         """1-based entry; j may exceed a1 (the matrix extends periodically)."""
         return self.first_column[(i - j) % self.a1]
@@ -55,25 +50,6 @@ def build_R(a1: int, e1: int) -> CirculantR:
     if sum(col) != (1 << e1) - a1:
         raise AssertionError("column sum defect in circulant construction")
     return CirculantR(a1, e1, col)
-
-
-def consecutive_sum(R: CirculantR, t: int) -> int:
-    """S_t = floor(q t); asserts every cyclic t-run sums to S_t or S_t + 1."""
-    if t < 1:
-        raise ValueError("run length must be positive")
-    s_t = floor(R.q * t)
-    full, rem = divmod(t, R.a1)
-    base = full * sum(R.first_column)
-    for start in range(R.a1):
-        run = base + sum(
-            R.first_column[(start + p) % R.a1] for p in range(rem)
-        )
-        if run not in (s_t, s_t + 1):
-            raise AssertionError(
-                f"{t}-run starting at {start + 1} sums to {run}, "
-                f"outside {{{s_t}, {s_t + 1}}}"
-            )
-    return s_t
 
 
 def chain_prefix_count(R: CirculantR, i, j):

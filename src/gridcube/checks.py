@@ -296,8 +296,8 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
 
     coords = emb.coords.astype(np.int64)
     h = coords[:, j - 1]
-    sec = emb.source_section.astype(np.int64)
-    nu = emb.source_nu.astype(np.int64)
+    sec = emb.source_section
+    nu = emb.source_nu
     P = plan.pages
     pg = _vertex_pages(spec, j - 1)
     pg_prev = _vertex_pages(spec, j - 2)
@@ -556,16 +556,14 @@ class CoordinateDiffs:
 
     `cyclic[j-1][i0-1]` is the largest cyclic difference (mod the block
     size 2^{e_j - e_{j-1}}) of output coordinate j across edges that step in
-    grid dimension i0; `absolute` holds the unreduced differences.
+    grid dimension i0.
     """
 
     spec: GridSpec
     cyclic: tuple[tuple[int, ...], ...]
-    absolute: tuple[tuple[int, ...], ...]
 
-    def per_dimension(self, absolute: bool = False) -> tuple[int, ...]:
-        table = self.absolute if absolute else self.cyclic
-        return tuple(max(row) for row in table)
+    def per_dimension(self) -> tuple[int, ...]:
+        return tuple(max(row) for row in self.cyclic)
 
 
 def _grid_edges(spec: GridSpec) -> Iterator[tuple[int, np.ndarray, int]]:
@@ -593,19 +591,13 @@ def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
         [1 << spec.block_width(j) for j in range(1, k + 1)], dtype=coords.dtype
     )
     cyc = np.zeros((k, k), dtype=np.int64)
-    absd = np.zeros((k, k), dtype=np.int64)
     for i0, src, stride in _grid_edges(spec):
         d = coords[src]
         d -= coords[src + stride]
         np.abs(d, out=d)
-        absd[:, i0 - 1] = d.max(axis=0)
         wrap = widths - d
         cyc[:, i0 - 1] = np.minimum(d, wrap, out=wrap).max(axis=0)
-    return CoordinateDiffs(
-        spec,
-        tuple(tuple(int(x) for x in row) for row in cyc),
-        tuple(tuple(int(x) for x in row) for row in absd),
-    )
+    return CoordinateDiffs(spec, tuple(tuple(int(x) for x in row) for row in cyc))
 
 
 def diff_case_checks(diffs: CoordinateDiffs) -> list[CheckResult]:
@@ -663,7 +655,9 @@ class HypercubeEmbedding:
 
     Labels concatenate one block per grid dimension (dimension 1 in the most
     significant bits); block j is the labeling's cube vertex for the final
-    map's j-th coordinate.
+    map's j-th coordinate.  Construction does not check that the labels are
+    distinct: the audit reports it as ``embedding.injective``, and
+    ``dump_embedding`` refuses to write colliding labels.
     """
 
     fk: StageEmbedding
@@ -687,9 +681,10 @@ class HypercubeEmbedding:
             if vals.min() < 1 or vals.max() > len(table):
                 raise ValueError(f"coordinate {jdim} outside the labeling domain")
             labels = (labels << lab.t) | table[vals - 1]
-        if len(distinct_rows(labels)[0]) != spec.size:
-            raise RuntimeError("labels collide; embedding bug")
         object.__setattr__(self, "labels", labels)
+
+    def is_injective(self) -> bool:
+        return len(distinct_rows(self.labels)[0]) == self.spec.size
 
     @property
     def spec(self) -> GridSpec:
@@ -936,7 +931,10 @@ def _vertex_lines(spec: GridSpec, label_blocks) -> Iterator[str]:
 
 
 def dump_embedding(emb: HypercubeEmbedding) -> str:
-    """Render the labeled embedding in the GRIDCUBE text format."""
+    """Render the labeled embedding in the GRIDCUBE text format; colliding
+    labels are a construction defect and raise RuntimeError."""
+    if not emb.is_injective():
+        raise RuntimeError("labels collide; embedding bug")
     spec, fmt = emb.spec, f"0{emb.n}b"
     rows = emb.labels.reshape(-1, spec.dims[0])  # one row per block of a_1 ranks
     blocks = ([format(label, fmt) for label in row.tolist()] for row in rows)
@@ -1048,9 +1046,7 @@ def audit_grid(
                 f"diffs.max.dim{jdim}", diffs.per_dimension()[jdim - 1]
             )
         )
-    checks.append(
-        _check("embedding.injective", len(distinct_rows(emb.labels)[0]) == spec.size)
-    )
+    checks.append(_check("embedding.injective", emb.is_injective()))
     report = dilation(emb)
     checks.extend(report.checks())
     return checks, emb, report

@@ -3,8 +3,10 @@
 All arithmetic is exact, so the strict "< 1" rounding contracts are
 decidable at the boundary.  The public functions take exact rationals
 (fractions.Fraction) and convert them once to integer numerators over one
-common denominator; the solver then works in Python integers, which cannot
-overflow however large the denominator.  The two-way rounding solver is a
+common denominator, held in one integer array from there to the 0/1 result.
+The array is int64 when every sum the solver forms provably fits, and holds
+Python ints (object dtype), which cannot overflow, only when such a sum could
+pass int64; both run the same numpy code.  The two-way rounding solver is a
 deterministic unit-capacity flow over prefix windows: the v-th one placed in
 each scan order must land where that order's fractional prefix sum crosses
 (v-1, v], and a perfect assignment of ones to both orders' windows is exactly
@@ -26,8 +28,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from math import ceil, lcm
+from math import lcm
 
 import numpy as np
 
@@ -147,10 +148,6 @@ class RoundingSpec:
         return min(self.X)
 
     @property
-    def c(self) -> Fraction:
-        return Fraction(self.kappa + 1, self.n)
-
-    @property
     def supports_window_queries(self) -> bool:
         """Whether the zero-window bounds apply (kappa+1 <= n/2)."""
         return 2 * (self.kappa + 1) <= self.n
@@ -161,7 +158,7 @@ class RoundingSpec:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_windows(order: list[int], fracs: list[int], D: int, total_ones: int):
+def _prefix_windows(fracs: np.ndarray, order: np.ndarray, D: int, total_ones: int):
     """Slot window (lo, hi) of every position in the given scan order.
 
     Slot v (v-th one placed, 1-based) must land at a position k where the
@@ -170,15 +167,15 @@ def _prefix_windows(order: list[int], fracs: list[int], D: int, total_ones: int)
     capped at total_ones (empty when lo > hi).  The fractions are numerators
     over D and the prefix sums exact integers, so lo = G_{k-1} // D + 1 and
     hi = min(ceil(G_k / D), total_ones).  A window holds at most two slots
-    because each fraction is below 1.  Returns arrays indexed by position.
+    because each fraction is below 1.  Returns int64 arrays indexed by
+    position.
     """
-    sums = list(accumulate([fracs[p] for p in order]))
-    floors = np.array([0] + [g // D for g in sums[:-1]], dtype=np.int64)
-    ceils = np.array([-(-g // D) for g in sums], dtype=np.int64)
+    scanned = fracs[order]
+    sums = np.cumsum(scanned)
     lo = np.empty(len(fracs), dtype=np.int64)
     hi = np.empty(len(fracs), dtype=np.int64)
-    lo[order] = floors + 1
-    hi[order] = np.minimum(ceils, total_ones)
+    lo[order] = (sums - scanned) // D + 1
+    hi[order] = np.minimum(-(-sums // D), total_ones)
     return lo, hi
 
 
@@ -223,13 +220,13 @@ def _first_phase(lo_a, hi_a, lo_b, hi_b, total_ones: int):
     return np.frombuffer(paths, dtype=np.int64).reshape(-1, 3)
 
 
-def _item_windows(fracs: list[int], D: int, order_b: list[int], total_ones: int):
+def _item_windows(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: int):
     """The positions with a nonzero fraction (the items), and each item's
-    slot windows (lo_a, hi_a) in the list order and (lo_b, hi_b) in
+    slot windows (lo_a, hi_a) in the array order and (lo_b, hi_b) in
     order_b."""
-    items = np.array([k for k in range(len(fracs)) if fracs[k]], dtype=np.int64)
-    lo_a, hi_a = _prefix_windows(list(range(len(fracs))), fracs, D, total_ones)
-    lo_b, hi_b = _prefix_windows(order_b, fracs, D, total_ones)
+    items = np.flatnonzero(fracs)
+    lo_a, hi_a = _prefix_windows(fracs, np.arange(len(fracs)), D, total_ones)
+    lo_b, hi_b = _prefix_windows(fracs, order_b, D, total_ones)
     return items, lo_a[items], hi_a[items], lo_b[items], hi_b[items]
 
 
@@ -289,15 +286,15 @@ def _network(lo_a, hi_a, lo_b, hi_b, total_ones: int, paths):
     return net, row_edge[:, 2].copy(), sink
 
 
-def _try_round(fracs: list[int], D: int, order_b: list[int], total_ones: int):
+def _try_round(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: int):
     """Place total_ones ones on the nonzero fractions (numerators over D) so
-    that the v-th one falls in slot v's window in both scan orders, or
-    return None when no placement exists.
+    that the v-th one falls in slot v's window in both scan orders, and
+    return them as a 0/1 array, or None when no placement exists.
 
     The first phase of the flow comes from ``_first_phase``; when it already
     places every one, the flow is maximal and no network is built.
     """
-    out = [0] * len(fracs)
+    out = np.zeros(len(fracs), dtype=np.int64)
     if total_ones == 0:
         return out
     items, *windows = _item_windows(fracs, D, order_b, total_ones)
@@ -309,26 +306,24 @@ def _try_round(fracs: list[int], D: int, order_b: list[int], total_ones: int):
         if len(paths) + net.max_flow(0, sink) != total_ones:
             return None
         used = net.residual(own_edge) == 0
-    for k in items[used].tolist():
-        out[k] = 1
+    out[items[used]] = 1
     return out
 
 
-def _two_way_round_core(nums: list[int], D: int, order_b: list[int]) -> list[int]:
+def _two_way_round_core(nums: np.ndarray, D: int, order_b: np.ndarray) -> np.ndarray:
     """Round nonnegative rationals nums[i] / D consistently in two scan orders.
 
     order_b lists 0-based positions in the second scan order; the first order
-    is the list order.  Returns integers x with x_i in {floor, ceil} of
+    is the array order.  Returns integers x with x_i in {floor, ceil} of
     nums[i] / D and all prefix sums (both orders) within the floor/ceil of
-    the exact prefix sums.
+    the exact prefix sums, in the dtype of nums.
     """
-    floors = [x // D for x in nums]
-    fracs = [x % D for x in nums]
-    low, rem = divmod(sum(fracs), D)
+    floors, fracs = nums // D, nums % D
+    low, rem = divmod(int(fracs.sum()), D)
     for b in [low] if rem == 0 else [low, low + 1]:
         bits = _try_round(fracs, D, order_b, b)
         if bits is not None:
-            return [f + o for f, o in zip(floors, bits)]
+            return floors + bits
     raise RuntimeError(
         "two-way rounding solver found no feasible rounding; this is a bug"
     )
@@ -338,6 +333,17 @@ def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
     """Numerators of the values over D = lcm of their denominators, and D."""
     D = lcm(*(v.denominator for v in values))
     return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def _solver_array(nums, count: int, D: int) -> np.ndarray:
+    """The numerators over D of a solver input of ``count`` entries, as one
+    integer array.
+
+    Every entry and every sum the solver forms is below count * D, so the
+    array is int64 when that fits and holds Python ints (object dtype)
+    otherwise; the solver runs the same numpy code on both.
+    """
+    return np.array(nums, dtype=np.int64 if count * D < 1 << 63 else object)
 
 
 def two_way_round(seq, perm) -> list[int]:
@@ -351,13 +357,12 @@ def two_way_round(seq, perm) -> list[int]:
     """
     if not isinstance(seq, RealSequence):
         seq = RealSequence(tuple(seq))
-    values = list(seq.values)
-    n = len(values)
-    order = [int(p) - 1 for p in perm]
-    if sorted(order) != list(range(n)):
+    n = len(seq)
+    order = np.fromiter(perm, dtype=np.int64) - 1
+    if not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("perm must be a bijection on 1..n")
-    nums, D = _over_common_denominator(values)
-    return _two_way_round_core(nums, D, order)
+    nums, D = _over_common_denominator(list(seq.values))
+    return _two_way_round_core(_solver_array(nums, n, D), D, order).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +385,7 @@ def round_matrix(T) -> BinaryMatrix:
     rows = [[_frac(x) for x in row] for row in T]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
-    n = len(rows[0])
+    m, n = len(rows), len(rows[0])
     for row in rows:
         if len(row) != n:
             raise ValueError("ragged rows")
@@ -388,23 +393,21 @@ def round_matrix(T) -> BinaryMatrix:
             if not 0 <= x <= 1:
                 raise ValueError(f"entry {x} outside [0, 1]")
     nums, D = _over_common_denominator([x for row in rows for x in row])
-    return _round_matrix_core([nums[i : i + n] for i in range(0, len(nums), n)], D)
+    body = _solver_array(nums, (m + 1) * (n + 1), D).reshape(m, n)
+    return _round_matrix_core(body, D)
 
 
-def _round_matrix_core(rows: list[list[int]], D: int) -> BinaryMatrix:
-    """round_matrix on entries given as numerators over D."""
-    m, n = len(rows), len(rows[0])
-    row_sums = [sum(row) for row in rows]
-    col_sums = [sum(col) for col in zip(*rows)]
-    values = []
-    for row, total in zip(rows, row_sums):
-        values.extend(row)
-        values.append(-total % D)  # ceil(total / D) - total / D, over D
-    values.extend(-total % D for total in col_sums)
-    values.append(sum(row_sums))
-    order_b = [i * (n + 1) + j for j in range(n + 1) for i in range(m + 1)]
-    rounded = _two_way_round_core(values, D, order_b)
-    return BinaryMatrix(np.array(rounded).reshape(m + 1, n + 1)[:m, :n])
+def _round_matrix_core(body: np.ndarray, D: int) -> BinaryMatrix:
+    """round_matrix on an m x n array of numerators over D."""
+    m, n = body.shape
+    ext = np.empty((m + 1, n + 1), dtype=body.dtype)
+    ext[:m, :n] = body
+    ext[:m, n] = -body.sum(axis=1) % D  # ceil(row sum) - row sum, over D
+    ext[m, :n] = -body.sum(axis=0) % D
+    ext[m, n] = body.sum()
+    order_b = np.arange(ext.size).reshape(m + 1, n + 1).T.ravel()
+    rounded = _two_way_round_core(ext.ravel(), D, order_b)
+    return BinaryMatrix(rounded.reshape(m + 1, n + 1)[:m, :n])
 
 
 def build_FX(spec: RoundingSpec) -> BinaryMatrix:
@@ -416,58 +419,14 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     Every entry is X[i]/n, so the entries go to the solver as numerators X[i]
     over n.
     """
+    m, n = spec.m, spec.n
     if all(s == 0 for s in spec.X):
-        return BinaryMatrix(np.zeros((spec.m, spec.n), dtype=np.int8))
-    F = _round_matrix_core([[s] * spec.n for s in spec.X], spec.n)
+        return BinaryMatrix(np.zeros((m, n), dtype=np.int8))
+    X = _solver_array(spec.X, (m + 1) * (n + 1), n)
+    F = _round_matrix_core(np.repeat(X, n).reshape(m, n), n)
     if F.row_counts != spec.X:
         raise RuntimeError("row sum drifted from its exact target; bug")
     return F
-
-
-# ---------------------------------------------------------------------------
-# Zero-position queries
-# ---------------------------------------------------------------------------
-
-
-def zero_index(F: BinaryMatrix, r: int, d: int) -> int:
-    """Column of the d-th zero of row r, counting cyclically across rows.
-
-    For 1 <= d <= (zeros in row r) this is min{b : b = d + sum_{j<=b} f_rj}.
-    Larger d continues into rows r+1, r+2, ... (wrapping past the last row);
-    d <= 0 walks backward into earlier rows, so e.g. the 0-th zero of row r+1
-    is the last zero of row r.  Rejects matrices with no zeros at all.
-    """
-    if not 1 <= r <= F.m:
-        raise ValueError("row out of range")
-    if sum(F.row_counts) == F.m * F.n:
-        raise ValueError("matrix has no zeros")
-    row = r
-    while not 1 <= d <= F.zeros_in_row(row):
-        if d <= 0:
-            row = (row - 2) % F.m + 1
-            d += F.zeros_in_row(row)
-        else:
-            d -= F.zeros_in_row(row)
-            row = row % F.m + 1
-    return F.zero_columns(row)[d - 1]
-
-
-def check_forward(F: BinaryMatrix, T, r: int, h: int) -> str:
-    """Classify position (r, h): 'forward' if the rounded prefix of row r
-    meets the ceiling of the exact prefix, 'backward' if it is one below.
-
-    Any other discrepancy means F is not a consistent rounding of T here.
-    """
-    frow = F.row(r)
-    trow = [_frac(x) for x in T[r - 1]]
-    fsum = sum(frow[:h])
-    tsum = sum(trow[:h], Fraction(0))
-    c = ceil(tsum)
-    if fsum == c:
-        return "forward"
-    if fsum == c - 1:
-        return "backward"
-    raise ValueError(f"prefix ({r},{h}) is not consistently rounded")
 
 
 # ---------------------------------------------------------------------------

@@ -184,9 +184,10 @@ class StageEmbedding:
     """Per-vertex coordinates at one stage, plus the transition that made it.
 
     `coords[rank]` is the stage-i image tuple of the vertex with that rank
-    (row-major int array, 1-based values).  For stages above 2, the inflated
-    level each vertex passed through, its section and its ordinal among the
-    section's nonblank levels are retained, along with the previous stage.
+    (row-major int array, 1-based values).  For stages above 2 the one
+    stored source is `source_level`, the inflated level each vertex passed
+    through, along with the plan and the previous stage; its section and its
+    ordinal among the section's nonblank levels are read off the plan.
     """
 
     spec: GridSpec
@@ -194,8 +195,6 @@ class StageEmbedding:
     coords: np.ndarray
     plan: BlankPlan | None = None
     source_level: np.ndarray | None = None
-    source_section: np.ndarray | None = None
-    source_nu: np.ndarray | None = None
     prev: "StageEmbedding | None" = None
     base: Embedding2D | None = None
 
@@ -210,6 +209,21 @@ class StageEmbedding:
             rank = self.spec.rank_of(tuple(v))
         return tuple(int(c) for c in self.coords[rank])
 
+    @property
+    def source_section(self) -> np.ndarray | None:
+        """Section of each vertex's source level, 1-based."""
+        if self.source_level is None:
+            return None
+        return self.plan.section_of(self.source_level)
+
+    @property
+    def source_nu(self) -> np.ndarray | None:
+        """Ordinal of each vertex's source level among its section's
+        nonblank levels."""
+        if self.source_level is None:
+            return None
+        return self.plan.ordinal_table[self.source_level]
+
     def is_injective(self) -> bool:
         return len(distinct_rows(self.coords)[0]) == self.spec.size
 
@@ -223,17 +237,8 @@ class StageEmbedding:
         return chain[::-1]
 
 
-@dataclass(frozen=True)
-class InflatedStage:
-    """Coordinates after inflation: stage-i levels pushed to global levels."""
-
-    prev: StageEmbedding
-    plan: BlankPlan
-    levels: np.ndarray
-
-
-def inflate(prev: StageEmbedding, plan: BlankPlan) -> InflatedStage:
-    """Replace each stage-i coordinate by its nonblank global level.
+def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
+    """The nonblank global level of each vertex's stage-i coordinate.
 
     Order-preserving, hence injective; a coordinate beyond the nonblank
     supply would contradict the budget identity and raises as a defect.
@@ -247,7 +252,7 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> InflatedStage:
             "stage coordinate beyond the nonblank level supply; "
             "budget identity violated"
         )
-    return InflatedStage(prev, plan, table[idx])
+    return table[idx]
 
 
 def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,19 +278,18 @@ def packed_address(spec: GridSpec, coords: np.ndarray) -> np.ndarray:
     return key
 
 
-def stack(inflated: InflatedStage, plan: BlankPlan) -> StageEmbedding:
-    """Collapse sections onto the residue axis, recording stack heights.
+def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
+    """Inflate through the plan, then collapse sections onto the residue
+    axis, recording stack heights.
 
     A point in section r at slot offset b becomes (address..., b, n) where n
     counts the points of sections 1..r (this one included) sharing both the
     address and the offset.  Within one section no two points share that key,
     so heights are the 1-based rank of the section among the key's sections.
+    The inflated levels are the new stage's one stored source.
     """
-    if plan is not inflated.plan:
-        raise ValueError("stack must use the plan that produced the inflation")
-    prev = inflated.prev
     i = prev.stage
-    levels = inflated.levels
+    levels = inflate(prev, plan)
     sections = plan.section_of(levels)
     coords = np.empty((len(levels), i + 1), dtype=np.int32)
     coords[:, : i - 1] = prev.coords[:, : i - 1]
@@ -306,8 +310,6 @@ def stack(inflated: InflatedStage, plan: BlankPlan) -> StageEmbedding:
         coords,
         plan=plan,
         source_level=levels,
-        source_section=sections.astype(np.int32),
-        source_nu=plan.ordinal_table[levels].astype(np.int32),
         prev=prev,
     )
 
@@ -338,7 +340,7 @@ def build_fk(
     for i in range(2, spec.k):
         matrix = seed_matrices[i - 2] if seed_matrices is not None else None
         plan = build_blank_plan(spec, i, matrix=matrix)
-        emb = stack(inflate(emb, plan), plan)
+        emb = stack(emb, plan)
     return emb
 
 

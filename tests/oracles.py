@@ -3,7 +3,9 @@
 These are the literal Fraction forms of the integer-exact construction
 core: the prefix windows and the two-way rounding in fractions.Fraction, a
 recursive Dinic with adjacency lists, the leaf matching built on it, the
-Fraction closed form of the chain prefix counts, and the embedding file
+cyclic zero index and forward/backward classification of a designation
+matrix, the Fraction closed form of the chain prefix counts and the
+circulant's run-sum lemma, and the embedding file
 written one rank at a time and read one line at a time.  Beside them sit
 the literal column-filling loop of the base map, the per-row forms of the
 blank plan tables (nonblank levels, and section ordinals by bisection), the
@@ -168,6 +170,44 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     return round_matrix([[Fraction(s, spec.n)] * spec.n for s in spec.X])
 
 
+def zero_index(F: BinaryMatrix, r: int, d: int) -> int:
+    """Column of the d-th zero of row r, counting cyclically across rows.
+
+    For 1 <= d <= (zeros in row r) this is min{b : b = d + sum_{j<=b} f_rj}.
+    Larger d continues into rows r+1, r+2, ... (wrapping past the last row);
+    d <= 0 walks backward into earlier rows, so e.g. the 0-th zero of row r+1
+    is the last zero of row r.  Rejects matrices with no zeros at all.
+    """
+    if not 1 <= r <= F.m:
+        raise ValueError("row out of range")
+    if sum(F.row_counts) == F.m * F.n:
+        raise ValueError("matrix has no zeros")
+    row = r
+    while not 1 <= d <= F.zeros_in_row(row):
+        if d <= 0:
+            row = (row - 2) % F.m + 1
+            d += F.zeros_in_row(row)
+        else:
+            d -= F.zeros_in_row(row)
+            row = row % F.m + 1
+    return F.zero_columns(row)[d - 1]
+
+
+def check_forward(F: BinaryMatrix, T, r: int, h: int) -> str:
+    """Classify position (r, h): 'forward' if the rounded prefix of row r
+    meets the ceiling of the exact prefix, 'backward' if it is one below.
+
+    Any other discrepancy means F is not a consistent rounding of T here.
+    """
+    fsum = sum(F.row(r)[:h])
+    c = ceil(sum((Fraction(x) for x in T[r - 1][:h]), Fraction(0)))
+    if fsum == c:
+        return "forward"
+    if fsum == c - 1:
+        return "backward"
+    raise ValueError(f"prefix ({r},{h}) is not consistently rounded")
+
+
 def assign_leaves(t: int, spine: list[int], leaf_degree: int):
     """Match non-spine vertices to adjacent spine vertices, leaf_degree each."""
     n = 1 << t
@@ -209,6 +249,24 @@ def chain_prefix_counts(a1: int, e1: int, m: int) -> list[list[int]]:
         [j + floor_q[i] - floor_q[i - j] for j in range(m + 1)]
         for i in range(1, a1 + 1)
     ]
+
+
+def consecutive_sum(R, t: int) -> int:
+    """S_t = floor(q t) with q = (2^e1 - a1) / a1; asserts every cyclic
+    t-run of the circulant's first column sums to S_t or S_t + 1."""
+    if t < 1:
+        raise ValueError("run length must be positive")
+    s_t = floor(Fraction((1 << R.e1) - R.a1, R.a1) * t)
+    full, rem = divmod(t, R.a1)
+    base = full * sum(R.first_column)
+    for start in range(R.a1):
+        run = base + sum(R.first_column[(start + p) % R.a1] for p in range(rem))
+        if run not in (s_t, s_t + 1):
+            raise AssertionError(
+                f"{t}-run starting at {start + 1} sums to {run}, "
+                f"outside {{{s_t}, {s_t + 1}}}"
+            )
+    return s_t
 
 
 def fill_columns(a1: int, e1: int, m: int):
@@ -335,15 +393,14 @@ def nu_of(zero_cols: list[tuple[int, ...]], width: int, level: int) -> int:
     return idx
 
 
-def coordinate_diffs(fk) -> tuple[tuple, tuple]:
-    """(cyclic, absolute) coordinate-difference tables, one output dimension
-    and one grid dimension at a time."""
+def coordinate_diffs(fk) -> tuple[tuple[int, ...], ...]:
+    """The cyclic coordinate-difference table, one output dimension and one
+    grid dimension at a time."""
     spec = fk.spec
     k = spec.k
     coords = fk.coords.astype(np.int64)
     ranks = np.arange(spec.size, dtype=np.int64)
     cyc = np.zeros((k, k), dtype=np.int64)
-    absd = np.zeros((k, k), dtype=np.int64)
     for i0 in range(1, k + 1):
         stride = spec.prefix_product(i0 - 1)
         src = ranks[ranks // stride % spec.dims[i0 - 1] < spec.dims[i0 - 1] - 1]
@@ -354,12 +411,8 @@ def coordinate_diffs(fk) -> tuple[tuple, tuple]:
         for jdim in range(1, k + 1):
             width = 1 << spec.block_width(jdim)
             d = np.abs(a[:, jdim - 1] - b[:, jdim - 1])
-            absd[jdim - 1, i0 - 1] = int(d.max())
             cyc[jdim - 1, i0 - 1] = int(np.minimum(d, width - d).max())
-    return (
-        tuple(tuple(int(x) for x in row) for row in cyc),
-        tuple(tuple(int(x) for x in row) for row in absd),
-    )
+    return tuple(tuple(int(x) for x in row) for row in cyc)
 
 
 def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:

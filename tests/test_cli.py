@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import os
 import resource
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from gridcube.cli import main
+from gridcube.stages import build_fk
 
 DATA = Path(__file__).parent / "data"
 
@@ -262,3 +264,17 @@ def test_internal_errors_exit_three(monkeypatch):
     assert out == ""
     assert "Traceback" in err
     assert err.rstrip().endswith("internal error: MemoryError")
+
+
+def test_embed_of_colliding_labels_exits_three(monkeypatch):
+    def colliding(spec, seed_matrices=None):
+        fk = build_fk(spec)
+        coords = fk.coords.copy()
+        coords[1] = coords[0]
+        return dataclasses.replace(fk, coords=coords)
+
+    monkeypatch.setattr("gridcube.cli.build_fk", colliding)
+    code, out, err = run_cli(["embed", "5", "5", "6"])
+    assert code == 3
+    assert out == ""
+    assert err.rstrip().endswith("RuntimeError: labels collide; embedding bug")

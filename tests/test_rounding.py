@@ -21,7 +21,6 @@ from gridcube.rounding import (
     RoundingSpec,
     balance_violations,
     build_FX,
-    check_forward,
     dump_matrix,
     matrix_rounding_violations,
     parse_matrices,
@@ -29,9 +28,9 @@ from gridcube.rounding import (
     round_matrix,
     two_way_round,
     window_violations,
-    zero_index,
 )
 from gridcube.stages import s_sequence
+from oracles import check_forward, zero_index
 
 DATA = Path(__file__).parent / "data"
 
@@ -336,6 +335,24 @@ def test_two_way_round_matches_oracle(values, rnd):
 )
 def test_round_matrix_matches_oracle(T):
     assert round_matrix(T).rows == oracles.round_matrix(T).rows
+
+
+def test_huge_denominators_match_oracle():
+    # denominators above 2^64, and ones below 2^63 whose sums pass it, take
+    # the Python-int arrays; 2^63 // 13 - 1 keeps int64 for up to 12 entries
+    rng = random.Random(2**70)
+    denominators = [(1 << 70) + j for j in range(1, 5)] + [3**50, 5**40]
+    denominators += [(1 << 62) + 1, (1 << 63) // 13 - 1]
+    for D in denominators:
+        for _ in range(10):
+            n = rng.randint(1, 12)
+            values = [Fraction(rng.randint(D // 2, D), D) for _ in range(n)]
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            assert two_way_round(values, perm) == oracles.two_way_round(values, perm)
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            T = [[Fraction(rng.randint(0, D), D) for _ in range(n)] for _ in range(m)]
+            assert round_matrix(T).rows == oracles.round_matrix(T).rows
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from gridcube.stages import (
     inflate,
     nu_distance,
     s_sequence,
-    stack,
     stack_heights,
 )
 
@@ -301,22 +300,14 @@ def test_stage_chain_and_sources(emb_3743):
 def test_inflate_preserves_order_and_injectivity(emb_3743):
     emb3 = emb_3743.prev
     plan = emb_3743.plan
-    inf = inflate(emb3, plan)
-    assert len(np.unique(np.column_stack([emb3.coords[:, :2], inf.levels]), axis=0)) \
+    levels = inflate(emb3, plan)
+    assert len(np.unique(np.column_stack([emb3.coords[:, :2], levels]), axis=0)) \
         == emb3.spec.size
     # level ordinals map through the plan's nonblank list
     for rank in [0, 5, 100, 251]:
         c = int(emb3.coords[rank, 2])
-        assert int(inf.levels[rank]) == plan.inflate_level(c)
-
-
-def test_stack_requires_matching_plan(emb_3743):
-    emb3 = emb_3743.prev
-    plan = emb_3743.plan
-    other = build_blank_plan(emb3.spec, 3)
-    inf = inflate(emb3, plan)
-    with pytest.raises(ValueError):
-        stack(inf, other)
+        assert int(levels[rank]) == plan.inflate_level(c)
+    assert np.array_equal(levels, emb_3743.source_level)
 
 
 def test_dump_stage_format():
