@@ -8,12 +8,12 @@ where a check is explicitly defined by sampling.
 """
 from __future__ import annotations
 
+import codecs
 import random
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product, repeat
 
 import numpy as np
 
@@ -22,9 +22,11 @@ from .caterpillars import CubeLabeling, best_labeling, gray_label
 from .grids import GridSpec, level_budget
 from .rounding import BinaryMatrix
 from .stages import (
+    RENDER_CHUNK,
     StageEmbedding,
     budget_break,
     build_fk,
+    decimal_columns,
     distinct_rows,
     packed_address,
 )
@@ -906,7 +908,7 @@ def brute_force_dilation(spec: GridSpec, d: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Embedding file format: `_header` and `_vertex_lines` are its one definition
+# Embedding file format: `_header` and `_line_blocks` are its one definition
 # ---------------------------------------------------------------------------
 
 
@@ -919,26 +921,77 @@ def _header(spec: GridSpec, windows) -> str:
     )
 
 
-def _vertex_lines(spec: GridSpec, label_blocks) -> Iterator[str]:
-    """Lines "x_1 ... x_k label" in rank order, one string per block of a_1
-    ranks, whose label fields `label_blocks` yields.  Ranks run with x_1
-    fastest: itertools.product over the higher coordinates, x_1 innermost."""
-    first = [f"{x} " for x in range(1, spec.dims[0] + 1)]
-    higher = [[f"{x} " for x in range(1, a + 1)] for a in reversed(spec.dims[1:])]
-    for upper, labels in zip(product(*higher), label_blocks):
-        rest = "".join(reversed(upper))
-        yield "".join([f"{x}{rest}{label}\n" for x, label in zip(first, labels)])
+def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarray]:
+    """The vertex lines "x_1 ... x_k label" in rank order (x_1 fastest), as
+    1-d uint8 blocks of whole lines, at most RENDER_CHUNK ranks each.
+
+    The lines are first laid out padded, one row per rank.  Field "x_j " is
+    row x_j of a per-side table, right-aligned with NUL padding.  The lowest
+    dimensions whose product P fits in a chunk are rendered once into a P-row
+    template by broadcasting each table over its mixed-radix axis; a block is
+    whole copies of it, with the higher coordinates broadcast over each copy.
+    The label is the low n bits of `labels` unpacked from their big-endian
+    bytes, or "." in every bit when `labels` is None (the reader's template).
+    One mask per block drops the NULs.
+    """
+    tables = []
+    for a in spec.dims:
+        table = np.full((a, len(str(a)) + 1), ord(" "), dtype=np.uint8)
+        table[:, :-1] = decimal_columns(np.arange(1, a + 1), len(str(a)))
+        tables.append(table)
+    edges = np.cumsum([0, *(table.shape[1] for table in tables)]).tolist()
+    n = spec.n
+    low, per = 0, 1
+    while low < spec.k and per * spec.dims[low] <= RENDER_CHUNK:
+        per *= spec.dims[low]
+        low += 1
+    template = np.empty((*reversed(spec.dims[:low]), edges[-1] + n + 1), np.uint8)
+    for j in range(low):
+        axes = [1] * (low + 1)
+        axes[low - 1 - j], axes[-1] = tables[j].shape
+        template[..., edges[j] : edges[j + 1]] = tables[j].reshape(axes)
+    template[..., edges[-1] : -1] = ord(".")
+    template[..., -1] = ord("\n")
+    template = template.reshape(per, -1)
+    copies, step = spec.size // per, RENDER_CHUNK // per
+    for first in range(0, copies, step):
+        count = min(step, copies - first)
+        block = np.empty((count, *template.shape), np.uint8)
+        block[:] = template
+        upper = np.arange(first, first + count)
+        for j in range(low, spec.k):
+            upper, x = np.divmod(upper, spec.dims[j])
+            block[:, :, edges[j] : edges[j + 1]] = tables[j][x, None]
+        block = block.reshape(count * per, -1)
+        if labels is not None:
+            ranks = labels[first * per : (first + count) * per]
+            block[:, edges[-1] : -1] = _label_chars(ranks, n)
+        lines = block[block != 0]
+        del block  # only the lines stay live while the consumer takes them
+        yield lines
+
+
+def _label_chars(labels: np.ndarray, n: int) -> np.ndarray:
+    """The low n bits of each label as ASCII "0"/"1", most significant
+    first: unpacked from the labels' big-endian bytes."""
+    nbytes = (n + 7) // 8
+    octets = labels.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+    return np.unpackbits(octets, axis=1)[:, 8 * nbytes - n :] + ord("0")
 
 
 def dump_embedding(emb: HypercubeEmbedding) -> str:
     """Render the labeled embedding in the GRIDCUBE text format; colliding
-    labels are a construction defect and raise RuntimeError."""
+    labels are a construction defect and raise RuntimeError.
+
+    The body is decoded one `_line_blocks` block at a time and joined once
+    with the header, so beside the text only one block's scratch is live.
+    """
     if not emb.is_injective():
         raise RuntimeError("labels collide; embedding bug")
-    spec, fmt = emb.spec, f"0{emb.n}b"
-    rows = emb.labels.reshape(-1, spec.dims[0])  # one row per block of a_1 ranks
-    blocks = ([format(label, fmt) for label in row.tolist()] for row in rows)
-    return _header(spec, emb.windows()) + "".join(_vertex_lines(spec, blocks))
+    pieces = [_header(emb.spec, emb.windows())]
+    blocks = _line_blocks(emb.spec, emb.labels)
+    pieces.extend(codecs.ascii_decode(block)[0] for block in blocks)
+    return "".join(pieces)
 
 
 @dataclass(frozen=True)
@@ -957,6 +1010,8 @@ def parse_embedding(text: str) -> ParsedEmbedding:
     reads "1_0", "03" or "+2", the re-render does not).  The body must hold
     |G| lines, counted before anything of size |G| is built, and equal the
     vertex lines rendered with "." in each label bit, where it holds 0 or 1.
+    It is compared one `_line_blocks` block at a time, so the template never
+    grows with |G|; each block's label bits are packed into its ranks.
     """
     head = re.match("(.*)\n" * 4, text)
     if head is None or head[1] != "GRIDCUBE 1":
@@ -971,23 +1026,25 @@ def parse_embedding(text: str) -> ParsedEmbedding:
     found = text.count("\n", head.end())
     if found != spec.size or not text.endswith("\n"):
         raise ValueError(f"expected {spec.size} vertex lines, found {found} newlines")
-    blank = repeat(["." * spec.n] * spec.dims[0])
-    expect = np.frombuffer("".join(_vertex_lines(spec, blank)).encode(), np.uint8)
-    got = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-    # both bodies hold |G| lines, so unequal lengths differ within the shorter
-    size = min(len(expect), len(got) - head.end())
-    expect, got = expect[:size], got[head.end() : head.end() + size]
-    slot, bad = expect == ord("."), got != expect
-    del expect
-    bits = got[slot] - ord("0")  # 0 or 1 for a label bit, above 1 otherwise
-    bad[slot] = bits > 1
-    if bad.any():
-        rank = int(np.count_nonzero(got[: bad.argmax()] == ord("\n")))
-        raise ValueError(f"line {rank + 5} is not the line of rank {rank}")
+    body = np.frombuffer(text.encode("ascii", "replace"), np.uint8)[head.end() :]
     labels = np.zeros(spec.size, dtype=np.int64)
-    for column in bits.reshape(spec.size, spec.n).T:
-        labels <<= 1
-        labels |= column
+    at = rank = 0
+    for expect in _line_blocks(spec, None):
+        # both bodies hold |G| lines, so unequal lengths differ within the shorter
+        got = body[at : at + len(expect)]
+        expect = expect[: len(got)]
+        slot, bad = expect == ord("."), got != expect
+        bits = got[slot] - ord("0")  # 0 or 1 for a label bit, above 1 otherwise
+        bad[slot] = bits > 1
+        if bad.any():
+            rank += int(np.count_nonzero(got[: bad.argmax()] == ord("\n")))
+            raise ValueError(f"line {rank + 5} is not the line of rank {rank}")
+        bits = bits.reshape(-1, spec.n)
+        part = labels[rank : rank + len(bits)]
+        for column in bits.T:
+            part <<= 1
+            part |= column
+        at, rank = at + len(got), rank + len(bits)
     return ParsedEmbedding(spec, windows, labels)
 
 

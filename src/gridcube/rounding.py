@@ -64,36 +64,41 @@ class RealSequence:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryMatrix:
-    """An m x n 0/1 matrix.
+    """An m x n 0/1 matrix, stored once as ``bits``.
 
-    The rows are validated once, in one numpy pass, into ``bits``: a
+    Any 2-d array-like of bits is validated in one numpy pass into a
     read-only m x n int8 array that every reader of the matrix works from.
-    ``rows`` keeps the same entries as tuples of Python ints.
+    Two matrices are equal when they have the same shape and entries.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    bits: np.ndarray = field(init=False, repr=False, compare=False)
+    bits: np.ndarray
     row_counts: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not len(self.rows) or not len(self.rows[0]):
-            raise ValueError("matrix must be nonempty")
-        width = len(self.rows[0])
-        if any(len(row) != width for row in self.rows):
-            raise ValueError("ragged rows")
         try:
-            bits = np.array(self.rows, dtype=np.int64)
+            bits = np.array(self.bits, dtype=np.int64)
         except OverflowError:
             raise ValueError("entries must be bits") from None
+        except ValueError:
+            # only sequences of unequal length leave no 2-d object array
+            if np.array(self.bits, dtype=object).ndim < 2:
+                raise ValueError("ragged rows") from None
+            raise ValueError("entries must be bits") from None
+        if bits.size == 0:
+            raise ValueError("matrix must be nonempty")
         if bits.ndim != 2 or ((bits != 0) & (bits != 1)).any():
             raise ValueError("entries must be bits")
         bits = bits.astype(np.int8)
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "rows", tuple(map(tuple, bits.tolist())))
         object.__setattr__(self, "row_counts", tuple(bits.sum(axis=1).tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, BinaryMatrix):
+            return NotImplemented
+        return np.array_equal(self.bits, other.bits)
 
     @property
     def m(self) -> int:
@@ -103,12 +108,17 @@ class BinaryMatrix:
     def n(self) -> int:
         return self.bits.shape[1]
 
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entries as tuples of Python ints, one per row."""
+        return tuple(map(tuple, self.bits.tolist()))
+
     def entry(self, r: int, c: int) -> int:
         """1-based accessor."""
-        return self.rows[r - 1][c - 1]
+        return int(self.bits[r - 1, c - 1])
 
     def row(self, r: int) -> tuple[int, ...]:
-        return self.rows[r - 1]
+        return tuple(self.bits[r - 1].tolist())
 
     def zeros_in_row(self, r: int) -> int:
         return self.n - self.row_counts[r - 1]
@@ -584,9 +594,9 @@ def window_violations(spec: RoundingSpec, F: BinaryMatrix) -> list[str]:
 
 def dump_matrix(F: BinaryMatrix) -> str:
     """Render as the matrix dump format: header "m n", then '0'/'1' rows."""
-    lines = [f"{F.m} {F.n}"]
-    lines.extend("".join(str(b) for b in row) for row in F.rows)
-    return "\n".join(lines) + "\n"
+    body = np.full((F.m, F.n + 1), ord("\n"), dtype=np.uint8)
+    body[:, :-1] = F.bits + ord("0")
+    return f"{F.m} {F.n}\n" + body.tobytes().decode("ascii")
 
 
 def _parse_one(lines: list[str], at: int) -> tuple[BinaryMatrix, int]:

@@ -12,6 +12,7 @@ Sections, pages, offsets and heights are 1-based at this API surface.
 """
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, product
@@ -399,11 +400,43 @@ def nu_distance(plan: BlankPlan, sec1: int, nu1: int, sec2: int, nu2: int) -> in
     return min(abs(nu2 - nu1), m1 - nu1 + nu2, m2 - nu2 + nu1)
 
 
+# ranks per rendered block of text lines: render scratch stays fixed whatever |G|
+RENDER_CHUNK = 1 << 15
+
+
+def decimal_columns(values: np.ndarray, width: int) -> np.ndarray:
+    """Nonnegative integers as ASCII decimals right-aligned in `width`
+    columns, NUL in the unused leading columns: a len(values) x width uint8
+    array.  The caller drops the NULs once its lines are assembled."""
+    out = np.empty((len(values), width), dtype=np.uint8)
+    rest = np.array(values, dtype=np.int64)
+    out[:, -1] = rest % 10 + ord("0")
+    for col in range(width - 2, -1, -1):
+        rest //= 10
+        out[:, col] = (rest % 10 + ord("0")) * (rest != 0)
+    return out
+
+
 def dump_stage(emb: StageEmbedding) -> str:
-    """Stage dump: header "STAGE i u_i", then "rank: (c_1,...,c_i)" lines."""
-    u = level_budget(emb.spec, emb.stage)
-    lines = [f"STAGE {emb.stage} {u}"]
-    for rank in range(emb.spec.size):
-        tup = ", ".join(str(int(c)) for c in emb.coords[rank])
-        lines.append(f"{rank}: ({tup})")
-    return "\n".join(lines) + "\n"
+    """Stage dump: header "STAGE i u_i", then "rank: (c_1, ..., c_i)" lines.
+
+    Rendered RENDER_CHUNK ranks at a time as uint8 blocks: each field is the
+    rank or a coordinate in its column's widest decimal width, followed by
+    its separator, and the padding NULs are dropped once per block.
+    """
+    spec, coords = emb.spec, emb.coords
+    seps = [b": (", *[b", "] * (emb.stage - 1), b")\n"]
+    widths = [len(str(x)) for x in [spec.size - 1, *coords.max(axis=0).tolist()]]
+    pieces = [f"STAGE {emb.stage} {level_budget(spec, emb.stage)}\n"]
+    for start in range(0, spec.size, RENDER_CHUNK):
+        stop = min(start + RENDER_CHUNK, spec.size)
+        block = np.empty((stop - start, sum(widths) + sum(map(len, seps))), np.uint8)
+        col = 0
+        fields = [np.arange(start, stop), *coords[start:stop].T]
+        for values, width, sep in zip(fields, widths, seps):
+            block[:, col : col + width] = decimal_columns(values, width)
+            col += width
+            block[:, col : col + len(sep)] = np.frombuffer(sep, np.uint8)
+            col += len(sep)
+        pieces.append(codecs.ascii_decode(block[block != 0])[0])
+    return "".join(pieces)

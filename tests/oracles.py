@@ -5,8 +5,9 @@ core: the prefix windows and the two-way rounding in fractions.Fraction, a
 recursive Dinic with adjacency lists, the leaf matching built on it, the
 cyclic zero index and forward/backward classification of a designation
 matrix, the Fraction closed form of the chain prefix counts and the
-circulant's run-sum lemma, and the embedding file
-written one rank at a time and read one line at a time.  Beside them sit
+circulant's run-sum lemma, the embedding file written one rank at a time
+(and as one string per block of a_1 ranks) and read one line at a time, and
+the stage dump written one rank at a time.  Beside them sit
 the literal column-filling loop of the base map, the per-row forms of the
 blank plan tables (nonblank levels, and section ordinals by bisection), the
 per-column coordinate-difference scan, and the chain and transition
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import product
 from math import ceil, floor
 from unittest import mock
 
@@ -321,6 +324,27 @@ def dump_embedding(emb) -> str:
         coords = spec.coords_of(rank)
         bits = format(int(emb.labels[rank]), f"0{spec.n}b")
         lines.append(" ".join(str(x) for x in coords) + " " + bits)
+    return "\n".join(lines) + "\n"
+
+
+def vertex_lines(spec: GridSpec, label_blocks) -> Iterator[str]:
+    """Lines "x_1 ... x_k label" in rank order, one string per block of a_1
+    ranks, whose label fields `label_blocks` yields.  Ranks run with x_1
+    fastest: itertools.product over the higher coordinates, x_1 innermost."""
+    first = [f"{x} " for x in range(1, spec.dims[0] + 1)]
+    higher = [[f"{x} " for x in range(1, a + 1)] for a in reversed(spec.dims[1:])]
+    for upper, labels in zip(product(*higher), label_blocks):
+        rest = "".join(reversed(upper))
+        yield "".join([f"{x}{rest}{label}\n" for x, label in zip(first, labels)])
+
+
+def dump_stage(emb: StageEmbedding) -> str:
+    """Stage dump: header "STAGE i u_i", then "rank: (c_1,...,c_i)" lines."""
+    u = level_budget(emb.spec, emb.stage)
+    lines = [f"STAGE {emb.stage} {u}"]
+    for rank, coords in enumerate(emb.coords.tolist()):
+        tup = ", ".join(str(c) for c in coords)
+        lines.append(f"{rank}: ({tup})")
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -263,13 +264,12 @@ def test_height_above_the_bracket_fails_instead_of_raising(dims):
 
 
 @st.composite
-def family_grids(draw):
-    """k in 2..6, sides in 2..40, at most 2^16 vertices."""
+def family_grids(draw, side=40, budget=1 << 16):
+    """k in 2..6, sides in 2..side, at most budget vertices."""
     k = draw(st.integers(2, 6))
     dims = []
-    budget = 1 << 16
     for rest in range(k - 1, -1, -1):
-        a = draw(st.integers(2, min(40, budget >> rest)))
+        a = draw(st.integers(2, min(side, budget >> rest)))
         dims.append(a)
         budget //= a
     return tuple(dims)
@@ -455,12 +455,72 @@ def test_dump_and_parse_round_trip():
     assert np.array_equal(parsed.labels, emb.labels)
 
 
+def assert_dump_matches_oracles(emb):
+    text = dump_embedding(emb)
+    assert text == oracles.dump_embedding(emb)
+    assert np.array_equal(parse_embedding(text).labels, emb.labels)
+    assert_parses_like_oracle(text)
+
+
 @pytest.mark.parametrize(
-    "dims", [(2, 2), (3, 7, 4), (5, 3, 2, 4), (9, 9, 9), (2, 3, 4, 2, 3, 4), (3,) * 7]
+    "dims",
+    [
+        (2, 2),
+        (3, 7, 4),
+        (5, 3, 2, 4),
+        (9, 9, 9),
+        (2, 3, 4, 2, 3, 4),
+        (3,) * 7,
+        # digit-width boundaries, and |G| not a multiple of a render block
+        (10, 3),
+        (9, 10, 2),
+        (99, 101),
+        (5, 5, 4000),
+        (7, 11, 13, 97),
+    ],
 )
 def test_dump_matches_per_rank_reference(dims):
+    assert_dump_matches_oracles(assemble_Hk(build_fk(GridSpec(dims))))
+
+
+@settings(max_examples=25)
+@given(family_grids(side=150, budget=1 << 15))
+def test_dump_matches_per_rank_reference_over_random_grids(dims):
+    assert_dump_matches_oracles(assemble_Hk(build_fk(GridSpec(dims))))
+
+
+@settings(max_examples=60)
+@given(family_grids(side=150, budget=1 << 15), st.integers(0, 2**32 - 1))
+@example((checks_module.RENDER_CHUNK + 7, 2), 0)
+@example((2, checks_module.RENDER_CHUNK + 7), 0)
+def test_line_blocks_match_the_per_line_renderer(dims, seed):
+    """Any n-bit labels, not only an embedding's, render as the oracle's
+    lines, in whole lines per block; with no labels every bit is "."."""
+    spec = GridSpec(dims)
+    a1, n = spec.dims[0], spec.n
+    labels = np.random.default_rng(seed).integers(0, 1 << n, spec.size)
+    fields = [format(label, f"0{n}b") for label in labels.tolist()]
+    rows = (fields[r : r + a1] for r in range(0, spec.size, a1))
+    want = "".join(oracles.vertex_lines(spec, rows)).encode()
+    blocks = list(checks_module._line_blocks(spec, labels))
+    assert b"".join(blocks) == want
+    assert all(len(block) and block[-1] == ord("\n") for block in blocks)
+    blank = itertools.repeat(["." * n] * a1)
+    want = "".join(oracles.vertex_lines(spec, blank)).encode()
+    assert b"".join(checks_module._line_blocks(spec, None)) == want
+
+
+@pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (3,) * 12])
+def test_dump_memory_is_bounded_by_the_text(dims):
     emb = assemble_Hk(build_fk(GridSpec(dims)))
-    assert dump_embedding(emb) == oracles.dump_embedding(emb)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = dump_embedding(emb)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), peak / len(text)
 
 
 def test_dump_is_deterministic():

@@ -233,6 +233,11 @@ def test_binary_matrix_validates_rows():
     # anything int() maps to a bit is accepted, as one tuple-of-ints matrix
     for same in ([[1, 0, 1], [0, 0, 1]], np.array(F.rows), [[True, "0", 1], [0.0, 0, 1]]):
         assert BinaryMatrix(same) == F and BinaryMatrix(same).rows == F.rows
+    # equality is shape and entries; the rows are read off the one int8 array
+    for other in ([[1, 0, 1]], [[1, 0], [0, 0]], [[1, 0, 1], [0, 1, 1]]):
+        assert BinaryMatrix(other) != F
+    assert (F.row(1), F.entry(2, 3), F.entry(2, 1)) == ((1, 0, 1), 1, 0)
+    assert all(type(x) is int for x in (*F.row(1), *F.rows[0], F.entry(1, 1)))
     for bad, message in [
         ((), "nonempty"),
         (((),), "nonempty"),
@@ -695,6 +700,7 @@ def test_window_validator_rejects_bad_inputs():
 def test_dump_roundtrip():
     F = load("seed_3743_stage3.txt")
     assert parse_matrix(dump_matrix(F)).rows == F.rows
+    assert dump_matrix(F) == (DATA / "seed_3743_stage3.txt").read_text()
     assert dump_matrix(F).splitlines()[0] == "3 4"
 
 

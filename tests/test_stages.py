@@ -320,3 +320,12 @@ def test_dump_stage_format():
     assert len(lines) == spec.size + 1
     first = emb.f(0)
     assert lines[1] == "0: (" + ", ".join(str(c) for c in first) + ")"
+
+
+def test_dump_stage_matches_per_rank_reference(battery_grids):
+    # (7, 11, 13, 97): five-digit ranks, and |G| not a multiple of a block
+    fks = [*battery_grids.values(), build_fk(GridSpec((7, 11, 13, 97)))]
+    assert max(fk.spec.size for fk in fks) >= 10_000
+    for fk in fks:
+        for st in fk.stage_chain():
+            assert dump_stage(st) == oracles.dump_stage(st), (fk.spec.dims, st.stage)
