@@ -568,37 +568,28 @@ class CoordinateDiffs:
         return tuple(max(row) for row in self.cyclic)
 
 
-def _grid_edges(spec: GridSpec) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Grid edges per dimension as (i0, src, stride), non-empty dimensions only.
-
-    The edges stepping in dimension i0 join rank src to rank src + stride.
-    One dimension is generated at a time, so callers that scan and discard
-    hold only its edges.
-    """
-    ranks = np.arange(spec.size, dtype=np.int64)
-    for i0 in range(1, spec.k + 1):
-        stride = spec.prefix_product(i0 - 1)
-        pos = ranks // stride % spec.dims[i0 - 1]
-        src = ranks[pos < spec.dims[i0 - 1] - 1]
-        if len(src):
-            yield i0, src, stride
+def _grid(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Per-rank values as a view with the grid's shape.  Ranks are row-major
+    with dimension 1 fastest, so grid dimension i is axis k - i and its edges
+    join neighbouring entries along that axis: the edge scans build no index
+    array and hold one edge-sized temporary per dimension at a time."""
+    return values.reshape(*spec.dims[::-1], *values.shape[1:])
 
 
 def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
-    """Exhaustive edge scan of output-coordinate differences."""
+    """Exhaustive edge scan of output-coordinate differences, on `_grid` views."""
     spec = fk.spec
     k = spec.k
-    coords = fk.coords
+    grid = _grid(spec, fk.coords)
     widths = np.array(
-        [1 << spec.block_width(j) for j in range(1, k + 1)], dtype=coords.dtype
+        [1 << spec.block_width(j) for j in range(1, k + 1)], dtype=grid.dtype
     )
     cyc = np.zeros((k, k), dtype=np.int64)
-    for i0, src, stride in _grid_edges(spec):
-        d = coords[src]
-        d -= coords[src + stride]
+    for i0 in range(1, k + 1):
+        d = np.diff(grid, axis=k - i0)
         np.abs(d, out=d)
         wrap = widths - d
-        cyc[:, i0 - 1] = np.minimum(d, wrap, out=wrap).max(axis=0)
+        cyc[:, i0 - 1] = np.minimum(d, wrap, out=wrap).reshape(-1, k).max(axis=0)
     return CoordinateDiffs(spec, tuple(tuple(int(x) for x in row) for row in cyc))
 
 
@@ -787,31 +778,33 @@ def dilation(emb: HypercubeEmbedding) -> DilationReport:
 
     Also verifies, exhaustively per edge and dimension, that whenever a
     windowed labeling's premise held (cyclic difference within the window)
-    the realized block distance was at most 3.
+    the realized block distance was at most 3.  Edges are `_grid` views.
     """
     spec = emb.spec
     diffs = emb.diffs
-    labels = emb.labels
-    coords = emb.fk.coords
+    labels = _grid(spec, emb.labels)
+    coords = _grid(spec, emb.fk.coords)
     windowed = []
     shift = spec.n
     for jdim, lab in enumerate(emb.labelings, start=1):
         shift -= lab.t
         if lab.window:
-            windowed.append((coords[:, jdim - 1], shift, lab))
+            windowed.append((coords[..., jdim - 1], shift, lab))
     hist = np.zeros(spec.n + 1, dtype=np.int64)
     sound = True
     # one grid dimension at a time: the label XOR across its edges gives the
     # Hamming distances, and block jdim of it the block distances, since
     # ((a >> s) ^ (b >> s)) & w == ((a ^ b) >> s) & w
-    for _, src, stride in _grid_edges(spec):
-        dst = src + stride
-        x = labels[src] ^ labels[dst]
-        hist += np.bincount(np.bitwise_count(x), minlength=spec.n + 1)
+    for axis in range(spec.k):
+        g = np.moveaxis(labels, axis, 0)
+        x = g[1:] ^ g[:-1]
+        hist += np.bincount(np.bitwise_count(x).ravel("K"), minlength=spec.n + 1)
         for col, shift, lab in windowed:
             width = 1 << lab.t
-            d = np.abs(col[src] - col[dst])
-            d = np.minimum(d, width - d)
+            c = np.moveaxis(col, axis, 0)
+            d = c[1:] - c[:-1]
+            np.abs(d, out=d)
+            np.minimum(d, width - d, out=d)
             mask = (d > 0) & (d <= lab.window)
             if mask.any():
                 block = (x[mask] >> shift) & (width - 1)
@@ -1052,7 +1045,8 @@ def audit_file(text: str) -> list[CheckResult]:
     """Structural audit of a GRIDCUBE file.
 
     The labelings themselves are not stored in the file, so only measured
-    dilation is reported; the labeling-implied bound is not recomputable.
+    dilation, over `_grid` edge views, is reported; the labeling-implied
+    bound is not recomputable.
     """
     out: list[CheckResult] = []
     try:
@@ -1065,10 +1059,11 @@ def audit_file(text: str) -> list[CheckResult]:
     out.append(_check("file.label-injective", injective))
     width = bool((labels < (1 << spec.n)).all()) and bool((labels >= 0).all())
     out.append(_check("file.label-width", width))
+    grid = _grid(spec, labels)
     dil = 0
-    for _, src, stride in _grid_edges(spec):
-        dist = np.bitwise_count(labels[src] ^ labels[src + stride])
-        dil = max(dil, int(dist.max()))
+    for axis in range(spec.k):
+        g = np.moveaxis(grid, axis, 0)
+        dil = max(dil, int(np.bitwise_count(g[1:] ^ g[:-1]).max()))
     out.append(_report("file.dilation", dil))
     return out
 

@@ -10,7 +10,8 @@ circulant's run-sum lemma, the embedding file written one rank at a time
 the stage dump written one rank at a time.  Beside them sit
 the literal column-filling loop of the base map, the per-row forms of the
 blank plan tables (nonblank levels, and section ordinals by bisection), the
-per-column coordinate-difference scan, and the chain and transition
+grid edges as rank-index arrays with the per-column coordinate-difference
+scan and the per-edge dilation over them, and the chain and transition
 batteries with their per-page, per-prefix and per-chain loops and dense
 count tables.  They run in tests only; the library's integer and
 table-driven forms must reproduce their outputs exactly.
@@ -417,26 +418,62 @@ def nu_of(zero_cols: list[tuple[int, ...]], width: int, level: int) -> int:
     return idx
 
 
+def grid_edges(spec: GridSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Grid edges per dimension as (i0, src, dst) rank arrays: the edges
+    stepping in dimension i0 join rank src to rank dst = src + stride."""
+    ranks = np.arange(spec.size, dtype=np.int64)
+    for i0 in range(1, spec.k + 1):
+        stride = spec.prefix_product(i0 - 1)
+        src = ranks[ranks // stride % spec.dims[i0 - 1] < spec.dims[i0 - 1] - 1]
+        yield i0, src, src + stride
+
+
 def coordinate_diffs(fk) -> tuple[tuple[int, ...], ...]:
     """The cyclic coordinate-difference table, one output dimension and one
     grid dimension at a time."""
     spec = fk.spec
     k = spec.k
     coords = fk.coords.astype(np.int64)
-    ranks = np.arange(spec.size, dtype=np.int64)
     cyc = np.zeros((k, k), dtype=np.int64)
-    for i0 in range(1, k + 1):
-        stride = spec.prefix_product(i0 - 1)
-        src = ranks[ranks // stride % spec.dims[i0 - 1] < spec.dims[i0 - 1] - 1]
-        if not len(src):
-            continue
+    for i0, src, dst in grid_edges(spec):
         a = coords[src]
-        b = coords[src + stride]
+        b = coords[dst]
         for jdim in range(1, k + 1):
             width = 1 << spec.block_width(jdim)
             d = np.abs(a[:, jdim - 1] - b[:, jdim - 1])
             cyc[jdim - 1, i0 - 1] = int(np.minimum(d, width - d).max())
     return tuple(tuple(int(x) for x in row) for row in cyc)
+
+
+def dilation(emb) -> tuple[tuple[int, ...], int, bool]:
+    """Histogram of the label distances over every grid edge, its maximum,
+    and whether every windowed block kept within distance 3 across the edges
+    whose cyclic coordinate difference was within its window.  Each edge's
+    two labels are decoded block by block, each end on its own."""
+    spec = emb.spec
+    labels = emb.labels
+    coords = emb.fk.coords.astype(np.int64)
+    hist = np.zeros(spec.n + 1, dtype=np.int64)
+    sound = True
+    for _, src, dst in grid_edges(spec):
+        hist += np.bincount(
+            np.bitwise_count(labels[src] ^ labels[dst]), minlength=spec.n + 1
+        )
+        shift = spec.n
+        for jdim, lab in enumerate(emb.labelings, start=1):
+            shift -= lab.t
+            if not lab.window:
+                continue
+            width = 1 << lab.t
+            d = np.abs(coords[src, jdim - 1] - coords[dst, jdim - 1])
+            d = np.minimum(d, width - d)
+            held = (d > 0) & (d <= lab.window)
+            block_src = (labels[src] >> shift) & (width - 1)
+            block_dst = (labels[dst] >> shift) & (width - 1)
+            far = np.bitwise_count(block_src ^ block_dst) > 3
+            sound = sound and not (far & held).any()
+    dil = int(np.flatnonzero(hist).max())
+    return tuple(int(x) for x in hist[: dil + 1]), dil, sound
 
 
 def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:

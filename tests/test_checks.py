@@ -12,6 +12,7 @@ import oracles
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_tracing_names import load_tracing
 
 from gridcube import base2d
 from gridcube import checks as checks_module
@@ -37,6 +38,16 @@ from gridcube.rounding import BinaryMatrix, parse_matrix
 from gridcube.stages import BlankPlan, build_fk
 
 DATA = Path(__file__).parent / "data"
+TRACING = load_tracing()
+# grids with unequal sides, where a transposed grid view gives other edges
+UNEQUAL_GRIDS = [
+    (2, 2),
+    (3, 7, 4),
+    (2, 9, 3, 5),
+    (2, 3, 4, 2, 3, 4),
+    (5, 5, 4000),
+    (7, 11, 13, 97),
+]
 
 
 def triples(checks):
@@ -283,9 +294,10 @@ def test_batteries_and_dilation_over_random_grids(dims):
     assert triples(chain_battery(a1)) == triples(oracles.chain_battery(a1))
     fk = build_fk(spec)
     assert triples(pipeline_battery(fk)) == triples(oracles.pipeline_battery(fk))
+    assert coordinate_diffs(fk).cyclic == oracles.coordinate_diffs(fk)
     emb = assemble_Hk(fk)
     assert len(np.unique(emb.labels)) == spec.size
-    report = dilation(emb)
+    report = assert_dilation_matches_edge_oracle(emb)
     assert report.dilation <= report.implied_bound
     if report.guaranteed_3k:
         assert report.dilation <= 3 * spec.k
@@ -317,10 +329,11 @@ def test_coordinate_diffs_two_dimensional_bounds():
 
 
 def test_coordinate_diffs_match_per_column_oracle(battery_grids):
-    fks = list(battery_grids.values()) + [build_fk(GridSpec((3,) * 6))]
+    fks = [*battery_grids.values(), build_fk(GridSpec((3,) * 6))]
+    fks += [build_fk(GridSpec(dims)) for dims in UNEQUAL_GRIDS]
     for fk in fks:
         diffs = coordinate_diffs(fk)
-        assert diffs.cyclic == oracles.coordinate_diffs(fk)
+        assert diffs.cyclic == oracles.coordinate_diffs(fk), fk.spec.dims
 
 
 def test_diff_case_checks_asserted_at_threshold():
@@ -380,12 +393,37 @@ def test_dilation_histogram_counts_every_edge():
     assert report.histogram[report.dilation] > 0
 
 
+def assert_dilation_matches_edge_oracle(emb):
+    """`dilation` and `audit_file` against the per-edge rank-index oracle;
+    the benchmark's ``checks.edges`` count must equal the histogram's total."""
+    report = dilation(emb)
+    histogram, dil, sound = oracles.dilation(emb)
+    assert report.histogram == histogram
+    assert report.dilation == dil
+    assert report.window_implication_sound == sound
+    assert sum(report.histogram) == TRACING._grid_edges(emb.spec)
+    audit = {c.name: c for c in audit_file(dump_embedding(emb))}
+    assert audit["file.dilation"].detail == str(dil)
+    return report
+
+
+@pytest.mark.parametrize("dims", UNEQUAL_GRIDS)
+def test_dilation_matches_edge_oracle(dims):
+    assert_dilation_matches_edge_oracle(assemble_Hk(build_fk(GridSpec(dims))))
+
+
+def test_dilation_matches_edge_oracle_on_battery_grids(battery_grids):
+    for fk in battery_grids.values():
+        assert_dilation_matches_edge_oracle(assemble_Hk(fk))
+
+
 def test_window_implication_fails_for_a_counting_labeling():
     # binary counting is no windowed labeling: labels 8 and 9 of the 4-bit
     # block (vertices 0111 and 1000) sit at label distance 1 and Hamming 4
     fk = build_fk(GridSpec((9, 9, 9)))
     counting = CubeLabeling(4, tuple(range(16)), 5)
-    report = dilation(assemble_Hk(fk, [counting, gray_label(3), gray_label(3)]))
+    emb = assemble_Hk(fk, [counting, gray_label(3), gray_label(3)])
+    report = assert_dilation_matches_edge_oracle(emb)
     assert not report.window_implication_sound
     status = {c.name: c.status for c in report.checks()}
     assert status["dilation.window-implication"] == "FAIL"
@@ -510,16 +548,33 @@ def test_line_blocks_match_the_per_line_renderer(dims, seed):
     assert b"".join(checks_module._line_blocks(spec, None)) == want
 
 
-@pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (3,) * 12])
-def test_dump_memory_is_bounded_by_the_text(dims):
-    emb = assemble_Hk(build_fk(GridSpec(dims)))
+def traced_peak(f, *args):
+    """f(*args), and its tracemalloc peak above what was allocated before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        text = dump_embedding(emb)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (7, 11, 13, 97)])
+def test_edge_scan_memory_is_bounded_by_the_input(dims):
+    """The edge scans hold one edge-sized temporary per dimension at a time,
+    never per-edge rank or index arrays."""
+    fk = build_fk(GridSpec(dims))
+    emb = assemble_Hk(fk)
+    _, peak = traced_peak(dilation, emb)
+    assert peak <= 5 * emb.labels.nbytes, peak / emb.labels.nbytes
+    _, peak = traced_peak(coordinate_diffs, fk)
+    assert peak <= 3.5 * fk.coords.nbytes, peak / fk.coords.nbytes
+
+
+@pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (3,) * 12])
+def test_dump_memory_is_bounded_by_the_text(dims):
+    emb = assemble_Hk(build_fk(GridSpec(dims)))
+    text, peak = traced_peak(dump_embedding, emb)
     assert peak <= 2.5 * len(text), peak / len(text)
 
 
