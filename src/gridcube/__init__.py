@@ -29,7 +29,6 @@ from .checks import (
     assemble_Hk,
     audit_file,
     audit_grid,
-    brute_force_dilation,
     chain_battery,
     coordinate_diffs,
     diff_case_checks,
@@ -39,33 +38,14 @@ from .checks import (
     pipeline_battery,
     render_report,
 )
-from .grids import (
-    GridSpec,
-    GridVertex,
-    compute_exponents,
-    kappa,
-    level_budget,
-    page_index,
-)
-from .rounding import (
-    BinaryMatrix,
-    RealSequence,
-    RoundingSpec,
-    balance_violations,
-    build_FX,
-    matrix_rounding_violations,
-    round_matrix,
-    two_way_round,
-    window_violations,
-)
+from .grids import GridSpec, compute_exponents, level_budget
+from .rounding import BinaryMatrix, RoundingSpec, balance_violations, build_FX
 from .stages import (
     BlankPlan,
     StageEmbedding,
     build_blank_plan,
     build_fk,
-    full_stack_heights,
     s_sequence,
-    stack_heights,
 )
 
 __all__ = [
@@ -79,9 +59,7 @@ __all__ = [
     "DilationReport",
     "Embedding2D",
     "GridSpec",
-    "GridVertex",
     "HypercubeEmbedding",
-    "RealSequence",
     "RoundingSpec",
     "SearchExhausted",
     "StageEmbedding",
@@ -90,7 +68,6 @@ __all__ = [
     "audit_grid",
     "balance_violations",
     "best_labeling",
-    "brute_force_dilation",
     "build_FX",
     "build_R",
     "build_blank_plan",
@@ -105,21 +82,13 @@ __all__ = [
     "double_caterpillar",
     "dump_embedding",
     "fill_columns",
-    "full_stack_heights",
     "gray_label",
-    "kappa",
     "label_from_caterpillar",
     "level_budget",
-    "matrix_rounding_violations",
-    "page_index",
     "parse_embedding",
     "pipeline_battery",
     "render_report",
-    "round_matrix",
     "s_sequence",
     "search_caterpillar",
-    "stack_heights",
-    "two_way_round",
     "verify_window",
-    "window_violations",
 ]

@@ -18,7 +18,7 @@ from math import floor
 
 import numpy as np
 
-from .grids import GridSpec, kappa, level_budget
+from .grids import GridSpec, level_budget
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,6 @@ class CirculantR:
     a1: int
     e1: int
     first_column: tuple[int, ...]
-
-    def R(self, i: int, j: int) -> int:
-        """1-based entry; j may exceed a1 (the matrix extends periodically)."""
-        return self.first_column[(i - j) % self.a1]
 
 
 def build_R(a1: int, e1: int) -> CirculantR:
@@ -74,8 +70,7 @@ class Embedding2D:
     The p-th point of chain i sits at row `rows[t]` and column `cols[t]`,
     t = offsets[i-1] + p - 1 (flat chain-major arrays); `prefix_counts[i-1, j]`
     is N_ij, the points of chain i in columns 1..j.  All four arrays are
-    read-only.  When a spec is attached, the grid's own vertices map through
-    their chain fold (kappa).
+    read-only.
     """
 
     R: CirculantR
@@ -84,7 +79,6 @@ class Embedding2D:
     cols: np.ndarray
     offsets: np.ndarray
     prefix_counts: np.ndarray
-    spec: GridSpec | None = None
 
     @property
     def a1(self) -> int:
@@ -93,28 +87,6 @@ class Embedding2D:
     @property
     def height(self) -> int:
         return 1 << self.R.e1
-
-    def f(self, i: int, p: int) -> tuple[int, int]:
-        """Image of the p-th point of chain i in the extended domain."""
-        if not 1 <= p <= self.chain_length(i):
-            raise IndexError(f"chain {i} has no point {p}")
-        t = self.offsets[i - 1] + p - 1
-        return int(self.rows[t]), int(self.cols[t])
-
-    def chain_length(self, i: int) -> int:
-        if not 1 <= i <= self.a1:
-            raise IndexError(f"no chain {i}")
-        return int(self.offsets[i] - self.offsets[i - 1])
-
-    def N(self, i: int, j: int) -> int:
-        """Points of chain i placed in columns 1..j (N_ij)."""
-        return int(self.prefix_counts[i - 1, j])
-
-    def f2(self, v) -> tuple[int, int]:
-        """Image of a grid vertex: fold onto its chain, then map the chain."""
-        if self.spec is None:
-            raise ValueError("no grid attached to this embedding")
-        return self.f(*kappa(v, self.spec))
 
     def column_inverse(self) -> tuple[np.ndarray, np.ndarray]:
         """Chain and chain position of the point in every cell.
@@ -143,7 +115,7 @@ def build_f2(spec: GridSpec, columns: int | None = None) -> Embedding2D:
     m = u2 if columns is None else columns
     if m < u2:
         raise ValueError(f"need at least u_2 = {u2} columns, got {m}")
-    emb = fill_columns(spec.dims[0], spec.exponents[1], m, spec=spec)
+    emb = fill_columns(spec.dims[0], spec.exponents[1], m)
     per_chain = spec.page_count(1)
     lengths = np.diff(emb.offsets)
     short = np.flatnonzero(lengths < per_chain)
@@ -156,7 +128,7 @@ def build_f2(spec: GridSpec, columns: int | None = None) -> Embedding2D:
     return emb
 
 
-def fill_columns(a1: int, e1: int, m: int, spec: GridSpec | None = None) -> Embedding2D:
+def fill_columns(a1: int, e1: int, m: int) -> Embedding2D:
     """The filled box over columns j = 1..m, built from the circulant.
 
     Scanning chains in order, chain i contributes 1 + R(i,j) points to column
@@ -208,4 +180,4 @@ def fill_columns(a1: int, e1: int, m: int, spec: GridSpec | None = None) -> Embe
         )
     for arr in (rows, cols, offsets, counts):
         arr.flags.writeable = False
-    return Embedding2D(R, m, rows, cols, offsets, counts, spec=spec)
+    return Embedding2D(R, m, rows, cols, offsets, counts)

@@ -10,7 +10,7 @@ cubes too small to host any caterpillar.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .flow import FlowNetwork
 
@@ -222,37 +222,10 @@ class CubeLabeling:
     t: int
     order: tuple[int, ...]
     window: int
-    label: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = 1 << self.t
-        if sorted(self.order) != list(range(n)):
+        if sorted(self.order) != list(range(1 << self.t)):
             raise ValueError("labeling order is not a bijection on the cube")
-        label = [0] * n
-        for pos, v in enumerate(self.order):
-            label[v] = pos + 1
-        object.__setattr__(self, "label", tuple(label))
-
-    def vertex_of(self, c: int) -> int:
-        if not 1 <= c <= len(self.order):
-            raise ValueError(f"label {c} out of range")
-        return self.order[c - 1]
-
-    def label_of(self, v: int) -> int:
-        return self.label[v]
-
-    def cyclic_distance(self, c1: int, c2: int) -> int:
-        n = len(self.order)
-        d = (c1 - c2) % n
-        return min(d, n - d)
-
-    def hamming_bound(self, delta: int) -> int:
-        """Guaranteed Hamming bound for a cyclic label distance."""
-        if delta == 0:
-            return 0
-        if self.window and delta <= self.window:
-            return 3
-        return delta
 
 
 def label_from_caterpillar(cat: Caterpillar) -> CubeLabeling:

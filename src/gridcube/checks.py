@@ -149,18 +149,16 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 
     # per-chain window counts over any column interval take one of the two
     # values allowed by the surplus density (so same-width windows on any
-    # chains differ by at most 1)
-    small = cumN.astype(np.int32)
-    big = small[:, None, 1:] - small[:, :-1, None]
-    starts = np.arange(m, dtype=np.int32)[:, None]
-    ends = np.arange(1, m + 1, dtype=np.int32)[None, :]
-    W = ends - starts
-    valid = W >= 1
-    SW = ((height - a1) * W.astype(np.int64) // a1).astype(np.int32)
-    low = W + SW
-    okmat = (big == low) | (big == low + 1) | ~valid
-    out.append(_check("chain.window-counts", bool(okmat.all())))
-    del big, okmat
+    # chains differ by at most 1); one width W at a time, so the scratch is
+    # a1 x m and not a1 x m x m
+    ok = True
+    for W in range(1, m + 1):
+        counts = cumN[:, W:] - cumN[:, :-W]
+        low = W + (height - a1) * W // a1
+        if counts.min() < low or counts.max() > low + 1:
+            ok = False
+            break
+    out.append(_check("chain.window-counts", ok))
 
     # balance of chain prefix counts and column fill sizes; fills of
     # consecutive chain prefixes sit in two-value sets one step apart, so
@@ -683,18 +681,6 @@ class HypercubeEmbedding:
     def spec(self) -> GridSpec:
         return self.fk.spec
 
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    def block_value(self, rank: int, jdim: int) -> int:
-        """Decode block jdim of a vertex's label back to the map coordinate."""
-        spec = self.spec
-        shift = spec.n - spec.exponents[jdim]
-        width = spec.block_width(jdim)
-        block = (int(self.labels[rank]) >> shift) & ((1 << width) - 1)
-        return self.labelings[jdim - 1].label_of(block)
-
     def windows(self) -> tuple[int, ...]:
         return tuple(lab.window for lab in self.labelings)
 
@@ -835,69 +821,6 @@ def dilation(emb: HypercubeEmbedding) -> DilationReport:
         within,
         sound,
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force dilation oracle (tiny instances)
-# ---------------------------------------------------------------------------
-
-
-def brute_force_dilation(spec: GridSpec, d: int) -> bool:
-    """Decide by exhaustive search whether the grid embeds in its optimal
-    hypercube with dilation at most d.
-
-    Only for tiny instances (at most 12 vertices, optimal dimension at most
-    4).  Vertices are placed in decreasing grid-degree order, candidate
-    images tried in increasing popcount order, and branches are cut as soon
-    as a placed neighbour sits farther than d.  Deterministic.
-    """
-    if spec.size > 12 or spec.n > 4:
-        raise ValueError("instance too large for the brute-force oracle")
-    if d < 0:
-        return False
-    size = spec.size
-    neighbours: list[list[int]] = [[] for _ in range(size)]
-    for rank in range(size):
-        coords = spec.coords_of(rank)
-        stride = 1
-        for x, a in zip(coords, spec.dims):
-            if x < a:
-                neighbours[rank].append(rank + stride)
-                neighbours[rank + stride].append(rank)
-            stride *= a
-    order = sorted(range(size), key=lambda r: (-len(neighbours[r]), r))
-    position = {rank: i for i, rank in enumerate(order)}
-    placed_neighbours: list[list[int]] = [
-        [n for n in neighbours[rank] if position[n] < i]
-        for i, rank in enumerate(order)
-    ]
-    images = sorted(range(1 << spec.n), key=lambda v: (bin(v).count("1"), v))
-    assignment = [-1] * size
-    used = [False] * (1 << spec.n)
-
-    def place(i: int) -> bool:
-        if i == size:
-            return True
-        rank = order[i]
-        for img in images:
-            if used[img]:
-                continue
-            ok = True
-            for nb in placed_neighbours[i]:
-                if bin(assignment[nb] ^ img).count("1") > d:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used[img] = True
-            assignment[rank] = img
-            if place(i + 1):
-                return True
-            used[img] = False
-            assignment[rank] = -1
-        return False
-
-    return place(0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .checks import (
     failed,
     render_report,
 )
-from .grids import GridSpec, level_budget
+from .grids import DEFAULT_VERTEX_CAP, GridSpec, level_budget
 from .rounding import parse_matrices
 from .stages import build_fk, dump_stage
 
@@ -125,6 +125,14 @@ def cmd_audit(args) -> int:
 
 
 def cmd_cat(args) -> int:
+    # the widest coordinate block of any grid under the default vertex cap;
+    # a wider cube is refused before anything of size 2^t is built
+    widest = (DEFAULT_VERTEX_CAP - 1).bit_length()
+    if args.t > widest:
+        raise ValueError(
+            f"cube dimension {args.t} above {widest}, the widest block of a "
+            "grid under the default vertex cap"
+        )
     cat = caterpillar_for(args.t, args.leaf_degree)
     labeling = label_from_caterpillar(cat)
     breach = verify_window(labeling, labeling.window, 3)

@@ -1,12 +1,12 @@
 """Consistent roundings: two-way sequence rounding, matrix rounding, F^X.
 
 All arithmetic is exact, so the strict "< 1" rounding contracts are
-decidable at the boundary.  The public functions take exact rationals
-(fractions.Fraction) and convert them once to integer numerators over one
-common denominator, held in one integer array from there to the 0/1 result.
-The array is int64 when every sum the solver forms provably fits, and holds
-Python ints (object dtype), which cannot overflow, only when such a sum could
-pass int64; both run the same numpy code.  The two-way rounding solver is a
+decidable at the boundary.  The solver takes rationals as integer
+numerators over one common denominator (``build_FX`` rounds X[i] / n, so
+its numerators are X[i] over n), held in one integer array from there to
+the 0/1 result.  The array is int64 when every sum the solver forms
+provably fits, and holds Python ints (object dtype), which cannot overflow,
+only when such a sum could pass int64; both run the same numpy code.  The two-way rounding solver is a
 deterministic unit-capacity flow over prefix windows: the v-th one placed in
 each scan order must land where that order's fractional prefix sum crosses
 (v-1, v], and a perfect assignment of ones to both orders' windows is exactly
@@ -27,41 +27,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .flow import FlowNetwork
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        raise TypeError("floats are not accepted; pass exact rationals")
-    return Fraction(x)
-
-
-@dataclass(frozen=True)
-class RealSequence:
-    """A sequence of exact rationals in [0, 1]."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        vals = tuple(_frac(v) for v in self.values)
-        for v in vals:
-            if not 0 <= v <= 1:
-                raise ValueError(f"value {v} outside [0, 1]")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +39,6 @@ class BinaryMatrix:
 
     Any 2-d array-like of bits is validated in one numpy pass into a
     read-only m x n int8 array that every reader of the matrix works from.
-    Two matrices are equal when they have the same shape and entries.
     """
 
     bits: np.ndarray
@@ -95,11 +63,6 @@ class BinaryMatrix:
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "row_counts", tuple(bits.sum(axis=1).tolist()))
 
-    def __eq__(self, other):
-        if not isinstance(other, BinaryMatrix):
-            return NotImplemented
-        return np.array_equal(self.bits, other.bits)
-
     @property
     def m(self) -> int:
         return self.bits.shape[0]
@@ -107,25 +70,6 @@ class BinaryMatrix:
     @property
     def n(self) -> int:
         return self.bits.shape[1]
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The entries as tuples of Python ints, one per row."""
-        return tuple(map(tuple, self.bits.tolist()))
-
-    def entry(self, r: int, c: int) -> int:
-        """1-based accessor."""
-        return int(self.bits[r - 1, c - 1])
-
-    def row(self, r: int) -> tuple[int, ...]:
-        return tuple(self.bits[r - 1].tolist())
-
-    def zeros_in_row(self, r: int) -> int:
-        return self.n - self.row_counts[r - 1]
-
-    def zero_columns(self, r: int) -> tuple[int, ...]:
-        """1-based column indices of the zeros in row r, left to right."""
-        return tuple((np.flatnonzero(self.bits[r - 1] == 0) + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -156,11 +100,6 @@ class RoundingSpec:
     @property
     def kappa(self) -> int:
         return min(self.X)
-
-    @property
-    def supports_window_queries(self) -> bool:
-        """Whether the zero-window bounds apply (kappa+1 <= n/2)."""
-        return 2 * (self.kappa + 1) <= self.n
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +278,6 @@ def _two_way_round_core(nums: np.ndarray, D: int, order_b: np.ndarray) -> np.nda
     )
 
 
-def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
-    """Numerators of the values over D = lcm of their denominators, and D."""
-    D = lcm(*(v.denominator for v in values))
-    return [v.numerator * (D // v.denominator) for v in values], D
-
-
 def _solver_array(nums, count: int, D: int) -> np.ndarray:
     """The numerators over D of a solver input of ``count`` entries, as one
     integer array.
@@ -356,32 +289,14 @@ def _solver_array(nums, count: int, D: int) -> np.ndarray:
     return np.array(nums, dtype=np.int64 if count * D < 1 << 63 else object)
 
 
-def two_way_round(seq, perm) -> list[int]:
-    """Round each value to floor or ceil, consistently in two prefix orders.
-
-    `seq` is a RealSequence (or iterable of exact rationals in [0, 1]);
-    `perm` is a bijection on 1..n giving the second scan order.  Every prefix
-    sum of the output, in the original order and in the permuted order, stays
-    within the floor/ceil of the corresponding exact prefix sum.  Existence is
-    guaranteed; an infeasible flow indicates an internal bug and raises.
-    """
-    if not isinstance(seq, RealSequence):
-        seq = RealSequence(tuple(seq))
-    n = len(seq)
-    order = np.fromiter(perm, dtype=np.int64) - 1
-    if not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError("perm must be a bijection on 1..n")
-    nums, D = _over_common_denominator(list(seq.values))
-    return _two_way_round_core(_solver_array(nums, n, D), D, order).tolist()
-
-
 # ---------------------------------------------------------------------------
 # Matrix rounding
 # ---------------------------------------------------------------------------
 
 
-def round_matrix(T) -> BinaryMatrix:
-    """Round a rational matrix with entries in [0,1] to bits, consistently.
+def _round_matrix_core(body: np.ndarray, D: int) -> BinaryMatrix:
+    """Round an m x n array of numerators over D (entries in [0, D]) to
+    bits, consistently.
 
     Every initial row segment, initial column segment, and the grand total of
     the output differ from the exact sums by strictly less than 1.  The
@@ -392,23 +307,6 @@ def round_matrix(T) -> BinaryMatrix:
     have integral sums, which collapses the prefix windows at their ends and
     yields the strict bounds on the truncated part.
     """
-    rows = [[_frac(x) for x in row] for row in T]
-    if not rows or not rows[0]:
-        raise ValueError("matrix must be nonempty")
-    m, n = len(rows), len(rows[0])
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("ragged rows")
-        for x in row:
-            if not 0 <= x <= 1:
-                raise ValueError(f"entry {x} outside [0, 1]")
-    nums, D = _over_common_denominator([x for row in rows for x in row])
-    body = _solver_array(nums, (m + 1) * (n + 1), D).reshape(m, n)
-    return _round_matrix_core(body, D)
-
-
-def _round_matrix_core(body: np.ndarray, D: int) -> BinaryMatrix:
-    """round_matrix on an m x n array of numerators over D."""
     m, n = body.shape
     ext = np.empty((m + 1, n + 1), dtype=body.dtype)
     ext[:m, :n] = body
@@ -439,44 +337,6 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     return F
 
 
-# ---------------------------------------------------------------------------
-# Validators
-# ---------------------------------------------------------------------------
-
-
-def matrix_rounding_violations(T, F: BinaryMatrix) -> list[str]:
-    """Check that F is a consistent rounding of T (strict error bounds).
-
-    Every initial row segment, every initial column segment, and the grand
-    total of F must differ from the corresponding exact sum of T by strictly
-    less than 1.  Arithmetic is exact, so equality with 1 is a reported
-    violation, not a tolerance call.  Returns human-readable violation
-    strings; an empty list means F passes.
-    """
-    rows = [[_frac(x) for x in row] for row in T]
-    if len(rows) != F.m or len(rows[0]) != F.n:
-        raise ValueError("matrix shapes disagree")
-    out = []
-    for i, trow in enumerate(rows, start=1):
-        diff = Fraction(0)
-        for b, (t, f) in enumerate(zip(trow, F.row(i)), start=1):
-            diff += t - f
-            if not -1 < diff < 1:
-                out.append(f"row {i} prefix {b}: discrepancy {diff}")
-    for j in range(1, F.n + 1):
-        diff = Fraction(0)
-        for b in range(1, F.m + 1):
-            diff += rows[b - 1][j - 1] - F.entry(b, j)
-            if not -1 < diff < 1:
-                out.append(f"column {j} prefix {b}: discrepancy {diff}")
-    grand = sum((x for trow in rows for x in trow), Fraction(0)) - sum(
-        F.row_counts
-    )
-    if not -1 < grand < 1:
-        out.append(f"grand total: discrepancy {grand}")
-    return out
-
-
 def balance_violations(F: BinaryMatrix, X) -> list[str]:
     """Check the balance contract of a designation matrix against row sums X.
 
@@ -503,100 +363,9 @@ def balance_violations(F: BinaryMatrix, X) -> list[str]:
     return out
 
 
-def window_violations(spec: RoundingSpec, F: BinaryMatrix) -> list[str]:
-    """Check the zero-spacing windows of a designation matrix for ``spec``.
-
-    Applies when kappa+1 <= n/2.  With every window fully inside its row
-    (positions stay in 1..n, zero indices stay within the row's zero count):
-
-    * a forward position h of row i has at most e ones in columns
-      h+1..h+2e, so the e zeros after a forward zero arrive within 2e
-      columns;
-    * a backward position allows one extra one (e+1), and the e zeros after
-      a backward zero arrive within 2e+2 columns;
-    * across any two rows r, s, the (d+e)-th zero of row r is at most
-      2e+4 columns past the d-th zero of row s.
-
-    Returns violation strings; an empty list means F passes.
-    """
-    if not spec.supports_window_queries:
-        raise ValueError("window bounds require kappa+1 <= n/2")
-    if F.m != spec.m or F.n != spec.n:
-        raise ValueError("matrix shape disagrees with its row-sum sequence")
-    n = spec.n
-    out = []
-    # Per-row window sums.  With g[h] = 2*(ones in columns 1..h) - h, the
-    # bound "at most e ones in columns h+1..h+2e for all in-range e" is
-    # exactly "g never rises above g[h] at same-parity positions >= h"
-    # (and "at most e+1" allows a rise of 2), so one suffix maximum per
-    # parity class settles every window at once.
-    for i in range(1, F.m + 1):
-        s = spec.X[i - 1]
-        fpref = np.concatenate([[0], np.cumsum(F.bits[i - 1])])
-        h_idx = np.arange(n + 1)
-        ceil_t = -(-h_idx * s // n)
-        forward = fpref == ceil_t
-        backward = fpref == ceil_t - 1
-        for h in np.nonzero(~forward & ~backward)[0]:
-            out.append(f"row {i} prefix {h}: not a consistent rounding")
-        g = 2 * fpref - h_idx
-        suffmax = np.empty(n + 1, dtype=np.int64)
-        for parity in (0, 1):
-            vals = g[parity::2]
-            suffmax[parity::2] = np.maximum.accumulate(vals[::-1])[::-1]
-        allow = np.where(forward, 0, 2)
-        bad = np.nonzero((suffmax - g > allow) & (forward | backward))[0]
-        for h in bad:
-            kind = "forward" if forward[h] else "backward"
-            out.append(
-                f"row {i} {kind} position {h}: a window holds too many ones"
-            )
-        # Zero-gap form: with A[x] = (column of x-th zero) - 2x, the gap
-        # bound after the d-th zero is a suffix-maximum condition on A.
-        zeros = np.flatnonzero(F.bits[i - 1] == 0) + 1
-        a = zeros - 2 * np.arange(1, len(zeros) + 1)
-        asuffmax = np.maximum.accumulate(a[::-1])[::-1]
-        zallow = np.where(forward[zeros], 0, 2)
-        for d in np.nonzero(asuffmax - a > zallow)[0]:
-            kind = "forward" if forward[zeros[d]] else "backward"
-            out.append(
-                f"row {i} {kind} zero {d + 1}: later zeros arrive too late"
-            )
-    # Cross-row zero gaps: N_r(d+e) - N_s(d) <= 2e+4 for in-range d >= 1,
-    # e >= 0.  Writing x = d+e and A_r[x] = N_r(x) - 2x, the bound reads
-    # A_r[x] <= 4 + min(A_s[1..min(x, zeros in s)]), so per-row prefix
-    # minima (extended flat past each row's last zero) settle all pairs.
-    qmax = F.n - min(F.row_counts)
-    lowest = np.full((F.m, qmax), np.iinfo(np.int64).min, dtype=np.int64)
-    prefmin = np.empty((F.m, qmax), dtype=np.int64)
-    for i in range(1, F.m + 1):
-        zeros = np.flatnonzero(F.bits[i - 1] == 0) + 1
-        a = zeros - 2 * np.arange(1, len(zeros) + 1)
-        lowest[i - 1, : len(a)] = a
-        padded = np.concatenate([a, np.full(qmax - len(a), a[-1])])
-        prefmin[i - 1] = np.minimum.accumulate(padded)
-    amax = lowest.max(axis=0)
-    mmin = prefmin.min(axis=0)
-    for x in np.nonzero(amax > mmin + 4)[0]:
-        r = int(lowest[:, x].argmax()) + 1
-        s = int(prefmin[:, x].argmin()) + 1
-        out.append(
-            f"zero {x + 1} of row {r} trails a zero of row {s} by more "
-            f"than the cross-row window allows"
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Dump format
+# Seed files: concatenated matrix dumps, a header "m n" then '0'/'1' rows
 # ---------------------------------------------------------------------------
-
-
-def dump_matrix(F: BinaryMatrix) -> str:
-    """Render as the matrix dump format: header "m n", then '0'/'1' rows."""
-    body = np.full((F.m, F.n + 1), ord("\n"), dtype=np.uint8)
-    body[:, :-1] = F.bits + ord("0")
-    return f"{F.m} {F.n}\n" + body.tobytes().decode("ascii")
 
 
 def _parse_one(lines: list[str], at: int) -> tuple[BinaryMatrix, int]:
@@ -611,15 +380,6 @@ def _parse_one(lines: list[str], at: int) -> tuple[BinaryMatrix, int]:
             raise ValueError(f"bad matrix row: {text!r}")
         rows.append(tuple(int(ch) for ch in text))
     return BinaryMatrix(tuple(rows)), at + 1 + m
-
-
-def parse_matrix(text: str) -> BinaryMatrix:
-    """Parse a single matrix dump."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    mat, used = _parse_one(lines, 0)
-    if used != len(lines):
-        raise ValueError("trailing content after matrix")
-    return mat
 
 
 def parse_matrices(text: str) -> list[BinaryMatrix]:

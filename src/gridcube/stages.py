@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import codecs
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,11 +104,6 @@ class BlankPlan:
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
-    @cached_property
-    def nonblank_levels(self) -> tuple[int, ...]:
-        """Global indices of the nonblank levels, in order."""
-        return tuple(self.level_table.tolist())
-
     @property
     def width(self) -> int:
         return 1 << self.spec.block_width(self.stage)
@@ -123,15 +117,6 @@ class BlankPlan:
         """Nonblank levels per section (the paper-side m_r)."""
         return tuple(self.width - c for c in self.F.row_counts)
 
-    def inflate_level(self, c: int) -> int:
-        """Global index of the c-th nonblank level."""
-        count = len(self.level_table)
-        if not 1 <= c <= count:
-            raise ValueError(
-                f"level ordinal {c} outside the {count} nonblank levels"
-            )
-        return int(self.level_table[c - 1])
-
     def section_of(self, level):
         """Section of a level (an int or an int array), 1-based."""
         return (level - 1) // self.width + 1
@@ -139,16 +124,6 @@ class BlankPlan:
     def offset_of(self, level):
         """Slot of a level within its section (an int or an int array), 1-based."""
         return (level - 1) % self.width + 1
-
-    def nu_of(self, level: int) -> int:
-        """Ordinal of a nonblank level among its own section's nonblanks."""
-        last = len(self.ordinal_table) - 1
-        if not 1 <= level <= last:
-            raise ValueError(f"level {level} outside 1..{last}")
-        nu = int(self.ordinal_table[level])
-        if nu == 0:
-            raise ValueError(f"level {level} is blank")
-        return nu
 
     def violations(self) -> list[str]:
         """Contract check: the stage's shape, then the balance contract."""
@@ -197,18 +172,10 @@ class StageEmbedding:
     plan: BlankPlan | None = None
     source_level: np.ndarray | None = None
     prev: "StageEmbedding | None" = None
-    base: Embedding2D | None = None
 
     def __post_init__(self):
         if self.coords.shape != (self.spec.size, self.stage):
             raise ValueError("coordinate array shape mismatch")
-
-    def f(self, v) -> tuple[int, ...]:
-        """Stage image of a vertex (GridVertex, rank, or coordinate tuple)."""
-        rank = v if isinstance(v, (int, np.integer)) else getattr(v, "rank", None)
-        if rank is None:
-            rank = self.spec.rank_of(tuple(v))
-        return tuple(int(c) for c in self.coords[rank])
 
     @property
     def source_section(self) -> np.ndarray | None:
@@ -320,7 +287,7 @@ def _stage2(spec: GridSpec, base: Embedding2D) -> StageEmbedding:
     ranks = np.arange(spec.size)
     at = base.offsets[ranks % a1] + ranks // a1
     coords = np.stack((base.rows[at], base.cols[at]), axis=1)
-    return StageEmbedding(spec, 2, coords, base=base)
+    return StageEmbedding(spec, 2, coords)
 
 
 def build_fk(
@@ -343,61 +310,6 @@ def build_fk(
         plan = build_blank_plan(spec, i, matrix=matrix)
         emb = stack(emb, plan)
     return emb
-
-
-def _height_table(emb: StageEmbedding, mask) -> dict[tuple[int, ...], int]:
-    spec = emb.spec
-    i = emb.stage - 1
-    box = [range(1, (1 << spec.block_width(j)) + 1) for j in range(1, i + 1)]
-    table = {addr: 0 for addr in product(*box)}
-    uniq, counts = distinct_rows(emb.coords[mask][:, :i])
-    table.update(zip(map(tuple, uniq.tolist()), counts.tolist()))
-    return table
-
-
-def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:
-    """Height of every stack address after sections 1..r, r < P_i.
-
-    Keys run over the whole address box (heights 0 where nothing landed).
-    When every grid side is at least 5 the two-value contract
-    height in {ceil(r A / 2^{e_i}), same - 1} is asserted; for smaller sides
-    it is left to the caller to inspect (observed but not guaranteed).
-    """
-    if emb.stage < 3 or emb.source_section is None:
-        raise ValueError("stack heights need a stacked stage (3 or above)")
-    i = emb.stage - 1
-    pages = emb.spec.page_count(i)
-    if not 1 <= r < pages:
-        raise ValueError(f"section prefix {r} outside [1, {pages - 1}]")
-    table = _height_table(emb, emb.source_section <= r)
-    if min(emb.spec.dims) >= 5:
-        target = -(-r * emb.spec.prefix_product(i) // (1 << emb.spec.exponents[i]))
-        got = set(table.values())
-        if not got <= {target, target - 1}:
-            raise AssertionError(
-                f"stack heights {sorted(got)} not within "
-                f"{{{target - 1}, {target}}} at prefix {r}"
-            )
-    return table
-
-
-def full_stack_heights(emb: StageEmbedding) -> dict[tuple[int, ...], int]:
-    """Heights over the whole address box after every section."""
-    if emb.stage < 3 or emb.source_section is None:
-        raise ValueError("stack heights need a stacked stage (3 or above)")
-    return _height_table(emb, np.ones(emb.spec.size, dtype=bool))
-
-
-def nu_distance(plan: BlankPlan, sec1: int, nu1: int, sec2: int, nu2: int) -> int:
-    """Cyclic-style distance between nonblank ordinals of two sections.
-
-    For z' the nu1-th nonblank of section sec1 and z'' the nu2-th of sec2:
-    min(|nu2 - nu1|, m_sec1 - nu1 + nu2, m_sec2 - nu2 + nu1), the three-way
-    minimum over direct difference and the two wraparound readings.
-    """
-    zeros = plan.zeros_per_row
-    m1, m2 = zeros[sec1 - 1], zeros[sec2 - 1]
-    return min(abs(nu2 - nu1), m1 - nu1 + nu2, m2 - nu2 + nu1)
 
 
 # ranks per rendered block of text lines: render scratch stays fixed whatever |G|

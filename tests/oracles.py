@@ -1,39 +1,112 @@
 """Reference implementations the library is tested against.
 
-These are the literal Fraction forms of the integer-exact construction
-core: the prefix windows and the two-way rounding in fractions.Fraction, a
-recursive Dinic with adjacency lists, the leaf matching built on it, the
-cyclic zero index and forward/backward classification of a designation
-matrix, the Fraction closed form of the chain prefix counts and the
-circulant's run-sum lemma, the embedding file written one rank at a time
-(and as one string per block of a_1 ranks) and read one line at a time, and
-the stage dump written one rank at a time.  Beside them sit
-the literal column-filling loop of the base map, the per-row forms of the
-blank plan tables (nonblank levels, and section ordinals by bisection), the
-grid edges as rank-index arrays with the per-column coordinate-difference
-scan and the per-edge dilation over them, and the chain and transition
-batteries with their per-page, per-prefix and per-chain loops and dense
-count tables.  They run in tests only; the library's integer and
-table-driven forms must reproduce their outputs exactly.
+Everything here runs in tests only; the library must reproduce its outputs
+exactly, or pass its checks.  It holds:
+
+- the grid's vertex arithmetic one coordinate at a time: rank and
+  coordinates, the chain fold kappa, and page indices;
+- the literal Fraction forms of the integer-exact construction core: the
+  prefix windows and the two-way rounding in fractions.Fraction, a
+  recursive Dinic with adjacency lists and the leaf matching built on it,
+  the Fraction closed form of the chain prefix counts and the circulant's
+  run-sum lemma, and the literal column-filling loop of the base map;
+- the rational front ends of the library's two-way and matrix rounding
+  solvers, the exact matrix-rounding and zero-window validators of a
+  designation matrix, its cyclic zero index and forward/backward
+  classification, and the matrix dump writer;
+- the per-row forms of the blank plan tables (nonblank levels, and section
+  ordinals by bisection), the nonblank-ordinal distance, and the stack
+  heights as dict tables over the address box;
+- the embedding file written one rank at a time (and as one string per
+  block of a_1 ranks) and read one line at a time, and the stage dump
+  written one rank at a time;
+- the grid edges as rank-index arrays with the per-column
+  coordinate-difference scan and the per-edge dilation over them, and the
+  chain and transition batteries with their per-page, per-prefix and
+  per-chain loops and dense count tables;
+- the brute-force dilation optimum of tiny grids.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
 from unittest import mock
 
 import numpy as np
 
-from gridcube import base2d, checks
+from gridcube import base2d, checks, rounding
 from gridcube.base2d import build_R
 from gridcube.checks import CheckResult, _check, _gated, _report, _vertex_pages
 from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, RoundingSpec
-from gridcube.stages import StageEmbedding, packed_address
+from gridcube.stages import BlankPlan, StageEmbedding, packed_address
+
+
+# ---------------------------------------------------------------------------
+# grid vertices: ranks, the chain fold, pages
+# ---------------------------------------------------------------------------
+
+
+def rank_of(spec: GridSpec, coords) -> int:
+    """Rank of the vertex with the given 1-based coordinates: reversed
+    lexicographic, x_1 fastest, so coordinate t has stride a_1...a_{t-1}."""
+    if len(coords) != spec.k:
+        raise ValueError("coordinate arity mismatch")
+    r, stride = 0, 1
+    for x, a in zip(coords, spec.dims):
+        if not 1 <= x <= a:
+            raise ValueError(f"coordinate {x} outside [1, {a}]")
+        r += (x - 1) * stride
+        stride *= a
+    return r
+
+
+def coords_of(spec: GridSpec, rank: int) -> tuple[int, ...]:
+    """1-based coordinates of the vertex with the given rank."""
+    if not 0 <= rank < spec.size:
+        raise ValueError("rank out of range")
+    coords = []
+    for a in spec.dims:
+        rank, x = divmod(rank, a)
+        coords.append(x + 1)
+    return tuple(coords)
+
+
+def kappa(spec: GridSpec, coords) -> tuple[int, int]:
+    """Fold a vertex onto its chain: (x_1, y) with y the position on chain x_1.
+
+    Chains run through the grid with the first coordinate free; y orders the
+    remaining coordinates with x_2 fastest.  Bijective onto
+    {1..a_1} x {1..P_1}, and the chains of the j-th i-page occupy exactly the
+    y-interval {(j-1) a_2...a_i + 1, ..., j a_2...a_i}.
+    """
+    rank_of(spec, coords)  # validates
+    y, stride = 0, 1
+    for x, a in zip(coords[1:], spec.dims[1:]):
+        y += (x - 1) * stride
+        stride *= a
+    return coords[0], y + 1
+
+
+def page_index(spec: GridSpec, coords, i: int) -> int:
+    """Index r of the i-page containing the vertex, 1 <= r <= P_i.
+
+    An i-page fixes coordinates i+1..k; pages are ordered with x_{i+1}
+    fastest.  Accepts 1 <= i <= k-1.
+    """
+    if not 1 <= i <= spec.k - 1:
+        raise ValueError(f"page dimension {i} outside [1, {spec.k - 1}]")
+    rank_of(spec, coords)  # validates
+    r, stride = 0, 1
+    for x, a in zip(coords[i:], spec.dims[i:]):
+        r += (x - 1) * stride
+        stride *= a
+    return r + 1
 
 
 class Dinic:
@@ -174,6 +247,170 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     return round_matrix([[Fraction(s, spec.n)] * spec.n for s in spec.X])
 
 
+def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+    """Numerators of the values over D = lcm of their denominators, and D."""
+    D = lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def _unit_rationals(values) -> list[Fraction]:
+    out = [Fraction(v) for v in values]
+    for v in out:
+        if not 0 <= v <= 1:
+            raise ValueError(f"value {v} outside [0, 1]")
+    return out
+
+
+def solver_two_way_round(values, perm) -> list[int]:
+    """The library's two-way rounding solver behind a rational front end:
+    exact rationals in [0, 1], and `perm` a bijection on 1..n giving the
+    second scan order."""
+    values = _unit_rationals(values)
+    order = np.fromiter(perm, dtype=np.int64) - 1
+    if not np.array_equal(np.sort(order), np.arange(len(values))):
+        raise ValueError("perm must be a bijection on 1..n")
+    nums, D = _over_common_denominator(values)
+    array = rounding._solver_array(nums, len(values), D)
+    return rounding._two_way_round_core(array, D, order).tolist()
+
+
+def solver_round_matrix(T) -> BinaryMatrix:
+    """The library's matrix rounding behind a rational front end: a
+    rectangular matrix of exact rationals in [0, 1]."""
+    rows = [_unit_rationals(row) for row in T]
+    m, n = len(rows), len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError("ragged rows")
+    nums, D = _over_common_denominator([x for row in rows for x in row])
+    body = rounding._solver_array(nums, (m + 1) * (n + 1), D).reshape(m, n)
+    return rounding._round_matrix_core(body, D)
+
+
+def matrix_rounding_violations(T, F: BinaryMatrix) -> list[str]:
+    """Check that F is a consistent rounding of T (strict error bounds).
+
+    Every initial row segment, every initial column segment, and the grand
+    total of F must differ from the corresponding exact sum of T by strictly
+    less than 1.  Arithmetic is exact, so equality with 1 is a reported
+    violation, not a tolerance call.  Returns human-readable violation
+    strings; an empty list means F passes.
+    """
+    rows = [[Fraction(x) for x in row] for row in T]
+    if len(rows) != F.m or len(rows[0]) != F.n:
+        raise ValueError("matrix shapes disagree")
+    bits = F.bits.tolist()
+    out = []
+    for i, (trow, frow) in enumerate(zip(rows, bits), start=1):
+        diff = Fraction(0)
+        for b, (t, f) in enumerate(zip(trow, frow), start=1):
+            diff += t - f
+            if not -1 < diff < 1:
+                out.append(f"row {i} prefix {b}: discrepancy {diff}")
+    for j in range(F.n):
+        diff = Fraction(0)
+        for b in range(F.m):
+            diff += rows[b][j] - bits[b][j]
+            if not -1 < diff < 1:
+                out.append(f"column {j + 1} prefix {b + 1}: discrepancy {diff}")
+    grand = sum((x for trow in rows for x in trow), Fraction(0)) - sum(
+        F.row_counts
+    )
+    if not -1 < grand < 1:
+        out.append(f"grand total: discrepancy {grand}")
+    return out
+
+
+def window_violations(spec: RoundingSpec, F: BinaryMatrix) -> list[str]:
+    """Check the zero-spacing windows of a designation matrix for ``spec``.
+
+    Applies when kappa+1 <= n/2.  With every window fully inside its row
+    (positions stay in 1..n, zero indices stay within the row's zero count):
+
+    * a forward position h of row i has at most e ones in columns
+      h+1..h+2e, so the e zeros after a forward zero arrive within 2e
+      columns;
+    * a backward position allows one extra one (e+1), and the e zeros after
+      a backward zero arrive within 2e+2 columns;
+    * across any two rows r, s, the (d+e)-th zero of row r is at most
+      2e+4 columns past the d-th zero of row s.
+
+    Returns violation strings; an empty list means F passes.
+    """
+    if 2 * (spec.kappa + 1) > spec.n:
+        raise ValueError("window bounds require kappa+1 <= n/2")
+    if F.m != spec.m or F.n != spec.n:
+        raise ValueError("matrix shape disagrees with its row-sum sequence")
+    n = spec.n
+    out = []
+    # Per-row window sums.  With g[h] = 2*(ones in columns 1..h) - h, the
+    # bound "at most e ones in columns h+1..h+2e for all in-range e" is
+    # exactly "g never rises above g[h] at same-parity positions >= h"
+    # (and "at most e+1" allows a rise of 2), so one suffix maximum per
+    # parity class settles every window at once.
+    for i in range(1, F.m + 1):
+        s = spec.X[i - 1]
+        fpref = np.concatenate([[0], np.cumsum(F.bits[i - 1])])
+        h_idx = np.arange(n + 1)
+        ceil_t = -(-h_idx * s // n)
+        forward = fpref == ceil_t
+        backward = fpref == ceil_t - 1
+        for h in np.nonzero(~forward & ~backward)[0]:
+            out.append(f"row {i} prefix {h}: not a consistent rounding")
+        g = 2 * fpref - h_idx
+        suffmax = np.empty(n + 1, dtype=np.int64)
+        for parity in (0, 1):
+            vals = g[parity::2]
+            suffmax[parity::2] = np.maximum.accumulate(vals[::-1])[::-1]
+        allow = np.where(forward, 0, 2)
+        bad = np.nonzero((suffmax - g > allow) & (forward | backward))[0]
+        for h in bad:
+            kind = "forward" if forward[h] else "backward"
+            out.append(
+                f"row {i} {kind} position {h}: a window holds too many ones"
+            )
+        # Zero-gap form: with A[x] = (column of x-th zero) - 2x, the gap
+        # bound after the d-th zero is a suffix-maximum condition on A.
+        zeros = np.flatnonzero(F.bits[i - 1] == 0) + 1
+        a = zeros - 2 * np.arange(1, len(zeros) + 1)
+        asuffmax = np.maximum.accumulate(a[::-1])[::-1]
+        zallow = np.where(forward[zeros], 0, 2)
+        for d in np.nonzero(asuffmax - a > zallow)[0]:
+            kind = "forward" if forward[zeros[d]] else "backward"
+            out.append(
+                f"row {i} {kind} zero {d + 1}: later zeros arrive too late"
+            )
+    # Cross-row zero gaps: N_r(d+e) - N_s(d) <= 2e+4 for in-range d >= 1,
+    # e >= 0.  Writing x = d+e and A_r[x] = N_r(x) - 2x, the bound reads
+    # A_r[x] <= 4 + min(A_s[1..min(x, zeros in s)]), so per-row prefix
+    # minima (extended flat past each row's last zero) settle all pairs.
+    qmax = F.n - min(F.row_counts)
+    lowest = np.full((F.m, qmax), np.iinfo(np.int64).min, dtype=np.int64)
+    prefmin = np.empty((F.m, qmax), dtype=np.int64)
+    for i in range(1, F.m + 1):
+        zeros = np.flatnonzero(F.bits[i - 1] == 0) + 1
+        a = zeros - 2 * np.arange(1, len(zeros) + 1)
+        lowest[i - 1, : len(a)] = a
+        padded = np.concatenate([a, np.full(qmax - len(a), a[-1])])
+        prefmin[i - 1] = np.minimum.accumulate(padded)
+    amax = lowest.max(axis=0)
+    mmin = prefmin.min(axis=0)
+    for x in np.nonzero(amax > mmin + 4)[0]:
+        r = int(lowest[:, x].argmax()) + 1
+        s = int(prefmin[:, x].argmin()) + 1
+        out.append(
+            f"zero {x + 1} of row {r} trails a zero of row {s} by more "
+            f"than the cross-row window allows"
+        )
+    return out
+
+
+def dump_matrix(F: BinaryMatrix) -> str:
+    """Render as the seed-file matrix format: header "m n", then '0'/'1' rows."""
+    body = np.full((F.m, F.n + 1), ord("\n"), dtype=np.uint8)
+    body[:, :-1] = F.bits + ord("0")
+    return f"{F.m} {F.n}\n" + body.tobytes().decode("ascii")
+
+
 def zero_index(F: BinaryMatrix, r: int, d: int) -> int:
     """Column of the d-th zero of row r, counting cyclically across rows.
 
@@ -186,15 +423,16 @@ def zero_index(F: BinaryMatrix, r: int, d: int) -> int:
         raise ValueError("row out of range")
     if sum(F.row_counts) == F.m * F.n:
         raise ValueError("matrix has no zeros")
+    cols = zero_columns(F)
     row = r
-    while not 1 <= d <= F.zeros_in_row(row):
+    while not 1 <= d <= len(cols[row - 1]):
         if d <= 0:
             row = (row - 2) % F.m + 1
-            d += F.zeros_in_row(row)
+            d += len(cols[row - 1])
         else:
-            d -= F.zeros_in_row(row)
+            d -= len(cols[row - 1])
             row = row % F.m + 1
-    return F.zero_columns(row)[d - 1]
+    return cols[row - 1][d - 1]
 
 
 def check_forward(F: BinaryMatrix, T, r: int, h: int) -> str:
@@ -203,7 +441,7 @@ def check_forward(F: BinaryMatrix, T, r: int, h: int) -> str:
 
     Any other discrepancy means F is not a consistent rounding of T here.
     """
-    fsum = sum(F.row(r)[:h])
+    fsum = int(F.bits[r - 1, :h].sum())
     c = ceil(sum((Fraction(x) for x in T[r - 1][:h]), Fraction(0)))
     if fsum == c:
         return "forward"
@@ -322,7 +560,7 @@ def dump_embedding(emb) -> str:
         "labelings " + " ".join(str(w) for w in emb.windows()),
     ]
     for rank in range(spec.size):
-        coords = spec.coords_of(rank)
+        coords = coords_of(spec, rank)
         bits = format(int(emb.labels[rank]), f"0{spec.n}b")
         lines.append(" ".join(str(x) for x in coords) + " " + bits)
     return "\n".join(lines) + "\n"
@@ -386,7 +624,7 @@ def parse_embedding(text: str) -> checks.ParsedEmbedding:
         bits = parts[-1]
         if len(bits) != spec.n or set(bits) - {"0", "1"}:
             raise ValueError(f"bad label field: {bits!r}")
-        rank = spec.rank_of(coords)
+        rank = rank_of(spec, coords)
         if seen[rank]:
             raise ValueError(f"vertex {coords} listed twice")
         seen[rank] = True
@@ -396,7 +634,7 @@ def parse_embedding(text: str) -> checks.ParsedEmbedding:
 
 def zero_columns(F: BinaryMatrix) -> list[tuple[int, ...]]:
     """1-based columns of the zeros of every row, left to right."""
-    return [tuple(j + 1 for j, b in enumerate(row) if b == 0) for row in F.rows]
+    return [tuple((np.flatnonzero(row == 0) + 1).tolist()) for row in F.bits]
 
 
 def nonblank_levels(zero_cols: list[tuple[int, ...]], width: int) -> tuple[int, ...]:
@@ -416,6 +654,61 @@ def nu_of(zero_cols: list[tuple[int, ...]], width: int, level: int) -> int:
     if idx == 0 or cols[idx - 1] != off:
         raise ValueError(f"level {level} is blank")
     return idx
+
+
+def nu_distance(plan: BlankPlan, sec1: int, nu1: int, sec2: int, nu2: int) -> int:
+    """Cyclic-style distance between nonblank ordinals of two sections.
+
+    For z' the nu1-th nonblank of section sec1 and z'' the nu2-th of sec2:
+    min(|nu2 - nu1|, m_sec1 - nu1 + nu2, m_sec2 - nu2 + nu1), the three-way
+    minimum over direct difference and the two wraparound readings.
+    """
+    zeros = plan.zeros_per_row
+    m1, m2 = zeros[sec1 - 1], zeros[sec2 - 1]
+    return min(abs(nu2 - nu1), m1 - nu1 + nu2, m2 - nu2 + nu1)
+
+
+def _height_table(emb: StageEmbedding, mask) -> dict[tuple[int, ...], int]:
+    """Points per stack address (the first stage - 1 coordinates) among the
+    masked vertices, over the whole address box (0 where nothing landed)."""
+    spec = emb.spec
+    i = emb.stage - 1
+    box = [range(1, (1 << spec.block_width(j)) + 1) for j in range(1, i + 1)]
+    table = dict.fromkeys(product(*box), 0)
+    table.update(Counter(map(tuple, emb.coords[mask][:, :i].tolist())))
+    return table
+
+
+def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:
+    """Height of every stack address after sections 1..r, r < P_i.
+
+    When every grid side is at least 5 the two-value contract
+    height in {ceil(r A / 2^{e_i}), same - 1} is asserted; for smaller sides
+    it is left to the caller to inspect (observed but not guaranteed).
+    """
+    if emb.stage < 3 or emb.source_section is None:
+        raise ValueError("stack heights need a stacked stage (3 or above)")
+    i = emb.stage - 1
+    pages = emb.spec.page_count(i)
+    if not 1 <= r < pages:
+        raise ValueError(f"section prefix {r} outside [1, {pages - 1}]")
+    table = _height_table(emb, emb.source_section <= r)
+    if min(emb.spec.dims) >= 5:
+        target = -(-r * emb.spec.prefix_product(i) // (1 << emb.spec.exponents[i]))
+        got = set(table.values())
+        if not got <= {target, target - 1}:
+            raise AssertionError(
+                f"stack heights {sorted(got)} not within "
+                f"{{{target - 1}, {target}}} at prefix {r}"
+            )
+    return table
+
+
+def full_stack_heights(emb: StageEmbedding) -> dict[tuple[int, ...], int]:
+    """Heights over the whole address box after every section."""
+    if emb.stage < 3 or emb.source_section is None:
+        raise ValueError("stack heights need a stacked stage (3 or above)")
+    return _height_table(emb, np.ones(emb.spec.size, dtype=bool))
 
 
 def grid_edges(spec: GridSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -904,3 +1197,60 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     of its array form."""
     with mock.patch.object(checks, "_transition_checks", transition_checks):
         return checks.pipeline_battery(emb)
+
+
+def brute_force_dilation(spec: GridSpec, d: int) -> bool:
+    """Decide by exhaustive search whether the grid embeds in its optimal
+    hypercube with dilation at most d.
+
+    Only for tiny instances (at most 12 vertices, optimal dimension at most
+    4).  Vertices are placed in decreasing grid-degree order, candidate
+    images tried in increasing popcount order, and branches are cut as soon
+    as a placed neighbour sits farther than d.  Deterministic.
+    """
+    if spec.size > 12 or spec.n > 4:
+        raise ValueError("instance too large for the brute-force oracle")
+    if d < 0:
+        return False
+    size = spec.size
+    neighbours: list[list[int]] = [[] for _ in range(size)]
+    for rank in range(size):
+        stride = 1
+        for x, a in zip(coords_of(spec, rank), spec.dims):
+            if x < a:
+                neighbours[rank].append(rank + stride)
+                neighbours[rank + stride].append(rank)
+            stride *= a
+    order = sorted(range(size), key=lambda r: (-len(neighbours[r]), r))
+    position = {rank: i for i, rank in enumerate(order)}
+    placed_neighbours: list[list[int]] = [
+        [n for n in neighbours[rank] if position[n] < i]
+        for i, rank in enumerate(order)
+    ]
+    images = sorted(range(1 << spec.n), key=lambda v: (bin(v).count("1"), v))
+    assignment = [-1] * size
+    used = [False] * (1 << spec.n)
+
+    def place(i: int) -> bool:
+        if i == size:
+            return True
+        rank = order[i]
+        for img in images:
+            if used[img]:
+                continue
+            ok = True
+            for nb in placed_neighbours[i]:
+                if bin(assignment[nb] ^ img).count("1") > d:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            used[img] = True
+            assignment[rank] = img
+            if place(i + 1):
+                return True
+            used[img] = False
+            assignment[rank] = -1
+        return False
+
+    return place(0)

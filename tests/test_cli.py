@@ -112,9 +112,10 @@ def test_audit_trivial_grid_passes():
     assert "FAIL" not in out
 
 
-# (5,5,40000) in 1 GiB of address space: the batteries' tables are linear in
-# |G| and the page count.  Measured 311 MB ru_maxrss and about 7 s on a
-# 2-vCPU Xeon virtual machine (Python 3.11.7, numpy 2.4.6).
+# (5,5,40000) and (5000,2) in 1 GiB of address space: the batteries' tables
+# are linear in |G|, the page count and a_1.  Measured 311 MB ru_maxrss and
+# about 7 s, and 202 MB and about 2 s, on a 2-vCPU Xeon virtual machine
+# (Python 3.11.7, numpy 2.4.6).
 LONG_GRID_ADDRESS_SPACE = 1 << 30
 LONG_GRID_RSS_MB = 400
 
@@ -129,19 +130,29 @@ def child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
-def test_audit_long_thin_grid_in_bounded_memory():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridcube.cli", "audit", "5", "5", "40000"],
+def run_bounded(argv):
+    """The command in a child process under LONG_GRID_ADDRESS_SPACE."""
+    return subprocess.run(
+        [sys.executable, "-m", "gridcube.cli", *argv],
         preexec_fn=limit_address_space,
         env=child_env(),
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_audit_long_thin_grid_in_bounded_memory():
+    proc = run_bounded(["audit", "5", "5", "40000"])
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "FAIL" not in proc.stdout
     assert "pipeline.stage3.stack-top-occupancy: PASS" in proc.stdout
-    # the largest of this process's waited-for children, this one included
+    # the chain battery's window counts are checked one width at a time
+    proc = run_bounded(["audit", "5000", "2"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "FAIL" not in proc.stdout
+    assert "chain.window-counts: PASS" in proc.stdout
+    # the largest of this process's waited-for children, these included
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     assert peak_mb < LONG_GRID_RSS_MB
 
@@ -240,6 +251,13 @@ def test_cat_infeasible_parameters():
     code, _, err = run_cli(["cat", "5", "3"])
     assert code == 2
     assert "needs dimension >= 6" in err
+
+
+def test_cat_above_the_widest_block_is_refused_up_front():
+    # 2^40 cube vertices: refused before any of them is built
+    proc = run_bounded(["cat", "40", "1"])
+    assert proc.returncode == 2
+    assert "above 26" in proc.stderr
 
 
 def test_usage_errors_from_parser():

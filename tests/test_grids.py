@@ -2,16 +2,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
+from oracles import coords_of, kappa, page_index, rank_of
 
-from gridcube.grids import (
-    GridSpec,
-    GridVertex,
-    compute_exponents,
-    kappa,
-    level_budget,
-    page_index,
-)
+from gridcube.checks import _vertex_pages
+from gridcube.grids import GridSpec, compute_exponents, level_budget
 
 
 def test_exponents_golden():
@@ -61,71 +57,68 @@ def test_rank_is_reversed_lex_bijection():
     spec = GridSpec((3, 4, 2))
     seen = set()
     for coords in itertools.product(range(1, 4), range(1, 5), range(1, 3)):
-        r = spec.rank_of(coords)
-        assert spec.coords_of(r) == coords
+        r = rank_of(spec, coords)
+        assert coords_of(spec, r) == coords
         seen.add(r)
     assert seen == set(range(spec.size))
     # last coordinate most significant
-    assert spec.rank_of((1, 1, 2)) > spec.rank_of((3, 4, 1))
-    assert spec.rank_of((2, 1, 1)) == 1
-
-
-def test_vertex_roundtrip_and_bounds():
-    spec = GridSpec((3, 7, 4))
-    v = spec.vertex(2, 4, 3)
-    assert v.coords == (2, 4, 3)
-    assert v.coords0 == (1, 3, 2)
-    assert GridVertex(spec, v.rank) == v
-    with pytest.raises(ValueError):
-        spec.vertex(4, 1, 1)
-    with pytest.raises(ValueError):
-        GridVertex(spec, spec.size)
+    assert rank_of(spec, (1, 1, 2)) > rank_of(spec, (3, 4, 1))
+    assert rank_of(spec, (2, 1, 1)) == 1
 
 
 def test_kappa_golden():
-    assert kappa(GridSpec((3, 7)).vertex(2, 5)) == (2, 5)
-    assert kappa(GridSpec((3, 7, 4)).vertex(2, 4, 3)) == (2, 18)
-    assert kappa(GridSpec((3, 7, 4, 3)).vertex(1, 1, 1, 1)) == (1, 1)
-    # plain tuples work when the spec is supplied
-    assert kappa((2, 4, 3), GridSpec((3, 7, 4))) == (2, 18)
+    assert kappa(GridSpec((3, 7)), (2, 5)) == (2, 5)
+    assert kappa(GridSpec((3, 7, 4)), (2, 4, 3)) == (2, 18)
+    assert kappa(GridSpec((3, 7, 4, 3)), (1, 1, 1, 1)) == (1, 1)
+    with pytest.raises(ValueError):
+        kappa(GridSpec((3, 7, 4)), (4, 1, 1))
+
+
+def vertices(spec):
+    return [coords_of(spec, r) for r in range(spec.size)]
 
 
 def test_kappa_bijective_and_page_intervals():
     spec = GridSpec((3, 5, 4, 2))
     seen = set()
-    for v in spec.vertices():
-        x1, y = kappa(v)
+    for v in vertices(spec):
+        x1, y = kappa(spec, v)
         assert 1 <= x1 <= 3 and 1 <= y <= spec.page_count(1)
         seen.add((x1, y))
     assert len(seen) == spec.size
     # the chains of i-page j fold onto one consecutive y-interval
     for i in (2, 3):
         block = spec.prefix_product(i) // spec.dims[0]  # a_2 ... a_i
-        for v in spec.vertices():
-            j = page_index(v, i)
-            _, y = kappa(v)
+        for v in vertices(spec):
+            j = page_index(spec, v, i)
+            _, y = kappa(spec, v)
             assert (j - 1) * block + 1 <= y <= j * block
 
 
 def test_page_index_golden():
     spec = GridSpec((3, 7, 4, 3))
-    assert page_index(spec.vertex(2, 4, 2, 2), 2) == 6
-    assert page_index(spec.vertex(2, 4, 1, 1), 2) == 1
-    assert page_index(spec.vertex(3, 7, 1, 1), 2) == 1
-    assert page_index(spec.vertex(1, 1, 1, 1), 3) == 1
+    assert page_index(spec, (2, 4, 2, 2), 2) == 6
+    assert page_index(spec, (2, 4, 1, 1), 2) == 1
+    assert page_index(spec, (3, 7, 1, 1), 2) == 1
+    assert page_index(spec, (1, 1, 1, 1), 3) == 1
     with pytest.raises(ValueError):
-        page_index(spec.vertex(1, 1, 1, 1), 4)
+        page_index(spec, (1, 1, 1, 1), 4)
     with pytest.raises(ValueError):
-        page_index(spec.vertex(1, 1, 1, 1), 0)
+        page_index(spec, (1, 1, 1, 1), 0)
+    # the batteries' per-rank page arrays (i = k: the whole grid is one page)
+    for i in (1, 2, 3):
+        want = [page_index(spec, v, i) for v in vertices(spec)]
+        assert _vertex_pages(spec, i).tolist() == want
+    assert np.all(_vertex_pages(spec, 4) == 1)
 
 
 def test_page_refinement():
     spec = GridSpec((3, 4, 3, 2))
     for i in (2, 3):
-        for v, w in itertools.product(list(spec.vertices())[::7], repeat=2):
-            if page_index(v, i) != page_index(w, i):
-                if page_index(v, i - 1) < page_index(w, i - 1):
-                    assert page_index(v, i) <= page_index(w, i)
+        for v, w in itertools.product(vertices(spec)[::7], repeat=2):
+            if page_index(spec, v, i) != page_index(spec, w, i):
+                if page_index(spec, v, i - 1) < page_index(spec, w, i - 1):
+                    assert page_index(spec, v, i) <= page_index(spec, w, i)
 
 
 def test_level_budget_golden():

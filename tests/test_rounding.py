@@ -13,30 +13,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    check_forward,
+    dump_matrix,
+    matrix_rounding_violations,
+    solver_round_matrix,
+    solver_two_way_round,
+    window_violations,
+    zero_index,
+)
+
 from gridcube import rounding
 from gridcube.grids import GridSpec
 from gridcube.rounding import (
     BinaryMatrix,
-    RealSequence,
     RoundingSpec,
     balance_violations,
     build_FX,
-    dump_matrix,
-    matrix_rounding_violations,
     parse_matrices,
-    parse_matrix,
-    round_matrix,
-    two_way_round,
-    window_violations,
 )
 from gridcube.stages import s_sequence
-from oracles import check_forward, zero_index
 
 DATA = Path(__file__).parent / "data"
 
 
 def load(name: str) -> BinaryMatrix:
-    return parse_matrix((DATA / name).read_text())
+    [matrix] = parse_matrices((DATA / name).read_text())
+    return matrix
 
 
 def prefix_ok(values, rounded, order):
@@ -79,30 +82,30 @@ def all_valid_roundings(values, perm):
 
 def test_two_way_round_integers_unchanged():
     vals = [Fraction(0), Fraction(1), Fraction(1), Fraction(0)]
-    assert two_way_round(vals, [3, 1, 4, 2]) == [0, 1, 1, 0]
+    assert solver_two_way_round(vals, [3, 1, 4, 2]) == [0, 1, 1, 0]
 
 
 def test_two_way_round_halves_against_enumeration():
     vals = [Fraction(1, 2)] * 4
     perm = [1, 2, 3, 4]
-    got = two_way_round(vals, perm)
+    got = solver_two_way_round(vals, perm)
     assert tuple(got) in set(all_valid_roundings(vals, perm))
 
 
 def test_two_way_round_pair_permuted():
     vals = [Fraction(3, 10), Fraction(7, 10)]
     perm = [2, 1]
-    got = two_way_round(vals, perm)
+    got = solver_two_way_round(vals, perm)
     assert is_valid_rounding(vals, got, perm)
 
 
 def test_two_way_round_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        two_way_round([Fraction(1, 2)], [2])
+        solver_two_way_round([Fraction(1, 2)], [2])
     with pytest.raises(ValueError):
-        two_way_round([Fraction(1, 2), Fraction(1, 2)], [1, 1])
+        solver_two_way_round([Fraction(1, 2), Fraction(1, 2)], [1, 1])
     with pytest.raises(ValueError):
-        RealSequence((Fraction(3, 2),))
+        solver_two_way_round([Fraction(3, 2)], [1])
 
 
 def test_two_way_round_random_against_enumeration():
@@ -114,14 +117,14 @@ def test_two_way_round_random_against_enumeration():
         rng.shuffle(perm)
         valid = all_valid_roundings(vals, perm)
         assert valid, "existence guarantee failed at desk scale"
-        got = two_way_round(vals, perm)
+        got = solver_two_way_round(vals, perm)
         assert tuple(got) in set(valid)
 
 
 def test_two_way_round_deterministic():
     vals = [Fraction(1, 3), Fraction(2, 5), Fraction(4, 5), Fraction(1, 2), Fraction(7, 15)]
     perm = [4, 2, 5, 1, 3]
-    assert two_way_round(vals, perm) == two_way_round(vals, perm)
+    assert solver_two_way_round(vals, perm) == solver_two_way_round(vals, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +134,13 @@ def test_two_way_round_deterministic():
 
 def matrix_contracts_hold(T, F: BinaryMatrix) -> bool:
     m, n = F.m, F.n
+    rows = F.bits.tolist()
     for i in range(m):
         s = Fraction(0)
         f = 0
         for j in range(n):
             s += T[i][j]
-            f += F.rows[i][j]
+            f += rows[i][j]
             if abs(s - f) >= 1:
                 return False
     for j in range(n):
@@ -144,7 +148,7 @@ def matrix_contracts_hold(T, F: BinaryMatrix) -> bool:
         f = 0
         for i in range(m):
             s += T[i][j]
-            f += F.rows[i][j]
+            f += rows[i][j]
             if abs(s - f) >= 1:
                 return False
     total = sum(sum(row, Fraction(0)) for row in T)
@@ -153,26 +157,26 @@ def matrix_contracts_hold(T, F: BinaryMatrix) -> bool:
 
 def test_round_matrix_integer_fixed_point():
     T = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert round_matrix(T).rows == ((1, 0), (0, 1))
+    assert solver_round_matrix(T).bits.tolist() == [[1, 0], [0, 1]]
 
 
 def test_round_matrix_halves_against_enumeration():
     T = [[Fraction(1, 2)] * 2] * 2
-    got = round_matrix(T)
+    got = solver_round_matrix(T)
     valid = []
     for bits in itertools.product((0, 1), repeat=4):
         F = BinaryMatrix(((bits[0], bits[1]), (bits[2], bits[3])))
         if matrix_contracts_hold(T, F):
-            valid.append(F.rows)
+            valid.append(F.bits.tolist())
     assert valid
-    assert got.rows in valid
+    assert got.bits.tolist() in valid
 
 
 def test_round_matrix_rejects_out_of_range():
     with pytest.raises(ValueError):
-        round_matrix([[Fraction(3, 2)]])
+        solver_round_matrix([[Fraction(3, 2)]])
     with pytest.raises(ValueError):
-        round_matrix([[Fraction(-1, 2)]])
+        solver_round_matrix([[Fraction(-1, 2)]])
 
 
 def test_round_matrix_random_contracts():
@@ -183,13 +187,13 @@ def test_round_matrix_random_contracts():
             [Fraction(rng.randint(0, 6), 6) for _ in range(n)]
             for _ in range(m)
         ]
-        F = round_matrix(T)
+        F = solver_round_matrix(T)
         assert matrix_contracts_hold(T, F)
 
 
 def test_round_matrix_deterministic():
     T = [[Fraction(1, 3), Fraction(5, 7)], [Fraction(2, 3), Fraction(2, 7)]]
-    assert round_matrix(T).rows == round_matrix(T).rows
+    assert solver_round_matrix(T).bits.tolist() == solver_round_matrix(T).bits.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +205,16 @@ def fx_contracts_hold(F: BinaryMatrix, X) -> list[str]:
     """Exact row sums; equal-depth column prefixes within 1; equal-width row
     prefixes within 2.  Returns human-readable violations, empty when clean."""
     bad = []
+    rows = F.bits.tolist()
     for i, s in enumerate(X):
         if F.row_counts[i] != s:
             bad.append(f"row {i + 1} sums to {F.row_counts[i]}, want {s}")
     for depth in range(1, F.m + 1):
-        sums = [sum(F.rows[i][j] for i in range(depth)) for j in range(F.n)]
+        sums = [sum(rows[i][j] for i in range(depth)) for j in range(F.n)]
         if max(sums) - min(sums) > 1:
             bad.append(f"column prefixes at depth {depth} spread {max(sums) - min(sums)}")
     for width in range(1, F.n + 1):
-        sums = [sum(F.rows[i][:width]) for i in range(F.m)]
+        sums = [sum(rows[i][:width]) for i in range(F.m)]
         if max(sums) - min(sums) > 2:
             bad.append(f"row prefixes at width {width} spread {max(sums) - min(sums)}")
     return bad
@@ -221,23 +226,17 @@ def test_build_FX_small_examples():
     F = build_FX(RoundingSpec((1, 1, 2), 4))
     assert fx_contracts_hold(F, (1, 1, 2)) == []
     F = build_FX(RoundingSpec((0, 0, 0), 4))
-    assert F.rows == ((0, 0, 0, 0),) * 3
+    assert F.bits.tolist() == [[0, 0, 0, 0]] * 3
 
 
 def test_binary_matrix_validates_rows():
     F = BinaryMatrix(((1, 0, 1), (0, 0, 1)))
     assert F.bits.tolist() == [[1, 0, 1], [0, 0, 1]]
     assert (F.m, F.n, F.row_counts) == (2, 3, (2, 1))
-    assert F.zero_columns(2) == (1, 2)
     assert not F.bits.flags.writeable
-    # anything int() maps to a bit is accepted, as one tuple-of-ints matrix
-    for same in ([[1, 0, 1], [0, 0, 1]], np.array(F.rows), [[True, "0", 1], [0.0, 0, 1]]):
-        assert BinaryMatrix(same) == F and BinaryMatrix(same).rows == F.rows
-    # equality is shape and entries; the rows are read off the one int8 array
-    for other in ([[1, 0, 1]], [[1, 0], [0, 0]], [[1, 0, 1], [0, 1, 1]]):
-        assert BinaryMatrix(other) != F
-    assert (F.row(1), F.entry(2, 3), F.entry(2, 1)) == ((1, 0, 1), 1, 0)
-    assert all(type(x) is int for x in (*F.row(1), *F.rows[0], F.entry(1, 1)))
+    # anything int() maps to a bit is accepted, into the same int8 array
+    for same in ([[1, 0, 1], [0, 0, 1]], np.array(F.bits), [[True, "0", 1], [0.0, 0, 1]]):
+        assert BinaryMatrix(same).bits.tolist() == F.bits.tolist()
     for bad, message in [
         ((), "nonempty"),
         (((),), "nonempty"),
@@ -259,8 +258,6 @@ def test_rounding_spec_rejects():
         RoundingSpec((-1, 0), 4)
     with pytest.raises(ValueError):
         RoundingSpec((), 4)
-    assert RoundingSpec((1, 2), 8).supports_window_queries
-    assert not RoundingSpec((3, 3), 7).supports_window_queries
 
 
 def test_golden_designation_matrices_pass_contracts():
@@ -281,7 +278,7 @@ def test_golden_designation_matrices_pass_contracts():
 def test_build_FX_deterministic():
     a = build_FX(RoundingSpec((2, 3, 3, 3), 8))
     b = build_FX(RoundingSpec((2, 3, 3, 3), 8))
-    assert a.rows == b.rows
+    assert a.bits.tolist() == b.bits.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +303,7 @@ def test_build_FX_matches_oracle_exhaustively():
     assert len(specs) == 4200
     for X, n in specs:
         spec = RoundingSpec(X, n)
-        assert build_FX(spec).rows == oracles.build_FX(spec).rows, (X, n)
+        assert np.array_equal(build_FX(spec).bits, oracles.build_FX(spec).bits), (X, n)
 
 
 @pytest.mark.parametrize("dims", [(17, 17, 17), (33, 33, 33), (5, 5, 5, 5, 5)])
@@ -314,7 +311,8 @@ def test_build_FX_matches_oracle_on_stage_specs(dims):
     grid = GridSpec(dims)
     for i in range(2, grid.k):
         spec = RoundingSpec(s_sequence(grid, i), 1 << grid.block_width(i))
-        assert build_FX(spec).rows == oracles.build_FX(spec).rows, (dims, i)
+        want = oracles.build_FX(spec).bits
+        assert np.array_equal(build_FX(spec).bits, want), (dims, i)
 
 
 rationals = st.integers(1, 12).flatmap(
@@ -327,7 +325,7 @@ rationals = st.integers(1, 12).flatmap(
 def test_two_way_round_matches_oracle(values, rnd):
     perm = list(range(1, len(values) + 1))
     rnd.shuffle(perm)
-    assert two_way_round(values, perm) == oracles.two_way_round(values, perm)
+    assert solver_two_way_round(values, perm) == oracles.two_way_round(values, perm)
 
 
 @settings(max_examples=150)
@@ -339,7 +337,7 @@ def test_two_way_round_matches_oracle(values, rnd):
     )
 )
 def test_round_matrix_matches_oracle(T):
-    assert round_matrix(T).rows == oracles.round_matrix(T).rows
+    assert np.array_equal(solver_round_matrix(T).bits, oracles.round_matrix(T).bits)
 
 
 def test_huge_denominators_match_oracle():
@@ -354,10 +352,12 @@ def test_huge_denominators_match_oracle():
             values = [Fraction(rng.randint(D // 2, D), D) for _ in range(n)]
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
-            assert two_way_round(values, perm) == oracles.two_way_round(values, perm)
+            want = oracles.two_way_round(values, perm)
+            assert solver_two_way_round(values, perm) == want
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             T = [[Fraction(rng.randint(0, D), D) for _ in range(n)] for _ in range(m)]
-            assert round_matrix(T).rows == oracles.round_matrix(T).rows
+            want = oracles.round_matrix(T).bits
+            assert np.array_equal(solver_round_matrix(T).bits, want)
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +419,25 @@ def test_first_phase_matches_dinic_on_stage_specs(battery_grids):
 def test_first_phase_matches_dinic_on_small_inputs(values, rnd):
     perm = list(range(1, len(values) + 1))
     rnd.shuffle(perm)
-    for args in solver_calls(lambda: two_way_round(values, perm)):
+    for args in solver_calls(lambda: solver_two_way_round(values, perm)):
         first_phase_outcome(*args)
 
 
 def test_complete_first_phase_builds_no_network():
     values = [Fraction(3, 4)] * 2
-    [args] = solver_calls(lambda: two_way_round(values, [1, 2]))
+    [args] = solver_calls(lambda: solver_two_way_round(values, [1, 2]))
     assert first_phase_outcome(*args) == (1, 0)
     with mock.patch.object(rounding, "FlowNetwork") as network:
-        assert two_way_round(values, [1, 2]) == [1, 0]
+        assert solver_two_way_round(values, [1, 2]) == [1, 0]
     network.assert_not_called()
 
 
 def test_incomplete_first_phase_is_finished_by_max_flow():
     values = [Fraction(3, 4), Fraction(3, 4), Fraction(1, 2), Fraction(3, 4)]
     perm = [3, 1, 4, 2]
-    [args] = solver_calls(lambda: two_way_round(values, perm))
+    [args] = solver_calls(lambda: solver_two_way_round(values, perm))
     assert first_phase_outcome(*args) == (1, 1)
-    assert two_way_round(values, perm) == oracles.two_way_round(values, perm)
+    assert solver_two_way_round(values, perm) == oracles.two_way_round(values, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +475,12 @@ def test_zero_index_min_formula():
     # in range, the result is min{b : b = d + ones_prefix(b)}
     F = load("seed_3743_stage2.txt")
     for r in range(1, F.m + 1):
-        for d in range(1, F.zeros_in_row(r) + 1):
+        for d in range(1, F.n - F.row_counts[r - 1] + 1):
             got = zero_index(F, r, d)
             brute = min(
                 b
                 for b in range(1, F.n + 1)
-                if b == d + sum(F.rows[r - 1][:b])
+                if b == d + F.bits[r - 1, :b].sum()
             )
             assert got == brute
 
@@ -510,7 +510,7 @@ def test_check_forward_golden():
 
 def test_check_forward_integer_source():
     T = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    F = round_matrix(T)
+    F = solver_round_matrix(T)
     for r in (1, 2):
         for h in (1, 2):
             assert check_forward(F, T, r, h) == "forward"
@@ -540,20 +540,19 @@ def test_window_bounds_small_instances():
     # consecutive-zero spacing: N_r(d+e) - N_s(d) <= 2e+4 for in-range pairs.
     for X, n in [((2, 3, 3, 3), 8), ((1, 1, 2), 4), ((1, 2, 2, 1, 1), 6)]:
         spec = RoundingSpec(X, n)
-        assert spec.supports_window_queries
         F = build_FX(spec)
         T = [[Fraction(s, n)] * n for s in X]
         for r in range(1, F.m + 1):
             for h in range(1, F.n + 1):
                 kind = check_forward(F, T, r, h)
                 for e in range(1, (F.n - h) // 2 + 1):
-                    run = sum(F.rows[r - 1][h : h + 2 * e])
+                    run = F.bits[r - 1, h : h + 2 * e].sum()
                     cap = e if kind == "forward" else e + 1
                     assert run <= cap
         for r in range(1, F.m + 1):
-            zr = F.zeros_in_row(r)
+            zr = F.n - F.row_counts[r - 1]
             for s in range(1, F.m + 1):
-                zs = F.zeros_in_row(s)
+                zs = F.n - F.row_counts[s - 1]
                 for d in range(1, zs + 1):
                     for e in range(0, zr - d + 1):
                         if d + e < 1 or d + e > zr:
@@ -575,7 +574,7 @@ def test_matrix_rounding_validator_matches_reference():
             [Fraction(rng.randint(0, 6), 6) for _ in range(n)]
             for _ in range(m)
         ]
-        F = round_matrix(T)
+        F = solver_round_matrix(T)
         assert matrix_rounding_violations(T, F) == []
         assert matrix_contracts_hold(T, F)
 
@@ -627,12 +626,12 @@ def window_reference_violations(spec: RoundingSpec, F: BinaryMatrix) -> bool:
                 continue
             cap = 0 if kind == "forward" else 1
             for e in range(1, (F.n - h) // 2 + 1):
-                if sum(F.rows[r - 1][h : h + 2 * e]) > e + cap:
+                if F.bits[r - 1, h : h + 2 * e].sum() > e + cap:
                     return False
     for r in range(1, F.m + 1):
-        zr = F.zeros_in_row(r)
+        zr = F.n - F.row_counts[r - 1]
         for s in range(1, F.m + 1):
-            for d in range(1, F.zeros_in_row(s) + 1):
+            for d in range(1, F.n - F.row_counts[s - 1] + 1):
                 for e in range(0, zr - d + 1):
                     gap = zero_index(F, r, d + e) - zero_index(F, s, d)
                     if gap > 2 * e + 4:
@@ -648,7 +647,6 @@ def test_window_validator_agrees_with_brute_force():
         m = rng.randint(1, 12)
         X = tuple(kappa + rng.randint(0, 1) for _ in range(m))
         spec = RoundingSpec(X, n)
-        assert spec.supports_window_queries
         F = build_FX(spec)
         assert window_violations(spec, F) == []
         assert window_reference_violations(spec, F)
@@ -699,7 +697,8 @@ def test_window_validator_rejects_bad_inputs():
 
 def test_dump_roundtrip():
     F = load("seed_3743_stage3.txt")
-    assert parse_matrix(dump_matrix(F)).rows == F.rows
+    [again] = parse_matrices(dump_matrix(F))
+    assert again.bits.tolist() == F.bits.tolist()
     assert dump_matrix(F) == (DATA / "seed_3743_stage3.txt").read_text()
     assert dump_matrix(F).splitlines()[0] == "3 4"
 
@@ -715,8 +714,8 @@ def test_parse_matrices_concatenated():
 
 def test_parse_matrix_rejects_garbage():
     with pytest.raises(ValueError):
-        parse_matrix("2 2\n01\n012\n")
+        parse_matrices("2 2\n01\n012\n")
     with pytest.raises(ValueError):
-        parse_matrix("2 2\n01\n02\n")
+        parse_matrices("2 2\n01\n02\n")
     with pytest.raises(ValueError):
-        parse_matrix("2 2\n01\n10\n11\n")
+        parse_matrices("2 2\n01\n10\n11\n")

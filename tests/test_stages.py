@@ -8,26 +8,26 @@ import numpy as np
 import oracles
 import pytest
 
+from oracles import coords_of, full_stack_heights, nu_distance, rank_of, stack_heights
+
+from gridcube.base2d import build_f2
 from gridcube.grids import GridSpec, level_budget
-from gridcube.rounding import BinaryMatrix, parse_matrix
+from gridcube.rounding import BinaryMatrix, parse_matrices
 from gridcube.stages import (
-    BlankPlan,
     build_blank_plan,
     build_fk,
     distinct_rows,
     dump_stage,
-    full_stack_heights,
     inflate,
-    nu_distance,
     s_sequence,
-    stack_heights,
 )
 
 DATA = Path(__file__).parent / "data"
 
 
 def load_matrix(name):
-    return parse_matrix((DATA / name).read_text())
+    [matrix] = parse_matrices((DATA / name).read_text())
+    return matrix
 
 
 @pytest.fixture(scope="module")
@@ -74,29 +74,25 @@ def test_s_sequence_random_grids_hold_contracts():
 def test_blank_plan_from_seed_matches_hand_data():
     spec = GridSpec((3, 7, 4, 3))
     plan = build_blank_plan(spec, 3, matrix=load_matrix("seed_3743_stage3.txt"))
-    assert plan.nonblank_levels == (2, 3, 4, 5, 6, 8, 9, 11)
+    assert plan.level_table.tolist() == [2, 3, 4, 5, 6, 8, 9, 11]
     assert plan.zeros_per_row == (3, 3, 2)
-    assert plan.inflate_level(6) == 8
     assert plan.section_of(8) == 2 and plan.offset_of(8) == 4
-    assert plan.nu_of(8) == 3
-    with pytest.raises(ValueError):
-        plan.nu_of(7)  # blank slot
-    with pytest.raises(ValueError):
-        plan.inflate_level(9)
+    assert plan.ordinal_table[8] == 3
+    assert plan.ordinal_table[7] == 0  # blank slot
 
 
 def test_blank_plan_rejects_wrong_row_sums():
     spec = GridSpec((3, 7, 4))
     assert s_sequence(spec, 2) == (2, 3, 3, 3)
     # right row sums, but after two rows columns 1-2 hold 2 blanks, 4-8 none
-    bad = parse_matrix("4 8\n11000000\n11100000\n11100000\n11100000\n")
+    [bad] = parse_matrices("4 8\n11000000\n11100000\n11100000\n11100000\n")
     with pytest.raises(ValueError, match="rejected.*depth 2 spread 2 > 1"):
         build_blank_plan(spec, 2, matrix=bad)
     good = build_blank_plan(spec, 2).F
-    swapped = BinaryMatrix((good.rows[1], good.rows[0]) + good.rows[2:])
+    swapped = BinaryMatrix(good.bits[[1, 0, 2, 3]])
     with pytest.raises(ValueError, match="rejected.*row 1 sums to 3, expected 2"):
         build_blank_plan(spec, 2, matrix=swapped)
-    narrow = parse_matrix("4 4\n1100\n1010\n0101\n0011\n")
+    [narrow] = parse_matrices("4 4\n1100\n1010\n0101\n0011\n")
     with pytest.raises(ValueError, match="rejected: shape 4x4, want 4x8"):
         build_blank_plan(spec, 2, matrix=narrow)
 
@@ -105,18 +101,12 @@ def assert_plan_tables_match_oracle(plan):
     width = plan.width
     zero_cols = oracles.zero_columns(plan.F)
     levels = oracles.nonblank_levels(zero_cols, width)
-    assert plan.nonblank_levels == levels
-    for c, g in enumerate(levels, start=1):
-        assert plan.inflate_level(c) == g
+    assert tuple(plan.level_table.tolist()) == levels
     for g in range(1, plan.pages * width + 1):
         try:
             want = oracles.nu_of(zero_cols, width, g)
         except ValueError:
             want = 0
-            with pytest.raises(ValueError, match="blank"):
-                plan.nu_of(g)
-        else:
-            assert plan.nu_of(g) == want
         assert plan.ordinal_table[g] == want
 
 
@@ -135,7 +125,7 @@ def test_generated_plans_pass_contracts():
         for i in range(2, spec.k):
             plan = build_blank_plan(spec, i)
             assert plan.violations() == []
-            assert len(plan.nonblank_levels) == level_budget(spec, i)
+            assert len(plan.level_table) == level_budget(spec, i)
 
 
 def test_nu_distance_wraps_both_ways():
@@ -152,10 +142,12 @@ def test_stage2_matches_base_embedding():
     spec = GridSpec((5, 9))
     emb = build_fk(spec)
     assert emb.stage == 2
-    assert emb.base is not None
     assert emb.is_injective()
-    assert emb.f((1, 1)) == (1, 1)
-    assert emb.f(spec.vertex(2, 4)) == emb.base.f2(spec.vertex(2, 4))
+    assert emb.coords[0].tolist() == [1, 1]
+    # vertex (2, 4) is point 4 of chain 2 in the base map
+    base = build_f2(spec)
+    t = base.offsets[1] + 3
+    assert emb.coords[rank_of(spec, (2, 4))].tolist() == [base.rows[t], base.cols[t]]
 
 
 def test_seeded_3743_reproduces_worked_stack(emb_3743):
@@ -171,8 +163,8 @@ def test_seeded_3743_reproduces_worked_stack(emb_3743):
         ((2, 4, 2, 2), 4, 44),
     ]
     for coords, height, lvl in expected:
-        rank = spec.rank_of(coords)
-        assert emb3.f(rank) == (3, 4, height)
+        rank = rank_of(spec, coords)
+        assert emb3.coords[rank].tolist() == [3, 4, height]
         assert int(emb3.source_level[rank]) == lvl
     assert stack_heights(emb3, 7)[(3, 4)] == 4
 
@@ -204,9 +196,9 @@ def test_seeded_3743_stage4_known_stack(emb_3743):
     spec = emb_3743.spec
     got = {}
     for rank in range(spec.size):
-        img = emb_3743.f(rank)
-        if img[:3] == (3, 1, 2):
-            got[img[3]] = spec.coords_of(rank)
+        img = emb_3743.coords[rank].tolist()
+        if img[:3] == [3, 1, 2]:
+            got[img[3]] = coords_of(spec, rank)
     assert got == {1: (3, 2, 2, 1), 2: (2, 1, 4, 2)}
 
 
@@ -284,7 +276,7 @@ def test_seed_count_validation():
 def test_stage_chain_and_sources(emb_3743):
     chain = emb_3743.stage_chain()
     assert [e.stage for e in chain] == [2, 3, 4]
-    assert chain[0].base is not None and chain[0].plan is None
+    assert chain[0].plan is None
     for emb in chain[1:]:
         assert emb.plan is not None
         secs = emb.source_section
@@ -306,7 +298,7 @@ def test_inflate_preserves_order_and_injectivity(emb_3743):
     # level ordinals map through the plan's nonblank list
     for rank in [0, 5, 100, 251]:
         c = int(emb3.coords[rank, 2])
-        assert int(levels[rank]) == plan.inflate_level(c)
+        assert int(levels[rank]) == plan.level_table[c - 1]
     assert np.array_equal(levels, emb_3743.source_level)
 
 
@@ -318,7 +310,7 @@ def test_dump_stage_format():
     assert lines[0] == f"STAGE 3 {level_budget(spec, 3)}"
     assert lines[1].startswith("0: (")
     assert len(lines) == spec.size + 1
-    first = emb.f(0)
+    first = emb.coords[0].tolist()
     assert lines[1] == "0: (" + ", ".join(str(c) for c in first) + ")"
 
 
