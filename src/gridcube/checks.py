@@ -290,15 +290,18 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     spec = emb.spec
     j = emb.stage
     plan = emb.plan
-    assert plan is not None and emb.source_section is not None
+    assert plan is not None and emb.source_level is not None
     pre = f"pipeline.stage{j}."
     out: list[CheckResult] = []
 
     coords = emb.coords.astype(np.int64)
     h = coords[:, j - 1]
-    sec = emb.source_section
-    nu = emb.source_nu
     P = plan.pages
+    # a source level off the plan's levels 1..P * width fails prefix
+    # stability; clipped, it indexes the plan's tables like any other
+    level = np.clip(emb.source_level, 1, P * plan.width)
+    sec = plan.section_of(level)
+    nu = plan.ordinal_table[level]
     pg = _vertex_pages(spec, j - 1)
     pg_prev = _vertex_pages(spec, j - 2)
     M = 1 << spec.exponents[j - 1]
@@ -317,7 +320,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
 
     # level coverage: every nonblank level outside the last section is hit
     # by exactly level_size vertices
-    counts = np.bincount(emb.source_level, minlength=plan.pages * plan.width + 1)
+    counts = np.bincount(level, minlength=P * plan.width + 1)
     levels = plan.level_table
     interior = levels[plan.section_of(levels) <= P - 1]
     ok = bool((counts[interior] == level_size).all())
@@ -504,45 +507,43 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     Injectivity, coordinate ranges, prefix stability, and the blank budget
     identity are hard assertions; the per-transition properties assert when
     every grid side is at least 5 and are measured-and-reported below that.
+    Each stage's coordinate array is built in turn and dropped after its
+    checks, so one is held at a time.
     """
     spec = emb.spec
     asserted = min(spec.dims) >= 5
     out: list[CheckResult] = []
-    chain = emb.stage_chain()
-
-    for st in chain:
-        out.append(
-            _check(f"pipeline.stage{st.stage}.injective", st.is_injective())
-        )
+    stable: list[CheckResult] = []
+    budgets: list[CheckResult] = []
+    transitions: list[CheckResult] = []
+    for j in range(2, emb.stage + 1):
+        st = StageEmbedding(spec, j, emb.final, emb.steps)
         # first stage-1 coordinates are settled block values; the last is a
         # level index bounded by the stage's level budget
-        caps = [1 << spec.block_width(t) for t in range(1, st.stage)]
-        caps.append(level_budget(spec, st.stage))
+        caps = [1 << spec.block_width(t) for t in range(1, j)]
+        caps.append(level_budget(spec, j))
         widths = np.array(caps)
-        inrange = bool(
-            (st.coords >= 1).all() and (st.coords <= widths[None, :]).all()
-        )
-        out.append(_check(f"pipeline.stage{st.stage}.coordinate-range", inrange))
-
-    for prev, nxt in zip(chain, chain[1:]):
-        stable = bool(
-            np.array_equal(
-                prev.coords[:, : prev.stage - 1], nxt.coords[:, : prev.stage - 1]
-            )
-        )
-        out.append(_check(f"pipeline.stage{nxt.stage}.prefix-stability", stable))
-
-    # the identity on the blanks per section of the matrix each stage used
-    for st in chain:
+        coords = st.coords
+        inrange = bool((coords >= 1).all() and (coords <= widths[None, :]).all())
+        out.append(_check(f"pipeline.stage{j}.injective", st.is_injective()))
+        out.append(_check(f"pipeline.stage{j}.coordinate-range", inrange))
         if st.plan is not None:
-            i = st.plan.stage
-            ok = budget_break(spec, i, st.plan.F.row_counts) is None
-            out.append(_check(f"pipeline.stage{i}.blank-budget", ok))
-
-    for st in chain:
-        if st.stage >= 3:
-            out.extend(_transition_checks(st, asserted))
-    return out
+            plan, level = st.plan, st.source_level
+            # the chain stores stage j - 1's level column as these source
+            # levels: each must be a nonblank level of the plan, and its
+            # offset the column stage j settled
+            table = plan.level_table
+            at = np.minimum(np.searchsorted(table, level), len(table) - 1)
+            ok = bool((table[at] == level).all()) and np.array_equal(
+                coords[:, j - 2], plan.offset_of(level)
+            )
+            stable.append(_check(f"pipeline.stage{j}.prefix-stability", ok))
+            # the identity on the blanks per section of the matrix the stage used
+            ok = budget_break(spec, plan.stage, plan.F.row_counts) is None
+            budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
+            transitions += _transition_checks(st, asserted)
+        del st, coords
+    return out + stable + budgets + transitions
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,9 @@ reach it along increasing levels); the search scans only the phase's
 admissible arcs, into nodes that can reach the sink along them; and a node
 found exhausted is marked dead (every later visit in the phase would fail).
 The level computation and the admissible-arc selection are numpy array
-passes; only the depth-first search walks arcs one at a time.
-
-Phases read nothing but the residual capacities, so ``push`` can load the
-paths of phases computed elsewhere (the rounding solver finds its first
-phase in one greedy pass) and ``max_flow`` runs the remaining phases from
-that flow exactly as it would have after computing them itself.
+passes, module functions over any CSR arc list with a mask of live arcs, so
+the rounding solver runs them on its own arc lists; only the depth-first
+search walks arcs one at a time.
 """
 from __future__ import annotations
 
@@ -54,8 +51,7 @@ class FlowNetwork:
         order = np.argsort(arc_from, kind="stable")  # CSR slot -> arc
         slot = np.empty(2 * edges, dtype=np.int64)  # arc -> CSR slot
         slot[order] = np.arange(2 * edges, dtype=np.int64)
-        start = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(arc_from, minlength=size), out=start[1:])
+        start = csr_bounds(arc_from, size)
         self.size = size
         self.edges = edges
         self._forward = slot[0::2]
@@ -68,46 +64,9 @@ class FlowNetwork:
         self._rev = array("q", slot[order ^ 1].tobytes())
         self._start = start
 
-    def push(self, edges) -> None:
-        """Add one unit of flow on each listed edge (by insertion index).
-
-        Listing the edges of augmenting paths found outside the network loads
-        their flow; ``max_flow`` then continues from it.
-        """
-        cap = np.frombuffer(self._cap, dtype=np.int64)
-        forward = self._forward[edges]
-        np.subtract.at(cap, forward, 1)
-        np.add.at(cap, np.frombuffer(self._rev, dtype=np.int64)[forward], 1)
-
     def residual(self, edges) -> np.ndarray:
         """Residual capacity of each listed edge (by insertion index)."""
         return np.frombuffer(self._cap, dtype=np.int64)[self._forward[edges]]
-
-    def _levels(self, s: int, t: int) -> np.ndarray:
-        """Breadth-first levels over arcs with residual capacity, up to and
-        including the sink's level; -1 elsewhere."""
-        start, head = self._start, self._head
-        has_cap = np.frombuffer(self._cap, dtype=np.int64) > 0
-        level = np.full(self.size, -1, dtype=np.int64)
-        level[s] = 0
-        seen = np.empty(self.size, dtype=np.int64)
-        frontier = np.array([s], dtype=np.int64)
-        depth = 0
-        while len(frontier) and level[t] < 0:
-            depth += 1
-            lo = start[frontier]
-            counts = start[frontier + 1] - lo
-            # the arc slots of every frontier node, concatenated
-            offsets = np.cumsum(counts)
-            slots = np.arange(offsets[-1]) + np.repeat(lo - offsets + counts, counts)
-            heads = head[slots[has_cap[slots]]]
-            heads = heads[level[heads] < 0]
-            # keep one copy of each head: the last write to `seen` wins
-            index = np.arange(len(heads))
-            seen[heads] = index
-            frontier = heads[seen[heads] == index]
-            level[frontier] = depth
-        return level
 
     def max_flow(self, s: int, t: int) -> int:
         """Complete a maximum flow from s to t, one unit per augmenting path,
@@ -116,41 +75,15 @@ class FlowNetwork:
         cap, rev = self._cap, self._rev
         flow = 0
         while True:
-            level = self._levels(s, t)
+            live = np.frombuffer(cap, dtype=np.int64) > 0
+            level = levels(self._start, self._head, live, s, t)
             if level[t] < 0:
                 return flow
-            # The phase's admissible arcs, in CSR order: residual capacity,
-            # one level up, and a head from which the sink is reachable along
-            # such arcs.  Capacity only grows on arcs one level down and
-            # levels only drop to -1 (exhausted), so no arc becomes
-            # admissible during the phase, and a node that cannot reach the
-            # sink now never will; the search skips exactly the arcs and
-            # nodes on which the full scan would have failed.
-            tail, head = self._tail, self._head
-            from_level = level[tail]
-            adm = np.flatnonzero(
-                (np.frombuffer(cap, dtype=np.int64) > 0)
-                & (from_level >= 0)
-                & (level[head] == from_level + 1)
+            adm, head, it, end, alive = phase_arcs(
+                self._tail, self._head, live, level, t
             )
-            tail, head, from_level = tail[adm], head[adm], from_level[adm]
-            by_level = np.argsort(from_level, kind="stable")
-            cuts = np.searchsorted(from_level[by_level], np.arange(level[t] + 1))
-            useful = np.zeros(self.size, dtype=bool)
-            useful[t] = True
-            for d in range(level[t] - 1, -1, -1):
-                arcs_d = by_level[cuts[d] : cuts[d + 1]]
-                useful[tail[arcs_d][useful[head[arcs_d]]]] = True
-            keep = useful[head]
-            adm, tail, head = adm[keep], tail[keep], head[keep]
-            bounds = np.zeros(self.size + 1, dtype=np.int64)
-            np.cumsum(np.bincount(tail, minlength=self.size), out=bounds[1:])
             slot = array("q", adm.tobytes())
-            head = array("q", head.tobytes())
-            it = array("q", bounds[:-1].tobytes())
-            end = array("q", bounds[1:].tobytes())
-            alive = bytearray(useful.astype(np.uint8).tobytes())
-            del level, from_level, adm, tail, by_level, useful, keep, bounds
+            del live, level, adm
             nodes = [s]
             arcs: list[int] = []  # the path's arcs, by slot
             u = s
@@ -188,3 +121,81 @@ class FlowNetwork:
                 u = head[i]
                 nodes.append(u)
                 arcs.append(p)
+
+
+def csr_bounds(tail, size: int) -> np.ndarray:
+    """CSR bounds of arcs listed by ascending tail: node u's arcs are
+    bounds[u]..bounds[u + 1] - 1."""
+    bounds = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=size), out=bounds[1:])
+    return bounds
+
+
+def levels(start, head, live, s: int, t: int) -> np.ndarray:
+    """Breadth-first levels from s over the live arcs of a CSR list
+    (``start`` bounds each node's slots of ``head``, ``live`` masks them),
+    up to and including the level of t; -1 elsewhere.  Levels are held in
+    the dtype of ``head``."""
+    size = len(start) - 1
+    level = np.full(size, -1, dtype=head.dtype)
+    level[s] = 0
+    seen = np.empty(size, dtype=np.int64)
+    frontier = np.array([s], dtype=np.int64)
+    depth = 0
+    while len(frontier) and level[t] < 0:
+        depth += 1
+        lo = start[frontier]
+        counts = start[frontier + 1] - lo
+        # the arc slots of every frontier node, concatenated
+        offsets = np.cumsum(counts)
+        slots = np.arange(offsets[-1]) + np.repeat(lo - offsets + counts, counts)
+        # numpy indexes fastest with intp indices
+        heads = head[slots[live[slots]]].astype(np.intp, copy=False)
+        heads = heads[level[heads] < 0]
+        # keep one copy of each head: the last write to `seen` wins
+        index = np.arange(len(heads))
+        seen[heads] = index
+        frontier = heads[seen[heads] == index]
+        level[frontier] = depth
+    return level
+
+
+def phase_arcs(tail, head, live, level, t: int):
+    """The arcs one Dinic phase searches, in list order, laid out for the
+    depth-first search over a list of arcs grouped by tail.
+
+    An arc is admissible when it is live, goes one level up, and enters a
+    node from which t is reachable along such arcs.  Capacity only grows on
+    arcs one level down and levels only drop to -1 (exhausted), so no arc
+    becomes admissible during the phase, and a node that cannot reach t now
+    never will; the search skips exactly the arcs and nodes on which the
+    full scan would have failed.  Returns ``(adm, heads, it, end, alive)``:
+    the list indices of the admissible arcs, their heads, each node's first
+    and past-last position among them (``it`` is the current-arc pointer),
+    and whether each node reaches t; all but ``adm`` are flat machine
+    arrays, whose scalar reads in the search loop are as fast as from lists.
+    """
+    size = len(level)
+    from_level = level[tail]
+    adm = np.flatnonzero(live & (from_level >= 0) & (level[head] == from_level + 1))
+    tail = tail[adm].astype(np.intp, copy=False)
+    head = head[adm].astype(np.intp, copy=False)
+    from_level = from_level[adm]
+    # levels are small: in the narrowest unsigned type numpy sorts them by radix
+    by_level = np.argsort(
+        from_level.astype(np.min_scalar_type(level[t])), kind="stable"
+    )
+    cuts = np.searchsorted(from_level[by_level], np.arange(level[t] + 1))
+    useful = np.zeros(size, dtype=bool)
+    useful[t] = True
+    for d in range(level[t] - 1, -1, -1):
+        arcs_d = by_level[cuts[d] : cuts[d + 1]]
+        useful[tail[arcs_d][useful[head[arcs_d]]]] = True
+    keep = useful[head]
+    adm, tail, head = adm[keep], tail[keep], head[keep]
+    bounds = csr_bounds(tail, size)
+    heads = array("q", head.astype(np.int64, copy=False).tobytes())
+    it = array("q", bounds[:-1].tobytes())
+    end = array("q", bounds[1:].tobytes())
+    alive = bytearray(useful.astype(np.uint8).tobytes())
+    return adm, heads, it, end, alive

@@ -6,22 +6,24 @@ numerators over one common denominator (``build_FX`` rounds X[i] / n, so
 its numerators are X[i] over n), held in one integer array from there to
 the 0/1 result.  The array is int64 when every sum the solver forms
 provably fits, and holds Python ints (object dtype), which cannot overflow,
-only when such a sum could pass int64; both run the same numpy code.  The two-way rounding solver is a
-deterministic unit-capacity flow over prefix windows: the v-th one placed in
-each scan order must land where that order's fractional prefix sum crosses
-(v-1, v], and a perfect assignment of ones to both orders' windows is exactly
-a valid rounding.  The flow is the iterative Dinic of ``flow``; node
-numbering and edge order are fixed (ascending node index), so identical
-inputs give identical outputs.
+only when such a sum could pass int64; both run the same numpy code.
 
+The two-way rounding solver is a deterministic unit-capacity maximum flow
+over prefix windows: the v-th one placed in each scan order must land where
+that order's fractional prefix sum crosses (v-1, v], and a perfect
+assignment of ones to both orders' windows is exactly a valid rounding.
 Every window holds at most two slots per scan order (the setting of Knuth's
-two-way rounding, SIAM J. Discrete Math. 8, 1995), and on that network
-Dinic's first phase is one left-to-right greedy over the first-order slots.
-The solver computes that phase directly.  When it places every one, the
-flow is already maximal and no network is built; otherwise the network is
-built, the greedy's paths are pushed into it, and ``max_flow`` runs the
-remaining phases from that flow, so the result is the one Dinic gives from
-zero.
+two-way rounding, SIAM J. Discrete Math. 8, 1995), so the state of a flow
+is which item holds which slot, two small integers per item.  The solver
+gives the flow Dinic's algorithm finds from zero on the slot network, with
+node numbering and arc order fixed, so identical inputs give identical
+outputs, and it never builds that network.  Dinic's first phase is one
+left-to-right greedy over the first-order slots (``_first_phase``); when it
+places every one, the flow is maximal.  Otherwise ``_later_phases`` runs the
+remaining phases on the item windows: each phase marks the residual arcs of
+the state in one numpy pass and searches them as ``FlowNetwork.max_flow``
+would.  ``tests/oracles.py`` builds the network and checks that the two give
+every item the same slots.
 """
 from __future__ import annotations
 
@@ -30,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowNetwork
-
+from .flow import csr_bounds, levels, phase_arcs
 
 @dataclass(frozen=True, eq=False)
 class BinaryMatrix:
@@ -179,83 +180,177 @@ def _item_windows(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: in
     return items, lo_a[items], hi_a[items], lo_b[items], hi_b[items]
 
 
-def _network(lo_a, hi_a, lo_b, hi_b, total_ones: int, paths):
-    """The slot-assignment network of the item windows, carrying one unit
-    along each (v, item, w) row of ``paths``.
+def _assign_slots(lo_a, hi_a, lo_b, hi_b, total_ones: int):
+    """Each item's first-order and second-order slot (0 when the item holds
+    no one) in the maximum flow Dinic's algorithm finds from zero.
 
-    Returns the network, the insertion index of each item's own edge, and
-    the sink.
+    The first phase is ``_first_phase``; when it places fewer than
+    total_ones ones, ``_later_phases`` runs the others from its flow.
     """
-    # Node ids: 0 source, 1..B the slots of the first order, then an in/out
-    # pair per item (a position hosts at most one unit, so the pair is joined
-    # by a single unit edge), then the slots of the second order, then the
-    # sink.  Edges go in source edges, per item (its first-order slots, its
-    # own edge, its second-order slots), then sink edges; each item has at
-    # most five, laid out in a fixed row and kept where its window has them.
-    B = total_ones
-    item_in = B + 1 + 2 * np.arange(len(lo_a), dtype=np.int64)
-    b_base = B + 1 + 2 * len(lo_a)
+    paths = _first_phase(lo_a, hi_a, lo_b, hi_b, total_ones)
+    # holder_a[v] / holder_b[w]: the item holding slot v / w, or -1
+    holder_a = np.full(total_ones + 1, -1, dtype=np.int64)
+    holder_b = np.full(total_ones + 1, -1, dtype=np.int64)
+    v, i, w = paths.T
+    holder_a[v] = i
+    holder_b[w] = i
+    if len(paths) < total_ones:
+        _later_phases(lo_a, hi_a, lo_b, hi_b, holder_a, holder_b)
+    return _held(holder_a, len(lo_a)), _held(holder_b, len(lo_a))
+
+
+def _held(holder, count: int) -> np.ndarray:
+    """The slot each of ``count`` items holds by ``holder`` (0 for none)."""
+    slot = np.zeros(count, dtype=np.int64)
+    held = np.flatnonzero(holder >= 0)
+    slot[holder[held]] = held
+    return slot
+
+
+def _later_phases(lo_a, hi_a, lo_b, hi_b, holder_a, holder_b) -> None:
+    """Dinic's phases after the first, run on the item windows from the
+    flow that ``holder_a`` and ``holder_b`` hold; both are updated in place.
+
+    The flow network (``slot_network`` in tests/oracles.py builds it) has a
+    source, the first-order slots a_v, an in/out node pair per item joined
+    by a unit edge, the second-order slots b_w and a sink; its edges go
+    source -> a_v, a_v -> in_i and out_i -> b_w for the slots of item i's
+    windows, and b_w -> sink.  A flow on it is exactly the state kept here,
+    which item holds which slot, and its residual arcs follow from that
+    state.  They are laid out once, numbering the nodes as the network does
+    and listing each node's arcs in the order its search scans them: the
+    source reaches the free a_v in slot order; a_v reaches the items of its
+    run in ascending order, except the one holding v; out_i reaches in_i
+    when it holds a one (the reverse of its own edge), then b_lo and
+    b_lo + 1 where its window has them and it does not hold them; in_i's
+    one arc goes back to a_v if it holds v and else on to out_i, and b_w's
+    goes back to its holder if it has one and else on to the sink.  Arcs
+    into the source and out of the sink lie on no augmenting path and are
+    left out.  Each phase marks the live arcs and sets the two varying
+    heads in one numpy pass, computes levels and the sink-reachable pruning
+    with the ``levels`` and ``phase_arcs`` of ``flow``, as
+    ``FlowNetwork.max_flow`` does, and runs the same depth-first search, so
+    it finds the same paths in the same order.  A phase's paths share no
+    node but the source and the sink, so the slots its arcs enter give the
+    new holders.
+    """
+    count, B = len(lo_a), len(holder_a) - 1
+    b_base = B + 1 + 2 * count
     sink = b_base + B + 1
-    slots = np.arange(1, B + 1, dtype=np.int64)
-    tail = np.stack([lo_a, lo_a + 1, item_in, item_in + 1, item_in + 1], axis=1)
-    head = np.stack(
-        [item_in, item_in, item_in + 1, b_base + lo_b, b_base + lo_b + 1], axis=1
+    items = np.arange(count)
+    in_node = B + 1 + 2 * items
+    out_node = in_node + 1
+    # the arcs a_v -> in_i of every window, in (v, item) order
+    one, two = hi_a >= lo_a, hi_a > lo_a
+    a_slot = np.concatenate([lo_a[one], lo_a[two] + 1])
+    a_item = np.concatenate([items[one], items[two]])
+    by_slot = np.lexsort((a_item, a_slot))
+    a_slot, a_item = a_slot[by_slot], a_item[by_slot]
+    # each item's row: in_i's one arc, then out_i -> in_i, b_lo, b_lo + 1
+    has_b = np.stack([hi_b >= lo_b, hi_b > lo_b], axis=1)
+    row_keep = np.concatenate([np.ones((count, 2), dtype=bool), has_b], axis=1)
+    row_tail = np.stack([in_node, out_node, out_node, out_node], axis=1)
+    row_head = np.stack([out_node, in_node, b_base + lo_b, b_base + lo_b + 1], axis=1)
+    rows = B + len(a_slot)  # the first row arc
+    row_arc = (rows + np.cumsum(row_keep.ravel()) - 1).reshape(count, 4)
+    # the arc lists are the large arrays: they hold node ids as int32 where
+    # those fit, and everything that indexes stays intp, which numpy indexes
+    # with fastest
+    node = np.int32 if sink < 1 << 31 else np.int64
+    slots = np.arange(1, B + 1)
+    tail = np.concatenate(
+        [np.zeros(B, dtype=node), a_slot, row_tail[row_keep], b_base + slots],
+        dtype=node,
     )
-    keep = np.stack(
-        [
-            hi_a >= lo_a,
-            hi_a > lo_a,
-            np.ones(len(lo_a), dtype=bool),
-            hi_b >= lo_b,
-            hi_b > lo_b,
-        ],
-        axis=1,
+    head = np.concatenate(
+        [slots, in_node[a_item], row_head[row_keep], np.full(B, sink)], dtype=node
     )
-    row_edge = (B + np.cumsum(keep.ravel()) - 1).reshape(-1, 5)
-    net = FlowNetwork(
-        sink + 1,
-        np.concatenate([np.zeros(B, dtype=np.int64), tail[keep], b_base + slots]),
-        np.concatenate([slots, head[keep], np.full(B, sink, dtype=np.int64)]),
-    )
-    if len(paths):
-        # a path's edges: source, first-order slot, the item's own edge,
-        # second-order slot, sink
-        v, i, w = paths.T
-        net.push(
-            np.concatenate(
-                [
-                    v - 1,
-                    row_edge[i, v - lo_a[i]],
-                    row_edge[i, 2],
-                    row_edge[i, 3 + w - lo_b[i]],
-                    net.edges - B + w - 1,
-                ]
-            )
-        )
-    return net, row_edge[:, 2].copy(), sink
+    start = csr_bounds(tail, sink + 1)
+    in_arc, own_arc = row_arc[:, 0].copy(), row_arc[:, 1].copy()
+    b_arc = row_arc[:, 2:][has_b]  # out_i -> b_lo and b_lo + 1, where they exist
+    del items, in_node, one, two, by_slot, row_keep, row_tail, row_head, row_arc
+    live = np.ones(len(tail), dtype=bool)
+    while (holder_a[1:] < 0).any():
+        slot_a = _held(holder_a, count)
+        used = slot_a > 0
+        live[:B] = holder_a[1:] < 0
+        live[B:rows] = holder_a[a_slot] != a_item
+        live[own_arc] = used
+        slot_b = _held(holder_b, count)[:, None]
+        live[b_arc] = (slot_b != lo_b[:, None] + np.arange(2))[has_b]
+        head[in_arc] = np.where(used, slot_a, out_node)
+        holds = holder_b[1:]
+        head[-B:] = np.where(holds >= 0, out_node[holds], sink)
+        del slot_a, used, slot_b, holds
+        level = levels(start, head, live, 0, sink)
+        if level[sink] < 0:
+            return
+        on_path = _phase_paths(tail, head, live, level, sink)
+        path_tail = tail[on_path].astype(np.intp)
+        path_head = head[on_path].astype(np.intp)
+        # a_v -> in_i gives slot v to item i, out_i -> b_w gives it slot w
+        sel = (path_tail >= 1) & (path_tail <= B)
+        holder_a[path_tail[sel]] = (path_head[sel] - B - 1) // 2
+        sel = (path_head > b_base) & (path_tail < b_base)
+        holder_b[path_head[sel] - b_base] = (path_tail[sel] - B - 1) // 2
+
+
+def _phase_paths(tail, head, live, level, t: int) -> np.ndarray:
+    """One Dinic phase over the live unit arcs of a list grouped by tail:
+    the depth-first search of ``FlowNetwork.max_flow`` from node 0 along the
+    arcs ``phase_arcs`` admits, with a current-arc pointer per node and dead
+    nodes skipped.  Returns the indices of the arcs of every path it
+    augments."""
+    adm, heads, it, end, alive = phase_arcs(tail, head, live, level, t)
+    taken = array("q")  # the arcs of every augmenting path
+    nodes = [0]
+    arcs: list[int] = []
+    u = 0
+    while True:
+        if u == t:
+            # every arc of the path is saturated, and is its tail's current
+            # arc: step past them and resume from node 0
+            for u in nodes[:-1]:
+                it[u] += 1
+            taken.extend(arcs)
+            del nodes[1:]
+            arcs.clear()
+            u = 0
+            continue
+        i = it[u]
+        e = end[u]
+        while i < e:
+            if alive[heads[i]]:
+                break
+            i += 1
+        else:
+            alive[u] = 0
+            nodes.pop()
+            if not arcs:
+                break
+            arcs.pop()
+            u = nodes[-1]
+            it[u] += 1
+            continue
+        it[u] = i
+        u = heads[i]
+        nodes.append(u)
+        arcs.append(i)
+    return adm[np.frombuffer(taken, dtype=np.int64)]
 
 
 def _try_round(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: int):
     """Place total_ones ones on the nonzero fractions (numerators over D) so
     that the v-th one falls in slot v's window in both scan orders, and
-    return them as a 0/1 array, or None when no placement exists.
-
-    The first phase of the flow comes from ``_first_phase``; when it already
-    places every one, the flow is maximal and no network is built.
-    """
+    return them as a 0/1 array, or None when no placement exists."""
     out = np.zeros(len(fracs), dtype=np.int64)
     if total_ones == 0:
         return out
     items, *windows = _item_windows(fracs, D, order_b, total_ones)
-    paths = _first_phase(*windows, total_ones)
-    if len(paths) == total_ones:
-        used = paths[:, 1]
-    else:
-        net, own_edge, sink = _network(*windows, total_ones, paths)
-        if len(paths) + net.max_flow(0, sink) != total_ones:
-            return None
-        used = net.residual(own_edge) == 0
-    out[items[used]] = 1
+    slot_a, _ = _assign_slots(*windows, total_ones)
+    if np.count_nonzero(slot_a) != total_ones:
+        return None
+    out[items[slot_a > 0]] = 1
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import codecs
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -99,7 +100,7 @@ class BlankPlan:
         nonblank = 1 - self.F.bits
         ordinals = np.zeros(nonblank.size + 1, dtype=np.int64)
         ordinals[1:] = (nonblank.cumsum(axis=1) * nonblank).ravel()
-        levels = np.flatnonzero(ordinals)
+        levels = np.flatnonzero(ordinals).astype(np.int32)
         for name, table in (("level_table", levels), ("ordinal_table", ordinals)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
@@ -156,53 +157,74 @@ def build_blank_plan(
 
 
 @dataclass(frozen=True)
-class StageEmbedding:
-    """Per-vertex coordinates at one stage, plus the transition that made it.
+class Transition:
+    """How a stacked stage was made: the blank plan its predecessor's level
+    coordinate was inflated through, and the inflated (nonblank) level each
+    vertex passed through, as an int32 array by rank."""
 
-    `coords[rank]` is the stage-i image tuple of the vertex with that rank
-    (row-major int array, 1-based values).  For stages above 2 the one
-    stored source is `source_level`, the inflated level each vertex passed
-    through, along with the plan and the previous stage; its section and its
-    ordinal among the section's nonblank levels are read off the plan.
+    plan: BlankPlan
+    source_level: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class StageEmbedding:
+    """Stage `stage` of a composed map, read off the chain stored once.
+
+    The chain is `final`, the |G| x k int32 coordinates of the composed map
+    (row-major by rank, 1-based values), and `steps`, the `Transition` of
+    each stacked stage 3, 4, ... in order; every stage of one chain shares
+    both.  Stacking never changes a settled column, so columns 1..i-1 of
+    stage i are those of `final`, and its last column, a level index, is
+    where the next stage's source level sits in the next plan's
+    `level_table`.  `coords` builds the stage's array from them when first
+    read.  The top stage of the chain (stage len(steps) + 2: stage k once
+    `build_fk` is done) reads all its columns from `final`.
     """
 
     spec: GridSpec
     stage: int
-    coords: np.ndarray
-    plan: BlankPlan | None = None
-    source_level: np.ndarray | None = None
-    prev: "StageEmbedding | None" = None
+    final: np.ndarray
+    steps: tuple[Transition, ...] = ()
 
     def __post_init__(self):
-        if self.coords.shape != (self.spec.size, self.stage):
+        if self.final.shape != (self.spec.size, self.spec.k):
             raise ValueError("coordinate array shape mismatch")
+        if not 2 <= self.stage <= len(self.steps) + 2:
+            raise ValueError(f"stage {self.stage} not in the chain")
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """`coords[rank]` is the stage-i image tuple of the vertex with that
+        rank (|G| x i int32)."""
+        i = self.stage
+        if i == len(self.steps) + 2:
+            return self.final[:, :i]
+        after = self.steps[i - 2]
+        out = np.empty((self.spec.size, i), dtype=np.int32)
+        out[:, : i - 1] = self.final[:, : i - 1]
+        out[:, i - 1] = np.searchsorted(after.plan.level_table, after.source_level) + 1
+        return out
 
     @property
-    def source_section(self) -> np.ndarray | None:
-        """Section of each vertex's source level, 1-based."""
-        if self.source_level is None:
-            return None
-        return self.plan.section_of(self.source_level)
+    def plan(self) -> BlankPlan | None:
+        """The plan this stage was stacked through (None at stage 2)."""
+        return self.steps[self.stage - 3].plan if self.stage > 2 else None
 
     @property
-    def source_nu(self) -> np.ndarray | None:
-        """Ordinal of each vertex's source level among its section's
-        nonblank levels."""
-        if self.source_level is None:
-            return None
-        return self.plan.ordinal_table[self.source_level]
+    def source_level(self) -> np.ndarray | None:
+        """The inflated level each vertex passed through (None at stage 2)."""
+        return self.steps[self.stage - 3].source_level if self.stage > 2 else None
 
     def is_injective(self) -> bool:
         return len(distinct_rows(self.coords)[0]) == self.spec.size
 
     def stage_chain(self) -> "list[StageEmbedding]":
-        """This stage and all retained predecessors, earliest first."""
-        chain = []
-        emb: StageEmbedding | None = self
-        while emb is not None:
-            chain.append(emb)
-            emb = emb.prev
-        return chain[::-1]
+        """Stages 2..stage of the chain, earliest first; each builds its
+        coordinate array only when read."""
+        return [
+            StageEmbedding(self.spec, i, self.final, self.steps)
+            for i in range(2, self.stage + 1)
+        ]
 
 
 def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
@@ -246,7 +268,7 @@ def packed_address(spec: GridSpec, coords: np.ndarray) -> np.ndarray:
     return key
 
 
-def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
+def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedding:
     """Inflate through the plan, then collapse sections onto the residue
     axis, recording stack heights.
 
@@ -254,15 +276,26 @@ def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
     counts the points of sections 1..r (this one included) sharing both the
     address and the offset.  Within one section no two points share that key,
     so heights are the 1-based rank of the section among the key's sections.
-    The inflated levels are the new stage's one stored source.
+
+    Stacking consumes `prev`, the top stage of its chain, and `key`, the
+    `packed_address` of its first i - 1 columns.  The offset is added to
+    `key` in place, and the offset and height columns are written into the
+    chain's `final` array, the offset over prev's level column, which the
+    new stage's source level (its `Transition`) now determines: from then on
+    stage i is read from the returned stage's `stage_chain()`, and `prev`
+    itself reads offsets where its levels were.  A chain's `final` starts
+    zeroed past stage 2 and every height is at least 1, so a stage whose
+    height column is already written has been stacked, and is refused.
     """
     i = prev.stage
+    if prev.final[0, i]:
+        raise ValueError(f"stage {i} is already stacked")
     levels = inflate(prev, plan)
     sections = plan.section_of(levels)
-    coords = np.empty((len(levels), i + 1), dtype=np.int32)
-    coords[:, : i - 1] = prev.coords[:, : i - 1]
-    coords[:, i - 1] = plan.offset_of(levels)
-    key = packed_address(prev.spec, coords[:, :i])
+    offsets = plan.offset_of(levels)
+    coords = prev.final
+    coords[:, i - 1] = offsets
+    key += (offsets - 1).astype(np.int64) << prev.spec.exponents[i - 1]
     order = np.lexsort((sections, key))
     key_sorted = key[order]
     sec_sorted = sections[order]
@@ -272,28 +305,26 @@ def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
         raise AssertionError("two same-section points share an address and slot")
     starts = np.flatnonzero(new_group)
     coords[order, i] = np.arange(len(order)) - starts[np.cumsum(new_group) - 1] + 1
-    return StageEmbedding(
-        prev.spec,
-        i + 1,
-        coords,
-        plan=plan,
-        source_level=levels,
-        prev=prev,
-    )
+    step = Transition(plan, levels)
+    return StageEmbedding(prev.spec, i + 1, coords, prev.steps + (step,))
 
 
 def _stage2(spec: GridSpec, base: Embedding2D) -> StageEmbedding:
+    """Stage 2 from the base map, in the first two columns of a new chain
+    whose other columns start zeroed."""
     a1 = spec.dims[0]
     ranks = np.arange(spec.size)
     at = base.offsets[ranks % a1] + ranks // a1
-    coords = np.stack((base.rows[at], base.cols[at]), axis=1)
-    return StageEmbedding(spec, 2, coords)
+    final = np.zeros((spec.size, spec.k), dtype=np.int32)
+    final[:, 0] = base.rows[at]
+    final[:, 1] = base.cols[at]
+    return StageEmbedding(spec, 2, final)
 
 
 def build_fk(
     spec: GridSpec, seed_matrices: list[BinaryMatrix] | None = None
 ) -> StageEmbedding:
-    """Compose all stages; the result retains the full stage chain.
+    """Compose all stages into one chain and return its top stage.
 
     `seed_matrices` optionally supplies the designation matrix for each stage
     2..k-1 in order (k-2 matrices); each must pass the stage's contracts.
@@ -305,10 +336,11 @@ def build_fk(
             f"got {len(seed_matrices)}"
         )
     emb = _stage2(spec, build_f2(spec))
+    key = packed_address(spec, emb.final[:, :1])
     for i in range(2, spec.k):
         matrix = seed_matrices[i - 2] if seed_matrices is not None else None
         plan = build_blank_plan(spec, i, matrix=matrix)
-        emb = stack(emb, plan)
+        emb = stack(emb, plan, key)
     return emb
 
 

@@ -10,6 +10,8 @@ exactly, or pass its checks.  It holds:
   recursive Dinic with adjacency lists and the leaf matching built on it,
   the Fraction closed form of the chain prefix counts and the circulant's
   run-sum lemma, and the literal column-filling loop of the base map;
+- the two-way rounding's slot network on the item windows, with the slots
+  ``FlowNetwork.max_flow`` gives every item when run on it from zero;
 - the rational front ends of the library's two-way and matrix rounding
   solvers, the exact matrix-rounding and zero-window validators of a
   designation matrix, its cyclic zero index and forward/backward
@@ -42,6 +44,7 @@ import numpy as np
 from gridcube import base2d, checks, rounding
 from gridcube.base2d import build_R
 from gridcube.checks import CheckResult, _check, _gated, _report, _vertex_pages
+from gridcube.flow import FlowNetwork
 from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, RoundingSpec
 from gridcube.stages import BlankPlan, StageEmbedding, packed_address
@@ -208,6 +211,59 @@ def try_round(fracs: list[Fraction], order_b: list[int], total_ones: int):
         1 if k in item_edge and net.cap[item_edge[k]] == 0 else 0
         for k in range(n)
     ]
+
+
+def slot_network(lo_a, hi_a, lo_b, hi_b, total_ones: int):
+    """The two-way rounding's flow network on the item windows of
+    ``rounding._item_windows``, carrying no flow.
+
+    Node ids: 0 source, 1..B the slots of the first order, then an in/out
+    pair per item (a position hosts at most one unit, so the pair is joined
+    by a single unit edge), then the slots of the second order, then the
+    sink.  Edges go in source edges, per item (its first-order slots, its
+    own edge, its second-order slots), then sink edges; each item has at
+    most five, laid out in a fixed row and kept where its window has them.
+    Returns the network, the sink, and per item the insertion index of each
+    of its five row edges (meaningful where the window has the edge) with
+    the row's keep mask.
+    """
+    B = total_ones
+    item_in = B + 1 + 2 * np.arange(len(lo_a), dtype=np.int64)
+    b_base = B + 1 + 2 * len(lo_a)
+    sink = b_base + B + 1
+    slots = np.arange(1, B + 1, dtype=np.int64)
+    tail = np.stack([lo_a, lo_a + 1, item_in, item_in + 1, item_in + 1], axis=1)
+    head = np.stack(
+        [item_in, item_in, item_in + 1, b_base + lo_b, b_base + lo_b + 1], axis=1
+    )
+    keep = np.stack(
+        [
+            hi_a >= lo_a,
+            hi_a > lo_a,
+            np.ones(len(lo_a), dtype=bool),
+            hi_b >= lo_b,
+            hi_b > lo_b,
+        ],
+        axis=1,
+    )
+    row_edge = (B + np.cumsum(keep.ravel()) - 1).reshape(-1, 5)
+    net = FlowNetwork(
+        sink + 1,
+        np.concatenate([np.zeros(B, dtype=np.int64), tail[keep], b_base + slots]),
+        np.concatenate([slots, head[keep], np.full(B, sink, dtype=np.int64)]),
+    )
+    return net, sink, row_edge, keep
+
+
+def dinic_slots(lo_a, hi_a, lo_b, hi_b, total_ones: int):
+    """Each item's first-order and second-order slot (0 when it holds no
+    one) after ``FlowNetwork.max_flow`` runs from zero on ``slot_network``."""
+    net, sink, row_edge, keep = slot_network(lo_a, hi_a, lo_b, hi_b, total_ones)
+    net.max_flow(0, sink)
+    carries = keep & (net.residual(row_edge.ravel()).reshape(-1, 5) == 0)
+    slot_a = np.where(carries[:, 0], lo_a, np.where(carries[:, 1], lo_a + 1, 0))
+    slot_b = np.where(carries[:, 3], lo_b, np.where(carries[:, 4], lo_b + 1, 0))
+    return slot_a, slot_b
 
 
 def two_way_round_core(values: list[Fraction], order_b: list[int]) -> list[int]:
@@ -679,6 +735,17 @@ def _height_table(emb: StageEmbedding, mask) -> dict[tuple[int, ...], int]:
     return table
 
 
+def source_section(emb: StageEmbedding) -> np.ndarray:
+    """Section of each vertex's source level at a stacked stage, 1-based."""
+    return emb.plan.section_of(emb.source_level)
+
+
+def source_nu(emb: StageEmbedding) -> np.ndarray:
+    """Ordinal of each vertex's source level at a stacked stage among its
+    section's nonblank levels."""
+    return emb.plan.ordinal_table[emb.source_level]
+
+
 def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:
     """Height of every stack address after sections 1..r, r < P_i.
 
@@ -686,13 +753,13 @@ def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:
     height in {ceil(r A / 2^{e_i}), same - 1} is asserted; for smaller sides
     it is left to the caller to inspect (observed but not guaranteed).
     """
-    if emb.stage < 3 or emb.source_section is None:
+    if emb.stage < 3 or emb.source_level is None:
         raise ValueError("stack heights need a stacked stage (3 or above)")
     i = emb.stage - 1
     pages = emb.spec.page_count(i)
     if not 1 <= r < pages:
         raise ValueError(f"section prefix {r} outside [1, {pages - 1}]")
-    table = _height_table(emb, emb.source_section <= r)
+    table = _height_table(emb, source_section(emb) <= r)
     if min(emb.spec.dims) >= 5:
         target = -(-r * emb.spec.prefix_product(i) // (1 << emb.spec.exponents[i]))
         got = set(table.values())
@@ -706,7 +773,7 @@ def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:
 
 def full_stack_heights(emb: StageEmbedding) -> dict[tuple[int, ...], int]:
     """Heights over the whole address box after every section."""
-    if emb.stage < 3 or emb.source_section is None:
+    if emb.stage < 3 or emb.source_level is None:
         raise ValueError("stack heights need a stacked stage (3 or above)")
     return _height_table(emb, np.ones(emb.spec.size, dtype=bool))
 
@@ -970,14 +1037,14 @@ def transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]:
     spec = emb.spec
     j = emb.stage
     plan = emb.plan
-    assert plan is not None and emb.source_section is not None
+    assert plan is not None and emb.source_level is not None
     pre = f"pipeline.stage{j}."
     out: list[CheckResult] = []
 
     coords = emb.coords.astype(np.int64)
     h = coords[:, j - 1]
-    sec = emb.source_section.astype(np.int64)
-    nu = emb.source_nu.astype(np.int64)
+    sec = source_section(emb).astype(np.int64)
+    nu = source_nu(emb).astype(np.int64)
     P = plan.pages
     pg = _vertex_pages(spec, j - 1)
     pg_prev = _vertex_pages(spec, j - 2)

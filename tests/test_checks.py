@@ -194,7 +194,10 @@ def test_pipeline_battery_fails_a_broken_budget_identity():
     plan = fk.plan
     rows = plan.F.bits[[1, 0, 2, 3]]
     swapped = BlankPlan(plan.spec, plan.stage, plan.s, BinaryMatrix(rows))
-    results = pipeline_battery(dataclasses.replace(fk, plan=swapped))
+    [step] = fk.steps
+    results = pipeline_battery(
+        dataclasses.replace(fk, steps=(dataclasses.replace(step, plan=swapped),))
+    )
     assert [c.name for c in results] == [c.name for c in pipeline_battery(fk)]
     status = {c.name: c.status for c in results}
     assert status["pipeline.stage2.blank-budget"] == "FAIL"
@@ -210,66 +213,120 @@ def test_pipeline_battery_matches_oracle(battery_grids):
         assert triples(pipeline_battery(fk)) == triples(oracles.pipeline_battery(fk))
 
 
-def with_stage(fk, new):
-    """The stage chain of fk with its stage new.stage replaced by new."""
-    if fk.stage == new.stage:
-        return new
-    return dataclasses.replace(fk, prev=with_stage(fk.prev, new))
+def with_source(stage, level):
+    """The chain of a stacked stage with that stage's source levels
+    replaced by `level`, as its top stage."""
+    steps = list(stage.steps)
+    j = stage.stage
+    steps[j - 3] = dataclasses.replace(steps[j - 3], source_level=level)
+    return dataclasses.replace(stage, stage=len(steps) + 2, steps=tuple(steps))
+
+
+def with_coords(stage, coords):
+    """The chain of a stage with that stage's coordinates replaced by
+    `coords`, as its top stage: the first j - 1 columns go into the shared
+    `final` array (so later stages see them too), and the last into
+    `final` at the top stage and otherwise, through the next plan's level
+    table, into the next stage's source levels."""
+    j = stage.stage
+    final = stage.final.copy()
+    final[:, : j - 1] = coords[:, : j - 1]
+    top = dataclasses.replace(stage, stage=len(stage.steps) + 2, final=final)
+    if j == top.stage:
+        final[:, j - 1] = coords[:, j - 1]
+        return top
+    table = stage.steps[j - 2].plan.level_table
+    after = dataclasses.replace(top, stage=j + 1)
+    return with_source(after, table[coords[:, j - 1] - 1])
 
 
 def stage_mutants(stage):
-    """Seeded corruptions of one stacked stage: a source level at a far
-    ordinal of its section, swapped heights, a source level moved to the
-    next section, and two points at one address."""
+    """Seeded corruptions of one stacked stage, each as the top of its
+    chain: a source level at a far ordinal of its section, swapped heights,
+    a source level moved to the next section, and two points at one
+    address."""
     j = stage.stage
     rng = np.random.default_rng(j)
     plan = stage.plan
     zeros = plan.zeros_per_row
+    sections, nus = oracles.source_section(stage), oracles.source_nu(stage)
 
-    def with_source(v, section, nu):
-        """The stage with vertex v's source level moved to the nu-th
+    def moved_source(v, section, nu):
+        """The chain with vertex v's source level moved to the nu-th
         nonblank level of the section."""
         level = stage.source_level.copy()
         level[v] = plan.level_table[sum(zeros[: section - 1]) + nu - 1]
-        return dataclasses.replace(stage, source_level=level)
+        return with_source(stage, level)
 
     for v, w in rng.choice(stage.spec.size, size=(8, 2), replace=False):
-        section, nu = int(stage.source_section[v]), int(stage.source_nu[v])
+        section, nu = int(sections[v]), int(nus[v])
         row = zeros[section - 1]
-        yield with_source(v, section, (nu - 1 + row // 2) % row + 1)
+        yield moved_source(v, section, (nu - 1 + row // 2) % row + 1)
         coords = stage.coords.copy()
         coords[[v, w], j - 1] = coords[[w, v], j - 1]
-        yield dataclasses.replace(stage, coords=coords)
+        yield with_coords(stage, coords)
         moved = section % plan.pages + 1
-        yield with_source(v, moved, min(nu, zeros[moved - 1]))
+        yield moved_source(v, moved, min(nu, zeros[moved - 1]))
         coords = stage.coords.copy()
         coords[v, : j - 1] = coords[w, : j - 1]
-        yield dataclasses.replace(stage, coords=coords)
+        yield with_coords(stage, coords)
 
 
 @pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3), (17, 17, 17)])
 def test_pipeline_battery_matches_oracle_on_mutants(dims):
     fk = build_fk(GridSpec(dims))
     for stage in fk.stage_chain()[1:]:
-        for bad in stage_mutants(stage):
-            mutant = with_stage(fk, bad)
+        for mutant in stage_mutants(stage):
             expected = triples(oracles.pipeline_battery(mutant))
             assert triples(pipeline_battery(mutant)) == expected
 
 
 @pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3)])
 def test_height_above_the_bracket_fails_instead_of_raising(dims):
+    # a height is stored as given only at the top stage; below it, it is
+    # where the next stage's source level sits in the next level table
     fk = build_fk(GridSpec(dims))
-    stage3 = fk.stage_chain()[1]
-    coords = stage3.coords.copy()
-    coords[7, 2] = 50
-    mutant = with_stage(fk, dataclasses.replace(stage3, coords=coords))
+    for stage in fk.stage_chain()[1:]:
+        # a source level past the plan's levels, or 0, puts stage j - 1's
+        # level column off the next table
+        j, plan = stage.stage, stage.plan
+        for bad in (plan.pages * plan.width + 1, 0):
+            level = stage.source_level.copy()
+            level[7] = bad
+            status = {c.name: c.status for c in pipeline_battery(with_source(stage, level))}
+            assert status[f"pipeline.stage{j}.prefix-stability"] == "FAIL"
+    k = fk.stage
+    coords = fk.coords.copy()
+    coords[7, k - 1] = 50
+    mutant = with_coords(fk, coords)
     with pytest.raises(IndexError):
         oracles.pipeline_battery(mutant)
     status = {c.name: c.status for c in pipeline_battery(mutant)}
-    assert status["pipeline.stage3.coordinate-range"] == "FAIL"
+    assert status[f"pipeline.stage{k}.coordinate-range"] == "FAIL"
     expected = "FAIL" if min(dims) >= 5 else "REPORTED"
-    assert status["pipeline.stage3.page-level-bounds"] == expected
+    assert status[f"pipeline.stage{k}.page-level-bounds"] == expected
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3), (5, 6, 5, 4)])
+def test_prefix_stability_fails_on_a_corrupted_chain(dims):
+    # the chain stores stage j - 1's level column as stage j's source levels;
+    # one level moved by one slot is blank, past the table, or at another
+    # offset than the column stage j settled, and so is one offset moved
+    fk = build_fk(GridSpec(dims))
+    name = "pipeline.stage{}.prefix-stability"
+    status = {c.name: c.status for c in pipeline_battery(fk)}
+    assert all(status[name.format(i)] == "PASS" for i in range(3, fk.stage + 1))
+    for stage in fk.stage_chain()[1:]:
+        j = stage.stage
+        level = stage.source_level.copy()
+        level[0] += 1
+        coords = stage.coords.copy()
+        coords[0, j - 2] = coords[0, j - 2] % (1 << fk.spec.block_width(j - 1)) + 1
+        for mutant in (with_source(stage, level), with_coords(stage, coords)):
+            status = {c.name: c.status for c in pipeline_battery(mutant)}
+            assert status[name.format(j)] == "FAIL"
+            others = [i for i in range(3, fk.stage + 1) if i != j]
+            assert all(status[name.format(i)] == "PASS" for i in others)
 
 
 @st.composite
@@ -765,7 +822,7 @@ def test_audit_grid_reports_a_colliding_stage_map(monkeypatch):
     fk = build_fk(spec)
     coords = fk.coords.copy()
     coords[1] = coords[0]
-    mutant = dataclasses.replace(fk, coords=coords)
+    mutant = dataclasses.replace(fk, final=coords)
     monkeypatch.setattr(checks_module, "build_fk", lambda spec, seed_matrices: mutant)
     checks, emb, _ = audit_grid(spec)
     status = {c.name: c.status for c in checks}

@@ -289,7 +289,7 @@ def test_embed_of_colliding_labels_exits_three(monkeypatch):
         fk = build_fk(spec)
         coords = fk.coords.copy()
         coords[1] = coords[0]
-        return dataclasses.replace(fk, coords=coords)
+        return dataclasses.replace(fk, final=coords)
 
     monkeypatch.setattr("gridcube.cli.build_fk", colliding)
     code, out, err = run_cli(["embed", "5", "5", "6"])

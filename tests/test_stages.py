@@ -9,6 +9,7 @@ import oracles
 import pytest
 
 from oracles import coords_of, full_stack_heights, nu_distance, rank_of, stack_heights
+from test_checks import traced_peak
 
 from gridcube.base2d import build_f2
 from gridcube.grids import GridSpec, level_budget
@@ -19,7 +20,9 @@ from gridcube.stages import (
     distinct_rows,
     dump_stage,
     inflate,
+    packed_address,
     s_sequence,
+    stack,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -111,7 +114,7 @@ def assert_plan_tables_match_oracle(plan):
 
 
 def test_plan_tables_match_per_row_oracle(battery_grids, emb_3743):
-    plans = [emb_3743.prev.plan, emb_3743.plan]
+    plans = [st.plan for st in emb_3743.stage_chain()[1:]]
     for fk in battery_grids.values():
         plans.extend(st.plan for st in fk.stage_chain() if st.plan is not None)
     assert len(plans) == 2 + sum(k - 2 for k, _ in battery_grids)
@@ -153,7 +156,7 @@ def test_stage2_matches_base_embedding():
 def test_seeded_3743_reproduces_worked_stack(emb_3743):
     # stacks at slot 4 with first coordinate 3, after seven sections:
     # four points, in height order, with known preimages and levels
-    emb3 = emb_3743.prev
+    emb3 = emb_3743.stage_chain()[1]
     assert emb3.stage == 3
     spec = emb_3743.spec
     expected = [
@@ -170,7 +173,7 @@ def test_seeded_3743_reproduces_worked_stack(emb_3743):
 
 
 def test_seeded_3743_stage3_full_heights(emb_3743):
-    emb3 = emb_3743.prev
+    emb3 = emb_3743.stage_chain()[1]
     table = full_stack_heights(emb3)
     for x in range(1, 5):
         assert table[(x, 2)] == 7
@@ -227,6 +230,31 @@ def test_pipeline_injective_and_bounded():
         assert heights.max() <= level_budget(spec, spec.k)
 
 
+@pytest.mark.parametrize("dims", [(3,) * 9, (7, 11, 13, 97)])
+def test_build_fk_memory_is_bounded_by_the_final_map(dims):
+    """The chain is stored once: the final |G| x k int32 map and one int32
+    source-level column per stacked stage.  With the rounding and stacking
+    temporaries the tracemalloc peak of build_fk stays within 8 x |G| k 4
+    bytes (6.2 and 6.7 x here; 12.5 and 14.1 x when every stage kept its
+    own array and the rounding built a flow network)."""
+    spec = GridSpec(dims)
+    fk, peak = traced_peak(build_fk, spec)
+    stored = fk.final.nbytes + sum(step.source_level.nbytes for step in fk.steps)
+    assert stored == spec.size * 4 * (2 * spec.k - 2)
+    assert peak <= 8 * spec.size * spec.k * 4, peak / (spec.size * spec.k * 4)
+
+
+def test_stack_refuses_a_stage_already_stacked():
+    # stacking writes into the chain's shared final array, so a stage below
+    # the top cannot be stacked again; the chain is left as it was
+    fk = build_fk(GridSpec((5, 5, 6)))
+    final = fk.final.copy()
+    key = packed_address(fk.spec, fk.final[:, :1])
+    with pytest.raises(ValueError, match="stage 2 is already stacked"):
+        stack(fk.stage_chain()[0], fk.plan, key)
+    assert np.array_equal(fk.final, final)
+
+
 def test_distinct_rows_matches_unique():
     rng = np.random.default_rng(7)
     for shape in [(0,), (0, 3), (1,), (1, 2), (60,), (60, 3), (500, 4)]:
@@ -245,7 +273,7 @@ def test_is_injective_matches_unique(battery_grids):
     st = build_fk(GridSpec((5, 6, 7)))
     coords = st.coords.copy()
     coords[3] = coords[40]
-    assert not dataclasses.replace(st, coords=coords).is_injective()
+    assert not dataclasses.replace(st, final=coords).is_injective()
 
 
 def test_stack_heights_two_value_contract_asserts():
@@ -253,7 +281,7 @@ def test_stack_heights_two_value_contract_asserts():
     emb = build_fk(spec)
     for r in range(1, spec.page_count(2)):
         table = stack_heights(emb, r)  # raises internally on violation
-        assert sum(table.values()) == int((emb.source_section <= r).sum())
+        assert sum(table.values()) == int((oracles.source_section(emb) <= r).sum())
 
 
 def test_stack_heights_rejects_bad_prefix():
@@ -279,10 +307,10 @@ def test_stage_chain_and_sources(emb_3743):
     assert chain[0].plan is None
     for emb in chain[1:]:
         assert emb.plan is not None
-        secs = emb.source_section
+        secs = oracles.source_section(emb)
         pages = emb.spec.page_count(emb.stage - 1)
         assert secs.min() >= 1 and secs.max() <= pages
-        nus = emb.source_nu
+        nus = oracles.source_nu(emb)
         assert nus.min() >= 1
         zeros = emb.plan.zeros_per_row
         for sec, nu in zip(secs, nus):
@@ -290,7 +318,7 @@ def test_stage_chain_and_sources(emb_3743):
 
 
 def test_inflate_preserves_order_and_injectivity(emb_3743):
-    emb3 = emb_3743.prev
+    emb3 = emb_3743.stage_chain()[1]
     plan = emb_3743.plan
     levels = inflate(emb3, plan)
     assert len(np.unique(np.column_stack([emb3.coords[:, :2], levels]), axis=0)) \
