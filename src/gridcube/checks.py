@@ -29,6 +29,7 @@ from .stages import (
     decimal_columns,
     distinct_rows,
     packed_address,
+    section_prefix_counts,
 )
 
 # ---------------------------------------------------------------------------
@@ -313,11 +314,6 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     l_of = -(-r * prefprod // M)
     l_arr = l_of[1:]
 
-    def prefix_table(cols: np.ndarray) -> np.ndarray:
-        """Vertices per (address, column <= c) as one M x P array."""
-        table = np.bincount(addr * P + cols - 1, minlength=M * P).reshape(M, P)
-        return np.cumsum(table, axis=1, out=table)
-
     # level coverage: every nonblank level outside the last section is hit
     # by exactly level_size vertices
     counts = np.bincount(level, minlength=P * plan.width + 1)
@@ -326,8 +322,9 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     ok = bool((counts[interior] == level_size).all())
     out.append(_gated(pre + "level-coverage", ok, asserted))
 
-    # cumulative stack heights per address over section prefixes
-    T_sec = prefix_table(sec)
+    # cumulative stack heights per address over section prefixes: the
+    # table `stack` reads its heights from, rebuilt from the stored chain
+    T_sec = section_prefix_counts(addr, sec, M, P)
     bracket = T_sec.max(axis=0)
     if P > 1:
         band = (T_sec[:, : P - 1] >= l_arr[: P - 1] - 1) & (
@@ -398,7 +395,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
 
     # page-prefix stacks: counts within 2 of the section-prefix maximum, and
     # everything below the top two levels is already covered by the prefix
-    T_both = prefix_table(np.maximum(sec, pg))
+    T_both = section_prefix_counts(addr, np.maximum(sec, pg), M, P)
     ok = bool(((T_both >= bracket - 2) & (T_both <= bracket)).all())
     del T_both
     need = np.searchsorted(bracket, h + 2)
@@ -456,20 +453,29 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     out.append(_gated(pre + "page-stack-pair", ok, asserted))
 
     # same subpage position => nonblank-level ordinals within 3 cyclically;
-    # the first pair past 3 in (ordinal, row size) order is the one reported
+    # the first pair past 3 in (ordinal, row size) order is the one reported.
+    # The (q, ordinal, row size) triples are sorted once, packed base width + 1
+    # (ordinal and row size are at most the width); each q's distinct triples
+    # are a slice
     a_next = spec.dims[j - 2]
     q_sub = (pg_prev - 1) % a_next + 1
     mr = np.concatenate([[0], plan.zeros_per_row])[sec]
+    base = plan.width + 1
+    packed = q_sub * base
+    packed += nu
+    packed *= base
+    packed += mr
+    packed, _ = distinct_rows(packed)
+    combos = np.stack(np.unravel_index(packed, (a_next + 1, base, base)), axis=1)
+    bounds = np.searchsorted(combos[:, 0], np.arange(1, a_next + 2)).tolist()
     worst = ""
-    for q in range(1, a_next + 1):
-        sel = q_sub == q
-        combos, _ = distinct_rows(np.stack([nu[sel], mr[sel]], axis=1))
-        v1, m1 = combos[:, :1], combos[:, 1:]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        v1, m1 = combos[start:stop, 1:2], combos[start:stop, 2:]
         v2, m2 = v1.T, m1.T
         dist = np.minimum(np.abs(v2 - v1), np.minimum(m1 - v1 + v2, m2 - v2 + v1))
         far = np.flatnonzero(dist > 3)
         if len(far):
-            a, b = divmod(int(far[0]), len(combos))
+            a, b = divmod(int(far[0]), stop - start)
             worst = f"ordinals {v1[a, 0]},{v1[b, 0]} at distance {dist[a, b]}"
             break
     out.append(_gated(pre + "subpage-level-alignment", not worst, asserted, worst))

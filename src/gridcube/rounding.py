@@ -81,7 +81,7 @@ class RoundingSpec:
     n: int
 
     def __post_init__(self):
-        X = tuple(int(s) for s in self.X)
+        X = tuple(map(int, self.X))
         object.__setattr__(self, "X", X)
         if not X:
             raise ValueError("X must be nonempty")
@@ -440,13 +440,14 @@ def balance_violations(F: BinaryMatrix, X) -> list[str]:
     equal width have counts within 2.  Returns violation strings (empty list
     means F passes).
     """
-    X = tuple(int(s) for s in X)
+    X = tuple(map(int, X))
     if len(X) != F.m:
         raise ValueError("row-sum sequence length disagrees with matrix")
     out = []
-    for i, (got, want) in enumerate(zip(F.row_counts, X), start=1):
-        if got != want:
-            out.append(f"row {i} sums to {got}, expected {want}")
+    if F.row_counts != X:
+        for i, (got, want) in enumerate(zip(F.row_counts, X), start=1):
+            if got != want:
+                out.append(f"row {i} sums to {got}, expected {want}")
     colpref = F.bits.cumsum(axis=0)
     spread = colpref.max(axis=1) - colpref.min(axis=1)
     for d in np.nonzero(spread > 1)[0]:

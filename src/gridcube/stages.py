@@ -268,14 +268,38 @@ def packed_address(spec: GridSpec, coords: np.ndarray) -> np.ndarray:
     return key
 
 
+def section_prefix_counts(
+    key: np.ndarray, sections: np.ndarray, rows: int, pages: int, *, single=False
+) -> np.ndarray:
+    """Points per address and section prefix: entry (m, r - 1) of the
+    rows x pages int64 table counts the points with packed address `key` = m
+    in sections 1..r.
+
+    One bincount over the cells key * pages + section - 1, cumulated along
+    the sections in place.  At stage i, with rows = 2^{e_i} and pages = P_i,
+    the table has under 2|G| entries, since P_i = |G| / (a_1...a_i) and
+    2^{e_i} < 2 a_1...a_i.  With `single`, a cell holding two points raises
+    AssertionError.
+    """
+    cell = key * pages
+    cell += sections
+    cell -= 1
+    table = np.bincount(cell, minlength=rows * pages)
+    if single and table.max() > 1:
+        raise AssertionError("two same-section points share an address and slot")
+    table = table.reshape(rows, pages)
+    return np.cumsum(table, axis=1, out=table)
+
+
 def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedding:
     """Inflate through the plan, then collapse sections onto the residue
     axis, recording stack heights.
 
     A point in section r at slot offset b becomes (address..., b, n) where n
     counts the points of sections 1..r (this one included) sharing both the
-    address and the offset.  Within one section no two points share that key,
-    so heights are the 1-based rank of the section among the key's sections.
+    address and the offset.  Within one section no two points share that
+    key, so n is a prefix count: the entry of `section_prefix_counts` at the
+    point's key and section, read with no sort.
 
     Stacking consumes `prev`, the top stage of its chain, and `key`, the
     `packed_address` of its first i - 1 columns.  The offset is added to
@@ -290,23 +314,19 @@ def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedd
     i = prev.stage
     if prev.final[0, i]:
         raise ValueError(f"stage {i} is already stacked")
+    spec = prev.spec
     levels = inflate(prev, plan)
-    sections = plan.section_of(levels)
     offsets = plan.offset_of(levels)
     coords = prev.final
     coords[:, i - 1] = offsets
-    key += (offsets - 1).astype(np.int64) << prev.spec.exponents[i - 1]
-    order = np.lexsort((sections, key))
-    key_sorted = key[order]
-    sec_sorted = sections[order]
-    new_group = np.ones(len(order), dtype=bool)
-    new_group[1:] = key_sorted[1:] != key_sorted[:-1]
-    if not (new_group[1:] | (sec_sorted[1:] > sec_sorted[:-1])).all():
-        raise AssertionError("two same-section points share an address and slot")
-    starts = np.flatnonzero(new_group)
-    coords[order, i] = np.arange(len(order)) - starts[np.cumsum(new_group) - 1] + 1
+    key += (offsets - 1).astype(np.int64) << spec.exponents[i - 1]
+    sections = plan.section_of(levels)
+    table = section_prefix_counts(
+        key, sections, 1 << spec.exponents[i], plan.pages, single=True
+    )
+    coords[:, i] = table[key, sections - 1]
     step = Transition(plan, levels)
-    return StageEmbedding(prev.spec, i + 1, coords, prev.steps + (step,))
+    return StageEmbedding(spec, i + 1, coords, prev.steps + (step,))
 
 
 def _stage2(spec: GridSpec, base: Embedding2D) -> StageEmbedding:

@@ -17,8 +17,9 @@ exactly, or pass its checks.  It holds:
   designation matrix, its cyclic zero index and forward/backward
   classification, and the matrix dump writer;
 - the per-row forms of the blank plan tables (nonblank levels, and section
-  ordinals by bisection), the nonblank-ordinal distance, and the stack
-  heights as dict tables over the address box;
+  ordinals by bisection), the nonblank-ordinal distance, the stack
+  heights as dict tables over the address box, and the offset and height
+  columns of one stacking step with heights by one lexsort;
 - the embedding file written one rank at a time (and as one string per
   block of a_1 ranks) and read one line at a time, and the stage dump
   written one rank at a time;
@@ -744,6 +745,38 @@ def source_nu(emb: StageEmbedding) -> np.ndarray:
     """Ordinal of each vertex's source level at a stacked stage among its
     section's nonblank levels."""
     return emb.plan.ordinal_table[emb.source_level]
+
+
+def sorted_heights(key: np.ndarray, sections: np.ndarray) -> np.ndarray:
+    """Stack heights by one lexsort on (key, section): each point's 1-based
+    rank among the points sharing its key, in section order.  Two points of
+    one section at one key raise AssertionError."""
+    order = np.lexsort((sections, key))
+    key_sorted = key[order]
+    sec_sorted = sections[order]
+    new_group = np.ones(len(order), dtype=bool)
+    new_group[1:] = key_sorted[1:] != key_sorted[:-1]
+    if not (new_group[1:] | (sec_sorted[1:] > sec_sorted[:-1])).all():
+        raise AssertionError("two same-section points share an address and slot")
+    starts = np.flatnonzero(new_group)
+    heights = np.empty(len(order), dtype=np.int64)
+    heights[order] = np.arange(len(order)) - starts[np.cumsum(new_group) - 1] + 1
+    return heights
+
+
+def stack_columns(
+    prev: StageEmbedding, plan: BlankPlan
+) -> tuple[np.ndarray, np.ndarray]:
+    """The offset and height columns of stacking stage `prev` through
+    `plan`, from prev's coordinates alone: each level coordinate inflated
+    through the nonblank levels, and the heights by `sorted_heights` on the
+    packed (address, offset) key and the level's section."""
+    spec, i = prev.spec, prev.stage
+    coords = prev.coords
+    levels = plan.level_table[coords[:, i - 1] - 1]
+    offsets = plan.offset_of(levels)
+    key = packed_address(spec, np.column_stack([coords[:, : i - 1], offsets]))
+    return offsets, sorted_heights(key, plan.section_of(levels))
 
 
 def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:
