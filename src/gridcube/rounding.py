@@ -24,6 +24,16 @@ remaining phases on the item windows: each phase marks the residual arcs of
 the state in one numpy pass and searches them as ``FlowNetwork.max_flow``
 would.  ``tests/oracles.py`` builds the network and checks that the two give
 every item the same slots.
+
+``build_FX`` rounds the constant-row matrix T^X = X[i] / n.  It cuts the
+rows after every prefix of X whose sum is a multiple of n; at such a cut
+the prefix sums in both scan orders are integers, so the slot network
+splits into one independent part per row block, and Dinic's algorithm
+gives each part the flow it would give that part alone.  Equal blocks
+(equal X) therefore round equally: one solver call rounds the distinct
+blocks, stacked in first-occurrence order, and the rows are copied back.
+Stage 2 of 3^12 has 59,049 rows in 14,763 blocks, of which 4 are
+distinct, 16 rows in all.
 """
 from __future__ import annotations
 
@@ -421,12 +431,53 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     2.  The all-zero X short-circuits to the zero matrix without the solver.
     Every entry is X[i]/n, so the entries go to the solver as numerators X[i]
     over n.
+
+    The matrix is cut into row blocks, and only its distinct blocks are
+    rounded.  A cut falls after every row r with X[1] + ... + X[r] a
+    multiple of n, and after the last row.  At a cut the row-major prefix
+    sum of the extended matrix is an integer (row t of T^X sums to X[t] and
+    its slack entry is 0), and so is every body column's prefix sum (the
+    same sum over n).  So in neither scan order does an item's slot window
+    share a slot with a window across a cut, and the slot network falls
+    apart into one part per block, joined only at the source and the sink;
+    the slack row joins the last block, the only one whose sum can be off a
+    multiple of n.  Dinic's levels, the admissible-arc pruning and the
+    depth-first search (source arcs in slot order) act on each part exactly
+    as on that part alone: a phase augments every part whose shortest path
+    has the phase's length, by the blocking flow that part alone would get,
+    and no other part.  So the flow on the matrix is the concatenation of
+    its blocks' flows, and equal blocks (equal X) get equal flows.  The
+    distinct blocks, stacked in first-occurrence order, form a matrix with
+    the same cuts whose parts are those of the distinct blocks, in order;
+    the last block stays last, since when its sum is off a multiple of n it
+    occurs once, and when it is not the slack row holds no item.  One
+    ``_round_matrix_core`` call rounds that stack, and its rows go back
+    through a row map (the stack is the matrix when no block repeats).
     """
     m, n = spec.m, spec.n
     if all(s == 0 for s in spec.X):
         return BinaryMatrix(np.zeros((m, n), dtype=np.int8))
-    X = _solver_array(spec.X, (m + 1) * (n + 1), n)
-    F = _round_matrix_core(np.repeat(X, n).reshape(m, n), n)
+    cut = np.cumsum(spec.X) % n == 0
+    cut[-1] = True
+    # block b holds rows starts[b] .. ends[b] - 1
+    ends = np.flatnonzero(cut) + 1
+    starts = np.concatenate([[0], ends[:-1]])
+    # each distinct block's first row in the stack, keyed by its X
+    first: dict[tuple[int, ...], int] = {}
+    stacked = np.empty(len(ends), dtype=np.int64)
+    rows = 0
+    for b, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        key = spec.X[lo:hi]
+        if key not in first:
+            first[key] = rows
+            rows += hi - lo
+        stacked[b] = first[key]
+    X = _solver_array([s for key in first for s in key], (rows + 1) * (n + 1), n)
+    F = _round_matrix_core(np.repeat(X, n).reshape(rows, n), n)
+    if rows < m:
+        # row r of the matrix is row r - starts[b] + stacked[b] of the stack
+        row_map = np.repeat(stacked - starts, ends - starts) + np.arange(m)
+        F = BinaryMatrix(F.bits[row_map])
     if F.row_counts != spec.X:
         raise RuntimeError("row sum drifted from its exact target; bug")
     return F

@@ -12,6 +12,8 @@ exactly, or pass its checks.  It holds:
   run-sum lemma, and the literal column-filling loop of the base map;
 - the two-way rounding's slot network on the item windows, with the slots
   ``FlowNetwork.max_flow`` gives every item when run on it from zero;
+- the designation matrix rounded whole, in one solver call, with no row
+  blocks;
 - the rational front ends of the library's two-way and matrix rounding
   solvers, the exact matrix-rounding and zero-window validators of a
   designation matrix, its cyclic zero index and forward/backward
@@ -302,6 +304,16 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     if all(s == 0 for s in spec.X):
         return BinaryMatrix(tuple(tuple(0 for _ in range(spec.n)) for _ in spec.X))
     return round_matrix([[Fraction(s, spec.n)] * spec.n for s in spec.X])
+
+
+def whole_matrix_FX(spec: RoundingSpec) -> BinaryMatrix:
+    """``build_FX`` without the row blocks: the whole matrix T^X rounded by
+    one solver call."""
+    m, n = spec.m, spec.n
+    if all(s == 0 for s in spec.X):
+        return BinaryMatrix(np.zeros((m, n), dtype=np.int8))
+    X = rounding._solver_array(spec.X, (m + 1) * (n + 1), n)
+    return rounding._round_matrix_core(np.repeat(X, n).reshape(m, n), n)
 
 
 def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -452,17 +452,112 @@ def test_incomplete_first_phase_is_finished_by_max_flow():
 
 
 def test_later_phases_memory_is_linear_in_the_items():
-    """Stage 2 of 3^10 rounds 26,248 items in one attempt whose first phase
-    falls short; its tracemalloc peak is 350 bytes per item (943 when the
-    later phases ran on a built flow network), tested at 400."""
+    """Stage 2 of 3^10, rounded as the whole matrix, is one attempt on
+    26,248 items whose first phase falls short; its tracemalloc peak is 350
+    bytes per item (943 when the later phases ran on a built flow network),
+    tested at 400."""
     [spec] = stage_rounding_specs(GridSpec((3,) * 10))[:1]
-    [args] = solver_calls(lambda: build_FX(spec))
+    [args] = solver_calls(lambda: oracles.whole_matrix_FX(spec))
     fracs, D, order_b, total_ones = args
     _, *windows = rounding._item_windows(fracs, D, order_b, total_ones)
     assert len(rounding._first_phase(*windows, total_ones)) < total_ones
     items = np.count_nonzero(fracs)
+    assert items == 26248
     _, peak = traced_peak(rounding._try_round, *args)
     assert peak <= 400 * items, peak / items
+
+
+# ---------------------------------------------------------------------------
+# build_FX's row blocks against the whole matrix rounded in one call
+# ---------------------------------------------------------------------------
+
+
+def stacked_rows(spec: RoundingSpec) -> list[int]:
+    """Check build_FX(spec) against the whole matrix rounded in one call, and
+    return the row count of every matrix build_FX hands the solver."""
+    core = mock.patch.object(
+        rounding, "_round_matrix_core", wraps=rounding._round_matrix_core
+    )
+    with core as spy:
+        F = build_FX(spec)
+    assert np.array_equal(F.bits, oracles.whole_matrix_FX(spec).bits), spec
+    return [call.args[0].shape[0] for call in spy.call_args_list]
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (3,) * 12,
+        (3,) * 10,
+        (5, 5, 4000),
+        (7, 11, 13, 97),
+        (12, 17, 22, 14),
+        (64, 64, 64),
+        (100, 100, 100),
+    ],
+)
+def test_build_FX_matches_the_whole_matrix_on_stage_specs(dims):
+    for spec in stage_rounding_specs(GridSpec(dims)):
+        # one solver call, none for an all-zero X
+        assert len(stacked_rows(spec)) == (1 if any(spec.X) else 0)
+
+
+@st.composite
+def repeating_specs(draw) -> RoundingSpec:
+    """A two-valued X of at most 80 rows: a pattern whose sum is a multiple
+    of n, repeated at least twice, then a short tail, so row blocks repeat."""
+    kappa = draw(st.integers(0, 6))
+    values = st.sampled_from((kappa, kappa + 1))
+    pattern = draw(st.lists(values, min_size=1, max_size=8))
+    ns = [n for n in range(max(2, kappa + 1), 17) if sum(pattern) % n == 0]
+    assume(ns)
+    n = draw(st.sampled_from(ns))
+    reps = draw(st.integers(2, 80 // len(pattern)))
+    tail = draw(st.lists(values, max_size=min(4, 80 - reps * len(pattern))))
+    X = pattern * reps + tail
+    assume(min(X) + 1 <= n)
+    return RoundingSpec(X, n)
+
+
+@settings(max_examples=200)
+@given(repeating_specs())
+def test_build_FX_matches_the_whole_matrix_when_blocks_repeat(spec):
+    rows = stacked_rows(spec)
+    if any(spec.X):
+        # the pattern's second copy repeats the blocks of its first
+        [count] = rows
+        assert count < spec.m
+
+
+def test_row_blocks_edge_cases():
+    # no prefix sum is a multiple of 16: one block, the whole matrix
+    assert stacked_rows(RoundingSpec((2, 3, 3), 16)) == [3]
+    # rows of n ones are blocks of their own: (4), (4), (3, 3, 3, 3), (4), (4)
+    assert stacked_rows(RoundingSpec((4, 4, 3, 3, 3, 3, 4, 4), 4)) == [5]
+    # the last block repeats the first when the sum is a multiple of n
+    assert stacked_rows(RoundingSpec((1, 1, 1, 1), 2)) == [2]
+    # the last block's sum is off a multiple of n, so it occurs once
+    [spec] = stage_rounding_specs(GridSpec((3,) * 12))[:1]
+    assert sum(spec.X) % spec.n == 3
+    assert stacked_rows(spec) == [16]
+    # all-zero X: no solver call
+    assert stacked_rows(RoundingSpec((0, 0, 0), 4)) == []
+
+
+@pytest.mark.parametrize("dims, i", [((3,) * 12, 2), ((3,) * 12, 4), ((5, 5, 4000), 2)])
+def test_build_FX_memory_is_bounded_by_the_matrix(dims, i):
+    """build_FX's tracemalloc peak is about 16 bytes per matrix entry here
+    (147-400 when the whole matrix went to the solver), tested at 64."""
+    grid = GridSpec(dims)
+    spec = RoundingSpec(s_sequence(grid, i), 1 << grid.block_width(i))
+    _, peak = traced_peak(build_FX, spec)
+    assert peak <= 64 * spec.m * spec.n, peak / (spec.m * spec.n)
+
+
+def test_stage_2_of_3_12_makes_one_small_attempt():
+    [spec] = stage_rounding_specs(GridSpec((3,) * 12))[:1]
+    [args] = solver_calls(lambda: build_FX(spec))
+    assert np.count_nonzero(args[0]) <= 100
 
 
 # ---------------------------------------------------------------------------
