@@ -581,20 +581,60 @@ def _grid(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     return values.reshape(*spec.dims[::-1], *values.shape[1:])
 
 
+def _unsigned(t: int) -> type:
+    """The narrowest unsigned dtype holding a t-bit block's coordinates."""
+    return np.uint8 if t <= 8 else np.uint16 if t <= 16 else np.uint32
+
+
+def _cyclic(d: np.ndarray, mask) -> np.ndarray:
+    """Cyclic distances mod 2^t, in place, from unsigned differences d = b - a
+    of coordinates a, b in 1..2^t, held in a `_unsigned` dtype of at least t
+    bits; mask = 2^t - 1 is a scalar or an array broadcasting over d.
+
+    1..2^t is the one range `HypercubeEmbedding` accepts.  The dtype's B >= t
+    bits make d = (b - a) mod 2^B, and 2^t divides 2^B, so `& mask` leaves
+    r = (b - a) mod 2^t while (-r) & mask is (a - b) mod 2^t.  Since
+    |a - b| < 2^t, r is |a - b| or 2^t - |a - b| (both 0 when a = b), so
+    min(r, (-r) & mask) = min(|a - b|, 2^t - |a - b|), the cyclic difference.
+    A coordinate 2^t held in exactly t bits wraps to 0, the same residue
+    mod 2^t, which leaves every distance unchanged.
+    """
+    d &= mask
+    back = np.negative(d)
+    back &= mask
+    return np.minimum(d, back, out=d)
+
+
 def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
-    """Exhaustive edge scan of output-coordinate differences, on `_grid` views."""
+    """Exhaustive edge scan of cyclic output-coordinate differences.
+
+    The chain is copied once column-major, in the `_unsigned` dtype of the
+    widest block, so each output coordinate is one contiguous column over
+    the ranks.  Edges in grid dimension i0 join rank r to r + s, for the
+    stride s = a_1...a_{i0-1}, unless r is last along dimension i0.  So one
+    subtraction of the columns lagged by s gives every edge's difference,
+    one product with a per-rank 0/1 pattern clears the ranks last along i0
+    (and the s unset ones at the end, which are among them), and `_cyclic`,
+    with column j masked to its block width, turns the differences into
+    distances for one max along each column.  Each grid dimension takes a
+    fixed number of numpy calls, each over all k contiguous columns, so a
+    tiny grid pays O(k) calls in all, and no call iterates over a short axis.
+    """
     spec = fk.spec
     k = spec.k
-    grid = _grid(spec, fk.coords)
-    widths = np.array(
-        [1 << spec.block_width(j) for j in range(1, k + 1)], dtype=grid.dtype
-    )
+    widths = [spec.block_width(j) for j in range(1, k + 1)]
+    dtype = _unsigned(max(widths))
+    columns = fk.coords.T.astype(dtype, order="C")
+    masks = np.array([(1 << t) - 1 for t in widths], dtype=dtype)[:, None]
+    steps = np.empty_like(columns)
     cyc = np.zeros((k, k), dtype=np.int64)
     for i0 in range(1, k + 1):
-        d = np.diff(grid, axis=k - i0)
-        np.abs(d, out=d)
-        wrap = widths - d
-        cyc[:, i0 - 1] = np.minimum(d, wrap, out=wrap).reshape(-1, k).max(axis=0)
+        a, s = spec.dims[i0 - 1], spec.prefix_product(i0 - 1)
+        edge = np.ones((spec.size // (a * s), a, s), dtype=bool)
+        edge[:, -1] = False
+        np.subtract(columns[:, s:], columns[:, :-s], out=steps[:, :-s])
+        steps *= edge.reshape(-1)
+        cyc[:, i0 - 1] = _cyclic(steps, masks).max(axis=1)
     return CoordinateDiffs(spec, tuple(tuple(int(x) for x in row) for row in cyc))
 
 
@@ -771,18 +811,20 @@ def dilation(emb: HypercubeEmbedding) -> DilationReport:
 
     Also verifies, exhaustively per edge and dimension, that whenever a
     windowed labeling's premise held (cyclic difference within the window)
-    the realized block distance was at most 3.  Edges are `_grid` views.
+    the realized block distance was at most 3.  Edges are `_grid` views; a
+    windowed block's coordinates are read as one `_unsigned` column, whose
+    cyclic differences come from `_cyclic`, as in `coordinate_diffs`.
     """
     spec = emb.spec
     diffs = emb.diffs
     labels = _grid(spec, emb.labels)
-    coords = _grid(spec, emb.fk.coords)
     windowed = []
     shift = spec.n
     for jdim, lab in enumerate(emb.labelings, start=1):
         shift -= lab.t
         if lab.window:
-            windowed.append((coords[..., jdim - 1], shift, lab))
+            col = emb.fk.coords[:, jdim - 1].astype(_unsigned(lab.t))
+            windowed.append((_grid(spec, col), shift, lab))
     hist = np.zeros(spec.n + 1, dtype=np.int64)
     sound = True
     # one grid dimension at a time: the label XOR across its edges gives the
@@ -793,14 +835,12 @@ def dilation(emb: HypercubeEmbedding) -> DilationReport:
         x = g[1:] ^ g[:-1]
         hist += np.bincount(np.bitwise_count(x).ravel("K"), minlength=spec.n + 1)
         for col, shift, lab in windowed:
-            width = 1 << lab.t
+            mask = (1 << lab.t) - 1
             c = np.moveaxis(col, axis, 0)
-            d = c[1:] - c[:-1]
-            np.abs(d, out=d)
-            np.minimum(d, width - d, out=d)
-            mask = (d > 0) & (d <= lab.window)
-            if mask.any():
-                block = (x[mask] >> shift) & (width - 1)
+            d = _cyclic(c[1:] - c[:-1], mask)
+            held = (d > 0) & (d <= lab.window)
+            if held.any():
+                block = (x[held] >> shift) & mask
                 sound = sound and int(np.bitwise_count(block).max()) <= 3
     dil = int(np.flatnonzero(hist).max(initial=0))
     hist = hist[: dil + 1]

@@ -520,6 +520,8 @@ def _parse_one(lines: list[str], at: int) -> tuple[BinaryMatrix, int]:
     if len(header) != 2:
         raise ValueError(f"bad matrix header: {lines[at]!r}")
     m, n = int(header[0]), int(header[1])
+    if at + 1 + m > len(lines):
+        raise ValueError(f"matrix of {m} rows ends after {len(lines) - at - 1}")
     rows = []
     for i in range(m):
         text = lines[at + 1 + i].strip()

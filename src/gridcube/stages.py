@@ -268,27 +268,39 @@ def packed_address(spec: GridSpec, coords: np.ndarray) -> np.ndarray:
     return key
 
 
-def section_prefix_counts(
-    key: np.ndarray, sections: np.ndarray, rows: int, pages: int, *, single=False
-) -> np.ndarray:
-    """Points per address and section prefix: entry (m, r - 1) of the
-    rows x pages int64 table counts the points with packed address `key` = m
-    in sections 1..r.
-
-    One bincount over the cells key * pages + section - 1, cumulated along
-    the sections in place.  At stage i, with rows = 2^{e_i} and pages = P_i,
-    the table has under 2|G| entries, since P_i = |G| / (a_1...a_i) and
-    2^{e_i} < 2 a_1...a_i.  With `single`, a cell holding two points raises
-    AssertionError.
-    """
+def section_cells(key: np.ndarray, sections: np.ndarray, pages: int) -> np.ndarray:
+    """Each point's cell key * pages + section - 1: its entry in the
+    flattened table of `section_prefix_counts`."""
     cell = key * pages
     cell += sections
     cell -= 1
+    return cell
+
+
+def cell_prefix_counts(
+    cell: np.ndarray, rows: int, pages: int, *, single=False
+) -> np.ndarray:
+    """The table of `section_prefix_counts` from the points' `section_cells`:
+    one bincount over the cells, cumulated along the sections in place.
+    With `single`, a cell holding two points raises AssertionError."""
     table = np.bincount(cell, minlength=rows * pages)
     if single and table.max() > 1:
         raise AssertionError("two same-section points share an address and slot")
     table = table.reshape(rows, pages)
     return np.cumsum(table, axis=1, out=table)
+
+
+def section_prefix_counts(
+    key: np.ndarray, sections: np.ndarray, rows: int, pages: int
+) -> np.ndarray:
+    """Points per address and section prefix: entry (m, r - 1) of the
+    rows x pages int64 table counts the points with packed address `key` = m
+    in sections 1..r.
+
+    At stage i, with rows = 2^{e_i} and pages = P_i, the table has under 2|G|
+    entries, since P_i = |G| / (a_1...a_i) and 2^{e_i} < 2 a_1...a_i.
+    """
+    return cell_prefix_counts(section_cells(key, sections, pages), rows, pages)
 
 
 def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedding:
@@ -299,7 +311,7 @@ def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedd
     counts the points of sections 1..r (this one included) sharing both the
     address and the offset.  Within one section no two points share that
     key, so n is a prefix count: the entry of `section_prefix_counts` at the
-    point's key and section, read with no sort.
+    point's key and section, read with no sort by one gather at its cell.
 
     Stacking consumes `prev`, the top stage of its chain, and `key`, the
     `packed_address` of its first i - 1 columns.  The offset is added to
@@ -320,11 +332,9 @@ def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedd
     coords = prev.final
     coords[:, i - 1] = offsets
     key += (offsets - 1).astype(np.int64) << spec.exponents[i - 1]
-    sections = plan.section_of(levels)
-    table = section_prefix_counts(
-        key, sections, 1 << spec.exponents[i], plan.pages, single=True
-    )
-    coords[:, i] = table[key, sections - 1]
+    cell = section_cells(key, plan.section_of(levels), plan.pages)
+    table = cell_prefix_counts(cell, 1 << spec.exponents[i], plan.pages, single=True)
+    coords[:, i] = np.take(table.reshape(-1), cell)
     step = Transition(plan, levels)
     return StageEmbedding(spec, i + 1, coords, prev.steps + (step,))
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from gridcube.cli import main
+from gridcube.rounding import parse_matrices
 from gridcube.stages import build_fk
 
 DATA = Path(__file__).parent / "data"
@@ -66,6 +67,45 @@ def test_embed_with_seed_matrices():
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 4 + 84
+
+
+def readme_seed_example() -> str:
+    """The seed file shown in the README's `--seed FILE` paragraph."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("`embed --seed FILE`") :]
+    return section.split("```text\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_seed_example_parses_and_embeds(tmp_path):
+    text = readme_seed_example()
+    assert text == (DATA / "seed_374_stage2.txt").read_text()
+    (F,) = parse_matrices(text)
+    assert (F.m, F.n, F.row_counts) == (4, 8, (2, 3, 3, 3))
+    seed = tmp_path / "seed.txt"
+    seed.write_text(text)
+    for argv in (["embed", "3", "7", "4"], ["audit", "3", "7", "4"]):
+        code, _, err = run_cli([*argv, "--seed", str(seed)])
+        assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda text: text.replace("10010010\n", ""),  # one row short
+        lambda text: text.replace("01010010", "0101001x"),
+        lambda text: text.replace("01010010", "0101001"),
+        lambda text: text.replace("4 8", "4"),
+        lambda text: text.replace("10001000", "11111111"),  # breaks the contract
+        lambda text: text + text,  # a matrix too many for k = 3
+    ],
+)
+def test_malformed_seed_file_is_usage_error(tmp_path, bad):
+    seed = tmp_path / "seed.txt"
+    seed.write_text(bad(readme_seed_example()))
+    for argv in (["embed", "3", "7", "4"], ["audit", "3", "7", "4"]):
+        code, _, err = run_cli([*argv, "--seed", str(seed)])
+        assert code == 2, err
+        assert err.startswith("error: ")
 
 
 def test_embed_dump_stage():
