@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flow import FlowNetwork
+from .flow import max_flow
 
 
 class SearchExhausted(RuntimeError):
@@ -42,11 +42,15 @@ def _check_params(t: int, leaf_degree: int) -> int:
 
 @dataclass(frozen=True)
 class Caterpillar:
-    """Spine cycle plus per-spine leaf lists covering a whole t-cube."""
+    """Spine cycle plus per-spine leaf lists covering a whole t-cube,
+    validated when built."""
 
     t: int
     spine: tuple[int, ...]
     leaves: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def spine_length(self) -> int:
@@ -113,17 +117,16 @@ def _assign_leaves(
         leaf_edges.append([(len(tail) + p, i) for p, i in enumerate(hits)])
         tail.extend([1 + idx] * len(hits))
         head.extend(spine_base + i for i in hits)
-    tail.extend(spine_base + i for i in range(e))
-    head.extend([sink] * e)
-    cap = [1] * (len(tail) - e) + [leaf_degree] * e
-    net = FlowNetwork(sink + 1, tail, head, cap)
-    if net.max_flow(0, sink) != len(others):
+    # each spine vertex takes leaf_degree leaves: as many parallel edges
+    tail.extend(spine_base + i for i in range(e) for _ in range(leaf_degree))
+    head.extend([sink] * (e * leaf_degree))
+    carries = max_flow(sink + 1, tail, head, sink).tolist()
+    if sum(carries[-e * leaf_degree :]) != len(others):
         return None
-    saturated = (net.residual(range(len(tail))) == 0).tolist()
     buckets: list[list[int]] = [[] for _ in range(e)]
     for idx, edges in enumerate(leaf_edges):
         for eid, i in edges:
-            if saturated[eid]:
+            if carries[eid]:
                 buckets[i].append(others[idx])
                 break
     return tuple(tuple(sorted(b)) for b in buckets)
@@ -185,9 +188,7 @@ def search_caterpillar(t: int, leaf_degree: int) -> Caterpillar:
             f"no spanning caterpillar with leaf degree {leaf_degree} in a "
             f"{t}-cube"
         )
-    cat = result[0]
-    cat.validate()
-    return cat
+    return result[0]
 
 
 def double_caterpillar(cat: Caterpillar) -> Caterpillar:
@@ -197,15 +198,12 @@ def double_caterpillar(cat: Caterpillar) -> Caterpillar:
     copy 1 backward and crosses back; every spine vertex keeps its own
     leaves inside its copy, so the leaf degree is unchanged.
     """
-    cat.validate()
     hi = 1 << cat.t
     spine = list(cat.spine) + [hi | v for v in reversed(cat.spine)]
     leaves = list(cat.leaves) + [
         tuple(hi | x for x in row) for row in reversed(cat.leaves)
     ]
-    doubled = Caterpillar(cat.t + 1, tuple(spine), tuple(leaves))
-    doubled.validate()
-    return doubled
+    return Caterpillar(cat.t + 1, tuple(spine), tuple(leaves))
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,6 @@ class CubeLabeling:
 
 def label_from_caterpillar(cat: Caterpillar) -> CubeLabeling:
     """Block labeling: spine vertex i takes (d+1)i, its j-th leaf (d+1)(i-1)+j."""
-    cat.validate()
     order: list[int] = []
     for i in range(cat.spine_length):
         order.extend(cat.leaves[i])
@@ -299,7 +296,6 @@ def caterpillar_for(t: int, leaf_degree: int) -> Caterpillar:
     if key not in _MEMO:
         if t == base:
             cat = Caterpillar(t, spine, _assign_leaves(t, list(spine), leaf_degree))
-            cat.validate()
         else:
             cat = double_caterpillar(caterpillar_for(t - 1, leaf_degree))
         _MEMO[key] = cat

@@ -101,6 +101,19 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     restriction of chain length floor(m 2^{e1} / a1).  All checks are hard
     assertions except the step-total, which is measured and reported, and
     the segment-span check, which is sampled by its definition.
+
+    The window counts are checked at widths 1..min(m, 2 a1) only, with the
+    verdict of all widths 1..m.  Row i of R is periodic in j with period a1,
+    so for W = q a1 + r (0 <= r < a1) a chain's count over W columns is
+    q (a1 + S) plus its count over the last r of them, where S is the sum
+    of R's first column; and the bound low(W) = W + floor((2^{e1} - a1) W
+    / a1) is q 2^{e1} + low(r).  If S = 2^{e1} - a1, then a1 + S = 2^{e1}
+    and every width-W window passes exactly when its width-r tail does,
+    which the widths below a1 check (a tail of width 0 counts low(0) = 0).
+    Otherwise every width-a1 window counts a1 + S, so width a1 fails unless
+    a1 + S = 2^{e1} + 1, and then width 2 a1 counts 2^{e1 + 1} + 2, one
+    above its range.  Both widths lie in the checked range whenever they
+    lie in 1..m.
     """
     if a1 < 2:
         raise ValueError("need at least two chains")
@@ -151,9 +164,10 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     # per-chain window counts over any column interval take one of the two
     # values allowed by the surplus density (so same-width windows on any
     # chains differ by at most 1); one width W at a time, so the scratch is
-    # a1 x m and not a1 x m x m
+    # a1 x m and not a1 x m x m, and widths past 2 a1 repeat a verdict (see
+    # the docstring)
     ok = True
-    for W in range(1, m + 1):
+    for W in range(1, min(m, 2 * a1) + 1):
         counts = cumN[:, W:] - cumN[:, :-W]
         low = W + (height - a1) * W // a1
         if counts.min() < low or counts.max() > low + 1:

@@ -1,26 +1,30 @@
-"""Deterministic max flow (Dinic) over flat arc arrays.
+"""Deterministic unit-capacity max flow (Dinic) over flat arc arrays.
 
-Edge e, in insertion order, is arc 2e (forward, its capacity) paired with arc
-2e+1 (reverse, capacity 0).  The arcs leaving a node are scanned in arc
-order, that is in the order their edges were inserted, so the augmenting
-paths depend only on the node numbering and the edge order.  The arcs are
-laid out in CSR form, grouped by tail node by a stable sort; each CSR slot
-holds its arc's head, residual capacity and the slot of its reverse arc.
+Every edge carries one unit; an edge of capacity c is given as c consecutive
+parallel edges, along which Dinic's algorithm augments exactly as along the
+one edge.  Edge e, in insertion order, is arc 2e (forward) paired with arc
+2e+1 (reverse).  An arc is live while it has residual capacity: at first the
+forward arcs, and augmenting a path flips the live bit of each of its arcs
+and of their reverses.  The arcs leaving a node are scanned in arc order,
+that is in the order their edges were inserted, so the augmenting paths
+depend only on the node numbering and the edge order.  The arcs are laid out
+in CSR form, grouped by tail node by a stable sort.
 
-Each phase computes breadth-first levels and then runs a depth-first search
-for one-unit augmenting paths along strictly increasing levels, with a
-current-arc pointer per node; a successful augment leaves the pointers
-where they are.  The search is iterative, so path length is not bounded by
-the interpreter's recursion limit.  Three shortcuts leave every augmenting
-path unchanged: the breadth-first search stops once the sink is labelled
-(a node not yet labelled then lies at or beyond the sink's level and cannot
-reach it along increasing levels); the search scans only the phase's
-admissible arcs, into nodes that can reach the sink along them; and a node
-found exhausted is marked dead (every later visit in the phase would fail).
-The level computation and the admissible-arc selection are numpy array
-passes, module functions over any CSR arc list with a mask of live arcs, so
-the rounding solver runs them on its own arc lists; only the depth-first
-search walks arcs one at a time.
+Each phase computes breadth-first levels from node 0 and then runs a
+depth-first search from node 0 for augmenting paths along strictly
+increasing levels, with a current-arc pointer per node; an augment
+saturates every arc of its path, so the search steps past them and resumes
+from node 0.  The search is iterative, so path length is not bounded by the
+interpreter's recursion limit.  Three shortcuts leave every augmenting path
+unchanged: the breadth-first search stops once the sink is labelled (a node
+not yet labelled then lies at or beyond the sink's level and cannot reach it
+along increasing levels); the search scans only the phase's admissible
+arcs, into nodes that can reach the sink along them; and a node found
+exhausted is marked dead (every later visit in the phase would fail).  The
+level computation, the admissible-arc selection and the search are module
+functions over any CSR arc list with a mask of live arcs: ``max_flow`` runs
+them on the arcs of an edge list, and the rounding solver on its own arc
+lists.  Only the depth-first search walks arcs one at a time.
 """
 from __future__ import annotations
 
@@ -29,98 +33,28 @@ from array import array
 import numpy as np
 
 
-class FlowNetwork:
-    """A flow network on nodes 0..size-1 with edges given in insertion order.
-
-    ``tail``, ``head`` and ``cap`` are per-edge sequences; ``cap`` defaults
-    to 1 on every edge.  ``edges`` is the number of edges.
-    """
-
-    def __init__(self, size: int, tail, head, cap=None):
-        tail = np.asarray(tail, dtype=np.int64)
-        head = np.asarray(head, dtype=np.int64)
-        edges = len(tail)
-        arc_from = np.empty(2 * edges, dtype=np.int64)
-        arc_from[0::2] = tail
-        arc_from[1::2] = head
-        arc_to = np.empty(2 * edges, dtype=np.int64)
-        arc_to[0::2] = head
-        arc_to[1::2] = tail
-        arc_cap = np.zeros(2 * edges, dtype=np.int64)
-        arc_cap[0::2] = 1 if cap is None else np.asarray(cap, dtype=np.int64)
-        order = np.argsort(arc_from, kind="stable")  # CSR slot -> arc
-        slot = np.empty(2 * edges, dtype=np.int64)  # arc -> CSR slot
-        slot[order] = np.arange(2 * edges, dtype=np.int64)
-        start = csr_bounds(arc_from, size)
-        self.size = size
-        self.edges = edges
-        self._forward = slot[0::2]
-        self._tail = arc_from[order]
-        self._head = arc_to[order]
-        # flat machine-integer arrays: scalar reads in the search loop are as
-        # fast as from lists, they hold no int objects, and numpy reads them
-        # without a copy
-        self._cap = array("q", arc_cap[order].tobytes())
-        self._rev = array("q", slot[order ^ 1].tobytes())
-        self._start = start
-
-    def residual(self, edges) -> np.ndarray:
-        """Residual capacity of each listed edge (by insertion index)."""
-        return np.frombuffer(self._cap, dtype=np.int64)[self._forward[edges]]
-
-    def max_flow(self, s: int, t: int) -> int:
-        """Complete a maximum flow from s to t, one unit per augmenting path,
-        starting from whatever flow the network already carries; returns the
-        units added."""
-        cap, rev = self._cap, self._rev
-        flow = 0
-        while True:
-            live = np.frombuffer(cap, dtype=np.int64) > 0
-            level = levels(self._start, self._head, live, s, t)
-            if level[t] < 0:
-                return flow
-            adm, head, it, end, alive = phase_arcs(
-                self._tail, self._head, live, level, t
-            )
-            slot = array("q", adm.tobytes())
-            del live, level, adm
-            nodes = [s]
-            arcs: list[int] = []  # the path's arcs, by slot
-            u = s
-            while True:
-                if u == t:
-                    flow += 1
-                    for p in arcs:
-                        cap[p] -= 1
-                        cap[rev[p]] += 1
-                    cut = next((k for k, p in enumerate(arcs) if not cap[p]), -1)
-                    if cut >= 0:
-                        # resume where the first saturated arc left off: the
-                        # nodes before it would retrace the same arcs
-                        del nodes[cut + 1 :]
-                        del arcs[cut:]
-                        u = nodes[-1]
-                    continue
-                i = it[u]
-                e = end[u]
-                while i < e:
-                    p = slot[i]
-                    if cap[p] and alive[head[i]]:
-                        break
-                    i += 1
-                else:
-                    alive[u] = 0
-                    nodes.pop()
-                    if not arcs:
-                        break
-                    arcs.pop()
-                    u = nodes[-1]
-                    it[u] += 1
-                    continue
-                it[u] = i
-                u = head[i]
-                nodes.append(u)
-                arcs.append(p)
+def max_flow(size: int, tail, head, sink: int) -> np.ndarray:
+    """A maximum flow from node 0 to ``sink`` over the unit edges
+    tail[e] -> head[e] on nodes 0..size-1, as Dinic's algorithm finds it
+    from zero; returns whether each edge carries flow."""
+    tail = np.asarray(tail, dtype=np.int64)
+    head = np.asarray(head, dtype=np.int64)
+    arc_from = np.column_stack([tail, head]).ravel()  # arc 2e + 1 leaves head[e]
+    arc_to = np.column_stack([head, tail]).ravel()
+    order = np.argsort(arc_from, kind="stable")  # CSR slot -> arc
+    slot = np.empty_like(order)  # arc -> CSR slot
+    slot[order] = np.arange(len(order))
+    tail, head = arc_from[order], arc_to[order]
+    rev = slot[order ^ 1]
+    start = csr_bounds(tail, size)
+    live = order % 2 == 0
+    while True:
+        level = levels(start, head, live, 0, sink)
+        if level[sink] < 0:
+            return ~live[slot[0::2]]
+        on_path = phase_paths(tail, head, live, level, sink)
+        live[on_path] = False
+        live[rev[on_path]] = True
 
 
 def csr_bounds(tail, size: int) -> np.ndarray:
@@ -199,3 +133,46 @@ def phase_arcs(tail, head, live, level, t: int):
     end = array("q", bounds[1:].tobytes())
     alive = bytearray(useful.astype(np.uint8).tobytes())
     return adm, heads, it, end, alive
+
+
+def phase_paths(tail, head, live, level, t: int) -> np.ndarray:
+    """One Dinic phase over the live unit arcs of a list grouped by tail:
+    the depth-first search from node 0 along the arcs ``phase_arcs``
+    admits, with a current-arc pointer per node and dead nodes skipped.
+    Returns the indices of the arcs of every path it augments."""
+    adm, heads, it, end, alive = phase_arcs(tail, head, live, level, t)
+    taken = array("q")  # the arcs of every augmenting path
+    nodes = [0]
+    arcs: list[int] = []
+    u = 0
+    while True:
+        if u == t:
+            # every arc of the path is saturated, and is its tail's current
+            # arc: step past them and resume from node 0
+            for u in nodes[:-1]:
+                it[u] += 1
+            taken.extend(arcs)
+            del nodes[1:]
+            arcs.clear()
+            u = 0
+            continue
+        i = it[u]
+        e = end[u]
+        while i < e:
+            if alive[heads[i]]:
+                break
+            i += 1
+        else:
+            alive[u] = 0
+            nodes.pop()
+            if not arcs:
+                break
+            arcs.pop()
+            u = nodes[-1]
+            it[u] += 1
+            continue
+        it[u] = i
+        u = heads[i]
+        nodes.append(u)
+        arcs.append(i)
+    return adm[np.frombuffer(taken, dtype=np.int64)]

@@ -21,9 +21,10 @@ outputs, and it never builds that network.  Dinic's first phase is one
 left-to-right greedy over the first-order slots (``_first_phase``); when it
 places every one, the flow is maximal.  Otherwise ``_later_phases`` runs the
 remaining phases on the item windows: each phase marks the residual arcs of
-the state in one numpy pass and searches them as ``FlowNetwork.max_flow``
-would.  ``tests/oracles.py`` builds the network and checks that the two give
-every item the same slots.
+the state in one numpy pass and searches them with ``flow.phase_paths``, the
+search of ``flow.max_flow``.  ``tests/oracles.py`` builds the network on its
+own recursive ``Dinic`` and checks that the two give every item the same
+slots.
 
 ``build_FX`` rounds the constant-row matrix T^X = X[i] / n.  It cuts the
 rows after every prefix of X whose sum is a multiple of n; at such a cut
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import csr_bounds, levels, phase_arcs
+from .flow import csr_bounds, levels, phase_paths
 
 @dataclass(frozen=True, eq=False)
 class BinaryMatrix:
@@ -148,11 +149,12 @@ def _first_phase(lo_a, hi_a, lo_b, hi_b, total_ones: int):
     lo_b and lo_b + 1 (up to hi_b), and if both are taken it is dead for the
     rest of the pass.  The phase's level graph is source -> slot -> item in
     -> item out -> slot -> sink with every arc scanned in insertion order, so
-    this is the path, in order, that each depth-first search of
-    ``FlowNetwork.max_flow`` finds in its first phase.  Windows are
-    nondecreasing in item order (both bounds come from prefix sums in
-    position order), so the items holding v are one contiguous run and the
-    pass is linear.  Returns one row (v, item, w) per path found.
+    this is the path, in order, that each depth-first search of Dinic's
+    algorithm (``flow.max_flow``, ``oracles.Dinic``) finds in its first
+    phase.  Windows are nondecreasing in item order (both bounds come from
+    prefix sums in position order), so the items holding v are one
+    contiguous run and the pass is linear.  Returns one row (v, item, w) per
+    path found.
     """
     # flat machine-integer arrays: as fast to read here as lists, and they
     # hold no int objects
@@ -237,12 +239,11 @@ def _later_phases(lo_a, hi_a, lo_b, hi_b, holder_a, holder_b) -> None:
     goes back to its holder if it has one and else on to the sink.  Arcs
     into the source and out of the sink lie on no augmenting path and are
     left out.  Each phase marks the live arcs and sets the two varying
-    heads in one numpy pass, computes levels and the sink-reachable pruning
-    with the ``levels`` and ``phase_arcs`` of ``flow``, as
-    ``FlowNetwork.max_flow`` does, and runs the same depth-first search, so
-    it finds the same paths in the same order.  A phase's paths share no
-    node but the source and the sink, so the slots its arcs enter give the
-    new holders.
+    heads in one numpy pass and runs ``levels`` and ``phase_paths`` of
+    ``flow`` on them, as ``flow.max_flow`` does on its own arcs, so it finds
+    the paths ``oracles.Dinic`` finds on the network, in the same order.  A
+    phase's paths share no node but the source and the sink, so the slots
+    its arcs enter give the new holders.
     """
     count, B = len(lo_a), len(holder_a) - 1
     b_base = B + 1 + 2 * count
@@ -295,7 +296,7 @@ def _later_phases(lo_a, hi_a, lo_b, hi_b, holder_a, holder_b) -> None:
         level = levels(start, head, live, 0, sink)
         if level[sink] < 0:
             return
-        on_path = _phase_paths(tail, head, live, level, sink)
+        on_path = phase_paths(tail, head, live, level, sink)
         path_tail = tail[on_path].astype(np.intp)
         path_head = head[on_path].astype(np.intp)
         # a_v -> in_i gives slot v to item i, out_i -> b_w gives it slot w
@@ -303,50 +304,6 @@ def _later_phases(lo_a, hi_a, lo_b, hi_b, holder_a, holder_b) -> None:
         holder_a[path_tail[sel]] = (path_head[sel] - B - 1) // 2
         sel = (path_head > b_base) & (path_tail < b_base)
         holder_b[path_head[sel] - b_base] = (path_tail[sel] - B - 1) // 2
-
-
-def _phase_paths(tail, head, live, level, t: int) -> np.ndarray:
-    """One Dinic phase over the live unit arcs of a list grouped by tail:
-    the depth-first search of ``FlowNetwork.max_flow`` from node 0 along the
-    arcs ``phase_arcs`` admits, with a current-arc pointer per node and dead
-    nodes skipped.  Returns the indices of the arcs of every path it
-    augments."""
-    adm, heads, it, end, alive = phase_arcs(tail, head, live, level, t)
-    taken = array("q")  # the arcs of every augmenting path
-    nodes = [0]
-    arcs: list[int] = []
-    u = 0
-    while True:
-        if u == t:
-            # every arc of the path is saturated, and is its tail's current
-            # arc: step past them and resume from node 0
-            for u in nodes[:-1]:
-                it[u] += 1
-            taken.extend(arcs)
-            del nodes[1:]
-            arcs.clear()
-            u = 0
-            continue
-        i = it[u]
-        e = end[u]
-        while i < e:
-            if alive[heads[i]]:
-                break
-            i += 1
-        else:
-            alive[u] = 0
-            nodes.pop()
-            if not arcs:
-                break
-            arcs.pop()
-            u = nodes[-1]
-            it[u] += 1
-            continue
-        it[u] = i
-        u = heads[i]
-        nodes.append(u)
-        arcs.append(i)
-    return adm[np.frombuffer(taken, dtype=np.int64)]
 
 
 def _try_round(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: int):

@@ -10,8 +10,8 @@ exactly, or pass its checks.  It holds:
   recursive Dinic with adjacency lists and the leaf matching built on it,
   the Fraction closed form of the chain prefix counts and the circulant's
   run-sum lemma, and the literal column-filling loop of the base map;
-- the two-way rounding's slot network on the item windows, with the slots
-  ``FlowNetwork.max_flow`` gives every item when run on it from zero;
+- the two-way rounding's slot network on the item windows, built on the
+  recursive Dinic, with the slots it gives every item when run from zero;
 - the designation matrix rounded whole, in one solver call, with no row
   blocks;
 - the rational front ends of the library's two-way and matrix rounding
@@ -47,7 +47,6 @@ import numpy as np
 from gridcube import base2d, checks, rounding
 from gridcube.base2d import build_R
 from gridcube.checks import CheckResult, _check, _gated, _report, _vertex_pages
-from gridcube.flow import FlowNetwork
 from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, RoundingSpec
 from gridcube.stages import BlankPlan, StageEmbedding, packed_address
@@ -250,20 +249,21 @@ def slot_network(lo_a, hi_a, lo_b, hi_b, total_ones: int):
         axis=1,
     )
     row_edge = (B + np.cumsum(keep.ravel()) - 1).reshape(-1, 5)
-    net = FlowNetwork(
-        sink + 1,
-        np.concatenate([np.zeros(B, dtype=np.int64), tail[keep], b_base + slots]),
-        np.concatenate([slots, head[keep], np.full(B, sink, dtype=np.int64)]),
-    )
+    tails = np.concatenate([np.zeros(B, dtype=np.int64), tail[keep], b_base + slots])
+    heads = np.concatenate([slots, head[keep], np.full(B, sink, dtype=np.int64)])
+    net = Dinic(sink + 1)
+    for u, v in zip(tails.tolist(), heads.tolist()):
+        net.add_edge(u, v)
     return net, sink, row_edge, keep
 
 
 def dinic_slots(lo_a, hi_a, lo_b, hi_b, total_ones: int):
     """Each item's first-order and second-order slot (0 when it holds no
-    one) after ``FlowNetwork.max_flow`` runs from zero on ``slot_network``."""
+    one) after ``Dinic.max_flow`` runs from zero on ``slot_network``."""
     net, sink, row_edge, keep = slot_network(lo_a, hi_a, lo_b, hi_b, total_ones)
     net.max_flow(0, sink)
-    carries = keep & (net.residual(row_edge.ravel()).reshape(-1, 5) == 0)
+    residual = np.array(net.cap[0::2], dtype=np.int64)  # per edge
+    carries = keep & (residual[row_edge] == 0)
     slot_a = np.where(carries[:, 0], lo_a, np.where(carries[:, 1], lo_a + 1, 0))
     slot_b = np.where(carries[:, 3], lo_b, np.where(carries[:, 4], lo_b + 1, 0))
     return slot_a, slot_b

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcube.caterpillars import (
     _BASE_SPINES,
@@ -179,3 +181,12 @@ def test_assign_leaves_matches_oracle_on_base_spines(t, leaf_degree):
     leaves = _assign_leaves(t, spine, leaf_degree)
     assert leaves == oracles.assign_leaves(t, spine, leaf_degree)
     assert caterpillar_for(t, leaf_degree).leaves == leaves
+
+
+@settings(max_examples=200)
+@given(st.integers(3, 7), st.sampled_from([1, 3]), st.randoms(use_true_random=False))
+def test_assign_leaves_matches_oracle_on_random_spines(t, leaf_degree, rnd):
+    # the matching needs only the spine's vertices, not a cycle through them
+    spine = rnd.sample(range(1 << t), (1 << t) // (leaf_degree + 1))
+    leaves = _assign_leaves(t, spine, leaf_degree)
+    assert leaves == oracles.assign_leaves(t, spine, leaf_degree)

@@ -111,6 +111,24 @@ def clumped_circulant(emb):
     return dataclasses.replace(emb, R=base2d.CirculantR(R.a1, R.e1, first))
 
 
+def flip_first_double(emb, value):
+    """The base map with the first entry ``1 - value`` of its circulant's
+    first column set to ``value``: one double more (1) or one fewer (0)
+    than the 2^{e1} - a1 of the construction."""
+    R = emb.R
+    first = list(R.first_column)
+    first[first.index(1 - value)] = value
+    return dataclasses.replace(emb, R=base2d.CirculantR(R.a1, R.e1, tuple(first)))
+
+
+def extra_double(emb):
+    return flip_first_double(emb, 1)
+
+
+def missing_double(emb):
+    return flip_first_double(emb, 0)
+
+
 def late_first_chain(emb):
     """The base map with chain 1 one column further right from point 31."""
     cols = emb.cols.copy()
@@ -119,7 +137,9 @@ def late_first_chain(emb):
     return dataclasses.replace(emb, cols=cols)
 
 
-@pytest.mark.parametrize("corrupt", [clumped_circulant, late_first_chain])
+@pytest.mark.parametrize(
+    "corrupt", [clumped_circulant, late_first_chain, extra_double, missing_double]
+)
 def test_chain_battery_matches_oracle_on_corrupted_maps(monkeypatch, corrupt):
     real = base2d.fill_columns
 
@@ -134,6 +154,21 @@ def test_chain_battery_matches_oracle_on_corrupted_maps(monkeypatch, corrupt):
         assert triples(results) == triples(oracles.chain_battery(a1))
         failing |= {c.name for c in failed(results)}
     assert {"chain.prefix-balance", "chain.page-prefixes"} & failing
+
+
+def test_window_counts_look_past_one_period(monkeypatch):
+    # a1 = 16 fills its box with no doubles; one extra double keeps every
+    # window of width up to a1 in range and first overflows at a1 + 1
+    real = base2d.fill_columns
+
+    def fill_columns(a1, e1, m):
+        return extra_double(real(a1, e1, m))
+
+    monkeypatch.setattr(base2d, "fill_columns", fill_columns)
+    monkeypatch.setattr(checks_module, "fill_columns", fill_columns)
+    results = chain_battery(16)
+    assert triples(results) == triples(oracles.chain_battery(16))
+    assert "chain.window-counts" in {c.name for c in failed(results)}
 
 
 def test_chain_battery_rejects_degenerate():

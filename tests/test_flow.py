@@ -1,18 +1,19 @@
-"""Tests for the flat-array max-flow solver against the recursive oracle."""
+"""Tests for the flat-array unit-capacity max flow against the recursive
+Dinic of the oracles."""
 from __future__ import annotations
 
 import random
 import sys
 
-import numpy as np
 import oracles
 
-from gridcube.flow import FlowNetwork
+from gridcube.flow import max_flow
 
 
 def test_same_augmentations_as_recursive_dinic():
-    # equal final residual capacities on every edge mean the two solvers
-    # pushed the same units along the same paths
+    # each capacity-c edge goes to max_flow as c consecutive unit edges;
+    # equal residual capacities on every edge mean the two solvers pushed
+    # the same units along the same paths
     rng = random.Random(8128)
     for _ in range(300):
         size = rng.randint(2, 14)
@@ -23,18 +24,29 @@ def test_same_augmentations_as_recursive_dinic():
         ref = oracles.Dinic(size)
         for u, v, c in edges:
             ref.add_edge(u, v, c)
-        net = FlowNetwork(
-            size,
-            [u for u, _, _ in edges],
-            [v for _, v, _ in edges],
-            [c for _, _, c in edges],
+        ref.max_flow(0, size - 1)
+        carries = iter(
+            max_flow(
+                size,
+                [u for u, _, c in edges for _ in range(c)],
+                [v for _, v, c in edges for _ in range(c)],
+                size - 1,
+            ).tolist()
         )
-        assert net.max_flow(0, size - 1) == ref.max_flow(0, size - 1)
-        assert net.residual(np.arange(len(edges))).tolist() == ref.cap[0::2]
+        residual = [c - sum(next(carries) for _ in range(c)) for _, _, c in edges]
+        assert residual == ref.cap[0::2]
+
+
+def test_later_phase_cancels_flow_along_a_reverse_arc():
+    # the first phase sends s-a-c-t; the second reaches a only back along
+    # a-c, and moves that unit onto a-e-f-t
+    s, a, b, c, e, f, t = range(7)
+    edges = [(s, a), (s, b), (a, c), (b, c), (c, t), (a, e), (e, f), (f, t)]
+    carries = max_flow(7, [u for u, _ in edges], [v for _, v in edges], t)
+    assert carries.tolist() == [True, True, False, True, True, True, True, True]
 
 
 def test_long_augmenting_path_needs_no_recursion():
     length = sys.getrecursionlimit() + 500
-    net = FlowNetwork(length + 1, range(length), range(1, length + 1))
-    assert net.max_flow(0, length) == 1
-    assert not net.residual(np.arange(length)).any()
+    carries = max_flow(length + 1, range(length), range(1, length + 1), length)
+    assert carries.all()

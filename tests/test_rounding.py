@@ -377,8 +377,8 @@ def solver_calls(run) -> list[tuple]:
 
 def slots_outcome(fracs, D, order_b, total_ones) -> tuple[int, int]:
     """Check every item's first-order and second-order slot against one
-    ``FlowNetwork.max_flow`` run from zero on the reference network; returns
-    the ones the greedy placed and the ones the later phases added."""
+    ``oracles.Dinic`` run from zero on the reference network; returns the
+    ones the greedy placed and the ones the later phases added."""
     _, *windows = rounding._item_windows(fracs, D, order_b, total_ones)
     greedy = len(rounding._first_phase(*windows, total_ones))
     got = rounding._assign_slots(*windows, total_ones)
