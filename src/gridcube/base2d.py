@@ -104,18 +104,13 @@ class Embedding2D:
         return owner, at
 
 
-def build_f2(spec: GridSpec, columns: int | None = None) -> Embedding2D:
-    """Column-filling embedding restricted to the given grid.
-
-    `columns` (default u_2) may exceed u_2 so extended-domain properties can
-    be exercised; it may not be smaller.  The grid's chains must fit inside
-    the filled box, which the balance properties guarantee at m = u_2.
+def build_f2(spec: GridSpec) -> Embedding2D:
+    """Column-filling embedding restricted to the given grid, in its box of
+    m = u_2 columns.  The grid's chains must fit inside the filled box,
+    which the balance properties guarantee at m = u_2; `fill_columns`
+    builds wider boxes.
     """
-    u2 = level_budget(spec, 2)
-    m = u2 if columns is None else columns
-    if m < u2:
-        raise ValueError(f"need at least u_2 = {u2} columns, got {m}")
-    emb = fill_columns(spec.dims[0], spec.exponents[1], m)
+    emb = fill_columns(spec.dims[0], spec.exponents[1], level_budget(spec, 2))
     per_chain = spec.page_count(1)
     lengths = np.diff(emb.offsets)
     short = np.flatnonzero(lengths < per_chain)

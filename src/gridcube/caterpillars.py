@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .flow import max_flow
 
 
@@ -40,16 +42,35 @@ def _check_params(t: int, leaf_degree: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
+def _frozen(values) -> np.ndarray:
+    """An int32 array of the values, held read-only (t <= 26 fits)."""
+    array = np.asarray(values, dtype=np.int32)
+    array.setflags(write=False)
+    return array
+
+
+def _covers(values: np.ndarray, n: int) -> bool:
+    """Whether the values are 0..n-1, each exactly once."""
+    if len(values) != n or values.min() < 0 or values.max() >= n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[values] = True
+    return bool(seen.all())
+
+
+@dataclass(frozen=True, eq=False)
 class Caterpillar:
-    """Spine cycle plus per-spine leaf lists covering a whole t-cube,
-    validated when built."""
+    """Spine cycle plus one row of leaves per spine vertex covering a whole
+    t-cube, validated when built: `spine` is an int array of length e and
+    `leaves` an e x d int array, both read-only."""
 
     t: int
-    spine: tuple[int, ...]
-    leaves: tuple[tuple[int, ...], ...]
+    spine: np.ndarray
+    leaves: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "spine", _frozen(self.spine))
+        object.__setattr__(self, "leaves", _frozen(self.leaves))
         self.validate()
 
     @property
@@ -58,7 +79,7 @@ class Caterpillar:
 
     @property
     def leaf_degree(self) -> int:
-        return len(self.leaves[0])
+        return self.leaves.shape[1]
 
     @property
     def window(self) -> int:
@@ -66,27 +87,21 @@ class Caterpillar:
         return self.leaf_degree + 2
 
     def validate(self) -> None:
-        e = len(self.spine)
+        spine, leaves = self.spine, self.leaves
+        e = len(spine)
         if e < 3:
             raise ValueError("spine shorter than a cycle")
-        if len(self.leaves) != e:
-            raise ValueError("one leaf list per spine vertex required")
-        d = len(self.leaves[0])
-        if any(len(row) != d for row in self.leaves):
-            raise ValueError("leaf degree not uniform")
-        if e * (d + 1) != 1 << self.t:
+        if leaves.ndim != 2 or len(leaves) != e:
+            raise ValueError("one leaf row per spine vertex required")
+        if e * (leaves.shape[1] + 1) != 1 << self.t:
             raise ValueError("spine and leaves do not tile the cube")
-        for idx in range(e):
-            step = self.spine[idx] ^ self.spine[(idx + 1) % e]
-            if step.bit_count() != 1:
-                raise ValueError(f"spine break after position {idx}")
-            for leaf in self.leaves[idx]:
-                if (leaf ^ self.spine[idx]).bit_count() != 1:
-                    raise ValueError(f"leaf {leaf} not adjacent to its spine vertex")
-        everything = sorted(
-            list(self.spine) + [x for row in self.leaves for x in row]
-        )
-        if everything != list(range(1 << self.t)):
+        breaks = np.flatnonzero(np.bitwise_count(spine ^ np.roll(spine, -1)) != 1)
+        if len(breaks):
+            raise ValueError(f"spine break after position {breaks[0]}")
+        far = np.bitwise_count(leaves ^ spine[:, None]) != 1
+        if far.any():
+            raise ValueError(f"leaf {leaves[far][0]} not adjacent to its spine vertex")
+        if not _covers(np.concatenate((spine, leaves.ravel())), 1 << self.t):
             raise ValueError("vertices not covered exactly once")
 
 
@@ -199,70 +214,69 @@ def double_caterpillar(cat: Caterpillar) -> Caterpillar:
     leaves inside its copy, so the leaf degree is unchanged.
     """
     hi = 1 << cat.t
-    spine = list(cat.spine) + [hi | v for v in reversed(cat.spine)]
-    leaves = list(cat.leaves) + [
-        tuple(hi | x for x in row) for row in reversed(cat.leaves)
-    ]
-    return Caterpillar(cat.t + 1, tuple(spine), tuple(leaves))
+    spine = np.concatenate((cat.spine, cat.spine[::-1] | hi))
+    leaves = np.concatenate((cat.leaves, cat.leaves[::-1] | hi))
+    return Caterpillar(cat.t + 1, spine, leaves)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubeLabeling:
     """Bijection between cube vertices and labels 1..2^t.
 
-    `order[c-1]` is the vertex holding label c.  `window` > 0 promises that
-    cyclic label distance <= window implies Hamming distance <= 3 (and label
-    distance bounds Hamming distance beyond the window, via the spine walk);
-    window == 0 marks a Gray-style labeling where Hamming distance is at
-    most the cyclic label distance, for every distance.
+    `order[c-1]` is the vertex holding label c, in a read-only int array.
+    `window` > 0 promises that cyclic label distance <= window implies
+    Hamming distance <= 3 (and label distance bounds Hamming distance beyond
+    the window, via the spine walk); window == 0 marks a Gray-style labeling
+    where Hamming distance is at most the cyclic label distance, for every
+    distance.
     """
 
     t: int
-    order: tuple[int, ...]
+    order: np.ndarray
     window: int
 
     def __post_init__(self):
-        if sorted(self.order) != list(range(1 << self.t)):
+        object.__setattr__(self, "order", _frozen(self.order))
+        if self.order.ndim != 1 or not _covers(self.order, 1 << self.t):
             raise ValueError("labeling order is not a bijection on the cube")
 
 
 def label_from_caterpillar(cat: Caterpillar) -> CubeLabeling:
     """Block labeling: spine vertex i takes (d+1)i, its j-th leaf (d+1)(i-1)+j."""
-    order: list[int] = []
-    for i in range(cat.spine_length):
-        order.extend(cat.leaves[i])
-        order.append(cat.spine[i])
-    return CubeLabeling(cat.t, tuple(order), cat.window)
+    order = np.column_stack((cat.leaves, cat.spine)).ravel()
+    return CubeLabeling(cat.t, order, cat.window)
 
 
 def gray_label(t: int) -> CubeLabeling:
     """Reflected-Gray fallback: consecutive labels differ in one bit."""
     if t < 1:
         raise ValueError(f"cube dimension {t} must be positive")
-    order = tuple(c ^ (c >> 1) for c in range(1 << t))
-    return CubeLabeling(t, order, 0)
+    c = np.arange(1 << t, dtype=np.int32)
+    return CubeLabeling(t, c ^ (c >> 1), 0)
 
 
 def verify_window(
     lab: CubeLabeling, w: int, dbound: int
 ) -> tuple[int, int, int] | None:
-    """Scan all pairs within a cyclic label window for a distance breach.
+    """Check all pairs within a cyclic label window for a distance breach.
 
     Returns None when every pair at cyclic label distance 1..w has Hamming
     distance <= dbound, else the first violation as (label_a, label_b,
-    distance) in label scan order.
+    distance) in label scan order: label_a ascending, then the label
+    distance.  Each label distance is one XOR of `order` with its cyclic
+    shift, so the scan is 2^t * w work with no Python loop over labels.
     """
-    n = 1 << lab.t
     order = lab.order
-    for c in range(n):
-        x = order[c]
-        for delta in range(1, w + 1):
-            pos = c + delta
-            y = order[pos - n if pos >= n else pos]
-            dist = (x ^ y).bit_count()
-            if dist > dbound:
-                return (c + 1, (pos % n) + 1, dist)
-    return None
+    breaches = []
+    for delta in range(1, w + 1):
+        dist = np.bitwise_count(order ^ np.roll(order, -delta))
+        c = int(np.argmax(dist > dbound))
+        if dist[c] > dbound:
+            breaches.append((c, delta, int(dist[c])))
+    if not breaches:
+        return None
+    c, delta, dist = min(breaches)
+    return (c + 1, (c + delta) % len(order) + 1, dist)
 
 
 # Base spine per leaf degree: Cat(4,1) in Q_3 and Cat(16,3) in Q_6, the

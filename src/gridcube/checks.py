@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .base2d import fill_columns
-from .caterpillars import CubeLabeling, best_labeling, gray_label
+from .caterpillars import CubeLabeling, best_labeling, gray_label, verify_window
 from .grids import GridSpec, level_budget
 from .rounding import BinaryMatrix
 from .stages import (
@@ -600,23 +600,23 @@ def _unsigned(t: int) -> type:
     return np.uint8 if t <= 8 else np.uint16 if t <= 16 else np.uint32
 
 
-def _cyclic(d: np.ndarray, mask) -> np.ndarray:
-    """Cyclic distances mod 2^t, in place, from unsigned differences d = b - a
-    of coordinates a, b in 1..2^t, held in a `_unsigned` dtype of at least t
-    bits; mask = 2^t - 1 is a scalar or an array broadcasting over d.
+def _rotate(d: np.ndarray, mask) -> np.ndarray:
+    """Rotate unsigned differences d = b - a of coordinates a, b in 1..2^t,
+    held in a `_unsigned` dtype of at least t bits, in place to
+    s = (d + h) & mask, for mask = 2^t - 1 (a scalar or an array
+    broadcasting over d) and h = 2^{t-1}: |s - h| is the cyclic difference.
 
     1..2^t is the one range `HypercubeEmbedding` accepts.  The dtype's B >= t
-    bits make d = (b - a) mod 2^B, and 2^t divides 2^B, so `& mask` leaves
-    r = (b - a) mod 2^t while (-r) & mask is (a - b) mod 2^t.  Since
-    |a - b| < 2^t, r is |a - b| or 2^t - |a - b| (both 0 when a = b), so
-    min(r, (-r) & mask) = min(|a - b|, 2^t - |a - b|), the cyclic difference.
-    A coordinate 2^t held in exactly t bits wraps to 0, the same residue
-    mod 2^t, which leaves every distance unchanged.
+    bits make d = (b - a) mod 2^B, and 2^t divides 2^B, so s = (r + h) mod
+    2^t for r = (b - a) mod 2^t: s - h is r when r < h and r - 2^t
+    otherwise.  Since |a - b| < 2^t, r is |a - b| or 2^t - |a - b| (both 0
+    when a = b), so |s - h| = min(|a - b|, 2^t - |a - b|).  A coordinate
+    2^t held in exactly t bits wraps to 0, the same residue mod 2^t, which
+    leaves every distance unchanged.
     """
+    d += mask // 2 + 1
     d &= mask
-    back = np.negative(d)
-    back &= mask
-    return np.minimum(d, back, out=d)
+    return d
 
 
 def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
@@ -628,11 +628,13 @@ def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
     stride s = a_1...a_{i0-1}, unless r is last along dimension i0.  So one
     subtraction of the columns lagged by s gives every edge's difference,
     one product with a per-rank 0/1 pattern clears the ranks last along i0
-    (and the s unset ones at the end, which are among them), and `_cyclic`,
-    with column j masked to its block width, turns the differences into
-    distances for one max along each column.  Each grid dimension takes a
-    fixed number of numpy calls, each over all k contiguous columns, so a
-    tiny grid pays O(k) calls in all, and no call iterates over a short axis.
+    (and the s unset ones at the end, which are among them), and `_rotate`,
+    with column j masked to its block width, moves each difference to a
+    value v whose distance from h = 2^{t-1} is the cyclic difference, so a
+    column's largest is max(max v - h, h - min v) (a cleared rank reads
+    v = h).  Each grid dimension takes a fixed number of numpy calls, each
+    over all k contiguous columns, so a tiny grid pays O(k) calls in all,
+    and no call iterates over a short axis.
     """
     spec = fk.spec
     k = spec.k
@@ -641,14 +643,19 @@ def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
     columns = fk.coords.T.astype(dtype, order="C")
     masks = np.array([(1 << t) - 1 for t in widths], dtype=dtype)[:, None]
     steps = np.empty_like(columns)
-    cyc = np.zeros((k, k), dtype=np.int64)
+    top = np.zeros((k, k), dtype=np.int64)
+    bottom = np.zeros_like(top)
     for i0 in range(1, k + 1):
         a, s = spec.dims[i0 - 1], spec.prefix_product(i0 - 1)
         edge = np.ones((spec.size // (a * s), a, s), dtype=bool)
         edge[:, -1] = False
         np.subtract(columns[:, s:], columns[:, :-s], out=steps[:, :-s])
         steps *= edge.reshape(-1)
-        cyc[:, i0 - 1] = _cyclic(steps, masks).max(axis=1)
+        _rotate(steps, masks)
+        top[:, i0 - 1] = steps.max(axis=1)
+        bottom[:, i0 - 1] = steps.min(axis=1)
+    h = masks.astype(np.int64) // 2 + 1
+    cyc = np.maximum(top - h, h - bottom)
     return CoordinateDiffs(spec, tuple(tuple(int(x) for x in row) for row in cyc))
 
 
@@ -728,11 +735,12 @@ class HypercubeEmbedding:
                 )
         labels = np.zeros(spec.size, dtype=np.int64)
         for jdim, lab in enumerate(self.labelings, start=1):
-            vals = self.fk.coords[:, jdim - 1].astype(np.int64)
-            table = np.asarray(lab.order, dtype=np.int64)
-            if vals.min() < 1 or vals.max() > len(table):
+            vals = self.fk.coords[:, jdim - 1].astype(np.intp)
+            if vals.min() < 1 or vals.max() > len(lab.order):
                 raise ValueError(f"coordinate {jdim} outside the labeling domain")
-            labels = (labels << lab.t) | table[vals - 1]
+            vals -= 1
+            labels <<= lab.t
+            labels |= lab.order.astype(np.int64)[vals]
         object.__setattr__(self, "labels", labels)
 
     def is_injective(self) -> bool:
@@ -823,48 +831,29 @@ class DilationReport:
 def dilation(emb: HypercubeEmbedding) -> DilationReport:
     """Exact dilation over all grid edges, plus the labeling-implied bound.
 
-    Also verifies, exhaustively per edge and dimension, that whenever a
-    windowed labeling's premise held (cyclic difference within the window)
-    the realized block distance was at most 3.  Edges are `_grid` views; a
-    windowed block's coordinates are read as one `_unsigned` column, whose
-    cyclic differences come from `_cyclic`, as in `coordinate_diffs`.
+    Also verifies the window implication: every windowed labeling passes
+    `verify_window(lab, lab.window, 3)`.  Block j of a label is
+    `order[x_j - 1]` for the final map's coordinate x_j, so this implies
+    that every edge whose cyclic difference in coordinate j lies within the
+    window moves block j by at most 3, at 2^t * window work per labeling,
+    whatever the grid's size.  Edges are `_grid` views: the label XOR along
+    each grid dimension's axis gives the Hamming distances.
     """
     spec = emb.spec
     diffs = emb.diffs
     labels = _grid(spec, emb.labels)
-    windowed = []
-    shift = spec.n
-    for jdim, lab in enumerate(emb.labelings, start=1):
-        shift -= lab.t
-        if lab.window:
-            col = emb.fk.coords[:, jdim - 1].astype(_unsigned(lab.t))
-            windowed.append((_grid(spec, col), shift, lab))
     hist = np.zeros(spec.n + 1, dtype=np.int64)
-    sound = True
-    # one grid dimension at a time: the label XOR across its edges gives the
-    # Hamming distances, and block jdim of it the block distances, since
-    # ((a >> s) ^ (b >> s)) & w == ((a ^ b) >> s) & w
     for axis in range(spec.k):
         g = np.moveaxis(labels, axis, 0)
         x = g[1:] ^ g[:-1]
         hist += np.bincount(np.bitwise_count(x).ravel("K"), minlength=spec.n + 1)
-        for col, shift, lab in windowed:
-            mask = (1 << lab.t) - 1
-            c = np.moveaxis(col, axis, 0)
-            d = _cyclic(c[1:] - c[:-1], mask)
-            held = (d > 0) & (d <= lab.window)
-            if held.any():
-                block = (x[held] >> shift) & mask
-                sound = sound and int(np.bitwise_count(block).max()) <= 3
     dil = int(np.flatnonzero(hist).max(initial=0))
     hist = hist[: dil + 1]
 
-    per_dim = diffs.per_dimension()
+    windowed = [lab for lab in emb.labelings if lab.window]
     implied = 0
     within = True
-    for jdim in range(1, spec.k + 1):
-        lab = emb.labelings[jdim - 1]
-        dmax = per_dim[jdim - 1]
+    for lab, dmax in zip(emb.labelings, diffs.per_dimension()):
         if lab.window and dmax <= lab.window:
             implied += 3 if dmax else 0
         else:
@@ -878,9 +867,9 @@ def dilation(emb: HypercubeEmbedding) -> DilationReport:
         diffs,
         emb.windows(),
         implied,
-        all(lab.window > 0 for lab in emb.labelings),
+        len(windowed) == spec.k,
         within,
-        sound,
+        all(verify_window(lab, lab.window, 3) is None for lab in windowed),
     )
 
 

@@ -29,6 +29,8 @@ exactly, or pass its checks.  It holds:
   coordinate-difference scan and the per-edge dilation over them, and the
   chain and transition batteries with their per-page, per-prefix and
   per-chain loops and dense count tables;
+- the cube labelings as tuples: the caterpillar doubling, the block and
+  reflected-Gray orders, and the window scan one label pair at a time;
 - the brute-force dilation optimum of tiny grids.
 """
 from __future__ import annotations
@@ -549,6 +551,47 @@ def assign_leaves(t: int, spine: list[int], leaf_degree: int):
                 buckets[i].append(others[idx])
                 break
     return tuple(tuple(sorted(b)) for b in buckets)
+
+
+def double_caterpillar(spine, leaves, t: int):
+    """The doubled caterpillar's spine and leaf rows as tuples: copy 0
+    forward, then copy 1 (top bit t set) backward, rows kept whole."""
+    hi = 1 << t
+    return (
+        tuple(spine) + tuple(hi | v for v in reversed(spine)),
+        tuple(map(tuple, leaves))
+        + tuple(tuple(hi | x for x in row) for row in reversed(leaves)),
+    )
+
+
+def label_order(spine, leaves) -> tuple[int, ...]:
+    """The block labeling's order as a tuple: each spine vertex's leaves,
+    then the spine vertex itself."""
+    order: list[int] = []
+    for v, row in zip(spine, leaves):
+        order.extend(row)
+        order.append(v)
+    return tuple(order)
+
+
+def gray_order(t: int) -> tuple[int, ...]:
+    """The reflected-Gray order as a tuple."""
+    return tuple(c ^ (c >> 1) for c in range(1 << t))
+
+
+def verify_window(order, w: int, dbound: int) -> tuple[int, int, int] | None:
+    """The first pair within cyclic label distance 1..w whose Hamming
+    distance exceeds dbound, as (label_a, label_b, distance), scanning
+    label_a and then the distance upwards one pair at a time; None when
+    every pair keeps within dbound."""
+    n = len(order)
+    for c in range(n):
+        for delta in range(1, w + 1):
+            pos = (c + delta) % n
+            dist = (order[c] ^ order[pos]).bit_count()
+            if dist > dbound:
+                return (c + 1, pos + 1, dist)
+    return None
 
 
 def chain_prefix_counts(a1: int, e1: int, m: int) -> list[list[int]]:

@@ -199,13 +199,6 @@ def test_build_f2_golden_vertex():
     assert image(emb, spec, (2, 4, 1, 1)) == (3, 3)
 
 
-def test_build_f2_rejects_small_m():
-    spec = GridSpec((3, 7, 4))
-    with pytest.raises(ValueError):
-        build_f2(spec, columns=20)
-    assert build_f2(spec, columns=24).m == 24
-
-
 def test_grid_fits_and_images_distinct():
     spec = GridSpec((5, 9))
     emb = build_f2(spec)

@@ -456,12 +456,14 @@ def test_coordinate_diffs_at_the_dtype_boundaries(dims, widths):
 
 @pytest.mark.parametrize("t", range(1, 11))
 def test_cyclic_distance_is_exact_on_every_pair(t):
-    """Every pair a, b in 1..2^t, in the narrowest dtype and in the widest."""
+    """Every pair a, b in 1..2^t, in the narrowest dtype and in the widest:
+    the rotated difference lies the cyclic difference away from 2^{t-1}."""
     a, b = np.meshgrid(np.arange(1, (1 << t) + 1), np.arange(1, (1 << t) + 1))
     want = np.minimum(np.abs(a - b), (1 << t) - np.abs(a - b))
     for dtype in (checks_module._unsigned(t), np.uint32):
         d = b.astype(dtype) - a.astype(dtype)
-        assert np.array_equal(checks_module._cyclic(d, (1 << t) - 1), want)
+        s = checks_module._rotate(d, dtype((1 << t) - 1)).astype(np.int64)
+        assert np.array_equal(np.abs(s - (1 << (t - 1))), want)
 
 
 def test_diff_case_checks_asserted_at_threshold():
@@ -501,7 +503,7 @@ def test_three_dim_example_assembles_into_its_optimal_cube():
             # block jdim of the label is the labeling's vertex for coordinate jdim
             shift = emb.spec.n - emb.spec.exponents[jdim]
             block = (int(emb.labels[rank]) >> shift) % (1 << emb.labelings[jdim - 1].t)
-            coordinate = emb.labelings[jdim - 1].order.index(block) + 1
+            coordinate = int(np.flatnonzero(emb.labelings[jdim - 1].order == block)[0]) + 1
             assert coordinate == int(fk.coords[rank, jdim - 1])
 
 
