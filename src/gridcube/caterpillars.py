@@ -11,6 +11,7 @@ cubes too small to host any caterpillar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -247,8 +248,10 @@ def label_from_caterpillar(cat: Caterpillar) -> CubeLabeling:
     return CubeLabeling(cat.t, order, cat.window)
 
 
+@cache
 def gray_label(t: int) -> CubeLabeling:
-    """Reflected-Gray fallback: consecutive labels differ in one bit."""
+    """Reflected-Gray fallback: consecutive labels differ in one bit.
+    Memoized per t: a labeling is frozen, with a read-only order."""
     if t < 1:
         raise ValueError(f"cube dimension {t} must be positive")
     c = np.arange(1 << t, dtype=np.int32)
@@ -316,8 +319,10 @@ def caterpillar_for(t: int, leaf_degree: int) -> Caterpillar:
     return _MEMO[key]
 
 
+@cache
 def best_labeling(t: int) -> CubeLabeling:
-    """Widest-window labeling available at dimension t; Gray when t < 3."""
+    """Widest-window labeling available at dimension t; Gray when t < 3.
+    Memoized per t, like the caterpillars it is read from."""
     if t >= 6:
         return label_from_caterpillar(caterpillar_for(t, 3))
     if t >= 3:

@@ -309,8 +309,8 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     pre = f"pipeline.stage{j}."
     out: list[CheckResult] = []
 
-    coords = emb.coords.astype(np.int64)
-    h = coords[:, j - 1]
+    coords = emb.coords
+    h = coords[:, j - 1].astype(np.int64)
     P = plan.pages
     # a source level off the plan's levels 1..P * width fails prefix
     # stability; clipped, it indexes the plan's tables like any other
@@ -622,25 +622,25 @@ def _rotate(d: np.ndarray, mask) -> np.ndarray:
 def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
     """Exhaustive edge scan of cyclic output-coordinate differences.
 
-    The chain is copied once column-major, in the `_unsigned` dtype of the
-    widest block, so each output coordinate is one contiguous column over
-    the ranks.  Edges in grid dimension i0 join rank r to r + s, for the
-    stride s = a_1...a_{i0-1}, unless r is last along dimension i0.  So one
-    subtraction of the columns lagged by s gives every edge's difference,
-    one product with a per-rank 0/1 pattern clears the ranks last along i0
-    (and the s unset ones at the end, which are among them), and `_rotate`,
-    with column j masked to its block width, moves each difference to a
-    value v whose distance from h = 2^{t-1} is the cyclic difference, so a
-    column's largest is max(max v - h, h - min v) (a cleared rank reads
-    v = h).  Each grid dimension takes a fixed number of numpy calls, each
-    over all k contiguous columns, so a tiny grid pays O(k) calls in all,
-    and no call iterates over a short axis.
+    The coordinate-major chain is cast once, row by contiguous row, to the
+    `_unsigned` dtype of the widest block, so each output coordinate is one
+    contiguous column over the ranks.  Edges in grid dimension i0 join rank
+    r to r + s, for the stride s = a_1...a_{i0-1}, unless r is last along
+    dimension i0.  So one subtraction of the columns lagged by s gives every
+    edge's difference, one product with a per-rank 0/1 pattern clears the
+    ranks last along i0 (and the s unset ones at the end, which are among
+    them), and `_rotate`, with column j masked to its block width, moves
+    each difference to a value v whose distance from h = 2^{t-1} is the
+    cyclic difference, so a column's largest is max(max v - h, h - min v)
+    (a cleared rank reads v = h).  Each grid dimension takes a fixed number
+    of numpy calls, each over all k contiguous columns, so a tiny grid pays
+    O(k) calls in all, and no call iterates over a short axis.
     """
     spec = fk.spec
     k = spec.k
     widths = [spec.block_width(j) for j in range(1, k + 1)]
     dtype = _unsigned(max(widths))
-    columns = fk.coords.T.astype(dtype, order="C")
+    columns = fk.coords.T.astype(dtype)
     masks = np.array([(1 << t) - 1 for t in widths], dtype=dtype)[:, None]
     steps = np.empty_like(columns)
     top = np.zeros((k, k), dtype=np.int64)
@@ -735,16 +735,19 @@ class HypercubeEmbedding:
                 )
         labels = np.zeros(spec.size, dtype=np.int64)
         for jdim, lab in enumerate(self.labelings, start=1):
-            vals = self.fk.coords[:, jdim - 1].astype(np.intp)
+            vals = self.fk.coords[:, jdim - 1]
             if vals.min() < 1 or vals.max() > len(lab.order):
                 raise ValueError(f"coordinate {jdim} outside the labeling domain")
-            vals -= 1
             labels <<= lab.t
-            labels |= lab.order.astype(np.int64)[vals]
+            labels |= lab.order[vals - 1]
         object.__setattr__(self, "labels", labels)
 
     def is_injective(self) -> bool:
-        return len(distinct_rows(self.labels)[0]) == self.spec.size
+        """Whether the labels are distinct: they lie in [0, 2^n), and
+        2^n < 2|G|, so one scatter into a 2^n-entry mask counts them."""
+        seen = np.zeros(1 << self.spec.n, dtype=bool)
+        seen[self.labels] = True
+        return int(np.count_nonzero(seen)) == self.spec.size
 
     @property
     def spec(self) -> GridSpec:

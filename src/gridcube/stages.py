@@ -16,6 +16,7 @@ import codecs
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from math import gcd
 
 import numpy as np
 
@@ -29,10 +30,11 @@ def s_sequence(spec: GridSpec, i: int) -> tuple[int, ...]:
 
     s_i(j) = w - ceil(A/h) + floor(j phi) - floor((j-1) phi) where
     w = 2^{e_i - e_{i-1}}, A = a_1...a_i, h = 2^{e_{i-1}}, and
-    phi = ceil(A/h) - A/h.  Evaluated in exact integer arithmetic.  Before
-    returning, the budget identity (nonblank slots in every section prefix
-    exactly hold the ceil(r A / h) levels needed) and the two-value range
-    with s_i(j) <= w/2 are asserted.
+    phi = ceil(A/h) - A/h.  Evaluated in exact integer arithmetic: with
+    phi = phi_num / h, s_i repeats with period h / gcd(phi_num, h), so one
+    period is computed and repeated.  Before returning, the budget identity
+    (nonblank slots in every section prefix exactly hold the ceil(r A / h)
+    levels needed) and the two-value range with s_i(j) <= w/2 are asserted.
     """
     if not 2 <= i <= spec.k - 1:
         raise ValueError(f"stage {i} outside [2, {spec.k - 1}]")
@@ -43,12 +45,14 @@ def s_sequence(spec: GridSpec, i: int) -> tuple[int, ...]:
     lead = -(-prefix // half)
     base = width - lead
     phi_num = lead * half - prefix  # phi = phi_num / half, in [0, 1)
+    period = half // gcd(phi_num, half)
     s = []
     prev = 0
-    for j in range(1, pages + 1):
+    for j in range(1, min(period, pages) + 1):
         cur = (j * phi_num) // half
         s.append(base + cur - prev)
         prev = cur
+    s = (tuple(s) * -(-pages // period))[:pages]
     for val in set(s):
         if val not in (base, base + 1):
             raise AssertionError(f"blank count {val} outside {{{base}, {base + 1}}}")
@@ -57,7 +61,7 @@ def s_sequence(spec: GridSpec, i: int) -> tuple[int, ...]:
     r = budget_break(spec, i, s)
     if r is not None:
         raise AssertionError(f"budget identity fails at section prefix {r}")
-    return tuple(s)
+    return s
 
 
 def budget_break(spec: GridSpec, i: int, s) -> int | None:
@@ -170,15 +174,18 @@ class Transition:
 class StageEmbedding:
     """Stage `stage` of a composed map, read off the chain stored once.
 
-    The chain is `final`, the |G| x k int32 coordinates of the composed map
-    (row-major by rank, 1-based values), and `steps`, the `Transition` of
-    each stacked stage 3, 4, ... in order; every stage of one chain shares
-    both.  Stacking never changes a settled column, so columns 1..i-1 of
-    stage i are those of `final`, and its last column, a level index, is
-    where the next stage's source level sits in the next plan's
-    `level_table`.  `coords` builds the stage's array from them when first
-    read.  The top stage of the chain (stage len(steps) + 2: stage k once
-    `build_fk` is done) reads all its columns from `final`.
+    The chain is `final`, the k x |G| int32 coordinates of the composed
+    map stored coordinate-major (C-contiguous: row j - 1 holds coordinate j
+    of every vertex by rank, 1-based values), and `steps`, the `Transition`
+    of each stacked stage 3, 4, ... in order; every stage of one chain
+    shares both.  Each stage pass reads and writes one coordinate of every
+    vertex, so it walks one contiguous row.  Stacking never changes a
+    settled coordinate, so coordinates 1..i-1 of stage i are rows of
+    `final`, and its last, a level index, is where the next stage's source
+    level sits in the next plan's `level_table`.  `coords` builds the
+    stage's array from them when first read.  The top stage of the chain
+    (stage len(steps) + 2: stage k once `build_fk` is done) reads all its
+    coordinates from `final`.
     """
 
     spec: GridSpec
@@ -187,23 +194,26 @@ class StageEmbedding:
     steps: tuple[Transition, ...] = ()
 
     def __post_init__(self):
-        if self.final.shape != (self.spec.size, self.spec.k):
+        if self.final.shape != (self.spec.k, self.spec.size):
             raise ValueError("coordinate array shape mismatch")
+        if not self.final.flags.c_contiguous:
+            raise ValueError("coordinate array is not coordinate-major")
         if not 2 <= self.stage <= len(self.steps) + 2:
             raise ValueError(f"stage {self.stage} not in the chain")
 
     @cached_property
     def coords(self) -> np.ndarray:
         """`coords[rank]` is the stage-i image tuple of the vertex with that
-        rank (|G| x i int32)."""
+        rank (|G| x i int32), a transposed view of i coordinate-major rows,
+        so each column `coords[:, j]` is contiguous."""
         i = self.stage
         if i == len(self.steps) + 2:
-            return self.final[:, :i]
+            return self.final[:i].T
         after = self.steps[i - 2]
-        out = np.empty((self.spec.size, i), dtype=np.int32)
-        out[:, : i - 1] = self.final[:, : i - 1]
-        out[:, i - 1] = np.searchsorted(after.plan.level_table, after.source_level) + 1
-        return out
+        out = np.empty((i, self.spec.size), dtype=np.int32)
+        out[: i - 1] = self.final[: i - 1]
+        out[i - 1] = np.searchsorted(after.plan.level_table, after.source_level) + 1
+        return out.T
 
     @property
     def plan(self) -> BlankPlan | None:
@@ -236,13 +246,13 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
     if plan.stage != prev.stage:
         raise ValueError("plan stage does not match embedding stage")
     table = plan.level_table
-    idx = prev.coords[:, prev.stage - 1].astype(np.int64) - 1
-    if idx.min() < 0 or idx.max() >= len(table):
+    level = prev.coords[:, prev.stage - 1]
+    if level.min() < 1 or level.max() > len(table):
         raise RuntimeError(
             "stage coordinate beyond the nonblank level supply; "
             "budget identity violated"
         )
-    return table[idx]
+    return table[level - 1]
 
 
 def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,39 +325,47 @@ def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedd
 
     Stacking consumes `prev`, the top stage of its chain, and `key`, the
     `packed_address` of its first i - 1 columns.  The offset is added to
-    `key` in place, and the offset and height columns are written into the
-    chain's `final` array, the offset over prev's level column, which the
-    new stage's source level (its `Transition`) now determines: from then on
-    stage i is read from the returned stage's `stage_chain()`, and `prev`
-    itself reads offsets where its levels were.  A chain's `final` starts
-    zeroed past stage 2 and every height is at least 1, so a stage whose
-    height column is already written has been stacked, and is refused.
+    `key` in place, and the offset and height coordinates are written into
+    rows i - 1 and i of the chain's coordinate-major `final` array, the
+    offset over prev's level row, which the new stage's source level (its
+    `Transition`) now determines: from then on stage i is read from the
+    returned stage's `stage_chain()`, and `prev` itself reads offsets where
+    its levels were.  Sections are 2^{e_i - e_{i-1}} slots wide, so the
+    0-based offset and section of a level are the low bits and the rest of
+    level - 1, taken from the int32 levels by mask and shift.  A chain's
+    `final` starts zeroed past stage 2 and every height is at least 1, so a
+    stage whose height row is already written has been stacked, and is
+    refused.
     """
     i = prev.stage
-    if prev.final[0, i]:
+    final = prev.final
+    if final[i, 0]:
         raise ValueError(f"stage {i} is already stacked")
     spec = prev.spec
     levels = inflate(prev, plan)
-    offsets = plan.offset_of(levels)
-    coords = prev.final
-    coords[:, i - 1] = offsets
-    key += (offsets - 1).astype(np.int64) << spec.exponents[i - 1]
-    cell = section_cells(key, plan.section_of(levels), plan.pages)
+    sections = levels - 1
+    offsets = np.bitwise_and(sections, plan.width - 1, out=final[i - 1])
+    key += offsets.astype(np.int64) << spec.exponents[i - 1]
+    offsets += 1
+    sections >>= spec.block_width(i)
+    sections += 1
+    cell = section_cells(key, sections, plan.pages)
+    del sections
     table = cell_prefix_counts(cell, 1 << spec.exponents[i], plan.pages, single=True)
-    coords[:, i] = np.take(table.reshape(-1), cell)
+    final[i] = np.take(table.reshape(-1), cell)
     step = Transition(plan, levels)
-    return StageEmbedding(spec, i + 1, coords, prev.steps + (step,))
+    return StageEmbedding(spec, i + 1, final, prev.steps + (step,))
 
 
 def _stage2(spec: GridSpec, base: Embedding2D) -> StageEmbedding:
-    """Stage 2 from the base map, in the first two columns of a new chain
-    whose other columns start zeroed."""
+    """Stage 2 from the base map, in the first two rows of a new
+    coordinate-major chain whose other rows start zeroed."""
     a1 = spec.dims[0]
     ranks = np.arange(spec.size)
     at = base.offsets[ranks % a1] + ranks // a1
-    final = np.zeros((spec.size, spec.k), dtype=np.int32)
-    final[:, 0] = base.rows[at]
-    final[:, 1] = base.cols[at]
+    final = np.zeros((spec.k, spec.size), dtype=np.int32)
+    final[0] = base.rows[at]
+    final[1] = base.cols[at]
     return StageEmbedding(spec, 2, final)
 
 
@@ -366,7 +384,7 @@ def build_fk(
             f"got {len(seed_matrices)}"
         )
     emb = _stage2(spec, build_f2(spec))
-    key = packed_address(spec, emb.final[:, :1])
+    key = packed_address(spec, emb.final[:1].T)
     for i in range(2, spec.k):
         matrix = seed_matrices[i - 2] if seed_matrices is not None else None
         plan = build_blank_plan(spec, i, matrix=matrix)

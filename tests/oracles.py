@@ -18,6 +18,7 @@ exactly, or pass its checks.  It holds:
   solvers, the exact matrix-rounding and zero-window validators of a
   designation matrix, its cyclic zero index and forward/backward
   classification, and the matrix dump writer;
+- the blanks per section computed section by section over every page;
 - the per-row forms of the blank plan tables (nonblank levels, and section
   ordinals by bisection), the nonblank-ordinal distance, the stack
   heights as dict tables over the address box, and the offset and height
@@ -742,6 +743,25 @@ def parse_embedding(text: str) -> checks.ParsedEmbedding:
         seen[rank] = True
         labels[rank] = int(bits, 2)
     return checks.ParsedEmbedding(spec, windows, labels)
+
+
+def s_sequence(spec: GridSpec, i: int) -> tuple[int, ...]:
+    """Blanks per section at stage i, one section at a time over all P_i
+    sections: s_i(j) = w - ceil(A/h) + floor(j phi) - floor((j-1) phi),
+    with w = 2^{e_i - e_{i-1}}, A = a_1...a_i, h = 2^{e_{i-1}} and
+    phi = ceil(A/h) - A/h, in exact integer arithmetic."""
+    width = 1 << spec.block_width(i)
+    half = 1 << spec.exponents[i - 1]
+    prefix = spec.prefix_product(i)
+    lead = -(-prefix // half)
+    phi_num = lead * half - prefix
+    s = []
+    prev = 0
+    for j in range(1, spec.page_count(i) + 1):
+        cur = (j * phi_num) // half
+        s.append(width - lead + cur - prev)
+        prev = cur
+    return tuple(s)
 
 
 def zero_columns(F: BinaryMatrix) -> list[tuple[int, ...]]:

@@ -179,6 +179,14 @@ def test_best_labeling_selection():
         assert lab.t == t and lab.window == 5
 
 
+def test_labelings_are_memoized_per_t():
+    # a labeling is frozen with a read-only order, so one per t is shared
+    for t in range(1, 13):
+        for make in (best_labeling, gray_label):
+            lab = make(t)
+            assert make(t) is lab
+            assert not lab.order.flags.writeable
+
 
 @pytest.mark.parametrize("t, leaf_degree", [(3, 1), (6, 3)])
 def test_assign_leaves_matches_oracle_on_base_spines(t, leaf_degree):

@@ -34,7 +34,7 @@ from gridcube.checks import (
 from gridcube.caterpillars import CubeLabeling, gray_label
 from gridcube.grids import GridSpec
 from gridcube.rounding import BinaryMatrix, parse_matrices
-from gridcube.stages import BlankPlan, build_fk
+from gridcube.stages import BlankPlan, build_fk, distinct_rows
 
 DATA = Path(__file__).parent / "data"
 TRACING = load_tracing()
@@ -259,16 +259,16 @@ def with_source(stage, level):
 
 def with_coords(stage, coords):
     """The chain of a stage with that stage's coordinates replaced by
-    `coords`, as its top stage: the first j - 1 columns go into the shared
-    `final` array (so later stages see them too), and the last into
-    `final` at the top stage and otherwise, through the next plan's level
-    table, into the next stage's source levels."""
+    `coords`, as its top stage: the first j - 1 columns go into rows of the
+    shared coordinate-major `final` array (so later stages see them too),
+    and the last into `final` at the top stage and otherwise, through the
+    next plan's level table, into the next stage's source levels."""
     j = stage.stage
     final = stage.final.copy()
-    final[:, : j - 1] = coords[:, : j - 1]
+    final[: j - 1] = coords[:, : j - 1].T
     top = dataclasses.replace(stage, stage=len(stage.steps) + 2, final=final)
     if j == top.stage:
-        final[:, j - 1] = coords[:, j - 1]
+        final[j - 1] = coords[:, j - 1]
         return top
     table = stage.steps[j - 2].plan.level_table
     after = dataclasses.replace(top, stage=j + 1)
@@ -447,8 +447,9 @@ def test_coordinate_diffs_at_the_dtype_boundaries(dims, widths):
     fk = build_fk(spec)
     assert coordinate_diffs(fk).cyclic == oracles.coordinate_diffs(fk)
     rng = np.random.default_rng(sum(dims))
-    coords = np.stack([rng.integers(1, (1 << t) + 1, spec.size) for t in widths], 1)
-    coords[:2] = [[1 << t for t in widths], [1] * spec.k]
+    coords = np.stack([rng.integers(1, (1 << t) + 1, spec.size) for t in widths])
+    coords[:, 0] = [1 << t for t in widths]
+    coords[:, 1] = 1
     chain = dataclasses.replace(fk, final=coords.astype(np.int32))
     assert chain.coords.max(axis=0).tolist() == [1 << t for t in widths]
     assert coordinate_diffs(chain).cyclic == oracles.coordinate_diffs(chain)
@@ -892,12 +893,30 @@ def test_audit_grid_fails_colliding_labels(monkeypatch):
     assert status["embedding.injective"] == "FAIL"
 
 
+def test_label_mask_agrees_with_distinct_rows(battery_grids):
+    # is_injective counts the labels in a 2^n-entry mask; the sort in
+    # distinct_rows counts them too, on built labels and on one collision
+    rng = np.random.default_rng(19)
+    fks = [fk for fk in battery_grids.values() if fk.spec.size <= 1 << 16]
+    fks += [build_fk(GridSpec(dims)) for dims in UNEQUAL_GRIDS]
+    for fk in fks:
+        emb = assemble_Hk(fk)
+        v, w = rng.choice(fk.spec.size, size=2, replace=False)
+        labels = emb.labels.copy()
+        labels[v] = labels[w]
+        for planted in (False, True):
+            if planted:
+                object.__setattr__(emb, "labels", labels)
+            distinct = len(distinct_rows(emb.labels)[0]) == fk.spec.size
+            assert emb.is_injective() == distinct == (not planted), fk.spec.dims
+
+
 def test_audit_grid_reports_a_colliding_stage_map(monkeypatch):
     spec = GridSpec((5, 5, 6))
     fk = build_fk(spec)
-    coords = fk.coords.copy()
-    coords[1] = coords[0]
-    mutant = dataclasses.replace(fk, final=coords)
+    final = fk.final.copy()
+    final[:, 1] = final[:, 0]
+    mutant = dataclasses.replace(fk, final=final)
     monkeypatch.setattr(checks_module, "build_fk", lambda spec, seed_matrices: mutant)
     checks, emb, _ = audit_grid(spec)
     status = {c.name: c.status for c in checks}

@@ -327,9 +327,9 @@ def test_internal_errors_exit_three(monkeypatch):
 def test_embed_of_colliding_labels_exits_three(monkeypatch):
     def colliding(spec, seed_matrices=None):
         fk = build_fk(spec)
-        coords = fk.coords.copy()
-        coords[1] = coords[0]
-        return dataclasses.replace(fk, final=coords)
+        final = fk.final.copy()
+        final[:, 1] = final[:, 0]
+        return dataclasses.replace(fk, final=final)
 
     monkeypatch.setattr("gridcube.cli.build_fk", colliding)
     code, out, err = run_cli(["embed", "5", "5", "6"])

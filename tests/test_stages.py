@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,31 @@ def test_s_sequence_random_grids_hold_contracts():
         for i in range(2, k):
             s = s_sequence(spec, i)
             assert len(s) == spec.page_count(i)
+
+
+def test_s_sequence_equals_the_section_loop():
+    """s_i repeats with period h / gcd(phi_num, h), so the library builds
+    one period and repeats it; the oracle computes every section.  Grids of
+    k = 3..6 with sides 2..40 and at most 2^16 vertices."""
+    rng = random.Random(19)
+    specs = repeated = 0
+    for _ in range(1500):
+        k = rng.randint(3, 6)
+        budget = 1 << 16
+        dims = []
+        for rest in range(k - 1, -1, -1):
+            dims.append(rng.randint(2, min(40, budget >> rest)))
+            budget //= dims[-1]
+        spec = GridSpec(tuple(dims))
+        for i in range(2, k):
+            s = s_sequence(spec, i)
+            assert s == oracles.s_sequence(spec, i), (dims, i)
+            half = 1 << spec.exponents[i - 1]
+            period = half // math.gcd(-spec.prefix_product(i) % half, half)
+            specs += 1
+            repeated += period < len(s)
+    # 3,723 stage specs, 1,648 of them longer than one period
+    assert specs > 3500 and repeated > 1500, (specs, repeated)
 
 
 def test_blank_plan_from_seed_matches_hand_data():
@@ -246,12 +273,33 @@ def test_build_fk_memory_is_bounded_by_the_final_map(dims):
     assert peak <= 8 * spec.size * spec.k * 4, peak / (spec.size * spec.k * 4)
 
 
+def test_chain_is_stored_coordinate_major(battery_grids):
+    """`final` is a C-contiguous k x |G| int32 array, and every coordinate
+    column of every stage is contiguous: a view of a row of `final` at the
+    top stage.  A chain in any other layout is refused."""
+    fks = [*battery_grids.values(), build_fk(GridSpec((7, 11, 13, 97)))]
+    for fk in fks:
+        spec = fk.spec
+        assert fk.final.shape == (spec.k, spec.size)
+        assert fk.final.dtype == np.int32 and fk.final.flags.c_contiguous
+        for j in range(spec.k):
+            column = fk.coords[:, j]
+            assert column.flags.c_contiguous
+            assert np.shares_memory(column, fk.final[j])
+        for st in fk.stage_chain():
+            assert all(st.coords[:, j].flags.c_contiguous for j in range(st.stage))
+    fk = build_fk(GridSpec((5, 6, 7)))
+    for final in (np.asfortranarray(fk.final), fk.final.T.copy()):
+        with pytest.raises(ValueError):
+            dataclasses.replace(fk, final=final)
+
+
 def test_stack_refuses_a_stage_already_stacked():
     # stacking writes into the chain's shared final array, so a stage below
     # the top cannot be stacked again; the chain is left as it was
     fk = build_fk(GridSpec((5, 5, 6)))
     final = fk.final.copy()
-    key = packed_address(fk.spec, fk.final[:, :1])
+    key = packed_address(fk.spec, fk.final[:1].T)
     with pytest.raises(ValueError, match="stage 2 is already stacked"):
         stack(fk.stage_chain()[0], fk.plan, key)
     assert np.array_equal(fk.final, final)
@@ -264,7 +312,7 @@ def unstacked(st):
     prev = st.stage_chain()[-2]
     i = prev.stage
     final = np.zeros_like(st.final)
-    final[:, :i] = prev.coords
+    final[:i] = prev.coords.T
     top = StageEmbedding(st.spec, i, final, st.steps[: i - 2])
     return top, packed_address(st.spec, prev.coords[:, : i - 1])
 
@@ -340,9 +388,9 @@ def test_is_injective_matches_unique(battery_grids):
             expected = len(np.unique(st.coords, axis=0)) == st.spec.size
             assert st.is_injective() == expected
     st = build_fk(GridSpec((5, 6, 7)))
-    coords = st.coords.copy()
-    coords[3] = coords[40]
-    assert not dataclasses.replace(st, final=coords).is_injective()
+    final = st.final.copy()
+    final[:, 3] = final[:, 40]
+    assert not dataclasses.replace(st, final=final).is_injective()
 
 
 def test_stack_heights_two_value_contract_asserts():
