@@ -28,7 +28,7 @@ from .stages import (
     build_fk,
     decimal_columns,
     distinct_rows,
-    packed_address,
+    keys_distinct,
     section_prefix_counts,
 )
 
@@ -301,6 +301,17 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
 
     Every table is one integer array over vertices, pages, or addresses by
     sections (M x P, under 2|G| entries), so memory stays O(|G| + P).
+
+    Inside the stage's `box` no check sorts rows.  Each stacking order
+    sorts one int64 key per vertex whose bit fields, most significant
+    first, are its sort columns: the stage's `address` (below
+    M = 2^{e_{j-1}}), the page (1..P), the height (1..u_j) and the vertex
+    rank, each field as wide as its range, which the box guarantees.  With
+    the rank as the lowest field every key is distinct, so the sorted keys
+    give exactly the permutation of a stable lexsort of the columns, ties
+    included; the fields of the sorted keys read back as the sorted
+    columns.  A stage outside its box, or a key wider than 63 bits, takes
+    the lexsort itself.
     """
     spec = emb.spec
     j = emb.stage
@@ -309,8 +320,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     pre = f"pipeline.stage{j}."
     out: list[CheckResult] = []
 
-    coords = emb.coords
-    h = coords[:, j - 1].astype(np.int64)
+    h = emb.coords[:, j - 1].astype(np.int64)
     P = plan.pages
     # a source level off the plan's levels 1..P * width fails prefix
     # stability; clipped, it indexes the plan's tables like any other
@@ -322,7 +332,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     M = 1 << spec.exponents[j - 1]
     level_size = 1 << spec.exponents[j - 2]
     prefprod = spec.prefix_product(j - 1)
-    addr = packed_address(spec, coords[:, : j - 1])
+    addr = emb.address
     # the page bracket ceil(r A / M) for page prefixes r = 0..P
     r = np.arange(P + 1, dtype=np.int64)
     l_of = -(-r * prefprod // M)
@@ -387,9 +397,22 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     out.append(_gated(pre + "section-page-window", window, asserted))
 
     # stacking order: within a stack, height ascends exactly with the source
-    # section, and source pages never descend
-    order = np.lexsort((h, addr))
-    a_s = addr[order]
+    # section, and source pages never descend; sorted by (address, height,
+    # rank) in one key
+    address_bits, height_bits = spec.exponents[j - 1], u_j.bit_length()
+    rank_bits = (spec.size - 1).bit_length()
+    if emb.in_box and address_bits + height_bits + rank_bits <= 63:
+        key = addr << height_bits
+        key |= h
+        key <<= rank_bits
+        key |= np.arange(spec.size)
+        key.sort()
+        order = key & ((1 << rank_bits) - 1)
+        a_s = key >> (height_bits + rank_bits)
+        del key
+    else:
+        order = np.lexsort((h, addr))
+        a_s = addr[order]
     same_addr = a_s[1:] == a_s[:-1]
     sec_s = sec[order]
     pg_s = pg[order]
@@ -420,9 +443,10 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     # top-two-level occupancy of each page prefix exceeds one full level:
     # top[r - 1] counts the vertices of pages 1..r at height bracket[r - 1]
     # or one below; since the bracket never decreases, each vertex counts on
-    # one interval of r, added through a difference array
+    # one interval of r, added through a difference array; it stops where
+    # the bracket first exceeds h + 1, at `need`
     start = np.maximum(np.searchsorted(bracket, h), pg - 1)
-    stop = np.searchsorted(bracket, h + 1, side="right")
+    stop = need
     live = start < stop
     top = np.cumsum(
         np.bincount(start[live], minlength=P + 1)
@@ -444,11 +468,25 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     )
 
     # single-page stack slices: at most two entries, at successive heights,
-    # within two of the section-prefix maximum
+    # within two of the section-prefix maximum.  The check reads only the
+    # sorted (address, page, height) columns, never the order of equal
+    # triples, so their key needs no rank digit
     mask = sec <= pg
     am, pm, hm = addr[mask], pg[mask], h[mask]
-    order = np.lexsort((hm, pm, am))
-    am, pm, hm = am[order], pm[order], hm[order]
+    page_bits = P.bit_length()
+    if emb.in_box and address_bits + page_bits + height_bits <= 63:
+        key = am << page_bits
+        key |= pm
+        key <<= height_bits
+        key |= hm
+        key.sort()
+        am = key >> (page_bits + height_bits)
+        pm = (key >> height_bits) & ((1 << page_bits) - 1)
+        hm = key & ((1 << height_bits) - 1)
+        del key
+    else:
+        order = np.lexsort((hm, pm, am))
+        am, pm, hm = am[order], pm[order], hm[order]
     samekey = (am[1:] == am[:-1]) & (pm[1:] == pm[:-1])
     runstart = np.ones(len(am), dtype=bool)
     runstart[1:] = ~samekey
@@ -473,7 +511,8 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     # are a slice
     a_next = spec.dims[j - 2]
     q_sub = (pg_prev - 1) % a_next + 1
-    mr = np.concatenate([[0], plan.zeros_per_row])[sec]
+    mr = plan.width - plan.F.bits.sum(axis=1, dtype=np.int64)
+    mr = mr[sec - 1]
     base = plan.width + 1
     packed = q_sub * base
     packed += nu
@@ -497,14 +536,11 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     # heights across one section or page stay within the stated spreads
     def spreads(groups: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Lowest and highest height of each group 1..count (empty: max, -1)."""
-        order = np.lexsort((h, groups))
-        hs = h[order]
-        bounds = np.searchsorted(groups[order], np.arange(1, count + 2))
-        start, stop = bounds[:-1], bounds[1:]
-        full = start < stop
-        lo = np.where(full, hs[np.minimum(start, len(hs) - 1)], np.iinfo(np.int64).max)
-        hi = np.where(full, hs[stop - 1], -1)
-        return lo, hi
+        lo = np.full(count + 1, np.iinfo(np.int64).max)
+        hi = np.full(count + 1, -1, dtype=np.int64)
+        np.minimum.at(lo, groups, h)
+        np.maximum.at(hi, groups, h)
+        return lo[1:], hi[1:]
 
     lo, hi = spreads(sec, P)
     ok1 = bool((hi - lo <= 1).all())
@@ -538,31 +574,28 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     transitions: list[CheckResult] = []
     for j in range(2, emb.stage + 1):
         st = StageEmbedding(spec, j, emb.final, emb.steps)
-        # first stage-1 coordinates are settled block values; the last is a
-        # level index bounded by the stage's level budget
-        caps = [1 << spec.block_width(t) for t in range(1, j)]
-        caps.append(level_budget(spec, j))
-        widths = np.array(caps)
-        coords = st.coords
-        inrange = bool((coords >= 1).all() and (coords <= widths[None, :]).all())
+        # the first j - 1 coordinates are settled block values and the last
+        # a level index bounded by the stage's level budget: its `box`
         out.append(_check(f"pipeline.stage{j}.injective", st.is_injective()))
-        out.append(_check(f"pipeline.stage{j}.coordinate-range", inrange))
+        out.append(_check(f"pipeline.stage{j}.coordinate-range", st.in_box))
         if st.plan is not None:
             plan, level = st.plan, st.source_level
             # the chain stores stage j - 1's level column as these source
-            # levels: each must be a nonblank level of the plan, and its
-            # offset the column stage j settled
-            table = plan.level_table
-            at = np.minimum(np.searchsorted(table, level), len(table) - 1)
-            ok = bool((table[at] == level).all()) and np.array_equal(
-                coords[:, j - 2], plan.offset_of(level)
+            # levels: each must be a nonblank level of the plan (one with a
+            # nonzero ordinal), and its offset the column stage j settled
+            ordinals = plan.ordinal_table
+            ok = (
+                int(level.min()) >= 1
+                and int(level.max()) < len(ordinals)
+                and bool((ordinals[level] > 0).all())
+                and np.array_equal(st.coords[:, j - 2], plan.offset_of(level))
             )
             stable.append(_check(f"pipeline.stage{j}.prefix-stability", ok))
             # the identity on the blanks per section of the matrix the stage used
             ok = budget_break(spec, plan.stage, plan.F.row_counts) is None
             budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
             transitions += _transition_checks(st, asserted)
-        del st, coords
+        del st
     return out + stable + budgets + transitions
 
 
@@ -745,9 +778,7 @@ class HypercubeEmbedding:
     def is_injective(self) -> bool:
         """Whether the labels are distinct: they lie in [0, 2^n), and
         2^n < 2|G|, so one scatter into a 2^n-entry mask counts them."""
-        seen = np.zeros(1 << self.spec.n, dtype=bool)
-        seen[self.labels] = True
-        return int(np.count_nonzero(seen)) == self.spec.size
+        return keys_distinct(self.labels, 1 << self.spec.n)
 
     @property
     def spec(self) -> GridSpec:
@@ -1031,7 +1062,8 @@ def audit_file(text: str) -> list[CheckResult]:
         return [CheckResult("file.parse", "FAIL", str(exc))]
     out.append(_check("file.parse", True))
     spec, labels = parsed.spec, parsed.labels
-    injective = len(distinct_rows(labels)[0]) == spec.size
+    # `parse_embedding` packs n bits per label, so each lies in [0, 2^n)
+    injective = keys_distinct(labels, 1 << spec.n)
     out.append(_check("file.label-injective", injective))
     width = bool((labels < (1 << spec.n)).all()) and bool((labels >= 0).all())
     out.append(_check("file.label-width", width))

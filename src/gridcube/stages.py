@@ -15,7 +15,6 @@ from __future__ import annotations
 import codecs
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -69,15 +68,17 @@ def budget_break(spec: GridSpec, i: int, s) -> int | None:
 
     The identity: the nonblank slots of sections 1..r, r * width minus the
     blanks s(1) + ... + s(r), exactly hold the ceil(r A / h) stage-i levels
-    those sections need (A = a_1...a_i, h = 2^{e_{i-1}}).
+    those sections need (A = a_1...a_i, h = 2^{e_{i-1}}).  Every prefix is
+    compared at once, from one cumulated sum of s.
     """
     width = 1 << spec.block_width(i)
     half = 1 << spec.exponents[i - 1]
     prefix = spec.prefix_product(i)
-    for r, total in enumerate(accumulate(s), start=1):
-        if -(-r * prefix // half) + total != r * width:
-            return r
-    return None
+    r = np.arange(1, len(s) + 1, dtype=np.int64)
+    need = -(-r * prefix // half)
+    need += np.cumsum(s, dtype=np.int64)
+    bad = np.flatnonzero(need != r * width)
+    return int(bad[0]) + 1 if len(bad) else None
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,6 @@ class BlankPlan:
     @property
     def pages(self) -> int:
         return self.spec.page_count(self.stage)
-
-    @property
-    def zeros_per_row(self) -> tuple[int, ...]:
-        """Nonblank levels per section (the paper-side m_r)."""
-        return tuple(self.width - c for c in self.F.row_counts)
 
     def section_of(self, level):
         """Section of a level (an int or an int array), 1-based."""
@@ -225,8 +221,46 @@ class StageEmbedding:
         """The inflated level each vertex passed through (None at stage 2)."""
         return self.steps[self.stage - 3].source_level if self.stage > 2 else None
 
+    def box(self) -> list[int]:
+        """The largest value of each coordinate: the first i - 1 are settled
+        block values, 1..2^{e_t - e_{t-1}}, and the last a level index,
+        1..u_i (the stage's level budget)."""
+        spec, i = self.spec, self.stage
+        caps = [1 << spec.block_width(t) for t in range(1, i)]
+        return caps + [level_budget(spec, i)]
+
+    @cached_property
+    def in_box(self) -> bool:
+        """Whether every coordinate lies in 1..its `box` value."""
+        coords = self.coords
+        return bool(
+            (coords.min(axis=0) >= 1).all()
+            and (coords.max(axis=0) <= np.array(self.box())).all()
+        )
+
+    @cached_property
+    def address(self) -> np.ndarray:
+        """The `packed_address` of each vertex's first i - 1 coordinates."""
+        return packed_address(self.spec, self.coords[:, : self.stage - 1])
+
     def is_injective(self) -> bool:
-        return len(distinct_rows(self.coords)[0]) == self.spec.size
+        """Whether no two vertices share a stage-i coordinate tuple.
+
+        Inside the `box`, each tuple packs into one int64 key without
+        collision: the `address` below 2^{e_{i-1}}, plus the level minus 1
+        from bit e_{i-1} up.  Keys then lie below 2^{e_{i-1}} u_i, which is
+        under |G| + 2^{e_{i-1}} < 3|G|, so one scatter into a boolean mask of
+        that size counts them.  A coordinate outside the box can alias
+        another key, so such a chain sorts its rows (`distinct_rows`).
+        """
+        spec, i = self.spec, self.stage
+        if not self.in_box:
+            return len(distinct_rows(self.coords)[0]) == spec.size
+        key = self.coords[:, i - 1].astype(np.int64)
+        key -= 1
+        key <<= spec.exponents[i - 1]
+        key += self.address
+        return keys_distinct(key, level_budget(spec, i) << spec.exponents[i - 1])
 
     def stage_chain(self) -> "list[StageEmbedding]":
         """Stages 2..stage of the chain, earliest first; each builds its
@@ -263,6 +297,14 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new = np.concatenate([[True], new if a.ndim == 1 else new.any(axis=1)])
     starts = np.flatnonzero(new[: len(s)])  # an empty `a` has no first row
     return s[starts], np.diff(starts, append=len(s))
+
+
+def keys_distinct(keys: np.ndarray, bound: int) -> bool:
+    """Whether the keys, all in [0, bound), are pairwise distinct: one
+    scatter into a `bound`-entry boolean mask, counted."""
+    seen = np.zeros(bound, dtype=bool)
+    seen[keys] = True
+    return int(np.count_nonzero(seen)) == len(keys)
 
 
 def packed_address(spec: GridSpec, coords: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import ceil, floor, lcm
 from unittest import mock
 
@@ -764,6 +764,24 @@ def s_sequence(spec: GridSpec, i: int) -> tuple[int, ...]:
     return tuple(s)
 
 
+def budget_break(spec: GridSpec, i: int, s) -> int | None:
+    """First section prefix r where the budget identity fails, else None,
+    one prefix at a time: sections 1..r hold r * width slots minus their
+    blanks, and need ceil(r A / h) levels (A = a_1...a_i, h = 2^{e_{i-1}})."""
+    width = 1 << spec.block_width(i)
+    half = 1 << spec.exponents[i - 1]
+    prefix = spec.prefix_product(i)
+    for r, total in enumerate(accumulate(s), start=1):
+        if -(-r * prefix // half) + total != r * width:
+            return r
+    return None
+
+
+def zeros_per_row(plan: BlankPlan) -> tuple[int, ...]:
+    """Nonblank levels per section (the paper-side m_r)."""
+    return tuple(plan.width - c for c in plan.F.row_counts)
+
+
 def zero_columns(F: BinaryMatrix) -> list[tuple[int, ...]]:
     """1-based columns of the zeros of every row, left to right."""
     return [tuple((np.flatnonzero(row == 0) + 1).tolist()) for row in F.bits]
@@ -795,7 +813,7 @@ def nu_distance(plan: BlankPlan, sec1: int, nu1: int, sec2: int, nu2: int) -> in
     min(|nu2 - nu1|, m_sec1 - nu1 + nu2, m_sec2 - nu2 + nu1), the three-way
     minimum over direct difference and the two wraparound readings.
     """
-    zeros = plan.zeros_per_row
+    zeros = zeros_per_row(plan)
     m1, m2 = zeros[sec1 - 1], zeros[sec2 - 1]
     return min(abs(nu2 - nu1), m1 - nu1 + nu2, m2 - nu2 + nu1)
 
@@ -1324,7 +1342,7 @@ def transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]:
     # same subpage position => nonblank-level ordinals within 3 cyclically
     a_next = spec.dims[j - 2]
     q_sub = (pg_prev - 1) % a_next + 1
-    zeros = plan.zeros_per_row
+    zeros = zeros_per_row(plan)
     mr = np.array([0] + list(zeros))[sec]
     ok = True
     worst = ""

@@ -278,12 +278,14 @@ def with_coords(stage, coords):
 def stage_mutants(stage):
     """Seeded corruptions of one stacked stage, each as the top of its
     chain: a source level at a far ordinal of its section, swapped heights,
-    a source level moved to the next section, and two points at one
-    address."""
+    a source level moved to the next section, two points at one address,
+    and a duplicated row: two points at one address and height from
+    different source sections, whose stacking order is the rank order;
+    then the last section emptied into the first nonblank level."""
     j = stage.stage
     rng = np.random.default_rng(j)
     plan = stage.plan
-    zeros = plan.zeros_per_row
+    zeros = oracles.zeros_per_row(plan)
     sections, nus = oracles.source_section(stage), oracles.source_nu(stage)
 
     def moved_source(v, section, nu):
@@ -305,6 +307,13 @@ def stage_mutants(stage):
         coords = stage.coords.copy()
         coords[v, : j - 1] = coords[w, : j - 1]
         yield with_coords(stage, coords)
+        other = np.flatnonzero(sections != section)
+        coords = stage.coords.copy()
+        coords[v] = coords[other[rng.integers(len(other))]]
+        yield with_coords(stage, coords)
+    level = stage.source_level.copy()
+    level[sections == plan.pages] = plan.level_table[0]
+    yield with_source(stage, level)
 
 
 @pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3), (17, 17, 17)])
@@ -314,6 +323,29 @@ def test_pipeline_battery_matches_oracle_on_mutants(dims):
         for mutant in stage_mutants(stage):
             expected = triples(oracles.pipeline_battery(mutant))
             assert triples(pipeline_battery(mutant)) == expected
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3), (17, 17, 17)])
+def test_pipeline_battery_matches_oracle_outside_the_box(dims):
+    # heights of 0 put the top stage outside its box, where the stacking
+    # orders are lexsorts: the two lowest vertices of a stack both drop to
+    # 0, so the order of their tie decides the stacking-order checks
+    fk = build_fk(GridSpec(dims))
+    k = fk.stage
+    h, addr = fk.coords[:, k - 1], fk.address
+    bottoms = np.flatnonzero(h == 1)
+    mutants = 0
+    for v in bottoms[:: max(1, len(bottoms) // 4)]:
+        above = np.flatnonzero((addr == addr[v]) & (h == 2))
+        if len(above):
+            coords = fk.coords.copy()
+            coords[[v, above[0]], k - 1] = 0
+            mutant = with_coords(fk, coords)
+            assert not mutant.in_box
+            expected = triples(oracles.pipeline_battery(mutant))
+            assert triples(pipeline_battery(mutant)) == expected
+            mutants += 1
+    assert mutants >= 3
 
 
 @pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3)])
@@ -695,6 +727,16 @@ def traced_peak(f, *args):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (12, 17, 22, 14)])
+def test_pipeline_battery_memory_is_bounded_per_vertex(dims):
+    """The battery builds one stage's coordinates, keys and tables at a
+    time: its tracemalloc peak stays within 230 B per vertex (206-222 B
+    here when it sorted rows, 198-214 B with packed keys and masks)."""
+    fk = build_fk(GridSpec(dims))
+    _, peak = traced_peak(pipeline_battery, fk)
+    assert peak <= 230 * fk.spec.size, peak / fk.spec.size
+
+
 @pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (7, 11, 13, 97)])
 def test_edge_scan_memory_is_bounded_by_the_input(dims):
     """The edge scans hold one edge-sized temporary per dimension at a time,
@@ -909,6 +951,17 @@ def test_label_mask_agrees_with_distinct_rows(battery_grids):
                 object.__setattr__(emb, "labels", labels)
             distinct = len(distinct_rows(emb.labels)[0]) == fk.spec.size
             assert emb.is_injective() == distinct == (not planted), fk.spec.dims
+    # audit_file counts a parsed file's labels in the same mask
+    emb = assemble_Hk(build_fk(GridSpec((5, 6, 7))))
+    text = dump_embedding(emb)
+    lines = text.split("\n")
+    lines[4 + 10] = lines[4 + 10][: -emb.spec.n] + lines[4 + 3][-emb.spec.n :]
+    duplicated = "\n".join(lines)
+    for body, injective in ((text, True), (duplicated, False)):
+        labels = parse_embedding(body).labels
+        assert (len(distinct_rows(labels)[0]) == emb.spec.size) == injective
+        status = {c.name: c.status for c in audit_file(body)}
+        assert status["file.label-injective"] == ("PASS" if injective else "FAIL")
 
 
 def test_audit_grid_reports_a_colliding_stage_map(monkeypatch):

@@ -19,6 +19,7 @@ from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, parse_matrices
 from gridcube.stages import (
     StageEmbedding,
+    budget_break,
     build_blank_plan,
     build_fk,
     distinct_rows,
@@ -78,12 +79,10 @@ def test_s_sequence_random_grids_hold_contracts():
             assert len(s) == spec.page_count(i)
 
 
-def test_s_sequence_equals_the_section_loop():
-    """s_i repeats with period h / gcd(phi_num, h), so the library builds
-    one period and repeats it; the oracle computes every section.  Grids of
-    k = 3..6 with sides 2..40 and at most 2^16 vertices."""
+def section_loop_specs():
+    """Stage specs (spec, i) of grids with k = 3..6, sides 2..40 and at
+    most 2^16 vertices, drawn from a fixed seed."""
     rng = random.Random(19)
-    specs = repeated = 0
     for _ in range(1500):
         k = rng.randint(3, 6)
         budget = 1 << 16
@@ -93,21 +92,55 @@ def test_s_sequence_equals_the_section_loop():
             budget //= dims[-1]
         spec = GridSpec(tuple(dims))
         for i in range(2, k):
-            s = s_sequence(spec, i)
-            assert s == oracles.s_sequence(spec, i), (dims, i)
-            half = 1 << spec.exponents[i - 1]
-            period = half // math.gcd(-spec.prefix_product(i) % half, half)
-            specs += 1
-            repeated += period < len(s)
+            yield spec, i
+
+
+def test_s_sequence_equals_the_section_loop():
+    """s_i repeats with period h / gcd(phi_num, h), so the library builds
+    one period and repeats it; the oracle computes every section."""
+    specs = repeated = 0
+    for spec, i in section_loop_specs():
+        s = s_sequence(spec, i)
+        assert s == oracles.s_sequence(spec, i), (spec.dims, i)
+        half = 1 << spec.exponents[i - 1]
+        period = half // math.gcd(-spec.prefix_product(i) % half, half)
+        specs += 1
+        repeated += period < len(s)
     # 3,723 stage specs, 1,648 of them longer than one period
     assert specs > 3500 and repeated > 1500, (specs, repeated)
+
+
+def test_budget_break_equals_the_prefix_loop():
+    """budget_break compares every section prefix at once; the oracle walks
+    them one at a time.  Both see the same first failing prefix: none on
+    s_i itself, and r once a blank is added to section r (r the first, a
+    middle or the last section), or moved from section r to r + 1, so that
+    only prefix r breaks."""
+    broken = 0
+    for spec, i in section_loop_specs():
+        s = s_sequence(spec, i)
+        assert budget_break(spec, i, s) is None
+        assert oracles.budget_break(spec, i, s) is None
+        P = len(s)
+        for r in sorted({1, (P + 1) // 2, P}):
+            more = list(s)
+            more[r - 1] += 1
+            cases = [more]
+            if r < P:
+                moved = list(more)
+                moved[r] -= 1
+                cases.append(moved)
+            for t in cases:
+                assert budget_break(spec, i, t) == oracles.budget_break(spec, i, t) == r
+                broken += 1
+    assert broken > 10_000, broken
 
 
 def test_blank_plan_from_seed_matches_hand_data():
     spec = GridSpec((3, 7, 4, 3))
     plan = build_blank_plan(spec, 3, matrix=load_matrix("seed_3743_stage3.txt"))
     assert plan.level_table.tolist() == [2, 3, 4, 5, 6, 8, 9, 11]
-    assert plan.zeros_per_row == (3, 3, 2)
+    assert oracles.zeros_per_row(plan) == (3, 3, 2)
     assert plan.section_of(8) == 2 and plan.offset_of(8) == 4
     assert plan.ordinal_table[8] == 3
     assert plan.ordinal_table[7] == 0  # blank slot
@@ -163,7 +196,7 @@ def test_generated_plans_pass_contracts():
 def test_nu_distance_wraps_both_ways():
     spec = GridSpec((3, 7, 4))
     plan = build_blank_plan(spec, 2, matrix=load_matrix("seed_374_stage2.txt"))
-    assert plan.zeros_per_row == (6, 5, 5, 5)
+    assert oracles.zeros_per_row(plan) == (6, 5, 5, 5)
     # last nonblank of section 1 vs first of section 2: adjacent after wrap
     assert nu_distance(plan, 1, 6, 2, 1) == 1
     assert nu_distance(plan, 2, 1, 1, 6) == 1
@@ -383,14 +416,34 @@ def test_distinct_rows_matches_unique():
 
 
 def test_is_injective_matches_unique(battery_grids):
+    # built chains lie in their box, where is_injective counts packed keys
+    # in a mask
     for fk in battery_grids.values():
         for st in fk.stage_chain():
             expected = len(np.unique(st.coords, axis=0)) == st.spec.size
-            assert st.is_injective() == expected
+            assert st.in_box and st.is_injective() == expected
     st = build_fk(GridSpec((5, 6, 7)))
     final = st.final.copy()
     final[:, 3] = final[:, 40]
     assert not dataclasses.replace(st, final=final).is_injective()
+    # a coordinate of 0, one above its block width and a level above u_i,
+    # with and without a second vertex on the same tuple: out of the box a
+    # key can alias another, so these chains sort their rows instead
+    for dims in [(5, 6, 7), (3, 7, 4, 3), (6, 9)]:
+        fk = build_fk(GridSpec(dims))
+        top = fk.stage - 1
+        box = fk.box()
+        for row, value in [(0, 0), (1, box[1] + 1), (top, box[top] + 1)]:
+            for collide in (False, True):
+                final = fk.final.copy()
+                final[row, 3] = value
+                if collide:
+                    final[:, 40] = final[:, 3]
+                st = dataclasses.replace(fk, final=final)
+                assert not st.in_box
+                expected = len(np.unique(st.coords, axis=0)) == st.spec.size
+                assert expected == (not collide)
+                assert st.is_injective() == expected, (dims, row, value, collide)
 
 
 def test_stack_heights_two_value_contract_asserts():
@@ -429,7 +482,7 @@ def test_stage_chain_and_sources(emb_3743):
         assert secs.min() >= 1 and secs.max() <= pages
         nus = oracles.source_nu(emb)
         assert nus.min() >= 1
-        zeros = emb.plan.zeros_per_row
+        zeros = oracles.zeros_per_row(emb.plan)
         for sec, nu in zip(secs, nus):
             assert nu <= zeros[sec - 1]
 
