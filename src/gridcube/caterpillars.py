@@ -6,12 +6,13 @@ off every spine vertex.  Numbering the vertices block by block along the
 spine gives a labeling in which close labels mean close cube vertices: any
 two labels within a window of leaf_degree + 2 (cyclically) are at Hamming
 distance at most 3.  A reflected-Gray ordering serves as the fallback for
-cubes too small to host any caterpillar.
+cubes too small to host any caterpillar, and for blocks whose measured
+coordinate differences exceed the caterpillar's window (`assemble_Hk`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -229,7 +230,7 @@ class CubeLabeling:
     Hamming distance <= 3 (and label distance bounds Hamming distance beyond
     the window, via the spine walk); window == 0 marks a Gray-style labeling
     where Hamming distance is at most the cyclic label distance, for every
-    distance.
+    distance.  `window_breach` checks the promise once per labeling.
     """
 
     t: int
@@ -240,6 +241,12 @@ class CubeLabeling:
         object.__setattr__(self, "order", _frozen(self.order))
         if self.order.ndim != 1 or not _covers(self.order, 1 << self.t):
             raise ValueError("labeling order is not a bijection on the cube")
+
+    @cached_property
+    def window_breach(self) -> tuple[int, int, int] | None:
+        """`verify_window(self, self.window, 3)`, computed when first read:
+        None when the window promise holds (always, at window 0)."""
+        return verify_window(self, self.window, 3)
 
 
 def label_from_caterpillar(cat: Caterpillar) -> CubeLabeling:

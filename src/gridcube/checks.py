@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .base2d import fill_columns
-from .caterpillars import CubeLabeling, best_labeling, gray_label, verify_window
+from .caterpillars import CubeLabeling, best_labeling, gray_label
 from .grids import GridSpec, level_budget
 from .rounding import BinaryMatrix
 from .stages import (
@@ -119,9 +119,8 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
         raise ValueError("need at least two chains")
     if m < 2:
         raise ValueError("need at least two columns")
-    e1 = (a1 - 1).bit_length()
-    emb = fill_columns(a1, e1, m)
-    height = 1 << e1
+    emb = fill_columns(a1, m)
+    height = emb.height
     out: list[CheckResult] = []
 
     rows, cols = emb.rows, emb.cols
@@ -741,7 +740,7 @@ def diff_case_checks(diffs: CoordinateDiffs) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypercubeEmbedding:
     """Grid vertices labeled with hypercube corners of the optimal dimension.
 
@@ -865,13 +864,13 @@ class DilationReport:
 def dilation(emb: HypercubeEmbedding) -> DilationReport:
     """Exact dilation over all grid edges, plus the labeling-implied bound.
 
-    Also verifies the window implication: every windowed labeling passes
-    `verify_window(lab, lab.window, 3)`.  Block j of a label is
-    `order[x_j - 1]` for the final map's coordinate x_j, so this implies
-    that every edge whose cyclic difference in coordinate j lies within the
-    window moves block j by at most 3, at 2^t * window work per labeling,
-    whatever the grid's size.  Edges are `_grid` views: the label XOR along
-    each grid dimension's axis gives the Hamming distances.
+    Also verifies the window implication: no windowed labeling has a
+    `window_breach`.  Block j of a label is `order[x_j - 1]` for the final
+    map's coordinate x_j, so this implies that every edge whose cyclic
+    difference in coordinate j lies within the window moves block j by at
+    most 3, at 2^t * window work once per labeling, whatever the grid's
+    size.  Edges are `_grid` views: the label XOR along each grid
+    dimension's axis gives the Hamming distances.
     """
     spec = emb.spec
     diffs = emb.diffs
@@ -903,7 +902,7 @@ def dilation(emb: HypercubeEmbedding) -> DilationReport:
         implied,
         len(windowed) == spec.k,
         within,
-        all(verify_window(lab, lab.window, 3) is None for lab in windowed),
+        all(lab.window_breach is None for lab in windowed),
     )
 
 
@@ -994,7 +993,7 @@ def dump_embedding(emb: HypercubeEmbedding) -> str:
     return "".join(pieces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParsedEmbedding:
     """A GRIDCUBE file: spec, declared windows, and per-rank labels."""
 

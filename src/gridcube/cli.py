@@ -12,12 +12,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .caterpillars import (
-    caterpillar_for,
-    gray_label,
-    label_from_caterpillar,
-    verify_window,
-)
+from .caterpillars import caterpillar_for, gray_label, label_from_caterpillar
 from .checks import (
     assemble_Hk,
     audit_file,
@@ -135,7 +130,7 @@ def cmd_cat(args) -> int:
         )
     cat = caterpillar_for(args.t, args.leaf_degree)
     labeling = label_from_caterpillar(cat)
-    breach = verify_window(labeling, labeling.window, 3)
+    breach = labeling.window_breach
     if breach is not None:
         a, b, dist = breach
         print(

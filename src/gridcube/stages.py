@@ -91,7 +91,8 @@ class BlankPlan:
     is the global index of the c-th nonblank level, and ``ordinal_table[g]``
     is the ordinal of level g among its own section's nonblanks (the
     cumulative nonblank count along the row; 0 at blanks and at the unused
-    index 0).
+    index 0).  A third, ``level_index``, inverts ``level_table`` when first
+    read.
     """
 
     spec: GridSpec
@@ -109,6 +110,17 @@ class BlankPlan:
         for name, table in (("level_table", levels), ("ordinal_table", ordinals)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
+
+    @cached_property
+    def level_index(self) -> np.ndarray:
+        """``level_index[g]`` is searchsorted(level_table, g) + 1 for
+        g = 0..P * width + 1 (int32): where level g sits in ``level_table``,
+        1-based.  Every level table entry lies in 1..P * width, so reading it
+        at g clipped to that index range gives the same for any int g."""
+        g = np.arange(self.F.bits.size + 2)
+        table = (np.searchsorted(self.level_table, g) + 1).astype(np.int32)
+        table.flags.writeable = False
+        return table
 
     @property
     def width(self) -> int:
@@ -156,7 +168,7 @@ def build_blank_plan(
     return plan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transition:
     """How a stacked stage was made: the blank plan its predecessor's level
     coordinate was inflated through, and the inflated (nonblank) level each
@@ -178,10 +190,10 @@ class StageEmbedding:
     vertex, so it walks one contiguous row.  Stacking never changes a
     settled coordinate, so coordinates 1..i-1 of stage i are rows of
     `final`, and its last, a level index, is where the next stage's source
-    level sits in the next plan's `level_table`.  `coords` builds the
-    stage's array from them when first read.  The top stage of the chain
-    (stage len(steps) + 2: stage k once `build_fk` is done) reads all its
-    coordinates from `final`.
+    level sits in the next plan's `level_table`: one gather from the plan's
+    `level_index`.  `coords` builds the stage's array from them when first
+    read.  The top stage of the chain (stage len(steps) + 2: stage k once
+    `build_fk` is done) reads all its coordinates from `final`.
     """
 
     spec: GridSpec
@@ -208,7 +220,7 @@ class StageEmbedding:
         after = self.steps[i - 2]
         out = np.empty((i, self.spec.size), dtype=np.int32)
         out[: i - 1] = self.final[: i - 1]
-        out[i - 1] = np.searchsorted(after.plan.level_table, after.source_level) + 1
+        np.take(after.plan.level_index, after.source_level, out=out[i - 1], mode="clip")
         return out.T
 
     @property
@@ -402,9 +414,9 @@ def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedd
 def _stage2(spec: GridSpec, base: Embedding2D) -> StageEmbedding:
     """Stage 2 from the base map, in the first two rows of a new
     coordinate-major chain whose other rows start zeroed."""
+    # rank p a1 + i is point p + 1 of chain i + 1
     a1 = spec.dims[0]
-    ranks = np.arange(spec.size)
-    at = base.offsets[ranks % a1] + ranks // a1
+    at = (base.offsets[:-1] + np.arange(spec.size // a1)[:, None]).ravel()
     final = np.zeros((spec.k, spec.size), dtype=np.int32)
     final[0] = base.rows[at]
     final[1] = base.cols[at]

@@ -8,8 +8,9 @@ exactly, or pass its checks.  It holds:
 - the literal Fraction forms of the integer-exact construction core: the
   prefix windows and the two-way rounding in fractions.Fraction, a
   recursive Dinic with adjacency lists and the leaf matching built on it,
-  the Fraction closed form of the chain prefix counts and the circulant's
-  run-sum lemma, and the literal column-filling loop of the base map;
+  the closed form of the chain prefix counts (in integer floor division
+  and in Fraction) and the circulant's run-sum lemma, and the literal
+  column-filling loop of the base map;
 - the two-way rounding's slot network on the item windows, built on the
   recursive Dinic, with the slots it gives every item when run from zero;
 - the designation matrix rounded whole, in one solver call, with no row
@@ -595,9 +596,24 @@ def verify_window(order, w: int, dbound: int) -> tuple[int, int, int] | None:
     return None
 
 
-def chain_prefix_counts(a1: int, e1: int, m: int) -> list[list[int]]:
+def chain_prefix_count(R, i, j):
+    """Closed form for N_ij, the points of chain i in columns 1..j.
+
+    N_ij = j + floor(q i) - floor(q (i-j)) with q = p / a1, p = 2^{e1} - a1,
+    evaluated as j + (p i) // a1 - (p (i-j)) // a1: floor division is exact
+    for negative arguments in Python and in numpy.  ``i`` and ``j`` may be
+    ints or numpy integer arrays (broadcast against each other).
+    """
+    if np.any(np.asarray(j) < 0):
+        raise ValueError("column prefix must be nonnegative")
+    p = (1 << R.e1) - R.a1
+    return j + (p * i) // R.a1 - (p * (i - j)) // R.a1
+
+
+def chain_prefix_counts(a1: int, m: int) -> list[list[int]]:
     """N_ij = j + floor(q i) - floor(q (i-j)) with q = (2^e1 - a1) / a1, for
     chains i = 1..a1 (rows) and column prefixes j = 0..m."""
+    e1 = (a1 - 1).bit_length()
     q = Fraction((1 << e1) - a1, a1)
     floor_q = {x: floor(q * x) for x in range(1 - m, a1 + 1)}
     return [
@@ -624,7 +640,7 @@ def consecutive_sum(R, t: int) -> int:
     return s_t
 
 
-def fill_columns(a1: int, e1: int, m: int):
+def fill_columns(a1: int, m: int):
     """The literal filling loop over columns j = 1..m.
 
     Scanning chains in order, chain i contributes 1 + R(i,j) points to column
@@ -634,8 +650,8 @@ def fill_columns(a1: int, e1: int, m: int):
     the p-th point of chain i, `columns[j-1][row-1]` is the (chain, position)
     in that cell, bottom-up.
     """
-    fc = build_R(a1, e1).first_column
-    height = 1 << e1
+    R = build_R(a1)
+    fc, height = R.first_column, 1 << R.e1
     chains: list[list[tuple[int, int]]] = [[] for _ in range(a1)]
     cols: list[list[tuple[int, int]]] = []
     for j in range(1, m + 1):
@@ -976,9 +992,8 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
         raise ValueError("need at least two chains")
     if m < 2:
         raise ValueError("need at least two columns")
-    e1 = (a1 - 1).bit_length()
-    emb = base2d.fill_columns(a1, e1, m)
-    height = 1 << e1
+    emb = base2d.fill_columns(a1, m)
+    height = emb.height
     out: list[CheckResult] = []
 
     rows, cols = emb.rows, emb.cols

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_tracing_names import load_tracing
 
-from gridcube import base2d
+from gridcube import base2d, caterpillars
 from gridcube import checks as checks_module
 from gridcube.checks import (
     CheckResult,
@@ -31,7 +31,13 @@ from gridcube.checks import (
     pipeline_battery,
     render_report,
 )
-from gridcube.caterpillars import CubeLabeling, gray_label
+from gridcube.caterpillars import (
+    CubeLabeling,
+    caterpillar_for,
+    gray_label,
+    label_from_caterpillar,
+    verify_window,
+)
 from gridcube.grids import GridSpec
 from gridcube.rounding import BinaryMatrix, parse_matrices
 from gridcube.stages import BlankPlan, build_fk, distinct_rows
@@ -108,7 +114,7 @@ def clumped_circulant(emb):
     """The base map with its circulant's doubles moved to the first chains."""
     R = emb.R
     first = tuple(sorted(R.first_column, reverse=True))
-    return dataclasses.replace(emb, R=base2d.CirculantR(R.a1, R.e1, first))
+    return dataclasses.replace(emb, R=base2d.CirculantR(R.a1, first))
 
 
 def flip_first_double(emb, value):
@@ -118,7 +124,7 @@ def flip_first_double(emb, value):
     R = emb.R
     first = list(R.first_column)
     first[first.index(1 - value)] = value
-    return dataclasses.replace(emb, R=base2d.CirculantR(R.a1, R.e1, tuple(first)))
+    return dataclasses.replace(emb, R=base2d.CirculantR(R.a1, tuple(first)))
 
 
 def extra_double(emb):
@@ -143,8 +149,8 @@ def late_first_chain(emb):
 def test_chain_battery_matches_oracle_on_corrupted_maps(monkeypatch, corrupt):
     real = base2d.fill_columns
 
-    def fill_columns(a1, e1, m):
-        return corrupt(real(a1, e1, m))
+    def fill_columns(a1, m):
+        return corrupt(real(a1, m))
 
     monkeypatch.setattr(base2d, "fill_columns", fill_columns)
     monkeypatch.setattr(checks_module, "fill_columns", fill_columns)
@@ -161,8 +167,8 @@ def test_window_counts_look_past_one_period(monkeypatch):
     # window of width up to a1 in range and first overflows at a1 + 1
     real = base2d.fill_columns
 
-    def fill_columns(a1, e1, m):
-        return extra_double(real(a1, e1, m))
+    def fill_columns(a1, m):
+        return extra_double(real(a1, m))
 
     monkeypatch.setattr(base2d, "fill_columns", fill_columns)
     monkeypatch.setattr(checks_module, "fill_columns", fill_columns)
@@ -594,6 +600,44 @@ def test_window_implication_fails_for_a_counting_labeling():
     assert not report.window_implication_sound
     status = {c.name: c.status for c in report.checks()}
     assert status["dilation.window-implication"] == "FAIL"
+    assert counting.window_breach == verify_window(counting, 5, 3) is not None
+
+
+def test_window_breach_is_verified_once_per_labeling(monkeypatch):
+    calls = []
+    real = caterpillars.verify_window
+
+    def verify_window_counted(lab, w, dbound):
+        calls.append((lab, w, dbound))
+        return real(lab, w, dbound)
+
+    monkeypatch.setattr(caterpillars, "verify_window", verify_window_counted)
+    lab = label_from_caterpillar(caterpillar_for(4, 1))
+    fk = build_fk(GridSpec((9, 9, 9)))
+    emb = assemble_Hk(fk, [lab, gray_label(3), gray_label(3)])
+    for _ in range(3):
+        assert dilation(emb).window_implication_sound
+    assert lab.window_breach is None and gray_label(3).window_breach is None
+    assert calls[:1] == [(lab, lab.window, 3)]
+    assert [c for c in calls if c[0] is lab] == calls[:1]
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    # their fields hold numpy arrays, so a field-wise == or hash cannot work
+    spec = GridSpec((3, 7, 4))
+    fk = build_fk(spec)
+    emb = assemble_Hk(fk)
+    text = dump_embedding(emb)
+    pairs = [
+        (base2d.build_f2(spec), base2d.build_f2(spec)),
+        (fk.steps[0], build_fk(spec).steps[0]),
+        (emb, assemble_Hk(fk)),
+        (parse_embedding(text), parse_embedding(text)),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b and not a == b
+        assert hash(a) == object.__hash__(a)
+        assert len({a, b, a}) == 2 and {a: 1}[a] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, parse_matrices
 from gridcube.stages import (
     StageEmbedding,
+    Transition,
     budget_break,
     build_blank_plan,
     build_fk,
@@ -444,6 +445,37 @@ def test_is_injective_matches_unique(battery_grids):
                 expected = len(np.unique(st.coords, axis=0)) == st.spec.size
                 assert expected == (not collide)
                 assert st.is_injective() == expected, (dims, row, value, collide)
+
+
+def searchsorted_levels(st):
+    """A stage's level row below the top, in its searchsorted form."""
+    after = st.steps[st.stage - 2]
+    return np.searchsorted(after.plan.level_table, after.source_level) + 1
+
+
+def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
+    # below the top stage, a stage's level is one gather from the next
+    # plan's level_index, for built chains ...
+    for fk in [*battery_grids.values(), build_fk(GridSpec((3, 7, 4, 3)))]:
+        for st in fk.stage_chain()[:-1]:
+            assert np.array_equal(st.coords[:, -1], searchsorted_levels(st))
+    # ... and for any int32 source level: blank, zero, negative, just past
+    # the plan's last level or far beyond it
+    fk = build_fk(GridSpec((3, 7, 4, 3)))
+    for i, after in enumerate(fk.steps, start=2):
+        plan = after.plan
+        top = plan.F.bits.size
+        blank = np.flatnonzero(plan.F.bits.ravel()) + 1
+        assert len(blank)
+        odd = [0, -1, top, top + 1, top + 2, 2**31 - 1, -(2**31), *blank[:8]]
+        source = after.source_level.copy()
+        source[: len(odd)] = odd
+        steps = list(fk.steps)
+        steps[i - 2] = Transition(plan, source)
+        st = StageEmbedding(fk.spec, i, fk.final, tuple(steps))
+        assert np.array_equal(st.coords[:, -1], searchsorted_levels(st)), i
+    assert not plan.level_index.flags.writeable
+    assert plan.level_index.dtype == np.int32
 
 
 def test_stack_heights_two_value_contract_asserts():
