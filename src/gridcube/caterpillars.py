@@ -295,9 +295,9 @@ _BASE_SPINES: dict[int, tuple[int, ...]] = {
     1: (0, 1, 3, 2),
     3: (0, 1, 3, 7, 15, 31, 29, 61, 53, 52, 54, 50, 58, 42, 40, 8),
 }
-_MEMO: dict[tuple[int, int], Caterpillar] = {}
 
 
+@cache
 def caterpillar_for(t: int, leaf_degree: int) -> Caterpillar:
     """Caterpillar at dimension t with the given leaf degree, memoized.
 
@@ -316,14 +316,9 @@ def caterpillar_for(t: int, leaf_degree: int) -> Caterpillar:
         raise ValueError(
             f"leaf degree {leaf_degree} needs dimension >= {base}, got {t}"
         )
-    key = (t, leaf_degree)
-    if key not in _MEMO:
-        if t == base:
-            cat = Caterpillar(t, spine, _assign_leaves(t, list(spine), leaf_degree))
-        else:
-            cat = double_caterpillar(caterpillar_for(t - 1, leaf_degree))
-        _MEMO[key] = cat
-    return _MEMO[key]
+    if t == base:
+        return Caterpillar(t, spine, _assign_leaves(t, list(spine), leaf_degree))
+    return double_caterpillar(caterpillar_for(t - 1, leaf_degree))
 
 
 @cache

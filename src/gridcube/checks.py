@@ -288,18 +288,26 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_pages(spec: GridSpec, i: int) -> np.ndarray:
-    """Page index over dimension i for every vertex rank (i = k gives all 1)."""
-    if i >= spec.k:
-        return np.ones(spec.size, dtype=np.int64)
-    return np.arange(spec.size, dtype=np.int64) // spec.prefix_product(i) + 1
-
-
 def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]:
     """Checks for one stacking transition (embedding stage j >= 3).
 
     Every table is one integer array over vertices, pages, or addresses by
     sections (M x P, under 2|G| entries), so memory stays O(|G| + P).
+
+    Pages are rank blocks.  Ranks are reversed-lexicographic (x_1 fastest),
+    so the (j - 1)-page r holds the A = a_1...a_{j-1} consecutive ranks
+    (r - 1) A .. r A - 1: a per-vertex array reshaped to (P, A), P =
+    P_{j-1}, has page r as row r - 1, and a per-page bound is a P-entry
+    column broadcast over it.  A (P, a_{j-1}, a_1...a_{j-2}) view puts the
+    subpage position within the page on its middle axis, and a (P_j, -1)
+    view the j-pages on its rows (P_k = 1).  No page index is stored.
+
+    Two clauses of the paper's stacking lemmas read only the grid, never
+    the embedding, and hold for every grid, so no check tests them.  With
+    l_r = ceil(r A / M), the height formula's slack l_r M - r A lies in
+    [0, M) for every r.  With L = 2^{e_{j-2}}, the section prefix after
+    page prefix r is strictly larger: ceil(r A / L) L < r A + L <=
+    (r + 1) A, because L < 2 a_1...a_{j-2} <= a_{j-1} a_1...a_{j-2} = A.
 
     Inside the stage's `box` no check sorts rows.  Each stacking order
     sorts one int64 key per vertex whose bit fields, most significant
@@ -326,16 +334,15 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     level = np.clip(emb.source_level, 1, P * plan.width)
     sec = plan.section_of(level)
     nu = plan.ordinal_table[level]
-    pg = _vertex_pages(spec, j - 1)
-    pg_prev = _vertex_pages(spec, j - 2)
     M = 1 << spec.exponents[j - 1]
     level_size = 1 << spec.exponents[j - 2]
-    prefprod = spec.prefix_product(j - 1)
+    A = spec.prefix_product(j - 1)
+    h_pg, sec_pg = h.reshape(P, A), sec.reshape(P, A)
     addr = emb.address
-    # the page bracket ceil(r A / M) for page prefixes r = 0..P
+    # page prefixes r = 0..P: r[:P, None] is each page row's page - 1, and
+    # r[1:, None] its page; the page bracket ceil(r A / M)
     r = np.arange(P + 1, dtype=np.int64)
-    l_of = -(-r * prefprod // M)
-    l_arr = l_of[1:]
+    l_arr = -(-r[1:] * A // M)
 
     # level coverage: every nonblank level outside the last section is hit
     # by exactly level_size vertices
@@ -360,39 +367,31 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
         out.append(_gated(pre + "stack-last-coordinate", bool(same.all()), asserted))
     del T_sec
 
-    slack = l_arr * M - r[1:] * prefprod
-    arith = bool(((slack >= 0) & (slack < M)).all())
     out.append(
         _gated(
             pre + "stack-height-formula",
-            bool(np.array_equal(bracket, l_arr)) and arith,
+            bool(np.array_equal(bracket, l_arr)),
             asserted,
             f"measured {bracket[:8].tolist()}..., expected {l_arr[:8].tolist()}...",
         )
     )
 
     # per-vertex level bounds: height within the page budgets and u_j
-    nextprod = spec.prefix_product(j) if j < spec.k else spec.size
-    P_next = spec.page_count(j) if j < spec.k else 1
-    lp_of = -(-np.arange(P_next + 1, dtype=np.int64) * nextprod // M)
-    pg_next = _vertex_pages(spec, j)
+    P_next = spec.page_count(j)
+    lp_arr = -(-np.arange(1, P_next + 1) * spec.prefix_product(j) // M)
     u_j = level_budget(spec, j)
     ok = (
-        bool((h <= l_of[pg]).all())
-        and bool((h <= lp_of[pg_next]).all())
+        bool((h_pg <= l_arr[:, None]).all())
+        and bool((h.reshape(P_next, -1) <= lp_arr[:, None]).all())
         and bool((h <= u_j).all())
         and bool((h >= 1).all())
     )
     out.append(_gated(pre + "page-level-bounds", ok, asserted))
 
     # sections track pages: the image of a page prefix stays inside the
-    # matching section prefix, and the next section prefix is strictly larger
-    inner = r[1:P]
-    strict = bool(
-        (-(-inner * prefprod // level_size) * level_size < (inner + 1) * prefprod).all()
-    )
-    window = bool(((sec <= pg) & (pg <= sec + 1)).all())
-    out.append(_gated(pre + "page-section-containment", window and strict, asserted))
+    # matching section prefix, one section below the page at most
+    window = bool(((sec_pg <= r[1:, None]) & (r[:P, None] <= sec_pg)).all())
+    out.append(_gated(pre + "page-section-containment", window, asserted))
     out.append(_gated(pre + "section-page-window", window, asserted))
 
     # stacking order: within a stack, height ascends exactly with the source
@@ -414,7 +413,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
         a_s = addr[order]
     same_addr = a_s[1:] == a_s[:-1]
     sec_s = sec[order]
-    pg_s = pg[order]
+    pg_s = order // A + 1
     out.append(
         _check(
             pre + "stack-section-monotone",
@@ -430,13 +429,14 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     )
 
     # page-prefix stacks: counts within 2 of the section-prefix maximum, and
-    # everything below the top two levels is already covered by the prefix
-    T_both = section_prefix_counts(addr, np.maximum(sec, pg), M, P)
+    # everything below the top two levels is already covered by the prefix:
+    # a vertex's page is at most one above `need`, the first prefix whose
+    # bracket reaches h + 2, which every page meets where `need` is P
+    T_both = section_prefix_counts(addr, np.maximum(sec_pg, r[1:, None]).ravel(), M, P)
     ok = bool(((T_both >= bracket - 2) & (T_both <= bracket)).all())
     del T_both
     need = np.searchsorted(bracket, h + 2)
-    covered = need >= P
-    ok2 = bool((pg[~covered] <= need[~covered] + 1).all())
+    ok2 = bool((need.reshape(P, A) >= r[:P, None]).all())
     out.append(_gated(pre + "stack-missing-top", ok and ok2, asserted))
 
     # top-two-level occupancy of each page prefix exceeds one full level:
@@ -444,7 +444,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     # or one below; since the bracket never decreases, each vertex counts on
     # one interval of r, added through a difference array; it stops where
     # the bracket first exceeds h + 1, at `need`
-    start = np.maximum(np.searchsorted(bracket, h), pg - 1)
+    start = np.maximum(np.searchsorted(bracket, h_pg), r[:P, None]).ravel()
     stop = need
     live = start < stop
     top = np.cumsum(
@@ -461,17 +461,16 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
         )
     )
     br = int(bracket[0])
-    first = (pg == 1) & ((h == br) | ((h == br - 1) & (br >= 2)))
-    out.append(
-        _report(pre + "stack-top-occupancy-first", f"{np.count_nonzero(first)} vs {M}")
-    )
+    h1 = h[:A]
+    first = np.count_nonzero((h1 == br) | ((h1 == br - 1) & (br >= 2)))
+    out.append(_report(pre + "stack-top-occupancy-first", f"{first} vs {M}"))
 
     # single-page stack slices: at most two entries, at successive heights,
     # within two of the section-prefix maximum.  The check reads only the
     # sorted (address, page, height) columns, never the order of equal
     # triples, so their key needs no rank digit
-    mask = sec <= pg
-    am, pm, hm = addr[mask], pg[mask], h[mask]
+    mask = (sec_pg <= r[1:, None]).ravel()
+    am, pm, hm = addr[mask], np.flatnonzero(mask) // A + 1, h[mask]
     page_bits = P.bit_length()
     if emb.in_box and address_bits + page_bits + height_bits <= 63:
         key = am << page_bits
@@ -505,19 +504,17 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
 
     # same subpage position => nonblank-level ordinals within 3 cyclically;
     # the first pair past 3 in (ordinal, row size) order is the one reported.
-    # The (q, ordinal, row size) triples are sorted once, packed base width + 1
-    # (ordinal and row size are at most the width); each q's distinct triples
-    # are a slice
+    # The subpage position q within a page is the middle axis of a
+    # (P, a_{j-1}, a_1...a_{j-2}) view.  The (q, ordinal, row size) triples
+    # are sorted once, packed base width + 1 (ordinal and row size are at
+    # most the width); each q's distinct triples are a slice
     a_next = spec.dims[j - 2]
-    q_sub = (pg_prev - 1) % a_next + 1
     mr = plan.width - plan.F.bits.sum(axis=1, dtype=np.int64)
-    mr = mr[sec - 1]
     base = plan.width + 1
-    packed = q_sub * base
-    packed += nu
+    packed = nu.reshape(P, a_next, -1) + base * np.arange(1, a_next + 1)[:, None]
     packed *= base
-    packed += mr
-    packed, _ = distinct_rows(packed)
+    packed += mr[sec - 1].reshape(packed.shape)
+    packed, _ = distinct_rows(packed.ravel())
     combos = np.stack(np.unravel_index(packed, (a_next + 1, base, base)), axis=1)
     bounds = np.searchsorted(combos[:, 0], np.arange(1, a_next + 2)).tolist()
     worst = ""
@@ -532,22 +529,20 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
             break
     out.append(_gated(pre + "subpage-level-alignment", not worst, asserted, worst))
 
-    # heights across one section or page stay within the stated spreads
-    def spreads(groups: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lowest and highest height of each group 1..count (empty: max, -1)."""
-        lo = np.full(count + 1, np.iinfo(np.int64).max)
-        hi = np.full(count + 1, -1, dtype=np.int64)
-        np.minimum.at(lo, groups, h)
-        np.maximum.at(hi, groups, h)
-        return lo[1:], hi[1:]
-
-    lo, hi = spreads(sec, P)
+    # heights across one section or page stay within the stated spreads: a
+    # section's lowest and highest height (empty: max, -1) by scatter, a
+    # page's by its row of the page view
+    lo = np.full(P + 1, np.iinfo(np.int64).max)
+    hi = np.full(P + 1, -1, dtype=np.int64)
+    np.minimum.at(lo, sec, h)
+    np.maximum.at(hi, sec, h)
+    lo, hi = lo[1:], hi[1:]
     ok1 = bool((hi - lo <= 1).all())
     ok2 = bool(
         (np.maximum(hi[1:], hi[:-1]) - np.minimum(lo[1:], lo[:-1]) <= 2).all()
     )
     out.append(_gated(pre + "section-height-spread", ok1 and ok2, asserted))
-    lo, hi = spreads(pg, P)
+    lo, hi = h_pg.min(axis=1), h_pg.max(axis=1)
     ok1 = bool((hi - lo <= 2).all())
     ok2 = bool(
         (np.maximum(hi[1:], hi[:-1]) - np.minimum(lo[1:], lo[:-1]) <= 3).all()

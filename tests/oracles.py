@@ -4,7 +4,8 @@ Everything here runs in tests only; the library must reproduce its outputs
 exactly, or pass its checks.  It holds:
 
 - the grid's vertex arithmetic one coordinate at a time: rank and
-  coordinates, the chain fold kappa, and page indices;
+  coordinates, the chain fold kappa, and page indices, with the per-rank
+  page arrays the library reads as rank blocks instead;
 - the literal Fraction forms of the integer-exact construction core: the
   prefix windows and the two-way rounding in fractions.Fraction, a
   recursive Dinic with adjacency lists and the leaf matching built on it,
@@ -50,7 +51,7 @@ import numpy as np
 
 from gridcube import base2d, checks, rounding
 from gridcube.base2d import build_R
-from gridcube.checks import CheckResult, _check, _gated, _report, _vertex_pages
+from gridcube.checks import CheckResult, _check, _gated, _report
 from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, RoundingSpec
 from gridcube.stages import BlankPlan, StageEmbedding, packed_address
@@ -116,6 +117,13 @@ def page_index(spec: GridSpec, coords, i: int) -> int:
         r += (x - 1) * stride
         stride *= a
     return r + 1
+
+
+def _vertex_pages(spec: GridSpec, i: int) -> np.ndarray:
+    """Page index over dimension i for every vertex rank (i = k gives all 1)."""
+    if i >= spec.k:
+        return np.ones(spec.size, dtype=np.int64)
+    return np.arange(spec.size, dtype=np.int64) // spec.prefix_product(i) + 1
 
 
 class Dinic:

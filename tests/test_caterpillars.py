@@ -186,6 +186,10 @@ def test_labelings_are_memoized_per_t():
             lab = make(t)
             assert make(t) is lab
             assert not lab.order.flags.writeable
+    # and so is the caterpillar each one is read from
+    for t in range(3, 11):
+        for leaf_degree in (1, 3) if t >= 6 else (1,):
+            assert caterpillar_for(t, leaf_degree) is caterpillar_for(t, leaf_degree)
 
 
 @pytest.mark.parametrize("t, leaf_degree", [(3, 1), (6, 3)])

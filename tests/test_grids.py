@@ -4,9 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import coords_of, kappa, page_index, rank_of
+from oracles import _vertex_pages, coords_of, kappa, page_index, rank_of
 
-from gridcube.checks import _vertex_pages
 from gridcube.grids import GridSpec, compute_exponents, level_budget
 
 
@@ -133,3 +132,20 @@ def test_level_budget_golden():
         level_budget(g, 1)
     with pytest.raises(ValueError):
         level_budget(g, 5)
+
+
+def test_section_prefixes_grow_past_every_page_prefix():
+    """The clause of page-section containment that reads only the grid:
+    with A = a_1...a_{j-1} and L = 2^{e_{j-2}}, ceil(r A / L) L < (r + 1) A
+    for every page prefix r = 1..P_{j-1} - 1, since L < 2 a_1...a_{j-2} <= A.
+    The transition battery relies on it instead of testing it."""
+    grids = list(itertools.product(range(2, 10), repeat=3))
+    grids += list(itertools.product(range(2, 6), repeat=4))
+    grids += [(2,) * 6, (3,) * 6, (2, 3, 4, 2, 3, 4), (5, 5, 4000), (2, 1000, 2)]
+    for dims in grids:
+        spec = GridSpec(dims)
+        for j in range(3, spec.k + 1):
+            A = spec.prefix_product(j - 1)
+            L = 1 << spec.exponents[j - 2]
+            r = np.arange(1, spec.page_count(j - 1))
+            assert (-(-r * A // L) * L < (r + 1) * A).all(), (dims, j)
