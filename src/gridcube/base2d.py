@@ -81,39 +81,29 @@ class Embedding2D:
         counts.flags.writeable = False
         return counts
 
-    def column_inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """Chain and chain position of the point in every cell.
-
-        Two m x 2^{e1} int32 arrays indexed [column-1, row-1]; 0 marks a
-        cell that no point fills.
-        """
-        lengths = np.diff(self.offsets)
-        chain = np.repeat(np.arange(1, self.a1 + 1, dtype=np.int32), lengths)
-        pos = np.arange(1, len(self.rows) + 1) - np.repeat(self.offsets[:-1], lengths)
+    def column_inverse(self) -> np.ndarray:
+        """Chain of the point in every cell: an m x 2^{e1} int32 array
+        indexed [column-1, row-1]; 0 marks a cell that no point fills."""
+        chain = np.repeat(
+            np.arange(1, self.a1 + 1, dtype=np.int32), np.diff(self.offsets)
+        )
         owner = np.zeros((self.m, self.height), dtype=np.int32)
-        at = np.zeros_like(owner)
         owner[self.cols - 1, self.rows - 1] = chain
-        at[self.cols - 1, self.rows - 1] = pos
-        return owner, at
+        return owner
 
 
 def build_f2(spec: GridSpec) -> Embedding2D:
     """Column-filling embedding restricted to the given grid, in its box of
-    m = u_2 columns.  The grid's chains must fit inside the filled box,
-    which the balance properties guarantee at m = u_2; `fill_columns`
-    builds wider boxes.
+    m = u_2 columns; `fill_columns` builds wider boxes.
+
+    Every chain holds at least the grid's P_1 = |G| / a_1 points.  Chain i
+    fills 1 + R(i,j) cells of column j, so over m columns it holds m plus m
+    cyclically consecutive first-column entries, at least m + floor(p m /
+    a_1) = floor(2^{e_1} m / a_1) points (p = 2^{e_1} - a_1, see
+    `build_R`).  With m = u_2 = ceil(|G| / 2^{e_1}), 2^{e_1} m >= |G|, so
+    that floor is at least |G| / a_1 = P_1, an integer.
     """
-    emb = fill_columns(spec.dims[0], level_budget(spec, 2))
-    per_chain = spec.page_count(1)
-    lengths = np.diff(emb.offsets)
-    short = np.flatnonzero(lengths < per_chain)
-    if len(short):
-        i = short[0]
-        raise AssertionError(
-            f"chain {i + 1} holds {lengths[i]} points, "
-            f"fewer than the grid's {per_chain}"
-        )
-    return emb
+    return fill_columns(spec.dims[0], level_budget(spec, 2))
 
 
 def fill_columns(a1: int, m: int) -> Embedding2D:
@@ -122,22 +112,18 @@ def fill_columns(a1: int, m: int) -> Embedding2D:
     Scanning chains in order, chain i contributes 1 + R(i,j) points to column
     j, on the rows just above those of chains 1..i-1; a double contribution
     is placed descending (the later chain position below the earlier)
-    exactly when j is even, ascending when j is odd.  Every column must come
-    out full.
+    exactly when j is even, ascending when j is odd.
+
+    Every column comes out full: column j holds a1 + sum_i R(i,j) =
+    a1 + sum_i first[(i - j) mod a1] points, and every column of the
+    circulant is a rotation of its first column, which sums to p =
+    2^{e1} - a1, so the column holds a1 + p = 2^{e1} points.
     """
     R = build_R(a1)
-    height = 1 << R.e1
     j = np.arange(1, m + 1)
     first = np.array(R.first_column, dtype=np.int32)
     cells = first[(np.arange(1, a1 + 1)[:, None] - j) % a1]
     cells += 1
-    per_column = cells.sum(axis=0)
-    bad = np.flatnonzero(per_column != height)
-    if len(bad):
-        j0 = bad[0]
-        raise AssertionError(
-            f"column {j0 + 1} holds {per_column[j0]} points, not {height}"
-        )
     # every point of a cell first takes the cell's lowest row, then the
     # higher point of each double cell moves up one row: the second point
     # in an odd column, the first in an even one

@@ -114,6 +114,11 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     a1 + S = 2^{e1} + 1, and then width 2 a1 counts 2^{e1 + 1} + 2, one
     above its range.  Both widths lie in the checked range whenever they
     lie in 1..m.
+
+    The grid restriction's chain length L = floor(m 2^{e1} / a1) needs no
+    check of its own: a1 <= 2^{e1} gives L >= m >= 2, and (m - 1) 2^{e1}
+    <= m 2^{e1} - a1 < a1 L <= m 2^{e1}, so ceil(a1 L / 2^{e1}) = m: the
+    grid's chains of length L reach the last column.
     """
     if a1 < 2:
         raise ValueError("need at least two chains")
@@ -150,7 +155,7 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 
     # columns list chains bottom-up in chain order (initial segments), and
     # the first r chains fill exactly r + sum_{i<=r} R(i,j) cells
-    owner, _ = emb.column_inverse()
+    owner = emb.column_inverse()
     sizes = np.arange(1, a1 + 1)[:, None] + np.cumsum(Rmat, axis=0)
     seen = np.bincount(
         (np.arange(m)[:, None] * (a1 + 1) + owner).ravel(), minlength=m * (a1 + 1)
@@ -194,14 +199,9 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     out.append(_check("chain.box-cover", dense and int(lengths.sum()) == m * height))
 
     # grid restriction of chain length L fits the box and covers all but the
-    # last column
+    # last column (L's own bounds are proved in the docstring)
     L = (m * height) // a1
-    ok = (
-        L >= 1
-        and -(-a1 * L // height) == m
-        and bool((lengths >= L).all())
-        and bool((cumN[:, m - 1] <= L).all())
-    )
+    ok = bool((lengths >= L).all()) and bool((cumN[:, m - 1] <= L).all())
     out.append(_check("chain.grid-cover", ok, f"chain length {L}"))
 
     # same position across chains lands in columns within 1
@@ -856,6 +856,18 @@ class DilationReport:
         return out
 
 
+def _edge_histogram(spec: GridSpec, labels: np.ndarray) -> np.ndarray:
+    """Grid edges by the Hamming distance of their two labels, up to the
+    largest distance met: the label XOR along each `_grid` axis."""
+    grid = _grid(spec, labels)
+    hist = np.zeros(spec.n + 1, dtype=np.int64)
+    for axis in range(spec.k):
+        g = np.moveaxis(grid, axis, 0)
+        x = g[1:] ^ g[:-1]
+        hist += np.bincount(np.bitwise_count(x).ravel("K"), minlength=spec.n + 1)
+    return hist[: int(np.flatnonzero(hist).max(initial=0)) + 1]
+
+
 def dilation(emb: HypercubeEmbedding) -> DilationReport:
     """Exact dilation over all grid edges, plus the labeling-implied bound.
 
@@ -864,19 +876,12 @@ def dilation(emb: HypercubeEmbedding) -> DilationReport:
     map's coordinate x_j, so this implies that every edge whose cyclic
     difference in coordinate j lies within the window moves block j by at
     most 3, at 2^t * window work once per labeling, whatever the grid's
-    size.  Edges are `_grid` views: the label XOR along each grid
-    dimension's axis gives the Hamming distances.
+    size.  Edges are counted by `_edge_histogram`.
     """
     spec = emb.spec
     diffs = emb.diffs
-    labels = _grid(spec, emb.labels)
-    hist = np.zeros(spec.n + 1, dtype=np.int64)
-    for axis in range(spec.k):
-        g = np.moveaxis(labels, axis, 0)
-        x = g[1:] ^ g[:-1]
-        hist += np.bincount(np.bitwise_count(x).ravel("K"), minlength=spec.n + 1)
-    dil = int(np.flatnonzero(hist).max(initial=0))
-    hist = hist[: dil + 1]
+    hist = _edge_histogram(spec, emb.labels)
+    dil = len(hist) - 1
 
     windowed = [lab for lab in emb.labelings if lab.window]
     implied = 0
@@ -1061,12 +1066,7 @@ def audit_file(text: str) -> list[CheckResult]:
     out.append(_check("file.label-injective", injective))
     width = bool((labels < (1 << spec.n)).all()) and bool((labels >= 0).all())
     out.append(_check("file.label-width", width))
-    grid = _grid(spec, labels)
-    dil = 0
-    for axis in range(spec.k):
-        g = np.moveaxis(grid, axis, 0)
-        dil = max(dil, int(np.bitwise_count(g[1:] ^ g[:-1]).max()))
-    out.append(_report("file.dilation", dil))
+    out.append(_report("file.dilation", len(_edge_histogram(spec, labels)) - 1))
     return out
 
 

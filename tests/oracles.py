@@ -1031,7 +1031,7 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 
     # columns list chains bottom-up in chain order (initial segments), and
     # the first r chains fill exactly r + sum_{i<=r} R(i,j) cells
-    owner, _ = emb.column_inverse()
+    owner = emb.column_inverse()
     sizes = np.arange(1, a1 + 1)[:, None] + np.cumsum(Rmat, axis=0)
     seen = np.bincount(
         (np.arange(m)[:, None] * (a1 + 1) + owner).ravel(), minlength=m * (a1 + 1)

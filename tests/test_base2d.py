@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
 
 from oracles import chain_prefix_count
-from test_checks import traced_peak
+from test_checks import family_grids, traced_peak
 from test_tracing_names import load_perfbench
 
 from gridcube.base2d import build_R, build_f2, fill_columns
@@ -73,11 +74,21 @@ def test_fill_columns_structure():
         assert not arr.flags.writeable
 
 
+def column_positions(emb):
+    """Chain position of the point in every cell, m x 2^{e1} like
+    `column_inverse`, derived from the chain offsets; 0 marks an empty cell."""
+    t = np.arange(len(emb.rows))
+    chain = np.searchsorted(emb.offsets, t, side="right") - 1
+    pos = np.zeros((emb.m, emb.height), dtype=np.int64)
+    pos[emb.cols - 1, emb.rows - 1] = t - emb.offsets[chain] + 1
+    return pos
+
+
 def layout(emb):
     """The built arrays in the literal loop's form: (chains, columns)."""
     rows, cols, off = emb.rows.tolist(), emb.cols.tolist(), emb.offsets.tolist()
     chains = tuple(tuple(zip(rows[a:b], cols[a:b])) for a, b in zip(off, off[1:]))
-    owner, pos = emb.column_inverse()
+    owner, pos = emb.column_inverse(), column_positions(emb)
     columns = tuple(
         tuple(zip(o, p)) for o, p in zip(owner.tolist(), pos.tolist())
     )
@@ -116,15 +127,16 @@ def test_prefix_counts_match_closed_form():
             assert chain_prefix_count(emb.R, i, j) == run
 
 
+def benchmark_grids():
+    """The distinct grids of the benchmark workloads."""
+    workloads = load_perfbench("workloads").WORKLOADS
+    return sorted({dims for operations in workloads.values() for _, dims in operations})
+
+
 def benchmark_boxes():
     """The base-map box (a_1, u_2) of every benchmark grid."""
-    workloads = load_perfbench("workloads").WORKLOADS
     return sorted(
-        {
-            (dims[0], level_budget(GridSpec(dims), 2))
-            for operations in workloads.values()
-            for _, dims in operations
-        }
+        {(dims[0], level_budget(GridSpec(dims), 2)) for dims in benchmark_grids()}
     )
 
 
@@ -139,6 +151,42 @@ def test_prefix_counts_equal_the_closed_form_on_every_box():
         )
         assert np.array_equal(emb.prefix_counts, want), (a1, m)
         assert not emb.prefix_counts.flags.writeable
+
+
+def assert_columns_full_and_chains_long(emb, per_chain):
+    """Every column holds 2^{e1} points and every chain at least per_chain:
+    the facts the docstrings of `fill_columns` and `build_f2` prove."""
+    per_column = np.bincount(emb.cols, minlength=emb.m + 1)[1:]
+    assert (per_column == emb.height).all(), (emb.a1, emb.m)
+    assert np.diff(emb.offsets).min() >= per_chain, (emb.a1, emb.m)
+
+
+def test_proved_base_map_facts_hold_on_every_benchmark_box():
+    """Every benchmark box fills its columns, and its chains hold the P_1
+    points of the longest-chained benchmark grid on it; the chain battery's
+    grid restriction L = floor(m 2^{e1} / a1) has L >= 1 and reaches column
+    m, over the criterion-04 chain counts and every column count to 256."""
+    need = {}
+    for dims in benchmark_grids():
+        spec = GridSpec(dims)
+        box = (dims[0], level_budget(spec, 2))
+        need[box] = max(need.get(box, 0), spec.page_count(1))
+    assert len(need) == 264
+    for (a1, m), per_chain in need.items():
+        assert_columns_full_and_chains_long(fill_columns(a1, m), per_chain)
+    a1 = np.arange(2, 65)[:, None]
+    height = 1 << np.array([(a - 1).bit_length() for a in range(2, 65)])[:, None]
+    m = np.arange(2, 257)[None, :]
+    L = m * height // a1
+    assert (L >= 1).all()
+    assert (-(-a1 * L // height) == m).all()
+
+
+@settings(max_examples=60)
+@given(family_grids())
+def test_build_f2_fills_columns_and_holds_pages_over_random_grids(dims):
+    spec = GridSpec(dims)
+    assert_columns_full_and_chains_long(build_f2(spec), spec.page_count(1))
 
 
 @pytest.mark.parametrize("dims", [(100, 100, 100), (3,) * 12])
@@ -170,7 +218,7 @@ def test_integer_prefix_count_matches_fraction_form():
 def test_column_profile_occupancy():
     # chain i fills 1 + R(i,j) cells of column j, a double on successive rows
     emb = fill_columns(5, 10)
-    owner, _ = emb.column_inverse()
+    owner = emb.column_inverse()
     for i in range(1, 6):
         for j in range(1, 11):
             hits = np.flatnonzero(owner[j - 1] == i)
@@ -178,7 +226,7 @@ def test_column_profile_occupancy():
             if len(hits) == 2:
                 assert hits[1] - hits[0] == 1
     # power-of-two chain count: always single
-    owner8, _ = fill_columns(8, 6).column_inverse()
+    owner8 = fill_columns(8, 6).column_inverse()
     for i in range(1, 9):
         assert ((owner8 == i).sum(axis=1) == 1).all()
 
@@ -186,7 +234,7 @@ def test_column_profile_occupancy():
 def test_double_contribution_parity():
     # in even columns the later chain position sits on the lower row
     emb = fill_columns(3, 8)
-    owner, pos = emb.column_inverse()
+    owner, pos = emb.column_inverse(), column_positions(emb)
     doubles = 0
     for i in range(1, 4):
         for j in range(1, 9):

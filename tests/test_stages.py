@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import coords_of, full_stack_heights, nu_distance, rank_of, stack_heights
+from test_base2d import benchmark_grids
 from test_checks import family_grids, traced_peak
 
 from gridcube.base2d import build_f2
@@ -65,21 +66,6 @@ def test_s_sequence_rejects_out_of_range_stage():
         s_sequence(spec, 3)
 
 
-def test_s_sequence_random_grids_hold_contracts():
-    # the contracts are asserted inside s_sequence; exercising many shapes
-    # is the test
-    import random
-
-    rng = random.Random(20240812)
-    for _ in range(60):
-        k = rng.randint(3, 5)
-        dims = tuple(rng.randint(2, 9) for _ in range(k))
-        spec = GridSpec(dims)
-        for i in range(2, k):
-            s = s_sequence(spec, i)
-            assert len(s) == spec.page_count(i)
-
-
 def section_loop_specs():
     """Stage specs (spec, i) of grids with k = 3..6, sides 2..40 and at
     most 2^16 vertices, drawn from a fixed seed."""
@@ -96,9 +82,30 @@ def section_loop_specs():
             yield spec, i
 
 
+def test_s_sequence_random_grids_hold_contracts():
+    """The facts the docstring of `s_sequence` proves, held on every
+    section-loop spec: the values are base = w - ceil(A/h) and base + 1,
+    base + 1 is at most w/2, and no section prefix breaks the budget
+    identity (the oracle's prefix loop)."""
+    specs = 0
+    for spec, i in section_loop_specs():
+        s = s_sequence(spec, i)
+        width = 1 << spec.block_width(i)
+        lead = -(-spec.prefix_product(i) // (1 << spec.exponents[i - 1]))
+        base = width - lead
+        assert len(s) == spec.page_count(i)
+        assert set(s) <= {base, base + 1}, (spec.dims, i)
+        assert 2 * (base + 1) <= width, (spec.dims, i)
+        assert oracles.budget_break(spec, i, s) is None, (spec.dims, i)
+        specs += 1
+    assert specs == 3723
+
+
 def test_s_sequence_equals_the_section_loop():
-    """s_i repeats with period h / gcd(phi_num, h), so the library builds
-    one period and repeats it; the oracle computes every section."""
+    """The library evaluates every section's floors in one integer
+    expression; the oracle walks the sections one at a time.  s_i repeats
+    with period h / gcd(phi_num, h), and many specs run past one period.
+    Every stage of every benchmark grid is compared too."""
     specs = repeated = 0
     for spec, i in section_loop_specs():
         s = s_sequence(spec, i)
@@ -109,6 +116,13 @@ def test_s_sequence_equals_the_section_loop():
         repeated += period < len(s)
     # 3,723 stage specs, 1,648 of them longer than one period
     assert specs > 3500 and repeated > 1500, (specs, repeated)
+    stages = 0
+    for dims in benchmark_grids():
+        spec = GridSpec(dims)
+        for i in range(2, spec.k):
+            assert s_sequence(spec, i) == oracles.s_sequence(spec, i), (dims, i)
+            stages += 1
+    assert stages == 1054
 
 
 def test_budget_break_equals_the_prefix_loop():
