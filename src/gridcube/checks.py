@@ -118,7 +118,8 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     The grid restriction's chain length L = floor(m 2^{e1} / a1) needs no
     check of its own: a1 <= 2^{e1} gives L >= m >= 2, and (m - 1) 2^{e1}
     <= m 2^{e1} - a1 < a1 L <= m 2^{e1}, so ceil(a1 L / 2^{e1}) = m: the
-    grid's chains of length L reach the last column.
+    grid's chains of length L reach the last column.  With a1 >= 2 and
+    L >= 2, every step array below and the sampled lengths 2..L are nonempty.
     """
     if a1 < 2:
         raise ValueError("need at least two chains")
@@ -240,34 +241,24 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     dcol = np.abs(np.diff(gc, axis=1))
     xrow = np.abs(np.diff(gr, axis=0))
     xcol = np.abs(np.diff(gc, axis=0))
-    ok = (
-        bool((drow <= 3).all())
-        and bool((dcol <= 1).all())
-        and (xrow.size == 0 or bool((xrow <= 3).all()))
-        and (xcol.size == 0 or bool((xcol <= 1).all()))
-    )
-    out.append(_check("chain.adjacent-steps", ok))
-    total = 0
-    if drow.size:
-        total = max(total, int((drow + dcol).max()))
-    if xrow.size:
-        total = max(total, int((xrow + xcol).max()))
+    ok = max(drow.max(), xrow.max()) <= 3 and max(dcol.max(), xcol.max()) <= 1
+    out.append(_check("chain.adjacent-steps", bool(ok)))
+    total = max(int((drow + dcol).max()), int((xrow + xcol).max()))
     out.append(_report("chain.adjacent-step-total", total))
 
     # sampled: equally long chain segments span column counts within 1
     rng = random.Random(10_000 + a1)
     ok = True
-    if L >= 2:
-        for _ in range(24):
-            p = rng.randint(2, L)
-            spans = []
-            for _ in range(8):
-                i = rng.randrange(a1)
-                s = rng.randint(1, L - p + 1)
-                spans.append(int(gc[i, s + p - 2] - gc[i, s - 1]) + 1)
-            if max(spans) - min(spans) > 1:
-                ok = False
-                break
+    for _ in range(24):
+        p = rng.randint(2, L)
+        spans = []
+        for _ in range(8):
+            i = rng.randrange(a1)
+            s = rng.randint(1, L - p + 1)
+            spans.append(int(gc[i, s + p - 2] - gc[i, s - 1]) + 1)
+        if max(spans) - min(spans) > 1:
+            ok = False
+            break
     out.append(_check("chain.segment-spans", ok))
 
     # two-position page prefixes: the columns they reach are covered fully
@@ -317,13 +308,21 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     the rank as the lowest field every key is distinct, so the sorted keys
     give exactly the permutation of a stable lexsort of the columns, ties
     included; the fields of the sorted keys read back as the sorted
-    columns.  A stage outside its box, or a key wider than 63 bits, takes
-    the lexsort itself.
+    columns.  A stage outside its box takes the lexsort.  Inside it both
+    keys fit in 63 bits, as |G| <= 2^31 (`GridSpec`) gives n <= 31: the
+    address has e_{j-1} bits, the rank and the page at most n (P <= |G| /
+    2), and the height at most n - e_{j-1} + 1, as u_j = ceil(|G| / M) <=
+    2^{n - e_{j-1}}: 2n + 1 bits in all.
+
+    The plan is stage j - 1's, and `build_blank_plan` plans stages 2..k-1
+    only, so P = P_{j-1} >= a_k >= 2.  `page-level-bounds` needs only h <=
+    l_r on (j - 1)-page r: the page lies in j-page r' = ceil(r / a_j), and
+    r A <= r' a_j A puts l_r within the j-page bound ceil(r' a_j A / M);
+    and l_r <= l_P = ceil(|G| / M) = u_j.
     """
     spec = emb.spec
     j = emb.stage
     plan = emb.plan
-    assert plan is not None and emb.source_level is not None
     pre = f"pipeline.stage{j}."
     out: list[CheckResult] = []
 
@@ -356,16 +355,14 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     # table `stack` reads its heights from, rebuilt from the stored chain
     T_sec = section_prefix_counts(addr, sec, M, P)
     bracket = T_sec.max(axis=0)
-    if P > 1:
-        band = (T_sec[:, : P - 1] >= l_arr[: P - 1] - 1) & (
-            T_sec[:, : P - 1] <= l_arr[: P - 1]
-        )
-        out.append(_gated(pre + "stack-two-value", bool(band.all()), asserted))
-        w_last = 1 << spec.block_width(j - 1)
-        grouped = T_sec[:, : P - 1].reshape(w_last, M // w_last, P - 1)
-        same = grouped.max(axis=1) == grouped.min(axis=1)
-        out.append(_gated(pre + "stack-last-coordinate", bool(same.all()), asserted))
-    del T_sec
+    head = T_sec[:, : P - 1]
+    band = (head >= l_arr[: P - 1] - 1) & (head <= l_arr[: P - 1])
+    out.append(_gated(pre + "stack-two-value", bool(band.all()), asserted))
+    w_last = 1 << spec.block_width(j - 1)
+    grouped = head.reshape(w_last, M // w_last, P - 1)
+    same = grouped.max(axis=1) == grouped.min(axis=1)
+    out.append(_gated(pre + "stack-last-coordinate", bool(same.all()), asserted))
+    del T_sec, head
 
     out.append(
         _gated(
@@ -376,16 +373,9 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
         )
     )
 
-    # per-vertex level bounds: height within the page budgets and u_j
-    P_next = spec.page_count(j)
-    lp_arr = -(-np.arange(1, P_next + 1) * spec.prefix_product(j) // M)
-    u_j = level_budget(spec, j)
-    ok = (
-        bool((h_pg <= l_arr[:, None]).all())
-        and bool((h.reshape(P_next, -1) <= lp_arr[:, None]).all())
-        and bool((h <= u_j).all())
-        and bool((h >= 1).all())
-    )
+    # per-vertex level bounds: height within the page budgets, hence within
+    # the j-page budgets and u_j (see the docstring)
+    ok = bool((h_pg <= l_arr[:, None]).all()) and bool((h >= 1).all())
     out.append(_gated(pre + "page-level-bounds", ok, asserted))
 
     # sections track pages: the image of a page prefix stays inside the
@@ -397,9 +387,9 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     # stacking order: within a stack, height ascends exactly with the source
     # section, and source pages never descend; sorted by (address, height,
     # rank) in one key
-    address_bits, height_bits = spec.exponents[j - 1], u_j.bit_length()
+    height_bits = level_budget(spec, j).bit_length()
     rank_bits = (spec.size - 1).bit_length()
-    if emb.in_box and address_bits + height_bits + rank_bits <= 63:
+    if emb.in_box:
         key = addr << height_bits
         key |= h
         key <<= rank_bits
@@ -472,7 +462,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     mask = (sec_pg <= r[1:, None]).ravel()
     am, pm, hm = addr[mask], np.flatnonzero(mask) // A + 1, h[mask]
     page_bits = P.bit_length()
-    if emb.in_box and address_bits + page_bits + height_bits <= 63:
+    if emb.in_box:
         key = am << page_bits
         key |= pm
         key <<= height_bits
@@ -858,14 +848,15 @@ class DilationReport:
 
 def _edge_histogram(spec: GridSpec, labels: np.ndarray) -> np.ndarray:
     """Grid edges by the Hamming distance of their two labels, up to the
-    largest distance met: the label XOR along each `_grid` axis."""
+    largest distance met: the label XOR along each `_grid` axis.  A grid
+    (k >= 2, sides >= 2) has an edge, so some entry is nonzero."""
     grid = _grid(spec, labels)
     hist = np.zeros(spec.n + 1, dtype=np.int64)
     for axis in range(spec.k):
         g = np.moveaxis(grid, axis, 0)
         x = g[1:] ^ g[:-1]
         hist += np.bincount(np.bitwise_count(x).ravel("K"), minlength=spec.n + 1)
-    return hist[: int(np.flatnonzero(hist).max(initial=0)) + 1]
+    return hist[: int(np.flatnonzero(hist)[-1]) + 1]
 
 
 def dilation(emb: HypercubeEmbedding) -> DilationReport:

@@ -28,11 +28,7 @@ from .stages import build_fk, dump_stage
 
 PASS, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
-
-def _spec_from(dims: list[int], cap: int | None) -> GridSpec:
-    if cap is None:
-        return GridSpec(tuple(dims))
-    return GridSpec(tuple(dims), vertex_cap=cap)
+CAP_HELP = "vertex-count cap (default %(default)s), at most 2^31 (the chain is int32)"
 
 
 def _load_seeds(path: str | None):
@@ -63,7 +59,7 @@ def _labelings_from_windows(spec: GridSpec, windows: list[int]):
 
 
 def cmd_embed(args) -> int:
-    spec = _spec_from(args.dims, args.cap)
+    spec = GridSpec(tuple(args.dims), vertex_cap=args.cap)
     fk = build_fk(spec, seed_matrices=_load_seeds(args.seed))
     if args.dump_stage is not None:
         stages = {st.stage: st for st in fk.stage_chain()}
@@ -113,7 +109,7 @@ def cmd_audit(args) -> int:
             raise ValueError(
                 "audit takes either grid side lengths or one file path"
             ) from None
-        spec = _spec_from(dims, args.cap)
+        spec = GridSpec(tuple(dims), vertex_cap=args.cap)
         checks, _, _ = audit_grid(spec, seed_matrices=_load_seeds(args.seed))
     sys.stdout.write(render_report(checks))
     return PASS if not failed(checks) else CHECK_FAILED
@@ -165,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="dump_stage",
         help="dump one intermediate stage instead of the final embedding",
     )
-    pe.add_argument("--cap", type=int, help="vertex-count cap override")
+    pe.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help=CAP_HELP)
     pe.add_argument(
         "--windows",
         type=int,
@@ -178,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         "target", nargs="+", help="grid side lengths, or one embedding file"
     )
     pa.add_argument("--seed", help="file of designation matrices to use")
-    pa.add_argument("--cap", type=int, help="vertex-count cap override")
+    pa.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help=CAP_HELP)
 
     pc = sub.add_parser(
         "cat",

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 DEFAULT_VERTEX_CAP = 1 << 26
+VERTEX_BOUND = 1 << 31
 
 
 def compute_exponents(dims) -> tuple[int, ...]:
@@ -37,7 +38,13 @@ def compute_exponents(dims) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A k-dimensional grid, k >= 2, with precomputed exponent data."""
+    """A k-dimensional grid, k >= 2, with precomputed exponent data.
+
+    |G| is at most `vertex_cap` and, whatever the cap, `VERTEX_BOUND` =
+    2^31, so n <= 31: the chain's int32 arrays (base-map columns, stage
+    coordinates, `Transition.source_level`, `BlankPlan.level_table`) hold
+    values up to |G|, and the batteries pack n-bit fields into int64 keys.
+    """
 
     dims: tuple[int, ...]
     vertex_cap: int = DEFAULT_VERTEX_CAP
@@ -50,9 +57,12 @@ class GridSpec:
             raise ValueError("a grid needs at least two dimensions")
         exps = compute_exponents(dims)
         object.__setattr__(self, "exponents", exps)
-        if prod(dims) > self.vertex_cap:
+        size = prod(dims)
+        if size > VERTEX_BOUND:
+            raise ValueError(f"grid has {size} vertices, above 2^31, the int32 bound")
+        if size > self.vertex_cap:
             raise ValueError(
-                f"grid has {prod(dims)} vertices, above the cap {self.vertex_cap}"
+                f"grid has {size} vertices, above the cap {self.vertex_cap}"
             )
 
     @property

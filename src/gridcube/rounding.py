@@ -4,9 +4,10 @@ All arithmetic is exact, so the strict "< 1" rounding contracts are
 decidable at the boundary.  The solver takes rationals as integer
 numerators over one common denominator (``build_FX`` rounds X[i] / n, so
 its numerators are X[i] over n), held in one integer array from there to
-the 0/1 result.  The array is int64 when every sum the solver forms
-provably fits, and holds Python ints (object dtype), which cannot overflow,
-only when such a sum could pass int64; both run the same numpy code.
+the 0/1 result.  The package's inputs are int64: by the grid's 2^31 vertex
+bound every sum the solver forms for ``build_FX`` fits (see there).  The
+core is dtype-generic, so an integer array of any exact dtype runs the
+same numpy code.
 
 The two-way rounding solver is a deterministic unit-capacity maximum flow
 over prefix windows: the v-th one placed in each scan order must land where
@@ -340,17 +341,6 @@ def _two_way_round_core(nums: np.ndarray, D: int, order_b: np.ndarray) -> np.nda
     )
 
 
-def _solver_array(nums, count: int, D: int) -> np.ndarray:
-    """The numerators over D of a solver input of ``count`` entries, as one
-    integer array.
-
-    Every entry and every sum the solver forms is below count * D, so the
-    array is int64 when that fits and holds Python ints (object dtype)
-    otherwise; the solver runs the same numpy code on both.
-    """
-    return np.array(nums, dtype=np.int64 if count * D < 1 << 63 else object)
-
-
 # ---------------------------------------------------------------------------
 # Matrix rounding
 # ---------------------------------------------------------------------------
@@ -410,6 +400,12 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     occurs once, and when it is not the slack row holds no item.  One
     ``_round_matrix_core`` call rounds that stack, and its rows go back
     through a row map (the stack is the matrix when no block repeats).
+
+    Numerators are int64: for an input of count = (rows + 1)(n + 1)
+    entries over D = n, every entry and sum the solver forms is below
+    count * D.  Stage plans have n = w < 2 a_i and rows <= P_i, 2 <= i < k,
+    so P_i w < 2 P_{i-1} <= |G|, w < |G| / 2 (a_1 a_i a_k <= |G|) and
+    count * D < (|G| + w)(w + 1) < (3/4)|G|^2 + 2|G| < 2^62 (|G| <= 2^31).
     """
     m, n = spec.m, spec.n
     if all(s == 0 for s in spec.X):
@@ -429,7 +425,7 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
             first[key] = rows
             rows += hi - lo
         stacked[b] = first[key]
-    X = _solver_array([s for key in first for s in key], (rows + 1) * (n + 1), n)
+    X = np.array([s for key in first for s in key], dtype=np.int64)
     F = _round_matrix_core(np.repeat(X, n).reshape(rows, n), n)
     if rows < m:
         # row r of the matrix is row r - starts[b] + stacked[b] of the stack

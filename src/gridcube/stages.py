@@ -60,17 +60,18 @@ def budget_break(spec: GridSpec, i: int, s) -> int | None:
 
     The identity: the nonblank slots of sections 1..r, r * width minus the
     blanks s(1) + ... + s(r), exactly hold the ceil(r A / h) stage-i levels
-    those sections need (A = a_1...a_i, h = 2^{e_{i-1}}).  Every prefix is
-    compared at once, from one cumulated sum of s.
+    those sections need (A = a_1...a_i, h = 2^{e_{i-1}}).  A plain loop:
+    numpy's fixed cost per call outweighs a typical plan's short s.
     """
     width = 1 << spec.block_width(i)
     half = 1 << spec.exponents[i - 1]
     prefix = spec.prefix_product(i)
-    r = np.arange(1, len(s) + 1, dtype=np.int64)
-    need = -(-r * prefix // half)
-    need += np.cumsum(s, dtype=np.int64)
-    bad = np.flatnonzero(need != r * width)
-    return int(bad[0]) + 1 if len(bad) else None
+    blanks = 0
+    for r, count in enumerate(s, start=1):
+        blanks += count
+        if -(-r * prefix // half) + blanks != r * width:
+            return r
+    return None
 
 
 @dataclass(frozen=True)

@@ -318,13 +318,26 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     return round_matrix([[Fraction(s, spec.n)] * spec.n for s in spec.X])
 
 
+def solver_array(nums, count: int, D: int) -> np.ndarray:
+    """The numerators over D of a solver input of ``count`` entries, as one
+    integer array for the dtype-generic solver core.
+
+    Every entry and every sum the solver forms is below count * D, so the
+    array is int64 when that fits and holds Python ints (object dtype)
+    otherwise; the core runs the same numpy code on both.  The package's
+    own inputs are always int64 (``rounding.build_FX``); the rational front
+    ends here take any denominator.
+    """
+    return np.array(nums, dtype=np.int64 if count * D < 1 << 63 else object)
+
+
 def whole_matrix_FX(spec: RoundingSpec) -> BinaryMatrix:
     """``build_FX`` without the row blocks: the whole matrix T^X rounded by
     one solver call."""
     m, n = spec.m, spec.n
     if all(s == 0 for s in spec.X):
         return BinaryMatrix(np.zeros((m, n), dtype=np.int8))
-    X = rounding._solver_array(spec.X, (m + 1) * (n + 1), n)
+    X = solver_array(spec.X, (m + 1) * (n + 1), n)
     return rounding._round_matrix_core(np.repeat(X, n).reshape(m, n), n)
 
 
@@ -351,7 +364,7 @@ def solver_two_way_round(values, perm) -> list[int]:
     if not np.array_equal(np.sort(order), np.arange(len(values))):
         raise ValueError("perm must be a bijection on 1..n")
     nums, D = _over_common_denominator(values)
-    array = rounding._solver_array(nums, len(values), D)
+    array = solver_array(nums, len(values), D)
     return rounding._two_way_round_core(array, D, order).tolist()
 
 
@@ -363,7 +376,7 @@ def solver_round_matrix(T) -> BinaryMatrix:
     if any(len(row) != n for row in rows):
         raise ValueError("ragged rows")
     nums, D = _over_common_denominator([x for row in rows for x in row])
-    body = rounding._solver_array(nums, (m + 1) * (n + 1), D).reshape(m, n)
+    body = solver_array(nums, (m + 1) * (n + 1), D).reshape(m, n)
     return rounding._round_matrix_core(body, D)
 
 

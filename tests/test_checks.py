@@ -1038,6 +1038,28 @@ def test_audit_of_12_17_22_14_has_no_failure():
     assert failed(checks) == []
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="diffs.case-step-above reads 7 against the bound 6 "
+    "(coordinate 3 across dimension-4 edges)",
+)
+@pytest.mark.parametrize("dims", [(14, 17, 19, 8), (14, 17, 19, 15), (13, 18, 18, 19)])
+def test_audit_of_the_case_step_family_has_no_failure(dims):
+    # the three of 1,500 random 4-d grids with sides 8..24 that read 7;
+    # like 12x17x22x14, each has e_1, e_2, e_3 = 4, 8, 13
+    checks, _, _ = audit_grid(GridSpec(dims))
+    assert failed(checks) == []
+
+
+def test_audit_of_13_18_18_3_reports_the_case_step_excess():
+    # the smallest grid known to read 7; a side below 8 makes the case
+    # bounds a reported finding, not an assertion
+    checks, _, _ = audit_grid(GridSpec((13, 18, 18, 3)))
+    lines = [c.line() for c in checks]
+    assert "diffs.case-step-above: REPORTED(max 7 vs bound 6)" in lines
+    assert failed(checks) == []
+
+
 def count_coordinate_diffs(monkeypatch) -> list[int]:
     calls = [0]
     real = checks_module.coordinate_diffs

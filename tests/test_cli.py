@@ -137,6 +137,15 @@ def test_embed_rejects_bad_grids():
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command", ["embed", "audit"])
+def test_cap_admits_no_grid_above_2_31_vertices(command):
+    # 2^31 + 2^16 vertices under a cap of 2^40: refused before anything of
+    # the grid's size is built
+    code, out, err = run_cli([command, "65536", "32769", "--cap", str(1 << 40)])
+    assert code == 2 and out == ""
+    assert "above 2^31" in err
+
+
 def test_audit_dims_passes():
     code, out, _ = run_cli(["audit", "3", "7", "4"])
     assert code == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import _vertex_pages, coords_of, kappa, page_index, rank_of
 
-from gridcube.grids import GridSpec, compute_exponents, level_budget
+from gridcube.grids import VERTEX_BOUND, GridSpec, compute_exponents, level_budget
 
 
 def test_exponents_golden():
@@ -50,6 +50,51 @@ def test_spec_rejects_tiny_and_huge():
     with pytest.raises(ValueError):
         GridSpec((1 << 13, 1 << 14))  # 2^27 vertices, above the default cap
     GridSpec((1 << 13, 1 << 13))  # exactly at the cap is fine
+
+
+def test_spec_bounds_the_grid_at_2_31_vertices_under_any_cap():
+    # decided from the side lengths alone: nothing of the grid's size is built
+    with pytest.raises(ValueError, match=r"above 2\^31"):
+        GridSpec((1 << 16, (1 << 15) + 1), vertex_cap=1 << 40)
+    spec = GridSpec((1 << 16, 1 << 15), vertex_cap=1 << 40)
+    assert spec.size == VERTEX_BOUND and spec.n == 31
+
+
+# grids at or near 2^31 vertices: sides of 2 (every key field as wide as
+# its proof allows), three blocks, equal sides just under the cube root, odd
+# sides, and one stage-2 block 2^29 wide
+WIDEST_GRIDS = [
+    (2,) * 31,
+    (1024, 1024, 2048),
+    (1290, 1290, 1290),
+    (3, 5, 7, 11, 13, 17, 19, 23, 19),
+    (2, (1 << 28) + 1, 3),
+]
+
+
+@pytest.mark.parametrize("dims", WIDEST_GRIDS)
+def test_widths_fit_int64_up_to_the_vertex_bound(dims):
+    """The widths the docstrings of `checks._transition_checks` and
+    `rounding.build_FX` bound, from the grid's arithmetic alone: both packed
+    stacking keys of every stage, with fields as wide as
+    `_transition_checks` makes them, fit in 63 bits, and the largest
+    solver input of every stage plan, (P_i + 1)(w + 1) entries over D = w,
+    keeps count * D below (3/4) |G|^2 + 2 |G| < 2^62."""
+    spec = GridSpec(dims, vertex_cap=VERTEX_BOUND)
+    size = spec.size
+    assert size > VERTEX_BOUND // 2
+    for j in range(3, spec.k + 1):
+        address_bits = spec.exponents[j - 1]
+        height_bits = level_budget(spec, j).bit_length()
+        rank_bits = (size - 1).bit_length()
+        page_bits = spec.page_count(j - 1).bit_length()
+        assert address_bits + height_bits + rank_bits <= 63, (dims, j)
+        assert address_bits + page_bits + height_bits <= 63, (dims, j)
+    for i in range(2, spec.k):
+        w = 1 << spec.block_width(i)
+        count_times_D = (spec.page_count(i) + 1) * (w + 1) * w
+        assert 4 * count_times_D < 3 * size**2 + 8 * size, (dims, i)
+        assert count_times_D < 1 << 62, (dims, i)
 
 
 def test_rank_is_reversed_lex_bijection():

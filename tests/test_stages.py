@@ -126,8 +126,8 @@ def test_s_sequence_equals_the_section_loop():
 
 
 def test_budget_break_equals_the_prefix_loop():
-    """budget_break compares every section prefix at once; the oracle walks
-    them one at a time.  Both see the same first failing prefix: none on
+    """budget_break keeps a running blank count; the oracle cumulates the
+    blanks with `accumulate`.  Both see the same first failing prefix: none on
     s_i itself, and r once a blank is added to section r (r the first, a
     middle or the last section), or moved from section r to r + 1, so that
     only prefix r breaks."""
