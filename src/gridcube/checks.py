@@ -27,7 +27,6 @@ from .stages import (
     budget_break,
     build_fk,
     decimal_columns,
-    distinct_rows,
     keys_distinct,
     section_prefix_counts,
 )
@@ -283,7 +282,12 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     """Checks for one stacking transition (embedding stage j >= 3).
 
     Every table is one integer array over vertices, pages, or addresses by
-    sections (M x P, under 2|G| entries), so memory stays O(|G| + P).
+    sections (M x P, under 2|G| entries), so memory stays O(|G| + P).  The
+    stage's shared columns are read here: the height column (the stage's
+    own contiguous int32 column, not a copy), the clipped source levels,
+    their sections and the `address`.  Each check group that builds
+    |G|-sized scratch is a function of its own, so its temporaries die when
+    it returns and one group's are live at a time.
 
     Pages are rank blocks.  Ranks are reversed-lexicographic (x_1 fastest),
     so the (j - 1)-page r holds the A = a_1...a_{j-1} consecutive ranks
@@ -303,16 +307,16 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     Inside the stage's `box` no check sorts rows.  Each stacking order
     sorts one int64 key per vertex whose bit fields, most significant
     first, are its sort columns: the stage's `address` (below
-    M = 2^{e_{j-1}}), the page (1..P), the height (1..u_j) and the vertex
-    rank, each field as wide as its range, which the box guarantees.  With
-    the rank as the lowest field every key is distinct, so the sorted keys
-    give exactly the permutation of a stable lexsort of the columns, ties
-    included; the fields of the sorted keys read back as the sorted
-    columns.  A stage outside its box takes the lexsort.  Inside it both
-    keys fit in 63 bits, as |G| <= 2^31 (`GridSpec`) gives n <= 31: the
-    address has e_{j-1} bits, the rank and the page at most n (P <= |G| /
-    2), and the height at most n - e_{j-1} + 1, as u_j = ceil(|G| / M) <=
-    2^{n - e_{j-1}}: 2n + 1 bits in all.
+    M = 2^{e_{j-1}}), the page index (0..P - 1), the height (1..u_j) and
+    the vertex rank, each field as wide as its range, which the box
+    guarantees.  With the rank as the lowest field every key is distinct,
+    so the sorted keys give exactly the permutation of a stable lexsort of
+    the columns, ties included; the fields of the sorted keys read back as
+    the sorted columns.  A stage outside its box takes the lexsort.
+    Inside it both keys fit in 63 bits, as |G| <= 2^31 (`GridSpec`) gives
+    n <= 31: the address has e_{j-1} bits, the rank and the page at most n
+    (P <= |G| / 2), and the height at most n - e_{j-1} + 1, as u_j =
+    ceil(|G| / M) <= 2^{n - e_{j-1}}: 2n + 1 bits in all.
 
     The plan is stage j - 1's, and `build_blank_plan` plans stages 2..k-1
     only, so P = P_{j-1} >= a_k >= 2.  `page-level-bounds` needs only h <=
@@ -324,46 +328,26 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     j = emb.stage
     plan = emb.plan
     pre = f"pipeline.stage{j}."
-    out: list[CheckResult] = []
 
-    h = emb.coords[:, j - 1].astype(np.int64)
+    h = emb.coords[:, j - 1]
     P = plan.pages
     # a source level off the plan's levels 1..P * width fails prefix
     # stability; clipped, it indexes the plan's tables like any other
     level = np.clip(emb.source_level, 1, P * plan.width)
     sec = plan.section_of(level)
-    nu = plan.ordinal_table[level]
     M = 1 << spec.exponents[j - 1]
-    level_size = 1 << spec.exponents[j - 2]
     A = spec.prefix_product(j - 1)
     h_pg, sec_pg = h.reshape(P, A), sec.reshape(P, A)
-    addr = emb.address
     # page prefixes r = 0..P: r[:P, None] is each page row's page - 1, and
     # r[1:, None] its page; the page bracket ceil(r A / M)
     r = np.arange(P + 1, dtype=np.int64)
     l_arr = -(-r[1:] * A // M)
+    height_bits = level_budget(spec, j).bit_length()
 
-    # level coverage: every nonblank level outside the last section is hit
-    # by exactly level_size vertices
-    counts = np.bincount(level, minlength=P * plan.width + 1)
-    levels = plan.level_table
-    interior = levels[plan.section_of(levels) <= P - 1]
-    ok = bool((counts[interior] == level_size).all())
-    out.append(_gated(pre + "level-coverage", ok, asserted))
-
-    # cumulative stack heights per address over section prefixes: the
-    # table `stack` reads its heights from, rebuilt from the stored chain
-    T_sec = section_prefix_counts(addr, sec, M, P)
-    bracket = T_sec.max(axis=0)
-    head = T_sec[:, : P - 1]
-    band = (head >= l_arr[: P - 1] - 1) & (head <= l_arr[: P - 1])
-    out.append(_gated(pre + "stack-two-value", bool(band.all()), asserted))
+    out = _level_coverage(plan, level, pre, asserted)
     w_last = 1 << spec.block_width(j - 1)
-    grouped = head.reshape(w_last, M // w_last, P - 1)
-    same = grouped.max(axis=1) == grouped.min(axis=1)
-    out.append(_gated(pre + "stack-last-coordinate", bool(same.all()), asserted))
-    del T_sec, head
-
+    bracket, stacks = _section_stacks(emb.address, sec, M, l_arr, w_last, pre, asserted)
+    out += stacks
     out.append(
         _gated(
             pre + "stack-height-formula",
@@ -384,132 +368,203 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     out.append(_gated(pre + "page-section-containment", window, asserted))
     out.append(_gated(pre + "section-page-window", window, asserted))
 
-    # stacking order: within a stack, height ascends exactly with the source
-    # section, and source pages never descend; sorted by (address, height,
-    # rank) in one key
-    height_bits = level_budget(spec, j).bit_length()
-    rank_bits = (spec.size - 1).bit_length()
+    out += _stacking_order(emb, h, sec, A, height_bits, pre, asserted)
+    out += _top_levels(emb.address, h_pg, sec_pg, bracket, M, pre, asserted)
+    out += _page_stack_pairs(emb, h_pg, sec_pg, bracket, height_bits, pre, asserted)
+    out += _subpage_alignment(plan, level, spec.dims[j - 2], pre, asserted)
+
+    # heights across one section or page stay within the stated spreads: a
+    # section's lowest and highest height (empty: the int32 maximum, -1) by
+    # scatter, a page's by its row of the page view
+    lo = np.full(P + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    hi = np.full(P + 1, -1, dtype=np.int32)
+    np.minimum.at(lo, sec, h)
+    np.maximum.at(hi, sec, h)
+    ok = _spreads_within(lo[1:], hi[1:], 1, 2)
+    out.append(_gated(pre + "section-height-spread", ok, asserted))
+    ok = _spreads_within(h_pg.min(axis=1), h_pg.max(axis=1), 2, 3)
+    out.append(_gated(pre + "page-height-spread", ok, asserted))
+    return out
+
+
+def _in_band(table: np.ndarray, low, high) -> bool:
+    """Whether every column c of the table lies in low[c]..high[c]: read
+    off its column minima and maxima, with no table-sized mask."""
+    return bool((table.min(axis=0) >= low).all() and (table.max(axis=0) <= high).all())
+
+
+def _spreads_within(lo: np.ndarray, hi: np.ndarray, within: int, across: int) -> bool:
+    """Whether each group's heights lo..hi span at most `within`, and each
+    two neighbouring groups' together at most `across`; compared in int64,
+    so no int32 height or empty-group sentinel wraps."""
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    return bool((hi - lo <= within).all()) and bool(
+        (np.maximum(hi[1:], hi[:-1]) - np.minimum(lo[1:], lo[:-1]) <= across).all()
+    )
+
+
+def _level_coverage(plan, level, pre, asserted) -> list[CheckResult]:
+    """Level coverage: every nonblank level outside the last section is hit
+    by exactly level_size = 2^{e_{j-2}} vertices."""
+    counts = np.bincount(level, minlength=plan.pages * plan.width + 1)
+    levels = plan.level_table
+    interior = levels[plan.section_of(levels) <= plan.pages - 1]
+    ok = bool((counts[interior] == 1 << plan.spec.exponents[plan.stage - 1]).all())
+    return [_gated(pre + "level-coverage", ok, asserted)]
+
+
+def _section_stacks(addr, sec, M, l_arr, w_last, pre, asserted):
+    """The cumulative stack heights per address over section prefixes (the
+    table `stack` reads its heights from, rebuilt from the stored chain):
+    its column maxima, the `bracket`, and the checks on the table: in every
+    section prefix but the last each entry is the page bracket or one
+    below, and equal across addresses that share their last block
+    coordinate (the address's top bits)."""
+    P = len(l_arr)
+    T_sec = section_prefix_counts(addr, sec, M, P)
+    head = T_sec[:, : P - 1]
+    band = _in_band(head, l_arr[: P - 1] - 1, l_arr[: P - 1])
+    grouped = head.reshape(w_last, M // w_last, P - 1)
+    same = bool((grouped.max(axis=1) == grouped.min(axis=1)).all())
+    return T_sec.max(axis=0), [
+        _gated(pre + "stack-two-value", band, asserted),
+        _gated(pre + "stack-last-coordinate", same, asserted),
+    ]
+
+
+def _stacking_order(emb, h, sec, A, height_bits, pre, asserted) -> list[CheckResult]:
+    """Stacking order: within a stack, height ascends exactly with the
+    source section, and source pages never descend.  Sorted by (address,
+    height, rank) in one key, whose rank field, once the address field is
+    read, is the order itself."""
+    addr = emb.address
     if emb.in_box:
-        key = addr << height_bits
-        key |= h
-        key <<= rank_bits
-        key |= np.arange(spec.size)
-        key.sort()
-        order = key & ((1 << rank_bits) - 1)
-        a_s = key >> (height_bits + rank_bits)
-        del key
+        rank_bits = (emb.spec.size - 1).bit_length()
+        order = addr << height_bits
+        order |= h
+        order <<= rank_bits
+        order |= np.arange(emb.spec.size)
+        order.sort()
+        same_addr = np.diff(order >> (height_bits + rank_bits)) == 0
+        order &= (1 << rank_bits) - 1
     else:
         order = np.lexsort((h, addr))
-        a_s = addr[order]
-    same_addr = a_s[1:] == a_s[:-1]
-    sec_s = sec[order]
-    pg_s = order // A + 1
-    out.append(
-        _check(
-            pre + "stack-section-monotone",
-            bool((sec_s[1:][same_addr] > sec_s[:-1][same_addr]).all()),
-        )
-    )
-    out.append(
+        same_addr = np.diff(addr[order]) == 0
+    ok = bool((np.diff(sec[order])[same_addr] > 0).all())
+    order //= A
+    return [
+        _check(pre + "stack-section-monotone", ok),
         _gated(
             pre + "stack-page-monotone",
-            bool((pg_s[1:][same_addr] >= pg_s[:-1][same_addr]).all()),
+            bool((np.diff(order)[same_addr] >= 0).all()),
             asserted,
-        )
-    )
+        ),
+    ]
 
-    # page-prefix stacks: counts within 2 of the section-prefix maximum, and
-    # everything below the top two levels is already covered by the prefix:
-    # a vertex's page is at most one above `need`, the first prefix whose
-    # bracket reaches h + 2, which every page meets where `need` is P
-    T_both = section_prefix_counts(addr, np.maximum(sec_pg, r[1:, None]).ravel(), M, P)
-    ok = bool(((T_both >= bracket - 2) & (T_both <= bracket)).all())
-    del T_both
-    need = np.searchsorted(bracket, h + 2)
-    ok2 = bool((need.reshape(P, A) >= r[:P, None]).all())
-    out.append(_gated(pre + "stack-missing-top", ok and ok2, asserted))
 
-    # top-two-level occupancy of each page prefix exceeds one full level:
-    # top[r - 1] counts the vertices of pages 1..r at height bracket[r - 1]
-    # or one below; since the bracket never decreases, each vertex counts on
-    # one interval of r, added through a difference array; it stops where
-    # the bracket first exceeds h + 1, at `need`
-    start = np.maximum(np.searchsorted(bracket, h_pg), r[:P, None]).ravel()
-    stop = need
-    live = start < stop
+def _top_levels(addr, h_pg, sec_pg, bracket, M, pre, asserted) -> list[CheckResult]:
+    """The top two levels of the page-prefix stacks.
+
+    Page-prefix stacks count within 2 of the section-prefix maximum, and
+    everything below the top two levels is already covered by the prefix:
+    a vertex's page is at most one above `need`, the first prefix whose
+    bracket reaches h + 2 (where bracket - 2 reaches h), which every page
+    meets where `need` is P.
+
+    The top-two-level occupancy of each page prefix exceeds one full level:
+    top[r - 1] counts the vertices of pages 1..r at height bracket[r - 1]
+    or one below.  Since the bracket never decreases, each vertex counts on
+    one interval of r, from `start` up to `need`, added through a
+    difference array; a `start` clipped to `need` adds and removes at one
+    prefix, which cancels.
+    """
+    P, A = h_pg.shape
+    r = np.arange(P + 1)
+    sections = np.maximum(sec_pg, r[1:, None], dtype=np.int32).ravel()
+    ok = _in_band(section_prefix_counts(addr, sections, M, P), bracket - 2, bracket)
+    need = np.searchsorted(bracket - 2, h_pg)
+    ok = ok and bool((need >= r[:P, None]).all())
+    start = np.searchsorted(bracket, h_pg)
+    np.maximum(start, r[:P, None], out=start)
+    np.minimum(start, need, out=start)
     top = np.cumsum(
-        np.bincount(start[live], minlength=P + 1)
-        - np.bincount(stop[live], minlength=P + 1)
+        np.bincount(start.ravel(), minlength=P + 1)
+        - np.bincount(need.ravel(), minlength=P + 1)
     )
     short = np.flatnonzero(top[1:P] <= M) + 1
-    out.append(
+    br = int(bracket[0])
+    h1 = h_pg[0]
+    first = np.count_nonzero((h1 == br) | ((h1 == br - 1) & (br >= 2)))
+    return [
+        _gated(pre + "stack-missing-top", ok, asserted),
         _gated(
             pre + "stack-top-occupancy",
             not len(short),
             asserted,
             f"prefix {short[0] + 1} holds {top[short[0]]} <= {M}" if len(short) else "",
-        )
-    )
-    br = int(bracket[0])
-    h1 = h[:A]
-    first = np.count_nonzero((h1 == br) | ((h1 == br - 1) & (br >= 2)))
-    out.append(_report(pre + "stack-top-occupancy-first", f"{first} vs {M}"))
+        ),
+        _report(pre + "stack-top-occupancy-first", f"{first} vs {M}"),
+    ]
 
-    # single-page stack slices: at most two entries, at successive heights,
-    # within two of the section-prefix maximum.  The check reads only the
-    # sorted (address, page, height) columns, never the order of equal
-    # triples, so their key needs no rank digit
-    mask = (sec_pg <= r[1:, None]).ravel()
-    am, pm, hm = addr[mask], np.flatnonzero(mask) // A + 1, h[mask]
-    page_bits = P.bit_length()
+
+def _page_stack_pairs(emb, h_pg, sec_pg, bracket, height_bits, pre, asserted):
+    """Single-page stack slices, over the vertices whose section is at most
+    their page: at most two entries, at successive heights, within two of
+    the section-prefix maximum.  The height bounds read the page view
+    against each page's bracket.  The slices read only the sorted (address,
+    page, height) columns, never the order of equal triples, so their key
+    needs no rank field."""
+    P, A = h_pg.shape
+    b = bracket[:, None]
+    inside = sec_pg <= np.arange(1, P + 1)[:, None]
+    ok = bool((((h_pg <= b) & (h_pg >= b - 2)) | ~inside).all())
+    mask = inside.ravel()
     if emb.in_box:
-        key = am << page_bits
-        key |= pm
+        key = emb.address[mask] << P.bit_length()
+        key |= np.flatnonzero(mask) // A
         key <<= height_bits
-        key |= hm
+        key |= h_pg.ravel()[mask]
         key.sort()
-        am = key >> (page_bits + height_bits)
-        pm = (key >> height_bits) & ((1 << page_bits) - 1)
-        hm = key & ((1 << height_bits) - 1)
-        del key
+        same = np.diff(key >> height_bits) == 0
+        step = np.diff(key)
     else:
+        am, pm, hm = emb.address[mask], np.flatnonzero(mask) // A, h_pg.ravel()[mask]
         order = np.lexsort((hm, pm, am))
-        am, pm, hm = am[order], pm[order], hm[order]
-    samekey = (am[1:] == am[:-1]) & (pm[1:] == pm[:-1])
-    runstart = np.ones(len(am), dtype=bool)
-    runstart[1:] = ~samekey
-    runid = np.cumsum(runstart) - 1
-    runlen = np.bincount(runid)
-    ok = bool((runlen <= 2).all())
-    if ok and len(am):
-        second = np.flatnonzero(samekey) + 1
-        ok = bool((hm[second] - hm[second - 1] == 1).all())
-    bracket_of = np.concatenate([[0], bracket])
-    ok = (
-        ok
-        and bool((hm <= bracket_of[pm]).all())
-        and bool((hm >= bracket_of[pm] - 2).all())
-    )
-    out.append(_gated(pre + "page-stack-pair", ok, asserted))
+        same = (np.diff(am[order]) == 0) & (np.diff(pm[order]) == 0)
+        step = np.diff(hm[order])
+    # a slice of three would hold two neighbouring same-slice pairs; within
+    # a slice the key steps by the height step
+    ok = ok and not (same[1:] & same[:-1]).any() and bool((step[same] == 1).all())
+    return [_gated(pre + "page-stack-pair", ok, asserted)]
 
-    # same subpage position => nonblank-level ordinals within 3 cyclically;
-    # the first pair past 3 in (ordinal, row size) order is the one reported.
-    # The subpage position q within a page is the middle axis of a
-    # (P, a_{j-1}, a_1...a_{j-2}) view.  The (q, ordinal, row size) triples
-    # are sorted once, packed base width + 1 (ordinal and row size are at
-    # most the width); each q's distinct triples are a slice
-    a_next = spec.dims[j - 2]
-    mr = plan.width - plan.F.bits.sum(axis=1, dtype=np.int64)
+
+def _subpage_alignment(plan, level, a_next, pre, asserted) -> list[CheckResult]:
+    """Same subpage position => nonblank-level ordinals within 3
+    cyclically; the first pair past 3 in (ordinal, row size) order is the
+    one reported.
+
+    The subpage position q within a page is the middle axis of a
+    (P, a_{j-1}, a_1...a_{j-2}) view, so its transpose gathers one row per
+    q.  A level's (ordinal, row size) pair packs base = width + 1 wide
+    (both are at most the width), read from a table over the plan's levels;
+    each row is sorted in place, and its distinct pairs are where it steps.
+    q is a row, never a digit, so the packed pairs stay below base^2 < 2^61
+    whatever a_{j-1} is (width <= 2^30, as |G| <= 2^31).
+    """
     base = plan.width + 1
-    packed = nu.reshape(P, a_next, -1) + base * np.arange(1, a_next + 1)[:, None]
-    packed *= base
-    packed += mr[sec - 1].reshape(packed.shape)
-    packed, _ = distinct_rows(packed.ravel())
-    combos = np.stack(np.unravel_index(packed, (a_next + 1, base, base)), axis=1)
-    bounds = np.searchsorted(combos[:, 0], np.arange(1, a_next + 2)).tolist()
+    sizes = plan.width - plan.F.bits.sum(axis=1, dtype=np.int64)
+    pairs = plan.ordinal_table * base
+    pairs[1:] += np.repeat(sizes, plan.width)
+    rows = pairs[level.reshape(plan.pages, a_next, -1).transpose(1, 0, 2)]
+    rows = rows.reshape(a_next, -1)
+    rows.sort(axis=1)
+    new = np.ones(rows.shape, dtype=bool)
+    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    bounds = np.concatenate([[0], np.count_nonzero(new, axis=1).cumsum()]).tolist()
+    ordinal, size = np.divmod(rows[new], base)
     worst = ""
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        v1, m1 = combos[start:stop, 1:2], combos[start:stop, 2:]
+        v1, m1 = ordinal[start:stop, None], size[start:stop, None]
         v2, m2 = v1.T, m1.T
         dist = np.minimum(np.abs(v2 - v1), np.minimum(m1 - v1 + v2, m2 - v2 + v1))
         far = np.flatnonzero(dist > 3)
@@ -517,28 +572,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
             a, b = divmod(int(far[0]), stop - start)
             worst = f"ordinals {v1[a, 0]},{v1[b, 0]} at distance {dist[a, b]}"
             break
-    out.append(_gated(pre + "subpage-level-alignment", not worst, asserted, worst))
-
-    # heights across one section or page stay within the stated spreads: a
-    # section's lowest and highest height (empty: max, -1) by scatter, a
-    # page's by its row of the page view
-    lo = np.full(P + 1, np.iinfo(np.int64).max)
-    hi = np.full(P + 1, -1, dtype=np.int64)
-    np.minimum.at(lo, sec, h)
-    np.maximum.at(hi, sec, h)
-    lo, hi = lo[1:], hi[1:]
-    ok1 = bool((hi - lo <= 1).all())
-    ok2 = bool(
-        (np.maximum(hi[1:], hi[:-1]) - np.minimum(lo[1:], lo[:-1]) <= 2).all()
-    )
-    out.append(_gated(pre + "section-height-spread", ok1 and ok2, asserted))
-    lo, hi = h_pg.min(axis=1), h_pg.max(axis=1)
-    ok1 = bool((hi - lo <= 2).all())
-    ok2 = bool(
-        (np.maximum(hi[1:], hi[:-1]) - np.minimum(lo[1:], lo[:-1]) <= 3).all()
-    )
-    out.append(_gated(pre + "page-height-spread", ok1 and ok2, asserted))
-    return out
+    return [_gated(pre + "subpage-level-alignment", not worst, asserted, worst)]
 
 
 def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:

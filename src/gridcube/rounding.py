@@ -329,16 +329,21 @@ def _two_way_round_core(nums: np.ndarray, D: int, order_b: np.ndarray) -> np.nda
     is the array order.  Returns integers x with x_i in {floor, ceil} of
     nums[i] / D and all prefix sums (both orders) within the floor/ceil of
     the exact prefix sums, in the dtype of nums.
+
+    The numerators must sum to a multiple of D, so the fractional parts sum
+    to exactly b D for the one count of ones b.  The package's one caller,
+    `_round_matrix_core`, always passes such a total: its slack column holds
+    -(row sum) mod D per row, its slack row -(column sum) mod D per column,
+    and its corner the body total S, so the extended matrix sums to
+    S - S - S + S = 0 modulo D.
     """
     floors, fracs = nums // D, nums % D
-    low, rem = divmod(int(fracs.sum()), D)
-    for b in [low] if rem == 0 else [low, low + 1]:
-        bits = _try_round(fracs, D, order_b, b)
-        if bits is not None:
-            return floors + bits
-    raise RuntimeError(
-        "two-way rounding solver found no feasible rounding; this is a bug"
-    )
+    bits = _try_round(fracs, D, order_b, int(fracs.sum()) // D)
+    if bits is None:
+        raise RuntimeError(
+            "two-way rounding solver found no feasible rounding; this is a bug"
+        )
+    return floors + bits
 
 
 # ---------------------------------------------------------------------------

@@ -256,11 +256,11 @@ class StageEmbedding:
         from bit e_{i-1} up.  Keys then lie below 2^{e_{i-1}} u_i, which is
         under |G| + 2^{e_{i-1}} < 3|G|, so one scatter into a boolean mask of
         that size counts them.  A coordinate outside the box can alias
-        another key, so such a chain sorts its rows (`distinct_rows`).
+        another key, so such a chain sorts its rows (`np.unique`).
         """
         spec, i = self.spec, self.stage
         if not self.in_box:
-            return len(distinct_rows(self.coords)[0]) == spec.size
+            return len(np.unique(self.coords, axis=0)) == spec.size
         key = self.coords[:, i - 1].astype(np.int64)
         key -= 1
         key <<= spec.exponents[i - 1]
@@ -292,16 +292,6 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
             "budget identity violated"
         )
     return table[level - 1]
-
-
-def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(a, axis=0, return_counts=True) from one sort and a neighbour
-    compare: the distinct rows (entries, if 1-d) in order, and their counts."""
-    s = np.sort(a) if a.ndim == 1 else a[np.lexsort(a.T[::-1])]
-    new = s[1:] != s[:-1]
-    new = np.concatenate([[True], new if a.ndim == 1 else new.any(axis=1)])
-    starts = np.flatnonzero(new[: len(s)])  # an empty `a` has no first row
-    return s[starts], np.diff(starts, append=len(s))
 
 
 def keys_distinct(keys: np.ndarray, bound: int) -> bool:

@@ -57,6 +57,16 @@ from gridcube.rounding import BinaryMatrix, RoundingSpec
 from gridcube.stages import BlankPlan, StageEmbedding, packed_address
 
 
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, axis=0, return_counts=True) from one sort and a neighbour
+    compare: the distinct rows (entries, if 1-d) in order, and their counts."""
+    s = np.sort(a) if a.ndim == 1 else a[np.lexsort(a.T[::-1])]
+    new = s[1:] != s[:-1]
+    new = np.concatenate([[True], new if a.ndim == 1 else new.any(axis=1)])
+    starts = np.flatnonzero(new[: len(s)])  # an empty `a` has no first row
+    return s[starts], np.diff(starts, append=len(s))
+
+
 # ---------------------------------------------------------------------------
 # grid vertices: ranks, the chain fold, pages
 # ---------------------------------------------------------------------------
@@ -365,7 +375,15 @@ def solver_two_way_round(values, perm) -> list[int]:
         raise ValueError("perm must be a bijection on 1..n")
     nums, D = _over_common_denominator(values)
     array = solver_array(nums, len(values), D)
-    return rounding._two_way_round_core(array, D, order).tolist()
+    floors, fracs = array // D, array % D
+    # a fractional total off a multiple of D rounds to either neighbour,
+    # which the package's own inputs never need (`_two_way_round_core`)
+    low, rem = divmod(int(fracs.sum()), D)
+    for b in [low] if rem == 0 else [low, low + 1]:
+        bits = rounding._try_round(fracs, D, order, b)
+        if bits is not None:
+            return (floors + bits).tolist()
+    raise RuntimeError("two-way rounding solver found no feasible rounding")
 
 
 def solver_round_matrix(T) -> BinaryMatrix:

@@ -40,7 +40,7 @@ from gridcube.caterpillars import (
 )
 from gridcube.grids import GridSpec
 from gridcube.rounding import BinaryMatrix, parse_matrices
-from gridcube.stages import BlankPlan, build_fk, distinct_rows
+from gridcube.stages import BlankPlan, build_fk
 
 DATA = Path(__file__).parent / "data"
 TRACING = load_tracing()
@@ -775,15 +775,26 @@ def traced_peak(f, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (12, 17, 22, 14)])
+@pytest.mark.parametrize(
+    "dims", [(64, 64, 64), (5, 5, 4000), (12, 17, 22, 14), (3,) * 10, (7, 11, 13, 97)]
+)
 def test_pipeline_battery_memory_is_bounded_per_vertex(dims):
     """The battery builds one stage's coordinates, keys and tables at a
-    time, and reads pages as views of rank blocks: its tracemalloc peak
-    stays within 185 B per vertex (206-222 B here when it sorted rows,
-    190-206 B with packed keys and masks, 151-167 B with no page arrays)."""
+    time, reads pages as views of rank blocks, and holds one check group's
+    scratch at a time: its tracemalloc peak stays within 120 B per vertex
+    (151-195 B here when every check's scratch lived until the stage's
+    checks returned, 44-83 B one group at a time)."""
     fk = build_fk(GridSpec(dims))
     _, peak = traced_peak(pipeline_battery, fk)
-    assert peak <= 185 * fk.spec.size, peak / fk.spec.size
+    assert peak <= 120 * fk.spec.size, peak / fk.spec.size
+
+
+def test_audit_memory_is_bounded_per_vertex():
+    """A whole audit of 64^3 peaks at 60 B per vertex (167 B while the
+    pipeline battery held every check's scratch to the end of a stage)."""
+    spec = GridSpec((64, 64, 64))
+    _, peak = traced_peak(audit_grid, spec)
+    assert peak <= 90 * spec.size, peak / spec.size
 
 
 @pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (7, 11, 13, 97)])
@@ -998,7 +1009,7 @@ def test_label_mask_agrees_with_distinct_rows(battery_grids):
         for planted in (False, True):
             if planted:
                 object.__setattr__(emb, "labels", labels)
-            distinct = len(distinct_rows(emb.labels)[0]) == fk.spec.size
+            distinct = len(oracles.distinct_rows(emb.labels)[0]) == fk.spec.size
             assert emb.is_injective() == distinct == (not planted), fk.spec.dims
     # audit_file counts a parsed file's labels in the same mask
     emb = assemble_Hk(build_fk(GridSpec((5, 6, 7))))
@@ -1008,7 +1019,7 @@ def test_label_mask_agrees_with_distinct_rows(battery_grids):
     duplicated = "\n".join(lines)
     for body, injective in ((text, True), (duplicated, False)):
         labels = parse_embedding(body).labels
-        assert (len(distinct_rows(labels)[0]) == emb.spec.size) == injective
+        assert (len(oracles.distinct_rows(labels)[0]) == emb.spec.size) == injective
         status = {c.name: c.status for c in audit_file(body)}
         assert status["file.label-injective"] == ("PASS" if injective else "FAIL")
 
@@ -1043,10 +1054,21 @@ def test_audit_of_12_17_22_14_has_no_failure():
     reason="diffs.case-step-above reads 7 against the bound 6 "
     "(coordinate 3 across dimension-4 edges)",
 )
-@pytest.mark.parametrize("dims", [(14, 17, 19, 8), (14, 17, 19, 15), (13, 18, 18, 19)])
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (14, 17, 19, 8),
+        (14, 17, 19, 15),
+        (13, 18, 18, 19),
+        (26, 36, 18, 9),
+        (10, 23, 38, 30),
+    ],
+)
 def test_audit_of_the_case_step_family_has_no_failure(dims):
-    # the three of 1,500 random 4-d grids with sides 8..24 that read 7;
-    # like 12x17x22x14, each has e_1, e_2, e_3 = 4, 8, 13
+    # the first three are the three of 1,500 random 4-d grids with sides
+    # 8..24 that read 7, and like 12x17x22x14 have e_1, e_2, e_3 = 4, 8,
+    # 13; the last two came from random grids with sides up to 40 and have
+    # e_1, e_2, e_3 = 5, 10, 15 and 4, 8, 14
     checks, _, _ = audit_grid(GridSpec(dims))
     assert failed(checks) == []
 

@@ -74,12 +74,13 @@ WIDEST_GRIDS = [
 
 @pytest.mark.parametrize("dims", WIDEST_GRIDS)
 def test_widths_fit_int64_up_to_the_vertex_bound(dims):
-    """The widths the docstrings of `checks._transition_checks` and
-    `rounding.build_FX` bound, from the grid's arithmetic alone: both packed
-    stacking keys of every stage, with fields as wide as
-    `_transition_checks` makes them, fit in 63 bits, and the largest
-    solver input of every stage plan, (P_i + 1)(w + 1) entries over D = w,
-    keeps count * D below (3/4) |G|^2 + 2 |G| < 2^62."""
+    """The widths the docstrings of `checks._transition_checks`,
+    `checks._subpage_alignment` and `rounding.build_FX` bound, from the
+    grid's arithmetic alone: both packed stacking keys of every stage, with
+    fields as wide as `_transition_checks` makes them, fit in 63 bits, the
+    packed (ordinal, row size) pairs stay below (w + 1)^2 < 2^61, and the
+    largest solver input of every stage plan, (P_i + 1)(w + 1) entries over
+    D = w, keeps count * D below (3/4) |G|^2 + 2 |G| < 2^62."""
     spec = GridSpec(dims, vertex_cap=VERTEX_BOUND)
     size = spec.size
     assert size > VERTEX_BOUND // 2
@@ -90,6 +91,7 @@ def test_widths_fit_int64_up_to_the_vertex_bound(dims):
         page_bits = spec.page_count(j - 1).bit_length()
         assert address_bits + height_bits + rank_bits <= 63, (dims, j)
         assert address_bits + page_bits + height_bits <= 63, (dims, j)
+        assert ((1 << spec.block_width(j - 1)) + 1) ** 2 < 1 << 61, (dims, j)
     for i in range(2, spec.k):
         w = 1 << spec.block_width(i)
         count_times_D = (spec.page_count(i) + 1) * (w + 1) * w

@@ -11,7 +11,14 @@ import oracles
 import pytest
 from hypothesis import given, settings
 
-from oracles import coords_of, full_stack_heights, nu_distance, rank_of, stack_heights
+from oracles import (
+    coords_of,
+    distinct_rows,
+    full_stack_heights,
+    nu_distance,
+    rank_of,
+    stack_heights,
+)
 from test_base2d import benchmark_grids
 from test_checks import family_grids, traced_peak
 
@@ -24,7 +31,6 @@ from gridcube.stages import (
     budget_break,
     build_blank_plan,
     build_fk,
-    distinct_rows,
     dump_stage,
     inflate,
     packed_address,
