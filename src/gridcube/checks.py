@@ -283,8 +283,8 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
 
     Every table is one integer array over vertices, pages, or addresses by
     sections (M x P, under 2|G| entries), so memory stays O(|G| + P).  The
-    stage's shared columns are read here: the height column (the stage's
-    own contiguous int32 column, not a copy), the clipped source levels,
+    stage's shared columns are read here: the heights (the stage's own
+    contiguous int32 `level` row, not a copy), the clipped source levels,
     their sections and the `address`.  Each check group that builds
     |G|-sized scratch is a function of its own, so its temporaries die when
     it returns and one group's are live at a time.
@@ -329,7 +329,7 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     plan = emb.plan
     pre = f"pipeline.stage{j}."
 
-    h = emb.coords[:, j - 1]
+    h = emb.level
     P = plan.pages
     # a source level off the plan's levels 1..P * width fails prefix
     # stability; clipped, it indexes the plan's tables like any other
@@ -549,7 +549,10 @@ def _subpage_alignment(plan, level, a_next, pre, asserted) -> list[CheckResult]:
     (both are at most the width), read from a table over the plan's levels;
     each row is sorted in place, and its distinct pairs are where it steps.
     q is a row, never a digit, so the packed pairs stay below base^2 < 2^61
-    whatever a_{j-1} is (width <= 2^30, as |G| <= 2^31).
+    whatever a_{j-1} is (width <= 2^30, as |G| <= 2^31).  The distinct
+    pairs lie flat, row after row; one pass per d compares each pair t with
+    pair t + d where both share a row.  The distance is symmetric and 0 on
+    a pair with itself, so a row's first far pair is its least far (t, d).
     """
     base = plan.width + 1
     sizes = plan.width - plan.F.bits.sum(axis=1, dtype=np.int64)
@@ -560,18 +563,17 @@ def _subpage_alignment(plan, level, a_next, pre, asserted) -> list[CheckResult]:
     rows.sort(axis=1)
     new = np.ones(rows.shape, dtype=bool)
     new[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    bounds = np.concatenate([[0], np.count_nonzero(new, axis=1).cumsum()]).tolist()
+    counts = np.count_nonzero(new, axis=1)
+    row = np.repeat(np.arange(a_next), counts)
     ordinal, size = np.divmod(rows[new], base)
-    worst = ""
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        v1, m1 = ordinal[start:stop, None], size[start:stop, None]
-        v2, m2 = v1.T, m1.T
+    worst, first = "", len(ordinal)
+    for d in range(1, int(counts.max())):
+        v1, v2, m1, m2 = ordinal[:-d], ordinal[d:], size[:-d], size[d:]
         dist = np.minimum(np.abs(v2 - v1), np.minimum(m1 - v1 + v2, m2 - v2 + v1))
-        far = np.flatnonzero(dist > 3)
-        if len(far):
-            a, b = divmod(int(far[0]), stop - start)
-            worst = f"ordinals {v1[a, 0]},{v1[b, 0]} at distance {dist[a, b]}"
-            break
+        hit = np.flatnonzero((dist > 3) & (row[:-d] == row[d:]))
+        if len(hit) and hit[0] < first:
+            first = t = int(hit[0])
+            worst = f"ordinals {v1[t]},{v2[t]} at distance {dist[t]}"
     return [_gated(pre + "subpage-level-alignment", not worst, asserted, worst)]
 
 
@@ -581,8 +583,8 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     Injectivity, coordinate ranges, prefix stability, and the blank budget
     identity are hard assertions; the per-transition properties assert when
     every grid side is at least 5 and are measured-and-reported below that.
-    Each stage's coordinate array is built in turn and dropped after its
-    checks, so one is held at a time.
+    Each stage reads its settled coordinates as rows of `final` and builds
+    only its level row, dropped after its checks.
     """
     spec = emb.spec
     asserted = min(spec.dims) >= 5
@@ -598,15 +600,15 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
         out.append(_check(f"pipeline.stage{j}.coordinate-range", st.in_box))
         if st.plan is not None:
             plan, level = st.plan, st.source_level
-            # the chain stores stage j - 1's level column as these source
+            # the chain stores stage j - 1's level row as these source
             # levels: each must be a nonblank level of the plan (one with a
-            # nonzero ordinal), and its offset the column stage j settled
+            # nonzero ordinal), and its offset the row stage j settled
             ordinals = plan.ordinal_table
             ok = (
                 int(level.min()) >= 1
                 and int(level.max()) < len(ordinals)
                 and bool((ordinals[level] > 0).all())
-                and np.array_equal(st.coords[:, j - 2], plan.offset_of(level))
+                and np.array_equal(st.final[j - 2], plan.offset_of(level))
             )
             stable.append(_check(f"pipeline.stage{j}.prefix-stability", ok))
             # the identity on the blanks per section of the matrix the stage used
@@ -691,7 +693,7 @@ def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
     k = spec.k
     widths = [spec.block_width(j) for j in range(1, k + 1)]
     dtype = _unsigned(max(widths))
-    columns = fk.coords.T.astype(dtype)
+    columns = fk.final.astype(dtype)
     masks = np.array([(1 << t) - 1 for t in widths], dtype=dtype)[:, None]
     steps = np.empty_like(columns)
     top = np.zeros((k, k), dtype=np.int64)
@@ -786,7 +788,7 @@ class HypercubeEmbedding:
                 )
         labels = np.zeros(spec.size, dtype=np.int64)
         for jdim, lab in enumerate(self.labelings, start=1):
-            vals = self.fk.coords[:, jdim - 1]
+            vals = self.fk.final[jdim - 1]
             if vals.min() < 1 or vals.max() > len(lab.order):
                 raise ValueError(f"coordinate {jdim} outside the labeling domain")
             labels <<= lab.t

@@ -184,9 +184,9 @@ class StageEmbedding:
     settled coordinate, so coordinates 1..i-1 of stage i are rows of
     `final`, and its last, a level index, is where the next stage's source
     level sits in the next plan's `level_table`: one gather from the plan's
-    `level_index`.  `coords` builds the stage's array from them when first
-    read.  The top stage of the chain (stage len(steps) + 2: stage k once
-    `build_fk` is done) reads all its coordinates from `final`.
+    `level_index`: the stage's `level` row, built when first read.  The top
+    stage of the chain (stage len(steps) + 2: stage k once `build_fk` is
+    done) reads its `level` as row i - 1 of `final` too.
     """
 
     spec: GridSpec
@@ -203,18 +203,15 @@ class StageEmbedding:
             raise ValueError(f"stage {self.stage} not in the chain")
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """`coords[rank]` is the stage-i image tuple of the vertex with that
-        rank (|G| x i int32), a transposed view of i coordinate-major rows,
-        so each column `coords[:, j]` is contiguous."""
+    def level(self) -> np.ndarray:
+        """Coordinate i of every vertex by rank (contiguous int32): row
+        i - 1 of `final` at the top stage, and below it one gather from the
+        next plan's `level_index`."""
         i = self.stage
         if i == len(self.steps) + 2:
-            return self.final[:i].T
+            return self.final[i - 1]
         after = self.steps[i - 2]
-        out = np.empty((i, self.spec.size), dtype=np.int32)
-        out[: i - 1] = self.final[: i - 1]
-        np.take(after.plan.level_index, after.source_level, out=out[i - 1], mode="clip")
-        return out.T
+        return np.take(after.plan.level_index, after.source_level, mode="clip")
 
     @property
     def plan(self) -> BlankPlan | None:
@@ -237,16 +234,13 @@ class StageEmbedding:
     @cached_property
     def in_box(self) -> bool:
         """Whether every coordinate lies in 1..its `box` value."""
-        coords = self.coords
-        return bool(
-            (coords.min(axis=0) >= 1).all()
-            and (coords.max(axis=0) <= np.array(self.box())).all()
-        )
+        rows = zip([*self.final[: self.stage - 1], self.level], self.box())
+        return all(row.min() >= 1 and row.max() <= cap for row, cap in rows)
 
     @cached_property
     def address(self) -> np.ndarray:
         """The `packed_address` of each vertex's first i - 1 coordinates."""
-        return packed_address(self.spec, self.coords[:, : self.stage - 1])
+        return packed_address(self.spec, self.final[: self.stage - 1])
 
     def is_injective(self) -> bool:
         """Whether no two vertices share a stage-i coordinate tuple.
@@ -256,12 +250,13 @@ class StageEmbedding:
         from bit e_{i-1} up.  Keys then lie below 2^{e_{i-1}} u_i, which is
         under |G| + 2^{e_{i-1}} < 3|G|, so one scatter into a boolean mask of
         that size counts them.  A coordinate outside the box can alias
-        another key, so such a chain sorts its rows (`np.unique`).
+        another key, so such a chain sorts its tuples (`np.unique`).
         """
         spec, i = self.spec, self.stage
         if not self.in_box:
-            return len(np.unique(self.coords, axis=0)) == spec.size
-        key = self.coords[:, i - 1].astype(np.int64)
+            tuples = np.column_stack([*self.final[: i - 1], self.level])
+            return len(np.unique(tuples, axis=0)) == spec.size
+        key = self.level.astype(np.int64)
         key -= 1
         key <<= spec.exponents[i - 1]
         key += self.address
@@ -269,7 +264,7 @@ class StageEmbedding:
 
     def stage_chain(self) -> "list[StageEmbedding]":
         """Stages 2..stage of the chain, earliest first; each builds its
-        coordinate array only when read."""
+        level row only when read."""
         return [
             StageEmbedding(self.spec, i, self.final, self.steps)
             for i in range(2, self.stage + 1)
@@ -285,7 +280,7 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
     if plan.stage != prev.stage:
         raise ValueError("plan stage does not match embedding stage")
     table = plan.level_table
-    level = prev.coords[:, prev.stage - 1]
+    level = prev.level
     if level.min() < 1 or level.max() > len(table):
         raise RuntimeError(
             "stage coordinate beyond the nonblank level supply; "
@@ -302,16 +297,16 @@ def keys_distinct(keys: np.ndarray, bound: int) -> bool:
     return int(np.count_nonzero(seen)) == len(keys)
 
 
-def packed_address(spec: GridSpec, coords: np.ndarray) -> np.ndarray:
-    """The leading block coordinates of each row packed into one int64.
+def packed_address(spec: GridSpec, rows: np.ndarray) -> np.ndarray:
+    """The leading block coordinates of each vertex packed into one int64.
 
-    Column t (0-based, values 1..2^{e_{t+1} - e_t}) fills bits e_t up to
-    e_{t+1} - 1, so t columns pack below 2^{e_t} and two rows get the same
-    key exactly when they agree in every column.
+    Row t of `rows` (0-based: coordinate t + 1 by rank, 1..2^{e_{t+1} - e_t})
+    fills bits e_t up to e_{t+1} - 1, so t rows pack below 2^{e_t} and two
+    vertices get the same key exactly when they agree in every row.
     """
-    key = np.zeros(len(coords), dtype=np.int64)
-    for t in range(coords.shape[1]):
-        key += (coords[:, t].astype(np.int64) - 1) << spec.exponents[t]
+    key = np.zeros(rows.shape[1], dtype=np.int64)
+    for t, row in enumerate(rows):
+        key += (row.astype(np.int64) - 1) << spec.exponents[t]
     return key
 
 
@@ -361,7 +356,7 @@ def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedd
     point's key and section, read with no sort by one gather at its cell.
 
     Stacking consumes `prev`, the top stage of its chain, and `key`, the
-    `packed_address` of its first i - 1 columns.  The offset is added to
+    `packed_address` of its first i - 1 rows.  The offset is added to
     `key` in place, and the offset and height coordinates are written into
     rows i - 1 and i of the chain's coordinate-major `final` array, the
     offset over prev's level row, which the new stage's source level (its
@@ -421,7 +416,7 @@ def build_fk(
             f"got {len(seed_matrices)}"
         )
     emb = _stage2(spec, build_f2(spec))
-    key = packed_address(spec, emb.final[:1].T)
+    key = packed_address(spec, emb.final[:1])
     for i in range(2, spec.k):
         matrix = seed_matrices[i - 2] if seed_matrices is not None else None
         plan = build_blank_plan(spec, i, matrix=matrix)
@@ -453,15 +448,15 @@ def dump_stage(emb: StageEmbedding) -> str:
     rank or a coordinate in its column's widest decimal width, followed by
     its separator, and the padding NULs are dropped once per block.
     """
-    spec, coords = emb.spec, emb.coords
+    spec, rows = emb.spec, [*emb.final[: emb.stage - 1], emb.level]
     seps = [b": (", *[b", "] * (emb.stage - 1), b")\n"]
-    widths = [len(str(x)) for x in [spec.size - 1, *coords.max(axis=0).tolist()]]
+    widths = [len(str(x)) for x in [spec.size - 1, *(int(row.max()) for row in rows)]]
     pieces = [f"STAGE {emb.stage} {level_budget(spec, emb.stage)}\n"]
     for start in range(0, spec.size, RENDER_CHUNK):
         stop = min(start + RENDER_CHUNK, spec.size)
         block = np.empty((stop - start, sum(widths) + sum(map(len, seps))), np.uint8)
         col = 0
-        fields = [np.arange(start, stop), *coords[start:stop].T]
+        fields = [np.arange(start, stop), *(row[start:stop] for row in rows)]
         for values, width, sep in zip(fields, widths, seps):
             block[:, col : col + width] = decimal_columns(values, width)
             col += width

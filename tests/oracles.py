@@ -129,6 +129,14 @@ def page_index(spec: GridSpec, coords, i: int) -> int:
     return r + 1
 
 
+def stage_coords(emb: StageEmbedding) -> np.ndarray:
+    """A new |G| x i int64 array whose row `rank` is the stage-i image tuple
+    of the vertex with that rank: the stage's settled rows of the chain and
+    its level row, read rank-major."""
+    rows = [*emb.final[: emb.stage - 1], emb.level]
+    return np.column_stack(rows).astype(np.int64)
+
+
 def _vertex_pages(spec: GridSpec, i: int) -> np.ndarray:
     """Page index over dimension i for every vertex rank (i = k gives all 1)."""
     if i >= spec.k:
@@ -749,7 +757,7 @@ def dump_stage(emb: StageEmbedding) -> str:
     """Stage dump: header "STAGE i u_i", then "rank: (c_1,...,c_i)" lines."""
     u = level_budget(emb.spec, emb.stage)
     lines = [f"STAGE {emb.stage} {u}"]
-    for rank, coords in enumerate(emb.coords.tolist()):
+    for rank, coords in enumerate(stage_coords(emb).tolist()):
         tup = ", ".join(str(c) for c in coords)
         lines.append(f"{rank}: ({tup})")
     return "\n".join(lines) + "\n"
@@ -880,7 +888,7 @@ def _height_table(emb: StageEmbedding, mask) -> dict[tuple[int, ...], int]:
     i = emb.stage - 1
     box = [range(1, (1 << spec.block_width(j)) + 1) for j in range(1, i + 1)]
     table = dict.fromkeys(product(*box), 0)
-    table.update(Counter(map(tuple, emb.coords[mask][:, :i].tolist())))
+    table.update(Counter(map(tuple, stage_coords(emb)[mask][:, :i].tolist())))
     return table
 
 
@@ -920,10 +928,10 @@ def stack_columns(
     through the nonblank levels, and the heights by `sorted_heights` on the
     packed (address, offset) key and the level's section."""
     spec, i = prev.spec, prev.stage
-    coords = prev.coords
+    coords = stage_coords(prev)
     levels = plan.level_table[coords[:, i - 1] - 1]
     offsets = plan.offset_of(levels)
-    key = packed_address(spec, np.column_stack([coords[:, : i - 1], offsets]))
+    key = packed_address(spec, np.column_stack([coords[:, : i - 1], offsets]).T)
     return offsets, sorted_heights(key, plan.section_of(levels))
 
 
@@ -974,7 +982,7 @@ def coordinate_diffs(fk) -> tuple[tuple[int, ...], ...]:
     grid dimension at a time."""
     spec = fk.spec
     k = spec.k
-    coords = fk.coords.astype(np.int64)
+    coords = stage_coords(fk)
     cyc = np.zeros((k, k), dtype=np.int64)
     for i0, src, dst in grid_edges(spec):
         a = coords[src]
@@ -993,7 +1001,7 @@ def dilation(emb) -> tuple[tuple[int, ...], int, bool]:
     two labels are decoded block by block, each end on its own."""
     spec = emb.spec
     labels = emb.labels
-    coords = emb.fk.coords.astype(np.int64)
+    coords = stage_coords(emb.fk)
     hist = np.zeros(spec.n + 1, dtype=np.int64)
     sound = True
     for _, src, dst in grid_edges(spec):
@@ -1221,7 +1229,7 @@ def transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]:
     pre = f"pipeline.stage{j}."
     out: list[CheckResult] = []
 
-    coords = emb.coords.astype(np.int64)
+    coords = stage_coords(emb)
     h = coords[:, j - 1]
     sec = source_section(emb).astype(np.int64)
     nu = source_nu(emb).astype(np.int64)
@@ -1231,7 +1239,7 @@ def transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]:
     M = 1 << spec.exponents[j - 1]
     level_size = 1 << spec.exponents[j - 2]
     prefprod = spec.prefix_product(j - 1)
-    addr = packed_address(spec, coords[:, : j - 1])
+    addr = packed_address(spec, coords[:, : j - 1].T)
 
     def ceil_div(a: int, b: int) -> int:
         return -(-a // b)

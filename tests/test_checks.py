@@ -40,7 +40,7 @@ from gridcube.caterpillars import (
 )
 from gridcube.grids import GridSpec
 from gridcube.rounding import BinaryMatrix, parse_matrices
-from gridcube.stages import BlankPlan, build_fk
+from gridcube.stages import BlankPlan, StageEmbedding, build_fk
 
 DATA = Path(__file__).parent / "data"
 TRACING = load_tracing()
@@ -222,7 +222,7 @@ def test_pipeline_battery_two_dimensional_grid():
 
 def test_pipeline_battery_detects_corruption():
     fk = build_fk(GridSpec((5, 5, 5)))
-    fk.coords[0] = fk.coords[1]
+    fk.final[:, 0] = fk.final[:, 1]
     results = pipeline_battery(fk)
     bad = failed(results)
     assert any(c.name == "pipeline.stage3.injective" for c in bad)
@@ -305,16 +305,16 @@ def stage_mutants(stage):
         section, nu = int(sections[v]), int(nus[v])
         row = zeros[section - 1]
         yield moved_source(v, section, (nu - 1 + row // 2) % row + 1)
-        coords = stage.coords.copy()
+        coords = oracles.stage_coords(stage)
         coords[[v, w], j - 1] = coords[[w, v], j - 1]
         yield with_coords(stage, coords)
         moved = section % plan.pages + 1
         yield moved_source(v, moved, min(nu, zeros[moved - 1]))
-        coords = stage.coords.copy()
+        coords = oracles.stage_coords(stage)
         coords[v, : j - 1] = coords[w, : j - 1]
         yield with_coords(stage, coords)
         other = np.flatnonzero(sections != section)
-        coords = stage.coords.copy()
+        coords = oracles.stage_coords(stage)
         coords[v] = coords[other[rng.integers(len(other))]]
         yield with_coords(stage, coords)
     level = stage.source_level.copy()
@@ -323,11 +323,13 @@ def stage_mutants(stage):
 
 
 @pytest.mark.parametrize(
-    "dims", [(5, 5, 6), (3, 7, 4, 3), (17, 17, 17), (2, 3, 4, 2, 3)]
+    "dims",
+    [(5, 5, 6), (3, 7, 4, 3), (17, 17, 17), (2, 3, 4, 2, 3), (2, 300, 2), (5, 60, 5)],
 )
 def test_pipeline_battery_matches_oracle_on_mutants(dims):
     # at k = 5 the subpage view's last axis a_1...a_{j-2} and the j-page
-    # view's rows span several dimensions
+    # view's rows span several dimensions; the thin grids have many subpage
+    # positions, so their far ordinal pairs sit in late rows
     fk = build_fk(GridSpec(dims))
     for stage in fk.stage_chain()[1:]:
         for mutant in stage_mutants(stage):
@@ -342,13 +344,13 @@ def test_pipeline_battery_matches_oracle_outside_the_box(dims):
     # 0, so the order of their tie decides the stacking-order checks
     fk = build_fk(GridSpec(dims))
     k = fk.stage
-    h, addr = fk.coords[:, k - 1], fk.address
+    h, addr = fk.level, fk.address
     bottoms = np.flatnonzero(h == 1)
     mutants = 0
     for v in bottoms[:: max(1, len(bottoms) // 4)]:
         above = np.flatnonzero((addr == addr[v]) & (h == 2))
         if len(above):
-            coords = fk.coords.copy()
+            coords = oracles.stage_coords(fk)
             coords[[v, above[0]], k - 1] = 0
             mutant = with_coords(fk, coords)
             assert not mutant.in_box
@@ -373,7 +375,7 @@ def test_height_above_the_bracket_fails_instead_of_raising(dims):
             status = {c.name: c.status for c in pipeline_battery(with_source(stage, level))}
             assert status[f"pipeline.stage{j}.prefix-stability"] == "FAIL"
     k = fk.stage
-    coords = fk.coords.copy()
+    coords = oracles.stage_coords(fk)
     coords[7, k - 1] = 50
     mutant = with_coords(fk, coords)
     with pytest.raises(IndexError):
@@ -397,7 +399,7 @@ def test_prefix_stability_fails_on_a_corrupted_chain(dims):
         j = stage.stage
         level = stage.source_level.copy()
         level[0] += 1
-        coords = stage.coords.copy()
+        coords = oracles.stage_coords(stage)
         coords[0, j - 2] = coords[0, j - 2] % (1 << fk.spec.block_width(j - 1)) + 1
         for mutant in (with_source(stage, level), with_coords(stage, coords)):
             status = {c.name: c.status for c in pipeline_battery(mutant)}
@@ -493,7 +495,7 @@ def test_coordinate_diffs_at_the_dtype_boundaries(dims, widths):
     coords[:, 0] = [1 << t for t in widths]
     coords[:, 1] = 1
     chain = dataclasses.replace(fk, final=coords.astype(np.int32))
-    assert chain.coords.max(axis=0).tolist() == [1 << t for t in widths]
+    assert oracles.stage_coords(chain).max(axis=0).tolist() == [1 << t for t in widths]
     assert coordinate_diffs(chain).cyclic == oracles.coordinate_diffs(chain)
 
 
@@ -547,7 +549,7 @@ def test_three_dim_example_assembles_into_its_optimal_cube():
             shift = emb.spec.n - emb.spec.exponents[jdim]
             block = (int(emb.labels[rank]) >> shift) % (1 << emb.labelings[jdim - 1].t)
             coordinate = int(np.flatnonzero(emb.labelings[jdim - 1].order == block)[0]) + 1
-            assert coordinate == int(fk.coords[rank, jdim - 1])
+            assert coordinate == int(oracles.stage_coords(fk)[rank, jdim - 1])
 
 
 def test_assembly_rejects_mismatched_labelings():
@@ -779,14 +781,36 @@ def traced_peak(f, *args):
     "dims", [(64, 64, 64), (5, 5, 4000), (12, 17, 22, 14), (3,) * 10, (7, 11, 13, 97)]
 )
 def test_pipeline_battery_memory_is_bounded_per_vertex(dims):
-    """The battery builds one stage's coordinates, keys and tables at a
-    time, reads pages as views of rank blocks, and holds one check group's
-    scratch at a time: its tracemalloc peak stays within 120 B per vertex
-    (151-195 B here when every check's scratch lived until the stage's
-    checks returned, 44-83 B one group at a time)."""
+    """The battery builds one stage's level row, keys and tables at a time,
+    reads settled coordinates as rows of the chain and pages as views of
+    rank blocks, and holds one check group's scratch at a time: its
+    tracemalloc peak stays within 70 B per vertex (151-195 B here when every
+    check's scratch lived until the stage's checks returned, 44-83 B one
+    group at a time over a rank-major copy of each lower stage, 44-54 B
+    with none)."""
     fk = build_fk(GridSpec(dims))
     _, peak = traced_peak(pipeline_battery, fk)
-    assert peak <= 120 * fk.spec.size, peak / fk.spec.size
+    assert peak <= 70 * fk.spec.size, peak / fk.spec.size
+
+
+def stage_setup(stage):
+    """Stage `stage.stage` of its chain built afresh, with its box test,
+    packed addresses and injectivity read."""
+    st = StageEmbedding(stage.spec, stage.stage, stage.final, stage.steps)
+    return st.in_box, st.address, st.is_injective()
+
+
+@pytest.mark.parametrize("dims", [(3,) * 10, (7, 11, 13, 97), (12, 17, 22, 14)])
+def test_stage_setup_memory_is_bounded_per_vertex(dims):
+    """A stage holds its level row and packed addresses, and its injectivity
+    key and mask for a moment, never a rank-major copy of its coordinates:
+    set up, it peaks within 26 B per vertex at every stage (53, 29 and 29 B
+    at the worst stage here with the copy)."""
+    fk = build_fk(GridSpec(dims))
+    for stage in fk.stage_chain():
+        (in_box, _, injective), peak = traced_peak(stage_setup, stage)
+        assert in_box and injective
+        assert peak <= 26 * fk.spec.size, (stage.stage, peak / fk.spec.size)
 
 
 def test_audit_memory_is_bounded_per_vertex():
@@ -806,7 +830,7 @@ def test_edge_scan_memory_is_bounded_by_the_input(dims):
     _, peak = traced_peak(dilation, emb)
     assert peak <= 5 * emb.labels.nbytes, peak / emb.labels.nbytes
     _, peak = traced_peak(coordinate_diffs, fk)
-    assert peak <= 1.98 * fk.coords.nbytes, peak / fk.coords.nbytes
+    assert peak <= 1.98 * fk.final.nbytes, peak / fk.final.nbytes
 
 
 @pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (3,) * 12])

@@ -229,11 +229,12 @@ def test_stage2_matches_base_embedding():
     emb = build_fk(spec)
     assert emb.stage == 2
     assert emb.is_injective()
-    assert emb.coords[0].tolist() == [1, 1]
+    coords = oracles.stage_coords(emb)
+    assert coords[0].tolist() == [1, 1]
     # vertex (2, 4) is point 4 of chain 2 in the base map
     base = build_f2(spec)
     t = base.offsets[1] + 3
-    assert emb.coords[rank_of(spec, (2, 4))].tolist() == [base.rows[t], base.cols[t]]
+    assert coords[rank_of(spec, (2, 4))].tolist() == [base.rows[t], base.cols[t]]
 
 
 def test_seeded_3743_reproduces_worked_stack(emb_3743):
@@ -250,7 +251,7 @@ def test_seeded_3743_reproduces_worked_stack(emb_3743):
     ]
     for coords, height, lvl in expected:
         rank = rank_of(spec, coords)
-        assert emb3.coords[rank].tolist() == [3, 4, height]
+        assert oracles.stage_coords(emb3)[rank].tolist() == [3, 4, height]
         assert int(emb3.source_level[rank]) == lvl
     assert stack_heights(emb3, 7)[(3, 4)] == 4
 
@@ -281,8 +282,9 @@ def test_seeded_3743_stage4_heights(emb_3743):
 def test_seeded_3743_stage4_known_stack(emb_3743):
     spec = emb_3743.spec
     got = {}
+    coords = oracles.stage_coords(emb_3743)
     for rank in range(spec.size):
-        img = emb_3743.coords[rank].tolist()
+        img = coords[rank].tolist()
         if img[:3] == [3, 1, 2]:
             got[img[3]] = coords_of(spec, rank)
     assert got == {1: (3, 2, 2, 1), 2: (2, 1, 4, 2)}
@@ -304,11 +306,12 @@ def test_pipeline_injective_and_bounded():
         emb = build_fk(spec)
         assert emb.stage == spec.k
         assert emb.is_injective()
+        coords = oracles.stage_coords(emb)
         for j in range(spec.k - 1):
             width = 1 << spec.block_width(j + 1)
-            col = emb.coords[:, j]
+            col = coords[:, j]
             assert col.min() >= 1 and col.max() <= width
-        heights = emb.coords[:, spec.k - 1]
+        heights = coords[:, spec.k - 1]
         assert heights.min() >= 1
         assert heights.max() <= level_budget(spec, spec.k)
 
@@ -328,20 +331,18 @@ def test_build_fk_memory_is_bounded_by_the_final_map(dims):
 
 
 def test_chain_is_stored_coordinate_major(battery_grids):
-    """`final` is a C-contiguous k x |G| int32 array, and every coordinate
-    column of every stage is contiguous: a view of a row of `final` at the
-    top stage.  A chain in any other layout is refused."""
+    """`final` is a C-contiguous k x |G| int32 array, so every settled
+    coordinate is a contiguous row of it; each stage's level row is
+    contiguous too, and at the top stage it is the last row of `final`.  A
+    chain in any other layout is refused."""
     fks = [*battery_grids.values(), build_fk(GridSpec((7, 11, 13, 97)))]
     for fk in fks:
         spec = fk.spec
         assert fk.final.shape == (spec.k, spec.size)
         assert fk.final.dtype == np.int32 and fk.final.flags.c_contiguous
-        for j in range(spec.k):
-            column = fk.coords[:, j]
-            assert column.flags.c_contiguous
-            assert np.shares_memory(column, fk.final[j])
+        assert np.shares_memory(fk.level, fk.final[spec.k - 1])
         for st in fk.stage_chain():
-            assert all(st.coords[:, j].flags.c_contiguous for j in range(st.stage))
+            assert st.level.flags.c_contiguous and st.level.dtype == np.int32
     fk = build_fk(GridSpec((5, 6, 7)))
     for final in (np.asfortranarray(fk.final), fk.final.T.copy()):
         with pytest.raises(ValueError):
@@ -353,7 +354,7 @@ def test_stack_refuses_a_stage_already_stacked():
     # the top cannot be stacked again; the chain is left as it was
     fk = build_fk(GridSpec((5, 5, 6)))
     final = fk.final.copy()
-    key = packed_address(fk.spec, fk.final[:1].T)
+    key = packed_address(fk.spec, fk.final[:1])
     with pytest.raises(ValueError, match="stage 2 is already stacked"):
         stack(fk.stage_chain()[0], fk.plan, key)
     assert np.array_equal(fk.final, final)
@@ -366,9 +367,10 @@ def unstacked(st):
     prev = st.stage_chain()[-2]
     i = prev.stage
     final = np.zeros_like(st.final)
-    final[:i] = prev.coords.T
+    coords = oracles.stage_coords(prev)
+    final[:i] = coords.T
     top = StageEmbedding(st.spec, i, final, st.steps[: i - 2])
-    return top, packed_address(st.spec, prev.coords[:, : i - 1])
+    return top, packed_address(st.spec, coords[:, : i - 1].T)
 
 
 def assert_stacked_as_sorted(fk):
@@ -378,8 +380,9 @@ def assert_stacked_as_sorted(fk):
     for prev, st in zip(chain, chain[1:]):
         offsets, heights = oracles.stack_columns(prev, st.plan)
         j = st.stage
-        assert np.array_equal(st.coords[:, j - 2], offsets), (fk.spec.dims, j)
-        assert np.array_equal(st.coords[:, j - 1], heights), (fk.spec.dims, j)
+        coords = oracles.stage_coords(st)
+        assert np.array_equal(coords[:, j - 2], offsets), (fk.spec.dims, j)
+        assert np.array_equal(coords[:, j - 1], heights), (fk.spec.dims, j)
 
 
 def test_stack_heights_match_the_sorted_form(battery_grids):
@@ -401,7 +404,7 @@ def test_stack_refuses_two_points_of_one_section_at_one_key():
     # share the key, and both forms of the stacking step refuse them
     fk = build_fk(GridSpec((5, 5, 6)))
     prev, key = unstacked(fk)
-    levels = fk.plan.level_table[prev.coords[:, 1] - 1]
+    levels = fk.plan.level_table[oracles.stage_coords(prev)[:, 1] - 1]
     zero = np.zeros_like(key)
     match = "two same-section points share an address and slot"
     with pytest.raises(AssertionError, match=match):
@@ -422,7 +425,7 @@ def test_stack_memory_is_bounded_per_vertex(dims):
     for st in fk.stage_chain()[1:]:
         prev, key = unstacked(st)
         out, peak = traced_peak(stack, prev, st.plan, key)
-        assert np.array_equal(out.coords, st.coords)
+        assert np.array_equal(oracles.stage_coords(out), oracles.stage_coords(st))
         assert peak <= 48 * fk.spec.size, (st.stage, peak / fk.spec.size)
 
 
@@ -441,7 +444,7 @@ def test_is_injective_matches_unique(battery_grids):
     # in a mask
     for fk in battery_grids.values():
         for st in fk.stage_chain():
-            expected = len(np.unique(st.coords, axis=0)) == st.spec.size
+            expected = len(np.unique(oracles.stage_coords(st), axis=0)) == st.spec.size
             assert st.in_box and st.is_injective() == expected
     st = build_fk(GridSpec((5, 6, 7)))
     final = st.final.copy()
@@ -462,7 +465,8 @@ def test_is_injective_matches_unique(battery_grids):
                     final[:, 40] = final[:, 3]
                 st = dataclasses.replace(fk, final=final)
                 assert not st.in_box
-                expected = len(np.unique(st.coords, axis=0)) == st.spec.size
+                coords = oracles.stage_coords(st)
+                expected = len(np.unique(coords, axis=0)) == st.spec.size
                 assert expected == (not collide)
                 assert st.is_injective() == expected, (dims, row, value, collide)
 
@@ -478,7 +482,7 @@ def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
     # plan's level_index, for built chains ...
     for fk in [*battery_grids.values(), build_fk(GridSpec((3, 7, 4, 3)))]:
         for st in fk.stage_chain()[:-1]:
-            assert np.array_equal(st.coords[:, -1], searchsorted_levels(st))
+            assert np.array_equal(st.level, searchsorted_levels(st))
     # ... and for any int32 source level: blank, zero, negative, just past
     # the plan's last level or far beyond it
     fk = build_fk(GridSpec((3, 7, 4, 3)))
@@ -493,7 +497,7 @@ def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
         steps = list(fk.steps)
         steps[i - 2] = Transition(plan, source)
         st = StageEmbedding(fk.spec, i, fk.final, tuple(steps))
-        assert np.array_equal(st.coords[:, -1], searchsorted_levels(st)), i
+        assert np.array_equal(st.level, searchsorted_levels(st)), i
     assert not plan.level_index.flags.writeable
     assert plan.level_index.dtype == np.int32
 
@@ -543,11 +547,12 @@ def test_inflate_preserves_order_and_injectivity(emb_3743):
     emb3 = emb_3743.stage_chain()[1]
     plan = emb_3743.plan
     levels = inflate(emb3, plan)
-    assert len(np.unique(np.column_stack([emb3.coords[:, :2], levels]), axis=0)) \
+    coords = oracles.stage_coords(emb3)
+    assert len(np.unique(np.column_stack([coords[:, :2], levels]), axis=0)) \
         == emb3.spec.size
     # level ordinals map through the plan's nonblank list
     for rank in [0, 5, 100, 251]:
-        c = int(emb3.coords[rank, 2])
+        c = int(coords[rank, 2])
         assert int(levels[rank]) == plan.level_table[c - 1]
     assert np.array_equal(levels, emb_3743.source_level)
 
@@ -560,7 +565,7 @@ def test_dump_stage_format():
     assert lines[0] == f"STAGE 3 {level_budget(spec, 3)}"
     assert lines[1].startswith("0: (")
     assert len(lines) == spec.size + 1
-    first = emb.coords[0].tolist()
+    first = oracles.stage_coords(emb)[0].tolist()
     assert lines[1] == "0: (" + ", ".join(str(c) for c in first) + ")"
 
 
