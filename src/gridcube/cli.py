@@ -155,14 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("dims", nargs="+", type=int, help="grid side lengths")
     pe.add_argument("--seed", help="file of designation matrices to use")
     pe.add_argument("--out", help="output path (default: stdout)")
-    pe.add_argument(
+    pe.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help=CAP_HELP)
+    what = pe.add_mutually_exclusive_group()
+    what.add_argument(
         "--dump-stage",
         type=int,
         dest="dump_stage",
         help="dump one intermediate stage instead of the final embedding",
     )
-    pe.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help=CAP_HELP)
-    pe.add_argument(
+    what.add_argument(
         "--windows",
         type=int,
         nargs="+",

@@ -310,10 +310,9 @@ def _later_phases(lo_a, hi_a, lo_b, hi_b, holder_a, holder_b) -> None:
 def _try_round(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: int):
     """Place total_ones ones on the nonzero fractions (numerators over D) so
     that the v-th one falls in slot v's window in both scan orders, and
-    return them as a 0/1 array, or None when no placement exists."""
+    return them as a 0/1 array (zeros when total_ones = 0, as every window
+    is then empty), or None when no placement exists."""
     out = np.zeros(len(fracs), dtype=np.int64)
-    if total_ones == 0:
-        return out
     items, *windows = _item_windows(fracs, D, order_b, total_ones)
     slot_a, _ = _assign_slots(*windows, total_ones)
     if np.count_nonzero(slot_a) != total_ones:
@@ -351,9 +350,9 @@ def _two_way_round_core(nums: np.ndarray, D: int, order_b: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _round_matrix_core(body: np.ndarray, D: int) -> BinaryMatrix:
-    """Round an m x n array of numerators over D (entries in [0, D]) to
-    bits, consistently.
+def _round_matrix_core(body: np.ndarray, D: int) -> np.ndarray:
+    """Round an m x n array of numerators over D (entries in [0, D]) to an
+    m x n array of bits, consistently.
 
     Every initial row segment, initial column segment, and the grand total of
     the output differ from the exact sums by strictly less than 1.  The
@@ -372,15 +371,17 @@ def _round_matrix_core(body: np.ndarray, D: int) -> BinaryMatrix:
     ext[m, n] = body.sum()
     order_b = np.arange(ext.size).reshape(m + 1, n + 1).T.ravel()
     rounded = _two_way_round_core(ext.ravel(), D, order_b)
-    return BinaryMatrix(rounded.reshape(m + 1, n + 1)[:m, :n])
+    return rounded.reshape(m + 1, n + 1)[:m, :n]
 
 
 def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     """Designation matrix for near-constant row sums X: round T^X = X[i]/n.
 
-    Row i of the output sums to exactly X[i]; initial column sums of equal
-    depth differ by at most 1 and initial row sums of equal width by at most
-    2.  The all-zero X short-circuits to the zero matrix without the solver.
+    Row i of the output sums to exactly X[i], the integer its sum rounds
+    within 1 of (`build_blank_plan`'s `violations()` checks it on every
+    plan); initial column sums of equal depth differ by at most 1 and
+    initial row sums of equal width by at most 2.  The all-zero X
+    short-circuits to the zero matrix without the solver.
     Every entry is X[i]/n, so the entries go to the solver as numerators X[i]
     over n.
 
@@ -431,14 +432,11 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
             rows += hi - lo
         stacked[b] = first[key]
     X = np.array([s for key in first for s in key], dtype=np.int64)
-    F = _round_matrix_core(np.repeat(X, n).reshape(rows, n), n)
+    bits = _round_matrix_core(np.repeat(X, n).reshape(rows, n), n)
     if rows < m:
         # row r of the matrix is row r - starts[b] + stacked[b] of the stack
-        row_map = np.repeat(stacked - starts, ends - starts) + np.arange(m)
-        F = BinaryMatrix(F.bits[row_map])
-    if F.row_counts != spec.X:
-        raise RuntimeError("row sum drifted from its exact target; bug")
-    return F
+        bits = bits[np.repeat(stacked - starts, ends - starts) + np.arange(m)]
+    return BinaryMatrix(bits)
 
 
 def balance_violations(F: BinaryMatrix, X) -> list[str]:

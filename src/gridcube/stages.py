@@ -274,19 +274,13 @@ class StageEmbedding:
 def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
     """The nonblank global level of each vertex's stage-i coordinate.
 
-    Order-preserving, hence injective; a coordinate beyond the nonblank
-    supply would contradict the budget identity and raises as a defect.
+    Order-preserving, hence injective.  `build_fk`, the one caller of
+    `stack`, passes stage i's own plan, whose P_i w - s(1) - ... - s(P_i) =
+    ceil(|G| / h) = u_i nonblank levels (the budget identity at r = P_i; a
+    seeded plan's row sums are checked by `violations()`) cover prev's
+    levels 1..u_i, its `box`.
     """
-    if plan.stage != prev.stage:
-        raise ValueError("plan stage does not match embedding stage")
-    table = plan.level_table
-    level = prev.level
-    if level.min() < 1 or level.max() > len(table):
-        raise RuntimeError(
-            "stage coordinate beyond the nonblank level supply; "
-            "budget identity violated"
-        )
-    return table[level - 1]
+    return plan.level_table[prev.level - 1]
 
 
 def keys_distinct(keys: np.ndarray, bound: int) -> bool:
@@ -312,37 +306,27 @@ def packed_address(spec: GridSpec, rows: np.ndarray) -> np.ndarray:
 
 def section_cells(key: np.ndarray, sections: np.ndarray, pages: int) -> np.ndarray:
     """Each point's cell key * pages + section - 1: its entry in the
-    flattened table of `section_prefix_counts`."""
+    flattened table of `cell_prefix_counts`."""
     cell = key * pages
     cell += sections
     cell -= 1
     return cell
 
 
-def cell_prefix_counts(
-    cell: np.ndarray, rows: int, pages: int, *, single=False
-) -> np.ndarray:
-    """The table of `section_prefix_counts` from the points' `section_cells`:
-    one bincount over the cells, cumulated along the sections in place.
-    With `single`, a cell holding two points raises AssertionError."""
-    table = np.bincount(cell, minlength=rows * pages)
-    if single and table.max() > 1:
-        raise AssertionError("two same-section points share an address and slot")
-    table = table.reshape(rows, pages)
-    return np.cumsum(table, axis=1, out=table)
-
-
-def section_prefix_counts(
-    key: np.ndarray, sections: np.ndarray, rows: int, pages: int
-) -> np.ndarray:
-    """Points per address and section prefix: entry (m, r - 1) of the
-    rows x pages int64 table counts the points with packed address `key` = m
-    in sections 1..r.
+def cell_prefix_counts(cell: np.ndarray, rows: int, pages: int) -> np.ndarray:
+    """Points per address and section prefix, from the points'
+    `section_cells`: entry (m, r - 1) of the rows x pages int64 table counts
+    the points with packed address m in sections 1..r.  One bincount over
+    the cells, cumulated along the sections in place.
 
     At stage i, with rows = 2^{e_i} and pages = P_i, the table has under 2|G|
     entries, since P_i = |G| / (a_1...a_i) and 2^{e_i} < 2 a_1...a_i.
+    In `stack` no cell holds two points: stage i is injective and inflation
+    strictly increasing.  Audit checks it later as stage i + 1's
+    `injective`, and embed as `checks.dump_embedding`'s collision refusal.
     """
-    return cell_prefix_counts(section_cells(key, sections, pages), rows, pages)
+    table = np.bincount(cell, minlength=rows * pages).reshape(rows, pages)
+    return np.cumsum(table, axis=1, out=table)
 
 
 def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedding:
@@ -351,23 +335,19 @@ def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedd
 
     A point in section r at slot offset b becomes (address..., b, n) where n
     counts the points of sections 1..r (this one included) sharing both the
-    address and the offset.  Within one section no two points share that
-    key, so n is a prefix count: the entry of `section_prefix_counts` at the
-    point's key and section, read with no sort by one gather at its cell.
+    address and the offset: no two points of one section share that key
+    (`cell_prefix_counts`), so n is read from its table by one gather.
 
     Stacking consumes `prev`, the top stage of its chain, and `key`, the
-    `packed_address` of its first i - 1 rows.  The offset is added to
-    `key` in place, and the offset and height coordinates are written into
-    rows i - 1 and i of the chain's coordinate-major `final` array, the
-    offset over prev's level row, which the new stage's source level (its
-    `Transition`) now determines: from then on stage i is read from the
-    returned stage's `stage_chain()`, and `prev` itself reads offsets where
-    its levels were.  Sections are 2^{e_i - e_{i-1}} slots wide, so the
-    0-based offset and section of a level are the low bits and the rest of
-    level - 1, taken from the int32 levels by mask and shift.  A chain's
-    `final` starts zeroed past stage 2 and every height is at least 1, so a
-    stage whose height row is already written has been stacked, and is
-    refused.
+    `packed_address` of its first i - 1 rows, to which the offset is added
+    in place.  The offset and height are written into rows i - 1 and i of
+    the chain's coordinate-major `final`, the offset over prev's level row
+    (the new stage's `Transition` now determines it): stage i is then read
+    from the returned stage's `stage_chain()`, and `prev` reads offsets
+    where its levels were.  Sections are 2^{e_i - e_{i-1}} slots wide, so
+    the 0-based offset and section of a level are the low bits and the rest
+    of level - 1.  A chain's `final` starts zeroed past stage 2 and every
+    height is at least 1, so a stage whose height row is written is refused.
     """
     i = prev.stage
     final = prev.final
@@ -383,7 +363,7 @@ def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedd
     sections += 1
     cell = section_cells(key, sections, plan.pages)
     del sections
-    table = cell_prefix_counts(cell, 1 << spec.exponents[i], plan.pages, single=True)
+    table = cell_prefix_counts(cell, 1 << spec.exponents[i], plan.pages)
     final[i] = np.take(table.reshape(-1), cell)
     step = Transition(plan, levels)
     return StageEmbedding(spec, i + 1, final, prev.steps + (step,))

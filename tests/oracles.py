@@ -356,7 +356,7 @@ def whole_matrix_FX(spec: RoundingSpec) -> BinaryMatrix:
     if all(s == 0 for s in spec.X):
         return BinaryMatrix(np.zeros((m, n), dtype=np.int8))
     X = solver_array(spec.X, (m + 1) * (n + 1), n)
-    return rounding._round_matrix_core(np.repeat(X, n).reshape(m, n), n)
+    return BinaryMatrix(rounding._round_matrix_core(np.repeat(X, n).reshape(m, n), n))
 
 
 def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
@@ -403,7 +403,7 @@ def solver_round_matrix(T) -> BinaryMatrix:
         raise ValueError("ragged rows")
     nums, D = _over_common_denominator([x for row in rows for x in row])
     body = solver_array(nums, (m + 1) * (n + 1), D).reshape(m, n)
-    return rounding._round_matrix_core(body, D)
+    return BinaryMatrix(rounding._round_matrix_core(body, D))
 
 
 def matrix_rounding_violations(T, F: BinaryMatrix) -> list[str]:
@@ -992,6 +992,22 @@ def coordinate_diffs(fk) -> tuple[tuple[int, ...], ...]:
             d = np.abs(a[:, jdim - 1] - b[:, jdim - 1])
             cyc[jdim - 1, i0 - 1] = int(np.minimum(d, width - d).max())
     return tuple(tuple(int(x) for x in row) for row in cyc)
+
+
+def step_above_wrap_split(fk) -> tuple[int, int]:
+    """Coordinate 3's cyclic differences across the dimension-4 edges of a
+    grid with k >= 4, split edge by edge by whether coordinate 2's plain
+    difference crosses its cyclic wrap, |dx_2| > 2^{e_2 - e_1} / 2: the
+    largest on the edges that do not cross it, and the largest on those
+    that do (0 where there are none)."""
+    spec = fk.spec
+    coords = stage_coords(fk)
+    _, src, dst = [*grid_edges(spec)][3]
+    d2 = np.abs(coords[src, 1] - coords[dst, 1])
+    d3 = np.abs(coords[src, 2] - coords[dst, 2])
+    cyc = np.minimum(d3, (1 << spec.block_width(3)) - d3)
+    wrap = 2 * d2 > 1 << spec.block_width(2)
+    return int(cyc[~wrap].max(initial=0)), int(cyc[wrap].max(initial=0))
 
 
 def dilation(emb) -> tuple[tuple[int, ...], int, bool]:

@@ -1106,6 +1106,27 @@ def test_audit_of_13_18_18_3_reports_the_case_step_excess():
     assert failed(checks) == []
 
 
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (13, 18, 18, 3),
+        (14, 17, 19, 8),
+        (12, 17, 22, 14),
+        (13, 18, 18, 19),
+        (26, 36, 18, 9),
+        (10, 23, 38, 30),
+        (27, 17, 18, 38),
+    ],
+)
+def test_case_step_above_excess_lies_on_wrap_edges(dims):
+    # coordinate 3 across dimension-4 edges: the edges that do not cross
+    # coordinate 2's cyclic wrap read at most 5, so every edge reading 6 or
+    # 7 crosses it; the wrap edges read 7 on each of these grids
+    fk = build_fk(GridSpec(dims))
+    assert oracles.step_above_wrap_split(fk) == (5, 7)
+    assert coordinate_diffs(fk).cyclic[2][3] == 7
+
+
 def count_coordinate_diffs(monkeypatch) -> list[int]:
     calls = [0]
     real = checks_module.coordinate_diffs

@@ -319,6 +319,11 @@ def test_usage_errors_from_parser():
     with pytest.raises(SystemExit) as exc:
         run_cli(["embed", "3", "7", "4", "--threads", "2"])
     assert exc.value.code == 2
+    # a stage dump takes no windows, valid or not
+    for windows in (["0", "0", "0"], ["9"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["embed", "3", "7", "4", "--dump-stage", "2", "--windows"] + windows)
+        assert exc.value.code == 2
 
 
 def test_internal_errors_exit_three(monkeypatch):

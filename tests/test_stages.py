@@ -205,6 +205,35 @@ def test_plan_tables_match_per_row_oracle(battery_grids, emb_3743):
         assert_plan_tables_match_oracle(plan)
 
 
+def assert_plan_holds_the_level_budget(plan):
+    # `inflate` reads each stage-i level, 1..u_i, through the plan's level
+    # table unguarded: the table must hold exactly u_i levels
+    spec, i = plan.spec, plan.stage
+    assert len(plan.level_table) == level_budget(spec, i), (spec.dims, i)
+
+
+def test_plans_hold_the_stage_level_budget(battery_grids):
+    plans = 0
+    for fk in battery_grids.values():
+        for st in fk.stage_chain()[1:]:
+            assert_plan_holds_the_level_budget(st.plan)
+            plans += 1
+    for dims in benchmark_grids():
+        spec = GridSpec(dims)
+        for i in range(2, spec.k):
+            assert_plan_holds_the_level_budget(build_blank_plan(spec, i))
+            plans += 1
+    assert plans == 1054 + sum(k - 2 for k, _ in battery_grids)
+
+
+@settings(max_examples=40)
+@given(family_grids())
+def test_plans_hold_the_stage_level_budget_over_random_grids(dims):
+    spec = GridSpec(dims)
+    for i in range(2, spec.k):
+        assert_plan_holds_the_level_budget(build_blank_plan(spec, i))
+
+
 def test_generated_plans_pass_contracts():
     for dims in [(3, 7, 4), (3, 7, 4, 3), (5, 6, 5), (6, 6, 6, 6)]:
         spec = GridSpec(dims)
@@ -399,9 +428,10 @@ def test_stack_heights_match_the_sorted_form_over_random_grids(dims):
     assert_stacked_as_sorted(build_fk(GridSpec(dims)))
 
 
-def test_stack_refuses_two_points_of_one_section_at_one_key():
+def test_sorted_heights_refuses_two_points_of_one_section_at_one_key():
     # with every address zeroed, the points a level of one section holds
-    # share the key, and both forms of the stacking step refuse them
+    # share the key, and the sorted form refuses them, so the tests that
+    # compare `stack` with it fail on any such collision
     fk = build_fk(GridSpec((5, 5, 6)))
     prev, key = unstacked(fk)
     levels = fk.plan.level_table[oracles.stage_coords(prev)[:, 1] - 1]
@@ -409,8 +439,6 @@ def test_stack_refuses_two_points_of_one_section_at_one_key():
     match = "two same-section points share an address and slot"
     with pytest.raises(AssertionError, match=match):
         oracles.sorted_heights(zero, fk.plan.section_of(levels))
-    with pytest.raises(AssertionError, match=match):
-        stack(prev, fk.plan, zero)
 
 
 @pytest.mark.parametrize(
