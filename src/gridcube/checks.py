@@ -1,10 +1,10 @@
 """Verification batteries, hypercube assembly, dilation reports, audits.
 
 Every structural claim the construction relies on is expressed here as a
-named check that either PASSes, FAILs, or is REPORTED (measured but not
-asserted, for grids below the side-length thresholds the guarantees assume).
-The batteries are exhaustive over their stated ranges -- no sampling except
-where a check is explicitly defined by sampling.
+named check that PASSes, FAILs, or is REPORTED (measured, not asserted).  A
+check's `gate` is the least grid side at which its FAIL stands (0: always);
+below it, `_apply_gates` reports the finding.  The batteries are exhaustive
+over their stated ranges -- no sampling except where a check is defined by it.
 """
 from __future__ import annotations
 
@@ -12,14 +12,14 @@ import codecs
 import random
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .base2d import fill_columns
 from .caterpillars import CubeLabeling, best_labeling, gray_label
-from .grids import GridSpec, level_budget
+from .grids import DEFAULT_VERTEX_CAP, GridSpec, level_budget
 from .rounding import BinaryMatrix
 from .stages import (
     RENDER_CHUNK,
@@ -44,6 +44,7 @@ class CheckResult:
     name: str
     status: str
     detail: str = ""
+    gate: int = field(default=0, compare=False)  # least side a FAIL stands at
 
     def __post_init__(self):
         if self.status not in ("PASS", "FAIL", "REPORTED"):
@@ -62,17 +63,23 @@ class CheckResult:
         return f"{self.name}: {self.status}"
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, "PASS" if ok else "FAIL", "" if ok else detail)
+def _check(name: str, ok: bool, detail: str = "", gate: int = 0) -> CheckResult:
+    return CheckResult(name, "PASS" if ok else "FAIL", "" if ok else detail, gate)
 
 
-def _gated(name: str, ok: bool, asserted: bool, detail: str = "") -> CheckResult:
-    """Assert when the side-length threshold is met, else report the finding."""
-    if ok:
-        return CheckResult(name, "PASS")
-    if asserted:
-        return CheckResult(name, "FAIL", detail)
-    return CheckResult(name, "REPORTED", detail)
+def _transition(name: str, ok: bool, detail: str = "") -> CheckResult:
+    """A stacking-transition check: asserted when every side is at least 5."""
+    return _check(name, ok, detail, gate=5)
+
+
+def _apply_gates(checks: list[CheckResult], spec: GridSpec) -> list[CheckResult]:
+    """The checks with each FAIL gated above the grid's least side turned
+    into REPORTED, with the same detail: a finding, not an assertion."""
+    side = min(spec.dims)
+    return [
+        replace(c, status="REPORTED") if c.status == "FAIL" and side < c.gate else c
+        for c in checks
+    ]
 
 
 def _report(name: str, value) -> CheckResult:
@@ -277,7 +284,7 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]:
+def _transition_checks(emb: StageEmbedding) -> list[CheckResult]:
     """Checks for one stacking transition (embedding stage j >= 3).
 
     Every table is one integer array over vertices, pages, or addresses by
@@ -343,15 +350,14 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     l_arr = -(-r[1:] * A // M)
     height_bits = level_budget(spec, j).bit_length()
 
-    out = _level_coverage(plan, level, pre, asserted)
+    out = _level_coverage(plan, level, pre)
     w_last = 1 << spec.block_width(j - 1)
-    bracket, stacks = _section_stacks(emb.address, sec, M, l_arr, w_last, pre, asserted)
+    bracket, stacks = _section_stacks(emb.address, sec, M, l_arr, w_last, pre)
     out += stacks
     out.append(
-        _gated(
+        _transition(
             pre + "stack-height-formula",
             bool(np.array_equal(bracket, l_arr)),
-            asserted,
             f"measured {bracket[:8].tolist()}..., expected {l_arr[:8].tolist()}...",
         )
     )
@@ -359,18 +365,18 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     # per-vertex level bounds: height within the page budgets, hence within
     # the j-page budgets and u_j (see the docstring)
     ok = bool((h_pg <= l_arr[:, None]).all()) and bool((h >= 1).all())
-    out.append(_gated(pre + "page-level-bounds", ok, asserted))
+    out.append(_transition(pre + "page-level-bounds", ok))
 
     # sections track pages: the image of a page prefix stays inside the
     # matching section prefix, one section below the page at most
     window = bool(((sec_pg <= r[1:, None]) & (r[:P, None] <= sec_pg)).all())
-    out.append(_gated(pre + "page-section-containment", window, asserted))
-    out.append(_gated(pre + "section-page-window", window, asserted))
+    out.append(_transition(pre + "page-section-containment", window))
+    out.append(_transition(pre + "section-page-window", window))
 
-    out += _stacking_order(emb, h, sec, A, height_bits, pre, asserted)
-    out += _top_levels(emb.address, h_pg, sec_pg, bracket, M, pre, asserted)
-    out += _page_stack_pairs(emb, h_pg, sec_pg, bracket, height_bits, pre, asserted)
-    out += _subpage_alignment(plan, level, spec.dims[j - 2], pre, asserted)
+    out += _stacking_order(emb, h, sec, A, height_bits, pre)
+    out += _top_levels(emb.address, h_pg, sec_pg, bracket, M, pre)
+    out += _page_stack_pairs(emb, h_pg, sec_pg, bracket, height_bits, pre)
+    out += _subpage_alignment(plan, level, spec.dims[j - 2], pre)
 
     # heights across one section or page stay within the stated spreads: a
     # section's lowest and highest height (empty: the int32 maximum, -1) by
@@ -380,9 +386,9 @@ def _transition_checks(emb: StageEmbedding, asserted: bool) -> list[CheckResult]
     np.minimum.at(lo, sec, h)
     np.maximum.at(hi, sec, h)
     ok = _spreads_within(lo[1:], hi[1:], 1, 2)
-    out.append(_gated(pre + "section-height-spread", ok, asserted))
+    out.append(_transition(pre + "section-height-spread", ok))
     ok = _spreads_within(h_pg.min(axis=1), h_pg.max(axis=1), 2, 3)
-    out.append(_gated(pre + "page-height-spread", ok, asserted))
+    out.append(_transition(pre + "page-height-spread", ok))
     return out
 
 
@@ -402,17 +408,17 @@ def _spreads_within(lo: np.ndarray, hi: np.ndarray, within: int, across: int) ->
     )
 
 
-def _level_coverage(plan, level, pre, asserted) -> list[CheckResult]:
+def _level_coverage(plan, level, pre) -> list[CheckResult]:
     """Level coverage: every nonblank level outside the last section is hit
     by exactly level_size = 2^{e_{j-2}} vertices."""
     counts = np.bincount(level, minlength=plan.pages * plan.width + 1)
     levels = plan.level_table
     interior = levels[plan.section_of(levels) <= plan.pages - 1]
     ok = bool((counts[interior] == 1 << plan.spec.exponents[plan.stage - 1]).all())
-    return [_gated(pre + "level-coverage", ok, asserted)]
+    return [_transition(pre + "level-coverage", ok)]
 
 
-def _section_stacks(addr, sec, M, l_arr, w_last, pre, asserted):
+def _section_stacks(addr, sec, M, l_arr, w_last, pre):
     """The cumulative stack heights per address over section prefixes (the
     table `stack` reads its heights from, rebuilt from the stored chain):
     its column maxima, the `bracket`, and the checks on the table: in every
@@ -426,12 +432,12 @@ def _section_stacks(addr, sec, M, l_arr, w_last, pre, asserted):
     grouped = head.reshape(w_last, M // w_last, P - 1)
     same = bool((grouped.max(axis=1) == grouped.min(axis=1)).all())
     return T_sec.max(axis=0), [
-        _gated(pre + "stack-two-value", band, asserted),
-        _gated(pre + "stack-last-coordinate", same, asserted),
+        _transition(pre + "stack-two-value", band),
+        _transition(pre + "stack-last-coordinate", same),
     ]
 
 
-def _stacking_order(emb, h, sec, A, height_bits, pre, asserted) -> list[CheckResult]:
+def _stacking_order(emb, h, sec, A, height_bits, pre) -> list[CheckResult]:
     """Stacking order: within a stack, height ascends exactly with the
     source section, and source pages never descend.  Sorted by (address,
     height, rank) in one key, whose rank field, once the address field is
@@ -453,15 +459,14 @@ def _stacking_order(emb, h, sec, A, height_bits, pre, asserted) -> list[CheckRes
     order //= A
     return [
         _check(pre + "stack-section-monotone", ok),
-        _gated(
+        _transition(
             pre + "stack-page-monotone",
             bool((np.diff(order)[same_addr] >= 0).all()),
-            asserted,
         ),
     ]
 
 
-def _top_levels(addr, h_pg, sec_pg, bracket, M, pre, asserted) -> list[CheckResult]:
+def _top_levels(addr, h_pg, sec_pg, bracket, M, pre) -> list[CheckResult]:
     """The top two levels of the page-prefix stacks.
 
     Page-prefix stacks count within 2 of the section-prefix maximum, and
@@ -501,18 +506,17 @@ def _top_levels(addr, h_pg, sec_pg, bracket, M, pre, asserted) -> list[CheckResu
     h1 = h_pg[0]
     first = np.count_nonzero((h1 == br) | ((h1 == br - 1) & (br >= 2)))
     return [
-        _gated(pre + "stack-missing-top", ok, asserted),
-        _gated(
+        _transition(pre + "stack-missing-top", ok),
+        _transition(
             pre + "stack-top-occupancy",
             not len(short),
-            asserted,
             f"prefix {short[0] + 1} holds {top[short[0]]} <= {M}" if len(short) else "",
         ),
         _report(pre + "stack-top-occupancy-first", f"{first} vs {M}"),
     ]
 
 
-def _page_stack_pairs(emb, h_pg, sec_pg, bracket, height_bits, pre, asserted):
+def _page_stack_pairs(emb, h_pg, sec_pg, bracket, height_bits, pre):
     """Single-page stack slices, over the vertices whose section is at most
     their page: at most two entries, at successive heights, within two of
     the section-prefix maximum.  The height bounds read the page view
@@ -540,10 +544,10 @@ def _page_stack_pairs(emb, h_pg, sec_pg, bracket, height_bits, pre, asserted):
     # a slice of three would hold two neighbouring same-slice pairs; within
     # a slice the key steps by the height step
     ok = ok and not (same[1:] & same[:-1]).any() and bool((step[same] == 1).all())
-    return [_gated(pre + "page-stack-pair", ok, asserted)]
+    return [_transition(pre + "page-stack-pair", ok)]
 
 
-def _subpage_alignment(plan, level, a_next, pre, asserted) -> list[CheckResult]:
+def _subpage_alignment(plan, level, a_next, pre) -> list[CheckResult]:
     """Same subpage position => nonblank-level ordinals within 3
     cyclically; the first pair past 3 in (ordinal, row size) order is the
     one reported.
@@ -579,20 +583,19 @@ def _subpage_alignment(plan, level, a_next, pre, asserted) -> list[CheckResult]:
         if len(hit) and hit[0] < first:
             first = t = int(hit[0])
             worst = f"ordinals {v1[t]},{v2[t]} at distance {dist[t]}"
-    return [_gated(pre + "subpage-level-alignment", not worst, asserted, worst)]
+    return [_transition(pre + "subpage-level-alignment", not worst, worst)]
 
 
 def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     """Structural battery over the full stage chain of a composed embedding.
 
-    Injectivity, coordinate ranges, prefix stability, and the blank budget
-    identity are hard assertions; the per-transition properties assert when
-    every grid side is at least 5 and are measured-and-reported below that.
+    Injectivity, coordinate ranges, prefix stability, the blank budget
+    identity and `stack-section-monotone` are hard assertions; every other
+    transition check carries gate 5, applied once to the transition list.
     Each stage reads its settled coordinates as rows of `final` and builds
     only its level row, dropped after its checks.
     """
     spec = emb.spec
-    asserted = min(spec.dims) >= 5
     out: list[CheckResult] = []
     stable: list[CheckResult] = []
     budgets: list[CheckResult] = []
@@ -619,9 +622,9 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
             # the identity on the blanks per section of the matrix the stage used
             ok = budget_break(spec, plan.stage, plan.F.row_counts) is None
             budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
-            transitions += _transition_checks(st, asserted)
+            transitions += _transition_checks(st)
         del st
-    return out + stable + budgets + transitions
+    return out + stable + budgets + _apply_gates(transitions, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +723,8 @@ def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
 def diff_case_checks(diffs: CoordinateDiffs) -> list[CheckResult]:
     """Case-table bounds on cyclic coordinate differences.
 
-    Asserted when every grid side is at least 8; sides in {5..7} (and below)
-    downgrade failures to reported findings.  The cases: output dimensions
+    Every check carries gate 8: asserted when every grid side is at least
+    8, reported below that.  The cases: output dimensions
     1 and 2 stay within 8; above that, edges in higher grid dimensions move
     coordinate j by at most 6, same-dimension edges by at most 8, and edges
     in lower grid dimensions by at most 10; everything within 17.
@@ -731,14 +734,11 @@ def diff_case_checks(diffs: CoordinateDiffs) -> list[CheckResult]:
     cyclic wrap (|dx_2| above 2^{e_2 - e_1} / 2).
     """
     spec = diffs.spec
-    asserted = min(spec.dims) >= 8
     k = spec.k
     table = diffs.cyclic
     out = []
     overall = max(max(row) for row in table)
-    out.append(
-        _gated("diffs.within-17", overall <= 17, asserted, f"max {overall}")
-    )
+    out.append(_check("diffs.within-17", overall <= 17, f"max {overall}", gate=8))
     cases = {"low-dims": 0, "step-above": 0, "step-same": 0, "step-below": 0}
     for jdim in range(1, k + 1):
         for i0 in range(1, k + 1):
@@ -754,15 +754,9 @@ def diff_case_checks(diffs: CoordinateDiffs) -> list[CheckResult]:
     bounds = {"low-dims": 8, "step-above": 6, "step-same": 8, "step-below": 10}
     for name, bound in bounds.items():
         got = cases[name]
-        out.append(
-            _gated(
-                f"diffs.case-{name}",
-                got <= bound,
-                asserted,
-                f"max {got} vs bound {bound}",
-            )
-        )
-    return out
+        detail = f"max {got} vs bound {bound}"
+        out.append(_check(f"diffs.case-{name}", got <= bound, detail, gate=8))
+    return _apply_gates(out, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,10 +1032,11 @@ class ParsedEmbedding:
     labels: np.ndarray
 
 
-def parse_embedding(text: str) -> ParsedEmbedding:
+def parse_embedding(text: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ParsedEmbedding:
     """Parse a GRIDCUBE file: exactly the writer's layout, any n-bit labels.
 
-    The header must re-render unchanged from its sides and windows (int()
+    The sides must make a `GridSpec` of at most `vertex_cap` vertices, and
+    the header must re-render unchanged from them and the windows (int()
     reads "1_0", "03" or "+2", the re-render does not).  The body must hold
     |G| lines, counted before anything of size |G| is built, and equal the
     vertex lines rendered with "." in each label bit, where it holds 0 or 1.
@@ -1051,7 +1046,8 @@ def parse_embedding(text: str) -> ParsedEmbedding:
     head = re.match("(.*)\n" * 4, text)
     if head is None or head[1] != "GRIDCUBE 1":
         raise ValueError("not a GRIDCUBE file")
-    spec = GridSpec(tuple(int(x) for x in head[2].split(" ")[1:]))
+    dims = tuple(int(x) for x in head[2].split(" ")[1:])
+    spec = GridSpec(dims, vertex_cap=vertex_cap)
     windows = tuple(int(x) for x in head[4].split(" ")[1:])
     if len(windows) != spec.k or min(windows) < 0:
         raise ValueError("bad labelings line")
@@ -1083,8 +1079,8 @@ def parse_embedding(text: str) -> ParsedEmbedding:
     return ParsedEmbedding(spec, windows, labels)
 
 
-def audit_file(text: str) -> list[CheckResult]:
-    """Structural audit of a GRIDCUBE file.
+def audit_file(text: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[CheckResult]:
+    """Structural audit of a GRIDCUBE file of at most `vertex_cap` vertices.
 
     The labelings themselves are not stored in the file, so only measured
     dilation, over `_grid` edge views, is reported; the labeling-implied
@@ -1092,9 +1088,9 @@ def audit_file(text: str) -> list[CheckResult]:
     """
     out: list[CheckResult] = []
     try:
-        parsed = parse_embedding(text)
+        parsed = parse_embedding(text, vertex_cap)
     except ValueError as exc:
-        return [CheckResult("file.parse", "FAIL", str(exc))]
+        return [_check("file.parse", False, str(exc))]
     out.append(_check("file.parse", True))
     spec, labels = parsed.spec, parsed.labels
     # `parse_embedding` packs n bits per label, so each lies in [0, 2^n)

@@ -96,12 +96,14 @@ def cmd_embed(args) -> int:
 def cmd_audit(args) -> int:
     tokens = args.target
     if len(tokens) == 1 and not tokens[0].lstrip("-").isdigit():
+        if args.seed is not None:
+            raise ValueError("--seed applies to a grid audit, not to a file")
         path = Path(tokens[0])
         if not path.is_file():
             raise ValueError(f"no such file: {path}")
         # decoded without newline translation, so a CRLF file reaches the
         # parser as written and fails it
-        checks = audit_file(path.read_bytes().decode())
+        checks = audit_file(path.read_bytes().decode(), vertex_cap=args.cap)
     else:
         try:
             dims = [int(t) for t in tokens]

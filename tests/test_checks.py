@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -337,7 +338,7 @@ def test_pipeline_battery_matches_oracle_on_mutants(dims):
             assert triples(pipeline_battery(mutant)) == expected
 
 
-@pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3), (17, 17, 17)])
+@pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3), (17, 17, 17), (4, 6, 5)])
 def test_pipeline_battery_matches_oracle_outside_the_box(dims):
     # heights of 0 put the top stage outside its box, where the stacking
     # orders are lexsorts: the two lowest vertices of a stack both drop to
@@ -355,12 +356,17 @@ def test_pipeline_battery_matches_oracle_outside_the_box(dims):
             mutant = with_coords(fk, coords)
             assert not mutant.in_box
             expected = triples(oracles.pipeline_battery(mutant))
-            assert triples(pipeline_battery(mutant)) == expected
+            results = pipeline_battery(mutant)
+            assert triples(results) == expected
+            # the oracle decides the side threshold itself; the library's
+            # gate-5 checks fail at side 5 and up, and report below it
+            gated = {c.status for c in results if c.gate == 5} - {"PASS"}
+            assert gated == {"FAIL" if min(dims) >= 5 else "REPORTED"}
             mutants += 1
     assert mutants >= 3
 
 
-@pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3)])
+@pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3), (4, 6, 5)])
 def test_height_above_the_bracket_fails_instead_of_raising(dims):
     # a height is stored as given only at the top stage; below it, it is
     # where the next stage's source level sits in the next level table
@@ -380,10 +386,11 @@ def test_height_above_the_bracket_fails_instead_of_raising(dims):
     mutant = with_coords(fk, coords)
     with pytest.raises(IndexError):
         oracles.pipeline_battery(mutant)
-    status = {c.name: c.status for c in pipeline_battery(mutant)}
-    assert status[f"pipeline.stage{k}.coordinate-range"] == "FAIL"
+    by_name = {c.name: c for c in pipeline_battery(mutant)}
+    assert by_name[f"pipeline.stage{k}.coordinate-range"].status == "FAIL"
+    bounds = by_name[f"pipeline.stage{k}.page-level-bounds"]
     expected = "FAIL" if min(dims) >= 5 else "REPORTED"
-    assert status[f"pipeline.stage{k}.page-level-bounds"] == expected
+    assert (bounds.status, bounds.gate) == (expected, 5)
 
 
 @pytest.mark.parametrize("dims", [(5, 5, 6), (3, 7, 4, 3), (5, 6, 5, 4)])
@@ -509,6 +516,23 @@ def test_cyclic_distance_is_exact_on_every_pair(t):
         d = b.astype(dtype) - a.astype(dtype)
         s = checks_module._rotate(d, dtype((1 << t) - 1)).astype(np.int64)
         assert np.array_equal(np.abs(s - (1 << (t - 1))), want)
+
+
+def test_apply_gates_reports_a_failure_below_its_gate_only():
+    made = [
+        checks_module._check("a", False, "x", gate=8),
+        checks_module._check("b", False, "y"),
+        checks_module._check("c", True, gate=8),
+        checks_module._report("d", 1),
+    ]
+    for side, status in ((7, "REPORTED"), (8, "FAIL")):
+        gated = checks_module._apply_gates(made, GridSpec((9, side)))
+        assert [(c.status, c.detail, c.gate) for c in gated] == [
+            (status, "x", 8),
+            ("FAIL", "y", 0),
+            ("PASS", "", 8),
+            ("REPORTED", "1", 0),
+        ]
 
 
 def test_diff_case_checks_asserted_at_threshold():
@@ -1061,6 +1085,61 @@ def test_audit_grid_reports_a_colliding_stage_map(monkeypatch):
     assert status["pipeline.stage3.injective"] == "FAIL"
     with pytest.raises(RuntimeError, match="labels collide"):
         dump_embedding(emb)
+
+
+# the checks held at every side: the per-stage ones, the one transition
+# check proved for every grid, and the measurements, REPORTED by definition
+HARD_STAGE_CHECKS = {
+    "injective",
+    "coordinate-range",
+    "prefix-stability",
+    "blank-budget",
+    "stack-section-monotone",
+}
+MEASURED = re.compile(
+    r"chain\.adjacent-step-total|pipeline\.stage\d+\.stack-top-occupancy-first"
+    r"|dilation\.value|dilation\.implied-bound|diffs\.max\.dim\d+|file\.dilation"
+)
+
+
+def expected_gate(name: str) -> int:
+    """The least side at which a FAIL of the named check stands."""
+    if MEASURED.fullmatch(name):
+        return 0
+    if name.startswith("pipeline."):
+        return 0 if name.split(".", 2)[2] in HARD_STAGE_CHECKS else 5
+    return 8 if name == "diffs.within-17" or name.startswith("diffs.case-") else 0
+
+
+@pytest.mark.parametrize(
+    "dims", [(3, 7, 4, 3), (5, 6, 5, 4), (8, 8, 8, 8), (13, 18, 18, 3)]
+)
+def test_every_check_carries_its_gate(dims):
+    checks, emb, _ = audit_grid(GridSpec(dims))
+    checks += audit_file(dump_embedding(emb))
+    assert [c.gate for c in checks] == [expected_gate(c.name) for c in checks]
+    # 14 gated checks per stacking transition, and 5 of the case table
+    gates = [c.gate for c in checks]
+    assert (gates.count(5), gates.count(8)) == (14 * (len(dims) - 2), 5)
+    # a REPORTED result of gate 0 is a measurement, never a downgraded FAIL
+    measured = [c.name for c in checks if c.status == "REPORTED" and c.gate == 0]
+    assert measured and all(MEASURED.fullmatch(name) for name in measured)
+
+
+@pytest.mark.parametrize(
+    "dims, stage",
+    [((9, 3, 5, 2, 9), 5), ((7, 2, 5, 4, 2, 3, 2), 6), ((5, 9, 6, 2, 8), 5)],
+)
+def test_side_two_grids_downgrade_only_the_page_window_pair(dims, stage):
+    # grids with no corrupted map that reach the transition gate: among
+    # random grids with k = 5..7 and sides 2..9, each one that downgrades a
+    # check has a side of 2, and downgrades just this pair at one stage
+    checks, _, _ = audit_grid(GridSpec(dims))
+    assert failed(checks) == []
+    downgraded = {c.name: c.gate for c in checks if c.status == "REPORTED" and c.gate}
+    pre = f"pipeline.stage{stage}."
+    pair = [pre + "page-section-containment", pre + "section-page-window"]
+    assert downgraded == dict.fromkeys(pair, 5)
 
 
 @pytest.mark.xfail(

@@ -271,6 +271,32 @@ def test_audit_of_a_lying_header_counts_lines_first():
     assert int(peak) < LYING_HEADER_PEAK_BYTES
 
 
+def test_audit_of_a_file_reads_the_cap(tmp_path):
+    # the cap a file was embedded under audits it: a 25-vertex file under
+    # a cap of 10 fails to parse, and a header of 10^8 vertices under a cap
+    # of 2 * 10^8 passes the cap and fails on its line count instead
+    target = tmp_path / "emb.txt"
+    run_cli(["embed", "5", "5", "--out", str(target)])
+    assert run_cli(["audit", str(target), "--cap", "25"])[0] == 0
+    code, out, _ = run_cli(["audit", str(target), "--cap", "10"])
+    assert code == 1
+    assert out == "file.parse: FAIL grid has 25 vertices, above the cap 10\n"
+    target.write_text(
+        "GRIDCUBE 1\ndims 10000 10000\n27 14 27\nlabelings 0 0\n1 1 " + "0" * 27 + "\n"
+    )
+    code, out, _ = run_cli(["audit", str(target), "--cap", str(2 * 10**8)])
+    assert code == 1
+    assert out == "file.parse: FAIL expected 100000000 vertex lines, found 1 newlines\n"
+
+
+def test_audit_of_a_file_with_seed_is_usage_error(tmp_path):
+    target = tmp_path / "emb.txt"
+    run_cli(["embed", "5", "5", "--out", str(target)])
+    code, out, err = run_cli(["audit", str(target), "--seed", "/nonexistent"])
+    assert code == 2 and out == ""
+    assert "--seed" in err
+
+
 def test_audit_missing_file_is_usage_error():
     code, _, err = run_cli(["audit", "no_such_file.txt"])
     assert code == 2

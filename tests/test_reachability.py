@@ -56,6 +56,7 @@ out = str(tmp / "out.txt")
 commands = [
     ["embed", "3", "7", "4", "--out", out],
     ["audit", out],
+    ["audit", out, "--cap", "84"],
     ["embed", "3", "7", "4", "--dump-stage", "3", "--out", str(tmp / "stage.txt")],
     ["embed", "3", "7", "4", "3", "--seed", str(seeds), "--out", str(tmp / "s.txt")],
     ["embed", "5", "6", "--windows", "3", "0", "--out", str(tmp / "w.txt")],
