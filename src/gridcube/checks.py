@@ -19,7 +19,7 @@ import numpy as np
 
 from .base2d import fill_columns
 from .caterpillars import CubeLabeling, best_labeling, gray_label
-from .grids import DEFAULT_VERTEX_CAP, GridSpec, level_budget
+from .grids import DEFAULT_VERTEX_CAP, AboveCap, GridSpec, level_budget
 from .rounding import BinaryMatrix
 from .stages import (
     RENDER_CHUNK,
@@ -1084,11 +1084,14 @@ def audit_file(text: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[CheckRes
 
     The labelings themselves are not stored in the file, so only measured
     dilation, over `_grid` edge views, is reported; the labeling-implied
-    bound is not recomputable.
+    bound is not recomputable.  A file above the cap raises `AboveCap`, as
+    a grid above it does; any other fault fails the check ``file.parse``.
     """
     out: list[CheckResult] = []
     try:
         parsed = parse_embedding(text, vertex_cap)
+    except AboveCap:
+        raise
     except ValueError as exc:
         return [_check("file.parse", False, str(exc))]
     out.append(_check("file.parse", True))

@@ -95,10 +95,11 @@ def cmd_embed(args) -> int:
 
 def cmd_audit(args) -> int:
     tokens = args.target
-    if len(tokens) == 1 and not tokens[0].lstrip("-").isdigit():
+    path = Path(tokens[0])
+    # one target is a file when it names one or is not a number
+    if len(tokens) == 1 and (path.is_file() or not tokens[0].lstrip("-").isdigit()):
         if args.seed is not None:
             raise ValueError("--seed applies to a grid audit, not to a file")
-        path = Path(tokens[0])
         if not path.is_file():
             raise ValueError(f"no such file: {path}")
         # decoded without newline translation, so a CRLF file reaches the

@@ -23,8 +23,8 @@ arcs, into nodes that can reach the sink along them; and a node found
 exhausted is marked dead (every later visit in the phase would fail).  The
 level computation, the admissible-arc selection and the search are module
 functions over any CSR arc list with a mask of live arcs: ``max_flow`` runs
-them on the arcs of an edge list, and the rounding solver on its own arc
-lists.  Only the depth-first search walks arcs one at a time.
+them on the arcs of an edge list, from zero or from a given flow.  Only the
+depth-first search walks arcs one at a time.
 """
 from __future__ import annotations
 
@@ -33,25 +33,36 @@ from array import array
 import numpy as np
 
 
-def max_flow(size: int, tail, head, sink: int) -> np.ndarray:
+def max_flow(size: int, tail, head, sink: int, carrying=None) -> np.ndarray:
     """A maximum flow from node 0 to ``sink`` over the unit edges
     tail[e] -> head[e] on nodes 0..size-1, as Dinic's algorithm finds it
-    from zero; returns whether each edge carries flow."""
-    tail = np.asarray(tail, dtype=np.int64)
-    head = np.asarray(head, dtype=np.int64)
+    from the flow ``carrying`` (whether each edge carries flow; None for
+    zero); returns whether each edge carries flow.  The edge lists are freed
+    once the arc arrays exist, unless the caller holds them too."""
+    # node and arc ids are held in int32 where they fit
+    ids = np.int32 if max(size, 2 * len(tail)) <= 1 << 31 else np.int64
+    tail = np.asarray(tail, dtype=ids)
+    head = np.asarray(head, dtype=ids)
     arc_from = np.column_stack([tail, head]).ravel()  # arc 2e + 1 leaves head[e]
     arc_to = np.column_stack([head, tail]).ravel()
+    del tail, head
     order = np.argsort(arc_from, kind="stable")  # CSR slot -> arc
-    slot = np.empty_like(order)  # arc -> CSR slot
-    slot[order] = np.arange(len(order))
     tail, head = arc_from[order], arc_to[order]
-    rev = slot[order ^ 1]
+    del arc_from, arc_to
+    live = (order & 1) == 0
+    if carrying is not None:
+        live ^= np.asarray(carrying, dtype=bool)[order >> 1]
+    slot = np.empty(len(order), dtype=ids)  # arc -> CSR slot
+    slot[order] = np.arange(len(order), dtype=ids)
+    forward = slot[0::2].copy()
+    order ^= 1  # in place: arrays the size of the arc list are the large ones
+    rev = slot[order]  # CSR slot -> the CSR slot of its reverse arc
+    del order, slot
     start = csr_bounds(tail, size)
-    live = order % 2 == 0
     while True:
         level = levels(start, head, live, 0, sink)
         if level[sink] < 0:
-            return ~live[slot[0::2]]
+            return ~live[forward]
         on_path = phase_paths(tail, head, live, level, sink)
         live[on_path] = False
         live[rev[on_path]] = True
@@ -128,11 +139,11 @@ def phase_arcs(tail, head, live, level, t: int):
     keep = useful[head]
     adm, tail, head = adm[keep], tail[keep], head[keep]
     bounds = csr_bounds(tail, size)
-    heads = array("q", head.astype(np.int64, copy=False).tobytes())
-    it = array("q", bounds[:-1].tobytes())
-    end = array("q", bounds[1:].tobytes())
-    alive = bytearray(useful.astype(np.uint8).tobytes())
-    return adm, heads, it, end, alive
+    heads, it, end = array("q"), array("q"), array("q")
+    head = head.astype(np.int64, copy=False)
+    for flat, x in (heads, head), (it, bounds[:-1]), (end, bounds[1:]):
+        flat.frombytes(x.view(np.uint8))  # one copy, straight from the numpy buffer
+    return adm, heads, it, end, bytearray(useful.view(np.uint8))
 
 
 def phase_paths(tail, head, live, level, t: int) -> np.ndarray:

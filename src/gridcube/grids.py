@@ -36,6 +36,10 @@ def compute_exponents(dims) -> tuple[int, ...]:
     return tuple(exps)
 
 
+class AboveCap(ValueError):
+    """A grid of more vertices than the cap it was given."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A k-dimensional grid, k >= 2, with precomputed exponent data.
@@ -61,7 +65,7 @@ class GridSpec:
         if size > VERTEX_BOUND:
             raise ValueError(f"grid has {size} vertices, above 2^31, the int32 bound")
         if size > self.vertex_cap:
-            raise ValueError(
+            raise AboveCap(
                 f"grid has {size} vertices, above the cap {self.vertex_cap}"
             )
 

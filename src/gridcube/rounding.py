@@ -17,15 +17,14 @@ Every window holds at most two slots per scan order (the setting of Knuth's
 two-way rounding, SIAM J. Discrete Math. 8, 1995), so the state of a flow
 is which item holds which slot, two small integers per item.  The solver
 gives the flow Dinic's algorithm finds from zero on the slot network, with
-node numbering and arc order fixed, so identical inputs give identical
-outputs, and it never builds that network.  Dinic's first phase is one
-left-to-right greedy over the first-order slots (``_first_phase``); when it
-places every one, the flow is maximal.  Otherwise ``_later_phases`` runs the
-remaining phases on the item windows: each phase marks the residual arcs of
-the state in one numpy pass and searches them with ``flow.phase_paths``, the
-search of ``flow.max_flow``.  ``tests/oracles.py`` builds the network on its
-own recursive ``Dinic`` and checks that the two give every item the same
-slots.
+node numbering and edge order fixed, so identical inputs give identical
+outputs.  Dinic's first phase is one left-to-right greedy over the
+first-order slots (``_first_phase``); when it places every one, the flow is
+maximal and the network is never built.  Otherwise ``_assign_slots`` builds
+the network as an edge list, marks the greedy's paths as the flow it starts
+from, and ``flow.max_flow`` runs the remaining phases.  ``tests/oracles.py``
+builds the same network, edge for edge, on its own recursive ``Dinic`` and
+checks that the two give every item the same slots.
 
 ``build_FX`` rounds the constant-row matrix T^X = X[i] / n.  It cuts the
 rows after every prefix of X whose sum is a multiple of n; at such a cut
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import csr_bounds, levels, phase_paths
+from .flow import max_flow
 
 @dataclass(frozen=True, eq=False)
 class BinaryMatrix:
@@ -195,116 +194,49 @@ def _item_windows(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: in
 
 def _assign_slots(lo_a, hi_a, lo_b, hi_b, total_ones: int):
     """Each item's first-order and second-order slot (0 when the item holds
-    no one) in the maximum flow Dinic's algorithm finds from zero.
-
-    The first phase is ``_first_phase``; when it places fewer than
-    total_ones ones, ``_later_phases`` runs the others from its flow.
+    no one) in the maximum flow Dinic's algorithm finds from zero on the
+    slot network of ``slot_network`` in tests/oracles.py, node for node and
+    edge for edge.  Its nodes are the source 0, the first-order slots a_v =
+    v, an in/out pair per item and the second-order slots b_w, then the
+    sink; its edges are source -> a_v, then a row per item (a_lo -> in,
+    a_lo + 1 -> in, in -> out, out -> b_lo, out -> b_lo + 1, where the
+    windows have them), then b_w -> sink.  The greedy ``_first_phase``
+    marks the edges its paths carry; when it places fewer than total_ones
+    ones, ``flow.max_flow`` runs the later phases from that flow.
     """
-    paths = _first_phase(lo_a, hi_a, lo_b, hi_b, total_ones)
-    # holder_a[v] / holder_b[w]: the item holding slot v / w, or -1
-    holder_a = np.full(total_ones + 1, -1, dtype=np.int64)
-    holder_b = np.full(total_ones + 1, -1, dtype=np.int64)
-    v, i, w = paths.T
-    holder_a[v] = i
-    holder_b[w] = i
-    if len(paths) < total_ones:
-        _later_phases(lo_a, hi_a, lo_b, hi_b, holder_a, holder_b)
-    return _held(holder_a, len(lo_a)), _held(holder_b, len(lo_a))
+    count, B = len(lo_a), total_ones
+    v, i, w = _first_phase(lo_a, hi_a, lo_b, hi_b, B).T
+    # which of each item's five row edges carry flow
+    row = np.zeros((count, 5), dtype=bool)
+    row[i, v - lo_a[i]] = row[i, 2] = row[i, 3 + w - lo_b[i]] = True
+    if len(v) < B:
+        own = np.ones(count, dtype=bool)
+        keep = np.stack([hi_a >= lo_a, hi_a > lo_a, own, hi_b >= lo_b, hi_b > lo_b], 1)
+        held = np.zeros((2, B), dtype=bool)  # the slots of each order held
+        held[0, v - 1] = held[1, w - 1] = True
+        b = B + 1 + 2 * count  # b_w is node b + w
+        sink = b + B + 1
+        a = np.arange(1, B + 1)
+        u = np.arange(B + 1, b, 2)  # in_i; out_i is in_i + 1
+        # the edge lists are built in the call, which then holds them alone
+        carrying = max_flow(
+            sink + 1,
+            _edges(np.zeros(B, int), [lo_a, lo_a + 1, u, u + 1, u + 1], keep, b + a),
+            _edges(a, [u, u, u + 1, b + lo_b, b + lo_b + 1], keep, np.full(B, sink)),
+            sink,
+            _edges(held[0], row.T, keep, held[1]),
+        )
+        row[keep] = carrying[B:-B]
+    slot_a = np.where(row[:, 0], lo_a, np.where(row[:, 1], lo_a + 1, 0))
+    slot_b = np.where(row[:, 3], lo_b, np.where(row[:, 4], lo_b + 1, 0))
+    return slot_a, slot_b
 
 
-def _held(holder, count: int) -> np.ndarray:
-    """The slot each of ``count`` items holds by ``holder`` (0 for none)."""
-    slot = np.zeros(count, dtype=np.int64)
-    held = np.flatnonzero(holder >= 0)
-    slot[holder[held]] = held
-    return slot
-
-
-def _later_phases(lo_a, hi_a, lo_b, hi_b, holder_a, holder_b) -> None:
-    """Dinic's phases after the first, run on the item windows from the
-    flow that ``holder_a`` and ``holder_b`` hold; both are updated in place.
-
-    The flow network (``slot_network`` in tests/oracles.py builds it) has a
-    source, the first-order slots a_v, an in/out node pair per item joined
-    by a unit edge, the second-order slots b_w and a sink; its edges go
-    source -> a_v, a_v -> in_i and out_i -> b_w for the slots of item i's
-    windows, and b_w -> sink.  A flow on it is exactly the state kept here,
-    which item holds which slot, and its residual arcs follow from that
-    state.  They are laid out once, numbering the nodes as the network does
-    and listing each node's arcs in the order its search scans them: the
-    source reaches the free a_v in slot order; a_v reaches the items of its
-    run in ascending order, except the one holding v; out_i reaches in_i
-    when it holds a one (the reverse of its own edge), then b_lo and
-    b_lo + 1 where its window has them and it does not hold them; in_i's
-    one arc goes back to a_v if it holds v and else on to out_i, and b_w's
-    goes back to its holder if it has one and else on to the sink.  Arcs
-    into the source and out of the sink lie on no augmenting path and are
-    left out.  Each phase marks the live arcs and sets the two varying
-    heads in one numpy pass and runs ``levels`` and ``phase_paths`` of
-    ``flow`` on them, as ``flow.max_flow`` does on its own arcs, so it finds
-    the paths ``oracles.Dinic`` finds on the network, in the same order.  A
-    phase's paths share no node but the source and the sink, so the slots
-    its arcs enter give the new holders.
-    """
-    count, B = len(lo_a), len(holder_a) - 1
-    b_base = B + 1 + 2 * count
-    sink = b_base + B + 1
-    items = np.arange(count)
-    in_node = B + 1 + 2 * items
-    out_node = in_node + 1
-    # the arcs a_v -> in_i of every window, in (v, item) order
-    one, two = hi_a >= lo_a, hi_a > lo_a
-    a_slot = np.concatenate([lo_a[one], lo_a[two] + 1])
-    a_item = np.concatenate([items[one], items[two]])
-    by_slot = np.lexsort((a_item, a_slot))
-    a_slot, a_item = a_slot[by_slot], a_item[by_slot]
-    # each item's row: in_i's one arc, then out_i -> in_i, b_lo, b_lo + 1
-    has_b = np.stack([hi_b >= lo_b, hi_b > lo_b], axis=1)
-    row_keep = np.concatenate([np.ones((count, 2), dtype=bool), has_b], axis=1)
-    row_tail = np.stack([in_node, out_node, out_node, out_node], axis=1)
-    row_head = np.stack([out_node, in_node, b_base + lo_b, b_base + lo_b + 1], axis=1)
-    rows = B + len(a_slot)  # the first row arc
-    row_arc = (rows + np.cumsum(row_keep.ravel()) - 1).reshape(count, 4)
-    # the arc lists are the large arrays: they hold node ids as int32 where
-    # those fit, and everything that indexes stays intp, which numpy indexes
-    # with fastest
-    node = np.int32 if sink < 1 << 31 else np.int64
-    slots = np.arange(1, B + 1)
-    tail = np.concatenate(
-        [np.zeros(B, dtype=node), a_slot, row_tail[row_keep], b_base + slots],
-        dtype=node,
-    )
-    head = np.concatenate(
-        [slots, in_node[a_item], row_head[row_keep], np.full(B, sink)], dtype=node
-    )
-    start = csr_bounds(tail, sink + 1)
-    in_arc, own_arc = row_arc[:, 0].copy(), row_arc[:, 1].copy()
-    b_arc = row_arc[:, 2:][has_b]  # out_i -> b_lo and b_lo + 1, where they exist
-    del items, in_node, one, two, by_slot, row_keep, row_tail, row_head, row_arc
-    live = np.ones(len(tail), dtype=bool)
-    while (holder_a[1:] < 0).any():
-        slot_a = _held(holder_a, count)
-        used = slot_a > 0
-        live[:B] = holder_a[1:] < 0
-        live[B:rows] = holder_a[a_slot] != a_item
-        live[own_arc] = used
-        slot_b = _held(holder_b, count)[:, None]
-        live[b_arc] = (slot_b != lo_b[:, None] + np.arange(2))[has_b]
-        head[in_arc] = np.where(used, slot_a, out_node)
-        holds = holder_b[1:]
-        head[-B:] = np.where(holds >= 0, out_node[holds], sink)
-        del slot_a, used, slot_b, holds
-        level = levels(start, head, live, 0, sink)
-        if level[sink] < 0:
-            return
-        on_path = phase_paths(tail, head, live, level, sink)
-        path_tail = tail[on_path].astype(np.intp)
-        path_head = head[on_path].astype(np.intp)
-        # a_v -> in_i gives slot v to item i, out_i -> b_w gives it slot w
-        sel = (path_tail >= 1) & (path_tail <= B)
-        holder_a[path_tail[sel]] = (path_head[sel] - B - 1) // 2
-        sel = (path_head > b_base) & (path_tail < b_base)
-        holder_b[path_head[sel] - b_base] = (path_tail[sel] - B - 1) // 2
+def _edges(source, row, keep, sink) -> np.ndarray:
+    """One entry per edge of the slot network: the source edges', then each
+    item's five row entries (``row`` by column) where ``keep`` has the edge,
+    then the sink edges'."""
+    return np.concatenate([source, np.stack(row, axis=1)[keep], sink])
 
 
 def _try_round(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: int):

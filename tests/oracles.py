@@ -257,7 +257,8 @@ def slot_network(lo_a, hi_a, lo_b, hi_b, total_ones: int):
     most five, laid out in a fixed row and kept where its window has them.
     Returns the network, the sink, and per item the insertion index of each
     of its five row edges (meaningful where the window has the edge) with
-    the row's keep mask.
+    the row's keep mask.  ``rounding._assign_slots`` hands ``flow.max_flow``
+    the same edge list, built by its own code.
     """
     B = total_ones
     item_in = B + 1 + 2 * np.arange(len(lo_a), dtype=np.int64)

@@ -273,14 +273,16 @@ def test_audit_of_a_lying_header_counts_lines_first():
 
 def test_audit_of_a_file_reads_the_cap(tmp_path):
     # the cap a file was embedded under audits it: a 25-vertex file under
-    # a cap of 10 fails to parse, and a header of 10^8 vertices under a cap
-    # of 2 * 10^8 passes the cap and fails on its line count instead
+    # a cap of 10 is refused as the 25-vertex grid is, and a header of 10^8
+    # vertices under a cap of 2 * 10^8 passes the cap and fails on its line
+    # count instead
     target = tmp_path / "emb.txt"
     run_cli(["embed", "5", "5", "--out", str(target)])
     assert run_cli(["audit", str(target), "--cap", "25"])[0] == 0
-    code, out, _ = run_cli(["audit", str(target), "--cap", "10"])
-    assert code == 1
-    assert out == "file.parse: FAIL grid has 25 vertices, above the cap 10\n"
+    code, out, err = run_cli(["audit", str(target), "--cap", "10"])
+    assert (code, out) == (2, "")
+    assert err == "error: grid has 25 vertices, above the cap 10\n"
+    assert run_cli(["audit", "5", "5", "--cap", "10"])[1:] == (out, err)
     target.write_text(
         "GRIDCUBE 1\ndims 10000 10000\n27 14 27\nlabelings 0 0\n1 1 " + "0" * 27 + "\n"
     )
@@ -295,6 +297,20 @@ def test_audit_of_a_file_with_seed_is_usage_error(tmp_path):
     code, out, err = run_cli(["audit", str(target), "--seed", "/nonexistent"])
     assert code == 2 and out == ""
     assert "--seed" in err
+
+
+def test_audit_of_a_file_named_by_a_number(tmp_path, monkeypatch):
+    # one target that names a file is that file, even when it reads as a
+    # side length; a number that names no file is still a grid side
+    monkeypatch.chdir(tmp_path)
+    run_cli(["embed", "5", "5", "--out", "25"])
+    code, out, err = run_cli(["audit", "25"])
+    assert (code, err) == (0, "")
+    assert out == run_cli(["audit", "./25"])[1]
+    assert out.startswith("file.parse: PASS")
+    code, out, err = run_cli(["audit", "26"])
+    assert (code, out) == (2, "")
+    assert err == "error: a grid needs at least two dimensions\n"
 
 
 def test_audit_missing_file_is_usage_error():
