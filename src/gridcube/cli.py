@@ -1,9 +1,10 @@
 """Command-line front door: build embeddings, audit them, manage labelings.
 
-Exit codes: 0 when every applicable assertion passed, 1 when a check failed,
-2 for usage errors (bad arguments, malformed files, infeasible or oversized
-instances), 3 for an internal error (out of memory or any other unexpected
-exception; the traceback goes to stderr).
+Exit codes: 0 when every applicable assertion passed, 1 when a check failed
+(a malformed embedding file fails ``file.parse``), 2 for usage errors (bad
+arguments, malformed seed files, infeasible or oversized instances), 3 for
+an internal error (out of memory or any other unexpected exception; the
+traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -48,12 +49,17 @@ def _labelings_from_windows(spec: GridSpec, windows: list[int]):
         if w == 0:
             labelings.append(gray_label(width))
         elif w in (3, 5):
-            cat = caterpillar_for(width, w - 2)
+            try:
+                cat = caterpillar_for(width, w - 2)
+            except ValueError:
+                raise ValueError(
+                    f"window {w} does not fit dimension {jdim}, "
+                    f"whose block is {width} bits wide"
+                ) from None
             labelings.append(label_from_caterpillar(cat))
         else:
             raise ValueError(
-                f"window {w} not available; use 0 (plain reflected labels), "
-                f"3, or 5"
+                f"window {w} not available; use 0 (plain reflected labels), 3, or 5"
             )
     return labelings
 
@@ -101,10 +107,11 @@ def cmd_audit(args) -> int:
         if args.seed is not None:
             raise ValueError("--seed applies to a grid audit, not to a file")
         if not path.is_file():
-            raise ValueError(f"no such file: {path}")
-        # decoded without newline translation, so a CRLF file reaches the
-        # parser as written and fails it
-        checks = audit_file(path.read_bytes().decode(), vertex_cap=args.cap)
+            problem = "not a file" if path.exists() else "no such file"
+            raise ValueError(f"{problem}: {path}")
+        # one character per byte, with no newline translation: a CRLF file or
+        # a non-ASCII byte reaches the parser as written and fails it
+        checks = audit_file(path.read_bytes().decode("latin-1"), vertex_cap=args.cap)
     else:
         try:
             dims = [int(t) for t in tokens]
@@ -132,10 +139,7 @@ def cmd_cat(args) -> int:
     breach = labeling.window_breach
     if breach is not None:
         a, b, dist = breach
-        print(
-            f"cat.window: FAIL labels {a},{b} at distance {dist}",
-            file=sys.stdout,
-        )
+        print(f"cat.window: FAIL labels {a},{b} at distance {dist}")
         return CHECK_FAILED
     print(
         f"Cat({cat.spine_length},{cat.leaf_degree}) at Q_{cat.t}: "

@@ -60,7 +60,7 @@ def max_flow(size: int, tail, head, sink: int, carrying=None) -> np.ndarray:
     del order, slot
     start = csr_bounds(tail, size)
     while True:
-        level = levels(start, head, live, 0, sink)
+        level = levels(start, head, live, sink)
         if level[sink] < 0:
             return ~live[forward]
         on_path = phase_paths(tail, head, live, level, sink)
@@ -76,16 +76,16 @@ def csr_bounds(tail, size: int) -> np.ndarray:
     return bounds
 
 
-def levels(start, head, live, s: int, t: int) -> np.ndarray:
-    """Breadth-first levels from s over the live arcs of a CSR list
-    (``start`` bounds each node's slots of ``head``, ``live`` masks them),
-    up to and including the level of t; -1 elsewhere.  Levels are held in
-    the dtype of ``head``."""
+def levels(start, head, live, t: int) -> np.ndarray:
+    """Breadth-first levels from the source, node 0, over the live arcs of
+    a CSR list (``start`` bounds each node's slots of ``head``, ``live``
+    masks them), up to and including the level of t; -1 elsewhere.  Levels
+    are held in the dtype of ``head``."""
     size = len(start) - 1
     level = np.full(size, -1, dtype=head.dtype)
-    level[s] = 0
+    level[0] = 0
     seen = np.empty(size, dtype=np.int64)
-    frontier = np.array([s], dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
     depth = 0
     while len(frontier) and level[t] < 0:
         depth += 1

@@ -14,17 +14,16 @@ over prefix windows: the v-th one placed in each scan order must land where
 that order's fractional prefix sum crosses (v-1, v], and a perfect
 assignment of ones to both orders' windows is exactly a valid rounding.
 Every window holds at most two slots per scan order (the setting of Knuth's
-two-way rounding, SIAM J. Discrete Math. 8, 1995), so the state of a flow
-is which item holds which slot, two small integers per item.  The solver
-gives the flow Dinic's algorithm finds from zero on the slot network, with
-node numbering and edge order fixed, so identical inputs give identical
-outputs.  Dinic's first phase is one left-to-right greedy over the
-first-order slots (``_first_phase``); when it places every one, the flow is
-maximal and the network is never built.  Otherwise ``_assign_slots`` builds
-the network as an edge list, marks the greedy's paths as the flow it starts
-from, and ``flow.max_flow`` runs the remaining phases.  ``tests/oracles.py``
-builds the same network, edge for edge, on its own recursive ``Dinic`` and
-checks that the two give every item the same slots.
+two-way rounding, SIAM J. Discrete Math. 8, 1995).  The solver gives the
+flow Dinic's algorithm finds from zero on the slot network, with node
+numbering and edge order fixed, so identical inputs give identical outputs.
+One call path computes it: ``build_FX`` -> ``_round_matrix_core`` (the
+extended matrix, its items and their windows from ``_prefix_windows``) ->
+``_assign_slots`` -> ``_first_phase``, the greedy that is Dinic's first
+phase, and, when it falls short, ``flow.max_flow`` on the slot network as
+an edge list, from the greedy's paths.  ``tests/oracles.py`` builds the
+same network, edge for edge, on its own recursive ``Dinic`` and checks
+that the two give every item the same slots.
 
 ``build_FX`` rounds the constant-row matrix T^X = X[i] / n.  It cuts the
 rows after every prefix of X whose sum is a multiple of n; at such a cut
@@ -128,16 +127,15 @@ def _prefix_windows(fracs: np.ndarray, order: np.ndarray, D: int, total_ones: in
     capped at total_ones (empty when lo > hi).  The fractions are numerators
     over D and the prefix sums exact integers, so lo = G_{k-1} // D + 1 and
     hi = min(ceil(G_k / D), total_ones).  A window holds at most two slots
-    because each fraction is below 1.  Returns int64 arrays indexed by
-    position.
+    because each fraction is below 1.  Returns the rows lo and hi of one
+    2 x len(fracs) int64 array, indexed by position.
     """
     scanned = fracs[order]
     sums = np.cumsum(scanned)
-    lo = np.empty(len(fracs), dtype=np.int64)
-    hi = np.empty(len(fracs), dtype=np.int64)
-    lo[order] = (sums - scanned) // D + 1
-    hi[order] = np.minimum(-(-sums // D), total_ones)
-    return lo, hi
+    window = np.empty((2, len(fracs)), dtype=np.int64)
+    window[0, order] = (sums - scanned) // D + 1
+    window[1, order] = np.minimum(-(-sums // D), total_ones)
+    return window
 
 
 def _first_phase(lo_a, hi_a, lo_b, hi_b, total_ones: int):
@@ -180,16 +178,6 @@ def _first_phase(lo_a, hi_a, lo_b, hi_b, total_ones: int):
                     break
             i += 1
     return np.frombuffer(paths, dtype=np.int64).reshape(-1, 3)
-
-
-def _item_windows(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: int):
-    """The positions with a nonzero fraction (the items), and each item's
-    slot windows (lo_a, hi_a) in the array order and (lo_b, hi_b) in
-    order_b."""
-    items = np.flatnonzero(fracs)
-    lo_a, hi_a = _prefix_windows(fracs, np.arange(len(fracs)), D, total_ones)
-    lo_b, hi_b = _prefix_windows(fracs, order_b, D, total_ones)
-    return items, lo_a[items], hi_a[items], lo_b[items], hi_b[items]
 
 
 def _assign_slots(lo_a, hi_a, lo_b, hi_b, total_ones: int):
@@ -239,44 +227,6 @@ def _edges(source, row, keep, sink) -> np.ndarray:
     return np.concatenate([source, np.stack(row, axis=1)[keep], sink])
 
 
-def _try_round(fracs: np.ndarray, D: int, order_b: np.ndarray, total_ones: int):
-    """Place total_ones ones on the nonzero fractions (numerators over D) so
-    that the v-th one falls in slot v's window in both scan orders, and
-    return them as a 0/1 array (zeros when total_ones = 0, as every window
-    is then empty), or None when no placement exists."""
-    out = np.zeros(len(fracs), dtype=np.int64)
-    items, *windows = _item_windows(fracs, D, order_b, total_ones)
-    slot_a, _ = _assign_slots(*windows, total_ones)
-    if np.count_nonzero(slot_a) != total_ones:
-        return None
-    out[items[slot_a > 0]] = 1
-    return out
-
-
-def _two_way_round_core(nums: np.ndarray, D: int, order_b: np.ndarray) -> np.ndarray:
-    """Round nonnegative rationals nums[i] / D consistently in two scan orders.
-
-    order_b lists 0-based positions in the second scan order; the first order
-    is the array order.  Returns integers x with x_i in {floor, ceil} of
-    nums[i] / D and all prefix sums (both orders) within the floor/ceil of
-    the exact prefix sums, in the dtype of nums.
-
-    The numerators must sum to a multiple of D, so the fractional parts sum
-    to exactly b D for the one count of ones b.  The package's one caller,
-    `_round_matrix_core`, always passes such a total: its slack column holds
-    -(row sum) mod D per row, its slack row -(column sum) mod D per column,
-    and its corner the body total S, so the extended matrix sums to
-    S - S - S + S = 0 modulo D.
-    """
-    floors, fracs = nums // D, nums % D
-    bits = _try_round(fracs, D, order_b, int(fracs.sum()) // D)
-    if bits is None:
-        raise RuntimeError(
-            "two-way rounding solver found no feasible rounding; this is a bug"
-        )
-    return floors + bits
-
-
 # ---------------------------------------------------------------------------
 # Matrix rounding
 # ---------------------------------------------------------------------------
@@ -294,6 +244,12 @@ def _round_matrix_core(body: np.ndarray, D: int) -> np.ndarray:
     order, and truncates.  Full rows and columns of the extended matrix then
     have integral sums, which collapses the prefix windows at their ends and
     yields the strict bounds on the truncated part.
+
+    The two-way rounding keeps each entry's floor and places the ones on
+    the nonzero fractions (the items) by their slot windows.  Modulo D the
+    slack column sums to -S, the slack row to -S and the corner to the body
+    total S, so the fractions sum to exactly total_ones * D, a perfect
+    assignment exists, and one that falls short is a bug.
     """
     m, n = body.shape
     ext = np.empty((m + 1, n + 1), dtype=body.dtype)
@@ -301,9 +257,24 @@ def _round_matrix_core(body: np.ndarray, D: int) -> np.ndarray:
     ext[:m, n] = -body.sum(axis=1) % D  # ceil(row sum) - row sum, over D
     ext[m, :n] = -body.sum(axis=0) % D
     ext[m, n] = body.sum()
-    order_b = np.arange(ext.size).reshape(m + 1, n + 1).T.ravel()
-    rounded = _two_way_round_core(ext.ravel(), D, order_b)
-    return rounded.reshape(m + 1, n + 1)[:m, :n]
+    # floors in place; // and %, as np.divmod rejects object arrays
+    rounded = ext.ravel()
+    fracs = rounded % D
+    rounded //= D
+    total_ones = int(fracs.sum()) // D
+    items = np.flatnonzero(fracs)
+    scans = np.arange(ext.size).reshape(m + 1, n + 1)
+    lo_a, hi_a = _prefix_windows(fracs, scans.ravel(), D, total_ones)[:, items]
+    lo_b, hi_b = _prefix_windows(fracs, scans.T.ravel(), D, total_ones)[:, items]
+    del scans, fracs  # only the item windows go on to the flow
+    slot_a, _ = _assign_slots(lo_a, hi_a, lo_b, hi_b, total_ones)
+    ones = items[slot_a > 0]
+    if len(ones) != total_ones:
+        raise RuntimeError(
+            "two-way rounding solver found no feasible rounding; this is a bug"
+        )
+    rounded[ones] += 1
+    return ext[:m, :n]
 
 
 def build_FX(spec: RoundingSpec) -> BinaryMatrix:

@@ -13,7 +13,9 @@ exactly, or pass its checks.  It holds:
   and in Fraction) and the circulant's run-sum lemma, and the literal
   column-filling loop of the base map;
 - the two-way rounding's slot network on the item windows, built on the
-  recursive Dinic, with the slots it gives every item when run from zero;
+  recursive Dinic, with the slots it gives every item when run from zero,
+  and a random consistent designation matrix from the same network with
+  shuffled adjacency lists;
 - the designation matrix rounded whole, in one solver call, with no row
   blocks;
 - the rational front ends of the library's two-way and matrix rounding
@@ -43,6 +45,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, product
 from math import ceil, floor, lcm
 from unittest import mock
@@ -246,8 +249,9 @@ def try_round(fracs: list[Fraction], order_b: list[int], total_ones: int):
 
 
 def slot_network(lo_a, hi_a, lo_b, hi_b, total_ones: int):
-    """The two-way rounding's flow network on the item windows of
-    ``rounding._item_windows``, carrying no flow.
+    """The two-way rounding's flow network on the item windows that
+    ``rounding._round_matrix_core`` takes from ``_prefix_windows``,
+    carrying no flow.
 
     Node ids: 0 source, 1..B the slots of the first order, then an in/out
     pair per item (a position hosts at most one unit, so the pair is joined
@@ -288,10 +292,15 @@ def slot_network(lo_a, hi_a, lo_b, hi_b, total_ones: int):
     return net, sink, row_edge, keep
 
 
-def dinic_slots(lo_a, hi_a, lo_b, hi_b, total_ones: int):
+def dinic_slots(lo_a, hi_a, lo_b, hi_b, total_ones: int, rng=None):
     """Each item's first-order and second-order slot (0 when it holds no
-    one) after ``Dinic.max_flow`` runs from zero on ``slot_network``."""
+    one) after ``Dinic.max_flow`` runs from zero on ``slot_network``, with
+    each node's adjacency list shuffled by ``rng`` first when one is given
+    (another maximum flow, in general)."""
     net, sink, row_edge, keep = slot_network(lo_a, hi_a, lo_b, hi_b, total_ones)
+    if rng is not None:
+        for arcs in net.head:
+            rng.shuffle(arcs)
     net.max_flow(0, sink)
     residual = np.array(net.cap[0::2], dtype=np.int64)  # per edge
     carries = keep & (residual[row_edge] == 0)
@@ -360,6 +369,19 @@ def whole_matrix_FX(spec: RoundingSpec) -> BinaryMatrix:
     return BinaryMatrix(rounding._round_matrix_core(np.repeat(X, n).reshape(m, n), n))
 
 
+def random_FX(spec: RoundingSpec, rng: random.Random) -> BinaryMatrix:
+    """A consistent rounding of T^X = X[i] / n drawn by ``rng``: the whole
+    matrix rounded as ``whole_matrix_FX`` does, with the solver's slots
+    replaced by ``dinic_slots`` on shuffled adjacency lists.  The windows
+    admit a perfect assignment, so every maximum flow is one, and a perfect
+    assignment is a valid rounding: each draw passes the balance and window
+    contracts that ``build_FX``'s matrix does, and it is often another
+    matrix."""
+    draw = partial(dinic_slots, rng=rng)
+    with mock.patch.object(rounding, "_assign_slots", draw):
+        return whole_matrix_FX(spec)
+
+
 def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
     """Numerators of the values over D = lcm of their denominators, and D."""
     D = lcm(*(v.denominator for v in values))
@@ -385,13 +407,19 @@ def solver_two_way_round(values, perm) -> list[int]:
     nums, D = _over_common_denominator(values)
     array = solver_array(nums, len(values), D)
     floors, fracs = array // D, array % D
+    items = np.flatnonzero(fracs)
     # a fractional total off a multiple of D rounds to either neighbour,
-    # which the package's own inputs never need (`_two_way_round_core`)
+    # which the package's own inputs never need (`_round_matrix_core`)
     low, rem = divmod(int(fracs.sum()), D)
     for b in [low] if rem == 0 else [low, low + 1]:
-        bits = rounding._try_round(fracs, D, order, b)
-        if bits is not None:
-            return (floors + bits).tolist()
+        windows = np.concatenate([
+            rounding._prefix_windows(fracs, scan, D, b)[:, items]
+            for scan in (np.arange(len(fracs)), order)
+        ])
+        slot_a, _ = rounding._assign_slots(*windows, b)
+        if np.count_nonzero(slot_a) == b:
+            floors[items[slot_a > 0]] += 1
+            return floors.tolist()
     raise RuntimeError("two-way rounding solver found no feasible rounding")
 
 

@@ -235,6 +235,28 @@ def test_audit_of_a_crlf_file_fails(tmp_path):
     assert out.startswith("file.parse: FAIL")
 
 
+def test_audit_of_a_non_utf8_byte_fails_the_parse(tmp_path):
+    # a byte that is not UTF-8 fails the parse as a UTF-8 letter does
+    target = tmp_path / "emb.txt"
+    run_cli(["embed", "3", "7", "4", "--out", str(target)])
+    lines = target.read_bytes().split(b"\n")
+    line = lines[6]
+    outs = []
+    for letter in (b"\xff", "é".encode()):
+        lines[6] = line.replace(b"0", letter, 1)
+        target.write_bytes(b"\n".join(lines))
+        code, out, err = run_cli(["audit", str(target)])
+        assert (code, err) == (1, "")
+        outs.append(out)
+    assert outs == ["file.parse: FAIL line 7 is not the line of rank 2\n"] * 2
+
+
+def test_audit_of_a_directory_is_usage_error(tmp_path):
+    code, out, err = run_cli(["audit", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: not a file: {tmp_path}\n"
+
+
 # A header that declares 2^26 vertices over a three-line body.  The parse
 # must count the lines before it renders the 2.4 GB expected body; measured
 # tracemalloc peak 3 kB on a 2-vCPU Xeon virtual machine (Python 3.11.7,
@@ -366,6 +388,13 @@ def test_usage_errors_from_parser():
         with pytest.raises(SystemExit) as exc:
             run_cli(["embed", "3", "7", "4", "--dump-stage", "2", "--windows"] + windows)
         assert exc.value.code == 2
+
+
+def test_window_wider_than_its_block_is_usage_error():
+    # the message names the window, the grid dimension and its block width
+    code, out, err = run_cli(["embed", "3", "7", "4", "--windows", "3", "3", "3"])
+    assert (code, out) == (2, "")
+    assert err == "error: window 3 does not fit dimension 1, whose block is 2 bits wide\n"
 
 
 def test_internal_errors_exit_three(monkeypatch):

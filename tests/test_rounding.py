@@ -24,8 +24,10 @@ from oracles import (
 )
 
 from test_checks import traced_peak
+from test_tracing_names import load_perfbench
 
 from gridcube import rounding
+from gridcube.checks import audit_grid, failed
 from gridcube.grids import GridSpec
 from gridcube.rounding import (
     BinaryMatrix,
@@ -368,18 +370,20 @@ def test_huge_denominators_match_oracle():
 
 
 def solver_calls(run) -> list[tuple]:
-    """The arguments (fracs, D, order_b, total_ones) of every two-way
-    rounding attempt that run() makes."""
-    with mock.patch.object(rounding, "_try_round", wraps=rounding._try_round) as spy:
+    """The arguments (lo_a, hi_a, lo_b, hi_b, total_ones) of every two-way
+    rounding attempt that run() makes: the item windows in both scan
+    orders, and the count of ones to place."""
+    spy = mock.patch.object(rounding, "_assign_slots", wraps=rounding._assign_slots)
+    with spy as calls:
         run()
-    return [call.args for call in spy.call_args_list]
+    return [call.args for call in calls.call_args_list]
 
 
-def slots_outcome(fracs, D, order_b, total_ones) -> tuple[int, int]:
+def slots_outcome(lo_a, hi_a, lo_b, hi_b, total_ones) -> tuple[int, int]:
     """Check every item's first-order and second-order slot against one
     ``oracles.Dinic`` run from zero on the reference network; returns the
     ones the greedy placed and the ones the later phases added."""
-    _, *windows = rounding._item_windows(fracs, D, order_b, total_ones)
+    windows = lo_a, hi_a, lo_b, hi_b
     greedy = len(rounding._first_phase(*windows, total_ones))
     got = rounding._assign_slots(*windows, total_ones)
     want = oracles.dinic_slots(*windows, total_ones)
@@ -397,7 +401,7 @@ def stage_rounding_specs(grid: GridSpec) -> list[RoundingSpec]:
 def test_slots_match_dinic_exhaustively():
     specs = two_valued_specs(6, range(2, 9))
     calls = solver_calls(lambda: [build_FX(RoundingSpec(X, n)) for X, n in specs])
-    outcomes = [slots_outcome(*args) for args in calls if args[3]]
+    outcomes = [slots_outcome(*args) for args in calls if args[4]]
     # the later phases run on most of these calls
     assert len(outcomes) == 4158
     assert sum(added > 0 for _, added in outcomes) == 3132
@@ -427,7 +431,7 @@ def test_first_phase_matches_dinic_on_small_inputs(values, rnd):
     perm = list(range(1, len(values) + 1))
     rnd.shuffle(perm)
     for args in solver_calls(lambda: solver_two_way_round(values, perm)):
-        if args[3]:
+        if args[4]:
             slots_outcome(*args)
 
 
@@ -452,19 +456,20 @@ def test_incomplete_first_phase_is_finished_by_max_flow():
 
 def test_later_phases_memory_is_linear_in_the_items():
     """Stage 2 of 3^10, rounded as the whole matrix, is one attempt on
-    26,248 items whose first phase falls short; its tracemalloc peak is 359
-    bytes per item, with ``flow.max_flow`` running the later phases on the
-    slot network from the first phase's flow (350 when the solver ran them
-    on the item windows with a driver of its own, 943 when Dinic ran from
-    zero on a network of int64 arcs), tested at 400."""
+    26,248 items whose first phase falls short.  The tracemalloc peak of
+    the whole ``_round_matrix_core`` call is 359 bytes per item, with
+    ``flow.max_flow`` running the later phases on the slot network from the
+    first phase's flow (399 when the floors were a second copy of the
+    extended matrix and both scan orders stayed alive through the flow; 943
+    when Dinic ran from zero on a network of int64 arcs), tested at 400."""
     [spec] = stage_rounding_specs(GridSpec((3,) * 10))[:1]
     [args] = solver_calls(lambda: oracles.whole_matrix_FX(spec))
-    fracs, D, order_b, total_ones = args
-    _, *windows = rounding._item_windows(fracs, D, order_b, total_ones)
+    *windows, total_ones = args
     assert len(rounding._first_phase(*windows, total_ones)) < total_ones
-    items = np.count_nonzero(fracs)
+    items = len(windows[0])
     assert items == 26248
-    _, peak = traced_peak(rounding._try_round, *args)
+    body = np.repeat(np.array(spec.X, dtype=np.int64), spec.n).reshape(spec.m, spec.n)
+    _, peak = traced_peak(rounding._round_matrix_core, body, spec.n)
     assert peak <= 400 * items, peak / items
 
 
@@ -558,7 +563,43 @@ def test_build_FX_memory_is_bounded_by_the_matrix(dims, i):
 def test_stage_2_of_3_12_makes_one_small_attempt():
     [spec] = stage_rounding_specs(GridSpec((3,) * 12))[:1]
     [args] = solver_calls(lambda: build_FX(spec))
-    assert np.count_nonzero(args[0]) <= 100
+    assert len(args[0]) <= 100
+
+
+# ---------------------------------------------------------------------------
+# random consistent roundings: any perfect flow, not only the solver's
+# ---------------------------------------------------------------------------
+
+
+def test_random_roundings_pass_the_contracts():
+    """Every distinct stage spec of the audit-sweep grids, one draw each."""
+    grids = load_perfbench("workloads").sweep_grids()
+    specs = {spec for dims in grids for spec in stage_rounding_specs(GridSpec(dims))}
+    assert len(specs) == 277
+    rng = random.Random(11)
+    differ = 0
+    for spec in sorted(specs, key=lambda sp: (sp.n, sp.X)):
+        F = oracles.random_FX(spec, rng)
+        assert balance_violations(F, spec.X) == [], spec
+        assert window_violations(spec, F) == [], spec
+        differ += not np.array_equal(F.bits, build_FX(spec).bits)
+    # the draws are not the solver's matrices over again
+    assert differ > 0
+
+
+def test_audits_with_random_roundings_fail_only_the_case_table():
+    """Each audit-sweep grid audited with a random rounding at every stage:
+    the embedding is injective, no check but the case table fails, and the
+    dilation is within the labelings' implied bound."""
+    rng = random.Random(11)
+    for dims in load_perfbench("workloads").sweep_grids():
+        grid = GridSpec(dims)
+        seeds = [oracles.random_FX(spec, rng) for spec in stage_rounding_specs(grid)]
+        checks, _, report = audit_grid(grid, seeds)
+        fails = [c.line() for c in failed(checks) if not c.name.startswith("diffs.case-")]
+        assert fails == [], dims
+        assert "embedding.injective: PASS" in [c.line() for c in checks], dims
+        assert report.dilation <= report.implied_bound, dims
 
 
 # ---------------------------------------------------------------------------
