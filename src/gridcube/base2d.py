@@ -102,6 +102,15 @@ def build_f2(spec: GridSpec) -> Embedding2D:
     a_1) = floor(2^{e_1} m / a_1) points (p = 2^{e_1} - a_1, see
     `build_R`).  With m = u_2 = ceil(|G| / 2^{e_1}), 2^{e_1} m >= |G|, so
     that floor is at least |G| / a_1 = P_1, an integer.
+
+    The grid keeps each chain's first P_1 points (`stages._stage2`), so each
+    row's grid points fill its columns 1..c(row): the base of the staircase
+    `stages.stack` carries up.  Chain i's points in columns 1..j number j
+    plus j cyclically consecutive first-column entries, so any two chains'
+    counts N_ij differ by at most 1.  Row r of column j holds a point of
+    some chain i at index (0-based place in its chain) at most N_ij - 1,
+    and row r of column j + 1 one of a chain i' at index at least N_i'j >=
+    N_ij - 1: along a row the index never decreases, for any a_1 and m.
     """
     return fill_columns(spec.dims[0], level_budget(spec, 2))
 

@@ -26,10 +26,8 @@ from .stages import (
     StageEmbedding,
     budget_break,
     build_fk,
-    cell_prefix_counts,
     decimal_columns,
     keys_distinct,
-    section_cells,
 )
 
 # ---------------------------------------------------------------------------
@@ -418,15 +416,30 @@ def _level_coverage(plan, level, pre) -> list[CheckResult]:
     return [_transition(pre + "level-coverage", ok)]
 
 
+def cell_prefix_counts(addr, sections, rows: int, pages: int) -> np.ndarray:
+    """Points per address and section prefix: entry (m, r - 1) of the
+    rows x pages int64 table counts the points with packed address m in
+    sections 1..r.  One bincount over the cells addr * pages + section - 1,
+    cumulated along the sections in place.  At stage j, with rows =
+    2^{e_{j-1}} and pages = P = P_{j-1}, the table has under 2|G| entries,
+    since P = |G| / (a_1...a_{j-1}) and 2^{e_{j-1}} < 2 a_1...a_{j-1}.
+    """
+    cell = addr * pages
+    cell += sections
+    cell -= 1
+    table = np.bincount(cell, minlength=rows * pages).reshape(rows, pages)
+    return np.cumsum(table, axis=1, out=table)
+
+
 def _section_stacks(addr, sec, M, l_arr, w_last, pre):
     """The cumulative stack heights per address over section prefixes (the
-    table `stack` reads its heights from, rebuilt from the stored chain):
-    its column maxima, the `bracket`, and the checks on the table: in every
-    section prefix but the last each entry is the page bracket or one
-    below, and equal across addresses that share their last block
-    coordinate (the address's top bits)."""
+    battery's own count of the stored chain's points, not the heights
+    `stack` wrote): its column maxima, the `bracket`, and the checks on the
+    table: in every section prefix but the last each entry is the page
+    bracket or one below, and equal across addresses that share their last
+    block coordinate (the address's top bits)."""
     P = len(l_arr)
-    T_sec = cell_prefix_counts(section_cells(addr, sec, P), M, P)
+    T_sec = cell_prefix_counts(addr, sec, M, P)
     head = T_sec[:, : P - 1]
     band = _in_band(head, l_arr[: P - 1] - 1, l_arr[: P - 1])
     grouped = head.reshape(w_last, M // w_last, P - 1)
@@ -488,9 +501,7 @@ def _top_levels(addr, h_pg, sec_pg, bracket, M, pre) -> list[CheckResult]:
     P, A = h_pg.shape
     r = np.arange(P + 1)
     sections = np.maximum(sec_pg, r[1:, None], dtype=np.int32).ravel()
-    ok = _in_band(
-        cell_prefix_counts(section_cells(addr, sections, P), M, P), bracket - 2, bracket
-    )
+    ok = _in_band(cell_prefix_counts(addr, sections, M, P), bracket - 2, bracket)
     reach = np.searchsorted(bracket, np.arange(bracket[-1] + 2))
     need = reach[np.clip(h_pg + np.int64(2), 0, len(reach) - 1)]
     ok = ok and bool((need >= r[:P, None]).all())

@@ -102,8 +102,8 @@ def cmd_embed(args) -> int:
 def cmd_audit(args) -> int:
     tokens = args.target
     path = Path(tokens[0])
-    # one target is a file when it names one or is not a number
-    if len(tokens) == 1 and (path.is_file() or not tokens[0].lstrip("-").isdigit()):
+    # one target is a file when it names a path or is not a number
+    if len(tokens) == 1 and (path.exists() or not tokens[0].lstrip("-").isdigit()):
         if args.seed is not None:
             raise ValueError("--seed applies to a grid audit, not to a file")
         if not path.is_file():

@@ -80,12 +80,12 @@ class BlankPlan:
 
     Entry (r, d) = 1 marks slot d of section r blank; zeros are the nonblank
     levels, in row-major order the global level sequence the inflation step
-    maps onto.  Two tables are read off ``F.bits`` once: ``level_table[c-1]``
+    maps onto.  Three tables are read off ``F.bits`` once: ``level_table[c-1]``
     is the global index of the c-th nonblank level, and ``ordinal_table[g]``
-    is the ordinal of level g among its own section's nonblanks (the
-    cumulative nonblank count along the row; 0 at blanks and at the unused
-    index 0).  A third, ``level_index``, inverts ``level_table`` when first
-    read.
+    and ``height_table[g]`` count the nonblanks up to level g along its row
+    (its ordinal in its section) and down its column (its stack height, see
+    `stack`); both are 0 at blanks and at the unused index 0.  A fourth,
+    ``level_index``, inverts ``level_table`` when first read.
     """
 
     spec: GridSpec
@@ -94,13 +94,18 @@ class BlankPlan:
     F: BinaryMatrix
     level_table: np.ndarray = field(init=False, repr=False, compare=False)
     ordinal_table: np.ndarray = field(init=False, repr=False, compare=False)
+    height_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nonblank = 1 - self.F.bits
         ordinals = np.zeros(nonblank.size + 1, dtype=np.int64)
         ordinals[1:] = (nonblank.cumsum(axis=1) * nonblank).ravel()
+        heights = np.zeros(nonblank.size + 1, dtype=np.int32)
+        heights[1:] = (nonblank.cumsum(axis=0) * nonblank).ravel()
         levels = np.flatnonzero(ordinals).astype(np.int32)
-        for name, table in (("level_table", levels), ("ordinal_table", ordinals)):
+        tables = zip(("level_table", "ordinal_table", "height_table"),
+                     (levels, ordinals, heights))
+        for name, table in tables:
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -304,69 +309,40 @@ def packed_address(spec: GridSpec, rows: np.ndarray) -> np.ndarray:
     return key
 
 
-def section_cells(key: np.ndarray, sections: np.ndarray, pages: int) -> np.ndarray:
-    """Each point's cell key * pages + section - 1: its entry in the
-    flattened table of `cell_prefix_counts`."""
-    cell = key * pages
-    cell += sections
-    cell -= 1
-    return cell
-
-
-def cell_prefix_counts(cell: np.ndarray, rows: int, pages: int) -> np.ndarray:
-    """Points per address and section prefix, from the points'
-    `section_cells`: entry (m, r - 1) of the rows x pages int64 table counts
-    the points with packed address m in sections 1..r.  One bincount over
-    the cells, cumulated along the sections in place.
-
-    At stage i, with rows = 2^{e_i} and pages = P_i, the table has under 2|G|
-    entries, since P_i = |G| / (a_1...a_i) and 2^{e_i} < 2 a_1...a_i.
-    In `stack` no cell holds two points: stage i is injective and inflation
-    strictly increasing.  Audit checks it later as stage i + 1's
-    `injective`, and embed as `checks.dump_embedding`'s collision refusal.
-    """
-    table = np.bincount(cell, minlength=rows * pages).reshape(rows, pages)
-    return np.cumsum(table, axis=1, out=table)
-
-
-def stack(prev: StageEmbedding, plan: BlankPlan, key: np.ndarray) -> StageEmbedding:
+def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
     """Inflate through the plan, then collapse sections onto the residue
     axis, recording stack heights.
 
-    A point in section r at slot offset b becomes (address..., b, n) where n
-    counts the points of sections 1..r (this one included) sharing both the
-    address and the offset: no two points of one section share that key
-    (`cell_prefix_counts`), so n is read from its table by one gather.
+    A point in section r at slot offset b becomes (address..., b, n), where
+    n counts the points of sections 1..r (this one included) sharing both
+    the address and the offset.  The staircase reads n off the plan alone:
+    at every stage, the points of each address m sit one at each level
+    1..c(m) (stage 2 by `build_f2`).  If it holds at stage i, the points of
+    address m were inflated one to each of the first c(m) nonblank levels.
+    A point's level L = (r - 1) w + b is one of them, and so is every
+    nonblank level at offset b in sections 1..r, as none is above L.  So n
+    is the column prefix of the nonblank mask at L, `plan.height_table[L]`,
+    and the points of address (m, b) sit one at each height 1..n of the
+    highest: the staircase at stage i + 1, for any plan, seeded or not.
 
-    Stacking consumes `prev`, the top stage of its chain, and `key`, the
-    `packed_address` of its first i - 1 rows, to which the offset is added
-    in place.  The offset and height are written into rows i - 1 and i of
-    the chain's coordinate-major `final`, the offset over prev's level row
-    (the new stage's `Transition` now determines it): stage i is then read
-    from the returned stage's `stage_chain()`, and `prev` reads offsets
-    where its levels were.  Sections are 2^{e_i - e_{i-1}} slots wide, so
-    the 0-based offset and section of a level are the low bits and the rest
-    of level - 1.  A chain's `final` starts zeroed past stage 2 and every
-    height is at least 1, so a stage whose height row is written is refused.
+    Stacking consumes `prev`, the top stage of its chain: the 1-based
+    offset, the low bits of L - 1 plus 1, and the height are written over
+    rows i - 1 (prev's level row, which the new stage's `Transition` now
+    determines) and i of the chain's `final`, so `prev` reads offsets where
+    its levels were.  `final` starts zeroed past stage 2 and every height
+    is at least 1, so a stage whose height row is written is refused.
     """
     i = prev.stage
     final = prev.final
     if final[i, 0]:
         raise ValueError(f"stage {i} is already stacked")
-    spec = prev.spec
     levels = inflate(prev, plan)
-    sections = levels - 1
-    offsets = np.bitwise_and(sections, plan.width - 1, out=final[i - 1])
-    key += offsets.astype(np.int64) << spec.exponents[i - 1]
+    offsets = np.subtract(levels, 1, out=final[i - 1])
+    offsets &= plan.width - 1
     offsets += 1
-    sections >>= spec.block_width(i)
-    sections += 1
-    cell = section_cells(key, sections, plan.pages)
-    del sections
-    table = cell_prefix_counts(cell, 1 << spec.exponents[i], plan.pages)
-    final[i] = np.take(table.reshape(-1), cell)
+    np.take(plan.height_table, levels, out=final[i])
     step = Transition(plan, levels)
-    return StageEmbedding(spec, i + 1, final, prev.steps + (step,))
+    return StageEmbedding(prev.spec, i + 1, final, prev.steps + (step,))
 
 
 def _stage2(spec: GridSpec, base: Embedding2D) -> StageEmbedding:
@@ -396,11 +372,10 @@ def build_fk(
             f"got {len(seed_matrices)}"
         )
     emb = _stage2(spec, build_f2(spec))
-    key = packed_address(spec, emb.final[:1])
     for i in range(2, spec.k):
         matrix = seed_matrices[i - 2] if seed_matrices is not None else None
         plan = build_blank_plan(spec, i, matrix=matrix)
-        emb = stack(emb, plan, key)
+        emb = stack(emb, plan)
     return emb
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import chain_prefix_count
 from test_checks import family_grids, traced_peak
@@ -187,6 +188,31 @@ def test_proved_base_map_facts_hold_on_every_benchmark_box():
 def test_build_f2_fills_columns_and_holds_pages_over_random_grids(dims):
     spec = GridSpec(dims)
     assert_columns_full_and_chains_long(build_f2(spec), spec.page_count(1))
+
+
+def assert_rows_are_staircases(a1):
+    """In columns 1..2 a1 + 1 of the filled box, the chain-point index of
+    each row's cells (the 0-based position of the cell's point in its
+    chain) never decreases from column to column.  The box is periodic in
+    the column with period 2 a1, so these columns decide it for any m."""
+    emb = fill_columns(a1, 2 * a1 + 1)
+    chain = np.repeat(np.arange(a1), np.diff(emb.offsets))
+    index = np.zeros((emb.m, emb.height), dtype=np.int64)
+    index[emb.cols - 1, emb.rows - 1] = np.arange(len(chain)) - emb.offsets[chain]
+    assert (np.diff(index, axis=0) >= 0).all(), a1
+
+
+def test_base_rows_are_staircases():
+    """Stage 2's staircase: the grid keeps the first P_1 points of every
+    chain, so each row's grid points fill columns 1..c(row) for any P_1."""
+    for a1 in range(2, 129):
+        assert_rows_are_staircases(a1)
+
+
+@settings(max_examples=6)
+@given(st.integers(129, 1024))
+def test_base_rows_are_staircases_for_wide_chains(a1):
+    assert_rows_are_staircases(a1)
 
 
 @pytest.mark.parametrize("dims", [(100, 100, 100), (3,) * 12])

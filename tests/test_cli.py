@@ -335,6 +335,15 @@ def test_audit_of_a_file_named_by_a_number(tmp_path, monkeypatch):
     assert err == "error: a grid needs at least two dimensions\n"
 
 
+def test_audit_of_a_directory_named_by_a_number(tmp_path, monkeypatch):
+    # a number that names any existing path, a directory too, is that path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "25").mkdir()
+    for target in ("25", "./25"):
+        code, out, err = run_cli(["audit", target])
+        assert (code, out, err) == (2, "", "error: not a file: 25\n")
+
+
 def test_audit_missing_file_is_usage_error():
     code, _, err = run_cli(["audit", "no_such_file.txt"])
     assert code == 2

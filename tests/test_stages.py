@@ -10,6 +10,7 @@ import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     coords_of,
@@ -21,8 +22,10 @@ from oracles import (
 )
 from test_base2d import benchmark_grids
 from test_checks import family_grids, traced_peak
+from test_rounding import stage_rounding_specs
 
 from gridcube.base2d import build_f2
+from gridcube.checks import audit_grid, failed
 from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, parse_matrices
 from gridcube.stages import (
@@ -33,7 +36,6 @@ from gridcube.stages import (
     build_fk,
     dump_stage,
     inflate,
-    packed_address,
     s_sequence,
     stack,
 )
@@ -383,23 +385,19 @@ def test_stack_refuses_a_stage_already_stacked():
     # the top cannot be stacked again; the chain is left as it was
     fk = build_fk(GridSpec((5, 5, 6)))
     final = fk.final.copy()
-    key = packed_address(fk.spec, fk.final[:1])
     with pytest.raises(ValueError, match="stage 2 is already stacked"):
-        stack(fk.stage_chain()[0], fk.plan, key)
+        stack(fk.stage_chain()[0], fk.plan)
     assert np.array_equal(fk.final, final)
 
 
 def unstacked(st):
     """What `stack` took to make stacked stage st: stage st.stage - 1 as the
-    top of a new chain (its later columns zeroed), and the packed address
-    of that stage's first st.stage - 2 columns."""
+    top of a new chain (its later columns zeroed)."""
     prev = st.stage_chain()[-2]
     i = prev.stage
     final = np.zeros_like(st.final)
-    coords = oracles.stage_coords(prev)
-    final[:i] = coords.T
-    top = StageEmbedding(st.spec, i, final, st.steps[: i - 2])
-    return top, packed_address(st.spec, coords[:, : i - 1].T)
+    final[:i] = oracles.stage_coords(prev).T
+    return StageEmbedding(st.spec, i, final, st.steps[: i - 2])
 
 
 def assert_stacked_as_sorted(fk):
@@ -428,14 +426,32 @@ def test_stack_heights_match_the_sorted_form_over_random_grids(dims):
     assert_stacked_as_sorted(build_fk(GridSpec(dims)))
 
 
+@settings(max_examples=40)
+@given(family_grids(side=12, budget=1 << 12), st.integers(0, 2**32 - 1))
+def test_audits_with_random_roundings_over_random_grids(dims, seed):
+    """Every stage seeded with a random consistent rounding: stacking still
+    matches its sorted form (the staircase holds for any plan), no check but
+    the case table fails, the embedding is injective, and the dilation is
+    within the labelings' implied bound."""
+    grid = GridSpec(dims)
+    rng = random.Random(seed)
+    seeds = [oracles.random_FX(spec, rng) for spec in stage_rounding_specs(grid)]
+    checks, emb, report = audit_grid(grid, seeds)
+    assert_stacked_as_sorted(emb.fk)
+    fails = [c.line() for c in failed(checks) if not c.name.startswith("diffs.case-")]
+    assert fails == []
+    assert "embedding.injective: PASS" in [c.line() for c in checks]
+    assert report.dilation <= report.implied_bound
+
+
 def test_sorted_heights_refuses_two_points_of_one_section_at_one_key():
     # with every address zeroed, the points a level of one section holds
     # share the key, and the sorted form refuses them, so the tests that
     # compare `stack` with it fail on any such collision
     fk = build_fk(GridSpec((5, 5, 6)))
-    prev, key = unstacked(fk)
+    prev = unstacked(fk)
     levels = fk.plan.level_table[oracles.stage_coords(prev)[:, 1] - 1]
-    zero = np.zeros_like(key)
+    zero = np.zeros(fk.spec.size, dtype=np.int64)
     match = "two same-section points share an address and slot"
     with pytest.raises(AssertionError, match=match):
         oracles.sorted_heights(zero, fk.plan.section_of(levels))
@@ -445,16 +461,16 @@ def test_sorted_heights_refuses_two_points_of_one_section_at_one_key():
     "dims", [(3,) * 10, (7, 11, 13, 97), (64, 64, 64), (5, 5, 4000)]
 )
 def test_stack_memory_is_bounded_per_vertex(dims):
-    """One stacking step holds its int32 source levels and sections, the
-    packed cells and the (address x section) count table of under 2|G|
-    entries: its tracemalloc peak stays within 48 B per vertex (32-41 B
-    here; 57-62 B when heights came from a lexsort and its gathers)."""
+    """One stacking step holds its int32 source levels and the index
+    arrays of two gathers from the plan's tables: its tracemalloc peak
+    stays within 24 B per vertex (16 B here; 28-35 B when heights came from
+    a per-vertex (address x section) count table, 57-62 B from a lexsort)."""
     fk = build_fk(GridSpec(dims))
     for st in fk.stage_chain()[1:]:
-        prev, key = unstacked(st)
-        out, peak = traced_peak(stack, prev, st.plan, key)
+        prev = unstacked(st)
+        out, peak = traced_peak(stack, prev, st.plan)
         assert np.array_equal(oracles.stage_coords(out), oracles.stage_coords(st))
-        assert peak <= 48 * fk.spec.size, (st.stage, peak / fk.spec.size)
+        assert peak <= 24 * fk.spec.size, (st.stage, peak / fk.spec.size)
 
 
 def test_distinct_rows_matches_unique():
