@@ -282,8 +282,10 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _transition_checks(emb: StageEmbedding) -> list[CheckResult]:
-    """Checks for one stacking transition (embedding stage j >= 3).
+def _transition_checks(emb: StageEmbedding, source: np.ndarray) -> list[CheckResult]:
+    """Checks for one stacking transition (embedding stage j >= 3), whose
+    source levels by rank the caller has read once and hands over
+    (`source`, clipped here in place).
 
     Every table is one integer array over vertices, pages, or addresses by
     sections (M x P, under 2|G| entries), so memory stays O(|G| + P).  The
@@ -337,7 +339,7 @@ def _transition_checks(emb: StageEmbedding) -> list[CheckResult]:
     P = plan.pages
     # a source level off the plan's levels 1..P * width fails prefix
     # stability; clipped, it indexes the plan's tables like any other
-    level = np.clip(emb.source_level, 1, P * plan.width)
+    level = np.clip(source, 1, P * plan.width, out=source)
     sec = plan.section_of(level)
     M = 1 << spec.exponents[j - 1]
     A = spec.prefix_product(j - 1)
@@ -633,7 +635,8 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
             # the identity on the blanks per section of the matrix the stage used
             ok = budget_break(spec, plan.stage, plan.F.row_counts) is None
             budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
-            transitions += _transition_checks(st)
+            transitions += _transition_checks(st, level)
+            del level  # a gathered |G|-entry row, freed before the next stage
         del st
     return out + stable + budgets + _apply_gates(transitions, spec)
 
@@ -781,7 +784,8 @@ class HypercubeEmbedding:
 
     Labels concatenate one block per grid dimension (dimension 1 in the most
     significant bits); block j is the labeling's cube vertex for the final
-    map's j-th coordinate.  Construction does not check that the labels are
+    map's j-th coordinate.  They are uint32: n <= 31, as |G| <= 2^31
+    (`grids.VERTEX_BOUND`).  Construction does not check that the labels are
     distinct: the audit reports it as ``embedding.injective``, and
     ``dump_embedding`` refuses to write colliding labels.
     """
@@ -800,13 +804,13 @@ class HypercubeEmbedding:
                     f"dimension {jdim} labeling has {lab.t} bits, "
                     f"block needs {spec.block_width(jdim)}"
                 )
-        labels = np.zeros(spec.size, dtype=np.int64)
+        labels = np.zeros(spec.size, dtype=np.uint32)
         for jdim, lab in enumerate(self.labelings, start=1):
             vals = self.fk.final[jdim - 1]
             if vals.min() < 1 or vals.max() > len(lab.order):
                 raise ValueError(f"coordinate {jdim} outside the labeling domain")
             labels <<= lab.t
-            labels |= lab.order[vals - 1]
+            labels |= lab.order.view(np.uint32)[vals - 1]
         object.__setattr__(self, "labels", labels)
 
     def is_injective(self) -> bool:
@@ -1013,9 +1017,9 @@ def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarr
 
 def _label_chars(labels: np.ndarray, n: int) -> np.ndarray:
     """The low n bits of each label as ASCII "0"/"1", most significant
-    first: unpacked from the labels' big-endian bytes."""
+    first: unpacked from the labels' big-endian bytes (n <= 31)."""
     nbytes = (n + 7) // 8
-    octets = labels.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+    octets = labels.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - nbytes :]
     return np.unpackbits(octets, axis=1)[:, 8 * nbytes - n :] + ord("0")
 
 
@@ -1023,20 +1027,26 @@ def dump_embedding(emb: HypercubeEmbedding) -> str:
     """Render the labeled embedding in the GRIDCUBE text format; colliding
     labels are a construction defect and raise RuntimeError.
 
-    The body is decoded one `_line_blocks` block at a time and joined once
-    with the header, so beside the text only one block's scratch is live.
+    The text starts as the header and grows by one decoded `_line_blocks`
+    block at a time, in place: `text` holds the only reference to the
+    string, so CPython resizes it where it lies (a realloc) instead of
+    copying it into a new one, once the interpreter has specialized the
+    loop's `+=` (from its eighth pass on CPython 3.11; the first passes
+    copy the text, then at most seven blocks long).  So a long text is not
+    held twice, as it is by a list of pieces and their join, and beside it
+    only one block's scratch is live.
     """
     if not emb.is_injective():
         raise RuntimeError("labels collide; embedding bug")
-    pieces = [_header(emb.spec, emb.windows())]
-    blocks = _line_blocks(emb.spec, emb.labels)
-    pieces.extend(codecs.ascii_decode(block)[0] for block in blocks)
-    return "".join(pieces)
+    text = _header(emb.spec, emb.windows())
+    for block in _line_blocks(emb.spec, emb.labels):
+        text += codecs.ascii_decode(block)[0]
+    return text
 
 
 @dataclass(frozen=True, eq=False)
 class ParsedEmbedding:
-    """A GRIDCUBE file: spec, declared windows, and per-rank labels."""
+    """A GRIDCUBE file: spec, declared windows, and per-rank uint32 labels."""
 
     spec: GridSpec
     windows: tuple[int, ...]
@@ -1069,7 +1079,7 @@ def parse_embedding(text: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ParsedEm
     if found != spec.size or not text.endswith("\n"):
         raise ValueError(f"expected {spec.size} vertex lines, found {found} newlines")
     body = np.frombuffer(text.encode("ascii", "replace"), np.uint8)[head.end() :]
-    labels = np.zeros(spec.size, dtype=np.int64)
+    labels = np.zeros(spec.size, dtype=np.uint32)
     at = rank = 0
     for expect in _line_blocks(spec, None):
         # both bodies hold |G| lines, so unequal lengths differ within the shorter

@@ -9,6 +9,7 @@ traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import traceback
 from pathlib import Path
@@ -31,11 +32,22 @@ PASS, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
 CAP_HELP = "vertex-count cap (default %(default)s), at most 2^31 (the chain is int32)"
 
+# characters per write: the sink encodes one slice at a time, so a written
+# text is never encoded into a second whole copy
+WRITE_SLICE = 1 << 20
+
 
 def _load_seeds(path: str | None):
     if path is None:
         return None
     return parse_matrices(Path(path).read_text())
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write the text to the file `out`, or to stdout, in WRITE_SLICE slices."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as sink:
+        for start in range(0, len(text), WRITE_SLICE):
+            sink.write(text[start : start + WRITE_SLICE])
 
 
 def _labelings_from_windows(spec: GridSpec, windows: list[int]):
@@ -73,24 +85,15 @@ def cmd_embed(args) -> int:
             raise ValueError(
                 f"stage {args.dump_stage} not in 2..{spec.k} for this grid"
             )
-        text = dump_stage(stages[args.dump_stage])
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(dump_stage(stages[args.dump_stage]), args.out)
         return PASS
     labelings = None
     if args.windows is not None:
         labelings = _labelings_from_windows(spec, args.windows)
     emb = assemble_Hk(fk, labelings)
     report = dilation(emb)
-    text = dump_embedding(emb)
-    if args.out:
-        Path(args.out).write_text(text)
-        sink = sys.stdout
-    else:
-        sys.stdout.write(text)
-        sink = sys.stderr
+    _write(dump_embedding(emb), args.out)
+    sink = sys.stdout if args.out else sys.stderr
     levels = " ".join(str(level_budget(spec, i)) for i in range(2, spec.k + 1))
     print(f"n: {spec.n}", file=sink)
     print(f"levels: {levels}", file=sink)

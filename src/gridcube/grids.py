@@ -46,8 +46,9 @@ class GridSpec:
 
     |G| is at most `vertex_cap` and, whatever the cap, `VERTEX_BOUND` =
     2^31, so n <= 31: the chain's int32 arrays (base-map columns, stage
-    coordinates, `Transition.source_level`, `BlankPlan.level_table`) hold
-    values up to |G|, and the batteries pack n-bit fields into int64 keys.
+    coordinates, `Transition.table` and `Transition.column`,
+    `BlankPlan.level_table`) hold values up to |G|, the labels fit uint32,
+    and the batteries pack n-bit fields into int64 keys.
     """
 
     dims: tuple[int, ...]

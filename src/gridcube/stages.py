@@ -170,10 +170,30 @@ def build_blank_plan(
 class Transition:
     """How a stacked stage was made: the blank plan its predecessor's level
     coordinate was inflated through, and the inflated (nonblank) level each
-    vertex passed through, as an int32 array by rank."""
+    vertex passed through, stored by base column.
+
+    Every coordinate after the first is a function of the vertex's base
+    column (stage 2's level; see `stack`), so the step holds `table`, the
+    inflated level of each base column (u_2 int32 entries, `table[c - 1]`
+    for column c), and `column`, the base column of each rank (one
+    |G|-entry int32 row, copied from the chain by the first `stack` and
+    shared by every step).  `source_level` gathers the table by rank into
+    a new |G|-entry row on each read.  Over the identity column 1..|G|, a
+    table holds one source level per vertex.
+    """
 
     plan: BlankPlan
-    source_level: np.ndarray
+    table: np.ndarray
+    column: np.ndarray
+
+    def by_rank(self, table: np.ndarray) -> np.ndarray:
+        """A table over base columns read at each rank's base column."""
+        return table[self.column - 1]
+
+    @property
+    def source_level(self) -> np.ndarray:
+        """The inflated level each vertex passed through, by rank (int32)."""
+        return self.by_rank(self.table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,15 +203,17 @@ class StageEmbedding:
     The chain is `final`, the k x |G| int32 coordinates of the composed
     map stored coordinate-major (C-contiguous: row j - 1 holds coordinate j
     of every vertex by rank, 1-based values), and `steps`, the `Transition`
-    of each stacked stage 3, 4, ... in order; every stage of one chain
-    shares both.  Each stage pass reads and writes one coordinate of every
+    of each stacked stage 3, 4, ... in order, each holding its source
+    levels as a table over base columns; every stage of one chain shares
+    both.  Each stage pass reads and writes one coordinate of every
     vertex, so it walks one contiguous row.  Stacking never changes a
     settled coordinate, so coordinates 1..i-1 of stage i are rows of
     `final`, and its last, a level index, is where the next stage's source
     level sits in the next plan's `level_table`: one gather from the plan's
-    `level_index`: the stage's `level` row, built when first read.  The top
-    stage of the chain (stage len(steps) + 2: stage k once `build_fk` is
-    done) reads its `level` as row i - 1 of `final` too.
+    `level_index` over the next step's base-column table, read at each
+    rank's base column: the stage's `level` row, built when first read.
+    The top stage of the chain (stage len(steps) + 2: stage k once
+    `build_fk` is done) reads its `level` as row i - 1 of `final` too.
     """
 
     spec: GridSpec
@@ -210,13 +232,22 @@ class StageEmbedding:
     @cached_property
     def level(self) -> np.ndarray:
         """Coordinate i of every vertex by rank (contiguous int32): row
-        i - 1 of `final` at the top stage, and below it one gather from the
-        next plan's `level_index`."""
+        i - 1 of `final` at the top stage, and below it the next plan's
+        `level_index` gathered over the next step's table, by rank."""
         i = self.stage
         if i == len(self.steps) + 2:
             return self.final[i - 1]
         after = self.steps[i - 2]
-        return np.take(after.plan.level_index, after.source_level, mode="clip")
+        return after.by_rank(np.take(after.plan.level_index, after.table, mode="clip"))
+
+    def column_levels(self) -> np.ndarray:
+        """The stage's level for each base column 1..u_2 (int32): the base
+        column itself at stage 2, and above it the height its plan's column
+        prefix table gives the step's inflated level (see `stack`)."""
+        if self.stage == 2:
+            return np.arange(1, level_budget(self.spec, 2) + 1, dtype=np.int32)
+        step = self.steps[self.stage - 3]
+        return step.plan.height_table[step.table]
 
     @property
     def plan(self) -> BlankPlan | None:
@@ -277,7 +308,8 @@ class StageEmbedding:
 
 
 def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
-    """The nonblank global level of each vertex's stage-i coordinate.
+    """The nonblank global level of stage i's level for each base column:
+    a u_2-entry int32 table over base columns, not over vertices.
 
     Order-preserving, hence injective.  `build_fk`, the one caller of
     `stack`, passes stage i's own plan, whose P_i w - s(1) - ... - s(P_i) =
@@ -285,7 +317,7 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
     seeded plan's row sums are checked by `violations()`) cover prev's
     levels 1..u_i, its `box`.
     """
-    return plan.level_table[prev.level - 1]
+    return plan.level_table[prev.column_levels() - 1]
 
 
 def keys_distinct(keys: np.ndarray, bound: int) -> bool:
@@ -325,6 +357,14 @@ def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
     and the points of address (m, b) sit one at each height 1..n of the
     highest: the staircase at stage i + 1, for any plan, seeded or not.
 
+    The offset and the height are functions of L alone, and L of prev's
+    level, which by induction is a function of the base column alone (stage
+    2's level is the base column).  So both are computed once per base
+    column, on u_2 entries: L is `inflate`'s table, composed from prev's
+    `column_levels`, not read from prev's level row.  Each is then gathered
+    through the base column of every rank, `column`: stage 2's level row,
+    copied once by the first stack and shared by every later step.
+
     Stacking consumes `prev`, the top stage of its chain: the 1-based
     offset, the low bits of L - 1 plus 1, and the height are written over
     rows i - 1 (prev's level row, which the new stage's `Transition` now
@@ -336,12 +376,17 @@ def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
     final = prev.final
     if final[i, 0]:
         raise ValueError(f"stage {i} is already stacked")
-    levels = inflate(prev, plan)
-    offsets = np.subtract(levels, 1, out=final[i - 1])
+    table = inflate(prev, plan)
+    column = prev.steps[0].column if prev.steps else final[1].copy()
+    # one intp index for both gathers, which would each cast an int32 one
+    at = column.astype(np.intp)
+    at -= 1
+    offsets = table - 1
     offsets &= plan.width - 1
     offsets += 1
-    np.take(plan.height_table, levels, out=final[i])
-    step = Transition(plan, levels)
+    np.take(offsets, at, out=final[i - 1])
+    np.take(plan.height_table[table], at, out=final[i])
+    step = Transition(plan, table, column)
     return StageEmbedding(prev.spec, i + 1, final, prev.steps + (step,))
 
 

@@ -25,8 +25,9 @@ exactly, or pass its checks.  It holds:
 - the blanks per section computed section by section over every page;
 - the per-row forms of the blank plan tables (nonblank levels, and section
   ordinals by bisection), the nonblank-ordinal distance, the stack
-  heights as dict tables over the address box, and the offset and height
-  columns of one stacking step with heights by one lexsort;
+  heights as dict tables over the address box, the offset and height
+  columns of one stacking step with heights by one lexsort, and the whole
+  chain stacked one vertex row at a time;
 - the embedding file written one rank at a time (and as one string per
   block of a_1 ranks) and read one line at a time, and the stage dump
   written one rank at a time;
@@ -964,6 +965,29 @@ def stack_columns(
     return offsets, sorted_heights(key, plan.section_of(levels))
 
 
+def per_vertex_chain(
+    spec: GridSpec, plans: list[BlankPlan]
+) -> tuple[np.ndarray, list[tuple[np.ndarray | None, np.ndarray]]]:
+    """The chain stacked one vertex row at a time through the plans of
+    stages 2..k-1: the k x |G| final map, and each stage's (source level,
+    level) by rank (no source level at stage 2).  Stage 2 is the base map's
+    (row, column) of each rank; each step inflates every vertex's level
+    through the plan's nonblank levels, writes the level's offset over it
+    and reads its stack height from the plan's column prefix table."""
+    base = base2d.build_f2(spec)
+    # rank p a_1 + i is point p + 1 of chain i + 1
+    at = (base.offsets[:-1] + np.arange(spec.size // spec.dims[0])[:, None]).ravel()
+    final = np.zeros((spec.k, spec.size), dtype=np.int32)
+    final[0], final[1] = base.rows[at], base.cols[at]
+    chain = [(None, final[1].copy())]
+    for i, plan in enumerate(plans, start=2):
+        source = plan.level_table[final[i - 1] - 1]
+        final[i - 1] = plan.offset_of(source)
+        final[i] = plan.height_table[source]
+        chain.append((source, final[i].copy()))
+    return final, chain
+
+
 def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:
     """Height of every stack address after sections 1..r, r < P_i.
 
@@ -1507,8 +1531,12 @@ def transition_checks(emb: StageEmbedding) -> list[CheckResult]:
 def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     """The library's pipeline battery with transition_checks above in place
     of its array form.  Its results carry gate 0, so the library's gate
-    pass keeps the verdicts the threshold above gave them."""
-    with mock.patch.object(checks, "_transition_checks", transition_checks):
+    pass keeps the verdicts the threshold above gave them.  The oracle
+    reads each stage's source levels itself, not the library's copy."""
+    def oracle(stage, _source):
+        return transition_checks(stage)
+
+    with mock.patch.object(checks, "_transition_checks", oracle):
         return checks.pipeline_battery(emb)
 
 

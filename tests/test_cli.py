@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from gridcube.cli import main
+from gridcube.checks import assemble_Hk, dump_embedding
+from gridcube.cli import WRITE_SLICE, main
+from gridcube.grids import GridSpec
 from gridcube.rounding import parse_matrices
 from gridcube.stages import build_fk
 
@@ -59,6 +61,35 @@ def test_embed_to_file_then_audit_round_trip(tmp_path):
     assert code == 0
     assert "file.parse: PASS" in out
     assert "file.dilation: REPORTED" in out
+
+
+class Recorder(io.StringIO):
+    """A text sink that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def test_embed_writes_the_text_in_slices_to_either_sink(tmp_path):
+    # 40^3 renders 1.6 MB of text, more than one slice: stdout takes it one
+    # slice at a time, and both sinks hold exactly the dumped text
+    text = dump_embedding(assemble_Hk(build_fk(GridSpec((40, 40, 40)))))
+    assert len(text) > WRITE_SLICE
+    out, err = Recorder(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["embed", "40", "40", "40"]) == 0
+    assert out.getvalue() == text
+    assert out.sizes == [WRITE_SLICE, len(text) - WRITE_SLICE]
+    assert "dilation:" in err.getvalue()
+    target = tmp_path / "emb.txt"
+    code, out, _ = run_cli(["embed", "40", "40", "40", "--out", str(target)])
+    assert code == 0 and "dilation:" in out
+    assert target.read_bytes() == text.encode()
 
 
 def test_embed_with_seed_matrices():

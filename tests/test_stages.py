@@ -21,16 +21,15 @@ from oracles import (
     stack_heights,
 )
 from test_base2d import benchmark_grids
-from test_checks import family_grids, traced_peak
+from test_checks import family_grids, per_vertex, traced_peak
 from test_rounding import stage_rounding_specs
 
 from gridcube.base2d import build_f2
-from gridcube.checks import audit_grid, failed
+from gridcube.checks import assemble_Hk, audit_grid, failed
 from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, parse_matrices
 from gridcube.stages import (
     StageEmbedding,
-    Transition,
     budget_break,
     build_blank_plan,
     build_fk,
@@ -349,16 +348,36 @@ def test_pipeline_injective_and_bounded():
 
 @pytest.mark.parametrize("dims", [(3,) * 9, (7, 11, 13, 97)])
 def test_build_fk_memory_is_bounded_by_the_final_map(dims):
-    """The chain is stored once: the final |G| x k int32 map and one int32
-    source-level column per stacked stage.  With the rounding and stacking
-    temporaries the tracemalloc peak of build_fk stays within 8 x |G| k 4
-    bytes (6.2 and 6.7 x here; 12.5 and 14.1 x when every stage kept its
-    own array and the rounding built a flow network)."""
+    """The chain is stored once: the final k x |G| int32 map, one int32
+    base column by rank shared by every stacked stage, and one u_2-entry
+    int32 source-level table per stacked stage.  With the rounding and
+    stacking temporaries the tracemalloc peak of build_fk stays within 8 x
+    |G| k 4 bytes (2.1 and 2.4 x here, 2.5 x with a |G|-entry source-level
+    row per stage; 12.5 and 14.1 x when every stage kept its own array and
+    the rounding built a flow network)."""
     spec = GridSpec(dims)
     fk, peak = traced_peak(build_fk, spec)
-    stored = fk.final.nbytes + sum(step.source_level.nbytes for step in fk.steps)
-    assert stored == spec.size * 4 * (2 * spec.k - 2)
+    column = fk.steps[0].column
+    assert all(step.column is column for step in fk.steps)
+    stored = fk.final.nbytes + column.nbytes + sum(step.table.nbytes for step in fk.steps)
+    u2 = level_budget(spec, 2)
+    assert stored == 4 * (spec.size * (spec.k + 1) + (spec.k - 2) * u2)
     assert peak <= 8 * spec.size * spec.k * 4, peak / (spec.size * spec.k * 4)
+
+
+def test_embed_holds_each_vertex_array_once():
+    """An embedded 3^12 holds its k x |G| int32 chain (48 B per vertex),
+    one int32 base column (4 B), ten u_2-entry tables (10 B, as u_2 =
+    |G| / 4) and its uint32 labels (4 B): 66 B per vertex in all, within
+    70 (96 B with a |G|-entry source-level row per stage and int64
+    labels)."""
+    spec = GridSpec((3,) * 12)
+    fk = build_fk(spec)
+    emb = assemble_Hk(fk)
+    steps = [array for step in fk.steps for array in (step.table, step.column)]
+    arrays = {id(a): a for a in [fk.final, emb.labels, *steps]}
+    held = sum(a.nbytes for a in arrays.values())
+    assert held <= 70 * spec.size, held / spec.size
 
 
 def test_chain_is_stored_coordinate_major(battery_grids):
@@ -424,6 +443,26 @@ def test_stack_heights_match_the_sorted_form(battery_grids):
 @given(family_grids())
 def test_stack_heights_match_the_sorted_form_over_random_grids(dims):
     assert_stacked_as_sorted(build_fk(GridSpec(dims)))
+
+
+@settings(max_examples=40)
+@given(family_grids(side=12, budget=1 << 12), st.integers(0, 2**32 - 1))
+def test_source_levels_match_the_per_vertex_chain_over_random_grids(dims, seed):
+    """Every stage's source levels and levels, read through the base-column
+    tables, and the whole chain equal the per-vertex chain's, with the
+    solver's roundings and with random consistent ones."""
+    grid = GridSpec(dims)
+    rng = random.Random(seed)
+    seeds = [oracles.random_FX(spec, rng) for spec in stage_rounding_specs(grid)]
+    for fk in (build_fk(grid), build_fk(grid, seeds)):
+        final, chain = oracles.per_vertex_chain(grid, [step.plan for step in fk.steps])
+        assert np.array_equal(fk.final, final)
+        for st, (source, level) in zip(fk.stage_chain(), chain, strict=True):
+            assert np.array_equal(st.level, level), st.stage
+            if source is None:
+                assert st.source_level is None
+            else:
+                assert np.array_equal(st.source_level, source), st.stage
 
 
 @settings(max_examples=40)
@@ -539,7 +578,7 @@ def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
         source = after.source_level.copy()
         source[: len(odd)] = odd
         steps = list(fk.steps)
-        steps[i - 2] = Transition(plan, source)
+        steps[i - 2] = per_vertex(after, source)
         st = StageEmbedding(fk.spec, i, fk.final, tuple(steps))
         assert np.array_equal(st.level, searchsorted_levels(st)), i
     assert not plan.level_index.flags.writeable
@@ -590,7 +629,7 @@ def test_stage_chain_and_sources(emb_3743):
 def test_inflate_preserves_order_and_injectivity(emb_3743):
     emb3 = emb_3743.stage_chain()[1]
     plan = emb_3743.plan
-    levels = inflate(emb3, plan)
+    levels = emb_3743.steps[-1].by_rank(inflate(emb3, plan))
     coords = oracles.stage_coords(emb3)
     assert len(np.unique(np.column_stack([coords[:, :2], levels]), axis=0)) \
         == emb3.spec.size
