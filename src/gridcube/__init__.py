@@ -8,7 +8,7 @@ and cyclic caterpillar labelings of the coordinate blocks), plus a
 verification suite that checks the construction's structural guarantees on
 concrete instances.
 """
-from .base2d import CirculantR, Embedding2D, build_R, build_f2, fill_columns
+from .base2d import BaseMap, CirculantR, Embedding2D, build_R, build_f2, fill_columns
 from .caterpillars import (
     Caterpillar,
     CubeLabeling,
@@ -34,6 +34,7 @@ from .checks import (
     diff_case_checks,
     dilation,
     dump_embedding,
+    embedding_blocks,
     parse_embedding,
     pipeline_battery,
     render_report,
@@ -49,6 +50,7 @@ from .stages import (
 )
 
 __all__ = [
+    "BaseMap",
     "BinaryMatrix",
     "BlankPlan",
     "Caterpillar",
@@ -81,6 +83,7 @@ __all__ = [
     "dilation",
     "double_caterpillar",
     "dump_embedding",
+    "embedding_blocks",
     "fill_columns",
     "gray_label",
     "label_from_caterpillar",

@@ -9,6 +9,7 @@ over their stated ranges -- no sampling except where a check is defined by it.
 from __future__ import annotations
 
 import codecs
+import itertools
 import random
 import re
 from collections.abc import Iterator
@@ -19,13 +20,21 @@ import numpy as np
 
 from .base2d import fill_columns
 from .caterpillars import CubeLabeling, best_labeling, gray_label
-from .grids import DEFAULT_VERTEX_CAP, AboveCap, GridSpec, level_budget
+from .grids import (
+    DEFAULT_VERTEX_CAP,
+    RANK_BLOCK,
+    AboveCap,
+    GridSpec,
+    level_budget,
+    unsigned_dtype,
+)
 from .rounding import BinaryMatrix
 from .stages import (
     RENDER_CHUNK,
     StageEmbedding,
     budget_break,
     build_fk,
+    by_rank,
     decimal_columns,
     keys_distinct,
 )
@@ -578,7 +587,8 @@ def _subpage_alignment(plan, level, a_next, pre) -> list[CheckResult]:
     """
     base = plan.width + 1
     sizes = plan.width - plan.F.bits.sum(axis=1, dtype=np.int64)
-    pairs = plan.ordinal_table * base
+    pairs = plan.ordinal_table.astype(np.int64)
+    pairs *= base
     pairs[1:] += np.repeat(sizes, plan.width)
     rows = pairs[level.reshape(plan.pages, a_next, -1).transpose(1, 0, 2)]
     rows = rows.reshape(a_next, -1)
@@ -605,8 +615,9 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     Injectivity, coordinate ranges, prefix stability, the blank budget
     identity and `stack-section-monotone` are hard assertions; every other
     transition check carries gate 5, applied once to the transition list.
-    Each stage reads its settled coordinates as rows of `final` and builds
-    only its level row, dropped after its checks.
+    The chain's steps are composed once and shared by every stage, which
+    builds its level row, address and source levels by rank, dropped after
+    its checks.
     """
     spec = emb.spec
     out: list[CheckResult] = []
@@ -614,27 +625,29 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     budgets: list[CheckResult] = []
     transitions: list[CheckResult] = []
     for j in range(2, emb.stage + 1):
-        st = StageEmbedding(spec, j, emb.final, emb.steps)
+        st = emb.view(j)
         # the first j - 1 coordinates are settled block values and the last
         # a level index bounded by the stage's level budget: its `box`
         out.append(_check(f"pipeline.stage{j}.injective", st.is_injective()))
         out.append(_check(f"pipeline.stage{j}.coordinate-range", st.in_box))
         if st.plan is not None:
-            plan, level = st.plan, st.source_level
-            # the chain stores stage j - 1's level row as these source
-            # levels: each must be a nonblank level of the plan (one with a
-            # nonzero ordinal), and its offset the row stage j settled
+            plan, source = st.plan, st.steps[j - 3].table
+            # the chain stores stage j - 1's level as these source levels:
+            # each must be a nonblank level of the plan (one with a nonzero
+            # ordinal), and its offset the coordinate stage j settled; read
+            # per base column, as every base column holds a vertex
             ordinals = plan.ordinal_table
             ok = (
-                int(level.min()) >= 1
-                and int(level.max()) < len(ordinals)
-                and bool((ordinals[level] > 0).all())
-                and np.array_equal(st.final[j - 2], plan.offset_of(level))
+                int(source.min()) >= 1
+                and int(source.max()) < len(ordinals)
+                and bool((ordinals[source] > 0).all())
+                and np.array_equal(st.tables[j - 3], plan.offset_of(source) - 1)
             )
             stable.append(_check(f"pipeline.stage{j}.prefix-stability", ok))
             # the identity on the blanks per section of the matrix the stage used
             ok = budget_break(spec, plan.stage, plan.F.row_counts) is None
             budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
+            level = st.source_level
             transitions += _transition_checks(st, level)
             del level  # a gathered |G|-entry row, freed before the next stage
         del st
@@ -662,22 +675,9 @@ class CoordinateDiffs:
         return tuple(max(row) for row in self.cyclic)
 
 
-def _grid(spec: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Per-rank values as a view with the grid's shape.  Ranks are row-major
-    with dimension 1 fastest, so grid dimension i is axis k - i and its edges
-    join neighbouring entries along that axis: the edge scans build no index
-    array and hold one edge-sized temporary per dimension at a time."""
-    return values.reshape(*spec.dims[::-1], *values.shape[1:])
-
-
-def _unsigned(t: int) -> type:
-    """The narrowest unsigned dtype holding a t-bit block's coordinates."""
-    return np.uint8 if t <= 8 else np.uint16 if t <= 16 else np.uint32
-
-
 def _rotate(d: np.ndarray, mask) -> np.ndarray:
     """Rotate unsigned differences d = b - a of coordinates a, b in 1..2^t,
-    held in a `_unsigned` dtype of at least t bits, in place to
+    held in a `unsigned_dtype` of at least t bits, in place to
     s = (d + h) & mask, for mask = 2^t - 1 (a scalar or an array
     broadcasting over d) and h = 2^{t-1}: |s - h| is the cyclic difference.
 
@@ -686,8 +686,9 @@ def _rotate(d: np.ndarray, mask) -> np.ndarray:
     2^t for r = (b - a) mod 2^t: s - h is r when r < h and r - 2^t
     otherwise.  Since |a - b| < 2^t, r is |a - b| or 2^t - |a - b| (both 0
     when a = b), so |s - h| = min(|a - b|, 2^t - |a - b|).  A coordinate
-    2^t held in exactly t bits wraps to 0, the same residue mod 2^t, which
-    leaves every distance unchanged.
+    held minus 1, or 2^t held in exactly t bits (wrapped to 0), has the
+    same residues mod 2^t up to one shift, which leaves every distance
+    unchanged.
     """
     d += mask // 2 + 1
     d &= mask
@@ -697,40 +698,47 @@ def _rotate(d: np.ndarray, mask) -> np.ndarray:
 def coordinate_diffs(fk: StageEmbedding) -> CoordinateDiffs:
     """Exhaustive edge scan of cyclic output-coordinate differences.
 
-    The coordinate-major chain is cast once, row by contiguous row, to the
-    `_unsigned` dtype of the widest block, so each output coordinate is one
-    contiguous column over the ranks.  Edges in grid dimension i0 join rank
-    r to r + s, for the stride s = a_1...a_{i0-1}, unless r is last along
-    dimension i0.  So one subtraction of the columns lagged by s gives every
-    edge's difference, one product with a per-rank 0/1 pattern clears the
-    ranks last along i0 (and the s unset ones at the end, which are among
-    them), and `_rotate`, with column j masked to its block width, moves
-    each difference to a value v whose distance from h = 2^{t-1} is the
-    cyclic difference, so a column's largest is max(max v - h, h - min v)
-    (a cleared rank reads v = h).  Each grid dimension takes a fixed number
-    of numpy calls, each over all k contiguous columns, so a tiny grid pays
-    O(k) calls in all, and no call iterates over a short axis.
+    Output coordinates are read by rank into contiguous rows of their
+    widest block's `unsigned_dtype`, as many at a time as fit in
+    RANK_BLOCK entries and at least one: the base row, or a table over base
+    columns gathered through the base column (coordinate minus 1).  Edges
+    in grid dimension i0 join rank r to r + s, for the stride s =
+    a_1...a_{i0-1}, unless r is last along dimension i0.  So one
+    subtraction of the rows lagged by s gives every edge's difference, the
+    ranks last along i0 (the s unset ones at the end among them) are
+    cleared through the middle index a - 1 of the differences' (|G| / (a
+    s), a, s) view, and `_rotate`, with row j masked to its block width,
+    moves each difference to a value v whose distance from h = 2^{t-1} is
+    the cyclic difference, so a row's largest is max(max v - h, h - min v)
+    (a cleared rank reads v = h).  Beside the stored chain, one narrow row
+    and its differences are live on a large grid, and a tiny grid scans all
+    its coordinates in a fixed number of numpy calls per dimension.
     """
     spec = fk.spec
     k = spec.k
-    widths = [spec.block_width(j) for j in range(1, k + 1)]
-    dtype = _unsigned(max(widths))
-    columns = fk.final.astype(dtype)
-    masks = np.array([(1 << t) - 1 for t in widths], dtype=dtype)[:, None]
-    steps = np.empty_like(columns)
-    top = np.zeros((k, k), dtype=np.int64)
-    bottom = np.zeros_like(top)
-    for i0 in range(1, k + 1):
-        a, s = spec.dims[i0 - 1], spec.prefix_product(i0 - 1)
-        edge = np.ones((spec.size // (a * s), a, s), dtype=bool)
-        edge[:, -1] = False
-        np.subtract(columns[:, s:], columns[:, :-s], out=steps[:, :-s])
-        steps *= edge.reshape(-1)
-        _rotate(steps, masks)
-        top[:, i0 - 1] = steps.max(axis=1)
-        bottom[:, i0 - 1] = steps.min(axis=1)
-    h = masks.astype(np.int64) // 2 + 1
-    cyc = np.maximum(top - h, h - bottom)
+    cyc = np.zeros((k, k), dtype=np.int64)
+    group = max(1, RANK_BLOCK // spec.size)
+    for first in range(0, k, group):
+        js = range(first + 1, min(k, first + group) + 1)
+        widths = [spec.block_width(j) for j in js]
+        dtype = unsigned_dtype(max(widths))
+        rows = np.empty((len(js), spec.size), dtype=dtype)
+        for row, j in zip(rows, js):
+            if j == 1:
+                row[:] = fk.row
+            else:
+                by_rank(fk.tables[j - 2], fk.column, row)
+        masks = np.array([(1 << t) - 1 for t in widths], dtype=dtype)[:, None]
+        h = np.array([1 << (t - 1) for t in widths])
+        steps = np.empty_like(rows)
+        for i0 in range(1, k + 1):
+            a, s = spec.dims[i0 - 1], spec.prefix_product(i0 - 1)
+            np.subtract(rows[:, s:], rows[:, :-s], out=steps[:, :-s])
+            steps.reshape(len(js), -1, a, s)[:, :, -1] = 0
+            _rotate(steps, masks)
+            top, bottom = steps.max(axis=1), steps.min(axis=1)
+            cyc[first : first + len(js), i0 - 1] = np.maximum(top - h, h - bottom)
+        del rows, steps
     return CoordinateDiffs(spec, tuple(tuple(int(x) for x in row) for row in cyc))
 
 
@@ -785,9 +793,13 @@ class HypercubeEmbedding:
     Labels concatenate one block per grid dimension (dimension 1 in the most
     significant bits); block j is the labeling's cube vertex for the final
     map's j-th coordinate.  They are uint32: n <= 31, as |G| <= 2^31
-    (`grids.VERTEX_BOUND`).  Construction does not check that the labels are
-    distinct: the audit reports it as ``embedding.injective``, and
-    ``dump_embedding`` refuses to write colliding labels.
+    (`grids.VERTEX_BOUND`).  Blocks 2..k depend on the base column alone, so
+    they are concatenated once per base column into one uint32 table C, and
+    block 1 shifted into the top bits is a table A over rows: the label of a
+    rank is A[row - 1] | C[column - 1], two gathers per block of ranks.
+    Construction does not check that the labels are distinct: the audit
+    reports it as ``embedding.injective``, and ``embedding_blocks`` refuses
+    to write colliding labels.
     """
 
     fk: StageEmbedding
@@ -804,13 +816,20 @@ class HypercubeEmbedding:
                     f"dimension {jdim} labeling has {lab.t} bits, "
                     f"block needs {spec.block_width(jdim)}"
                 )
-        labels = np.zeros(spec.size, dtype=np.uint32)
-        for jdim, lab in enumerate(self.labelings, start=1):
-            vals = self.fk.final[jdim - 1]
-            if vals.min() < 1 or vals.max() > len(lab.order):
+        fk = self.fk
+        first, *rest = self.labelings
+        if fk.row.min() < 1 or fk.row.max() > len(first.order):
+            raise ValueError("coordinate 1 outside the labeling domain")
+        A = first.order.view(np.uint32) << (spec.n - first.t)
+        C = np.zeros(len(fk.tables[0]), dtype=np.uint32)
+        for jdim, (lab, table) in enumerate(zip(rest, fk.tables), start=2):
+            if table.min() < 0 or table.max() >= len(lab.order):
                 raise ValueError(f"coordinate {jdim} outside the labeling domain")
-            labels <<= lab.t
-            labels |= lab.order.view(np.uint32)[vals - 1]
+            C <<= lab.t
+            C |= lab.order.view(np.uint32)[table]
+        labels = by_rank(C, fk.column)
+        for start in range(0, spec.size, RANK_BLOCK):
+            labels[start : start + RANK_BLOCK] |= A[fk.row[start : start + RANK_BLOCK] - 1]
         object.__setattr__(self, "labels", labels)
 
     def is_injective(self) -> bool:
@@ -902,14 +921,26 @@ class DilationReport:
 
 def _edge_histogram(spec: GridSpec, labels: np.ndarray) -> np.ndarray:
     """Grid edges by the Hamming distance of their two labels, up to the
-    largest distance met: the label XOR along each `_grid` axis.  A grid
-    (k >= 2, sides >= 2) has an edge, so some entry is nonzero."""
-    grid = _grid(spec, labels)
+    largest distance met.  Ranks are row-major with dimension 1 fastest, so
+    for the stride s = a_1...a_{i0-1} each row of the labels' (|G| / (a s),
+    a s) view is one run of grid dimension i0, whose edges join columns c
+    and c + s for c < (a - 1) s: one XOR of two contiguous column ranges.
+    The runs are read a block of about RANK_BLOCK labels at a time, whole
+    rows or a row's column range, so the popcounts and their counting's
+    intp scratch stay one block's.  A grid (k >= 2, sides >= 2) has an
+    edge, so some entry is nonzero."""
     hist = np.zeros(spec.n + 1, dtype=np.int64)
-    for axis in range(spec.k):
-        g = np.moveaxis(grid, axis, 0)
-        x = g[1:] ^ g[:-1]
-        hist += np.bincount(np.bitwise_count(x).ravel("K"), minlength=spec.n + 1)
+    for i0 in range(1, spec.k + 1):
+        a, s = spec.dims[i0 - 1], spec.prefix_product(i0 - 1)
+        runs = labels.reshape(-1, a * s)
+        rows, width = max(1, RANK_BLOCK // (a * s)), (a - 1) * s
+        cols = min(width, RANK_BLOCK)
+        for top in range(0, len(runs), rows):
+            block = runs[top : top + rows]
+            for left in range(0, width, cols):
+                stop = min(left + cols, width)
+                x = np.bitwise_count(block[:, left + s : stop + s] ^ block[:, left:stop])
+                hist += np.bincount(x.ravel(), minlength=spec.n + 1)
     return hist[: int(np.flatnonzero(hist)[-1]) + 1]
 
 
@@ -1023,23 +1054,31 @@ def _label_chars(labels: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1)[:, 8 * nbytes - n :] + ord("0")
 
 
-def dump_embedding(emb: HypercubeEmbedding) -> str:
-    """Render the labeled embedding in the GRIDCUBE text format; colliding
-    labels are a construction defect and raise RuntimeError.
-
-    The text starts as the header and grows by one decoded `_line_blocks`
-    block at a time, in place: `text` holds the only reference to the
-    string, so CPython resizes it where it lies (a realloc) instead of
-    copying it into a new one, once the interpreter has specialized the
-    loop's `+=` (from its eighth pass on CPython 3.11; the first passes
-    copy the text, then at most seven blocks long).  So a long text is not
-    held twice, as it is by a list of pieces and their join, and beside it
-    only one block's scratch is live.
-    """
+def embedding_blocks(emb: HypercubeEmbedding) -> Iterator:
+    """The labeled embedding's GRIDCUBE file as blocks of ASCII bytes: the
+    header, then each `_line_blocks` block, rendered as it is taken.
+    Colliding labels are a construction defect and raise RuntimeError here,
+    before any block exists."""
     if not emb.is_injective():
         raise RuntimeError("labels collide; embedding bug")
-    text = _header(emb.spec, emb.windows())
-    for block in _line_blocks(emb.spec, emb.labels):
+    header = _header(emb.spec, emb.windows()).encode("ascii")
+    return itertools.chain([header], _line_blocks(emb.spec, emb.labels))
+
+
+def dump_embedding(emb: HypercubeEmbedding) -> str:
+    """The labeled embedding in the GRIDCUBE text format: the join of
+    `embedding_blocks`, which refuses colliding labels.
+
+    The text grows by one decoded block at a time, in place: `text` holds
+    the only reference to the string, so CPython resizes it where it lies
+    (a realloc) instead of copying it into a new one, once the interpreter
+    has specialized the loop's `+=` (from its eighth pass on CPython 3.11;
+    the first passes copy the text, then at most seven blocks long).  So a
+    long text is not held twice, as it is by a list of pieces and their
+    join, and beside it only one block's scratch is live.
+    """
+    text = ""
+    for block in embedding_blocks(emb):
         text += codecs.ascii_decode(block)[0]
     return text
 
@@ -1104,7 +1143,7 @@ def audit_file(text: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[CheckRes
     """Structural audit of a GRIDCUBE file of at most `vertex_cap` vertices.
 
     The labelings themselves are not stored in the file, so only measured
-    dilation, over `_grid` edge views, is reported; the labeling-implied
+    dilation, over the `_edge_histogram` views, is reported; the labeling-implied
     bound is not recomputable.  A file above the cap raises `AboveCap`, as
     a grid above it does; any other fault fails the check ``file.parse``.
     """

@@ -20,7 +20,7 @@ from .checks import (
     audit_file,
     audit_grid,
     dilation,
-    dump_embedding,
+    embedding_blocks,
     failed,
     render_report,
 )
@@ -32,8 +32,8 @@ PASS, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
 CAP_HELP = "vertex-count cap (default %(default)s), at most 2^31 (the chain is int32)"
 
-# characters per write: the sink encodes one slice at a time, so a written
-# text is never encoded into a second whole copy
+# characters per write of a stage dump: one slice is encoded at a time, so
+# the text is never encoded into a second whole copy
 WRITE_SLICE = 1 << 20
 
 
@@ -43,11 +43,15 @@ def _load_seeds(path: str | None):
     return parse_matrices(Path(path).read_text())
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write the text to the file `out`, or to stdout, in WRITE_SLICE slices."""
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as sink:
-        for start in range(0, len(text), WRITE_SLICE):
-            sink.write(text[start : start + WRITE_SLICE])
+def _write(blocks, out: str | None) -> None:
+    """Write blocks of bytes, one at a time, to the file `out` or to stdout's
+    byte stream (after whatever its text layer holds)."""
+    if not out:
+        sys.stdout.flush()
+    with open(out, "wb") if out else contextlib.nullcontext(sys.stdout.buffer) as sink:
+        for block in blocks:
+            sink.write(block)
+        sink.flush()
 
 
 def _labelings_from_windows(spec: GridSpec, windows: list[int]):
@@ -85,14 +89,17 @@ def cmd_embed(args) -> int:
             raise ValueError(
                 f"stage {args.dump_stage} not in 2..{spec.k} for this grid"
             )
-        _write(dump_stage(stages[args.dump_stage]), args.out)
+        text = dump_stage(stages[args.dump_stage])
+        slices = range(0, len(text), WRITE_SLICE)
+        _write((text[at : at + WRITE_SLICE].encode("ascii") for at in slices), args.out)
         return PASS
     labelings = None
     if args.windows is not None:
         labelings = _labelings_from_windows(spec, args.windows)
     emb = assemble_Hk(fk, labelings)
     report = dilation(emb)
-    _write(dump_embedding(emb), args.out)
+    # the file is written block by block as it is rendered, never joined
+    _write(embedding_blocks(emb), args.out)
     sink = sys.stdout if args.out else sys.stderr
     levels = " ".join(str(level_budget(spec, i)) for i in range(2, spec.k + 1))
     print(f"n: {spec.n}", file=sink)

@@ -13,8 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
+import numpy as np
+
 DEFAULT_VERTEX_CAP = 1 << 26
 VERTEX_BOUND = 1 << 31
+
+# ranks per block of every pass that reads a table over base columns by
+# rank: each block's index scratch stays fixed whatever |G|
+RANK_BLOCK = 1 << 15
+
+
+def unsigned_dtype(bits: int) -> type:
+    """The narrowest unsigned dtype holding `bits`-bit values."""
+    return np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
 
 
 def compute_exponents(dims) -> tuple[int, ...]:
@@ -45,10 +56,10 @@ class GridSpec:
     """A k-dimensional grid, k >= 2, with precomputed exponent data.
 
     |G| is at most `vertex_cap` and, whatever the cap, `VERTEX_BOUND` =
-    2^31, so n <= 31: the chain's int32 arrays (base-map columns, stage
-    coordinates, `Transition.table` and `Transition.column`,
-    `BlankPlan.level_table`) hold values up to |G|, the labels fit uint32,
-    and the batteries pack n-bit fields into int64 keys.
+    2^31, so n <= 31: the chain's int32 arrays (the base map's row and
+    column of each rank, `Transition.table`, the plans' count tables) hold
+    values up to |G|, the labels fit uint32, and the batteries pack n-bit
+    fields into int64 keys.
     """
 
     dims: tuple[int, ...]

@@ -13,13 +13,13 @@ Sections, pages, offsets and heights are 1-based at this API surface.
 from __future__ import annotations
 
 import codecs
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .base2d import Embedding2D, build_f2
-from .grids import GridSpec, level_budget
+from .base2d import BaseMap, build_f2
+from .grids import RANK_BLOCK, GridSpec, level_budget, unsigned_dtype
 from .rounding import BinaryMatrix, RoundingSpec, balance_violations, build_FX
 
 
@@ -80,34 +80,48 @@ class BlankPlan:
 
     Entry (r, d) = 1 marks slot d of section r blank; zeros are the nonblank
     levels, in row-major order the global level sequence the inflation step
-    maps onto.  Three tables are read off ``F.bits`` once: ``level_table[c-1]``
-    is the global index of the c-th nonblank level, and ``ordinal_table[g]``
-    and ``height_table[g]`` count the nonblanks up to level g along its row
-    (its ordinal in its section) and down its column (its stack height, see
-    `stack`); both are 0 at blanks and at the unused index 0.  A fourth,
-    ``level_index``, inverts ``level_table`` when first read.
+    maps onto.  Its tables are read off ``F.bits`` when first read, as
+    int32, and kept by the plan; `stack` keeps in its chain a copy of the
+    plan that has read none, so a built chain holds only the matrices.
+    ``level_table[c-1]`` is the global index of the c-th nonblank level, and
+    ``ordinal_table[g]`` and ``height_table[g]`` count the nonblanks up to
+    level g along its row (its ordinal in its section) and down its column
+    (its stack height, see `stack`); both are 0 at blanks and at the unused
+    index 0.  A fourth, ``level_index``, inverts ``level_table``.
     """
 
     spec: GridSpec
     stage: int
     s: tuple[int, ...]
     F: BinaryMatrix
-    level_table: np.ndarray = field(init=False, repr=False, compare=False)
-    ordinal_table: np.ndarray = field(init=False, repr=False, compare=False)
-    height_table: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def _counts(self, axis: int) -> np.ndarray:
+        """The nonblanks up to each level along `axis` of F (1: its row, 0:
+        its column), 0 at blanks, after a 0 for the unused index 0: one
+        int32 table, cumulated and masked in place."""
         nonblank = 1 - self.F.bits
-        ordinals = np.zeros(nonblank.size + 1, dtype=np.int64)
-        ordinals[1:] = (nonblank.cumsum(axis=1) * nonblank).ravel()
-        heights = np.zeros(nonblank.size + 1, dtype=np.int32)
-        heights[1:] = (nonblank.cumsum(axis=0) * nonblank).ravel()
-        levels = np.flatnonzero(ordinals).astype(np.int32)
-        tables = zip(("level_table", "ordinal_table", "height_table"),
-                     (levels, ordinals, heights))
-        for name, table in tables:
-            table.flags.writeable = False
-            object.__setattr__(self, name, table)
+        table = np.zeros(nonblank.size + 1, dtype=np.int32)
+        counts = table[1:].reshape(nonblank.shape)
+        counts[...] = nonblank
+        np.cumsum(counts, axis=axis, out=counts)
+        counts *= nonblank
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def ordinal_table(self) -> np.ndarray:
+        return self._counts(1)
+
+    @cached_property
+    def height_table(self) -> np.ndarray:
+        return self._counts(0)
+
+    @cached_property
+    def level_table(self) -> np.ndarray:
+        levels = np.flatnonzero(self.F.bits.ravel() == 0).astype(np.int32)
+        levels += 1
+        levels.flags.writeable = False
+        return levels
 
     @cached_property
     def level_index(self) -> np.ndarray:
@@ -166,93 +180,160 @@ def build_blank_plan(
     return plan
 
 
+def by_rank(table: np.ndarray, column: np.ndarray, out=None) -> np.ndarray:
+    """A table over base columns read at each rank's base column: entry r
+    is table[column[r] - 1], written to `out` (the table cast to its dtype
+    first) or to a new array in the table's dtype.  Gathered RANK_BLOCK
+    ranks at a time, so the only index array is one block's, never a
+    |G|-entry intp one.  Every column lies in 1..len(table) (a chain's
+    tables all have one entry per base column), so the gather writes
+    straight into `out` in clip mode, which copies nothing (mode 'raise'
+    buffers each block)."""
+    if out is None:
+        if len(column) <= RANK_BLOCK:
+            return table[column - 1]
+        out = np.empty(len(column), dtype=table.dtype)
+    table = table.astype(out.dtype, copy=False)
+    for start in range(0, len(column), RANK_BLOCK):
+        at = column[start : start + RANK_BLOCK] - 1
+        np.take(table, at, out=out[start : start + RANK_BLOCK], mode="clip")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Transition:
     """How a stacked stage was made: the blank plan its predecessor's level
-    coordinate was inflated through, and the inflated (nonblank) level each
-    vertex passed through, stored by base column.
+    coordinate was inflated through, and `table`, the inflated (nonblank)
+    level of each base column (`table[c - 1]` for column c, int32), read at
+    each rank through `column`, the chain's base column of each rank.
 
-    Every coordinate after the first is a function of the vertex's base
-    column (stage 2's level; see `stack`), so the step holds `table`, the
-    inflated level of each base column (u_2 int32 entries, `table[c - 1]`
-    for column c), and `column`, the base column of each rank (one
-    |G|-entry int32 row, copied from the chain by the first `stack` and
-    shared by every step).  `source_level` gathers the table by rank into
-    a new |G|-entry row on each read.  Over the identity column 1..|G|, a
-    table holds one source level per vertex.
+    A built chain stores no transition: `StageEmbedding.steps` composes
+    each table from the plans when read.  `source_level` gathers the table
+    by rank into a new |G|-entry row on each read.  Over the identity
+    column 1..|G|, a table holds one source level per vertex.
     """
 
     plan: BlankPlan
     table: np.ndarray
     column: np.ndarray
 
-    def by_rank(self, table: np.ndarray) -> np.ndarray:
-        """A table over base columns read at each rank's base column."""
-        return table[self.column - 1]
-
     @property
     def source_level(self) -> np.ndarray:
         """The inflated level each vertex passed through, by rank (int32)."""
-        return self.by_rank(self.table)
+        return by_rank(self.table, self.column)
 
 
 @dataclass(frozen=True, eq=False)
 class StageEmbedding:
-    """Stage `stage` of a composed map, read off the chain stored once.
+    """Stage `stage` of a composed map, read off a chain stored by base column.
 
-    The chain is `final`, the k x |G| int32 coordinates of the composed
-    map stored coordinate-major (C-contiguous: row j - 1 holds coordinate j
-    of every vertex by rank, 1-based values), and `steps`, the `Transition`
-    of each stacked stage 3, 4, ... in order, each holding its source
-    levels as a table over base columns; every stage of one chain shares
-    both.  Each stage pass reads and writes one coordinate of every
-    vertex, so it walks one contiguous row.  Stacking never changes a
-    settled coordinate, so coordinates 1..i-1 of stage i are rows of
-    `final`, and its last, a level index, is where the next stage's source
-    level sits in the next plan's `level_table`: one gather from the plan's
-    `level_index` over the next step's base-column table, read at each
-    rank's base column: the stage's `level` row, built when first read.
-    The top stage of the chain (stage len(steps) + 2: stage k once
-    `build_fk` is done) reads its `level` as row i - 1 of `final` too.
+    Every coordinate after the first is a function of the vertex's base
+    column (see `stack`), so a chain stores only:
+
+    - `row` and `column`: the base map's row (coordinate 1) and column of
+      each rank, |G| read-only int32 entries each;
+    - `tables`: one table over base columns for each coordinate 2..top of
+      the chain's top stage, whose entry c - 1 is the coordinate of base
+      column c minus 1, in the narrowest unsigned dtype holding it (a
+      settled coordinate's 2^{t_j} block values, the top level's budget);
+      a built table has u_2 entries;
+    - `plans`: the blank plan, that is the designation matrix, of each
+      stage 2..top - 1.  The top stage is len(plans) + 2: stage k once
+      `build_fk` is done.
+
+    Every stage of one chain shares them.  The rest is derived when read
+    and kept by no embed: the `steps` (each stacked stage's source levels
+    over base columns, composed from the plans), coordinate rows by rank
+    (`coordinate`, `final`), and a stage's `level` row and `address`.
+    Coordinates 1..i-1 of stage i are the chain's settled coordinates.  Its
+    last, a level index, is the top table at the top stage, and below it
+    where the next stage's source level sits in the next plan's
+    `level_table`: one gather from the plan's `level_index` over the next
+    step's table.  A chain written over other columns than the base map's
+    (the identity column 1..|G|, one table entry per vertex, as the tests'
+    mutant chains are) gives its source levels as `sources`.
     """
 
     spec: GridSpec
     stage: int
-    final: np.ndarray
-    steps: tuple[Transition, ...] = ()
+    row: np.ndarray
+    column: np.ndarray
+    tables: tuple[np.ndarray, ...]
+    plans: tuple[BlankPlan, ...] = ()
+    sources: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if self.final.shape != (self.spec.k, self.spec.size):
-            raise ValueError("coordinate array shape mismatch")
-        if not self.final.flags.c_contiguous:
-            raise ValueError("coordinate array is not coordinate-major")
-        if not 2 <= self.stage <= len(self.steps) + 2:
+        size = self.spec.size
+        if self.row.shape != (size,) or self.column.shape != (size,):
+            raise ValueError("the base row and column need one entry per vertex")
+        if len(self.tables) != len(self.plans) + 1:
+            raise ValueError("need one coordinate table per stage after the first")
+        if self.sources is not None and len(self.sources) != len(self.plans):
+            raise ValueError("need one source-level table per stacked stage")
+        columns = {len(table) for table in (*self.tables, *(self.sources or ()))}
+        if len(columns) != 1:
+            raise ValueError("every table needs one entry per base column")
+        if not 2 <= self.stage <= self.top:
             raise ValueError(f"stage {self.stage} not in the chain")
+
+    @property
+    def top(self) -> int:
+        """The top stage of the chain."""
+        return len(self.plans) + 2
+
+    @cached_property
+    def steps(self) -> tuple[Transition, ...]:
+        """The `Transition` of each stacked stage 3..top, in order: the
+        given `sources`, or else each inflated level composed from the
+        plans as `stack` composed it, from the base column at stage 2."""
+        tables = self.sources
+        if tables is None:
+            levels = np.arange(1, level_budget(self.spec, 2) + 1, dtype=np.int32)
+            tables = []
+            for plan in self.plans:
+                tables.append(plan.level_table[levels - 1])
+                levels = plan.height_table[tables[-1]]
+        return tuple(
+            Transition(plan, table, self.column) for plan, table in zip(self.plans, tables)
+        )
+
+    def coordinate(self, j: int) -> np.ndarray:
+        """The chain's coordinate j of every vertex by rank (int32), 1 <= j
+        <= top: the stored row at j = 1, else table j - 2 gathered through
+        the base column, plus 1, into a new row."""
+        if j == 1:
+            return self.row
+        return np.add(by_rank(self.tables[j - 2], self.column), 1, dtype=np.int32)
+
+    @property
+    def final(self) -> np.ndarray:
+        """The chain's coordinates 1..top by rank: a new top x |G| int32
+        array on each read, whose last row is the top stage's level."""
+        return np.stack([self.coordinate(j) for j in range(1, self.top + 1)])
 
     @cached_property
     def level(self) -> np.ndarray:
-        """Coordinate i of every vertex by rank (contiguous int32): row
-        i - 1 of `final` at the top stage, and below it the next plan's
-        `level_index` gathered over the next step's table, by rank."""
-        i = self.stage
-        if i == len(self.steps) + 2:
-            return self.final[i - 1]
-        after = self.steps[i - 2]
-        return after.by_rank(np.take(after.plan.level_index, after.table, mode="clip"))
+        """Coordinate i of every vertex by rank (contiguous int32): the top
+        table at the top stage, and below it `column_levels` by rank."""
+        if self.stage == self.top:
+            return self.coordinate(self.stage)
+        return by_rank(self.column_levels(), self.column)
 
     def column_levels(self) -> np.ndarray:
-        """The stage's level for each base column 1..u_2 (int32): the base
-        column itself at stage 2, and above it the height its plan's column
-        prefix table gives the step's inflated level (see `stack`)."""
-        if self.stage == 2:
-            return np.arange(1, level_budget(self.spec, 2) + 1, dtype=np.int32)
-        step = self.steps[self.stage - 3]
-        return step.plan.height_table[step.table]
+        """The stage's level for each base column (int32): the top table
+        plus 1 at the top stage, and below it the next plan's `level_index`
+        read at the next step's inflated levels."""
+        if self.stage == self.top:
+            levels = self.tables[-1].astype(np.int32)
+            levels += 1
+            return levels
+        after = self.steps[self.stage - 2]
+        return np.take(after.plan.level_index, after.table, mode="clip")
 
     @property
     def plan(self) -> BlankPlan | None:
         """The plan this stage was stacked through (None at stage 2)."""
-        return self.steps[self.stage - 3].plan if self.stage > 2 else None
+        return self.plans[self.stage - 3] if self.stage > 2 else None
 
     @property
     def source_level(self) -> np.ndarray | None:
@@ -269,14 +350,32 @@ class StageEmbedding:
 
     @cached_property
     def in_box(self) -> bool:
-        """Whether every coordinate lies in 1..its `box` value."""
-        rows = zip([*self.final[: self.stage - 1], self.level], self.box())
-        return all(row.min() >= 1 and row.max() <= cap for row, cap in rows)
+        """Whether every coordinate lies in 1..its `box` value.  The row and
+        the level are read by rank, and each settled coordinate off its
+        table: every base column holds a vertex (the grid's chains fill
+        columns 1..u_2 in order, and a chain over the identity column holds
+        every vertex)."""
+        caps = self.box()
+        ok = self.row.min() >= 1 and self.row.max() <= caps[0]
+        for table, cap in zip(self.tables[: self.stage - 2], caps[1:]):
+            ok = ok and table.min() >= 0 and table.max() <= cap - 1
+        return bool(ok and self.level.min() >= 1 and self.level.max() <= caps[-1])
 
     @cached_property
     def address(self) -> np.ndarray:
-        """The `packed_address` of each vertex's first i - 1 coordinates."""
-        return packed_address(self.spec, self.final[: self.stage - 1])
+        """The leading block coordinates of each vertex packed into one
+        int64: coordinate j fills bits e_{j-1} up to e_j - 1, so the first
+        i - 1 pack below 2^{e_{i-1}} and two vertices get the same key
+        exactly when they agree in each.  Coordinates 2..i-1 are packed once
+        per base column, then gathered by rank, and the row added."""
+        spec = self.spec
+        packed = np.zeros(len(self.tables[0]), dtype=np.int64)
+        for j, table in enumerate(self.tables[: self.stage - 2], start=2):
+            packed += table.astype(np.int64) << spec.exponents[j - 1]
+        key = by_rank(packed, self.column)
+        key += self.row
+        key -= 1
+        return key
 
     def is_injective(self) -> bool:
         """Whether no two vertices share a stage-i coordinate tuple.
@@ -290,8 +389,8 @@ class StageEmbedding:
         """
         spec, i = self.spec, self.stage
         if not self.in_box:
-            tuples = np.column_stack([*self.final[: i - 1], self.level])
-            return len(np.unique(tuples, axis=0)) == spec.size
+            rows = [*(self.coordinate(j) for j in range(1, i)), self.level]
+            return len(np.unique(np.column_stack(rows), axis=0)) == spec.size
         key = self.level.astype(np.int64)
         key -= 1
         key <<= spec.exponents[i - 1]
@@ -299,17 +398,21 @@ class StageEmbedding:
         return keys_distinct(key, level_budget(spec, i) << spec.exponents[i - 1])
 
     def stage_chain(self) -> "list[StageEmbedding]":
-        """Stages 2..stage of the chain, earliest first; each builds its
-        level row only when read."""
-        return [
-            StageEmbedding(self.spec, i, self.final, self.steps)
-            for i in range(2, self.stage + 1)
-        ]
+        """Stages 2..stage of the chain, earliest first (`view`)."""
+        return [self.view(i) for i in range(2, self.stage + 1)]
+
+    def view(self, i: int) -> "StageEmbedding":
+        """Stage i of the chain, sharing its steps; it builds its level row
+        and addresses only when read."""
+        sources = tuple(step.table for step in self.steps)
+        return StageEmbedding(
+            self.spec, i, self.row, self.column, self.tables, self.plans, sources
+        )
 
 
 def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
     """The nonblank global level of stage i's level for each base column:
-    a u_2-entry int32 table over base columns, not over vertices.
+    a table over base columns (u_2 int32 entries), not over vertices.
 
     Order-preserving, hence injective.  `build_fk`, the one caller of
     `stack`, passes stage i's own plan, whose P_i w - s(1) - ... - s(P_i) =
@@ -326,19 +429,6 @@ def keys_distinct(keys: np.ndarray, bound: int) -> bool:
     seen = np.zeros(bound, dtype=bool)
     seen[keys] = True
     return int(np.count_nonzero(seen)) == len(keys)
-
-
-def packed_address(spec: GridSpec, rows: np.ndarray) -> np.ndarray:
-    """The leading block coordinates of each vertex packed into one int64.
-
-    Row t of `rows` (0-based: coordinate t + 1 by rank, 1..2^{e_{t+1} - e_t})
-    fills bits e_t up to e_{t+1} - 1, so t rows pack below 2^{e_t} and two
-    vertices get the same key exactly when they agree in every row.
-    """
-    key = np.zeros(rows.shape[1], dtype=np.int64)
-    for t, row in enumerate(rows):
-        key += (row.astype(np.int64) - 1) << spec.exponents[t]
-    return key
 
 
 def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
@@ -360,46 +450,39 @@ def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
     The offset and the height are functions of L alone, and L of prev's
     level, which by induction is a function of the base column alone (stage
     2's level is the base column).  So both are computed once per base
-    column, on u_2 entries: L is `inflate`'s table, composed from prev's
-    `column_levels`, not read from prev's level row.  Each is then gathered
-    through the base column of every rank, `column`: stage 2's level row,
-    copied once by the first stack and shared by every later step.
+    column, on u_2 entries, and nothing is computed by rank: L is
+    `inflate`'s table, and the new stage's chain replaces prev's top table
+    by two, the offset minus 1 (the low bits of L - 1) and the height minus
+    1, each in the narrowest unsigned dtype holding it.  The chain keeps a
+    copy of the plan, whose count tables are read again when a battery or a
+    test reads them, not the tables read here.
 
-    Stacking consumes `prev`, the top stage of its chain: the 1-based
-    offset, the low bits of L - 1 plus 1, and the height are written over
-    rows i - 1 (prev's level row, which the new stage's `Transition` now
-    determines) and i of the chain's `final`, so `prev` reads offsets where
-    its levels were.  `final` starts zeroed past stage 2 and every height
-    is at least 1, so a stage whose height row is written is refused.
+    Only the top stage of a chain is stacked: a stage below it was stacked
+    already, and is refused.
     """
-    i = prev.stage
-    final = prev.final
-    if final[i, 0]:
+    i, spec = prev.stage, prev.spec
+    if i != prev.top:
         raise ValueError(f"stage {i} is already stacked")
     table = inflate(prev, plan)
-    column = prev.steps[0].column if prev.steps else final[1].copy()
-    # one intp index for both gathers, which would each cast an int32 one
-    at = column.astype(np.intp)
-    at -= 1
     offsets = table - 1
     offsets &= plan.width - 1
-    offsets += 1
-    np.take(offsets, at, out=final[i - 1])
-    np.take(plan.height_table[table], at, out=final[i])
-    step = Transition(plan, table, column)
-    return StageEmbedding(prev.spec, i + 1, final, prev.steps + (step,))
+    heights = plan.height_table[table]
+    heights -= 1
+    tables = (
+        *prev.tables[:-1],
+        offsets.astype(unsigned_dtype(spec.block_width(i))),
+        heights.astype(unsigned_dtype((level_budget(spec, i + 1) - 1).bit_length())),
+    )
+    sources = None if prev.sources is None else (*prev.sources, table)
+    plans = (*prev.plans, BlankPlan(plan.spec, plan.stage, plan.s, plan.F))
+    return StageEmbedding(spec, i + 1, prev.row, prev.column, tables, plans, sources)
 
 
-def _stage2(spec: GridSpec, base: Embedding2D) -> StageEmbedding:
-    """Stage 2 from the base map, in the first two rows of a new
-    coordinate-major chain whose other rows start zeroed."""
-    # rank p a1 + i is point p + 1 of chain i + 1
-    a1 = spec.dims[0]
-    at = (base.offsets[:-1] + np.arange(spec.size // a1)[:, None]).ravel()
-    final = np.zeros((spec.k, spec.size), dtype=np.int32)
-    final[0] = base.rows[at]
-    final[1] = base.cols[at]
-    return StageEmbedding(spec, 2, final)
+def _stage2(spec: GridSpec, base: BaseMap) -> StageEmbedding:
+    """Stage 2 of a new chain from the base map: its row and column by rank,
+    and the base column as the level (table entry c - 1 at column c)."""
+    levels = np.arange(base.m, dtype=unsigned_dtype((base.m - 1).bit_length()))
+    return StageEmbedding(spec, 2, base.row, base.column, (levels,))
 
 
 def build_fk(

@@ -58,7 +58,7 @@ from gridcube.base2d import build_R
 from gridcube.checks import CheckResult, _check, _report
 from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, RoundingSpec
-from gridcube.stages import BlankPlan, StageEmbedding, packed_address
+from gridcube.stages import BlankPlan, StageEmbedding
 
 
 def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,6 +139,19 @@ def stage_coords(emb: StageEmbedding) -> np.ndarray:
     its level row, read rank-major."""
     rows = [*emb.final[: emb.stage - 1], emb.level]
     return np.column_stack(rows).astype(np.int64)
+
+
+def packed_address(spec: GridSpec, rows: np.ndarray) -> np.ndarray:
+    """The leading block coordinates of each vertex packed into one int64.
+
+    Row t of `rows` (0-based: coordinate t + 1 by rank, 1..2^{e_{t+1} - e_t})
+    fills bits e_t up to e_{t+1} - 1, so t rows pack below 2^{e_t} and two
+    vertices get the same key exactly when they agree in every row.
+    """
+    key = np.zeros(rows.shape[1], dtype=np.int64)
+    for t, row in enumerate(rows):
+        key += (row.astype(np.int64) - 1) << spec.exponents[t]
+    return key
 
 
 def _vertex_pages(spec: GridSpec, i: int) -> np.ndarray:
@@ -974,7 +987,7 @@ def per_vertex_chain(
     (row, column) of each rank; each step inflates every vertex's level
     through the plan's nonblank levels, writes the level's offset over it
     and reads its stack height from the plan's column prefix table."""
-    base = base2d.build_f2(spec)
+    base = base2d.fill_columns(spec.dims[0], level_budget(spec, 2))
     # rank p a_1 + i is point p + 1 of chain i + 1
     at = (base.offsets[:-1] + np.arange(spec.size // spec.dims[0])[:, None]).ravel()
     final = np.zeros((spec.k, spec.size), dtype=np.int32)
@@ -986,6 +999,25 @@ def per_vertex_chain(
         final[i] = plan.height_table[source]
         chain.append((source, final[i].copy()))
     return final, chain
+
+
+def per_vertex(
+    emb: StageEmbedding, final: np.ndarray | None = None, sources=None
+) -> StageEmbedding:
+    """The chain of `emb`, as its top stage, written over the identity
+    column 1..|G|, so that each table holds one entry per vertex: a chain
+    that can hold any coordinates.  Its coordinates are the rows of `final`
+    (by rank, coordinate 1 first and the top level last; `emb.final` when
+    None), its plans are emb's, and each stacked stage's source levels are
+    `sources`, or emb's own, by rank."""
+    spec = emb.spec
+    final = emb.final if final is None else final
+    if sources is None:
+        sources = tuple(step.source_level for step in emb.steps)
+    column = np.arange(1, spec.size + 1, dtype=np.int32)
+    tables = tuple(row.astype(np.int64) - 1 for row in final[1:])
+    row = np.ascontiguousarray(final[0], dtype=np.int32)
+    return StageEmbedding(spec, emb.top, row, column, tables, emb.plans, tuple(sources))
 
 
 def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:

@@ -107,14 +107,34 @@ def test_build_f2_matches_literal_loop(battery_grids):
     stage_maps = [*battery_grids.values(), build_fk(GridSpec((3, 7, 4, 3)))]
     for fk in stage_maps:
         st2, spec = fk.stage_chain()[0], fk.spec
-        emb = build_f2(spec)
-        chains, columns = oracles.fill_columns(spec.dims[0], emb.m)
-        assert layout(emb) == (chains, columns), spec.dims
-        # the stage-2 map gathers rank r from point r // a1 + 1 of chain
-        # r mod a1 + 1
+        base = build_f2(spec)
         a1 = spec.dims[0]
+        chains, columns = oracles.fill_columns(a1, base.m)
+        assert layout(fill_columns(a1, base.m)) == (chains, columns), spec.dims
+        # rank r is point r // a1 + 1 of chain r mod a1 + 1, in the base map
+        # written by rank and in the stage-2 map
         want = [chains[r % a1][r // a1] for r in range(spec.size)]
+        assert list(zip(base.row.tolist(), base.column.tolist())) == want, spec.dims
         assert list(map(tuple, oracles.stage_coords(st2).tolist())) == want, spec.dims
+
+
+def test_column_ranges_equal_the_whole_box():
+    """The box over columns start + 1..m is the whole box's points in those
+    columns, in the same chain order, with its prefix counts and cell
+    owners; each chain's first point in it follows N_{i,start} points."""
+    for a1 in (2, 3, 5, 7, 8, 33, 100):
+        for m in (1, 2, 9, 40):
+            whole = fill_columns(a1, m)
+            chain = np.repeat(np.arange(a1), np.diff(whole.offsets))
+            for start in range(m):
+                part = fill_columns(a1, m, start)
+                kept = whole.cols > start
+                assert np.array_equal(part.rows, whole.rows[kept]), (a1, m, start)
+                assert np.array_equal(part.cols, whole.cols[kept]), (a1, m, start)
+                assert np.array_equal(np.diff(part.offsets), np.bincount(chain[kept], minlength=a1))
+                assert np.array_equal(part.before, whole.prefix_counts[:, start])
+                assert np.array_equal(part.prefix_counts, whole.prefix_counts[:, start:])
+                assert np.array_equal(part.column_inverse(), whole.column_inverse()[start:])
 
 
 def test_prefix_counts_match_closed_form():
@@ -187,7 +207,13 @@ def test_proved_base_map_facts_hold_on_every_benchmark_box():
 @given(family_grids())
 def test_build_f2_fills_columns_and_holds_pages_over_random_grids(dims):
     spec = GridSpec(dims)
-    assert_columns_full_and_chains_long(build_f2(spec), spec.page_count(1))
+    base = build_f2(spec)
+    box = fill_columns(spec.dims[0], base.m)
+    assert_columns_full_and_chains_long(box, spec.page_count(1))
+    # the base map by rank holds each chain's first P_1 points of the box
+    place = np.arange(spec.size) // spec.dims[0]
+    at = box.offsets[np.arange(spec.size) % spec.dims[0]] + place
+    assert np.array_equal(base.row, box.rows[at]) and np.array_equal(base.column, box.cols[at])
 
 
 def assert_rows_are_staircases(a1):
@@ -277,10 +303,11 @@ def test_double_contribution_parity():
 
 
 def image(emb, spec, coords):
-    """The base map of a grid vertex: its chain fold, then the chain's point."""
+    """The base map of a grid vertex: its chain fold, then the chain's
+    point, read at its rank (point p of chain i is rank (p - 1) a_1 + i - 1)."""
     i, p = oracles.kappa(spec, coords)
-    t = emb.offsets[i - 1] + p - 1
-    return int(emb.rows[t]), int(emb.cols[t])
+    rank = (p - 1) * spec.dims[0] + i - 1
+    return int(emb.row[rank]), int(emb.column[rank])
 
 
 def test_build_f2_golden_vertex():

@@ -39,9 +39,9 @@ from gridcube.caterpillars import (
     label_from_caterpillar,
     verify_window,
 )
-from gridcube.grids import GridSpec
+from gridcube.grids import GridSpec, unsigned_dtype
 from gridcube.rounding import BinaryMatrix, parse_matrices
-from gridcube.stages import BlankPlan, StageEmbedding, build_fk
+from gridcube.stages import BlankPlan, build_fk
 
 DATA = Path(__file__).parent / "data"
 TRACING = load_tracing()
@@ -223,8 +223,9 @@ def test_pipeline_battery_two_dimensional_grid():
 
 def test_pipeline_battery_detects_corruption():
     fk = build_fk(GridSpec((5, 5, 5)))
-    fk.final[:, 0] = fk.final[:, 1]
-    results = pipeline_battery(fk)
+    final = fk.final
+    final[:, 0] = final[:, 1]
+    results = pipeline_battery(oracles.per_vertex(fk, final))
     bad = failed(results)
     assert any(c.name == "pipeline.stage3.injective" for c in bad)
 
@@ -238,7 +239,7 @@ def test_pipeline_battery_fails_a_broken_budget_identity():
     swapped = BlankPlan(plan.spec, plan.stage, plan.s, BinaryMatrix(rows))
     [step] = fk.steps
     results = pipeline_battery(
-        dataclasses.replace(fk, steps=(dataclasses.replace(step, plan=swapped),))
+        dataclasses.replace(fk, plans=(swapped,), sources=(step.table,))
     )
     assert [c.name for c in results] == [c.name for c in pipeline_battery(fk)]
     status = {c.name: c.status for c in results}
@@ -255,38 +256,29 @@ def test_pipeline_battery_matches_oracle(battery_grids):
         assert triples(pipeline_battery(fk)) == triples(oracles.pipeline_battery(fk))
 
 
-def per_vertex(step, level):
-    """The transition `step` with its source levels replaced by `level`, one
-    per vertex: a table over the identity column 1..|G|."""
-    column = np.arange(1, len(level) + 1, dtype=np.int32)
-    return dataclasses.replace(step, table=level, column=column)
-
-
 def with_source(stage, level):
     """The chain of a stacked stage with that stage's source levels
-    replaced by `level`, as its top stage."""
-    steps = list(stage.steps)
-    j = stage.stage
-    steps[j - 3] = per_vertex(steps[j - 3], level)
-    return dataclasses.replace(stage, stage=len(steps) + 2, steps=tuple(steps))
+    replaced by `level`, as its top stage, over the identity column."""
+    sources = [step.source_level for step in stage.steps]
+    sources[stage.stage - 3] = level
+    return oracles.per_vertex(stage, sources=sources)
 
 
 def with_coords(stage, coords):
     """The chain of a stage with that stage's coordinates replaced by
-    `coords`, as its top stage: the first j - 1 columns go into rows of the
-    shared coordinate-major `final` array (so later stages see them too),
-    and the last into `final` at the top stage and otherwise, through the
-    next plan's level table, into the next stage's source levels."""
+    `coords`, as its top stage, over the identity column: the first j - 1
+    columns are the chain's coordinates (so later stages see them too), and
+    the last is its top coordinate at the top stage and otherwise, through
+    the next plan's level table, the next stage's source levels."""
     j = stage.stage
-    final = stage.final.copy()
+    final = stage.final
     final[: j - 1] = coords[:, : j - 1].T
-    top = dataclasses.replace(stage, stage=len(stage.steps) + 2, final=final)
-    if j == top.stage:
+    sources = [step.source_level for step in stage.steps]
+    if j == stage.top:
         final[j - 1] = coords[:, j - 1]
-        return top
-    table = stage.steps[j - 2].plan.level_table
-    after = dataclasses.replace(top, stage=j + 1)
-    return with_source(after, table[coords[:, j - 1] - 1])
+    else:
+        sources[j - 2] = stage.steps[j - 2].plan.level_table[coords[:, j - 1] - 1]
+    return oracles.per_vertex(stage, final, sources)
 
 
 def stage_mutants(stage):
@@ -508,7 +500,7 @@ def test_coordinate_diffs_at_the_dtype_boundaries(dims, widths):
     coords = np.stack([rng.integers(1, (1 << t) + 1, spec.size) for t in widths])
     coords[:, 0] = [1 << t for t in widths]
     coords[:, 1] = 1
-    chain = dataclasses.replace(fk, final=coords.astype(np.int32))
+    chain = oracles.per_vertex(fk, coords)
     assert oracles.stage_coords(chain).max(axis=0).tolist() == [1 << t for t in widths]
     assert coordinate_diffs(chain).cyclic == oracles.coordinate_diffs(chain)
 
@@ -519,7 +511,7 @@ def test_cyclic_distance_is_exact_on_every_pair(t):
     the rotated difference lies the cyclic difference away from 2^{t-1}."""
     a, b = np.meshgrid(np.arange(1, (1 << t) + 1), np.arange(1, (1 << t) + 1))
     want = np.minimum(np.abs(a - b), (1 << t) - np.abs(a - b))
-    for dtype in (checks_module._unsigned(t), np.uint32):
+    for dtype in (unsigned_dtype(t), np.uint32):
         d = b.astype(dtype) - a.astype(dtype)
         s = checks_module._rotate(d, dtype((1 << t) - 1)).astype(np.int64)
         assert np.array_equal(np.abs(s - (1 << (t - 1))), want)
@@ -827,7 +819,7 @@ def test_pipeline_battery_memory_is_bounded_per_vertex(dims):
 def stage_setup(stage):
     """Stage `stage.stage` of its chain built afresh, with its box test,
     packed addresses and injectivity read."""
-    st = StageEmbedding(stage.spec, stage.stage, stage.final, stage.steps)
+    st = dataclasses.replace(stage)
     return st.in_box, st.address, st.is_injective()
 
 
@@ -1089,9 +1081,9 @@ def test_label_mask_agrees_with_distinct_rows(battery_grids):
 def test_audit_grid_reports_a_colliding_stage_map(monkeypatch):
     spec = GridSpec((5, 5, 6))
     fk = build_fk(spec)
-    final = fk.final.copy()
+    final = fk.final
     final[:, 1] = final[:, 0]
-    mutant = dataclasses.replace(fk, final=final)
+    mutant = oracles.per_vertex(fk, final)
     monkeypatch.setattr(checks_module, "build_fk", lambda spec, seed_matrices: mutant)
     checks, emb, _ = audit_grid(spec)
     status = {c.name: c.status for c in checks}

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 from __future__ import annotations
 
-import dataclasses
 import io
 import os
 import resource
@@ -10,10 +9,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import oracles
 import pytest
 
-from gridcube.checks import assemble_Hk, dump_embedding
-from gridcube.cli import WRITE_SLICE, main
+from gridcube.checks import assemble_Hk, dump_embedding, embedding_blocks
+from gridcube.cli import main
 from gridcube.grids import GridSpec
 from gridcube.rounding import parse_matrices
 from gridcube.stages import build_fk
@@ -21,11 +21,18 @@ from gridcube.stages import build_fk
 DATA = Path(__file__).parent / "data"
 
 
+def console():
+    """A text stream over a bytes buffer, as a console's stdout is: text
+    goes through it, bytes straight to its `buffer`."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+
+
 def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
+    out, err = console(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode(), err.getvalue()
 
 
 def test_embed_three_dim_example():
@@ -63,28 +70,30 @@ def test_embed_to_file_then_audit_round_trip(tmp_path):
     assert "file.dilation: REPORTED" in out
 
 
-class Recorder(io.StringIO):
-    """A text sink that records the length of every write."""
+class Recorder(io.BytesIO):
+    """A byte sink that records the length of every write."""
 
     def __init__(self):
         super().__init__()
         self.sizes = []
 
-    def write(self, s):
-        self.sizes.append(len(s))
-        return super().write(s)
+    def write(self, b):
+        self.sizes.append(len(b))
+        return super().write(b)
 
 
 def test_embed_writes_the_text_in_slices_to_either_sink(tmp_path):
-    # 40^3 renders 1.6 MB of text, more than one slice: stdout takes it one
-    # slice at a time, and both sinks hold exactly the dumped text
-    text = dump_embedding(assemble_Hk(build_fk(GridSpec((40, 40, 40)))))
-    assert len(text) > WRITE_SLICE
-    out, err = Recorder(), io.StringIO()
+    # 40^3 renders 1.6 MB of text: stdout takes it as the header and then
+    # one block of lines at a time, as the file's blocks are rendered,
+    # never the joined text, and both sinks hold exactly the dumped text
+    emb = assemble_Hk(build_fk(GridSpec((40, 40, 40))))
+    text = dump_embedding(emb)
+    out, err = io.TextIOWrapper(Recorder(), encoding="utf-8"), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         assert main(["embed", "40", "40", "40"]) == 0
-    assert out.getvalue() == text
-    assert out.sizes == [WRITE_SLICE, len(text) - WRITE_SLICE]
+    assert out.buffer.getvalue() == text.encode()
+    sizes = [len(block) for block in embedding_blocks(emb)]
+    assert out.buffer.sizes == sizes and len(sizes) == 3
     assert "dilation:" in err.getvalue()
     target = tmp_path / "emb.txt"
     code, out, _ = run_cli(["embed", "40", "40", "40", "--out", str(target)])
@@ -452,9 +461,9 @@ def test_internal_errors_exit_three(monkeypatch):
 def test_embed_of_colliding_labels_exits_three(monkeypatch):
     def colliding(spec, seed_matrices=None):
         fk = build_fk(spec)
-        final = fk.final.copy()
+        final = fk.final
         final[:, 1] = final[:, 0]
-        return dataclasses.replace(fk, final=final)
+        return oracles.per_vertex(fk, final)
 
     monkeypatch.setattr("gridcube.cli.build_fk", colliding)
     code, out, err = run_cli(["embed", "5", "5", "6"])

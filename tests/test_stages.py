@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +22,19 @@ from oracles import (
     stack_heights,
 )
 from test_base2d import benchmark_grids
-from test_checks import family_grids, per_vertex, traced_peak
+from test_checks import family_grids, traced_peak
 from test_rounding import stage_rounding_specs
 
-from gridcube.base2d import build_f2
-from gridcube.checks import assemble_Hk, audit_grid, failed
-from gridcube.grids import GridSpec, level_budget
+from gridcube.base2d import fill_columns
+from gridcube.checks import assemble_Hk, audit_grid, dilation, failed
+from gridcube.grids import GridSpec, level_budget, unsigned_dtype
 from gridcube.rounding import BinaryMatrix, parse_matrices
 from gridcube.stages import (
     StageEmbedding,
     budget_break,
     build_blank_plan,
     build_fk,
+    by_rank,
     dump_stage,
     inflate,
     s_sequence,
@@ -206,6 +208,40 @@ def test_plan_tables_match_per_row_oracle(battery_grids, emb_3743):
         assert_plan_tables_match_oracle(plan)
 
 
+def test_plan_count_tables_are_int32_and_equal_the_wide_form():
+    """Each count table is one int32 array, cumulated and masked in place
+    and read off the matrix anew on each read: on every stage plan of the
+    benchmark grids it equals the int64 form the tables had when a plan
+    stored them.  Reading one table of 3^12's stage-2 plan peaks within 7 B
+    per slot (5.2 for a count table, its int32 table and the int8 nonblank
+    mask; 6.8 for the level table, whose nonzero scan is intp), and the
+    plan a chain holds has read none (building the three at once, the
+    ordinals in int64, peaked at 29.0 B per slot and kept 14.3)."""
+    plans = 0
+    for dims in benchmark_grids():
+        spec = GridSpec(dims)
+        for i in range(2, spec.k):
+            plan = build_blank_plan(spec, i)
+            nonblank = 1 - plan.F.bits.astype(np.int64)
+            wide = []
+            for axis, table in ((1, plan.ordinal_table), (0, plan.height_table)):
+                wide.append(np.zeros(nonblank.size + 1, dtype=np.int64))
+                wide[-1][1:] = (nonblank.cumsum(axis=axis) * nonblank).ravel()
+                assert table.dtype == np.int32 and np.array_equal(table, wide[-1])
+            levels = plan.level_table
+            assert levels.dtype == np.int32
+            assert np.array_equal(levels, np.flatnonzero(wide[0])), (dims, i)
+            plans += 1
+    assert plans == 1054
+    plan = build_blank_plan(GridSpec((3,) * 12), 2)
+    slots = plan.F.bits.size
+    for name in ("ordinal_table", "height_table", "level_table"):
+        _, peak, held = traced_held(getattr, plan, name)
+        assert peak <= 7 * slots and held <= 4 * slots + 1024, (name, peak / slots)
+    for plan in build_fk(GridSpec((3,) * 12)).plans:
+        assert vars(plan).keys() == {"spec", "stage", "s", "F"}
+
+
 def assert_plan_holds_the_level_budget(plan):
     # `inflate` reads each stage-i level, 1..u_i, through the plan's level
     # table unguarded: the table must hold exactly u_i levels
@@ -262,7 +298,7 @@ def test_stage2_matches_base_embedding():
     coords = oracles.stage_coords(emb)
     assert coords[0].tolist() == [1, 1]
     # vertex (2, 4) is point 4 of chain 2 in the base map
-    base = build_f2(spec)
+    base = fill_columns(5, level_budget(spec, 2))
     t = base.offsets[1] + 3
     assert coords[rank_of(spec, (2, 4))].tolist() == [base.rows[t], base.cols[t]]
 
@@ -346,77 +382,137 @@ def test_pipeline_injective_and_bounded():
         assert heights.max() <= level_budget(spec, spec.k)
 
 
+def traced_held(f, *args):
+    """f(*args), its tracemalloc peak above what was allocated before it,
+    and what is still allocated after it, held by its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        return out, peak - base, held - base
+    finally:
+        tracemalloc.stop()
+
+
+def stored_bytes(fk) -> int:
+    """What a chain stores: the base row and column, the coordinate tables
+    and the designation matrices."""
+    arrays = [fk.row, fk.column, *fk.tables, *(plan.F.bits for plan in fk.plans)]
+    return sum(a.nbytes for a in arrays)
+
+
 @pytest.mark.parametrize("dims", [(3,) * 9, (7, 11, 13, 97)])
 def test_build_fk_memory_is_bounded_by_the_final_map(dims):
-    """The chain is stored once: the final k x |G| int32 map, one int32
-    base column by rank shared by every stacked stage, and one u_2-entry
-    int32 source-level table per stacked stage.  With the rounding and
-    stacking temporaries the tracemalloc peak of build_fk stays within 8 x
-    |G| k 4 bytes (2.1 and 2.4 x here, 2.5 x with a |G|-entry source-level
-    row per stage; 12.5 and 14.1 x when every stage kept its own array and
-    the rounding built a flow network)."""
+    """The chain is stored by base column: the base map's int32 row and
+    column of each rank, one u_2-entry table per coordinate 2..k in its
+    block's narrowest unsigned dtype, and each stage's designation matrix,
+    with nothing derived kept (no composed steps, no plan's count tables).
+    What build_fk leaves allocated is those arrays and the plans'
+    per-section tuples, within 24 B per section (14.2 and 8.9 B per vertex
+    here, against 59.3 and 24.6 with the k x |G| int32 chain stored).  With
+    the rounding temporaries its tracemalloc peak stays within 8 x |G| k 4
+    bytes (1.1 and 1.7 x here, 2.1 and 2.4 x with the chain stored)."""
     spec = GridSpec(dims)
-    fk, peak = traced_peak(build_fk, spec)
-    column = fk.steps[0].column
-    assert all(step.column is column for step in fk.steps)
-    stored = fk.final.nbytes + column.nbytes + sum(step.table.nbytes for step in fk.steps)
+    fk, peak, held = traced_held(build_fk, spec)
     u2 = level_budget(spec, 2)
-    assert stored == 4 * (spec.size * (spec.k + 1) + (spec.k - 2) * u2)
+    for j, table in enumerate(fk.tables, start=2):
+        assert table.shape == (u2,) and table.dtype == unsigned_dtype(spec.block_width(j))
+    assert "steps" not in vars(fk)
+    assert all(vars(plan).keys() == {"spec", "stage", "s", "F"} for plan in fk.plans)
+    sections = sum(plan.pages for plan in fk.plans)
+    assert stored_bytes(fk) <= held <= stored_bytes(fk) + 24 * sections + (64 << 10)
     assert peak <= 8 * spec.size * spec.k * 4, peak / (spec.size * spec.k * 4)
 
 
 def test_embed_holds_each_vertex_array_once():
-    """An embedded 3^12 holds its k x |G| int32 chain (48 B per vertex),
-    one int32 base column (4 B), ten u_2-entry tables (10 B, as u_2 =
-    |G| / 4) and its uint32 labels (4 B): 66 B per vertex in all, within
-    70 (96 B with a |G|-entry source-level row per stage and int64
-    labels)."""
+    """An embedded 3^12 holds its int32 base row and column (8 B per
+    vertex), uint32 labels (4 B), eleven uint8 coordinate tables of u_2 =
+    |G| / 4 entries (2.7 B), ten designation matrices (0.7 B) and the
+    plans' per-section tuples (2.7 B): 18.1 B per vertex in all, within
+    20 (66 B with the k x |G| int32 chain stored, 96 B with a |G|-entry
+    source-level row per stage and int64 labels)."""
     spec = GridSpec((3,) * 12)
-    fk = build_fk(spec)
-    emb = assemble_Hk(fk)
-    steps = [array for step in fk.steps for array in (step.table, step.column)]
-    arrays = {id(a): a for a in [fk.final, emb.labels, *steps]}
-    held = sum(a.nbytes for a in arrays.values())
-    assert held <= 70 * spec.size, held / spec.size
+
+    def embed(spec):
+        return assemble_Hk(build_fk(spec))
+
+    emb, _, held = traced_held(embed, spec)
+    assert held >= stored_bytes(emb.fk) + emb.labels.nbytes
+    assert held <= 20 * spec.size, held / spec.size
+
+
+@pytest.mark.parametrize("dims", [(3,) * 12, (100, 100, 100)])
+def test_embed_builds_no_vertex_index(dims):
+    """No pass of an embed builds a |G|-entry intp or int64 array: the base
+    map is written by rank in column blocks, and every table is read by
+    rank a block at a time.  So build_fk peaks within 25 and 15 B per
+    vertex (23.7 and 13.1 here: the base row and column and the rounding's
+    scratch), assemble_Hk within 7 B above the stored chain (5.8 and 4.4:
+    the labels, one narrow coordinate row and its differences) and dilation
+    within 2 B above the labeled embedding (0.6 and 0.3: one block); an
+    index of 8 B per vertex would break each bound."""
+    spec = GridSpec(dims)
+    fk, build, _ = traced_held(build_fk, spec)
+    emb, assemble, _ = traced_held(assemble_Hk, fk)
+    _, scan, _ = traced_held(dilation, emb)
+    bounds = (25, 7, 2) if spec.k == 12 else (15, 7, 2)
+    got = tuple(round(x / spec.size, 2) for x in (build, assemble, scan))
+    assert all(x <= bound for x, bound in zip(got, bounds)), got
 
 
 def test_chain_is_stored_coordinate_major(battery_grids):
-    """`final` is a C-contiguous k x |G| int32 array, so every settled
-    coordinate is a contiguous row of it; each stage's level row is
-    contiguous too, and at the top stage it is the last row of `final`.  A
-    chain in any other layout is refused."""
+    """The chain is stored by base column: the base row and column are
+    read-only |G|-entry int32 rows, and coordinate j >= 2 is a u_2-entry
+    table in its block's narrowest unsigned dtype, read by rank into a
+    contiguous int32 row; each stage's level row is contiguous int32, and at
+    the top stage it is coordinate k.  A chain whose rows, tables or source
+    levels do not fit, or whose tables do not all have one entry per base
+    column, is refused."""
     fks = [*battery_grids.values(), build_fk(GridSpec((7, 11, 13, 97)))]
     for fk in fks:
         spec = fk.spec
-        assert fk.final.shape == (spec.k, spec.size)
-        assert fk.final.dtype == np.int32 and fk.final.flags.c_contiguous
-        assert np.shares_memory(fk.level, fk.final[spec.k - 1])
+        for arr in (fk.row, fk.column):
+            assert arr.shape == (spec.size,) and arr.dtype == np.int32
+            assert not arr.flags.writeable
+        assert len(fk.tables) == spec.k - 1
+        for j, table in enumerate(fk.tables, start=2):
+            assert table.shape == (level_budget(spec, 2),)
+            assert table.dtype == unsigned_dtype(spec.block_width(j))
+        assert np.array_equal(fk.level, fk.coordinate(spec.k))
         for st in fk.stage_chain():
             assert st.level.flags.c_contiguous and st.level.dtype == np.int32
     fk = build_fk(GridSpec((5, 6, 7)))
-    for final in (np.asfortranarray(fk.final), fk.final.T.copy()):
+    for bad in [
+        {"row": fk.row[:-1]},
+        {"column": fk.column.reshape(1, -1)},
+        {"tables": fk.tables[:-1]},
+        {"tables": (fk.tables[0][:-1], fk.tables[1])},
+        {"sources": ()},
+        {"sources": (fk.steps[0].table[:-1],)},
+        {"stage": 4},
+    ]:
         with pytest.raises(ValueError):
-            dataclasses.replace(fk, final=final)
+            dataclasses.replace(fk, **bad)
 
 
 def test_stack_refuses_a_stage_already_stacked():
-    # stacking writes into the chain's shared final array, so a stage below
-    # the top cannot be stacked again; the chain is left as it was
+    # only the top stage of a chain is stacked: a stage below it is
+    # refused, and the chain keeps its tables
     fk = build_fk(GridSpec((5, 5, 6)))
-    final = fk.final.copy()
+    tables = fk.tables
     with pytest.raises(ValueError, match="stage 2 is already stacked"):
         stack(fk.stage_chain()[0], fk.plan)
-    assert np.array_equal(fk.final, final)
+    assert fk.tables is tables and stack(unstacked(fk), fk.plan).stage == 3
 
 
 def unstacked(st):
     """What `stack` took to make stacked stage st: stage st.stage - 1 as the
-    top of a new chain (its later columns zeroed)."""
+    top of a new chain, its level by base column as the top table."""
     prev = st.stage_chain()[-2]
     i = prev.stage
-    final = np.zeros_like(st.final)
-    final[:i] = oracles.stage_coords(prev).T
-    return StageEmbedding(st.spec, i, final, st.steps[: i - 2])
+    tables = (*st.tables[: i - 2], prev.column_levels() - 1)
+    return StageEmbedding(st.spec, i, st.row, st.column, tables, st.plans[: i - 2])
 
 
 def assert_stacked_as_sorted(fk):
@@ -500,10 +596,11 @@ def test_sorted_heights_refuses_two_points_of_one_section_at_one_key():
     "dims", [(3,) * 10, (7, 11, 13, 97), (64, 64, 64), (5, 5, 4000)]
 )
 def test_stack_memory_is_bounded_per_vertex(dims):
-    """One stacking step holds its int32 source levels and the index
-    arrays of two gathers from the plan's tables: its tracemalloc peak
-    stays within 24 B per vertex (16 B here; 28-35 B when heights came from
-    a per-vertex (address x section) count table, 57-62 B from a lexsort)."""
+    """One stacking step works on tables over base columns and the plan's
+    count tables, never by rank: its tracemalloc peak stays within 24 B per
+    vertex (0.3-4.2 B here; 16 B when it gathered the offsets and heights
+    by rank, 28-35 B when heights came from a per-vertex (address x
+    section) count table, 57-62 B from a lexsort)."""
     fk = build_fk(GridSpec(dims))
     for st in fk.stage_chain()[1:]:
         prev = unstacked(st)
@@ -530,9 +627,9 @@ def test_is_injective_matches_unique(battery_grids):
             expected = len(np.unique(oracles.stage_coords(st), axis=0)) == st.spec.size
             assert st.in_box and st.is_injective() == expected
     st = build_fk(GridSpec((5, 6, 7)))
-    final = st.final.copy()
+    final = st.final
     final[:, 3] = final[:, 40]
-    assert not dataclasses.replace(st, final=final).is_injective()
+    assert not oracles.per_vertex(st, final).is_injective()
     # a coordinate of 0, one above its block width and a level above u_i,
     # with and without a second vertex on the same tuple: out of the box a
     # key can alias another, so these chains sort their rows instead
@@ -542,11 +639,11 @@ def test_is_injective_matches_unique(battery_grids):
         box = fk.box()
         for row, value in [(0, 0), (1, box[1] + 1), (top, box[top] + 1)]:
             for collide in (False, True):
-                final = fk.final.copy()
+                final = fk.final
                 final[row, 3] = value
                 if collide:
                     final[:, 40] = final[:, 3]
-                st = dataclasses.replace(fk, final=final)
+                st = oracles.per_vertex(fk, final)
                 assert not st.in_box
                 coords = oracles.stage_coords(st)
                 expected = len(np.unique(coords, axis=0)) == st.spec.size
@@ -575,11 +672,9 @@ def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
         blank = np.flatnonzero(plan.F.bits.ravel()) + 1
         assert len(blank)
         odd = [0, -1, top, top + 1, top + 2, 2**31 - 1, -(2**31), *blank[:8]]
-        source = after.source_level.copy()
-        source[: len(odd)] = odd
-        steps = list(fk.steps)
-        steps[i - 2] = per_vertex(after, source)
-        st = StageEmbedding(fk.spec, i, fk.final, tuple(steps))
+        sources = [step.source_level for step in fk.steps]
+        sources[i - 2][: len(odd)] = odd
+        st = dataclasses.replace(oracles.per_vertex(fk, sources=sources), stage=i)
         assert np.array_equal(st.level, searchsorted_levels(st)), i
     assert not plan.level_index.flags.writeable
     assert plan.level_index.dtype == np.int32
@@ -629,7 +724,7 @@ def test_stage_chain_and_sources(emb_3743):
 def test_inflate_preserves_order_and_injectivity(emb_3743):
     emb3 = emb_3743.stage_chain()[1]
     plan = emb_3743.plan
-    levels = emb_3743.steps[-1].by_rank(inflate(emb3, plan))
+    levels = by_rank(inflate(emb3, plan), emb3.column)
     coords = oracles.stage_coords(emb3)
     assert len(np.unique(np.column_stack([coords[:, :2], levels]), axis=0)) \
         == emb3.spec.size
