@@ -1,15 +1,16 @@
 """The base map: circulant column counts and the column-filling embedding.
 
 Chains of the grid (rows of the folded two-dimensional layout) are poured
-into columns of the box {1..2^{e_1}} x {1..m}, where e_1 is the least
-exponent with a_1 <= 2^{e_1}: `fill_columns(a1, m)` derives it from a1.  A
-circulant 0/1 matrix decides which chains contribute two points to which
-columns, spreading the surplus 2^{e_1} - a_1 evenly.  The layout of any
-range of columns is built in integers, as flat int arrays straight from the
-circulant and the closed-form chain prefix counts; a grid's base map is
-written by rank from ranges of its box.  The literal stateful filling loop
-and the Fraction form of the prefix counts live in the tests
-(`tests/oracles.py`) as the references the built layout must equal.
+into columns of the box {1..2^{e_1}} x {1..m}, e_1 the least exponent with
+a_1 <= 2^{e_1}.  A circulant 0/1 matrix decides which chains contribute
+two points to which columns, spreading the surplus 2^{e_1} - a_1 evenly.
+The chains' prefix counts (`chain_prefix`) and the map have closed forms:
+`place` puts point q of chain i in the least column with N_ic >= q, one of
+three candidates, above the cells of chains 1..i-1 there (a telescoped
+count), and a row higher at the upper point of a double cell.  It places
+a grid's base map (`build_f2`) and a whole box (`fill_columns`).  The
+literal stateful filling loop and the Fraction form of the prefix counts
+live in `tests/oracles.py` as the references they must equal.
 """
 from __future__ import annotations
 
@@ -19,6 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from .grids import RANK_BLOCK, GridSpec, level_budget
+
+# points per `place` call: it keeps about ten int64 temporaries per point,
+# so a quarter of RANK_BLOCK keeps its scratch below a megabyte
+PLACE_BLOCK = RANK_BLOCK >> 2
 
 
 @dataclass(frozen=True)
@@ -60,16 +65,47 @@ def chain_prefix(R: CirculantR, j: int) -> np.ndarray:
     return j + p * i // R.a1 - p * (i - j) // R.a1
 
 
+def place(R: CirculantR, chain: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the column of point q of chain i in the filled box, for
+    int64 arrays `chain` (i in 1..a1) and `point` (q >= 1): two int64
+    arrays, in closed form.
+
+    With F(x) = floor(p x / a1) and p = 2^{e1} - a1, chain i holds N_ij =
+    j + F(i) - F(i - j) points in columns 1..j (`chain_prefix`), so point q
+    lies in the least column c with N_ic >= q.  F(i) - F(i - j) is
+    floor(p j / a1) or one more, so N_ij is L(j) = floor(2^{e1} j / a1) or
+    L(j) + 1.  With b = floor((q - 1) a1 / 2^{e1}) + 1 and a1 <= 2^{e1},
+    L(b - 2) <= q - 2 and L(b + 1) >= q, so c is b - 1, b or b + 1: b - 1
+    plus one for each of N_{i,b-1} and N_{i,b} below q (N_i0 = 0).
+
+    Chains fill a column bottom-up in chain order, chain i' taking
+    1 + F(i' - c + 1) - F(i' - c) cells of column c, so chains 1..i-1 fill
+    (i - 1) + F(i - c) - F(1 - c) cells below chain i.  Its cell is double
+    when F(i - c + 1) - F(i - c) = 1, and then its upper point is the
+    second (q - N_{i,c-1} = 2) in an odd column and the first in an even
+    one: exactly when q - N_{i,c-1} + c = q + 1 - F(i) + F(i - c + 1) is
+    odd.  Each product is p or a1 times a chain, column or point, so int64
+    holds them for a grid's box: |G| <= 2^31 (`GridSpec`), so a1 <= 2^30,
+    and the box has 2^{e1} m < |G| + 2^{e1} <= 2^32 points.
+    """
+    a1, p = R.a1, (1 << R.e1) - R.a1
+    lead = p * chain // a1  # F(i)
+    col = (point - 1) * a1 >> R.e1  # b - 1
+    col += col + lead - p * (chain - col) // a1 < point
+    col += col + lead - p * (chain - col) // a1 < point
+    below = p * (chain - col) // a1
+    after = p * (chain - col + 1) // a1
+    upper = (point + 1 - lead + after) & (after - below) & 1
+    return chain + below - p * (1 - col) // a1 + upper, col
+
+
 @dataclass(frozen=True, eq=False)
 class Embedding2D:
-    """The filled box over columns start + 1..m: chains 1..a1 poured into
-    columns of height 2^{e1}.
+    """The filled box: chains 1..a1 poured into m columns of height 2^{e1}.
 
-    The points of chain i in these columns sit at rows `rows[t]` and
-    columns `cols[t]`, t = offsets[i-1] .. offsets[i] - 1 (flat chain-major
-    arrays); the first is the chain's point `before[i-1]` + 1, as the
-    chain holds before[i-1] = N_{i,start} points in the columns before.
-    All arrays are read-only.
+    The points of chain i sit at rows `rows[t]` and columns `cols[t]`, t =
+    offsets[i-1] .. offsets[i] - 1 (flat chain-major int32 arrays), point
+    t - offsets[i-1] + 1 of the chain at t.  All arrays are read-only.
     """
 
     R: CirculantR
@@ -77,7 +113,6 @@ class Embedding2D:
     rows: np.ndarray
     cols: np.ndarray
     offsets: np.ndarray
-    start: int = 0
 
     @property
     def a1(self) -> int:
@@ -87,36 +122,27 @@ class Embedding2D:
     def height(self) -> int:
         return 1 << self.R.e1
 
-    @property
-    def before(self) -> np.ndarray:
-        """Points of each chain in the columns before the box (int64)."""
-        return chain_prefix(self.R, self.start)
-
     @cached_property
     def prefix_counts(self) -> np.ndarray:
-        """`prefix_counts[i-1, j - start]` is N_ij, the points of chain i in
-        columns 1..j, j = start..m (a1 x (m - start + 1)), counted off the
-        built columns when first read."""
-        width = self.m - self.start + 1
+        """`prefix_counts[i-1, j]` is N_ij, the points of chain i in columns
+        1..j, j = 0..m (a1 x (m + 1)), counted off the built columns when
+        first read."""
         chain = np.repeat(np.arange(self.a1), np.diff(self.offsets))
-        chain *= width
+        chain *= self.m + 1
         chain += self.cols
-        chain -= self.start
-        filled = np.bincount(chain, minlength=self.a1 * width)
-        counts = np.cumsum(filled.reshape(self.a1, width), axis=1)
-        counts += self.before[:, None]
+        filled = np.bincount(chain, minlength=self.a1 * (self.m + 1))
+        counts = np.cumsum(filled.reshape(self.a1, self.m + 1), axis=1)
         counts.flags.writeable = False
         return counts
 
     def column_inverse(self) -> np.ndarray:
-        """Chain of the point in every cell: an (m - start) x 2^{e1} int32
-        array indexed [column - start - 1, row - 1]; 0 marks a cell that no
-        point fills."""
+        """Chain of the point in every cell: an m x 2^{e1} int32 array
+        indexed [column - 1, row - 1]; 0 marks a cell that no point fills."""
         chain = np.repeat(
             np.arange(1, self.a1 + 1, dtype=np.int32), np.diff(self.offsets)
         )
-        owner = np.zeros((self.m - self.start, self.height), dtype=np.int32)
-        owner[self.cols - 1 - self.start, self.rows - 1] = chain
+        owner = np.zeros((self.m, self.height), dtype=np.int32)
+        owner[self.cols - 1, self.rows - 1] = chain
         return owner
 
 
@@ -133,7 +159,7 @@ class BaseMap:
 
 def build_f2(spec: GridSpec) -> BaseMap:
     """Column-filling embedding restricted to the given grid, in its box of
-    m = u_2 columns, written by rank; `fill_columns` builds the box.
+    m = u_2 columns, written by rank from `place`.
 
     Every chain holds at least the grid's P_1 = |G| / a_1 points.  Chain i
     fills 1 + R(i,j) cells of column j, so over m columns it holds m plus m
@@ -142,52 +168,37 @@ def build_f2(spec: GridSpec) -> BaseMap:
     `build_R`).  With m = u_2 = ceil(|G| / 2^{e_1}), 2^{e_1} m >= |G|, so
     that floor is at least |G| / a_1 = P_1, an integer.
 
-    The grid keeps each chain's first P_1 points: rank p a_1 + i - 1 is
-    point p + 1 of chain i.  So each row's grid points fill its columns
-    1..c(row): the base of the staircase `stages.stack` carries up.  Chain
-    i's points in columns 1..j number j plus j cyclically consecutive
-    first-column entries, so any two chains' counts N_ij differ by at most
-    1.  Row r of column j holds a point of some chain i at index (0-based
-    place in its chain) at most N_ij - 1, and row r of column j + 1 one of
-    a chain i' at index at least N_i'j >= N_ij - 1: along a row the index
-    never decreases, for any a_1 and m.
+    The grid keeps each chain's first P_1 points: rank r is point
+    floor(r / a_1) + 1 of chain r mod a_1 + 1.  So each row's grid points
+    fill its columns 1..c(row): the base of the staircase `stages.stack`
+    carries up.  Chain i's points in columns 1..j number j plus j
+    cyclically consecutive first-column entries, so any two chains' counts
+    N_ij differ by at most 1.  Row r of column j holds a point of some
+    chain i at index (0-based place in its chain) at most N_ij - 1, and row
+    r of column j + 1 one of a chain i' at index at least N_i'j >= N_ij -
+    1: along a row the index never decreases, for any a_1 and m.
 
-    The box is filled a block of columns at a time (`fill_columns` from a
-    start column, about RANK_BLOCK points per block), and each block's grid
-    points are written straight to their ranks: no box-sized array is
-    built.
+    The ranks are placed PLACE_BLOCK at a time, each block straight into
+    its slice of `row` and `column`: nothing of the box's size is built.
     """
     a1, m = spec.dims[0], level_budget(spec, 2)
+    R = build_R(a1)
     row = np.empty(spec.size, dtype=np.int32)
     column = np.empty(spec.size, dtype=np.int32)
-    # columns per block: each column holds 2^{e_1} points
-    step = max(1, RANK_BLOCK >> (a1 - 1).bit_length())
-    for start in range(0, m, step):
-        box = fill_columns(a1, min(m, start + step), start)
-        # the block's point t, of chain i, is its chain's point before + t
-        # - offsets + 1 (0-based entries of chain i), of rank a1 t + a1
-        # (before - offsets) + i - 1; the grid keeps the ranks below |G|,
-        # each chain's first P_1 points
-        shift = box.before - box.offsets[:-1]
-        shift *= a1
-        shift += np.arange(a1)
-        rank = np.repeat(shift, np.diff(box.offsets))
-        rank += np.arange(0, a1 * len(rank), a1)
-        kept = rank < spec.size
-        at = rank[kept]
-        row[at] = box.rows[kept]
-        column[at] = box.cols[kept]
+    for start in range(0, spec.size, PLACE_BLOCK):
+        at = slice(start, min(start + PLACE_BLOCK, spec.size))
+        point, chain = np.divmod(np.arange(at.start, at.stop), a1)
+        chain += 1
+        point += 1
+        row[at], column[at] = place(R, chain, point)
     row.flags.writeable = column.flags.writeable = False
-    return BaseMap(box.R, m, row, column)
+    return BaseMap(R, m, row, column)
 
 
-def fill_columns(a1: int, m: int, start: int = 0) -> Embedding2D:
-    """The filled box over columns j = start + 1..m, built from the circulant.
-
-    Scanning chains in order, chain i contributes 1 + R(i,j) points to column
-    j, on the rows just above those of chains 1..i-1; a double contribution
-    is placed descending (the later chain position below the earlier)
-    exactly when j is even, ascending when j is odd.
+def fill_columns(a1: int, m: int) -> Embedding2D:
+    """The filled box over columns 1..m: each chain's N_im points
+    (`chain_prefix`), chain after chain, placed by `place` PLACE_BLOCK
+    points at a time.
 
     Every column comes out full: column j holds a1 + sum_i R(i,j) =
     a1 + sum_i first[(i - j) mod a1] points, and every column of the
@@ -195,25 +206,18 @@ def fill_columns(a1: int, m: int, start: int = 0) -> Embedding2D:
     2^{e1} - a1, so the column holds a1 + p = 2^{e1} points.
     """
     R = build_R(a1)
-    j = np.arange(start + 1, m + 1)
-    first = np.array(R.first_column, dtype=np.int32)
-    cells = first[(np.arange(1, a1 + 1)[:, None] - j) % a1]
-    cells += 1
-    # every point of a cell first takes the cell's lowest row, then the
-    # higher point of each double cell moves up one row: the second point
-    # in an odd column, the first in an even one
-    below = np.cumsum(cells, axis=0, dtype=np.int32)
-    below -= cells
-    below += 1
-    per_cell = cells.ravel()
-    rows = np.repeat(below.ravel(), per_cell)
-    cols = np.repeat(np.tile(j.astype(np.int32), a1), per_cell)
-    at = np.cumsum(per_cell)
-    at -= per_cell
-    doubles = np.flatnonzero(per_cell == 2)
-    rows[at[doubles] + (doubles % len(j) + start + 1) % 2] += 1
     offsets = np.zeros(a1 + 1, dtype=np.int64)
-    np.cumsum(cells.sum(axis=1), out=offsets[1:])
+    np.cumsum(chain_prefix(R, m), out=offsets[1:])
+    total = int(offsets[-1])
+    rows = np.empty(total, dtype=np.int32)
+    cols = np.empty(total, dtype=np.int32)
+    for start in range(0, total, PLACE_BLOCK):
+        at = slice(start, min(start + PLACE_BLOCK, total))
+        point = np.arange(at.start, at.stop)
+        chain = np.searchsorted(offsets, point, side="right")
+        point -= offsets[chain - 1]
+        point += 1
+        rows[at], cols[at] = place(R, chain, point)
     for arr in (rows, cols, offsets):
         arr.flags.writeable = False
-    return Embedding2D(R, m, rows, cols, offsets, start)
+    return Embedding2D(R, m, rows, cols, offsets)

@@ -30,7 +30,6 @@ from .grids import (
 )
 from .rounding import BinaryMatrix
 from .stages import (
-    RENDER_CHUNK,
     StageEmbedding,
     budget_break,
     build_fk,
@@ -998,7 +997,7 @@ def _header(spec: GridSpec, windows) -> str:
 
 def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarray]:
     """The vertex lines "x_1 ... x_k label" in rank order (x_1 fastest), as
-    1-d uint8 blocks of whole lines, at most RENDER_CHUNK ranks each.
+    1-d uint8 blocks of whole lines, at most RANK_BLOCK ranks each.
 
     The lines are first laid out padded, one row per rank.  Field "x_j " is
     row x_j of a per-side table, right-aligned with NUL padding.  The lowest
@@ -1017,7 +1016,7 @@ def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarr
     edges = np.cumsum([0, *(table.shape[1] for table in tables)]).tolist()
     n = spec.n
     low, per = 0, 1
-    while low < spec.k and per * spec.dims[low] <= RENDER_CHUNK:
+    while low < spec.k and per * spec.dims[low] <= RANK_BLOCK:
         per *= spec.dims[low]
         low += 1
     template = np.empty((*reversed(spec.dims[:low]), edges[-1] + n + 1), np.uint8)
@@ -1028,7 +1027,7 @@ def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarr
     template[..., edges[-1] : -1] = ord(".")
     template[..., -1] = ord("\n")
     template = template.reshape(per, -1)
-    copies, step = spec.size // per, RENDER_CHUNK // per
+    copies, step = spec.size // per, RANK_BLOCK // per
     for first in range(0, copies, step):
         count = min(step, copies - first)
         block = np.empty((count, *template.shape), np.uint8)

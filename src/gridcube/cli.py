@@ -32,10 +32,6 @@ PASS, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
 CAP_HELP = "vertex-count cap (default %(default)s), at most 2^31 (the chain is int32)"
 
-# characters per write of a stage dump: one slice is encoded at a time, so
-# the text is never encoded into a second whole copy
-WRITE_SLICE = 1 << 20
-
 
 def _load_seeds(path: str | None):
     if path is None:
@@ -89,9 +85,7 @@ def cmd_embed(args) -> int:
             raise ValueError(
                 f"stage {args.dump_stage} not in 2..{spec.k} for this grid"
             )
-        text = dump_stage(stages[args.dump_stage])
-        slices = range(0, len(text), WRITE_SLICE)
-        _write((text[at : at + WRITE_SLICE].encode("ascii") for at in slices), args.out)
+        _write(dump_stage(stages[args.dump_stage]), args.out)
         return PASS
     labelings = None
     if args.windows is not None:

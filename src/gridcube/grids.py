@@ -18,8 +18,8 @@ import numpy as np
 DEFAULT_VERTEX_CAP = 1 << 26
 VERTEX_BOUND = 1 << 31
 
-# ranks per block of every pass that reads a table over base columns by
-# rank: each block's index scratch stays fixed whatever |G|
+# ranks per block of every pass over ranks (tables read by rank, base-map
+# points, text lines): each block's scratch stays fixed whatever |G|
 RANK_BLOCK = 1 << 15
 
 

@@ -38,7 +38,7 @@ distinct, 16 rows in all.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class BinaryMatrix:
     """
 
     bits: np.ndarray
-    row_counts: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -72,7 +71,11 @@ class BinaryMatrix:
         bits = bits.astype(np.int8)
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "row_counts", tuple(bits.sum(axis=1).tolist()))
+
+    @property
+    def row_counts(self) -> tuple[int, ...]:
+        """The ones in each row, summed from ``bits`` on each read."""
+        return tuple(self.bits.sum(axis=1).tolist())
 
     @property
     def m(self) -> int:

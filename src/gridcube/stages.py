@@ -12,7 +12,7 @@ Sections, pages, offsets and heights are 1-based at this API surface.
 """
 from __future__ import annotations
 
-import codecs
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,8 +92,12 @@ class BlankPlan:
 
     spec: GridSpec
     stage: int
-    s: tuple[int, ...]
     F: BinaryMatrix
+
+    @property
+    def s(self) -> tuple[int, ...]:
+        """Blanks per section: the stage's `s_sequence`, on each read."""
+        return s_sequence(self.spec, self.stage)
 
     def _counts(self, axis: int) -> np.ndarray:
         """The nonblanks up to each level along `axis` of F (1: its row, 0:
@@ -167,11 +171,9 @@ def build_blank_plan(
     matrix (e.g. a published worked example) is accepted only if it passes
     the same contracts the generated one must.
     """
-    s = s_sequence(spec, i)
-    width = 1 << spec.block_width(i)
     if matrix is None:
-        matrix = build_FX(RoundingSpec(s, width))
-    plan = BlankPlan(spec, i, s, matrix)
+        matrix = build_FX(RoundingSpec(s_sequence(spec, i), 1 << spec.block_width(i)))
+    plan = BlankPlan(spec, i, matrix)
     bad = plan.violations()
     if bad:
         raise ValueError(
@@ -244,7 +246,7 @@ class StageEmbedding:
     Every stage of one chain shares them.  The rest is derived when read
     and kept by no embed: the `steps` (each stacked stage's source levels
     over base columns, composed from the plans), coordinate rows by rank
-    (`coordinate`, `final`), and a stage's `level` row and `address`.
+    (`coordinate`), and a stage's `level` row and `address`.
     Coordinates 1..i-1 of stage i are the chain's settled coordinates.  Its
     last, a level index, is the top table at the top stage, and below it
     where the next stage's source level sits in the next plan's
@@ -304,12 +306,6 @@ class StageEmbedding:
         if j == 1:
             return self.row
         return np.add(by_rank(self.tables[j - 2], self.column), 1, dtype=np.int32)
-
-    @property
-    def final(self) -> np.ndarray:
-        """The chain's coordinates 1..top by rank: a new top x |G| int32
-        array on each read, whose last row is the top stage's level."""
-        return np.stack([self.coordinate(j) for j in range(1, self.top + 1)])
 
     @cached_property
     def level(self) -> np.ndarray:
@@ -474,7 +470,7 @@ def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
         heights.astype(unsigned_dtype((level_budget(spec, i + 1) - 1).bit_length())),
     )
     sources = None if prev.sources is None else (*prev.sources, table)
-    plans = (*prev.plans, BlankPlan(plan.spec, plan.stage, plan.s, plan.F))
+    plans = (*prev.plans, BlankPlan(plan.spec, plan.stage, plan.F))
     return StageEmbedding(spec, i + 1, prev.row, prev.column, tables, plans, sources)
 
 
@@ -507,10 +503,6 @@ def build_fk(
     return emb
 
 
-# ranks per rendered block of text lines: render scratch stays fixed whatever |G|
-RENDER_CHUNK = 1 << 15
-
-
 def decimal_columns(values: np.ndarray, width: int) -> np.ndarray:
     """Nonnegative integers as ASCII decimals right-aligned in `width`
     columns, NUL in the unused leading columns: a len(values) x width uint8
@@ -524,26 +516,33 @@ def decimal_columns(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def dump_stage(emb: StageEmbedding) -> str:
-    """Stage dump: header "STAGE i u_i", then "rank: (c_1, ..., c_i)" lines.
-
-    Rendered RENDER_CHUNK ranks at a time as uint8 blocks: each field is the
-    rank or a coordinate in its column's widest decimal width, followed by
-    its separator, and the padding NULs are dropped once per block.
-    """
-    spec, rows = emb.spec, [*emb.final[: emb.stage - 1], emb.level]
-    seps = [b": (", *[b", "] * (emb.stage - 1), b")\n"]
-    widths = [len(str(x)) for x in [spec.size - 1, *(int(row.max()) for row in rows)]]
-    pieces = [f"STAGE {emb.stage} {level_budget(spec, emb.stage)}\n"]
-    for start in range(0, spec.size, RENDER_CHUNK):
-        stop = min(start + RENDER_CHUNK, spec.size)
+def dump_stage(emb: StageEmbedding) -> Iterator:
+    """Stage dump as blocks of ASCII bytes, rendered RANK_BLOCK ranks at a
+    time as it is taken: the header "STAGE i u_i", then "rank: (c_1, ...,
+    c_i)" lines.  Each field is the rank or a coordinate in its column's
+    widest decimal width, followed by its separator; the padding NULs are
+    dropped once per block.  A block reads only its own ranks' row and base
+    column, and over base columns the settled tables (plus 1) and
+    `column_levels`: every base column holds a vertex, so a table's largest
+    entry is its coordinate's largest value."""
+    spec, i = emb.spec, emb.stage
+    settled = (np.add(table, 1, dtype=np.int32) for table in emb.tables[: i - 2])
+    tables = [*settled, emb.column_levels()]
+    seps = [b": (", *[b", "] * (i - 1), b")\n"]
+    tops = [spec.size - 1, emb.row.max(), *(table.max() for table in tables)]
+    widths = [len(str(int(x))) for x in tops]
+    yield f"STAGE {i} {level_budget(spec, i)}\n".encode("ascii")
+    for start in range(0, spec.size, RANK_BLOCK):
+        stop = min(start + RANK_BLOCK, spec.size)
+        at = emb.column[start:stop] - 1
+        fields = [np.arange(start, stop), emb.row[start:stop], *(t[at] for t in tables)]
         block = np.empty((stop - start, sum(widths) + sum(map(len, seps))), np.uint8)
         col = 0
-        fields = [np.arange(start, stop), *(row[start:stop] for row in rows)]
         for values, width, sep in zip(fields, widths, seps):
             block[:, col : col + width] = decimal_columns(values, width)
             col += width
             block[:, col : col + len(sep)] = np.frombuffer(sep, np.uint8)
             col += len(sep)
-        pieces.append(codecs.ascii_decode(block[block != 0])[0])
-    return "".join(pieces)
+        lines = block[block != 0]
+        del block, fields  # only the lines stay live while the consumer takes them
+        yield lines

@@ -137,7 +137,7 @@ def stage_coords(emb: StageEmbedding) -> np.ndarray:
     """A new |G| x i int64 array whose row `rank` is the stage-i image tuple
     of the vertex with that rank: the stage's settled rows of the chain and
     its level row, read rank-major."""
-    rows = [*emb.final[: emb.stage - 1], emb.level]
+    rows = [*final(emb)[: emb.stage - 1], emb.level]
     return np.column_stack(rows).astype(np.int64)
 
 
@@ -1001,22 +1001,28 @@ def per_vertex_chain(
     return final, chain
 
 
+def final(emb: StageEmbedding) -> np.ndarray:
+    """The chain's coordinates 1..top by rank: a new top x |G| int32 array,
+    whose last row is the top stage's level."""
+    return np.stack([emb.coordinate(j) for j in range(1, emb.top + 1)])
+
+
 def per_vertex(
-    emb: StageEmbedding, final: np.ndarray | None = None, sources=None
+    emb: StageEmbedding, coords: np.ndarray | None = None, sources=None
 ) -> StageEmbedding:
     """The chain of `emb`, as its top stage, written over the identity
     column 1..|G|, so that each table holds one entry per vertex: a chain
-    that can hold any coordinates.  Its coordinates are the rows of `final`
-    (by rank, coordinate 1 first and the top level last; `emb.final` when
+    that can hold any coordinates.  Its coordinates are the rows of `coords`
+    (by rank, coordinate 1 first and the top level last; `final(emb)` when
     None), its plans are emb's, and each stacked stage's source levels are
     `sources`, or emb's own, by rank."""
     spec = emb.spec
-    final = emb.final if final is None else final
+    coords = final(emb) if coords is None else coords
     if sources is None:
         sources = tuple(step.source_level for step in emb.steps)
     column = np.arange(1, spec.size + 1, dtype=np.int32)
-    tables = tuple(row.astype(np.int64) - 1 for row in final[1:])
-    row = np.ascontiguousarray(final[0], dtype=np.int32)
+    tables = tuple(row.astype(np.int64) - 1 for row in coords[1:])
+    row = np.ascontiguousarray(coords[0], dtype=np.int32)
     return StageEmbedding(spec, emb.top, row, column, tables, emb.plans, tuple(sources))
 
 

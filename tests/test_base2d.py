@@ -10,7 +10,7 @@ from oracles import chain_prefix_count
 from test_checks import family_grids, traced_peak
 from test_tracing_names import load_perfbench
 
-from gridcube.base2d import build_R, build_f2, fill_columns
+from gridcube.base2d import build_R, build_f2, fill_columns, place
 from gridcube.grids import GridSpec, level_budget
 from gridcube.stages import build_fk
 
@@ -118,23 +118,21 @@ def test_build_f2_matches_literal_loop(battery_grids):
         assert list(map(tuple, oracles.stage_coords(st2).tolist())) == want, spec.dims
 
 
-def test_column_ranges_equal_the_whole_box():
-    """The box over columns start + 1..m is the whole box's points in those
-    columns, in the same chain order, with its prefix counts and cell
-    owners; each chain's first point in it follows N_{i,start} points."""
-    for a1 in (2, 3, 5, 7, 8, 33, 100):
-        for m in (1, 2, 9, 40):
-            whole = fill_columns(a1, m)
-            chain = np.repeat(np.arange(a1), np.diff(whole.offsets))
-            for start in range(m):
-                part = fill_columns(a1, m, start)
-                kept = whole.cols > start
-                assert np.array_equal(part.rows, whole.rows[kept]), (a1, m, start)
-                assert np.array_equal(part.cols, whole.cols[kept]), (a1, m, start)
-                assert np.array_equal(np.diff(part.offsets), np.bincount(chain[kept], minlength=a1))
-                assert np.array_equal(part.before, whole.prefix_counts[:, start])
-                assert np.array_equal(part.prefix_counts, whole.prefix_counts[:, start:])
-                assert np.array_equal(part.column_inverse(), whole.column_inverse()[start:])
+@settings(max_examples=40)
+@given(st.integers(2, 1024), st.integers(1, 24), st.data())
+def test_closed_form_equals_the_literal_loop(a1, m, data):
+    """The whole box of a random width, and `place` at random (chain,
+    point) samples, against the literal loop, for a_1 = 2..1,024."""
+    chains, columns = oracles.fill_columns(a1, m)
+    assert layout(fill_columns(a1, m)) == (chains, columns)
+    picks = data.draw(
+        st.lists(st.tuples(st.integers(1, a1), st.integers(0, 1 << 20)), min_size=1, max_size=64)
+    )
+    chain = np.array([i for i, _ in picks])
+    point = np.array([1 + x % len(chains[i - 1]) for i, x in picks])
+    row, col = place(build_R(a1), chain, point)
+    want = [chains[i - 1][q - 1] for i, q in zip(chain.tolist(), point.tolist())]
+    assert list(zip(row.tolist(), col.tolist())) == want
 
 
 def test_prefix_counts_match_closed_form():
@@ -243,10 +241,11 @@ def test_base_rows_are_staircases_for_wide_chains(a1):
 
 @pytest.mark.parametrize("dims", [(100, 100, 100), (3,) * 12])
 def test_fill_columns_memory_is_bounded_per_box_point(dims):
-    """The layout is built once, as int32 rows and columns with a1 x m
-    and per-double temporaries: at most 64 B per box point (about 28 and 32
-    here; 82 and 86 when the prefix-count table was built and compared with
-    the closed form on every build)."""
+    """The layout is placed into int32 rows and columns a block of points
+    at a time: at most 64 B per box point (about 8.7 and 9.2 here; 28
+    and 30 when the cells were filled from a1 x m circulant tables, 82 and
+    86 when the prefix-count table was built and compared with the closed
+    form on every build)."""
     spec = GridSpec(dims)
     m = level_budget(spec, 2)
     emb, peak = traced_peak(fill_columns, dims[0], m)

@@ -223,7 +223,7 @@ def test_pipeline_battery_two_dimensional_grid():
 
 def test_pipeline_battery_detects_corruption():
     fk = build_fk(GridSpec((5, 5, 5)))
-    final = fk.final
+    final = oracles.final(fk)
     final[:, 0] = final[:, 1]
     results = pipeline_battery(oracles.per_vertex(fk, final))
     bad = failed(results)
@@ -236,7 +236,7 @@ def test_pipeline_battery_fails_a_broken_budget_identity():
     fk = build_fk(GridSpec((3, 7, 4)))
     plan = fk.plan
     rows = plan.F.bits[[1, 0, 2, 3]]
-    swapped = BlankPlan(plan.spec, plan.stage, plan.s, BinaryMatrix(rows))
+    swapped = BlankPlan(plan.spec, plan.stage, BinaryMatrix(rows))
     [step] = fk.steps
     results = pipeline_battery(
         dataclasses.replace(fk, plans=(swapped,), sources=(step.table,))
@@ -271,7 +271,7 @@ def with_coords(stage, coords):
     the last is its top coordinate at the top stage and otherwise, through
     the next plan's level table, the next stage's source levels."""
     j = stage.stage
-    final = stage.final
+    final = oracles.final(stage)
     final[: j - 1] = coords[:, : j - 1].T
     sources = [step.source_level for step in stage.steps]
     if j == stage.top:
@@ -770,8 +770,8 @@ def test_dump_matches_per_rank_reference_over_random_grids(dims):
 
 @settings(max_examples=60)
 @given(family_grids(side=150, budget=1 << 15), st.integers(0, 2**32 - 1))
-@example((checks_module.RENDER_CHUNK + 7, 2), 0)
-@example((2, checks_module.RENDER_CHUNK + 7), 0)
+@example((checks_module.RANK_BLOCK + 7, 2), 0)
+@example((2, checks_module.RANK_BLOCK + 7), 0)
 def test_line_blocks_match_the_per_line_renderer(dims, seed):
     """Any n-bit labels, not only an embedding's, render as the oracle's
     lines, in whole lines per block; with no labels every bit is "."."""
@@ -852,8 +852,9 @@ def test_edge_scan_memory_is_bounded_by_the_input(dims):
     emb = assemble_Hk(fk)
     _, peak = traced_peak(dilation, emb)
     assert peak <= 5 * emb.labels.nbytes, peak / emb.labels.nbytes
+    final = oracles.final(fk).nbytes
     _, peak = traced_peak(coordinate_diffs, fk)
-    assert peak <= 1.98 * fk.final.nbytes, peak / fk.final.nbytes
+    assert peak <= 1.98 * final, peak / final
 
 
 @pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (3,) * 12])
@@ -1081,7 +1082,7 @@ def test_label_mask_agrees_with_distinct_rows(battery_grids):
 def test_audit_grid_reports_a_colliding_stage_map(monkeypatch):
     spec = GridSpec((5, 5, 6))
     fk = build_fk(spec)
-    final = fk.final
+    final = oracles.final(fk)
     final[:, 1] = final[:, 0]
     mutant = oracles.per_vertex(fk, final)
     monkeypatch.setattr(checks_module, "build_fk", lambda spec, seed_matrices: mutant)

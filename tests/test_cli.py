@@ -16,7 +16,7 @@ from gridcube.checks import assemble_Hk, dump_embedding, embedding_blocks
 from gridcube.cli import main
 from gridcube.grids import GridSpec
 from gridcube.rounding import parse_matrices
-from gridcube.stages import build_fk
+from gridcube.stages import build_fk, dump_stage
 
 DATA = Path(__file__).parent / "data"
 
@@ -155,6 +155,14 @@ def test_embed_dump_stage():
     code, _, err = run_cli(["embed", "3", "7", "4", "--dump-stage", "9"])
     assert code == 2
     assert "stage 9" in err
+    # 40^3's stage 3 reaches stdout as `dump_stage`'s blocks, one at a time:
+    # the header, then the lines of at most RANK_BLOCK ranks per block
+    blocks = [bytes(block) for block in dump_stage(build_fk(GridSpec((40, 40, 40))))]
+    out = io.TextIOWrapper(Recorder(), encoding="utf-8")
+    with redirect_stdout(out):
+        assert main(["embed", "40", "40", "40", "--dump-stage", "3"]) == 0
+    assert out.buffer.getvalue() == b"".join(blocks)
+    assert out.buffer.sizes == [len(block) for block in blocks] and len(blocks) == 3
 
 
 def test_embed_with_explicit_windows():
@@ -461,7 +469,7 @@ def test_internal_errors_exit_three(monkeypatch):
 def test_embed_of_colliding_labels_exits_three(monkeypatch):
     def colliding(spec, seed_matrices=None):
         fk = build_fk(spec)
-        final = fk.final
+        final = oracles.final(fk)
         final[:, 1] = final[:, 0]
         return oracles.per_vertex(fk, final)
 

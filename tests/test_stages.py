@@ -215,8 +215,9 @@ def test_plan_count_tables_are_int32_and_equal_the_wide_form():
     stored them.  Reading one table of 3^12's stage-2 plan peaks within 7 B
     per slot (5.2 for a count table, its int32 table and the int8 nonblank
     mask; 6.8 for the level table, whose nonzero scan is intp), and the
-    plan a chain holds has read none (building the three at once, the
-    ordinals in int64, peaked at 29.0 B per slot and kept 14.3)."""
+    plan a chain holds has read none and keeps no per-section tuple
+    (building the three at once, the ordinals in int64, peaked at 29.0 B
+    per slot and kept 14.3)."""
     plans = 0
     for dims in benchmark_grids():
         spec = GridSpec(dims)
@@ -239,7 +240,8 @@ def test_plan_count_tables_are_int32_and_equal_the_wide_form():
         _, peak, held = traced_held(getattr, plan, name)
         assert peak <= 7 * slots and held <= 4 * slots + 1024, (name, peak / slots)
     for plan in build_fk(GridSpec((3,) * 12)).plans:
-        assert vars(plan).keys() == {"spec", "stage", "s", "F"}
+        assert vars(plan).keys() == {"spec", "stage", "F"}
+        assert vars(plan.F).keys() == {"bits"}
 
 
 def assert_plan_holds_the_level_budget(plan):
@@ -407,31 +409,32 @@ def test_build_fk_memory_is_bounded_by_the_final_map(dims):
     """The chain is stored by base column: the base map's int32 row and
     column of each rank, one u_2-entry table per coordinate 2..k in its
     block's narrowest unsigned dtype, and each stage's designation matrix,
-    with nothing derived kept (no composed steps, no plan's count tables).
-    What build_fk leaves allocated is those arrays and the plans'
-    per-section tuples, within 24 B per section (14.2 and 8.9 B per vertex
-    here, against 59.3 and 24.6 with the k x |G| int32 chain stored).  With
-    the rounding temporaries its tracemalloc peak stays within 8 x |G| k 4
-    bytes (1.1 and 1.7 x here, 2.1 and 2.4 x with the chain stored)."""
+    with nothing derived kept (no composed steps, no plan's count tables,
+    no per-section tuple).  What build_fk leaves allocated is those arrays
+    and at most 64 KiB more (11.5 and 8.6 B per vertex here, 14.2 and 8.9
+    while the plans kept per-section tuples, against 59.3 and 24.6 with the
+    k x |G| int32 chain stored).  With the rounding temporaries its
+    tracemalloc peak stays within 8 x |G| k 4 bytes (1.2 and 1.0 x here,
+    2.1 and 2.4 x with the chain stored)."""
     spec = GridSpec(dims)
     fk, peak, held = traced_held(build_fk, spec)
     u2 = level_budget(spec, 2)
     for j, table in enumerate(fk.tables, start=2):
         assert table.shape == (u2,) and table.dtype == unsigned_dtype(spec.block_width(j))
     assert "steps" not in vars(fk)
-    assert all(vars(plan).keys() == {"spec", "stage", "s", "F"} for plan in fk.plans)
-    sections = sum(plan.pages for plan in fk.plans)
-    assert stored_bytes(fk) <= held <= stored_bytes(fk) + 24 * sections + (64 << 10)
+    assert all(vars(plan).keys() == {"spec", "stage", "F"} for plan in fk.plans)
+    assert stored_bytes(fk) <= held <= stored_bytes(fk) + (64 << 10)
     assert peak <= 8 * spec.size * spec.k * 4, peak / (spec.size * spec.k * 4)
 
 
 def test_embed_holds_each_vertex_array_once():
     """An embedded 3^12 holds its int32 base row and column (8 B per
     vertex), uint32 labels (4 B), eleven uint8 coordinate tables of u_2 =
-    |G| / 4 entries (2.7 B), ten designation matrices (0.7 B) and the
-    plans' per-section tuples (2.7 B): 18.1 B per vertex in all, within
-    20 (66 B with the k x |G| int32 chain stored, 96 B with a |G|-entry
-    source-level row per stage and int64 labels)."""
+    |G| / 4 entries (2.7 B) and ten designation matrices (0.7 B): 15.4 B
+    per vertex in all, within 20 (18.1 B while each plan kept its blanks
+    and row sums per section as tuples, 66 B with the k x |G| int32 chain
+    stored, 96 B with a |G|-entry source-level row per stage and int64
+    labels)."""
     spec = GridSpec((3,) * 12)
 
     def embed(spec):
@@ -445,9 +448,9 @@ def test_embed_holds_each_vertex_array_once():
 @pytest.mark.parametrize("dims", [(3,) * 12, (100, 100, 100)])
 def test_embed_builds_no_vertex_index(dims):
     """No pass of an embed builds a |G|-entry intp or int64 array: the base
-    map is written by rank in column blocks, and every table is read by
+    map is placed by rank a block at a time, and every table is read by
     rank a block at a time.  So build_fk peaks within 25 and 15 B per
-    vertex (23.7 and 13.1 here: the base row and column and the rounding's
+    vertex (21.9 and 13.1 here: the base row and column and the rounding's
     scratch), assemble_Hk within 7 B above the stored chain (5.8 and 4.4:
     the labels, one narrow coordinate row and its differences) and dilation
     within 2 B above the labeled embedding (0.6 and 0.3: one block); an
@@ -552,7 +555,7 @@ def test_source_levels_match_the_per_vertex_chain_over_random_grids(dims, seed):
     seeds = [oracles.random_FX(spec, rng) for spec in stage_rounding_specs(grid)]
     for fk in (build_fk(grid), build_fk(grid, seeds)):
         final, chain = oracles.per_vertex_chain(grid, [step.plan for step in fk.steps])
-        assert np.array_equal(fk.final, final)
+        assert np.array_equal(oracles.final(fk), final)
         for st, (source, level) in zip(fk.stage_chain(), chain, strict=True):
             assert np.array_equal(st.level, level), st.stage
             if source is None:
@@ -627,7 +630,7 @@ def test_is_injective_matches_unique(battery_grids):
             expected = len(np.unique(oracles.stage_coords(st), axis=0)) == st.spec.size
             assert st.in_box and st.is_injective() == expected
     st = build_fk(GridSpec((5, 6, 7)))
-    final = st.final
+    final = oracles.final(st)
     final[:, 3] = final[:, 40]
     assert not oracles.per_vertex(st, final).is_injective()
     # a coordinate of 0, one above its block width and a level above u_i,
@@ -639,7 +642,7 @@ def test_is_injective_matches_unique(battery_grids):
         box = fk.box()
         for row, value in [(0, 0), (1, box[1] + 1), (top, box[top] + 1)]:
             for collide in (False, True):
-                final = fk.final
+                final = oracles.final(fk)
                 final[row, 3] = value
                 if collide:
                     final[:, 40] = final[:, 3]
@@ -735,10 +738,15 @@ def test_inflate_preserves_order_and_injectivity(emb_3743):
     assert np.array_equal(levels, emb_3743.source_level)
 
 
+def stage_text(emb) -> str:
+    """`dump_stage`'s blocks joined into one text."""
+    return b"".join(bytes(block) for block in dump_stage(emb)).decode("ascii")
+
+
 def test_dump_stage_format():
     spec = GridSpec((3, 7, 4))
     emb = build_fk(spec)
-    text = dump_stage(emb)
+    text = stage_text(emb)
     lines = text.splitlines()
     assert lines[0] == f"STAGE 3 {level_budget(spec, 3)}"
     assert lines[1].startswith("0: (")
@@ -753,4 +761,20 @@ def test_dump_stage_matches_per_rank_reference(battery_grids):
     assert max(fk.spec.size for fk in fks) >= 10_000
     for fk in fks:
         for st in fk.stage_chain():
-            assert dump_stage(st) == oracles.dump_stage(st), (fk.spec.dims, st.stage)
+            assert stage_text(st) == oracles.dump_stage(st), (fk.spec.dims, st.stage)
+
+
+@pytest.mark.parametrize("stage", [2, 3])
+def test_dump_stage_memory_is_bounded_per_vertex(stage):
+    """Taking every block of a stage dump of 100^3 peaks below 4 B per
+    vertex: each block reads its own ranks' row and column and the u_2-entry
+    tables, never a |G|-entry row of the stage."""
+    spec = GridSpec((100, 100, 100))
+    emb = build_fk(spec).view(stage)
+
+    def consume():
+        return sum(len(block) for block in dump_stage(emb))
+
+    size, peak = traced_peak(consume)
+    assert size > 15 * spec.size
+    assert peak < 4 * spec.size, peak / spec.size
