@@ -1006,8 +1006,10 @@ def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarr
     whole copies of it, with the higher coordinates broadcast over each copy.
     The label is the low n bits of `labels` unpacked from their big-endian
     bytes, or "." in every bit when `labels` is None (the reader's template).
-    One mask per block drops the NULs.
+    One mask per block drops the NULs; when no side reaches 10, no field is
+    padded and the block is the lines as laid out.
     """
+    padded = max(spec.dims) >= 10
     tables = []
     for a in spec.dims:
         table = np.full((a, len(str(a)) + 1), ord(" "), dtype=np.uint8)
@@ -1040,7 +1042,7 @@ def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarr
         if labels is not None:
             ranks = labels[first * per : (first + count) * per]
             block[:, edges[-1] : -1] = _label_chars(ranks, n)
-        lines = block[block != 0]
+        lines = block[block != 0] if padded else block.ravel()
         del block  # only the lines stay live while the consumer takes them
         yield lines
 

@@ -23,7 +23,10 @@ arcs, into nodes that can reach the sink along them; and a node found
 exhausted is marked dead (every later visit in the phase would fail).  The
 level computation, the admissible-arc selection and the search are module
 functions over any CSR arc list with a mask of live arcs: ``max_flow`` runs
-them on the arcs of an edge list, from zero or from a given flow.  Only the
+them on the arcs of an edge list, from zero or from a given flow.  The
+breadth-first search reads the live arcs of each frontier node and keeps,
+per level, those into the next level; the admissible arcs are selected from
+these lists alone, so no phase scans the whole arc list.  Only the
 depth-first search walks arcs one at a time.
 """
 from __future__ import annotations
@@ -59,11 +62,13 @@ def max_flow(size: int, tail, head, sink: int, carrying=None) -> np.ndarray:
     rev = slot[order]  # CSR slot -> the CSR slot of its reverse arc
     del order, slot
     start = csr_bounds(tail, size)
+    # every phase's level arcs, in one array of the arc count allocated once
+    found = np.empty(len(head), dtype=head.dtype)
     while True:
-        level = levels(start, head, live, sink)
+        level, level_arcs = levels(start, head, live, sink, found)
         if level[sink] < 0:
             return ~live[forward]
-        on_path = phase_paths(tail, head, live, level, sink)
+        on_path = phase_paths(tail, head, size, level_arcs, sink)
         live[on_path] = False
         live[rev[on_path]] = True
 
@@ -76,82 +81,86 @@ def csr_bounds(tail, size: int) -> np.ndarray:
     return bounds
 
 
-def levels(start, head, live, t: int) -> np.ndarray:
+def levels(start, head, live, t: int, found) -> tuple[np.ndarray, list[np.ndarray]]:
     """Breadth-first levels from the source, node 0, over the live arcs of
     a CSR list (``start`` bounds each node's slots of ``head``, ``live``
     masks them), up to and including the level of t; -1 elsewhere.  Levels
-    are held in the dtype of ``head``."""
+    are held in the dtype of ``head``.  Also returns, for each level d from
+    1 up, the slots of the live arcs it scanned into level d: every live
+    arc from level d - 1 to level d, as the frontier is all of level d - 1
+    and a head not labelled before is labelled d.  These are views, level
+    after level, into ``found``, an array of at least the arc count in the
+    dtype of ``head``, which the next call overwrites."""
     size = len(start) - 1
     level = np.full(size, -1, dtype=head.dtype)
     level[0] = 0
     seen = np.empty(size, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
-    depth = 0
+    level_arcs = []
+    at = 0
     while len(frontier) and level[t] < 0:
-        depth += 1
         lo = start[frontier]
         counts = start[frontier + 1] - lo
         # the arc slots of every frontier node, concatenated
-        offsets = np.cumsum(counts)
-        slots = np.arange(offsets[-1]) + np.repeat(lo - offsets + counts, counts)
+        offsets = counts.cumsum()
+        slots = np.arange(offsets[-1]) + (lo - offsets + counts).repeat(counts)
+        slots = slots[live[slots]]
         # numpy indexes fastest with intp indices
-        heads = head[slots[live[slots]]].astype(np.intp, copy=False)
-        heads = heads[level[heads] < 0]
+        heads = head[slots].astype(np.intp, copy=False)
+        new = level[heads] < 0
+        into = slots[new]
+        level_arcs.append(found[at : at + len(into)])
+        level_arcs[-1][:] = into
+        at += len(into)
+        heads = heads[new]
         # keep one copy of each head: the last write to `seen` wins
         index = np.arange(len(heads))
         seen[heads] = index
         frontier = heads[seen[heads] == index]
-        level[frontier] = depth
-    return level
+        level[frontier] = len(level_arcs)
+    return level, level_arcs
 
 
-def phase_arcs(tail, head, live, level, t: int):
-    """The arcs one Dinic phase searches, in list order, laid out for the
-    depth-first search over a list of arcs grouped by tail.
+def phase_arcs(tail, head, size: int, level_arcs, t: int):
+    """The arcs one Dinic phase searches on nodes 0..size-1, in list order,
+    laid out for the depth-first search over a list of arcs grouped by tail.
 
     An arc is admissible when it is live, goes one level up, and enters a
     node from which t is reachable along such arcs.  Capacity only grows on
     arcs one level down and levels only drop to -1 (exhausted), so no arc
     becomes admissible during the phase, and a node that cannot reach t now
     never will; the search skips exactly the arcs and nodes on which the
-    full scan would have failed.  Returns ``(adm, heads, it, end, alive)``:
-    the list indices of the admissible arcs, their heads, each node's first
-    and past-last position among them (``it`` is the current-arc pointer),
-    and whether each node reaches t; all but ``adm`` are flat machine
-    arrays, whose scalar reads in the search loop are as fast as from lists.
+    full scan would have failed.  The live arcs one level up are the lists
+    ``levels`` scanned (``level_arcs``, one per level); from the top level
+    down, an arc into a node that reaches t is kept and makes its tail
+    reach t.
+    Returns ``(adm, heads, it, end, alive)``: the list indices of the
+    admissible arcs, their heads, each node's first and past-last position
+    among them (``it`` is the current-arc pointer), and whether each node
+    reaches t; all but ``adm`` are flat machine arrays, whose scalar reads
+    in the search loop are as fast as from lists.
     """
-    size = len(level)
-    from_level = level[tail]
-    adm = np.flatnonzero(live & (from_level >= 0) & (level[head] == from_level + 1))
-    tail = tail[adm].astype(np.intp, copy=False)
-    head = head[adm].astype(np.intp, copy=False)
-    from_level = from_level[adm]
-    # levels are small: in the narrowest unsigned type numpy sorts them by radix
-    by_level = np.argsort(
-        from_level.astype(np.min_scalar_type(level[t])), kind="stable"
-    )
-    cuts = np.searchsorted(from_level[by_level], np.arange(level[t] + 1))
     useful = np.zeros(size, dtype=bool)
     useful[t] = True
-    for d in range(level[t] - 1, -1, -1):
-        arcs_d = by_level[cuts[d] : cuts[d + 1]]
-        useful[tail[arcs_d][useful[head[arcs_d]]]] = True
-    keep = useful[head]
-    adm, tail, head = adm[keep], tail[keep], head[keep]
-    bounds = csr_bounds(tail, size)
+    for arcs in reversed(level_arcs):
+        useful[tail[arcs[useful[head[arcs]]]]] = True
+    adm = np.concatenate(level_arcs)
+    adm = adm[useful[head[adm]]]
+    adm.sort()
+    bounds = csr_bounds(tail[adm], size)
     heads, it, end = array("q"), array("q"), array("q")
-    head = head.astype(np.int64, copy=False)
-    for flat, x in (heads, head), (it, bounds[:-1]), (end, bounds[1:]):
+    for flat, x in (heads, head[adm].astype(np.int64)), (it, bounds[:-1]), (end, bounds[1:]):
         flat.frombytes(x.view(np.uint8))  # one copy, straight from the numpy buffer
     return adm, heads, it, end, bytearray(useful.view(np.uint8))
 
 
-def phase_paths(tail, head, live, level, t: int) -> np.ndarray:
-    """One Dinic phase over the live unit arcs of a list grouped by tail:
-    the depth-first search from node 0 along the arcs ``phase_arcs``
-    admits, with a current-arc pointer per node and dead nodes skipped.
-    Returns the indices of the arcs of every path it augments."""
-    adm, heads, it, end, alive = phase_arcs(tail, head, live, level, t)
+def phase_paths(tail, head, size: int, level_arcs, t: int) -> np.ndarray:
+    """One Dinic phase over the live unit arcs of a list grouped by tail
+    on nodes 0..size-1, given the level arcs of ``levels``: the depth-first
+    search from node 0 along the arcs ``phase_arcs`` admits, with a
+    current-arc pointer per node and dead nodes skipped.  Returns the
+    indices of the arcs of every path it augments."""
+    adm, heads, it, end, alive = phase_arcs(tail, head, size, level_arcs, t)
     taken = array("q")  # the arcs of every augmenting path
     nodes = [0]
     arcs: list[int] = []

@@ -33,7 +33,9 @@ gives each part the flow it would give that part alone.  Equal blocks
 (equal X) therefore round equally: one solver call rounds the distinct
 blocks, stacked in first-occurrence order, and the rows are copied back.
 Stage 2 of 3^12 has 59,049 rows in 14,763 blocks, of which 4 are
-distinct, 16 rows in all.
+distinct, 16 rows in all.  The row sums, the block keys and the matrix are
+arrays from the spec to the balance check, with no Python object per row
+or block of a large plan.
 """
 from __future__ import annotations
 
@@ -48,27 +50,34 @@ from .flow import max_flow
 class BinaryMatrix:
     """An m x n 0/1 matrix, stored once as ``bits``.
 
-    Any 2-d array-like of bits is validated in one numpy pass into a
-    read-only m x n int8 array that every reader of the matrix works from.
+    Any 2-d array-like of bits is validated into a read-only m x n int8
+    array that every reader of the matrix works from.  A numpy array of
+    one-byte integers or bools is copied and checked byte by byte; anything
+    else is read as int64 first.
     """
 
     bits: np.ndarray
 
     def __post_init__(self):
-        try:
-            bits = np.array(self.bits, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("entries must be bits") from None
-        except ValueError:
-            # only sequences of unequal length leave no 2-d object array
-            if np.array(self.bits, dtype=object).ndim < 2:
-                raise ValueError("ragged rows") from None
-            raise ValueError("entries must be bits") from None
+        bits = self.bits
+        if not (isinstance(bits, np.ndarray) and bits.dtype.kind in "biu" and bits.itemsize == 1):
+            try:
+                bits = np.array(bits, dtype=np.int64)
+            except OverflowError:
+                raise ValueError("entries must be bits") from None
+            except ValueError:
+                # only sequences of unequal length leave no 2-d object array
+                if np.array(self.bits, dtype=object).ndim < 2:
+                    raise ValueError("ragged rows") from None
+                raise ValueError("entries must be bits") from None
+            if ((bits != 0) & (bits != 1)).any():
+                raise ValueError("entries must be bits")
+        # a copy, read as bytes: an entry is a bit when its byte is 0 or 1
+        bits = bits.astype(np.int8)
         if bits.size == 0:
             raise ValueError("matrix must be nonempty")
-        if bits.ndim != 2 or ((bits != 0) & (bits != 1)).any():
+        if bits.ndim != 2 or (bits.view(np.uint8) > 1).any():
             raise ValueError("entries must be bits")
-        bits = bits.astype(np.int8)
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
@@ -86,26 +95,34 @@ class BinaryMatrix:
         return self.bits.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundingSpec:
-    """Row-sum sequence X = (s_1..s_m) with values in {kappa, kappa+1}, and n."""
+    """Row-sum sequence X = (s_1..s_m) with values in {kappa, kappa+1}, and n.
 
-    X: tuple[int, ...]
+    X is held as one read-only int64 array, copied from any sequence of
+    integers.
+    """
+
+    X: np.ndarray
     n: int
 
     def __post_init__(self):
-        X = tuple(map(int, self.X))
+        X = np.array(self.X, dtype=np.int64)
+        X.flags.writeable = False
         object.__setattr__(self, "X", X)
-        if not X:
+        if X.ndim != 1:
+            raise ValueError("X must be a sequence of row sums")
+        if not len(X):
             raise ValueError("X must be nonempty")
         if self.n < 1:
             raise ValueError("column count must be positive")
-        if min(X) < 0:
+        kappa = self.kappa
+        if kappa < 0:
             raise ValueError("row sums must be nonnegative")
-        if max(X) - min(X) > 1:
+        if X.max() - kappa > 1:
             raise ValueError("row sums must take at most two consecutive values")
-        if self.kappa + 1 > self.n:
-            raise ValueError(f"kappa+1 = {self.kappa + 1} exceeds n = {self.n}")
+        if kappa + 1 > self.n:
+            raise ValueError(f"kappa+1 = {kappa + 1} exceeds n = {self.n}")
 
     @property
     def m(self) -> int:
@@ -113,7 +130,7 @@ class RoundingSpec:
 
     @property
     def kappa(self) -> int:
-        return min(self.X)
+        return int(self.X.min())
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +301,7 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     """Designation matrix for near-constant row sums X: round T^X = X[i]/n.
 
     Row i of the output sums to exactly X[i], the integer its sum rounds
-    within 1 of (`build_blank_plan`'s `violations()` checks it on every
+    within 1 of (`build_blank_plan` checks the balance contract on every
     plan); initial column sums of equal depth differ by at most 1 and
     initial row sums of equal width by at most 2.  The all-zero X
     short-circuits to the zero matrix without the solver.
@@ -310,8 +327,13 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     the same cuts whose parts are those of the distinct blocks, in order;
     the last block stays last, since when its sum is off a multiple of n it
     occurs once, and when it is not the slack row holds no item.  One
-    ``_round_matrix_core`` call rounds that stack, and its rows go back
-    through a row map (the stack is the matrix when no block repeats).
+    ``_round_matrix_core`` call rounds that stack, and its int8 rows go
+    back through a row map (the stack is the matrix when no block repeats).
+    ``_block_stack`` finds both with no Python object per block of a large
+    matrix: a matrix of at most LOOPED_ROWS rows is cut and keyed in one
+    Python loop over its rows; a larger one is cut by one cumulative sum,
+    each block keyed by one int64 (`_keyed_stack`), and one np.unique over
+    the keys finds the first block of each.
 
     Numerators are int64: for an input of count = (rows + 1)(n + 1)
     entries over D = n, every entry and sum the solver forms is below
@@ -320,29 +342,83 @@ def build_FX(spec: RoundingSpec) -> BinaryMatrix:
     count * D < (|G| + w)(w + 1) < (3/4)|G|^2 + 2|G| < 2^62 (|G| <= 2^31).
     """
     m, n = spec.m, spec.n
-    if all(s == 0 for s in spec.X):
+    if not spec.X.any():
         return BinaryMatrix(np.zeros((m, n), dtype=np.int8))
-    cut = np.cumsum(spec.X) % n == 0
+    X, row_map = _block_stack(spec.X, n)
+    bits = _round_matrix_core(np.repeat(X, n).reshape(len(X), n), n).astype(np.int8)
+    # np.take copies whole rows, where fancy indexing copies entry by entry
+    return BinaryMatrix(np.take(bits, row_map, axis=0) if len(X) < m else bits)
+
+
+# A plan of at most this many rows stacks its blocks in a Python loop, a
+# larger one in arrays: the arrays cost about 40 us a plan whatever its size,
+# the loop 0.15 to 0.35 us a row (the fewer columns, the more blocks), and the
+# two meet between about 160 rows (n = 2) and 300 (n = 128)
+LOOPED_ROWS = 256
+# a block of at most this many rows is keyed by one int64: its bits X - kappa
+# from bit 0 up, and its length from this bit up
+PACKED_ROWS = 57
+
+
+def _block_stack(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct row blocks of the row sums X, stacked in first-occurrence
+    order (the stack's X), and the row map: row r of the matrix is row
+    row_map[r] of the stack.  A block ends after every row whose prefix sum
+    is a multiple of n, and after the last row (see `build_FX`)."""
+    if len(X) <= LOOPED_ROWS:
+        return _looped_stack(X.tolist(), n)
+    return _keyed_stack(X, n)
+
+
+def _looped_stack(X: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_block_stack` one row at a time, each block keyed by its X."""
+    stack: list[int] = []
+    first: dict[tuple[int, ...], int] = {}  # a block's first row in the stack
+    row_map: list[int] = []
+    start = total = 0
+    for end, x in enumerate(X, start=1):
+        total += x
+        if total % n == 0 or end == len(X):
+            block = tuple(X[start:end])
+            at = first.setdefault(block, len(stack))
+            if at == len(stack):
+                stack += block
+            row_map += range(at, at + end - start)
+            start = end
+    return np.array(stack, dtype=np.int64), np.array(row_map)
+
+
+def _keyed_stack(X: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_block_stack` in arrays: each block gets an int64 key, equal for
+    blocks of equal X and distinct otherwise, and one np.unique finds each
+    key's first block.  A block of at most PACKED_ROWS rows is keyed by its
+    bits and length; a longer one by minus one minus the first block with
+    its X, found in a dict keyed by the bytes of that X (fewer than
+    len(X) / PACKED_ROWS blocks are that long)."""
+    cut = np.cumsum(X) % n == 0
     cut[-1] = True
-    # block b holds rows starts[b] .. ends[b] - 1
     ends = np.flatnonzero(cut) + 1
-    starts = np.concatenate([[0], ends[:-1]])
-    # each distinct block's first row in the stack, keyed by its X
-    first: dict[tuple[int, ...], int] = {}
-    stacked = np.empty(len(ends), dtype=np.int64)
-    rows = 0
-    for b, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
-        key = spec.X[lo:hi]
-        if key not in first:
-            first[key] = rows
-            rows += hi - lo
-        stacked[b] = first[key]
-    X = np.array([s for key in first for s in key], dtype=np.int64)
-    bits = _round_matrix_core(np.repeat(X, n).reshape(rows, n), n)
-    if rows < m:
-        # row r of the matrix is row r - starts[b] + stacked[b] of the stack
-        bits = bits[np.repeat(stacked - starts, ends - starts) + np.arange(m)]
-    return BinaryMatrix(bits)
+    lengths = np.diff(ends, prepend=0)
+    starts = ends - lengths
+    # each row's bit at its place in its block; a longer block's packed key
+    # is garbage (a shift past bit 63 reads 0, sums wrap) and replaced
+    place = np.arange(len(X)) - np.repeat(starts, lengths)
+    key = np.add.reduceat((X - X.min()) << place, starts)
+    key += lengths << PACKED_ROWS
+    long = np.flatnonzero(lengths > PACKED_ROWS)
+    seen: dict[bytes, int] = {}  # a long block's first block with its X
+    for b, lo, hi in zip(long.tolist(), starts[long].tolist(), ends[long].tolist()):
+        key[b] = -1 - seen.setdefault(X[lo:hi].tobytes(), b)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    new = np.zeros(len(key), dtype=bool)
+    new[first] = True
+    # a first block's first row in the stack: the rows of the first blocks
+    # before it
+    size = lengths * new
+    at = np.cumsum(size) - size
+    row_map = np.repeat(at[first][inverse] - starts, lengths)
+    row_map += np.arange(len(X))
+    return X[np.repeat(new, lengths)], row_map
 
 
 def balance_violations(F: BinaryMatrix, X) -> list[str]:
@@ -352,24 +428,49 @@ def balance_violations(F: BinaryMatrix, X) -> list[str]:
     equal depth have counts within 1 of each other; initial row segments of
     equal width have counts within 2.  Returns violation strings (empty list
     means F passes).
+
+    F is laid out short axis first (its n x m transpose when n <= m), so
+    numpy pays its cost per row once per entry of the short axis, never per
+    entry of the long one: the prefixes along the long axis are one
+    cumulative sum, those along the short axis are added row after row,
+    and every spread reduces whole rows.
     """
-    X = tuple(map(int, X))
+    X = np.asarray(X, dtype=np.int64)
     if len(X) != F.m:
         raise ValueError("row-sum sequence length disagrees with matrix")
-    out = []
-    if F.row_counts != X:
-        for i, (got, want) in enumerate(zip(F.row_counts, X), start=1):
-            if got != want:
-                out.append(f"row {i} sums to {got}, expected {want}")
-    colpref = F.bits.cumsum(axis=0)
-    spread = colpref.max(axis=1) - colpref.min(axis=1)
-    for d in np.nonzero(spread > 1)[0]:
-        out.append(f"column prefixes of depth {d + 1} spread {spread[d]} > 1")
-    rowpref = F.bits.cumsum(axis=1)
-    spread = rowpref.max(axis=0) - rowpref.min(axis=0)
-    for h in np.nonzero(spread > 2)[0]:
-        out.append(f"row prefixes of width {h + 1} spread {spread[h]} > 2")
+    # F's columns run along axis `down` of the laid-out array, its rows along
+    # axis `across`
+    if F.n <= F.m:
+        bits, down, across = F.bits.T.copy(), 1, 0
+    else:
+        bits, down, across = F.bits, 0, 1
+    depth = _prefixes(bits, down)
+    depth_spread = depth.max(axis=across) - depth.min(axis=across)
+    del depth
+    width = _prefixes(bits, across)
+    width_spread = width.max(axis=down) - width.min(axis=down)
+    sums = width.take(-1, axis=across)
+    # numpy's methods, not its functions: no Python wrapper per call
+    out = [
+        f"row {i + 1} sums to {sums[i]}, expected {X[i]}"
+        for i in (sums != X).nonzero()[0].tolist()
+    ]
+    for d in (depth_spread > 1).nonzero()[0].tolist():
+        out.append(f"column prefixes of depth {d + 1} spread {depth_spread[d]} > 1")
+    for h in (width_spread > 2).nonzero()[0].tolist():
+        out.append(f"row prefixes of width {h + 1} spread {width_spread[h]} > 2")
     return out
+
+
+def _prefixes(bits: np.ndarray, axis: int) -> np.ndarray:
+    """The int32 prefix sums of a short-by-long array of bits along `axis`:
+    one np.cumsum along the long axis 1, one add per row along axis 0."""
+    if axis == 1:
+        return bits.cumsum(axis=1, dtype=np.int32)
+    sums = bits.astype(np.int32)
+    for row in range(1, len(sums)):
+        sums[row] += sums[row - 1]
+    return sums
 
 
 # ---------------------------------------------------------------------------

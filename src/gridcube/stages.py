@@ -23,8 +23,8 @@ from .grids import RANK_BLOCK, GridSpec, level_budget, unsigned_dtype
 from .rounding import BinaryMatrix, RoundingSpec, balance_violations, build_FX
 
 
-def s_sequence(spec: GridSpec, i: int) -> tuple[int, ...]:
-    """Blanks per section at stage i: s_i(j) for j = 1..P_i.
+def s_sequence(spec: GridSpec, i: int) -> np.ndarray:
+    """Blanks per section at stage i: s_i(j) for j = 1..P_i, one int64 array.
 
     s_i(j) = w - ceil(A/h) + floor(j phi) - floor((j-1) phi) where
     w = 2^{e_i - e_{i-1}}, A = a_1...a_i, h = 2^{e_{i-1}}, and
@@ -51,8 +51,9 @@ def s_sequence(spec: GridSpec, i: int) -> tuple[int, ...]:
     prefix = spec.prefix_product(i)
     lead = -(-prefix // half)
     phi_num = lead * half - prefix  # phi = phi_num / half, in [0, 1)
-    steps = np.diff(np.arange(spec.page_count(i) + 1) * phi_num // half)
-    return tuple((width - lead + steps).tolist())
+    s = np.diff(np.arange(spec.page_count(i) + 1) * phi_num // half)
+    s += width - lead
+    return s
 
 
 def budget_break(spec: GridSpec, i: int, s) -> int | None:
@@ -95,8 +96,8 @@ class BlankPlan:
     F: BinaryMatrix
 
     @property
-    def s(self) -> tuple[int, ...]:
-        """Blanks per section: the stage's `s_sequence`, on each read."""
+    def s(self) -> np.ndarray:
+        """Blanks per section: the stage's `s_sequence`."""
         return s_sequence(self.spec, self.stage)
 
     def _counts(self, axis: int) -> np.ndarray:
@@ -169,12 +170,17 @@ def build_blank_plan(
 
     With no matrix, rounds the constant-row target s_i(j)/width; an external
     matrix (e.g. a published worked example) is accepted only if it passes
-    the same contracts the generated one must.
+    the same contracts the generated one must.  A generated matrix has the
+    stage's shape by construction, and its balance contract is checked
+    against the blanks it was rounded from, so `s_sequence` runs once.
     """
     if matrix is None:
-        matrix = build_FX(RoundingSpec(s_sequence(spec, i), 1 << spec.block_width(i)))
-    plan = BlankPlan(spec, i, matrix)
-    bad = plan.violations()
+        s = s_sequence(spec, i)
+        plan = BlankPlan(spec, i, build_FX(RoundingSpec(s, 1 << spec.block_width(i))))
+        bad = balance_violations(plan.F, s)
+    else:
+        plan = BlankPlan(spec, i, matrix)
+        bad = plan.violations()
     if bad:
         raise ValueError(
             f"stage {i} designation matrix rejected: " + "; ".join(bad)

@@ -7,8 +7,11 @@ It holds the embedding file of every audit-sweep grid of the benchmark
 and of 5x5x4000, each as `ops.embed_text` renders it (the text
 `gridcube embed GRID` writes), and the files that `gridcube embed` itself
 writes for 3x7x4 and 3x7x4x3, plain and seeded from `tests/data`, both the
-embedding and the `--dump-stage 2` and `--dump-stage 3` dumps.
-`tests/test_digests.py` recomputes the corpus on every run.
+embedding and the `--dump-stage 2` and `--dump-stage 3` dumps.  It also
+holds the `render_report` of `audit_grid` (every check's name, status and
+detail, one line each) of a fixed family of grids with k = 5..7
+(`report_grids`).  `tests/test_digests.py` recomputes the corpus on every
+run.
 
 The corpus pins today's outputs: a change that moves any of them fails the
 test.  Regenerate it only when a change of output has been decided on, and
@@ -20,6 +23,8 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +52,24 @@ CLI_RUNS = [
     ((3, 7, 4, 3), ["seed_3743_stage2.txt", "seed_3743_stage3.txt"]),
 ]
 CLI_OUTPUTS = [[], ["--dump-stage", "2"], ["--dump-stage", "3"]]
+
+
+# grids whose audits downgrade a gated FAIL to REPORTED (test_checks.py)
+DOWNGRADING_GRIDS = [(9, 3, 5, 2, 9), (7, 2, 5, 4, 2, 3, 2), (5, 9, 6, 2, 8)]
+
+
+def report_grids() -> list[tuple[int, ...]]:
+    """A fixed family of 51 grids: 16 each with k = 5, 6 and 7, sides
+    2..9 and at most 2^14 vertices, drawn from a seeded generator, and the
+    three `DOWNGRADING_GRIDS`, so that a status a gate set is pinned too."""
+    rng = random.Random(1905)
+    grids = []
+    for k in (5, 6, 7):
+        while len(grids) < 16 * (k - 4):
+            dims = tuple(rng.choice((2, 2, 3, 4, 5, 6, 7, 8, 9)) for _ in range(k))
+            if math.prod(dims) <= 1 << 14 and dims not in grids:
+                grids.append(dims)
+    return grids + DOWNGRADING_GRIDS
 
 
 def sha256(data: bytes) -> str:
@@ -86,9 +109,20 @@ def cli_files() -> dict[str, str]:
     return out
 
 
+def report(dims) -> str:
+    """The digest of the grid's audit report."""
+    checks, _, _ = gridcube.audit_grid(gridcube.GridSpec(dims))
+    return sha256(gridcube.render_report(checks).encode())
+
+
+def reports() -> dict[str, str]:
+    """The digest of each `report_grids` grid's audit report, by grid."""
+    return {"report:" + "x".join(map(str, dims)): report(dims) for dims in report_grids()}
+
+
 def corpus(ops, workloads) -> dict[str, str]:
     """Every digest of the corpus, by key."""
-    return {**grid_files(ops, workloads), **cli_files()}
+    return {**grid_files(ops, workloads), **cli_files(), **reports()}
 
 
 def main() -> int:

@@ -1,0 +1,107 @@
+"""In-process time of one gridcube layer in two checkouts, run in pairs.
+
+    python tests/layer_pairs.py A B LAYER GRID... [--pairs N] [--repeat R]
+
+LAYER is a gridcube function: `build_blank_plan` (every stage 2..k-1 of
+each grid), `build_f2`, `build_fk`, `assemble_Hk`, `dilation`,
+`dump_embedding`, `parse_embedding` or `audit_grid`.  A GRID is its sides
+joined by "x", e.g. 3x3x3x3x3x3x3x3x3x3x3x3.  Each of N pairs runs a fresh
+process in checkout A and one in checkout B, A first in even pairs and B
+first in odd ones.  A process imports gridcube from the checkout's `src`,
+builds the layer's inputs for every grid untimed, then times the layer's
+calls over all the grids R times and reports the fastest total.  The
+script prints each side's median and quartiles of its N readings, and in
+how many pairs B was the faster.  It writes nothing: bytecode writing is off, and
+the processes print their readings.  Not a test module: pytest does not
+collect it.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+CHILD = r'''
+import json, sys, time
+import gridcube as g
+
+layer, repeat = sys.argv[1], int(sys.argv[2])
+grids = [g.GridSpec(tuple(map(int, grid.split("x")))) for grid in sys.argv[3:]]
+
+
+def calls(spec):
+    """The (function, args) calls a reading times for the grid."""
+    if layer == "build_blank_plan":
+        return [(g.build_blank_plan, (spec, i)) for i in range(2, spec.k)]
+    if layer in ("build_f2", "build_fk", "audit_grid"):
+        return [(getattr(g, layer), (spec,))]
+    fk = g.build_fk(spec)
+    if layer == "assemble_Hk":
+        return [(g.assemble_Hk, (fk,))]
+    emb = g.assemble_Hk(fk)
+    if layer in ("dilation", "dump_embedding"):
+        return [(getattr(g, layer), (emb,))]
+    if layer == "parse_embedding":
+        return [(g.parse_embedding, (g.dump_embedding(emb),))]
+    raise SystemExit(f"unknown layer {layer!r}")
+
+
+work = [call for spec in grids for call in calls(spec)]
+best = float("inf")
+for _ in range(repeat):
+    total = 0.0
+    for function, args in work:
+        start = time.perf_counter()
+        function(*args)
+        total += time.perf_counter() - start
+    best = min(best, total)
+print(json.dumps({"ms": best * 1e3}))
+'''
+
+
+def reading(checkout: Path, layer: str, grids: list[str], repeat: int) -> float:
+    """One fresh process's fastest time of the layer over the grids, in ms."""
+    env = {
+        **os.environ,
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "PYTHONPATH": str(checkout.resolve() / "src"),
+    }
+    cmd = [sys.executable, "-c", CHILD, layer, str(repeat), *grids]
+    run = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if run.returncode != 0:
+        raise SystemExit(f"{checkout}: {run.stderr.strip()}")
+    return json.loads(run.stdout.strip().splitlines()[-1])["ms"]
+
+
+def summary(name: str, ms: list[float]) -> str:
+    q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+    return f"{name}: median {median:.2f} ms, quartiles {q1:.2f} / {q3:.2f} ms"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path)
+    parser.add_argument("b", type=Path)
+    parser.add_argument("layer")
+    parser.add_argument("grids", nargs="+")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args()
+    a, b = [], []
+    for pair in range(args.pairs):
+        order = [(args.a, a), (args.b, b)]
+        for checkout, readings in order if pair % 2 == 0 else order[::-1]:
+            readings.append(reading(checkout, args.layer, args.grids, args.repeat))
+        print(f"pair {pair + 1}: A {a[-1]:.2f} ms, B {b[-1]:.2f} ms", flush=True)
+    print(summary(f"A {args.a}", a))
+    print(summary(f"B {args.b}", b))
+    print(f"B faster in {sum(y < x for x, y in zip(a, b))} of {args.pairs} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,10 @@ exactly, or pass its checks.  It holds:
   and a random consistent designation matrix from the same network with
   shuffled adjacency lists;
 - the designation matrix rounded whole, in one solver call, with no row
-  blocks;
+  blocks, and rounded over its row blocks stacked one block at a time,
+  keyed by their X in a dict;
+- the balance contract over tuples, and the rejections of a rounding
+  spec, checked over the tuple of its X;
 - the rational front ends of the library's two-way and matrix rounding
   solvers, the exact matrix-rounding and zero-window validators of a
   designation matrix, its cyclic zero index and forward/backward
@@ -381,6 +384,80 @@ def whole_matrix_FX(spec: RoundingSpec) -> BinaryMatrix:
         return BinaryMatrix(np.zeros((m, n), dtype=np.int8))
     X = solver_array(spec.X, (m + 1) * (n + 1), n)
     return BinaryMatrix(rounding._round_matrix_core(np.repeat(X, n).reshape(m, n), n))
+
+
+def block_stack(X, n: int) -> tuple[list[int], list[int]]:
+    """``build_FX``'s row blocks stacked one block at a time, each distinct
+    block keyed by the tuple of its X in a dict: the stack's X (the distinct
+    blocks in first-occurrence order), and the row map (row r of the matrix
+    is row row_map[r] of the stack)."""
+    X = tuple(map(int, X))
+    cut = np.cumsum(X) % n == 0
+    cut[-1] = True
+    # block b holds rows starts[b] .. ends[b] - 1
+    ends = np.flatnonzero(cut) + 1
+    starts = np.concatenate([[0], ends[:-1]])
+    first: dict[tuple[int, ...], int] = {}
+    stacked = np.empty(len(ends), dtype=np.int64)
+    rows = 0
+    for b, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        key = X[lo:hi]
+        if key not in first:
+            first[key] = rows
+            rows += hi - lo
+        stacked[b] = first[key]
+    row_map = np.repeat(stacked - starts, ends - starts) + np.arange(len(X))
+    return [s for key in first for s in key], row_map.tolist()
+
+
+def blocked_FX(spec: RoundingSpec) -> BinaryMatrix:
+    """``build_FX`` over the dict-keyed ``block_stack``: the stack rounded
+    by one solver call, its rows copied back through the row map."""
+    m, n = spec.m, spec.n
+    if all(s == 0 for s in spec.X):
+        return BinaryMatrix(np.zeros((m, n), dtype=np.int64))
+    X, row_map = block_stack(spec.X, n)
+    body = np.repeat(np.array(X, dtype=np.int64), n).reshape(len(X), n)
+    return BinaryMatrix(rounding._round_matrix_core(body, n)[row_map])
+
+
+def balance_violations(F: BinaryMatrix, X) -> list[str]:
+    """``rounding.balance_violations`` over tuples: the row sums compared
+    as tuples, the prefixes cumulated along each axis of F as laid out."""
+    X = tuple(map(int, X))
+    if len(X) != F.m:
+        raise ValueError("row-sum sequence length disagrees with matrix")
+    out = []
+    if F.row_counts != X:
+        for i, (got, want) in enumerate(zip(F.row_counts, X), start=1):
+            if got != want:
+                out.append(f"row {i} sums to {got}, expected {want}")
+    colpref = F.bits.cumsum(axis=0)
+    spread = colpref.max(axis=1) - colpref.min(axis=1)
+    for d in np.nonzero(spread > 1)[0]:
+        out.append(f"column prefixes of depth {d + 1} spread {spread[d]} > 1")
+    rowpref = F.bits.cumsum(axis=1)
+    spread = rowpref.max(axis=0) - rowpref.min(axis=0)
+    for h in np.nonzero(spread > 2)[0]:
+        out.append(f"row prefixes of width {h + 1} spread {spread[h]} > 2")
+    return out
+
+
+def rounding_spec_error(X, n) -> str | None:
+    """The message ``RoundingSpec(X, n)`` rejects X and n with, checked
+    over the tuple of X; None when it accepts them."""
+    X = tuple(map(int, X))
+    if not X:
+        return "X must be nonempty"
+    if n < 1:
+        return "column count must be positive"
+    if min(X) < 0:
+        return "row sums must be nonnegative"
+    if max(X) - min(X) > 1:
+        return "row sums must take at most two consecutive values"
+    if min(X) + 1 > n:
+        return f"kappa+1 = {min(X) + 1} exceeds n = {n}"
+    return None
 
 
 def random_FX(spec: RoundingSpec, rng: random.Random) -> BinaryMatrix:

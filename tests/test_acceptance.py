@@ -51,9 +51,9 @@ def test_criterion_01_golden_sequences():
     start = time.monotonic()
     g374 = GridSpec((3, 7, 4))
     g3743 = GridSpec((3, 7, 4, 3))
-    assert s_sequence(g374, 2) == (2, 3, 3, 3)
-    assert s_sequence(g3743, 2) == (2, 3, 3, 3) * 3
-    assert s_sequence(g3743, 3) == (1, 1, 2)
+    assert tuple(s_sequence(g374, 2)) == (2, 3, 3, 3)
+    assert tuple(s_sequence(g3743, 2)) == (2, 3, 3, 3) * 3
+    assert tuple(s_sequence(g3743, 3)) == (1, 1, 2)
     assert g374.exponents == (0, 2, 5, 7)
     assert level_budget(g3743, 2) == 63
     assert level_budget(g3743, 3) == 8

@@ -62,6 +62,7 @@ commands = [
     ["embed", "3", "7", "4", "--dump-stage", "3", "--out", str(tmp / "stage.txt")],
     ["embed", "3", "7", "4", "3", "--seed", str(seeds), "--out", str(tmp / "s.txt")],
     ["embed", "5", "6", "--windows", "3", "0", "--out", str(tmp / "w.txt")],
+    ["embed", "3", "3", "300", "--out", str(tmp / "long.txt")],
     ["audit", "3", "7", "4"],
     ["audit", "5", "5", "6"],
     ["cat", "7", "3"],

@@ -241,7 +241,17 @@ def test_binary_matrix_validates_rows():
     # anything int() maps to a bit is accepted, into the same int8 array
     for same in ([[1, 0, 1], [0, 0, 1]], np.array(F.bits), [[True, "0", 1], [0.0, 0, 1]]):
         assert BinaryMatrix(same).bits.tolist() == F.bits.tolist()
+    # a byte array is copied, not held
+    source = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.uint8)
+    held = BinaryMatrix(source)
+    source[0, 0] = 0
+    assert held.bits.dtype == np.int8 and held.bits.tolist() == F.bits.tolist()
+    assert BinaryMatrix(source.astype(bool)).bits.tolist() == [[0, 0, 1], [0, 0, 1]]
     for bad, message in [
+        (np.array([[2, 0]], dtype=np.uint8), "bits"),
+        (np.array([[-1, 0]], dtype=np.int8), "bits"),
+        (np.array([1, 0], dtype=np.int8), "bits"),
+        (np.zeros((2, 0), dtype=np.int8), "nonempty"),
         ((), "nonempty"),
         (((),), "nonempty"),
         (((1, 0), (1,)), "ragged"),
@@ -262,6 +272,21 @@ def test_rounding_spec_rejects():
         RoundingSpec((-1, 0), 4)
     with pytest.raises(ValueError):
         RoundingSpec((), 4)
+
+
+@given(st.lists(st.integers(-2, 9), max_size=6), st.integers(-1, 9))
+def test_rounding_spec_rejects_as_the_tuple_form(X, n):
+    """RoundingSpec rejects exactly the X and n the checks over the tuple
+    of X reject, with the same message, and holds X as read-only int64."""
+    want = oracles.rounding_spec_error(X, n)
+    if want is not None:
+        with pytest.raises(ValueError) as error:
+            RoundingSpec(X, n)
+        assert str(error.value) == want
+        return
+    spec = RoundingSpec(X, n)
+    assert (spec.X.tolist(), spec.m, spec.kappa) == (X, len(X), min(X))
+    assert spec.X.dtype == np.int64 and not spec.X.flags.writeable
 
 
 def test_golden_designation_matrices_pass_contracts():
@@ -398,6 +423,13 @@ def stage_rounding_specs(grid: GridSpec) -> list[RoundingSpec]:
     ]
 
 
+def distinct_specs(specs) -> list[RoundingSpec]:
+    """One spec of each distinct n and X among the specs, ordered by n and
+    then X."""
+    unique = {(spec.n, tuple(spec.X.tolist())): spec for spec in specs}
+    return [unique[key] for key in sorted(unique)]
+
+
 def test_slots_match_dinic_exhaustively():
     specs = two_valued_specs(6, range(2, 9))
     calls = solver_calls(lambda: [build_FX(RoundingSpec(X, n)) for X, n in specs])
@@ -408,16 +440,16 @@ def test_slots_match_dinic_exhaustively():
 
 
 def test_first_phase_matches_dinic_on_stage_specs(battery_grids):
-    specs = {
+    specs = [
         RoundingSpec(st.plan.s, st.plan.F.n)
         for fk in battery_grids.values()
         for st in fk.stage_chain()
         if st.plan is not None
-    }
+    ]
     for dims in [(17, 17, 17), (33, 33, 33), (5, 5, 5, 5, 5)]:
-        specs.update(stage_rounding_specs(GridSpec(dims)))
+        specs += stage_rounding_specs(GridSpec(dims))
     outcomes = []
-    for spec in sorted(specs, key=lambda sp: (sp.n, sp.X)):
+    for spec in distinct_specs(specs):
         for args in solver_calls(lambda: build_FX(spec)):
             outcomes.append(slots_outcome(*args))
     # both branches of the solver are exercised
@@ -457,11 +489,13 @@ def test_incomplete_first_phase_is_finished_by_max_flow():
 def test_later_phases_memory_is_linear_in_the_items():
     """Stage 2 of 3^10, rounded as the whole matrix, is one attempt on
     26,248 items whose first phase falls short.  The tracemalloc peak of
-    the whole ``_round_matrix_core`` call is 359 bytes per item, with
+    the whole ``_round_matrix_core`` call is 363 bytes per item, with
     ``flow.max_flow`` running the later phases on the slot network from the
-    first phase's flow (399 when the floors were a second copy of the
-    extended matrix and both scan orders stayed alive through the flow; 943
-    when Dinic ran from zero on a network of int64 arcs), tested at 400."""
+    first phase's flow, its breadth-first levels keeping their arcs in one
+    int32 array of the arc count (359 without it; 399 when the floors were
+    a second copy of the extended matrix and both scan orders stayed alive
+    through the flow; 943 when Dinic ran from zero on a network of int64
+    arcs), tested at 400."""
     [spec] = stage_rounding_specs(GridSpec((3,) * 10))[:1]
     [args] = solver_calls(lambda: oracles.whole_matrix_FX(spec))
     *windows, total_ones = args
@@ -479,15 +513,32 @@ def test_later_phases_memory_is_linear_in_the_items():
 
 
 def stacked_rows(spec: RoundingSpec) -> list[int]:
-    """Check build_FX(spec) against the whole matrix rounded in one call, and
-    return the row count of every matrix build_FX hands the solver."""
+    """Check build_FX(spec) against the whole matrix rounded in one call and
+    the block stack against its dict-keyed form, and return the row count
+    of every matrix build_FX hands the solver."""
     core = mock.patch.object(
         rounding, "_round_matrix_core", wraps=rounding._round_matrix_core
     )
     with core as spy:
         F = build_FX(spec)
     assert np.array_equal(F.bits, oracles.whole_matrix_FX(spec).bits), spec
+    assert_block_stacks_equal_the_dict_form(spec, F)
     return [call.args[0].shape[0] for call in spy.call_args_list]
+
+
+def assert_block_stacks_equal_the_dict_form(spec: RoundingSpec, F: BinaryMatrix):
+    """Both of the library's block stacks, the looped one and the keyed
+    one, whatever the plan's size, give the stack's X and the row map of
+    ``oracles.block_stack``; and F, build_FX's matrix, has the bits that
+    stack gives."""
+    want = oracles.block_stack(spec.X, spec.n)
+    for X, row_map in (
+        rounding._looped_stack(spec.X.tolist(), spec.n),
+        rounding._keyed_stack(spec.X, spec.n),
+        rounding._block_stack(spec.X, spec.n),
+    ):
+        assert (X.tolist(), row_map.tolist()) == want, spec
+    assert np.array_equal(F.bits, oracles.blocked_FX(spec).bits), spec
 
 
 @pytest.mark.parametrize(
@@ -535,7 +586,43 @@ def test_build_FX_matches_the_whole_matrix_when_blocks_repeat(spec):
         assert count < spec.m
 
 
+@st.composite
+def long_block_specs(draw) -> RoundingSpec:
+    """X in {0, 1} made of three blocks, each holding n ones between a
+    first and a last one, 20 to 140 rows long (past the PACKED_ROWS that
+    one int64 key packs, or not), in a drawn order that repeats them."""
+    n = draw(st.integers(20, 60))
+    blocks = []
+    for _ in range(3):
+        zeros = draw(st.integers(0, 80))
+        middle = draw(st.permutations([1] * (n - 2) + [0] * zeros))
+        blocks.append([1, *middle, 1])
+    order = draw(st.lists(st.integers(0, 2), min_size=1, max_size=6))
+    tail = draw(st.lists(st.integers(0, 1), max_size=3))
+    return RoundingSpec([x for b in order for x in blocks[b]] + tail, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_block_specs())
+def test_block_stacks_equal_the_dict_form_on_long_blocks(spec):
+    assert_block_stacks_equal_the_dict_form(spec, build_FX(spec))
+
+
 def test_row_blocks_edge_cases():
+    # one row; one all-zero row, with no solver call
+    assert stacked_rows(RoundingSpec((3,), 4)) == [1]
+    assert stacked_rows(RoundingSpec((0,), 1)) == []
+    # kappa = 0: each leading zero row ends a block, all equal
+    assert stacked_rows(RoundingSpec((0, 0, 0, 1, 0, 1), 2)) == [4]
+    # a block of 58 rows, one past the packed keys, then the same block
+    assert stacked_rows(RoundingSpec(((1,) * 57 + (0,)) * 2, 57)) == [58]
+    # blocks longer than PACKED_ROWS in a plan of more than LOOPED_ROWS rows
+    assert rounding.LOOPED_ROWS < 300 and rounding.PACKED_ROWS < 60
+    a, b = (1,) * 59 + (2,), (1,) * 61
+    assert stacked_rows(RoundingSpec(a * 5 + b * 2 + a * 3, 61)) == [60 + 61]
+    # two long blocks of one length and different X
+    c = (2,) + (1,) * 59
+    assert stacked_rows(RoundingSpec(a * 3 + c * 3, 61)) == [60 + 60]
     # no prefix sum is a multiple of 16: one block, the whole matrix
     assert stacked_rows(RoundingSpec((2, 3, 3), 16)) == [3]
     # rows of n ones are blocks of their own: (4), (4), (3, 3, 3, 3), (4), (4)
@@ -574,11 +661,13 @@ def test_stage_2_of_3_12_makes_one_small_attempt():
 def test_random_roundings_pass_the_contracts():
     """Every distinct stage spec of the audit-sweep grids, one draw each."""
     grids = load_perfbench("workloads").sweep_grids()
-    specs = {spec for dims in grids for spec in stage_rounding_specs(GridSpec(dims))}
+    specs = distinct_specs(
+        spec for dims in grids for spec in stage_rounding_specs(GridSpec(dims))
+    )
     assert len(specs) == 277
     rng = random.Random(11)
     differ = 0
-    for spec in sorted(specs, key=lambda sp: (sp.n, sp.X)):
+    for spec in specs:
         F = oracles.random_FX(spec, rng)
         assert balance_violations(F, spec.X) == [], spec
         assert window_violations(spec, F) == [], spec
@@ -762,6 +851,60 @@ def test_balance_validator_agrees_with_reference():
         F = build_FX(RoundingSpec(X, n))
         assert balance_violations(F, X) == []
         assert fx_contracts_hold(F, X) == []
+
+
+@st.composite
+def balance_cases(draw) -> tuple[BinaryMatrix, list[int]]:
+    """A matrix and row sums: build_FX's matrix of a random spec, with one
+    bit flipped or two rows swapped or as it is, or random bits; the row
+    sums its own, or the spec's, or random."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 40))
+    kappa = draw(st.integers(0, n - 1))
+    X = draw(st.lists(st.sampled_from((kappa, min(kappa + 1, n - 1))), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        bits = np.array(build_FX(RoundingSpec(X, n)).bits)
+        change = draw(st.sampled_from(("flip", "swap", "none")))
+        r, s, c = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        if change == "flip":
+            bits[r, c] ^= 1
+        elif change == "swap":
+            bits[[r, s]] = bits[[s, r]]
+    else:
+        bits = np.array(draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n)))
+        bits = bits.reshape(m, n)
+    F = BinaryMatrix(bits)
+    sums = draw(st.sampled_from(("own", "spec", "random")))
+    if sums == "own":
+        X = list(F.row_counts)
+    elif sums == "random":
+        X = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    return F, X
+
+
+@settings(max_examples=300)
+@given(balance_cases())
+def test_balance_violations_equal_the_tuple_form(case):
+    F, X = case
+    assert balance_violations(F, X) == oracles.balance_violations(F, X)
+    assert balance_violations(F, tuple(X)) == balance_violations(F, np.array(X))
+    for wrong in (X[:-1], X + [0]):
+        with pytest.raises(ValueError, match="length disagrees"):
+            balance_violations(F, wrong)
+
+
+def test_balance_violations_equal_the_tuple_form_on_stage_plans():
+    """Stage plans of 3^12 and 7x11x13x97, each with one bit flipped in its
+    last row: the same violations, in the same order."""
+    for dims in [(3,) * 12, (7, 11, 13, 97)]:
+        grid = GridSpec(dims)
+        for spec in stage_rounding_specs(grid):
+            bits = np.array(build_FX(spec).bits)
+            assert balance_violations(BinaryMatrix(bits), spec.X) == []
+            bits[-1, 0] ^= 1
+            F = BinaryMatrix(bits)
+            got = balance_violations(F, spec.X)
+            assert got and got == oracles.balance_violations(F, spec.X), (dims, spec.m)
 
 
 def test_balance_validator_detects_imbalance():
