@@ -630,7 +630,7 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
         out.append(_check(f"pipeline.stage{j}.injective", st.is_injective()))
         out.append(_check(f"pipeline.stage{j}.coordinate-range", st.in_box))
         if st.plan is not None:
-            plan, source = st.plan, st.steps[j - 3].table
+            plan, source = st.plan, st.steps[j - 3]
             # the chain stores stage j - 1's level as these source levels:
             # each must be a nonblank level of the plan (one with a nonzero
             # ordinal), and its offset the coordinate stage j settled; read

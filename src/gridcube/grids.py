@@ -10,6 +10,7 @@ x_k most significant); the dump and file formats write 1-based coordinates.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import prod
 
@@ -55,11 +56,13 @@ class AboveCap(ValueError):
 class GridSpec:
     """A k-dimensional grid, k >= 2, with precomputed exponent data.
 
+    Each side is read with `operator.index`: ints and numpy integers are
+    taken, and a float or a string is refused, not truncated or parsed.
     |G| is at most `vertex_cap` and, whatever the cap, `VERTEX_BOUND` =
     2^31, so n <= 31: the chain's int32 arrays (the base map's row and
-    column of each rank, `Transition.table`, the plans' count tables) hold
-    values up to |G|, the labels fit uint32, and the batteries pack n-bit
-    fields into int64 keys.
+    column of each rank, `StageEmbedding.steps`, the plans' count tables)
+    hold values up to |G|, the labels fit uint32, and the batteries pack
+    n-bit fields into int64 keys.
     """
 
     dims: tuple[int, ...]
@@ -67,7 +70,10 @@ class GridSpec:
     exponents: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(a) for a in self.dims)
+        try:
+            dims = tuple(map(operator.index, self.dims))
+        except TypeError:
+            raise ValueError(f"grid sides must be integers, got {self.dims!r}") from None
         object.__setattr__(self, "dims", dims)
         if len(dims) < 2:
             raise ValueError("a grid needs at least two dimensions")

@@ -89,16 +89,13 @@ class BlankPlan:
     level g along its row (its ordinal in its section) and down its column
     (its stack height, see `stack`); both are 0 at blanks and at the unused
     index 0.  A fourth, ``level_index``, inverts ``level_table``.
+    `build_blank_plan` checks a plan's matrix once, before it makes the
+    plan; a plan made directly is not checked.
     """
 
     spec: GridSpec
     stage: int
     F: BinaryMatrix
-
-    @property
-    def s(self) -> np.ndarray:
-        """Blanks per section: the stage's `s_sequence`."""
-        return s_sequence(self.spec, self.stage)
 
     def _counts(self, axis: int) -> np.ndarray:
         """The nonblanks up to each level along `axis` of F (1: its row, 0:
@@ -155,13 +152,6 @@ class BlankPlan:
         """Slot of a level within its section (an int or an int array), 1-based."""
         return (level - 1) % self.width + 1
 
-    def violations(self) -> list[str]:
-        """Contract check: the stage's shape, then the balance contract."""
-        F = self.F
-        if F.m != self.pages or F.n != self.width:
-            return [f"shape {F.m}x{F.n}, want {self.pages}x{self.width}"]
-        return balance_violations(F, self.s)
-
 
 def build_blank_plan(
     spec: GridSpec, i: int, matrix: BinaryMatrix | None = None
@@ -169,23 +159,23 @@ def build_blank_plan(
     """Blank designation for stage i, generated or externally seeded.
 
     With no matrix, rounds the constant-row target s_i(j)/width; an external
-    matrix (e.g. a published worked example) is accepted only if it passes
-    the same contracts the generated one must.  A generated matrix has the
-    stage's shape by construction, and its balance contract is checked
-    against the blanks it was rounded from, so `s_sequence` runs once.
+    matrix (e.g. a published worked example) is taken as given.  Either is
+    checked one way, against the stage's blanks, so `s_sequence` runs once:
+    the stage's shape, P_i sections of `width` slots, then the balance
+    contract (`balance_violations`).
     """
-    if matrix is None:
-        s = s_sequence(spec, i)
-        plan = BlankPlan(spec, i, build_FX(RoundingSpec(s, 1 << spec.block_width(i))))
-        bad = balance_violations(plan.F, s)
+    s = s_sequence(spec, i)
+    width = 1 << spec.block_width(i)
+    F = build_FX(RoundingSpec(s, width)) if matrix is None else matrix
+    if F.m != len(s) or F.n != width:
+        bad = [f"shape {F.m}x{F.n}, want {len(s)}x{width}"]
     else:
-        plan = BlankPlan(spec, i, matrix)
-        bad = plan.violations()
+        bad = balance_violations(F, s)
     if bad:
         raise ValueError(
             f"stage {i} designation matrix rejected: " + "; ".join(bad)
         )
-    return plan
+    return BlankPlan(spec, i, F)
 
 
 def by_rank(table: np.ndarray, column: np.ndarray, out=None) -> np.ndarray:
@@ -198,37 +188,12 @@ def by_rank(table: np.ndarray, column: np.ndarray, out=None) -> np.ndarray:
     straight into `out` in clip mode, which copies nothing (mode 'raise'
     buffers each block)."""
     if out is None:
-        if len(column) <= RANK_BLOCK:
-            return table[column - 1]
         out = np.empty(len(column), dtype=table.dtype)
     table = table.astype(out.dtype, copy=False)
     for start in range(0, len(column), RANK_BLOCK):
         at = column[start : start + RANK_BLOCK] - 1
         np.take(table, at, out=out[start : start + RANK_BLOCK], mode="clip")
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Transition:
-    """How a stacked stage was made: the blank plan its predecessor's level
-    coordinate was inflated through, and `table`, the inflated (nonblank)
-    level of each base column (`table[c - 1]` for column c, int32), read at
-    each rank through `column`, the chain's base column of each rank.
-
-    A built chain stores no transition: `StageEmbedding.steps` composes
-    each table from the plans when read.  `source_level` gathers the table
-    by rank into a new |G|-entry row on each read.  Over the identity
-    column 1..|G|, a table holds one source level per vertex.
-    """
-
-    plan: BlankPlan
-    table: np.ndarray
-    column: np.ndarray
-
-    @property
-    def source_level(self) -> np.ndarray:
-        """The inflated level each vertex passed through, by rank (int32)."""
-        return by_rank(self.table, self.column)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,14 +215,17 @@ class StageEmbedding:
       `build_fk` is done.
 
     Every stage of one chain shares them.  The rest is derived when read
-    and kept by no embed: the `steps` (each stacked stage's source levels
-    over base columns, composed from the plans), coordinate rows by rank
-    (`coordinate`), and a stage's `level` row and `address`.
+    and kept by no embed: the `steps`, coordinate rows by rank
+    (`coordinate`), and a stage's `level` row, `source_level` row and
+    `address`.  The steps are the source levels of stages 3..top, composed
+    from the plans: at stage i, a table over base columns (int32) whose
+    entry c - 1 is the nonblank level of `plans[i - 3]` that base column c
+    was inflated to.
     Coordinates 1..i-1 of stage i are the chain's settled coordinates.  Its
     last, a level index, is the top table at the top stage, and below it
     where the next stage's source level sits in the next plan's
     `level_table`: one gather from the plan's `level_index` over the next
-    step's table.  A chain written over other columns than the base map's
+    step.  A chain written over other columns than the base map's
     (the identity column 1..|G|, one table entry per vertex, as the tests'
     mutant chains are) gives its source levels as `sources`.
     """
@@ -290,20 +258,18 @@ class StageEmbedding:
         return len(self.plans) + 2
 
     @cached_property
-    def steps(self) -> tuple[Transition, ...]:
-        """The `Transition` of each stacked stage 3..top, in order: the
-        given `sources`, or else each inflated level composed from the
+    def steps(self) -> tuple[np.ndarray, ...]:
+        """The source-level table of each stacked stage 3..top, in order:
+        the given `sources`, or else each inflated level composed from the
         plans as `stack` composed it, from the base column at stage 2."""
-        tables = self.sources
-        if tables is None:
-            levels = np.arange(1, level_budget(self.spec, 2) + 1, dtype=np.int32)
-            tables = []
-            for plan in self.plans:
-                tables.append(plan.level_table[levels - 1])
-                levels = plan.height_table[tables[-1]]
-        return tuple(
-            Transition(plan, table, self.column) for plan, table in zip(self.plans, tables)
-        )
+        if self.sources is not None:
+            return self.sources
+        levels = np.arange(1, level_budget(self.spec, 2) + 1, dtype=np.int32)
+        tables = []
+        for plan in self.plans:
+            tables.append(plan.level_table[levels - 1])
+            levels = plan.height_table[tables[-1]]
+        return tuple(tables)
 
     def coordinate(self, j: int) -> np.ndarray:
         """The chain's coordinate j of every vertex by rank (int32), 1 <= j
@@ -329,8 +295,8 @@ class StageEmbedding:
             levels = self.tables[-1].astype(np.int32)
             levels += 1
             return levels
-        after = self.steps[self.stage - 2]
-        return np.take(after.plan.level_index, after.table, mode="clip")
+        plan = self.plans[self.stage - 2]
+        return np.take(plan.level_index, self.steps[self.stage - 2], mode="clip")
 
     @property
     def plan(self) -> BlankPlan | None:
@@ -339,8 +305,12 @@ class StageEmbedding:
 
     @property
     def source_level(self) -> np.ndarray | None:
-        """The inflated level each vertex passed through (None at stage 2)."""
-        return self.steps[self.stage - 3].source_level if self.stage > 2 else None
+        """The inflated level each vertex passed through, by rank (int32),
+        gathered from the stage's step into a new row on each read (None at
+        stage 2)."""
+        if self.stage == 2:
+            return None
+        return by_rank(self.steps[self.stage - 3], self.column)
 
     def box(self) -> list[int]:
         """The largest value of each coordinate: the first i - 1 are settled
@@ -406,9 +376,8 @@ class StageEmbedding:
     def view(self, i: int) -> "StageEmbedding":
         """Stage i of the chain, sharing its steps; it builds its level row
         and addresses only when read."""
-        sources = tuple(step.table for step in self.steps)
         return StageEmbedding(
-            self.spec, i, self.row, self.column, self.tables, self.plans, sources
+            self.spec, i, self.row, self.column, self.tables, self.plans, self.steps
         )
 
 
@@ -418,9 +387,9 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
 
     Order-preserving, hence injective.  `build_fk`, the one caller of
     `stack`, passes stage i's own plan, whose P_i w - s(1) - ... - s(P_i) =
-    ceil(|G| / h) = u_i nonblank levels (the budget identity at r = P_i; a
-    seeded plan's row sums are checked by `violations()`) cover prev's
-    levels 1..u_i, its `box`.
+    ceil(|G| / h) = u_i nonblank levels (the budget identity at r = P_i;
+    `build_blank_plan` checks every plan's row sums against s_i) cover
+    prev's levels 1..u_i, its `box`.
     """
     return plan.level_table[prev.column_levels() - 1]
 

@@ -3,17 +3,19 @@
     python tests/layer_pairs.py A B LAYER GRID... [--pairs N] [--repeat R]
 
 LAYER is a gridcube function: `build_blank_plan` (every stage 2..k-1 of
-each grid), `build_f2`, `build_fk`, `assemble_Hk`, `dilation`,
-`dump_embedding`, `parse_embedding` or `audit_grid`.  A GRID is its sides
-joined by "x", e.g. 3x3x3x3x3x3x3x3x3x3x3x3.  Each of N pairs runs a fresh
-process in checkout A and one in checkout B, A first in even pairs and B
-first in odd ones.  A process imports gridcube from the checkout's `src`,
-builds the layer's inputs for every grid untimed, then times the layer's
-calls over all the grids R times and reports the fastest total.  The
-script prints each side's median and quartiles of its N readings, and in
-how many pairs B was the faster.  It writes nothing: bytecode writing is off, and
-the processes print their readings.  Not a test module: pytest does not
-collect it.
+each grid), `build_f2`, `build_fk`, `pipeline_battery`, `assemble_Hk`,
+`dilation`, `dump_embedding`, `parse_embedding` or `audit_grid`.  A GRID
+is its sides joined by "x", e.g. 3x3x3x3x3x3x3x3x3x3x3x3.  Each of N pairs
+runs a fresh process in checkout A and one in checkout B, A first in even
+pairs and B first in odd ones.  A process imports gridcube from the
+checkout's `src`, then R times builds the layer's inputs for every grid
+untimed and times the layer's calls over all the grids, and reports the
+fastest total.  The inputs are built afresh for each repeat because a
+chain caches what it composes (its steps) and would hand a later repeat
+work done in an earlier one.  The script prints each side's median and
+quartiles of its N readings, and in how many pairs B was the faster.  It
+writes nothing: bytecode writing is off, and the processes print their
+readings.  Not a test module: pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -40,6 +42,8 @@ def calls(spec):
     if layer in ("build_f2", "build_fk", "audit_grid"):
         return [(getattr(g, layer), (spec,))]
     fk = g.build_fk(spec)
+    if layer == "pipeline_battery":
+        return [(g.pipeline_battery, (fk,))]
     if layer == "assemble_Hk":
         return [(g.assemble_Hk, (fk,))]
     emb = g.assemble_Hk(fk)
@@ -50,15 +54,16 @@ def calls(spec):
     raise SystemExit(f"unknown layer {layer!r}")
 
 
-work = [call for spec in grids for call in calls(spec)]
 best = float("inf")
 for _ in range(repeat):
+    work = [call for spec in grids for call in calls(spec)]
     total = 0.0
     for function, args in work:
         start = time.perf_counter()
         function(*args)
         total += time.perf_counter() - start
     best = min(best, total)
+    del work
 print(json.dumps({"ms": best * 1e3}))
 '''
 

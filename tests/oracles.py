@@ -61,7 +61,7 @@ from gridcube.base2d import build_R
 from gridcube.checks import CheckResult, _check, _report
 from gridcube.grids import GridSpec, level_budget
 from gridcube.rounding import BinaryMatrix, RoundingSpec
-from gridcube.stages import BlankPlan, StageEmbedding
+from gridcube.stages import BlankPlan, StageEmbedding, by_rank
 
 
 def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1084,6 +1084,12 @@ def final(emb: StageEmbedding) -> np.ndarray:
     return np.stack([emb.coordinate(j) for j in range(1, emb.top + 1)])
 
 
+def source_levels(emb: StageEmbedding) -> list[np.ndarray]:
+    """The source levels of each stacked stage 3..top of emb's chain, by
+    rank: its steps read through its base column."""
+    return [by_rank(step, emb.column) for step in emb.steps]
+
+
 def per_vertex(
     emb: StageEmbedding, coords: np.ndarray | None = None, sources=None
 ) -> StageEmbedding:
@@ -1096,7 +1102,7 @@ def per_vertex(
     spec = emb.spec
     coords = final(emb) if coords is None else coords
     if sources is None:
-        sources = tuple(step.source_level for step in emb.steps)
+        sources = source_levels(emb)
     column = np.arange(1, spec.size + 1, dtype=np.int32)
     tables = tuple(row.astype(np.int64) - 1 for row in coords[1:])
     row = np.ascontiguousarray(coords[0], dtype=np.int32)

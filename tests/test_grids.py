@@ -52,6 +52,16 @@ def test_spec_rejects_tiny_and_huge():
     GridSpec((1 << 13, 1 << 13))  # exactly at the cap is fine
 
 
+def test_spec_takes_integer_sides_only():
+    # a float or a string side would build another grid if truncated or parsed
+    for dims in [(2.5, 4), ("3", 4), (3, 4.0), (3, None)]:
+        with pytest.raises(ValueError, match="grid sides must be integers"):
+            GridSpec(dims)
+    spec = GridSpec((np.int64(3), np.uint8(4)))
+    assert spec.dims == (3, 4) and all(type(a) is int for a in spec.dims)
+    assert spec == GridSpec((3, 4))
+
+
 def test_spec_bounds_the_grid_at_2_31_vertices_under_any_cap():
     # decided from the side lengths alone: nothing of the grid's size is built
     with pytest.raises(ValueError, match=r"above 2\^31"):

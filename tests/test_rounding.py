@@ -441,7 +441,7 @@ def test_slots_match_dinic_exhaustively():
 
 def test_first_phase_matches_dinic_on_stage_specs(battery_grids):
     specs = [
-        RoundingSpec(st.plan.s, st.plan.F.n)
+        RoundingSpec(s_sequence(st.spec, st.plan.stage), st.plan.F.n)
         for fk in battery_grids.values()
         for st in fk.stage_chain()
         if st.plan is not None

@@ -25,10 +25,11 @@ from test_base2d import benchmark_grids
 from test_checks import family_grids, traced_peak
 from test_rounding import stage_rounding_specs
 
+from gridcube import stages
 from gridcube.base2d import fill_columns
 from gridcube.checks import assemble_Hk, audit_grid, dilation, failed
 from gridcube.grids import GridSpec, level_budget, unsigned_dtype
-from gridcube.rounding import BinaryMatrix, parse_matrices
+from gridcube.rounding import BinaryMatrix, balance_violations, parse_matrices
 from gridcube.stages import (
     StageEmbedding,
     budget_break,
@@ -186,6 +187,27 @@ def test_blank_plan_rejects_wrong_row_sums():
         build_blank_plan(spec, 2, matrix=narrow)
 
 
+def test_generated_plans_pass_the_seeded_check(monkeypatch):
+    # a generated matrix is checked as a seeded one is: its shape first
+    spec = GridSpec((4, 4, 4))
+    for m, n in [(4, 5), (5, 4)]:
+        wrong = BinaryMatrix(np.zeros((m, n), dtype=np.int8))
+        monkeypatch.setattr(stages, "build_FX", lambda _: wrong)
+        message = f"^stage 2 designation matrix rejected: shape {m}x{n}, want 4x4$"
+        with pytest.raises(ValueError, match=message):
+            build_blank_plan(spec, 2)
+
+
+def test_generated_plans_reseed_bit_identically(battery_grids):
+    specs = [fk.spec for fk in battery_grids.values()] + [GridSpec((3, 7, 4, 3))]
+    for spec in specs:
+        for i in range(2, spec.k):
+            plan = build_blank_plan(spec, i)
+            again = build_blank_plan(spec, i, matrix=plan.F)
+            assert again.F is plan.F and (again.spec, again.stage) == (spec, i)
+            assert np.array_equal(again.level_table, plan.level_table)
+
+
 def assert_plan_tables_match_oracle(plan):
     width = plan.width
     zero_cols = oracles.zero_columns(plan.F)
@@ -278,7 +300,8 @@ def test_generated_plans_pass_contracts():
         spec = GridSpec(dims)
         for i in range(2, spec.k):
             plan = build_blank_plan(spec, i)
-            assert plan.violations() == []
+            assert (plan.F.m, plan.F.n) == (plan.pages, plan.width)
+            assert balance_violations(plan.F, s_sequence(spec, i)) == []
             assert len(plan.level_table) == level_budget(spec, i)
 
 
@@ -492,7 +515,7 @@ def test_chain_is_stored_coordinate_major(battery_grids):
         {"tables": fk.tables[:-1]},
         {"tables": (fk.tables[0][:-1], fk.tables[1])},
         {"sources": ()},
-        {"sources": (fk.steps[0].table[:-1],)},
+        {"sources": (fk.steps[0][:-1],)},
         {"stage": 4},
     ]:
         with pytest.raises(ValueError):
@@ -554,7 +577,7 @@ def test_source_levels_match_the_per_vertex_chain_over_random_grids(dims, seed):
     rng = random.Random(seed)
     seeds = [oracles.random_FX(spec, rng) for spec in stage_rounding_specs(grid)]
     for fk in (build_fk(grid), build_fk(grid, seeds)):
-        final, chain = oracles.per_vertex_chain(grid, [step.plan for step in fk.steps])
+        final, chain = oracles.per_vertex_chain(grid, list(fk.plans))
         assert np.array_equal(oracles.final(fk), final)
         for st, (source, level) in zip(fk.stage_chain(), chain, strict=True):
             assert np.array_equal(st.level, level), st.stage
@@ -656,8 +679,8 @@ def test_is_injective_matches_unique(battery_grids):
 
 def searchsorted_levels(st):
     """A stage's level row below the top, in its searchsorted form."""
-    after = st.steps[st.stage - 2]
-    return np.searchsorted(after.plan.level_table, after.source_level) + 1
+    plan, step = st.plans[st.stage - 2], st.steps[st.stage - 2]
+    return np.searchsorted(plan.level_table, by_rank(step, st.column)) + 1
 
 
 def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
@@ -669,13 +692,12 @@ def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
     # ... and for any int32 source level: blank, zero, negative, just past
     # the plan's last level or far beyond it
     fk = build_fk(GridSpec((3, 7, 4, 3)))
-    for i, after in enumerate(fk.steps, start=2):
-        plan = after.plan
+    for i, plan in enumerate(fk.plans, start=2):
         top = plan.F.bits.size
         blank = np.flatnonzero(plan.F.bits.ravel()) + 1
         assert len(blank)
         odd = [0, -1, top, top + 1, top + 2, 2**31 - 1, -(2**31), *blank[:8]]
-        sources = [step.source_level for step in fk.steps]
+        sources = oracles.source_levels(fk)
         sources[i - 2][: len(odd)] = odd
         st = dataclasses.replace(oracles.per_vertex(fk, sources=sources), stage=i)
         assert np.array_equal(st.level, searchsorted_levels(st)), i
