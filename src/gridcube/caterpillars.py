@@ -17,6 +17,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .flow import max_flow
+from .grids import keys_distinct
 
 
 class SearchExhausted(RuntimeError):
@@ -55,9 +56,7 @@ def _covers(values: np.ndarray, n: int) -> bool:
     """Whether the values are 0..n-1, each exactly once."""
     if len(values) != n or values.min() < 0 or values.max() >= n:
         return False
-    seen = np.zeros(n, dtype=bool)
-    seen[values] = True
-    return bool(seen.all())
+    return keys_distinct(values, n)
 
 
 @dataclass(frozen=True, eq=False)

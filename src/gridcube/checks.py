@@ -25,18 +25,12 @@ from .grids import (
     RANK_BLOCK,
     AboveCap,
     GridSpec,
+    keys_distinct,
     level_budget,
     unsigned_dtype,
 )
 from .rounding import BinaryMatrix
-from .stages import (
-    StageEmbedding,
-    budget_break,
-    build_fk,
-    by_rank,
-    decimal_columns,
-    keys_distinct,
-)
+from .stages import StageEmbedding, build_fk, by_rank, decimal_columns, s_sequence
 
 # ---------------------------------------------------------------------------
 # Check results
@@ -643,8 +637,9 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
                 and np.array_equal(st.tables[j - 3], plan.offset_of(source) - 1)
             )
             stable.append(_check(f"pipeline.stage{j}.prefix-stability", ok))
-            # the identity on the blanks per section of the matrix the stage used
-            ok = budget_break(spec, plan.stage, plan.F.row_counts) is None
+            # the matrix the stage used holds s(r) blanks in each section r,
+            # so the budget identity holds at every prefix (`s_sequence`)
+            ok = np.array_equal(plan.F.bits.sum(axis=1), s_sequence(spec, plan.stage))
             budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
             level = st.source_level
             transitions += _transition_checks(st, level)
@@ -995,9 +990,9 @@ def _header(spec: GridSpec, windows) -> str:
     )
 
 
-def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarray]:
+def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator:
     """The vertex lines "x_1 ... x_k label" in rank order (x_1 fastest), as
-    1-d uint8 blocks of whole lines, at most RANK_BLOCK ranks each.
+    bytes-like ASCII blocks of whole lines, at most RANK_BLOCK ranks each.
 
     The lines are first laid out padded, one row per rank.  Field "x_j " is
     row x_j of a per-side table, right-aligned with NUL padding.  The lowest
@@ -1006,8 +1001,8 @@ def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarr
     whole copies of it, with the higher coordinates broadcast over each copy.
     The label is the low n bits of `labels` unpacked from their big-endian
     bytes, or "." in every bit when `labels` is None (the reader's template).
-    One mask per block drops the NULs; when no side reaches 10, no field is
-    padded and the block is the lines as laid out.
+    One `bytes.translate` per block drops the NULs; when no side reaches 10,
+    no field is padded and the block is the lines as laid out, a uint8 view.
     """
     padded = max(spec.dims) >= 10
     tables = []
@@ -1042,7 +1037,7 @@ def _line_blocks(spec: GridSpec, labels: np.ndarray | None) -> Iterator[np.ndarr
         if labels is not None:
             ranks = labels[first * per : (first + count) * per]
             block[:, edges[-1] : -1] = _label_chars(ranks, n)
-        lines = block[block != 0] if padded else block.ravel()
+        lines = block.tobytes().translate(None, b"\0") if padded else block.ravel()
         del block  # only the lines stay live while the consumer takes them
         yield lines
 
@@ -1102,7 +1097,10 @@ def parse_embedding(text: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ParsedEm
     |G| lines, counted before anything of size |G| is built, and equal the
     vertex lines rendered with "." in each label bit, where it holds 0 or 1.
     It is compared one `_line_blocks` block at a time, so the template never
-    grows with |G|; each block's label bits are packed into its ranks.
+    grows with |G|; each block's label bits are packed into its ranks.  The
+    text is encoded a block at a time too, as ASCII with "?" for any other
+    character: one byte per character, so a block's bytes start at its
+    character offset.
     """
     head = re.match("(.*)\n" * 4, text)
     if head is None or head[1] != "GRIDCUBE 1":
@@ -1118,13 +1116,13 @@ def parse_embedding(text: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ParsedEm
     found = text.count("\n", head.end())
     if found != spec.size or not text.endswith("\n"):
         raise ValueError(f"expected {spec.size} vertex lines, found {found} newlines")
-    body = np.frombuffer(text.encode("ascii", "replace"), np.uint8)[head.end() :]
     labels = np.zeros(spec.size, dtype=np.uint32)
-    at = rank = 0
+    at, rank = head.end(), 0
     for expect in _line_blocks(spec, None):
         # both bodies hold |G| lines, so unequal lengths differ within the shorter
-        got = body[at : at + len(expect)]
-        expect = expect[: len(got)]
+        chunk = text[at : at + len(expect)].encode("ascii", "replace")
+        got = np.frombuffer(chunk, np.uint8)
+        expect = np.frombuffer(expect, np.uint8, count=len(got))
         slot, bad = expect == ord("."), got != expect
         bits = got[slot] - ord("0")  # 0 or 1 for a label bit, above 1 otherwise
         bad[slot] = bits > 1

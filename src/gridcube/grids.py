@@ -29,6 +29,14 @@ def unsigned_dtype(bits: int) -> type:
     return np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
 
 
+def keys_distinct(keys: np.ndarray, bound: int) -> bool:
+    """Whether the keys, all in [0, bound), are pairwise distinct: one
+    scatter into a `bound`-entry boolean mask, counted."""
+    seen = np.zeros(bound, dtype=bool)
+    seen[keys] = True
+    return int(np.count_nonzero(seen)) == len(keys)
+
+
 def compute_exponents(dims) -> tuple[int, ...]:
     """Running exponents (e_0, e_1, ..., e_k) with e_i = ceil(log2(a_1...a_i)).
 

@@ -82,11 +82,6 @@ class BinaryMatrix:
         object.__setattr__(self, "bits", bits)
 
     @property
-    def row_counts(self) -> tuple[int, ...]:
-        """The ones in each row, summed from ``bits`` on each read."""
-        return tuple(self.bits.sum(axis=1).tolist())
-
-    @property
     def m(self) -> int:
         return self.bits.shape[0]
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .base2d import BaseMap, build_f2
-from .grids import RANK_BLOCK, GridSpec, level_budget, unsigned_dtype
+from .grids import RANK_BLOCK, GridSpec, keys_distinct, level_budget, unsigned_dtype
 from .rounding import BinaryMatrix, RoundingSpec, balance_violations, build_FX
 
 
@@ -41,8 +41,12 @@ def s_sequence(spec: GridSpec, i: int) -> np.ndarray:
       nonblank slots of sections 1..r hold exactly the ceil(r A / h) levels
       they need.
 
-    The tests hold all three over wide grid families; `budget_break` checks
-    the identity on a plan's own matrix.
+    A plan's blanks b(1), ..., b(P_i) meet the identity at every prefix r
+    exactly when b = s_i: the prefix sums of b and of s_i then agree at
+    every r, and their consecutive differences are b(r) and s_i(r).  So the
+    battery states a plan's blank budget once, as its matrix's row sums
+    equal to this array.  The tests hold all three facts over wide grid
+    families.
     """
     if not 2 <= i <= spec.k - 1:
         raise ValueError(f"stage {i} outside [2, {spec.k - 1}]")
@@ -54,25 +58,6 @@ def s_sequence(spec: GridSpec, i: int) -> np.ndarray:
     s = np.diff(np.arange(spec.page_count(i) + 1) * phi_num // half)
     s += width - lead
     return s
-
-
-def budget_break(spec: GridSpec, i: int, s) -> int | None:
-    """First section prefix r where the budget identity fails, else None.
-
-    The identity: the nonblank slots of sections 1..r, r * width minus the
-    blanks s(1) + ... + s(r), exactly hold the ceil(r A / h) stage-i levels
-    those sections need (A = a_1...a_i, h = 2^{e_{i-1}}).  A plain loop:
-    numpy's fixed cost per call outweighs a typical plan's short s.
-    """
-    width = 1 << spec.block_width(i)
-    half = 1 << spec.exponents[i - 1]
-    prefix = spec.prefix_product(i)
-    blanks = 0
-    for r, count in enumerate(s, start=1):
-        blanks += count
-        if -(-r * prefix // half) + blanks != r * width:
-            return r
-    return None
 
 
 @dataclass(frozen=True)
@@ -88,7 +73,8 @@ class BlankPlan:
     ``ordinal_table[g]`` and ``height_table[g]`` count the nonblanks up to
     level g along its row (its ordinal in its section) and down its column
     (its stack height, see `stack`); both are 0 at blanks and at the unused
-    index 0.  A fourth, ``level_index``, inverts ``level_table``.
+    index 0.  ``level_table`` is sorted, so where a level sits in it is one
+    search (`StageEmbedding.column_levels`), with no inverse table kept.
     `build_blank_plan` checks a plan's matrix once, before it makes the
     plan; a plan made directly is not checked.
     """
@@ -124,17 +110,6 @@ class BlankPlan:
         levels += 1
         levels.flags.writeable = False
         return levels
-
-    @cached_property
-    def level_index(self) -> np.ndarray:
-        """``level_index[g]`` is searchsorted(level_table, g) + 1 for
-        g = 0..P * width + 1 (int32): where level g sits in ``level_table``,
-        1-based.  Every level table entry lies in 1..P * width, so reading it
-        at g clipped to that index range gives the same for any int g."""
-        g = np.arange(self.F.bits.size + 2)
-        table = (np.searchsorted(self.level_table, g) + 1).astype(np.int32)
-        table.flags.writeable = False
-        return table
 
     @property
     def width(self) -> int:
@@ -224,8 +199,8 @@ class StageEmbedding:
     Coordinates 1..i-1 of stage i are the chain's settled coordinates.  Its
     last, a level index, is the top table at the top stage, and below it
     where the next stage's source level sits in the next plan's
-    `level_table`: one gather from the plan's `level_index` over the next
-    step.  A chain written over other columns than the base map's
+    `level_table`: one search of that sorted table for the next step's
+    entries.  A chain written over other columns than the base map's
     (the identity column 1..|G|, one table entry per vertex, as the tests'
     mutant chains are) gives its source levels as `sources`.
     """
@@ -289,14 +264,15 @@ class StageEmbedding:
 
     def column_levels(self) -> np.ndarray:
         """The stage's level for each base column (int32): the top table
-        plus 1 at the top stage, and below it the next plan's `level_index`
-        read at the next step's inflated levels."""
+        plus 1 at the top stage, and below it where the next step's inflated
+        levels sit in the next plan's sorted `level_table`, 1-based."""
         if self.stage == self.top:
             levels = self.tables[-1].astype(np.int32)
             levels += 1
             return levels
         plan = self.plans[self.stage - 2]
-        return np.take(plan.level_index, self.steps[self.stage - 2], mode="clip")
+        step = self.steps[self.stage - 2]
+        return (np.searchsorted(plan.level_table, step) + 1).astype(np.int32)
 
     @property
     def plan(self) -> BlankPlan | None:
@@ -392,14 +368,6 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
     prev's levels 1..u_i, its `box`.
     """
     return plan.level_table[prev.column_levels() - 1]
-
-
-def keys_distinct(keys: np.ndarray, bound: int) -> bool:
-    """Whether the keys, all in [0, bound), are pairwise distinct: one
-    scatter into a `bound`-entry boolean mask, counted."""
-    seen = np.zeros(bound, dtype=bool)
-    seen[keys] = True
-    return int(np.count_nonzero(seen)) == len(keys)
 
 
 def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
@@ -518,6 +486,6 @@ def dump_stage(emb: StageEmbedding) -> Iterator:
             col += width
             block[:, col : col + len(sep)] = np.frombuffer(sep, np.uint8)
             col += len(sep)
-        lines = block[block != 0]
+        lines = block.tobytes().translate(None, b"\0")
         del block, fields  # only the lines stay live while the consumer takes them
         yield lines

@@ -12,10 +12,14 @@ checkout's `src`, then R times builds the layer's inputs for every grid
 untimed and times the layer's calls over all the grids, and reports the
 fastest total.  The inputs are built afresh for each repeat because a
 chain caches what it composes (its steps) and would hand a later repeat
-work done in an earlier one.  The script prints each side's median and
-quartiles of its N readings, and in how many pairs B was the faster.  It
-writes nothing: bytecode writing is off, and the processes print their
-readings.  Not a test module: pytest does not collect it.
+work done in an earlier one.  Once more, on inputs built afresh, it runs
+the calls untimed under tracemalloc and reports the largest peak of one
+call above what was allocated before it, so memory readings come in the
+same alternating pairs as times.  The script prints each side's median and
+quartiles of its N readings of each, and in how many pairs B was the faster
+and the lower.  It writes nothing: bytecode writing is off, and the
+processes print their readings.  Not a test module: pytest does not
+collect it.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import sys
 from pathlib import Path
 
 CHILD = r'''
-import json, sys, time
+import json, sys, time, tracemalloc
 import gridcube as g
 
 layer, repeat = sys.argv[1], int(sys.argv[2])
@@ -64,12 +68,22 @@ for _ in range(repeat):
         total += time.perf_counter() - start
     best = min(best, total)
     del work
-print(json.dumps({"ms": best * 1e3}))
+work = [call for spec in grids for call in calls(spec)]
+tracemalloc.start()
+peak = 0
+for function, args in work:
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    function(*args)
+    peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
+tracemalloc.stop()
+print(json.dumps({"ms": best * 1e3, "mib": peak / (1 << 20)}))
 '''
 
 
-def reading(checkout: Path, layer: str, grids: list[str], repeat: int) -> float:
-    """One fresh process's fastest time of the layer over the grids, in ms."""
+def reading(checkout: Path, layer: str, grids: list[str], repeat: int) -> dict:
+    """One fresh process's fastest time of the layer over the grids ("ms")
+    and the largest tracemalloc peak of one of its calls ("mib")."""
     env = {
         **os.environ,
         "PYTHONDONTWRITEBYTECODE": "1",
@@ -79,12 +93,12 @@ def reading(checkout: Path, layer: str, grids: list[str], repeat: int) -> float:
     run = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if run.returncode != 0:
         raise SystemExit(f"{checkout}: {run.stderr.strip()}")
-    return json.loads(run.stdout.strip().splitlines()[-1])["ms"]
+    return json.loads(run.stdout.strip().splitlines()[-1])
 
 
-def summary(name: str, ms: list[float]) -> str:
-    q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
-    return f"{name}: median {median:.2f} ms, quartiles {q1:.2f} / {q3:.2f} ms"
+def summary(name: str, values: list[float], unit: str) -> str:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{name}: median {median:.2f} {unit}, quartiles {q1:.2f} / {q3:.2f} {unit}"
 
 
 def main() -> int:
@@ -101,10 +115,17 @@ def main() -> int:
         order = [(args.a, a), (args.b, b)]
         for checkout, readings in order if pair % 2 == 0 else order[::-1]:
             readings.append(reading(checkout, args.layer, args.grids, args.repeat))
-        print(f"pair {pair + 1}: A {a[-1]:.2f} ms, B {b[-1]:.2f} ms", flush=True)
-    print(summary(f"A {args.a}", a))
-    print(summary(f"B {args.b}", b))
-    print(f"B faster in {sum(y < x for x, y in zip(a, b))} of {args.pairs} pairs")
+        x, y = a[-1], b[-1]
+        print(
+            f"pair {pair + 1}: A {x['ms']:.2f} ms {x['mib']:.2f} MiB, "
+            f"B {y['ms']:.2f} ms {y['mib']:.2f} MiB",
+            flush=True,
+        )
+    for key, unit, better in [("ms", "ms", "faster"), ("mib", "MiB", "lower")]:
+        xs, ys = [x[key] for x in a], [y[key] for y in b]
+        print(summary(f"A {args.a}", xs, unit))
+        print(summary(f"B {args.b}", ys, unit))
+        print(f"B {better} in {sum(y < x for x, y in zip(xs, ys))} of {args.pairs} pairs")
     return 0
 
 

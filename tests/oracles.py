@@ -19,8 +19,8 @@ exactly, or pass its checks.  It holds:
 - the designation matrix rounded whole, in one solver call, with no row
   blocks, and rounded over its row blocks stacked one block at a time,
   keyed by their X in a dict;
-- the balance contract over tuples, and the rejections of a rounding
-  spec, checked over the tuple of its X;
+- a matrix's row sums as a tuple, the balance contract over tuples, and
+  the rejections of a rounding spec, checked over the tuple of its X;
 - the rational front ends of the library's two-way and matrix rounding
   solvers, the exact matrix-rounding and zero-window validators of a
   designation matrix, its cyclic zero index and forward/backward
@@ -421,6 +421,11 @@ def blocked_FX(spec: RoundingSpec) -> BinaryMatrix:
     return BinaryMatrix(rounding._round_matrix_core(body, n)[row_map])
 
 
+def row_counts(F: BinaryMatrix) -> tuple[int, ...]:
+    """The ones in each row of F, as a tuple."""
+    return tuple(F.bits.sum(axis=1).tolist())
+
+
 def balance_violations(F: BinaryMatrix, X) -> list[str]:
     """``rounding.balance_violations`` over tuples: the row sums compared
     as tuples, the prefixes cumulated along each axis of F as laid out."""
@@ -428,8 +433,8 @@ def balance_violations(F: BinaryMatrix, X) -> list[str]:
     if len(X) != F.m:
         raise ValueError("row-sum sequence length disagrees with matrix")
     out = []
-    if F.row_counts != X:
-        for i, (got, want) in enumerate(zip(F.row_counts, X), start=1):
+    if row_counts(F) != X:
+        for i, (got, want) in enumerate(zip(row_counts(F), X), start=1):
             if got != want:
                 out.append(f"row {i} sums to {got}, expected {want}")
     colpref = F.bits.cumsum(axis=0)
@@ -553,7 +558,7 @@ def matrix_rounding_violations(T, F: BinaryMatrix) -> list[str]:
             if not -1 < diff < 1:
                 out.append(f"column {j + 1} prefix {b + 1}: discrepancy {diff}")
     grand = sum((x for trow in rows for x in trow), Fraction(0)) - sum(
-        F.row_counts
+        row_counts(F)
     )
     if not -1 < grand < 1:
         out.append(f"grand total: discrepancy {grand}")
@@ -623,7 +628,7 @@ def window_violations(spec: RoundingSpec, F: BinaryMatrix) -> list[str]:
     # e >= 0.  Writing x = d+e and A_r[x] = N_r(x) - 2x, the bound reads
     # A_r[x] <= 4 + min(A_s[1..min(x, zeros in s)]), so per-row prefix
     # minima (extended flat past each row's last zero) settle all pairs.
-    qmax = F.n - min(F.row_counts)
+    qmax = F.n - min(row_counts(F))
     lowest = np.full((F.m, qmax), np.iinfo(np.int64).min, dtype=np.int64)
     prefmin = np.empty((F.m, qmax), dtype=np.int64)
     for i in range(1, F.m + 1):
@@ -661,7 +666,7 @@ def zero_index(F: BinaryMatrix, r: int, d: int) -> int:
     """
     if not 1 <= r <= F.m:
         raise ValueError("row out of range")
-    if sum(F.row_counts) == F.m * F.n:
+    if sum(row_counts(F)) == F.m * F.n:
         raise ValueError("matrix has no zeros")
     cols = zero_columns(F)
     row = r
@@ -962,7 +967,7 @@ def budget_break(spec: GridSpec, i: int, s) -> int | None:
 
 def zeros_per_row(plan: BlankPlan) -> tuple[int, ...]:
     """Nonblank levels per section (the paper-side m_r)."""
-    return tuple(plan.width - c for c in plan.F.row_counts)
+    return tuple(plan.width - c for c in row_counts(plan.F))
 
 
 def zero_columns(F: BinaryMatrix) -> list[tuple[int, ...]]:

@@ -120,7 +120,7 @@ def test_readme_seed_example_parses_and_embeds(tmp_path):
     text = readme_seed_example()
     assert text == (DATA / "seed_374_stage2.txt").read_text()
     (F,) = parse_matrices(text)
-    assert (F.m, F.n, F.row_counts) == (4, 8, (2, 3, 3, 3))
+    assert (F.m, F.n, oracles.row_counts(F)) == (4, 8, (2, 3, 3, 3))
     seed = tmp_path / "seed.txt"
     seed.write_text(text)
     for argv in (["embed", "3", "7", "4"], ["audit", "3", "7", "4"]):

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -25,14 +26,14 @@ from test_base2d import benchmark_grids
 from test_checks import family_grids, traced_peak
 from test_rounding import stage_rounding_specs
 
-from gridcube import stages
+from gridcube import checks, stages
 from gridcube.base2d import fill_columns
-from gridcube.checks import assemble_Hk, audit_grid, dilation, failed
+from gridcube.checks import assemble_Hk, audit_grid, dilation, failed, pipeline_battery
 from gridcube.grids import GridSpec, level_budget, unsigned_dtype
 from gridcube.rounding import BinaryMatrix, balance_violations, parse_matrices
 from gridcube.stages import (
+    BlankPlan,
     StageEmbedding,
-    budget_break,
     build_blank_plan,
     build_fk,
     by_rank,
@@ -135,30 +136,77 @@ def test_s_sequence_equals_the_section_loop():
     assert stages == 1054
 
 
-def test_budget_break_equals_the_prefix_loop():
-    """budget_break keeps a running blank count; the oracle cumulates the
-    blanks with `accumulate`.  Both see the same first failing prefix: none on
-    s_i itself, and r once a blank is added to section r (r the first, a
-    middle or the last section), or moved from section r to r + 1, so that
-    only prefix r breaks."""
-    broken = 0
+def stub_plan(spec: GridSpec, i: int, blanks) -> BlankPlan:
+    """A stage-i plan whose section r leads with blanks[r - 1] blank slots."""
+    bits = np.arange(1 << spec.block_width(i)) < np.array(blanks)[:, None]
+    return BlankPlan(spec, i, BinaryMatrix(bits))
+
+
+def budget_verdicts(spec: GridSpec, blanks: list) -> list[str]:
+    """The battery's `blank-budget` status at each stage 2..k-1 of the grid,
+    on plans with blanks[i - 2][r - 1] blanks in section r at stage i.  The
+    chain is a stub on one base column, its tables and source levels one
+    entry each; the caller stubs the battery's |G|-sized checks."""
+    plans = tuple(stub_plan(spec, i, b) for i, b in enumerate(blanks, start=2))
+    one = np.broadcast_to(np.int32(1), (spec.size,))
+    zero = np.zeros(1, dtype=np.int32)
+    tables, sources = (zero,) * (spec.k - 1), (zero,) * (spec.k - 2)
+    chain = StageEmbedding(spec, spec.k, one, one, tables, plans, sources)
+    status = {c.name: c.status for c in pipeline_battery(chain)}
+    return [status[f"pipeline.stage{i}.blank-budget"] for i in range(2, spec.k)]
+
+
+def budget_variants(s: list) -> list[list]:
+    """s itself; for r the first, a middle and the last section, s with a
+    blank added to section r, and then moved on to section r + 1, so that
+    only prefix r breaks; and s one section short."""
+    P = len(s)
+    out = [s]
+    for r in sorted({1, (P + 1) // 2, P}):
+        more = list(s)
+        more[r - 1] += 1
+        out.append(more)
+        if r < P:
+            moved = list(more)
+            moved[r] -= 1
+            out.append(moved)
+    return out + [s[:-1]] if P > 1 else out
+
+
+def test_blank_budget_verdict_equals_the_prefix_loop():
+    """The battery checks a plan's row sums against s_i, the oracle the
+    budget identity at every section prefix, and on plans of P_i sections
+    the two agree: both pass s_i itself and fail each broken variant.  A
+    plan one section short fails the battery, where the prefix loop passed
+    it on the sections it had.  One stub chain per grid carries a variant
+    at every stage at once, and the battery's injectivity, box and
+    transition checks, which read |G| rows and no plan's row sums, are
+    stubbed out."""
+    grids = []
     for spec, i in section_loop_specs():
-        s = s_sequence(spec, i)
-        assert budget_break(spec, i, s) is None
-        assert oracles.budget_break(spec, i, s) is None
-        P = len(s)
-        for r in sorted({1, (P + 1) // 2, P}):
-            more = list(s)
-            more[r - 1] += 1
-            cases = [more]
-            if r < P:
-                moved = list(more)
-                moved[r] -= 1
-                cases.append(moved)
-            for t in cases:
-                assert budget_break(spec, i, t) == oracles.budget_break(spec, i, t) == r
-                broken += 1
-    assert broken > 10_000, broken
+        if i == 2:
+            grids.append((spec, []))
+        grids[-1][1].append(budget_variants(s_sequence(spec, i).tolist()))
+    broken = short = 0
+    with (
+        mock.patch.object(StageEmbedding, "is_injective", lambda self: True),
+        mock.patch.object(StageEmbedding, "in_box", True),
+        mock.patch.object(StageEmbedding, "source_level", None),
+        mock.patch.object(checks, "_transition_checks", lambda st, level: []),
+    ):
+        for spec, variants in grids:
+            for n in range(max(map(len, variants))):
+                blanks = [v[n] if n < len(v) else v[0] for v in variants]
+                verdicts = budget_verdicts(spec, blanks)
+                for i, (t, v, got) in enumerate(zip(blanks, variants, verdicts), 2):
+                    held = oracles.budget_break(spec, i, t) is None
+                    if len(t) < len(v[0]):
+                        assert held and got == "FAIL", (spec.dims, i)
+                        short += 1
+                    else:
+                        assert got == ("PASS" if held else "FAIL"), (spec.dims, i, t)
+                        broken += not held
+    assert broken > 10_000 and short > 3_000, (broken, short)
 
 
 def test_blank_plan_from_seed_matches_hand_data():
@@ -684,8 +732,8 @@ def searchsorted_levels(st):
 
 
 def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
-    # below the top stage, a stage's level is one gather from the next
-    # plan's level_index, for built chains ...
+    # below the top stage, a stage's level is where the next step sits in
+    # the next plan's level_table, for built chains ...
     for fk in [*battery_grids.values(), build_fk(GridSpec((3, 7, 4, 3)))]:
         for st in fk.stage_chain()[:-1]:
             assert np.array_equal(st.level, searchsorted_levels(st))
@@ -701,8 +749,7 @@ def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
         sources[i - 2][: len(odd)] = odd
         st = dataclasses.replace(oracles.per_vertex(fk, sources=sources), stage=i)
         assert np.array_equal(st.level, searchsorted_levels(st)), i
-    assert not plan.level_index.flags.writeable
-    assert plan.level_index.dtype == np.int32
+        assert st.level.dtype == np.int32
 
 
 def test_stack_heights_two_value_contract_asserts():
