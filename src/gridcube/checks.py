@@ -25,6 +25,7 @@ from .grids import (
     RANK_BLOCK,
     AboveCap,
     GridSpec,
+    check_block,
     keys_distinct,
     level_budget,
     unsigned_dtype,
@@ -284,26 +285,114 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _transition_checks(emb: StageEmbedding, source: np.ndarray) -> list[CheckResult]:
+class _StageRows:
+    """What one stacking transition's checks read, by blocks of ranks.
+
+    Every coordinate after the first is a function of the base column, so
+    a stage holds no row by rank.  Its rows are tables over base columns,
+    u_2 entries each (|G| for a chain over the identity column): the
+    stage's level (the `heights`, int32), the source level clipped into
+    the plan's levels 1..P w (`levels`) and its section, 0-based
+    (`sections`), both in the step's dtype, and the packed address less
+    the row (`StageEmbedding.column_address`).  `blocks` reads them at one
+    block of `check_block` ranks at a time, so a check group holds its
+    block scratch, near 1 B per vertex, beside at most one |G|-sized table
+    or key.  Pages are rank blocks: ranks are reversed-lexicographic (x_1
+    fastest), so the (j - 1)-page of rank x is x // A, 0-based, with A =
+    a_1...a_{j-1}.
+    """
+
+    def __init__(self, emb: StageEmbedding, step: np.ndarray):
+        plan = emb.plan
+        self.emb = emb
+        self.size = emb.spec.size
+        self.column = emb.column
+        self.in_box = emb.in_box
+        self.heights = emb.column_levels()
+        # a source level off the plan's levels 1..P * width fails prefix
+        # stability; clipped, it indexes the plan's tables like any other
+        self.top_level = plan.pages * plan.width
+        self.levels = np.maximum(step, 1)
+        np.minimum(self.levels, self.top_level, out=self.levels)
+        self.shift = plan.width.bit_length() - 1
+        self.sections = self._section(self.levels)
+        self.pages = plan.pages
+        self.A = emb.spec.prefix_product(emb.stage - 1)
+        self.block = check_block(self.size)
+        self.kept: dict = {}
+
+    def _section(self, levels: np.ndarray) -> np.ndarray:
+        section = levels - 1
+        section >>= self.shift
+        return section
+
+    def blocks(self, *names: str) -> Iterator[tuple]:
+        """(start, stop, each named row) for each block of ranks.  A name
+        is "page", the 0-based page of each rank, "address", the stage's
+        `address` read a block at a time (`StageEmbedding.addresses`), or
+        that of a table over base columns ("heights", "levels",
+        "sections"), gathered at the block's base columns.  A grid of one
+        block reads the stage's rows by rank once, its `address`, `level`
+        and `source_level` (clipped as `levels` is), and keeps them and
+        their pages and sections, as they are no larger than one block's
+        scratch; the checks only read them."""
+        if self.size <= self.block:
+            kept = self.kept
+            for name in names:
+                if name not in kept:
+                    kept[name] = self._whole(name)
+            yield (0, self.size, *(kept[name] for name in names))
+            return
+        for start in range(0, self.size, self.block):
+            stop = min(start + self.block, self.size)
+            column = self.column[start:stop]
+            yield (
+                start,
+                stop,
+                *(
+                    np.arange(start, stop) // self.A
+                    if name == "page"
+                    else self.emb.addresses(start, stop)
+                    if name == "address"
+                    else by_rank(getattr(self, name), column)
+                    for name in names
+                ),
+            )
+
+    def _whole(self, name: str) -> np.ndarray:
+        """The named row of every rank."""
+        emb = self.emb
+        if name == "page":
+            return np.arange(self.size) // self.A
+        if name == "address":
+            return emb.address
+        if name == "heights":
+            return emb.level
+        if name == "levels":
+            level = emb.source_level
+            np.maximum(level, 1, out=level)
+            return np.minimum(level, self.top_level, out=level)
+        return self._section(next(self.blocks("levels"))[2])
+
+
+def _transition_checks(emb: StageEmbedding, step: np.ndarray) -> list[CheckResult]:
     """Checks for one stacking transition (embedding stage j >= 3), whose
-    source levels by rank the caller has read once and hands over
-    (`source`, clipped here in place).
+    step, the source level of each base column, the caller hands over.
 
-    Every table is one integer array over vertices, pages, or addresses by
-    sections (M x P, under 2|G| entries), so memory stays O(|G| + P).  The
-    stage's shared columns are read here: the heights (the stage's own
-    contiguous int32 `level` row, not a copy), the clipped source levels,
-    their sections and the `address`.  Each check group that builds
-    |G|-sized scratch is a function of its own, so its temporaries die when
-    it returns and one group's are live at a time.
+    Every check keeps its per-vertex form, read through `_StageRows`: the
+    stage's address, heights and source levels are tables over base
+    columns, read a block of ranks at a time, and no row by rank is held.
+    Beside them each check group builds at most one |G|-sized array: a
+    table over addresses by sections (M x P, under 2|G| entries, in the
+    narrowest unsigned dtype holding |G|) or the 8-byte stacking key, which
+    `stack-section-monotone`, `stack-page-monotone` and `page-stack-pair`
+    all read in one pass.  Each group is a function of its own, so its
+    scratch dies when it returns.
 
-    Pages are rank blocks.  Ranks are reversed-lexicographic (x_1 fastest),
-    so the (j - 1)-page r holds the A = a_1...a_{j-1} consecutive ranks
-    (r - 1) A .. r A - 1: a per-vertex array reshaped to (P, A), P =
-    P_{j-1}, has page r as row r - 1, and a per-page bound is a P-entry
-    column broadcast over it.  A (P, a_{j-1}, a_1...a_{j-2}) view puts the
-    subpage position within the page on its middle axis, and a (P_j, -1)
-    view the j-pages on its rows (P_k = 1).  No page index is stored.
+    Pages are rank blocks (`_StageRows`): a per-vertex bound on page r is
+    an entry of a P-entry array read at the vertex's page, P = P_{j-1}, and
+    no page index is stored.  The subpage position q within a page is
+    (x // a_1...a_{j-2}) mod a_{j-1}.
 
     Two clauses of the paper's stacking lemmas read only the grid, never
     the embedding, and hold for every grid, so no check tests them.  With
@@ -312,19 +401,16 @@ def _transition_checks(emb: StageEmbedding, source: np.ndarray) -> list[CheckRes
     page prefix r is strictly larger: ceil(r A / L) L < r A + L <=
     (r + 1) A, because L < 2 a_1...a_{j-2} <= a_{j-1} a_1...a_{j-2} = A.
 
-    Inside the stage's `box` no check sorts rows.  Each stacking order
-    sorts one int64 key per vertex whose bit fields, most significant
-    first, are its sort columns: the stage's `address` (below
-    M = 2^{e_{j-1}}), the page index (0..P - 1), the height (1..u_j) and
-    the vertex rank, each field as wide as its range, which the box
-    guarantees.  With the rank as the lowest field every key is distinct,
-    so the sorted keys give exactly the permutation of a stable lexsort of
-    the columns, ties included; the fields of the sorted keys read back as
-    the sorted columns.  A stage outside its box takes the lexsort.
-    Inside it both keys fit in 63 bits, as |G| <= 2^31 (`GridSpec`) gives
-    n <= 31: the address has e_{j-1} bits, the rank and the page at most n
-    (P <= |G| / 2), and the height at most n - e_{j-1} + 1, as u_j =
-    ceil(|G| / M) <= 2^{n - e_{j-1}}: 2n + 1 bits in all.
+    Inside the stage's `box` the stacking order is one int64 key per
+    vertex, sorted once: its bit fields, most significant first, are the
+    `address` (below M = 2^{e_{j-1}}), the height (1..u_j) and the vertex
+    rank, each as wide as its range, which the box guarantees.  With the
+    rank as the lowest field every key is distinct, so the sorted keys give
+    exactly the permutation of a stable lexsort of (address, height), ties
+    included.  The key fits in 63 bits, as |G| <= 2^31 (`GridSpec`) gives
+    n <= 31: the address has e_{j-1} bits, the rank n and the height at
+    most n - e_{j-1} + 1, as u_j = ceil(|G| / M) <= 2^{n - e_{j-1}}.  A
+    stage outside its box takes the lexsort.
 
     The plan is stage j - 1's, and `build_blank_plan` plans stages 2..k-1
     only, so P = P_{j-1} >= a_k >= 2.  `page-level-bounds` needs only h <=
@@ -336,25 +422,15 @@ def _transition_checks(emb: StageEmbedding, source: np.ndarray) -> list[CheckRes
     j = emb.stage
     plan = emb.plan
     pre = f"pipeline.stage{j}."
-
-    h = emb.level
-    P = plan.pages
-    # a source level off the plan's levels 1..P * width fails prefix
-    # stability; clipped, it indexes the plan's tables like any other
-    level = np.clip(source, 1, P * plan.width, out=source)
-    sec = plan.section_of(level)
+    rows = _StageRows(emb, step)
+    P = rows.pages
     M = 1 << spec.exponents[j - 1]
-    A = spec.prefix_product(j - 1)
-    h_pg, sec_pg = h.reshape(P, A), sec.reshape(P, A)
-    # page prefixes r = 0..P: r[:P, None] is each page row's page - 1, and
-    # r[1:, None] its page; the page bracket ceil(r A / M)
-    r = np.arange(P + 1, dtype=np.int64)
-    l_arr = -(-r[1:] * A // M)
-    height_bits = level_budget(spec, j).bit_length()
+    # page prefixes r = 1..P and their bracket ceil(r A / M)
+    l_arr = -(-np.arange(1, P + 1, dtype=np.int64) * rows.A // M)
 
-    out = _level_coverage(plan, level, pre)
+    out = _level_coverage(plan, rows, pre)
     w_last = 1 << spec.block_width(j - 1)
-    bracket, stacks = _section_stacks(emb.address, sec, M, l_arr, w_last, pre)
+    bracket, stacks = _section_stacks(rows, M, l_arr, w_last, pre)
     out += stacks
     out.append(
         _transition(
@@ -363,35 +439,14 @@ def _transition_checks(emb: StageEmbedding, source: np.ndarray) -> list[CheckRes
             f"measured {bracket[:8].tolist()}..., expected {l_arr[:8].tolist()}...",
         )
     )
-
-    # per-vertex level bounds: height within the page budgets, hence within
-    # the j-page budgets and u_j (see the docstring)
-    ok = bool((h_pg <= l_arr[:, None]).all()) and bool((h >= 1).all())
-    out.append(_transition(pre + "page-level-bounds", ok))
-
-    # sections track pages: the image of a page prefix stays inside the
-    # matching section prefix, one section below the page at most
-    window = bool(((sec_pg <= r[1:, None]) & (r[:P, None] <= sec_pg)).all())
-    out.append(_transition(pre + "page-section-containment", window))
-    out.append(_transition(pre + "section-page-window", window))
-
-    out += _stacking_order(emb, h, sec, A, height_bits, pre)
-    out += _top_levels(emb.address, h_pg, sec_pg, bracket, M, pre)
-    out += _page_stack_pairs(emb, h_pg, sec_pg, bracket, height_bits, pre)
-    out += _subpage_alignment(plan, level, spec.dims[j - 2], pre)
-
-    # heights across one section or page stay within the stated spreads: a
-    # section's lowest and highest height (empty: the int32 maximum, -1) by
-    # scatter, a page's by its row of the page view
-    lo = np.full(P + 1, np.iinfo(np.int32).max, dtype=np.int32)
-    hi = np.full(P + 1, -1, dtype=np.int32)
-    np.minimum.at(lo, sec, h)
-    np.maximum.at(hi, sec, h)
-    ok = _spreads_within(lo[1:], hi[1:], 1, 2)
-    out.append(_transition(pre + "section-height-spread", ok))
-    ok = _spreads_within(h_pg.min(axis=1), h_pg.max(axis=1), 2, 3)
-    out.append(_transition(pre + "page-height-spread", ok))
-    return out
+    bounds, spreads = _page_bounds(rows, l_arr, pre)
+    out += bounds
+    order, pairs = _stacking_order(rows, bracket, level_budget(spec, j).bit_length(), pre)
+    out += order
+    out += _top_levels(rows, bracket, M, pre)
+    out += pairs
+    out += _subpage_alignment(plan, rows, spec.dims[j - 2], pre)
+    return out + spreads
 
 
 def _in_band(table: np.ndarray, low, high) -> bool:
@@ -410,32 +465,59 @@ def _spreads_within(lo: np.ndarray, hi: np.ndarray, within: int, across: int) ->
     )
 
 
-def _level_coverage(plan, level, pre) -> list[CheckResult]:
+def _clamp(x: np.ndarray, high: int) -> np.ndarray:
+    """x clipped into 0..high in place (`np.clip` without its wrapper's
+    cost on small blocks)."""
+    np.maximum(x, 0, out=x)
+    return np.minimum(x, high, out=x)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in ascending order, the keys sorted in place."""
+    keys.sort()
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
+def _level_coverage(plan, rows, pre) -> list[CheckResult]:
     """Level coverage: every nonblank level outside the last section is hit
-    by exactly level_size = 2^{e_{j-2}} vertices."""
-    counts = np.bincount(level, minlength=plan.pages * plan.width + 1)
+    by exactly level_size = 2^{e_{j-2}} vertices, counted by an int32
+    scatter a block of ranks at a time."""
+    counts = np.zeros(plan.pages * plan.width + 1, dtype=np.int32)
+    for *_, level in rows.blocks("levels"):
+        np.add.at(counts, level, np.int32(1))
     levels = plan.level_table
     interior = levels[plan.section_of(levels) <= plan.pages - 1]
     ok = bool((counts[interior] == 1 << plan.spec.exponents[plan.stage - 1]).all())
     return [_transition(pre + "level-coverage", ok)]
 
 
-def cell_prefix_counts(addr, sections, rows: int, pages: int) -> np.ndarray:
+def cell_prefix_counts(rows, M: int, by_page: bool = False) -> np.ndarray:
     """Points per address and section prefix: entry (m, r - 1) of the
-    rows x pages int64 table counts the points with packed address m in
-    sections 1..r.  One bincount over the cells addr * pages + section - 1,
-    cumulated along the sections in place.  At stage j, with rows =
-    2^{e_{j-1}} and pages = P = P_{j-1}, the table has under 2|G| entries,
-    since P = |G| / (a_1...a_{j-1}) and 2^{e_{j-1}} < 2 a_1...a_{j-1}.
+    M x P table counts the points with address m in sections 1..r, or,
+    `by_page`, whose section and page are both at most r.  No count passes
+    |G|, so the table is in the narrowest unsigned dtype holding |G|.  Each
+    block of ranks scatters its cells m P + r - 1 into the table, which is
+    then cumulated along the sections in place.  At stage j, with M =
+    2^{e_{j-1}} and P = P_{j-1}, the table has under 2|G| entries, since
+    P = |G| / (a_1...a_{j-1}) and 2^{e_{j-1}} < 2 a_1...a_{j-1}.
     """
-    cell = addr * pages
-    cell += sections
-    cell -= 1
-    table = np.bincount(cell, minlength=rows * pages).reshape(rows, pages)
-    return np.cumsum(table, axis=1, out=table)
+    P = rows.pages
+    dtype = unsigned_dtype(rows.size.bit_length())
+    table = np.zeros((M, P), dtype=dtype)
+    cells = table.reshape(-1)
+    names = ("address", "sections", "page") if by_page else ("address", "sections")
+    for _, _, addr, section, *page in rows.blocks(*names):
+        cell = addr.astype(np.int64)
+        cell *= P
+        cell += np.maximum(section, page[0]) if by_page else section
+        np.add.at(cells, cell, dtype(1))
+    return np.cumsum(table, axis=1, dtype=dtype, out=table)
 
 
-def _section_stacks(addr, sec, M, l_arr, w_last, pre):
+def _section_stacks(rows, M, l_arr, w_last, pre):
     """The cumulative stack heights per address over section prefixes (the
     battery's own count of the stored chain's points, not the heights
     `stack` wrote): its column maxima, the `bracket`, and the checks on the
@@ -443,47 +525,158 @@ def _section_stacks(addr, sec, M, l_arr, w_last, pre):
     bracket or one below, and equal across addresses that share their last
     block coordinate (the address's top bits)."""
     P = len(l_arr)
-    T_sec = cell_prefix_counts(addr, sec, M, P)
+    T_sec = cell_prefix_counts(rows, M)
     head = T_sec[:, : P - 1]
     band = _in_band(head, l_arr[: P - 1] - 1, l_arr[: P - 1])
     grouped = head.reshape(w_last, M // w_last, P - 1)
     same = bool((grouped.max(axis=1) == grouped.min(axis=1)).all())
-    return T_sec.max(axis=0), [
+    return T_sec.max(axis=0).astype(np.int64), [
         _transition(pre + "stack-two-value", band),
         _transition(pre + "stack-last-coordinate", same),
     ]
 
 
-def _stacking_order(emb, h, sec, A, height_bits, pre) -> list[CheckResult]:
-    """Stacking order: within a stack, height ascends exactly with the
-    source section, and source pages never descend.  Sorted by (address,
-    height, rank) in one key, whose rank field, once the address field is
-    read, is the order itself."""
-    addr = emb.address
-    if emb.in_box:
-        rank_bits = (emb.spec.size - 1).bit_length()
-        order = addr << height_bits
-        order |= h
-        order <<= rank_bits
-        order |= np.arange(emb.spec.size)
-        order.sort()
-        same_addr = np.diff(order >> (height_bits + rank_bits)) == 0
-        order &= (1 << rank_bits) - 1
-    else:
-        order = np.lexsort((h, addr))
-        same_addr = np.diff(addr[order]) == 0
-    ok = bool((np.diff(sec[order])[same_addr] > 0).all())
-    order //= A
+def _page_bounds(rows, l_arr, pre):
+    """The per-vertex bounds and the height spreads, in one pass of blocks.
+
+    Heights across one section or page stay within the stated spreads:
+    each group's lowest and highest height (empty: the int32 maximum, -1)
+    goes into P-entry tables, a block at a time, by scatter for sections
+    and for pages, which are runs of ranks, by a reduction over each run.
+    Every page holds A ranks, so per-vertex level bounds read the page
+    tables: each height lies within its page's budget, hence within the
+    j-page budgets and u_j (see `_transition_checks`).  Sections track
+    pages: the image of a page prefix stays inside the matching section
+    prefix, one section below the page at most.  The spreads are returned
+    apart, as the battery lists them last.
+    """
+    P, A = rows.pages, rows.A
+    tables = np.full((4, P), np.iinfo(np.int32).max, dtype=np.int32)
+    tables[1::2] = -1
+    window = True
+    for start, stop, page, h, section in rows.blocks("page", "heights", "sections"):
+        window = window and bool(((section <= page) & (page <= section + 1)).all())
+        np.minimum.at(tables[0], section, h)
+        np.maximum.at(tables[1], section, h)
+        # the block's pages page[0].., each from its first rank in the block
+        runs = np.arange(int(page[0]) * A, stop, A) - start
+        runs[0] = 0
+        pages = slice(int(page[0]), int(page[0]) + len(runs))
+        np.minimum(tables[2, pages], np.minimum.reduceat(h, runs), out=tables[2, pages])
+        np.maximum(tables[3, pages], np.maximum.reduceat(h, runs), out=tables[3, pages])
+    bounded = bool((tables[3] <= l_arr).all()) and bool((tables[2] >= 1).all())
     return [
-        _check(pre + "stack-section-monotone", ok),
-        _transition(
-            pre + "stack-page-monotone",
-            bool((np.diff(order)[same_addr] >= 0).all()),
-        ),
+        _transition(pre + "page-level-bounds", bounded),
+        _transition(pre + "page-section-containment", window),
+        _transition(pre + "section-page-window", window),
+    ], [
+        _transition(pre + "section-height-spread", _spreads_within(*tables[:2], 1, 2)),
+        _transition(pre + "page-height-spread", _spreads_within(*tables[2:], 2, 3)),
     ]
 
 
-def _top_levels(addr, h_pg, sec_pg, bracket, M, pre) -> list[CheckResult]:
+def _stacking_blocks(rows, height_bits) -> Iterator[tuple]:
+    """(address, height, rank) of every vertex in stacking order, by
+    (address, height, rank), a run of whole addresses at a time.
+
+    Inside the box the order is one int64 key per vertex (see
+    `_transition_checks`), built a block of ranks at a time and sorted in
+    place.  A run's nominal length is half a block, as it runs on to the
+    end of an address: each run ends where the address at its nominal end
+    begins (or, if one address fills the run, where the next begins),
+    found by a search of the sorted keys, and its fields are read back off
+    the keys.
+    Outside the box the order is the lexsort of the stage's level and
+    address rows, taken in one run.
+    """
+    if not rows.in_box:
+        h, addr = rows.emb.level, rows.emb.address
+        order = np.lexsort((h, addr))
+        yield addr[order], h[order], order
+        return
+    rank_bits = (rows.size - 1).bit_length()
+    shift = height_bits + rank_bits
+    key = np.empty(rows.size, dtype=np.int64)
+    for start, stop, addr, h in rows.blocks("address", "heights"):
+        part = key[start:stop]
+        part[...] = addr
+        part <<= height_bits
+        part |= h
+        part <<= rank_bits
+        part |= np.arange(start, stop)
+    key.sort()
+    start = 0
+    while start < rows.size:
+        stop = start + (rows.block >> 1)
+        if stop < rows.size:
+            first = int(key[stop]) >> shift << shift
+            stop = int(np.searchsorted(key, first))
+            if stop == start:
+                stop = int(np.searchsorted(key, first + (1 << shift) - 1, side="right"))
+        part = key[start:stop]
+        height = part >> rank_bits
+        height &= (1 << height_bits) - 1
+        # every field is below 2^31 (n <= 31); none is kept here
+        height = height.astype(np.int32)
+        yield (
+            (part >> shift).astype(np.int32),
+            height,
+            (part & ((1 << rank_bits) - 1)).astype(np.int32),
+        )
+        start = stop
+
+
+def _stacking_order(rows, bracket, height_bits, pre):
+    """Stacking order and single-page stack slices, off one pass over the
+    vertices in stacking order (`_stacking_blocks`).
+
+    Stacking order: within a stack, height ascends exactly with the source
+    section, and source pages never descend.
+
+    Single-page stack slices, over the vertices whose section is at most
+    their page: at most two entries, at successive heights, within two of
+    the section-prefix maximum (the page's `bracket`).  The slices read the
+    (address, page, height) order; where pages never descend along a stack
+    it is the stacking order restricted to the slices' vertices, and a run
+    in which they do descend is sorted by (address, page) stably, which
+    keeps the heights ascending within each slice.  A run holds whole
+    addresses, so whole slices.  The two results are returned apart, as
+    the battery lists the stack-top checks between them.
+    """
+    section_ok = page_ok = pair_ok = True
+    bracket = bracket.astype(np.int32)  # no bracket passes |G|
+    for addr, h, rank in _stacking_blocks(rows, height_bits):
+        same = addr[1:] == addr[:-1]
+        section = by_rank(rows.sections, rows.column[rank])
+        page = rank // rows.A
+        # a run may hold one whole address of u_j points beside the key, so
+        # each of its rows is dropped as soon as it is read
+        del rank
+        section_ok = section_ok and not (same & (section[1:] <= section[:-1])).any()
+        if (same & (page[1:] < page[:-1])).any():
+            page_ok = False
+            order = np.lexsort((page, addr))
+            addr, h, section, page = addr[order], h[order], section[order], page[order]
+        del same
+        if not pair_ok:
+            continue
+        inside = section <= page
+        del section
+        top = bracket[page]
+        pair_ok = bool((((h <= top) & (h >= top - 2)) | ~inside).all())
+        del top
+        am, pm, hm = addr[inside], page[inside], h[inside]
+        slice_ = (am[1:] == am[:-1]) & (pm[1:] == pm[:-1])
+        # a slice of three would hold two neighbouring same-slice pairs
+        pair_ok = pair_ok and not (slice_[1:] & slice_[:-1]).any()
+        pair_ok = pair_ok and bool(((hm[1:] - hm[:-1])[slice_] == 1).all())
+    return [
+        _check(pre + "stack-section-monotone", section_ok),
+        _transition(pre + "stack-page-monotone", page_ok),
+    ], [_transition(pre + "page-stack-pair", pair_ok)]
+
+
+def _top_levels(rows, bracket, M, pre) -> list[CheckResult]:
     """The top two levels of the page-prefix stacks.
 
     Page-prefix stacks count within 2 of the section-prefix maximum, and
@@ -500,25 +693,29 @@ def _top_levels(addr, h_pg, sec_pg, bracket, M, pre) -> list[CheckResult]:
     prefix, which cancels.  Both read `reach[x]`, the first prefix whose
     bracket reaches x, x = 0..bracket[-1] + 1: the bracket is nonnegative
     and nondecreasing, so at x clipped into the table (h + 2 in int64) it
-    is exact for any height, inside the box or not.
+    is exact for any height, inside the box or not.  A height is a function
+    of the base column, so both prefixes are read once per base column.
     """
-    P, A = h_pg.shape
-    r = np.arange(P + 1)
-    sections = np.maximum(sec_pg, r[1:, None], dtype=np.int32).ravel()
-    ok = _in_band(cell_prefix_counts(addr, sections, M, P), bracket - 2, bracket)
-    reach = np.searchsorted(bracket, np.arange(bracket[-1] + 2))
-    need = reach[np.clip(h_pg + np.int64(2), 0, len(reach) - 1)]
-    ok = ok and bool((need >= r[:P, None]).all())
-    start = reach[np.clip(h_pg, 0, len(reach) - 1)]
-    np.maximum(start, r[:P, None], out=start)
-    np.minimum(start, need, out=start)
-    top = np.cumsum(
-        np.bincount(start.ravel(), minlength=P + 1)
-        - np.bincount(need.ravel(), minlength=P + 1)
-    )
+    P = rows.pages
+    ok = _in_band(cell_prefix_counts(rows, M, by_page=True), bracket - 2, bracket)
+    reach = np.searchsorted(bracket, np.arange(bracket[-1] + 2)).astype(np.int32)
+    last = len(reach) - 1
+    need_at = reach[_clamp(rows.heights + np.int64(2), last)]
+    start_at = reach[_clamp(rows.heights.astype(np.int64), last)]
+    top = np.zeros(P + 1, dtype=np.int64)
+    for start, stop, page in rows.blocks("page"):
+        column = rows.column[start:stop]
+        need = by_rank(need_at, column)
+        ok = ok and bool((need >= page).all())
+        begin = by_rank(start_at, column)
+        np.maximum(begin, page, out=begin)
+        np.minimum(begin, need, out=begin)
+        np.add.at(top, begin, np.int64(1))
+        np.subtract.at(top, need, np.int64(1))
+    np.cumsum(top, out=top)
     short = np.flatnonzero(top[1:P] <= M) + 1
     br = int(bracket[0])
-    h1 = h_pg[0]
+    h1 = by_rank(rows.heights, rows.column[: rows.A])
     first = np.count_nonzero((h1 == br) | ((h1 == br - 1) & (br >= 2)))
     return [
         _transition(pre + "stack-missing-top", ok),
@@ -531,74 +728,69 @@ def _top_levels(addr, h_pg, sec_pg, bracket, M, pre) -> list[CheckResult]:
     ]
 
 
-def _page_stack_pairs(emb, h_pg, sec_pg, bracket, height_bits, pre):
-    """Single-page stack slices, over the vertices whose section is at most
-    their page: at most two entries, at successive heights, within two of
-    the section-prefix maximum.  The height bounds read the page view
-    against each page's bracket.  The slices read only the sorted (address,
-    page, height) columns, never the order of equal triples, so their key
-    needs no rank field."""
-    P, A = h_pg.shape
-    b = bracket[:, None]
-    inside = sec_pg <= np.arange(1, P + 1)[:, None]
-    ok = bool((((h_pg <= b) & (h_pg >= b - 2)) | ~inside).all())
-    mask = inside.ravel()
-    if emb.in_box:
-        key = emb.address[mask] << P.bit_length()
-        key |= np.flatnonzero(mask) // A
-        key <<= height_bits
-        key |= h_pg.ravel()[mask]
-        key.sort()
-        same = np.diff(key >> height_bits) == 0
-        step = np.diff(key)
-    else:
-        am, pm, hm = emb.address[mask], np.flatnonzero(mask) // A, h_pg.ravel()[mask]
-        order = np.lexsort((hm, pm, am))
-        same = (np.diff(am[order]) == 0) & (np.diff(pm[order]) == 0)
-        step = np.diff(hm[order])
-    # a slice of three would hold two neighbouring same-slice pairs; within
-    # a slice the key steps by the height step
-    ok = ok and not (same[1:] & same[:-1]).any() and bool((step[same] == 1).all())
-    return [_transition(pre + "page-stack-pair", ok)]
-
-
-def _subpage_alignment(plan, level, a_next, pre) -> list[CheckResult]:
+def _subpage_alignment(plan, rows, a_next, pre) -> list[CheckResult]:
     """Same subpage position => nonblank-level ordinals within 3
     cyclically; the first pair past 3 in (ordinal, row size) order is the
     one reported.
 
-    The subpage position q within a page is the middle axis of a
-    (P, a_{j-1}, a_1...a_{j-2}) view, so its transpose gathers one row per
-    q.  A level's (ordinal, row size) pair packs base = width + 1 wide
-    (both are at most the width), read from a table over the plan's levels;
-    each row is sorted in place, and its distinct pairs are where it steps.
-    q is a row, never a digit, so the packed pairs stay below base^2 < 2^61
-    whatever a_{j-1} is (width <= 2^30, as |G| <= 2^31).  The distinct
-    pairs lie flat, row after row; one pass per d compares each pair t with
-    pair t + d where both share a row.  The distance is symmetric and 0 on
-    a pair with itself, so a row's first far pair is its least far (t, d).
+    A vertex's subpage position q, its level's ordinal and its section's
+    row size pack into one key, (q (w + 1) + ordinal) t + size - least,
+    where t counts the row sizes from the least up; the (ordinal, size)
+    part is a function of the level, so it is packed once per base
+    column.  The plan's row sums
+    are s_i, which takes two values (`s_sequence`), so t <= 2 and the
+    keys stay below a_{j-1} (w + 1) 2 < 2^61, as w < 2 a_{j-1} and a_{j-1}
+    <= |G| / 4 <= 2^29.  Where they stay below |G|, each block of ranks
+    marks its keys in a mask over that range, read in ascending order at
+    the end; otherwise each block keeps its distinct keys, and the blocks'
+    are merged once, in (q, ordinal, size) order.  Either way no |G|-entry
+    row is gathered or sorted.  One pass per d compares
+    each distinct key t with key t + d where both share a q.  The distance
+    is symmetric and 0 on a pair with itself, so a position's first far
+    pair is its least far (t, d).
     """
-    base = plan.width + 1
-    sizes = plan.width - plan.F.bits.sum(axis=1, dtype=np.int64)
-    pairs = plan.ordinal_table.astype(np.int64)
-    pairs *= base
-    pairs[1:] += np.repeat(sizes, plan.width)
-    rows = pairs[level.reshape(plan.pages, a_next, -1).transpose(1, 0, 2)]
-    rows = rows.reshape(a_next, -1)
-    rows.sort(axis=1)
-    new = np.ones(rows.shape, dtype=bool)
-    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    counts = np.count_nonzero(new, axis=1)
-    row = np.repeat(np.arange(a_next), counts)
-    ordinal, size = np.divmod(rows[new], base)
+    width = plan.width
+    sizes = width - plan.F.bits.sum(axis=1, dtype=np.int64)
+    least = int(sizes.min())
+    spread = int(sizes.max()) - least + 1
+    sizes -= least
+    inner = rows.A // a_next
+    radix = (width + 1) * spread
+    pairs = plan.ordinal_table[rows.levels].astype(np.int64)
+    pairs *= spread
+    pairs += sizes[rows.sections]
+    # a key range no larger than |G| is marked in a mask, 1 B per key
+    seen = np.zeros(a_next * radix, dtype=bool) if a_next * radix <= rows.size else None
+    distinct = []
+    for start, stop in rows.blocks():
+        key = np.arange(start, stop, dtype=np.int64)
+        key //= inner
+        key %= a_next
+        key *= radix
+        key += by_rank(pairs, rows.column[start:stop])
+        if seen is None:
+            distinct.append(_distinct(key))
+        else:
+            seen[key] = True
+    if seen is not None:
+        keys = np.flatnonzero(seen)
+    else:
+        keys = distinct[0] if len(distinct) == 1 else _distinct(np.concatenate(distinct))
+    q, pair = np.divmod(keys, radix)
+    ordinal, size = np.divmod(pair, spread)
+    size += least
     worst, first = "", len(ordinal)
-    for d in range(1, int(counts.max())):
+    # q ascends, so once no two keys d apart share a q, no two further do
+    d, same = 1, q[1:] == q[:-1]
+    while same.any():
         v1, v2, m1, m2 = ordinal[:-d], ordinal[d:], size[:-d], size[d:]
         dist = np.minimum(np.abs(v2 - v1), np.minimum(m1 - v1 + v2, m2 - v2 + v1))
-        hit = np.flatnonzero((dist > 3) & (row[:-d] == row[d:]))
+        hit = np.flatnonzero((dist > 3) & same)
         if len(hit) and hit[0] < first:
             first = t = int(hit[0])
             worst = f"ordinals {v1[t]},{v2[t]} at distance {dist[t]}"
+        d += 1
+        same = q[d:] == q[:-d]
     return [_transition(pre + "subpage-level-alignment", not worst, worst)]
 
 
@@ -608,23 +800,51 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     Injectivity, coordinate ranges, prefix stability, the blank budget
     identity and `stack-section-monotone` are hard assertions; every other
     transition check carries gate 5, applied once to the transition list.
-    The chain's steps are composed once and shared by every stage, which
-    builds its level row, address and source levels by rank, dropped after
-    its checks.
+    The chain's steps are composed once, in the narrowest unsigned dtype,
+    and shared by every stage.  A stage holds no row by rank: its level,
+    source levels and packed addresses are read off tables over base
+    columns a block of ranks at a time (`StageEmbedding.addresses`,
+    `_StageRows`), and its transition checks hold one |G|-sized table or
+    key at a time (`_transition_checks`).
+
+    A malformed plan fails checks and raises nothing: the steps stop at the
+    first plan refused (`StageEmbedding.steps`), and every check that reads
+    a step past it fails with the reason, unrun.  Stage j's level below the
+    top reads step j + 1, so its injectivity, coordinate range and
+    transition checks fail from the refused plan's stage up; its prefix
+    stability reads step j, so it fails from the next stage up.  The top
+    stage's level is its own table, and each plan's `blank-budget` reads
+    only the plan.  Stage 2's coordinate range also bounds the stored base
+    column to 1..u_2, which every read by rank clips into.
     """
     spec = emb.spec
     out: list[CheckResult] = []
     stable: list[CheckResult] = []
     budgets: list[CheckResult] = []
     transitions: list[CheckResult] = []
+    why = emb.refused
+    composed = len(emb.steps) + 2  # the stages whose source levels are composed
     for j in range(2, emb.stage + 1):
         st = emb.view(j)
+        pre = f"pipeline.stage{j}."
+        level_ok, source_ok = j < composed or j == emb.top, j <= composed
         # the first j - 1 coordinates are settled block values and the last
         # a level index bounded by the stage's level budget: its `box`
-        out.append(_check(f"pipeline.stage{j}.injective", st.is_injective()))
-        out.append(_check(f"pipeline.stage{j}.coordinate-range", st.in_box))
-        if st.plan is not None:
-            plan, source = st.plan, st.steps[j - 3]
+        if level_ok:
+            ok = st.in_box
+            if j == 2:
+                column = st.column
+                ok = ok and int(column.min()) >= 1 and int(column.max()) <= len(st.tables[0])
+            out.append(_check(pre + "injective", st.is_injective()))
+            out.append(_check(pre + "coordinate-range", ok))
+        else:
+            out.append(_check(pre + "injective", False, why))
+            out.append(_check(pre + "coordinate-range", False, why))
+        if st.plan is None:
+            continue
+        plan = st.plan
+        if source_ok:
+            source = st.steps[j - 3]
             # the chain stores stage j - 1's level as these source levels:
             # each must be a nonblank level of the plan (one with a nonzero
             # ordinal), and its offset the coordinate stage j settled; read
@@ -636,15 +856,29 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
                 and bool((ordinals[source] > 0).all())
                 and np.array_equal(st.tables[j - 3], plan.offset_of(source) - 1)
             )
-            stable.append(_check(f"pipeline.stage{j}.prefix-stability", ok))
-            # the matrix the stage used holds s(r) blanks in each section r,
-            # so the budget identity holds at every prefix (`s_sequence`)
-            ok = np.array_equal(plan.F.bits.sum(axis=1), s_sequence(spec, plan.stage))
-            budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
-            level = st.source_level
-            transitions += _transition_checks(st, level)
-            del level  # a gathered |G|-entry row, freed before the next stage
-        del st
+            stable.append(_check(pre + "prefix-stability", ok))
+        else:
+            stable.append(_check(pre + "prefix-stability", False, why))
+        # the matrix the stage used holds s(r) blanks in each section r, so
+        # the budget identity holds at every prefix (`s_sequence`); the
+        # steps composed through it only once they had checked that
+        ok = (source_ok and plan.stage == j - 1) or np.array_equal(
+            plan.F.bits.sum(axis=1), s_sequence(spec, plan.stage)
+        )
+        budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
+        if level_ok and source_ok:
+            transitions += _transition_checks(st, st.steps[j - 3])
+        else:
+            # each transition check, unrun, in the order they are listed
+            names = (
+                "level-coverage stack-two-value stack-last-coordinate "
+                "stack-height-formula page-level-bounds page-section-containment "
+                "section-page-window stack-section-monotone stack-page-monotone "
+                "stack-missing-top stack-top-occupancy stack-top-occupancy-first "
+                "page-stack-pair subpage-level-alignment section-height-spread "
+                "page-height-spread"
+            )
+            transitions += [_check(pre + name, False, why) for name in names.split()]
     return out + stable + budgets + _apply_gates(transitions, spec)
 
 

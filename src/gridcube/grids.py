@@ -24,6 +24,14 @@ VERTEX_BOUND = 1 << 31
 RANK_BLOCK = 1 << 15
 
 
+def check_block(size: int) -> int:
+    """Ranks per block of a check pass over a grid of `size` vertices,
+    whose scratch runs to some 60 B per rank: |G| / 64, clamped into
+    RANK_BLOCK / 8..RANK_BLOCK, so the scratch stays near 1 B per vertex
+    and the blocks few."""
+    return min(RANK_BLOCK, max(RANK_BLOCK >> 3, size >> 4))
+
+
 def unsigned_dtype(bits: int) -> type:
     """The narrowest unsigned dtype holding `bits`-bit values."""
     return np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
@@ -68,9 +76,9 @@ class GridSpec:
     taken, and a float or a string is refused, not truncated or parsed.
     |G| is at most `vertex_cap` and, whatever the cap, `VERTEX_BOUND` =
     2^31, so n <= 31: the chain's int32 arrays (the base map's row and
-    column of each rank, `StageEmbedding.steps`, the plans' count tables)
-    hold values up to |G|, the labels fit uint32, and the batteries pack
-    n-bit fields into int64 keys.
+    column of each rank, the plans' count tables) hold values up to |G|,
+    the labels fit uint32, and the batteries pack n-bit fields into int64
+    keys.
     """
 
     dims: tuple[int, ...]

@@ -19,7 +19,13 @@ from functools import cached_property
 import numpy as np
 
 from .base2d import BaseMap, build_f2
-from .grids import RANK_BLOCK, GridSpec, keys_distinct, level_budget, unsigned_dtype
+from .grids import (
+    RANK_BLOCK,
+    GridSpec,
+    check_block,
+    level_budget,
+    unsigned_dtype,
+)
 from .rounding import BinaryMatrix, RoundingSpec, balance_violations, build_FX
 
 
@@ -142,15 +148,36 @@ def build_blank_plan(
     s = s_sequence(spec, i)
     width = 1 << spec.block_width(i)
     F = build_FX(RoundingSpec(s, width)) if matrix is None else matrix
-    if F.m != len(s) or F.n != width:
-        bad = [f"shape {F.m}x{F.n}, want {len(s)}x{width}"]
-    else:
-        bad = balance_violations(F, s)
+    shape = _shape_fault(F, s, width)
+    bad = [shape] if shape else balance_violations(F, s)
     if bad:
         raise ValueError(
             f"stage {i} designation matrix rejected: " + "; ".join(bad)
         )
     return BlankPlan(spec, i, F)
+
+
+def _shape_fault(F: BinaryMatrix, s: np.ndarray, width: int) -> str:
+    """Why F is not shaped as a stage with blanks per section `s` and
+    sections of `width` slots, or "" if it is."""
+    if F.m != len(s) or F.n != width:
+        return f"shape {F.m}x{F.n}, want {len(s)}x{width}"
+    return ""
+
+
+def plan_fault(plan: BlankPlan, i: int) -> str:
+    """Why the plan cannot be stage i's, or "" if it can: its matrix must
+    have the stage's P_i sections of `width` slots and s_i(r) blanks in
+    section r, so that its nonblank levels are the u_i that stage i fills
+    (the budget identity, `s_sequence`).  `StageEmbedding.steps` compose a
+    chain only through plans with no fault; the battery checks the rest of
+    a plan's contract on the chain it stacked."""
+    s = s_sequence(plan.spec, i)
+    F = plan.F
+    fault = _shape_fault(F, s, 1 << plan.spec.block_width(i))
+    if not fault and not np.array_equal(F.bits.sum(axis=1), s):
+        fault = f"blanks per section differ from s_{i}"
+    return fault and f"stage {i} plan refused: {fault}"
 
 
 def by_rank(table: np.ndarray, column: np.ndarray, out=None) -> np.ndarray:
@@ -163,6 +190,8 @@ def by_rank(table: np.ndarray, column: np.ndarray, out=None) -> np.ndarray:
     straight into `out` in clip mode, which copies nothing (mode 'raise'
     buffers each block)."""
     if out is None:
+        if len(column) <= RANK_BLOCK:  # one block: one call
+            return table.take(column - 1, mode="clip")
         out = np.empty(len(column), dtype=table.dtype)
     table = table.astype(out.dtype, copy=False)
     for start in range(0, len(column), RANK_BLOCK):
@@ -193,9 +222,10 @@ class StageEmbedding:
     and kept by no embed: the `steps`, coordinate rows by rank
     (`coordinate`), and a stage's `level` row, `source_level` row and
     `address`.  The steps are the source levels of stages 3..top, composed
-    from the plans: at stage i, a table over base columns (int32) whose
-    entry c - 1 is the nonblank level of `plans[i - 3]` that base column c
-    was inflated to.
+    from the plans: at stage i, a table over base columns whose entry
+    c - 1 is the nonblank level of `plans[i - 3]` that base column c was
+    inflated to, in the narrowest unsigned dtype holding the plan's P w
+    levels.
     Coordinates 1..i-1 of stage i are the chain's settled coordinates.  Its
     last, a level index, is the top table at the top stage, and below it
     where the next stage's source level sits in the next plan's
@@ -234,17 +264,49 @@ class StageEmbedding:
 
     @cached_property
     def steps(self) -> tuple[np.ndarray, ...]:
-        """The source-level table of each stacked stage 3..top, in order:
-        the given `sources`, or else each inflated level composed from the
-        plans as `stack` composed it, from the base column at stage 2."""
-        if self.sources is not None:
-            return self.sources
-        levels = np.arange(1, level_budget(self.spec, 2) + 1, dtype=np.int32)
+        """The source-level table of each stacked stage 3..top, in order, up
+        to the first plan refused: the given `sources`, or else each
+        inflated level composed from the plans as `stack` composed it, from
+        the base column at stage 2.  A plan with a `plan_fault` is refused,
+        and so is one with fewer nonblank levels than the stage below it
+        fills, so no plan's tables are read past their end; the steps stop
+        short of the top stage there, and `refused` says why."""
         tables = []
-        for plan in self.plans:
-            tables.append(plan.level_table[levels - 1])
-            levels = plan.height_table[tables[-1]]
+        levels = np.arange(1, level_budget(self.spec, 2) + 1, dtype=np.int32)
+        for i, plan in enumerate(self.plans, start=2):
+            if plan_fault(plan, i):
+                break
+            if self.sources is not None:
+                tables.append(self.sources[i - 2])
+                continue
+            if levels.max() > len(plan.level_table):
+                break
+            # levels lie in 1..P w, the size of the plan's matrix
+            narrow = unsigned_dtype(plan.F.bits.size.bit_length())
+            tables.append(plan.level_table[levels - 1].astype(narrow))
+            # nothing else in an audit reads a height table: not kept
+            levels = plan._counts(0)[tables[-1]]
         return tuple(tables)
+
+    @property
+    def refused(self) -> str:
+        """Why the `steps` stop short of the top stage, naming the plan
+        they stop at; "" when every plan is composed."""
+        i = len(self.steps) + 2
+        if i == self.top:
+            return ""
+        plan = self.plans[i - 2]
+        return plan_fault(plan, i) or (
+            f"stage {i} plan refused: {len(plan.level_table)} nonblank levels, "
+            f"fewer than stage {i} fills"
+        )
+
+    def _step(self, i: int) -> np.ndarray:
+        """The source-level table of stacked stage i, or a ValueError saying
+        why the steps stop below it."""
+        if i - 3 >= len(self.steps):
+            raise ValueError(self.refused)
+        return self.steps[i - 3]
 
     def coordinate(self, j: int) -> np.ndarray:
         """The chain's coordinate j of every vertex by rank (int32), 1 <= j
@@ -263,16 +325,23 @@ class StageEmbedding:
         return by_rank(self.column_levels(), self.column)
 
     def column_levels(self) -> np.ndarray:
-        """The stage's level for each base column (int32): the top table
-        plus 1 at the top stage, and below it where the next step's inflated
-        levels sit in the next plan's sorted `level_table`, 1-based."""
+        """The stage's level for each base column (int32, read-only, kept
+        by the stage): the top table plus 1 at the top stage, and below it
+        where the next step's inflated levels sit in the next plan's sorted
+        `level_table`, 1-based."""
+        return self._column_levels
+
+    @cached_property
+    def _column_levels(self) -> np.ndarray:
         if self.stage == self.top:
             levels = self.tables[-1].astype(np.int32)
             levels += 1
-            return levels
-        plan = self.plans[self.stage - 2]
-        step = self.steps[self.stage - 2]
-        return (np.searchsorted(plan.level_table, step) + 1).astype(np.int32)
+        else:
+            plan = self.plans[self.stage - 2]
+            step = self._step(self.stage + 1)
+            levels = (np.searchsorted(plan.level_table, step) + 1).astype(np.int32)
+        levels.flags.writeable = False
+        return levels
 
     @property
     def plan(self) -> BlankPlan | None:
@@ -286,7 +355,8 @@ class StageEmbedding:
         stage 2)."""
         if self.stage == 2:
             return None
-        return by_rank(self.steps[self.stage - 3], self.column)
+        out = np.empty(self.spec.size, dtype=np.int32)
+        return by_rank(self._step(self.stage), self.column, out)
 
     def box(self) -> list[int]:
         """The largest value of each coordinate: the first i - 1 are settled
@@ -298,32 +368,53 @@ class StageEmbedding:
 
     @cached_property
     def in_box(self) -> bool:
-        """Whether every coordinate lies in 1..its `box` value.  The row and
-        the level are read by rank, and each settled coordinate off its
-        table: every base column holds a vertex (the grid's chains fill
-        columns 1..u_2 in order, and a chain over the identity column holds
-        every vertex)."""
+        """Whether every coordinate lies in 1..its `box` value.  The row is
+        read by rank, and each settled coordinate and the level off its
+        table over base columns: every base column holds a vertex (the
+        grid's chains fill columns 1..u_2 in order, and a chain over the
+        identity column holds every vertex)."""
         caps = self.box()
         ok = self.row.min() >= 1 and self.row.max() <= caps[0]
         for table, cap in zip(self.tables[: self.stage - 2], caps[1:]):
             ok = ok and table.min() >= 0 and table.max() <= cap - 1
-        return bool(ok and self.level.min() >= 1 and self.level.max() <= caps[-1])
+        levels = self.column_levels()
+        return bool(ok and levels.min() >= 1 and levels.max() <= caps[-1])
+
+    @cached_property
+    def column_address(self) -> np.ndarray:
+        """Each base column's part of the `address` (read-only, u_2
+        entries): its coordinates 2..i-1 packed, minus 1, in the
+        address's dtype."""
+        spec = self.spec
+        dtype = np.int32 if self.in_box else np.int64
+        packed = np.full(len(self.tables[0]), -1, dtype=dtype)
+        for j, table in enumerate(self.tables[: self.stage - 2], start=2):
+            packed += table.astype(dtype) << spec.exponents[j - 1]
+        packed.flags.writeable = False
+        return packed
+
+    def addresses(self, start: int, stop: int) -> np.ndarray:
+        """The `address` of ranks start..stop - 1, into a new array: the
+        `column_address` at their base columns plus their row."""
+        key = by_rank(self.column_address, self.column[start:stop])
+        key += self.row[start:stop]
+        return key
 
     @cached_property
     def address(self) -> np.ndarray:
         """The leading block coordinates of each vertex packed into one
-        int64: coordinate j fills bits e_{j-1} up to e_j - 1, so the first
+        integer: coordinate j fills bits e_{j-1} up to e_j - 1, so the first
         i - 1 pack below 2^{e_{i-1}} and two vertices get the same key
-        exactly when they agree in each.  Coordinates 2..i-1 are packed once
-        per base column, then gathered by rank, and the row added."""
-        spec = self.spec
-        packed = np.zeros(len(self.tables[0]), dtype=np.int64)
-        for j, table in enumerate(self.tables[: self.stage - 2], start=2):
-            packed += table.astype(np.int64) << spec.exponents[j - 1]
-        key = by_rank(packed, self.column)
-        key += self.row
-        key -= 1
-        return key
+        exactly when they agree in each.  Inside the `box` every key is below
+        2^{e_{i-1}} <= 2^31 (n <= 31, `GridSpec`), so the row is int32, 4 B
+        per vertex, and a sort key that packs it with more fields widens it
+        itself; outside the box a coordinate may overrun its bits, and the
+        row is int64.  Coordinates 2..i-1 are packed once per base column
+        (`column_address`), so a reader that needs a block of ranks at a
+        time, as the pipeline battery and `is_injective` do, reads
+        `addresses` and holds no |G|-entry row; this row, kept once read,
+        is for whole-grid readers."""
+        return self.addresses(0, self.spec.size)
 
     def is_injective(self) -> bool:
         """Whether no two vertices share a stage-i coordinate tuple.
@@ -331,30 +422,41 @@ class StageEmbedding:
         Inside the `box`, each tuple packs into one int64 key without
         collision: the `address` below 2^{e_{i-1}}, plus the level minus 1
         from bit e_{i-1} up.  Keys then lie below 2^{e_{i-1}} u_i, which is
-        under |G| + 2^{e_{i-1}} < 3|G|, so one scatter into a boolean mask of
-        that size counts them.  A coordinate outside the box can alias
-        another key, so such a chain sorts its tuples (`np.unique`).
+        under |G| + 2^{e_{i-1}} < 3|G|, so one boolean mask of that size
+        counts them, scattered a `check_block` of keys at a time: the level
+        and the address are read off their tables over base columns, and no
+        key row is built.  A coordinate outside the box can alias another
+        key, so such a chain sorts its tuples (`np.unique`).
         """
         spec, i = self.spec, self.stage
         if not self.in_box:
             rows = [*(self.coordinate(j) for j in range(1, i)), self.level]
             return len(np.unique(np.column_stack(rows), axis=0)) == spec.size
-        key = self.level.astype(np.int64)
-        key -= 1
-        key <<= spec.exponents[i - 1]
-        key += self.address
-        return keys_distinct(key, level_budget(spec, i) << spec.exponents[i - 1])
+        shift, levels = spec.exponents[i - 1], self.column_levels()
+        seen = np.zeros(level_budget(spec, i) << shift, dtype=bool)
+        block = check_block(spec.size)
+        for start in range(0, spec.size, block):
+            stop = start + block
+            key = by_rank(levels, self.column[start:stop]).astype(np.int64)
+            key -= 1
+            key <<= shift
+            key += self.addresses(start, stop)
+            seen[key] = True
+        return int(np.count_nonzero(seen)) == spec.size
 
     def stage_chain(self) -> "list[StageEmbedding]":
         """Stages 2..stage of the chain, earliest first (`view`)."""
         return [self.view(i) for i in range(2, self.stage + 1)]
 
     def view(self, i: int) -> "StageEmbedding":
-        """Stage i of the chain, sharing its steps; it builds its level row
-        and addresses only when read."""
-        return StageEmbedding(
-            self.spec, i, self.row, self.column, self.tables, self.plans, self.steps
+        """Stage i of the chain, sharing its `steps`, composed once for
+        every stage; it builds its level row and addresses only when
+        read."""
+        st = StageEmbedding(
+            self.spec, i, self.row, self.column, self.tables, self.plans, self.sources
         )
+        vars(st)["steps"] = self.steps
+        return st
 
 
 def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:

@@ -4,7 +4,8 @@
 
 LAYER is a gridcube function: `build_blank_plan` (every stage 2..k-1 of
 each grid), `build_f2`, `build_fk`, `pipeline_battery`, `assemble_Hk`,
-`dilation`, `dump_embedding`, `parse_embedding` or `audit_grid`.  A GRID
+`dilation`, `dump_embedding`, `parse_embedding`, `audit_file` (each
+grid's embedding text, dumped untimed) or `audit_grid`.  A GRID
 is its sides joined by "x", e.g. 3x3x3x3x3x3x3x3x3x3x3x3.  Each of N pairs
 runs a fresh process in checkout A and one in checkout B, A first in even
 pairs and B first in odd ones.  A process imports gridcube from the
@@ -53,8 +54,8 @@ def calls(spec):
     emb = g.assemble_Hk(fk)
     if layer in ("dilation", "dump_embedding"):
         return [(getattr(g, layer), (emb,))]
-    if layer == "parse_embedding":
-        return [(g.parse_embedding, (g.dump_embedding(emb),))]
+    if layer in ("parse_embedding", "audit_file"):
+        return [(getattr(g, layer), (g.dump_embedding(emb),))]
     raise SystemExit(f"unknown layer {layer!r}")
 
 

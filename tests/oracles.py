@@ -1091,8 +1091,10 @@ def final(emb: StageEmbedding) -> np.ndarray:
 
 def source_levels(emb: StageEmbedding) -> list[np.ndarray]:
     """The source levels of each stacked stage 3..top of emb's chain, by
-    rank: its steps read through its base column."""
-    return [by_rank(step, emb.column) for step in emb.steps]
+    rank (int32, as a chain's steps may be narrower): its steps read
+    through its base column."""
+    size = emb.spec.size
+    return [by_rank(step, emb.column, np.empty(size, np.int32)) for step in emb.steps]
 
 
 def per_vertex(

@@ -246,6 +246,48 @@ def test_pipeline_battery_fails_a_broken_budget_identity():
     assert status["pipeline.stage2.blank-budget"] == "FAIL"
 
 
+def malformed_stage2_plans(plan):
+    """The plan one section short, with its last section all blank, and
+    cut to its first section."""
+    bits = plan.F.bits
+    blank = bits.copy()
+    blank[-1] = 1
+    for rows in (bits[:-1], blank, bits[:1]):
+        yield BlankPlan(plan.spec, plan.stage, BinaryMatrix(rows))
+
+
+@pytest.mark.parametrize("dims", [(3, 7, 4), (3, 7, 4, 3)])
+def test_pipeline_battery_fails_a_malformed_plan_without_raising(dims):
+    # the steps are composed up to the plan refused; each check that reads
+    # a step past it fails, naming the plan, and the check names stay
+    fk = build_fk(GridSpec(dims))
+    names = [c.name for c in pipeline_battery(fk)]
+    for bad in malformed_stage2_plans(fk.plans[0]):
+        chain = dataclasses.replace(fk, plans=(bad, *fk.plans[1:]))
+        results = pipeline_battery(chain)
+        assert [c.name for c in results] == names
+        status = {c.name: c for c in results}
+        assert status["pipeline.stage2.blank-budget"].status == "FAIL"
+        refused = [c for c in failed(results) if c.detail.startswith("stage 2 plan refused")]
+        assert {c.name for c in refused} >= {
+            "pipeline.stage2.injective",
+            "pipeline.stage3.level-coverage",
+            "pipeline.stage3.subpage-level-alignment",
+        }
+
+
+@pytest.mark.parametrize("dims", [(3, 7, 4), (3, 7, 4, 3)])
+def test_pipeline_battery_range_checks_the_stored_base_column(dims):
+    # a read by rank clips the column into 1..u_2, so only the range check
+    # can see a column of 0 or u_2 + 1
+    fk = build_fk(GridSpec(dims))
+    for value in (0, len(fk.tables[0]) + 1):
+        column = fk.column.copy()
+        column[0] = value
+        status = {c.name: c.status for c in pipeline_battery(dataclasses.replace(fk, column=column))}
+        assert status["pipeline.stage2.coordinate-range"] == "FAIL"
+
+
 def test_pipeline_battery_matches_oracle(battery_grids):
     seeds = parse_matrices(
         "".join((DATA / f"seed_3743_stage{i}.txt").read_text() for i in (2, 3))
@@ -801,19 +843,20 @@ def traced_peak(f, *args):
 
 
 @pytest.mark.parametrize(
-    "dims", [(64, 64, 64), (5, 5, 4000), (12, 17, 22, 14), (3,) * 10, (7, 11, 13, 97)]
+    "dims",
+    [(64, 64, 64), (5, 5, 4000), (12, 17, 22, 14), (3,) * 10, (7, 11, 13, 97), (100, 100, 100)],
 )
 def test_pipeline_battery_memory_is_bounded_per_vertex(dims):
-    """The battery builds one stage's level row, keys and tables at a time,
-    reads settled coordinates as rows of the chain and pages as views of
-    rank blocks, and holds one check group's scratch at a time: its
-    tracemalloc peak stays within 70 B per vertex (151-195 B here when every
-    check's scratch lived until the stage's checks returned, 44-83 B one
-    group at a time over a rank-major copy of each lower stage, 44-54 B
-    with none)."""
+    """A stage holds no row by rank: its heights, source levels and packed
+    addresses are tables over base columns, read a block of ranks at a
+    time, and each check group holds at most one |G|-sized table or sort
+    key beside its block scratch.  Its tracemalloc peak stays within 24 B
+    per vertex (8-23 B here; 44-64 B while a stage held its level, source
+    level, section and address rows and each group its own key, 151-195 B
+    when every check's scratch lived until the stage's checks returned)."""
     fk = build_fk(GridSpec(dims))
     _, peak = traced_peak(pipeline_battery, fk)
-    assert peak <= 70 * fk.spec.size, peak / fk.spec.size
+    assert peak <= 24 * fk.spec.size, peak / fk.spec.size
 
 
 def stage_setup(stage):
@@ -825,23 +868,26 @@ def stage_setup(stage):
 
 @pytest.mark.parametrize("dims", [(3,) * 10, (7, 11, 13, 97), (12, 17, 22, 14)])
 def test_stage_setup_memory_is_bounded_per_vertex(dims):
-    """A stage holds its level row and packed addresses, and its injectivity
-    key and mask for a moment, never a rank-major copy of its coordinates:
-    set up, it peaks within 26 B per vertex at every stage (53, 29 and 29 B
-    at the worst stage here with the copy)."""
+    """A stage holds its packed address row, and its injectivity keys and
+    mask for a moment, a block of ranks at a time, never a level row or a
+    rank-major copy of its coordinates: set up, it peaks within 18 B per
+    vertex at every stage (10-16 B at the worst stage here; 21 B with the
+    level row, and 53, 29 and 29 B with the copy)."""
     fk = build_fk(GridSpec(dims))
     for stage in fk.stage_chain():
         (in_box, _, injective), peak = traced_peak(stage_setup, stage)
         assert in_box and injective
-        assert peak <= 26 * fk.spec.size, (stage.stage, peak / fk.spec.size)
+        assert peak <= 18 * fk.spec.size, (stage.stage, peak / fk.spec.size)
 
 
 def test_audit_memory_is_bounded_per_vertex():
-    """A whole audit of 64^3 peaks at 60 B per vertex (167 B while the
-    pipeline battery held every check's scratch to the end of a stage)."""
+    """A whole audit of 64^3 peaks at 18 B per vertex, in the pipeline
+    battery over the chain that `build_fk` leaves (53 B while the battery
+    held a stage's rows by rank, 167 B while it held every check's scratch
+    to the end of a stage)."""
     spec = GridSpec((64, 64, 64))
     _, peak = traced_peak(audit_grid, spec)
-    assert peak <= 90 * spec.size, peak / spec.size
+    assert peak <= 20 * spec.size, peak / spec.size
 
 
 @pytest.mark.parametrize("dims", [(64, 64, 64), (5, 5, 4000), (7, 11, 13, 97)])
