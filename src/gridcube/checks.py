@@ -285,6 +285,28 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+# The checks of one stacking transition, without their "pipeline.stage{j}."
+# prefix, in the order the battery lists them (`_transition_checks`).
+TRANSITION_CHECKS = (
+    "level-coverage",
+    "stack-two-value",
+    "stack-last-coordinate",
+    "stack-height-formula",
+    "page-level-bounds",
+    "page-section-containment",
+    "section-page-window",
+    "stack-section-monotone",
+    "stack-page-monotone",
+    "stack-missing-top",
+    "stack-top-occupancy",
+    "stack-top-occupancy-first",
+    "page-stack-pair",
+    "subpage-level-alignment",
+    "section-height-spread",
+    "page-height-spread",
+)
+
+
 class _StageRows:
     """What one stacking transition's checks read, by blocks of ranks.
 
@@ -294,12 +316,12 @@ class _StageRows:
     stage's level (the `heights`, int32), the source level clipped into
     the plan's levels 1..P w (`levels`) and its section, 0-based
     (`sections`), both in the step's dtype, and the packed address less
-    the row (`StageEmbedding.column_address`).  `blocks` reads them at one
-    block of `check_block` ranks at a time, so a check group holds its
-    block scratch, near 1 B per vertex, beside at most one |G|-sized table
-    or key.  Pages are rank blocks: ranks are reversed-lexicographic (x_1
-    fastest), so the (j - 1)-page of rank x is x // A, 0-based, with A =
-    a_1...a_{j-1}.
+    the row (`address`, `StageEmbedding.column_address`).  `blocks` reads
+    them one block of `check_block` ranks at a time, so a check group
+    holds its block scratch, near 4 B per vertex, beside at most one
+    |G|-sized table or key.  Pages are rank blocks: ranks are
+    reversed-lexicographic (x_1 fastest), so the (j - 1)-page of rank x is
+    x // A, 0-based, with A = a_1...a_{j-1}.
     """
 
     def __init__(self, emb: StageEmbedding, step: np.ndarray):
@@ -307,72 +329,33 @@ class _StageRows:
         self.emb = emb
         self.size = emb.spec.size
         self.column = emb.column
+        self.row = emb.row
         self.in_box = emb.in_box
         self.heights = emb.column_levels()
+        self.address = emb.column_address
         # a source level off the plan's levels 1..P * width fails prefix
         # stability; clipped, it indexes the plan's tables like any other
-        self.top_level = plan.pages * plan.width
         self.levels = np.maximum(step, 1)
-        np.minimum(self.levels, self.top_level, out=self.levels)
-        self.shift = plan.width.bit_length() - 1
-        self.sections = self._section(self.levels)
+        np.minimum(self.levels, plan.pages * plan.width, out=self.levels)
+        self.sections = self.levels - 1
+        self.sections >>= plan.width.bit_length() - 1
         self.pages = plan.pages
         self.A = emb.spec.prefix_product(emb.stage - 1)
         self.block = check_block(self.size)
-        self.kept: dict = {}
 
-    def _section(self, levels: np.ndarray) -> np.ndarray:
-        section = levels - 1
-        section >>= self.shift
-        return section
-
-    def blocks(self, *names: str) -> Iterator[tuple]:
-        """(start, stop, each named row) for each block of ranks.  A name
-        is "page", the 0-based page of each rank, "address", the stage's
-        `address` read a block at a time (`StageEmbedding.addresses`), or
-        that of a table over base columns ("heights", "levels",
-        "sections"), gathered at the block's base columns.  A grid of one
-        block reads the stage's rows by rank once, its `address`, `level`
-        and `source_level` (clipped as `levels` is), and keeps them and
-        their pages and sections, as they are no larger than one block's
-        scratch; the checks only read them."""
-        if self.size <= self.block:
-            kept = self.kept
-            for name in names:
-                if name not in kept:
-                    kept[name] = self._whole(name)
-            yield (0, self.size, *(kept[name] for name in names))
-            return
+    def blocks(self, *tables: np.ndarray) -> Iterator[tuple]:
+        """(start, stop, each table read at the ranks' base columns) for each
+        block of ranks start..stop - 1: one `take` per table, as a block's
+        ranks are fewer than RANK_BLOCK (`by_rank`).  A rank's `address` is
+        its table entry plus its row, `row[start:stop]`."""
         for start in range(0, self.size, self.block):
             stop = min(start + self.block, self.size)
-            column = self.column[start:stop]
-            yield (
-                start,
-                stop,
-                *(
-                    np.arange(start, stop) // self.A
-                    if name == "page"
-                    else self.emb.addresses(start, stop)
-                    if name == "address"
-                    else by_rank(getattr(self, name), column)
-                    for name in names
-                ),
-            )
+            at = self.column[start:stop] - 1
+            yield (start, stop, *[table.take(at, mode="clip") for table in tables])
 
-    def _whole(self, name: str) -> np.ndarray:
-        """The named row of every rank."""
-        emb = self.emb
-        if name == "page":
-            return np.arange(self.size) // self.A
-        if name == "address":
-            return emb.address
-        if name == "heights":
-            return emb.level
-        if name == "levels":
-            level = emb.source_level
-            np.maximum(level, 1, out=level)
-            return np.minimum(level, self.top_level, out=level)
-        return self._section(next(self.blocks("levels"))[2])
+    def page(self, start: int, stop: int) -> np.ndarray:
+        """The 0-based page of ranks start..stop - 1."""
+        return np.arange(start, stop) // self.A
 
 
 def _transition_checks(emb: StageEmbedding, step: np.ndarray) -> list[CheckResult]:
@@ -439,14 +422,14 @@ def _transition_checks(emb: StageEmbedding, step: np.ndarray) -> list[CheckResul
             f"measured {bracket[:8].tolist()}..., expected {l_arr[:8].tolist()}...",
         )
     )
-    bounds, spreads = _page_bounds(rows, l_arr, pre)
-    out += bounds
-    order, pairs = _stacking_order(rows, bracket, level_budget(spec, j).bit_length(), pre)
-    out += order
+    out += _page_bounds(rows, l_arr, pre)
+    out += _stacking_order(rows, bracket, level_budget(spec, j).bit_length(), pre)
     out += _top_levels(rows, bracket, M, pre)
-    out += pairs
     out += _subpage_alignment(plan, rows, spec.dims[j - 2], pre)
-    return out + spreads
+    # listed in the order of TRANSITION_CHECKS, which names each just once
+    named = {c.name[len(pre) :]: c for c in out}
+    assert len(named) == len(out) == len(TRANSITION_CHECKS)
+    return [named[name] for name in TRANSITION_CHECKS]
 
 
 def _in_band(table: np.ndarray, low, high) -> bool:
@@ -481,13 +464,26 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[new]
 
 
+def _count_into(table: np.ndarray, index: np.ndarray, limit: int, ufunc=np.add) -> None:
+    """Add (or, with np.subtract, take) to each table[i] the number of
+    times i occurs in index, in place.  A table of at most `limit` entries
+    takes one bincount, whose intp counts are then no larger than a block's
+    scratch; a longer one takes an unbuffered scatter, which makes no
+    table-sized array."""
+    if len(table) <= limit:
+        counts = np.bincount(index, minlength=len(table))
+        ufunc(table, counts, out=table, casting="unsafe")
+    else:
+        ufunc.at(table, index, table.dtype.type(1))
+
+
 def _level_coverage(plan, rows, pre) -> list[CheckResult]:
     """Level coverage: every nonblank level outside the last section is hit
-    by exactly level_size = 2^{e_{j-2}} vertices, counted by an int32
-    scatter a block of ranks at a time."""
+    by exactly level_size = 2^{e_{j-2}} vertices, counted into an int32
+    table a block of ranks at a time."""
     counts = np.zeros(plan.pages * plan.width + 1, dtype=np.int32)
-    for *_, level in rows.blocks("levels"):
-        np.add.at(counts, level, np.int32(1))
+    for *_, level in rows.blocks(rows.levels):
+        _count_into(counts, level, rows.block)
     levels = plan.level_table
     interior = levels[plan.section_of(levels) <= plan.pages - 1]
     ok = bool((counts[interior] == 1 << plan.spec.exponents[plan.stage - 1]).all())
@@ -499,8 +495,8 @@ def cell_prefix_counts(rows, M: int, by_page: bool = False) -> np.ndarray:
     M x P table counts the points with address m in sections 1..r, or,
     `by_page`, whose section and page are both at most r.  No count passes
     |G|, so the table is in the narrowest unsigned dtype holding |G|.  Each
-    block of ranks scatters its cells m P + r - 1 into the table, which is
-    then cumulated along the sections in place.  At stage j, with M =
+    block of ranks counts its cells m P + r - 1 into the table
+    (`_count_into`), which is then cumulated along the sections in place.  At stage j, with M =
     2^{e_{j-1}} and P = P_{j-1}, the table has under 2|G| entries, since
     P = |G| / (a_1...a_{j-1}) and 2^{e_{j-1}} < 2 a_1...a_{j-1}.
     """
@@ -508,12 +504,12 @@ def cell_prefix_counts(rows, M: int, by_page: bool = False) -> np.ndarray:
     dtype = unsigned_dtype(rows.size.bit_length())
     table = np.zeros((M, P), dtype=dtype)
     cells = table.reshape(-1)
-    names = ("address", "sections", "page") if by_page else ("address", "sections")
-    for _, _, addr, section, *page in rows.blocks(*names):
+    for start, stop, addr, section in rows.blocks(rows.address, rows.sections):
         cell = addr.astype(np.int64)
+        cell += rows.row[start:stop]
         cell *= P
-        cell += np.maximum(section, page[0]) if by_page else section
-        np.add.at(cells, cell, dtype(1))
+        cell += np.maximum(section, rows.page(start, stop)) if by_page else section
+        _count_into(cells, cell, rows.block)
     return np.cumsum(table, axis=1, dtype=dtype, out=table)
 
 
@@ -547,14 +543,14 @@ def _page_bounds(rows, l_arr, pre):
     tables: each height lies within its page's budget, hence within the
     j-page budgets and u_j (see `_transition_checks`).  Sections track
     pages: the image of a page prefix stays inside the matching section
-    prefix, one section below the page at most.  The spreads are returned
-    apart, as the battery lists them last.
+    prefix, one section below the page at most.
     """
     P, A = rows.pages, rows.A
     tables = np.full((4, P), np.iinfo(np.int32).max, dtype=np.int32)
     tables[1::2] = -1
     window = True
-    for start, stop, page, h, section in rows.blocks("page", "heights", "sections"):
+    for start, stop, h, section in rows.blocks(rows.heights, rows.sections):
+        page = rows.page(start, stop)
         window = window and bool(((section <= page) & (page <= section + 1)).all())
         np.minimum.at(tables[0], section, h)
         np.maximum.at(tables[1], section, h)
@@ -569,7 +565,6 @@ def _page_bounds(rows, l_arr, pre):
         _transition(pre + "page-level-bounds", bounded),
         _transition(pre + "page-section-containment", window),
         _transition(pre + "section-page-window", window),
-    ], [
         _transition(pre + "section-height-spread", _spreads_within(*tables[:2], 1, 2)),
         _transition(pre + "page-height-spread", _spreads_within(*tables[2:], 2, 3)),
     ]
@@ -587,19 +582,22 @@ def _stacking_blocks(rows, height_bits) -> Iterator[tuple]:
     found by a search of the sorted keys, and its fields are read back off
     the keys.
     Outside the box the order is the lexsort of the stage's level and
-    address rows, taken in one run.
+    address by rank, taken in one run.
     """
     if not rows.in_box:
-        h, addr = rows.emb.level, rows.emb.address
+        h = by_rank(rows.heights, rows.column)
+        addr = by_rank(rows.address, rows.column)
+        addr += rows.row
         order = np.lexsort((h, addr))
         yield addr[order], h[order], order
         return
     rank_bits = (rows.size - 1).bit_length()
     shift = height_bits + rank_bits
     key = np.empty(rows.size, dtype=np.int64)
-    for start, stop, addr, h in rows.blocks("address", "heights"):
+    for start, stop, addr, h in rows.blocks(rows.address, rows.heights):
         part = key[start:stop]
         part[...] = addr
+        part += rows.row[start:stop]
         part <<= height_bits
         part |= h
         part <<= rank_bits
@@ -640,14 +638,13 @@ def _stacking_order(rows, bracket, height_bits, pre):
     it is the stacking order restricted to the slices' vertices, and a run
     in which they do descend is sorted by (address, page) stably, which
     keeps the heights ascending within each slice.  A run holds whole
-    addresses, so whole slices.  The two results are returned apart, as
-    the battery lists the stack-top checks between them.
+    addresses, so whole slices.
     """
     section_ok = page_ok = pair_ok = True
     bracket = bracket.astype(np.int32)  # no bracket passes |G|
     for addr, h, rank in _stacking_blocks(rows, height_bits):
         same = addr[1:] == addr[:-1]
-        section = by_rank(rows.sections, rows.column[rank])
+        section = rows.sections.take(rows.column[rank] - 1, mode="clip")
         page = rank // rows.A
         # a run may hold one whole address of u_j points beside the key, so
         # each of its rows is dropped as soon as it is read
@@ -673,7 +670,8 @@ def _stacking_order(rows, bracket, height_bits, pre):
     return [
         _check(pre + "stack-section-monotone", section_ok),
         _transition(pre + "stack-page-monotone", page_ok),
-    ], [_transition(pre + "page-stack-pair", pair_ok)]
+        _transition(pre + "page-stack-pair", pair_ok),
+    ]
 
 
 def _top_levels(rows, bracket, M, pre) -> list[CheckResult]:
@@ -703,19 +701,17 @@ def _top_levels(rows, bracket, M, pre) -> list[CheckResult]:
     need_at = reach[_clamp(rows.heights + np.int64(2), last)]
     start_at = reach[_clamp(rows.heights.astype(np.int64), last)]
     top = np.zeros(P + 1, dtype=np.int64)
-    for start, stop, page in rows.blocks("page"):
-        column = rows.column[start:stop]
-        need = by_rank(need_at, column)
+    for start, stop, need, begin in rows.blocks(need_at, start_at):
+        page = rows.page(start, stop)
         ok = ok and bool((need >= page).all())
-        begin = by_rank(start_at, column)
         np.maximum(begin, page, out=begin)
         np.minimum(begin, need, out=begin)
-        np.add.at(top, begin, np.int64(1))
-        np.subtract.at(top, need, np.int64(1))
+        _count_into(top, begin, rows.block)
+        _count_into(top, need, rows.block, np.subtract)
     np.cumsum(top, out=top)
     short = np.flatnonzero(top[1:P] <= M) + 1
     br = int(bracket[0])
-    h1 = by_rank(rows.heights, rows.column[: rows.A])
+    h1 = rows.heights.take(rows.column[: rows.A] - 1, mode="clip")
     first = np.count_nonzero((h1 == br) | ((h1 == br - 1) & (br >= 2)))
     return [
         _transition(pre + "stack-missing-top", ok),
@@ -762,12 +758,12 @@ def _subpage_alignment(plan, rows, a_next, pre) -> list[CheckResult]:
     # a key range no larger than |G| is marked in a mask, 1 B per key
     seen = np.zeros(a_next * radix, dtype=bool) if a_next * radix <= rows.size else None
     distinct = []
-    for start, stop in rows.blocks():
+    for start, stop, pair in rows.blocks(pairs):
         key = np.arange(start, stop, dtype=np.int64)
         key //= inner
         key %= a_next
         key *= radix
-        key += by_rank(pairs, rows.column[start:stop])
+        key += pair
         if seen is None:
             distinct.append(_distinct(key))
         else:
@@ -803,9 +799,8 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     The chain's steps are composed once, in the narrowest unsigned dtype,
     and shared by every stage.  A stage holds no row by rank: its level,
     source levels and packed addresses are read off tables over base
-    columns a block of ranks at a time (`StageEmbedding.addresses`,
-    `_StageRows`), and its transition checks hold one |G|-sized table or
-    key at a time (`_transition_checks`).
+    columns a block of ranks at a time (`_StageRows`), and its transition
+    checks hold one |G|-sized table or key at a time (`_transition_checks`).
 
     A malformed plan fails checks and raises nothing: the steps stop at the
     first plan refused (`StageEmbedding.steps`), and every check that reads
@@ -860,25 +855,13 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
         else:
             stable.append(_check(pre + "prefix-stability", False, why))
         # the matrix the stage used holds s(r) blanks in each section r, so
-        # the budget identity holds at every prefix (`s_sequence`); the
-        # steps composed through it only once they had checked that
-        ok = (source_ok and plan.stage == j - 1) or np.array_equal(
-            plan.F.bits.sum(axis=1), s_sequence(spec, plan.stage)
-        )
+        # the budget identity holds at every prefix (`s_sequence`)
+        ok = np.array_equal(plan.F.bits.sum(axis=1), s_sequence(spec, plan.stage))
         budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
         if level_ok and source_ok:
             transitions += _transition_checks(st, st.steps[j - 3])
         else:
-            # each transition check, unrun, in the order they are listed
-            names = (
-                "level-coverage stack-two-value stack-last-coordinate "
-                "stack-height-formula page-level-bounds page-section-containment "
-                "section-page-window stack-section-monotone stack-page-monotone "
-                "stack-missing-top stack-top-occupancy stack-top-occupancy-first "
-                "page-stack-pair subpage-level-alignment section-height-spread "
-                "page-height-spread"
-            )
-            transitions += [_check(pre + name, False, why) for name in names.split()]
+            transitions += [_check(pre + name, False, why) for name in TRANSITION_CHECKS]
     return out + stable + budgets + _apply_gates(transitions, spec)
 
 

@@ -26,8 +26,8 @@ RANK_BLOCK = 1 << 15
 
 def check_block(size: int) -> int:
     """Ranks per block of a check pass over a grid of `size` vertices,
-    whose scratch runs to some 60 B per rank: |G| / 64, clamped into
-    RANK_BLOCK / 8..RANK_BLOCK, so the scratch stays near 1 B per vertex
+    whose scratch runs to some 60 B per rank: |G| / 16, clamped into
+    RANK_BLOCK / 8..RANK_BLOCK, so the scratch stays near 4 B per vertex
     and the blocks few."""
     return min(RANK_BLOCK, max(RANK_BLOCK >> 3, size >> 4))
 

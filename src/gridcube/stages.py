@@ -165,16 +165,17 @@ def _shape_fault(F: BinaryMatrix, s: np.ndarray, width: int) -> str:
     return ""
 
 
-def plan_fault(plan: BlankPlan, i: int) -> str:
-    """Why the plan cannot be stage i's, or "" if it can: its matrix must
-    have the stage's P_i sections of `width` slots and s_i(r) blanks in
-    section r, so that its nonblank levels are the u_i that stage i fills
-    (the budget identity, `s_sequence`).  `StageEmbedding.steps` compose a
-    chain only through plans with no fault; the battery checks the rest of
-    a plan's contract on the chain it stacked."""
-    s = s_sequence(plan.spec, i)
-    F = plan.F
-    fault = _shape_fault(F, s, 1 << plan.spec.block_width(i))
+def plan_fault(spec: GridSpec, i: int, F: BinaryMatrix) -> str:
+    """Why F cannot be the designation matrix of stage i of the grid, or ""
+    if it can: it must have the stage's P_i sections of `width` slots and
+    s_i(r) blanks in section r, so that its nonblank levels are the u_i
+    that stage i fills (the budget identity, `s_sequence`).  Read against
+    the chain's grid, never the plan's own, so a plan made for another grid
+    is refused unless it would serve this one.  `StageEmbedding.steps`
+    compose a chain only through plans with no fault; the battery checks
+    the rest of a plan's contract on the chain it stacked."""
+    s = s_sequence(spec, i)
+    fault = _shape_fault(F, s, 1 << spec.block_width(i))
     if not fault and not np.array_equal(F.bits.sum(axis=1), s):
         fault = f"blanks per section differ from s_{i}"
     return fault and f"stage {i} plan refused: {fault}"
@@ -190,13 +191,11 @@ def by_rank(table: np.ndarray, column: np.ndarray, out=None) -> np.ndarray:
     straight into `out` in clip mode, which copies nothing (mode 'raise'
     buffers each block)."""
     if out is None:
-        if len(column) <= RANK_BLOCK:  # one block: one call
-            return table.take(column - 1, mode="clip")
         out = np.empty(len(column), dtype=table.dtype)
     table = table.astype(out.dtype, copy=False)
     for start in range(0, len(column), RANK_BLOCK):
         at = column[start : start + RANK_BLOCK] - 1
-        np.take(table, at, out=out[start : start + RANK_BLOCK], mode="clip")
+        table.take(at, out=out[start : start + RANK_BLOCK], mode="clip")
     return out
 
 
@@ -219,13 +218,14 @@ class StageEmbedding:
       `build_fk` is done.
 
     Every stage of one chain shares them.  The rest is derived when read
-    and kept by no embed: the `steps`, coordinate rows by rank
-    (`coordinate`), and a stage's `level` row, `source_level` row and
-    `address`.  The steps are the source levels of stages 3..top, composed
-    from the plans: at stage i, a table over base columns whose entry
-    c - 1 is the nonblank level of `plans[i - 3]` that base column c was
-    inflated to, in the narrowest unsigned dtype holding the plan's P w
-    levels.
+    and kept by no embed: the `steps` and a stage's per-column level
+    (`column_levels`) and packed address (`column_address`).  No row by
+    rank but `row` and `column` is derived: a reader gathers the per-column
+    tables a block of ranks at a time (`by_rank`).  The steps
+    are the source levels of stages 3..top, composed from the plans: at
+    stage i, a table over base columns whose entry c - 1 is the nonblank
+    level of `plans[i - 3]` that base column c was inflated to, in the
+    narrowest unsigned dtype holding the plan's P w levels.
     Coordinates 1..i-1 of stage i are the chain's settled coordinates.  Its
     last, a level index, is the top table at the top stage, and below it
     where the next stage's source level sits in the next plan's
@@ -274,7 +274,7 @@ class StageEmbedding:
         tables = []
         levels = np.arange(1, level_budget(self.spec, 2) + 1, dtype=np.int32)
         for i, plan in enumerate(self.plans, start=2):
-            if plan_fault(plan, i):
+            if plan_fault(self.spec, i, plan.F):
                 break
             if self.sources is not None:
                 tables.append(self.sources[i - 2])
@@ -296,7 +296,7 @@ class StageEmbedding:
         if i == self.top:
             return ""
         plan = self.plans[i - 2]
-        return plan_fault(plan, i) or (
+        return plan_fault(self.spec, i, plan.F) or (
             f"stage {i} plan refused: {len(plan.level_table)} nonblank levels, "
             f"fewer than stage {i} fills"
         )
@@ -307,22 +307,6 @@ class StageEmbedding:
         if i - 3 >= len(self.steps):
             raise ValueError(self.refused)
         return self.steps[i - 3]
-
-    def coordinate(self, j: int) -> np.ndarray:
-        """The chain's coordinate j of every vertex by rank (int32), 1 <= j
-        <= top: the stored row at j = 1, else table j - 2 gathered through
-        the base column, plus 1, into a new row."""
-        if j == 1:
-            return self.row
-        return np.add(by_rank(self.tables[j - 2], self.column), 1, dtype=np.int32)
-
-    @cached_property
-    def level(self) -> np.ndarray:
-        """Coordinate i of every vertex by rank (contiguous int32): the top
-        table at the top stage, and below it `column_levels` by rank."""
-        if self.stage == self.top:
-            return self.coordinate(self.stage)
-        return by_rank(self.column_levels(), self.column)
 
     def column_levels(self) -> np.ndarray:
         """The stage's level for each base column (int32, read-only, kept
@@ -348,16 +332,6 @@ class StageEmbedding:
         """The plan this stage was stacked through (None at stage 2)."""
         return self.plans[self.stage - 3] if self.stage > 2 else None
 
-    @property
-    def source_level(self) -> np.ndarray | None:
-        """The inflated level each vertex passed through, by rank (int32),
-        gathered from the stage's step into a new row on each read (None at
-        stage 2)."""
-        if self.stage == 2:
-            return None
-        out = np.empty(self.spec.size, dtype=np.int32)
-        return by_rank(self._step(self.stage), self.column, out)
-
     def box(self) -> list[int]:
         """The largest value of each coordinate: the first i - 1 are settled
         block values, 1..2^{e_t - e_{t-1}}, and the last a level index,
@@ -382,9 +356,20 @@ class StageEmbedding:
 
     @cached_property
     def column_address(self) -> np.ndarray:
-        """Each base column's part of the `address` (read-only, u_2
-        entries): its coordinates 2..i-1 packed, minus 1, in the
-        address's dtype."""
+        """Each base column's part of the address (read-only, u_2 entries).
+
+        A vertex's address packs its leading block coordinates into one
+        integer: coordinate j fills bits e_{j-1} up to e_j - 1, so the
+        first i - 1 pack below 2^{e_{i-1}} and two vertices get the same
+        address exactly when they agree in each.  Coordinates 2..i-1 are
+        functions of the base column, so they are packed here, minus 1, once
+        per base column, and a vertex's address is this entry at its base
+        column plus its row (coordinate 1); a reader gathers it a block of
+        ranks at a time and holds no |G|-entry row.  Inside the `box` every
+        address is below 2^{e_{i-1}} <= 2^31 (n <= 31, `GridSpec`), so the
+        table is int32, and a sort key that packs the address with more
+        fields widens it itself; outside the box a coordinate may overrun
+        its bits, and the table is int64."""
         spec = self.spec
         dtype = np.int32 if self.in_box else np.int64
         packed = np.full(len(self.tables[0]), -1, dtype=dtype)
@@ -393,54 +378,37 @@ class StageEmbedding:
         packed.flags.writeable = False
         return packed
 
-    def addresses(self, start: int, stop: int) -> np.ndarray:
-        """The `address` of ranks start..stop - 1, into a new array: the
-        `column_address` at their base columns plus their row."""
-        key = by_rank(self.column_address, self.column[start:stop])
-        key += self.row[start:stop]
-        return key
-
-    @cached_property
-    def address(self) -> np.ndarray:
-        """The leading block coordinates of each vertex packed into one
-        integer: coordinate j fills bits e_{j-1} up to e_j - 1, so the first
-        i - 1 pack below 2^{e_{i-1}} and two vertices get the same key
-        exactly when they agree in each.  Inside the `box` every key is below
-        2^{e_{i-1}} <= 2^31 (n <= 31, `GridSpec`), so the row is int32, 4 B
-        per vertex, and a sort key that packs it with more fields widens it
-        itself; outside the box a coordinate may overrun its bits, and the
-        row is int64.  Coordinates 2..i-1 are packed once per base column
-        (`column_address`), so a reader that needs a block of ranks at a
-        time, as the pipeline battery and `is_injective` do, reads
-        `addresses` and holds no |G|-entry row; this row, kept once read,
-        is for whole-grid readers."""
-        return self.addresses(0, self.spec.size)
-
     def is_injective(self) -> bool:
         """Whether no two vertices share a stage-i coordinate tuple.
 
         Inside the `box`, each tuple packs into one int64 key without
-        collision: the `address` below 2^{e_{i-1}}, plus the level minus 1
-        from bit e_{i-1} up.  Keys then lie below 2^{e_{i-1}} u_i, which is
-        under |G| + 2^{e_{i-1}} < 3|G|, so one boolean mask of that size
-        counts them, scattered a `check_block` of keys at a time: the level
-        and the address are read off their tables over base columns, and no
-        key row is built.  A coordinate outside the box can alias another
-        key, so such a chain sorts its tuples (`np.unique`).
+        collision: the address (`column_address`) below 2^{e_{i-1}}, plus
+        the level minus 1 from bit e_{i-1} up.  Keys then lie below
+        2^{e_{i-1}} u_i, which is under |G| + 2^{e_{i-1}} < 3|G|, so one
+        boolean mask of that size counts them, scattered a `check_block` of
+        keys at a time: the level and the address are read off their tables
+        over base columns, and no key row is built.  A coordinate outside
+        the box can alias another key, so such a chain sorts its tuples
+        (`np.unique`).
         """
         spec, i = self.spec, self.stage
         if not self.in_box:
-            rows = [*(self.coordinate(j) for j in range(1, i)), self.level]
-            return len(np.unique(np.column_stack(rows), axis=0)) == spec.size
+            # coordinates 2..i are functions of the base column
+            per_column = np.column_stack([*self.tables[: i - 2], self.column_levels()])
+            rows = per_column.take(self.column - 1, axis=0, mode="clip")
+            rows = np.column_stack([self.row, rows])
+            return len(np.unique(rows, axis=0)) == spec.size
         shift, levels = spec.exponents[i - 1], self.column_levels()
         seen = np.zeros(level_budget(spec, i) << shift, dtype=bool)
         block = check_block(spec.size)
         for start in range(0, spec.size, block):
-            stop = start + block
-            key = by_rank(levels, self.column[start:stop]).astype(np.int64)
+            # a block's ranks are fewer than RANK_BLOCK: one gather each
+            at = self.column[start : start + block] - 1
+            key = levels.take(at, mode="clip").astype(np.int64)
             key -= 1
             key <<= shift
-            key += self.addresses(start, stop)
+            key += self.column_address.take(at, mode="clip")
+            key += self.row[start : start + block]
             seen[key] = True
         return int(np.count_nonzero(seen)) == spec.size
 
@@ -450,7 +418,7 @@ class StageEmbedding:
 
     def view(self, i: int) -> "StageEmbedding":
         """Stage i of the chain, sharing its `steps`, composed once for
-        every stage; it builds its level row and addresses only when
+        every stage; it builds its per-column level and address only when
         read."""
         st = StageEmbedding(
             self.spec, i, self.row, self.column, self.tables, self.plans, self.sources

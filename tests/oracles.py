@@ -136,11 +136,34 @@ def page_index(spec: GridSpec, coords, i: int) -> int:
     return r + 1
 
 
+def coordinate(emb: StageEmbedding, j: int) -> np.ndarray:
+    """The chain's coordinate j of every vertex by rank (int32), 1 <= j <=
+    top: the stored row at j = 1, else table j - 2 gathered through the
+    base column, plus 1, into a new row."""
+    if j == 1:
+        return emb.row
+    return np.add(by_rank(emb.tables[j - 2], emb.column), 1, dtype=np.int32)
+
+
+def level(emb: StageEmbedding) -> np.ndarray:
+    """The stage's level of every vertex by rank (int32): its
+    `column_levels` gathered through the base column."""
+    return by_rank(emb.column_levels(), emb.column)
+
+
+def address(emb: StageEmbedding) -> np.ndarray:
+    """The stage's packed address of every vertex by rank: its
+    `column_address` gathered through the base column, plus its row."""
+    key = by_rank(emb.column_address, emb.column)
+    key += emb.row
+    return key
+
+
 def stage_coords(emb: StageEmbedding) -> np.ndarray:
     """A new |G| x i int64 array whose row `rank` is the stage-i image tuple
     of the vertex with that rank: the stage's settled rows of the chain and
     its level row, read rank-major."""
-    rows = [*final(emb)[: emb.stage - 1], emb.level]
+    rows = [*final(emb)[: emb.stage - 1], level(emb)]
     return np.column_stack(rows).astype(np.int64)
 
 
@@ -1017,15 +1040,24 @@ def _height_table(emb: StageEmbedding, mask) -> dict[tuple[int, ...], int]:
     return table
 
 
+def source_level(emb: StageEmbedding) -> np.ndarray | None:
+    """The inflated level each vertex passed through, by rank (int32),
+    gathered from the stage's step into a new row (None at stage 2)."""
+    if emb.stage == 2:
+        return None
+    out = np.empty(emb.spec.size, dtype=np.int32)
+    return by_rank(emb._step(emb.stage), emb.column, out)
+
+
 def source_section(emb: StageEmbedding) -> np.ndarray:
     """Section of each vertex's source level at a stacked stage, 1-based."""
-    return emb.plan.section_of(emb.source_level)
+    return emb.plan.section_of(source_level(emb))
 
 
 def source_nu(emb: StageEmbedding) -> np.ndarray:
     """Ordinal of each vertex's source level at a stacked stage among its
     section's nonblank levels."""
-    return emb.plan.ordinal_table[emb.source_level]
+    return emb.plan.ordinal_table[source_level(emb)]
 
 
 def sorted_heights(key: np.ndarray, sections: np.ndarray) -> np.ndarray:
@@ -1086,7 +1118,7 @@ def per_vertex_chain(
 def final(emb: StageEmbedding) -> np.ndarray:
     """The chain's coordinates 1..top by rank: a new top x |G| int32 array,
     whose last row is the top stage's level."""
-    return np.stack([emb.coordinate(j) for j in range(1, emb.top + 1)])
+    return np.stack([coordinate(emb, j) for j in range(1, emb.top + 1)])
 
 
 def source_levels(emb: StageEmbedding) -> list[np.ndarray]:
@@ -1123,7 +1155,7 @@ def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:
     height in {ceil(r A / 2^{e_i}), same - 1} is asserted; for smaller sides
     it is left to the caller to inspect (observed but not guaranteed).
     """
-    if emb.stage < 3 or emb.source_level is None:
+    if emb.stage < 3:
         raise ValueError("stack heights need a stacked stage (3 or above)")
     i = emb.stage - 1
     pages = emb.spec.page_count(i)
@@ -1143,7 +1175,7 @@ def stack_heights(emb: StageEmbedding, r: int) -> dict[tuple[int, ...], int]:
 
 def full_stack_heights(emb: StageEmbedding) -> dict[tuple[int, ...], int]:
     """Heights over the whole address box after every section."""
-    if emb.stage < 3 or emb.source_level is None:
+    if emb.stage < 3:
         raise ValueError("stack heights need a stacked stage (3 or above)")
     return _height_table(emb, np.ones(emb.spec.size, dtype=bool))
 
@@ -1434,7 +1466,7 @@ def transition_checks(emb: StageEmbedding) -> list[CheckResult]:
     asserted = min(spec.dims) >= 5
     j = emb.stage
     plan = emb.plan
-    assert plan is not None and emb.source_level is not None
+    assert plan is not None and j >= 3
     pre = f"pipeline.stage{j}."
     out: list[CheckResult] = []
 
@@ -1455,7 +1487,7 @@ def transition_checks(emb: StageEmbedding) -> list[CheckResult]:
 
     # level coverage: every nonblank level outside the last section is hit
     # by exactly level_size vertices
-    counts = np.bincount(emb.source_level, minlength=plan.pages * plan.width + 1)
+    counts = np.bincount(source_level(emb), minlength=plan.pages * plan.width + 1)
     levels = plan.level_table
     interior = levels[plan.section_of(levels) <= P - 1]
     ok = bool((counts[interior] == level_size).all())

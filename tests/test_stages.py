@@ -191,7 +191,6 @@ def test_blank_budget_verdict_equals_the_prefix_loop():
     with (
         mock.patch.object(StageEmbedding, "is_injective", lambda self: True),
         mock.patch.object(StageEmbedding, "in_box", True),
-        mock.patch.object(StageEmbedding, "source_level", None),
         mock.patch.object(checks, "_transition_checks", lambda st, level: []),
     ):
         for spec, variants in grids:
@@ -391,7 +390,7 @@ def test_seeded_3743_reproduces_worked_stack(emb_3743):
     for coords, height, lvl in expected:
         rank = rank_of(spec, coords)
         assert oracles.stage_coords(emb3)[rank].tolist() == [3, 4, height]
-        assert int(emb3.source_level[rank]) == lvl
+        assert int(oracles.source_level(emb3)[rank]) == lvl
     assert stack_heights(emb3, 7)[(3, 4)] == 4
 
 
@@ -553,9 +552,9 @@ def test_chain_is_stored_coordinate_major(battery_grids):
         for j, table in enumerate(fk.tables, start=2):
             assert table.shape == (level_budget(spec, 2),)
             assert table.dtype == unsigned_dtype(spec.block_width(j))
-        assert np.array_equal(fk.level, fk.coordinate(spec.k))
+        assert np.array_equal(oracles.level(fk), oracles.coordinate(fk, spec.k))
         for st in fk.stage_chain():
-            assert st.level.flags.c_contiguous and st.level.dtype == np.int32
+            assert st.column_levels().dtype == np.int32
     fk = build_fk(GridSpec((5, 6, 7)))
     for bad in [
         {"row": fk.row[:-1]},
@@ -628,11 +627,11 @@ def test_source_levels_match_the_per_vertex_chain_over_random_grids(dims, seed):
         final, chain = oracles.per_vertex_chain(grid, list(fk.plans))
         assert np.array_equal(oracles.final(fk), final)
         for st, (source, level) in zip(fk.stage_chain(), chain, strict=True):
-            assert np.array_equal(st.level, level), st.stage
+            assert np.array_equal(oracles.level(st), level), st.stage
             if source is None:
-                assert st.source_level is None
+                assert oracles.source_level(st) is None
             else:
-                assert np.array_equal(st.source_level, source), st.stage
+                assert np.array_equal(oracles.source_level(st), source), st.stage
 
 
 @settings(max_examples=40)
@@ -736,7 +735,7 @@ def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
     # the next plan's level_table, for built chains ...
     for fk in [*battery_grids.values(), build_fk(GridSpec((3, 7, 4, 3)))]:
         for st in fk.stage_chain()[:-1]:
-            assert np.array_equal(st.level, searchsorted_levels(st))
+            assert np.array_equal(oracles.level(st), searchsorted_levels(st))
     # ... and for any int32 source level: blank, zero, negative, just past
     # the plan's last level or far beyond it
     fk = build_fk(GridSpec((3, 7, 4, 3)))
@@ -748,8 +747,8 @@ def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
         sources = oracles.source_levels(fk)
         sources[i - 2][: len(odd)] = odd
         st = dataclasses.replace(oracles.per_vertex(fk, sources=sources), stage=i)
-        assert np.array_equal(st.level, searchsorted_levels(st)), i
-        assert st.level.dtype == np.int32
+        assert np.array_equal(oracles.level(st), searchsorted_levels(st)), i
+        assert st.column_levels().dtype == np.int32
 
 
 def test_stack_heights_two_value_contract_asserts():
@@ -804,7 +803,7 @@ def test_inflate_preserves_order_and_injectivity(emb_3743):
     for rank in [0, 5, 100, 251]:
         c = int(coords[rank, 2])
         assert int(levels[rank]) == plan.level_table[c - 1]
-    assert np.array_equal(levels, emb_3743.source_level)
+    assert np.array_equal(levels, oracles.source_level(emb_3743))
 
 
 def stage_text(emb) -> str:
