@@ -14,7 +14,7 @@ import random
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .grids import (
     unsigned_dtype,
 )
 from .rounding import BinaryMatrix
-from .stages import StageEmbedding, build_fk, by_rank, decimal_columns, s_sequence
+from .stages import StageEmbedding, build_fk, by_rank, decimal_columns
 
 # ---------------------------------------------------------------------------
 # Check results
@@ -100,10 +100,10 @@ def render_report(checks) -> str:
 # ---------------------------------------------------------------------------
 
 
-def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
+def chain_battery(a1: int) -> list[CheckResult]:
     """Exhaustive property battery for the base 2-dimensional map.
 
-    Builds the filled box of `m` columns for `a1` chains and checks every
+    Builds the filled box of m = 256 columns for `a1` chains and checks every
     occupancy, initial-segment, window-count, balance, coverage, and
     adjacency property, plus the page-prefix containments for the grid
     restriction of chain length floor(m 2^{e1} / a1).  All checks are hard
@@ -129,8 +129,7 @@ def chain_battery(a1: int, m: int = 256) -> list[CheckResult]:
     grid's chains of length L reach the last column.  With a1 >= 2 and
     L >= 2, every step array below and the sampled lengths 2..L are nonempty.
     """
-    if m < 2:
-        raise ValueError("need at least two columns")
+    m = 256
     emb = fill_columns(a1, m)
     height = emb.height
     out: list[CheckResult] = []
@@ -316,12 +315,13 @@ class _StageRows:
     stage's level (the `heights`, int32), the source level clipped into
     the plan's levels 1..P w (`levels`) and its section, 0-based
     (`sections`), both in the step's dtype, and the packed address less
-    the row (`address`, `StageEmbedding.column_address`).  `blocks` reads
-    them one block of `check_block` ranks at a time, so a check group
-    holds its block scratch, near 4 B per vertex, beside at most one
-    |G|-sized table or key.  Pages are rank blocks: ranks are
-    reversed-lexicographic (x_1 fastest), so the (j - 1)-page of rank x is
-    x // A, 0-based, with A = a_1...a_{j-1}.
+    the row (`address`, `StageEmbedding.column_address`).  A check reads
+    them one block of `check_block` ranks at a time
+    (`StageEmbedding.rank_blocks`), so a check group holds its block
+    scratch, near 4 B per vertex, beside at most one |G|-sized table or
+    key.  Pages are rank blocks: ranks are reversed-lexicographic (x_1
+    fastest), so the (j - 1)-page of rank x is x // A, 0-based, with A =
+    a_1...a_{j-1}.
     """
 
     def __init__(self, emb: StageEmbedding, step: np.ndarray):
@@ -331,7 +331,7 @@ class _StageRows:
         self.column = emb.column
         self.row = emb.row
         self.in_box = emb.in_box
-        self.heights = emb.column_levels()
+        self.heights = emb.column_levels
         self.address = emb.column_address
         # a source level off the plan's levels 1..P * width fails prefix
         # stability; clipped, it indexes the plan's tables like any other
@@ -343,16 +343,6 @@ class _StageRows:
         self.A = emb.spec.prefix_product(emb.stage - 1)
         self.block = check_block(self.size)
 
-    def blocks(self, *tables: np.ndarray) -> Iterator[tuple]:
-        """(start, stop, each table read at the ranks' base columns) for each
-        block of ranks start..stop - 1: one `take` per table, as a block's
-        ranks are fewer than RANK_BLOCK (`by_rank`).  A rank's `address` is
-        its table entry plus its row, `row[start:stop]`."""
-        for start in range(0, self.size, self.block):
-            stop = min(start + self.block, self.size)
-            at = self.column[start:stop] - 1
-            yield (start, stop, *[table.take(at, mode="clip") for table in tables])
-
     def page(self, start: int, stop: int) -> np.ndarray:
         """The 0-based page of ranks start..stop - 1."""
         return np.arange(start, stop) // self.A
@@ -361,6 +351,9 @@ class _StageRows:
 def _transition_checks(emb: StageEmbedding, step: np.ndarray) -> list[CheckResult]:
     """Checks for one stacking transition (embedding stage j >= 3), whose
     step, the source level of each base column, the caller hands over.
+    The battery runs them only on a stage whose steps are composed and
+    whose address lies in its box, as the tables over addresses need; its
+    level may lie outside.
 
     Every check keeps its per-vertex form, read through `_StageRows`: the
     stage's address, heights and source levels are tables over base
@@ -393,7 +386,7 @@ def _transition_checks(emb: StageEmbedding, step: np.ndarray) -> list[CheckResul
     included.  The key fits in 63 bits, as |G| <= 2^31 (`GridSpec`) gives
     n <= 31: the address has e_{j-1} bits, the rank n and the height at
     most n - e_{j-1} + 1, as u_j = ceil(|G| / M) <= 2^{n - e_{j-1}}.  A
-    stage outside its box takes the lexsort.
+    stage whose level leaves its box takes the lexsort.
 
     The plan is stage j - 1's, and `build_blank_plan` plans stages 2..k-1
     only, so P = P_{j-1} >= a_k >= 2.  `page-level-bounds` needs only h <=
@@ -482,7 +475,7 @@ def _level_coverage(plan, rows, pre) -> list[CheckResult]:
     by exactly level_size = 2^{e_{j-2}} vertices, counted into an int32
     table a block of ranks at a time."""
     counts = np.zeros(plan.pages * plan.width + 1, dtype=np.int32)
-    for *_, level in rows.blocks(rows.levels):
+    for *_, level in rows.emb.rank_blocks(rows.block, rows.levels):
         _count_into(counts, level, rows.block)
     levels = plan.level_table
     interior = levels[plan.section_of(levels) <= plan.pages - 1]
@@ -504,7 +497,8 @@ def cell_prefix_counts(rows, M: int, by_page: bool = False) -> np.ndarray:
     dtype = unsigned_dtype(rows.size.bit_length())
     table = np.zeros((M, P), dtype=dtype)
     cells = table.reshape(-1)
-    for start, stop, addr, section in rows.blocks(rows.address, rows.sections):
+    blocks = rows.emb.rank_blocks(rows.block, rows.address, rows.sections)
+    for start, stop, addr, section in blocks:
         cell = addr.astype(np.int64)
         cell += rows.row[start:stop]
         cell *= P
@@ -549,7 +543,8 @@ def _page_bounds(rows, l_arr, pre):
     tables = np.full((4, P), np.iinfo(np.int32).max, dtype=np.int32)
     tables[1::2] = -1
     window = True
-    for start, stop, h, section in rows.blocks(rows.heights, rows.sections):
+    blocks = rows.emb.rank_blocks(rows.block, rows.heights, rows.sections)
+    for start, stop, h, section in blocks:
         page = rows.page(start, stop)
         window = window and bool(((section <= page) & (page <= section + 1)).all())
         np.minimum.at(tables[0], section, h)
@@ -594,7 +589,8 @@ def _stacking_blocks(rows, height_bits) -> Iterator[tuple]:
     rank_bits = (rows.size - 1).bit_length()
     shift = height_bits + rank_bits
     key = np.empty(rows.size, dtype=np.int64)
-    for start, stop, addr, h in rows.blocks(rows.address, rows.heights):
+    blocks = rows.emb.rank_blocks(rows.block, rows.address, rows.heights)
+    for start, stop, addr, h in blocks:
         part = key[start:stop]
         part[...] = addr
         part += rows.row[start:stop]
@@ -701,7 +697,7 @@ def _top_levels(rows, bracket, M, pre) -> list[CheckResult]:
     need_at = reach[_clamp(rows.heights + np.int64(2), last)]
     start_at = reach[_clamp(rows.heights.astype(np.int64), last)]
     top = np.zeros(P + 1, dtype=np.int64)
-    for start, stop, need, begin in rows.blocks(need_at, start_at):
+    for start, stop, need, begin in rows.emb.rank_blocks(rows.block, need_at, start_at):
         page = rows.page(start, stop)
         ok = ok and bool((need >= page).all())
         np.maximum(begin, page, out=begin)
@@ -758,7 +754,7 @@ def _subpage_alignment(plan, rows, a_next, pre) -> list[CheckResult]:
     # a key range no larger than |G| is marked in a mask, 1 B per key
     seen = np.zeros(a_next * radix, dtype=bool) if a_next * radix <= rows.size else None
     distinct = []
-    for start, stop, pair in rows.blocks(pairs):
+    for start, stop, pair in rows.emb.rank_blocks(rows.block, pairs):
         key = np.arange(start, stop, dtype=np.int64)
         key //= inner
         key %= a_next
@@ -796,29 +792,37 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
     Injectivity, coordinate ranges, prefix stability, the blank budget
     identity and `stack-section-monotone` are hard assertions; every other
     transition check carries gate 5, applied once to the transition list.
-    The chain's steps are composed once, in the narrowest unsigned dtype,
-    and shared by every stage.  A stage holds no row by rank: its level,
-    source levels and packed addresses are read off tables over base
-    columns a block of ranks at a time (`_StageRows`), and its transition
-    checks hold one |G|-sized table or key at a time (`_transition_checks`).
+    Every stage reads the chain's one verdict on each plan (its
+    `faults`) and the steps composed through the plans with none, shared
+    by every stage.  A stage holds no row by rank: its level, source
+    levels and packed addresses are read off tables over base columns a
+    block of ranks at a time (`_StageRows`), and its transition checks hold
+    one |G|-sized table or key at a time (`_transition_checks`).
 
-    A malformed plan fails checks and raises nothing: the steps stop at the
-    first plan refused (`StageEmbedding.steps`), and every check that reads
-    a step past it fails with the reason, unrun.  Stage j's level below the
-    top reads step j + 1, so its injectivity, coordinate range and
-    transition checks fail from the refused plan's stage up; its prefix
-    stability reads step j, so it fails from the next stage up.  The top
-    stage's level is its own table, and each plan's `blank-budget` reads
-    only the plan.  Stage 2's coordinate range also bounds the stored base
-    column to 1..u_2, which every read by rank clips into.
+    A malformed chain fails checks and raises nothing.  A plan's
+    `blank-budget` is its verdict, with the fault as the detail.  The steps
+    stop at the first plan refused, and every check that reads a step past
+    it fails unrun, with the reason: stage j's level below the top reads
+    step j + 1, so its injectivity, coordinate range and transition checks
+    fail from the refused plan's stage up; its prefix stability reads step
+    j, so it fails from the next stage up.  The top stage's level is its
+    own table.  A stage whose address (coordinates 1..j-1) leaves its box
+    fails its transition checks unrun, naming the least coordinate outside.
+    Stage 2's coordinate range also bounds the stored base column to
+    1..u_2, which every read by rank clips into.
     """
     spec = emb.spec
     out: list[CheckResult] = []
     stable: list[CheckResult] = []
     budgets: list[CheckResult] = []
     transitions: list[CheckResult] = []
-    why = emb.refused
     composed = len(emb.steps) + 2  # the stages whose source levels are composed
+    why = ""
+    if composed < emb.top:
+        why = emb.faults[composed - 2] or (
+            f"stage {composed} plan refused: {len(emb.plans[composed - 2].level_table)} "
+            f"nonblank levels, fewer than stage {composed} fills"
+        )
     for j in range(2, emb.stage + 1):
         st = emb.view(j)
         pre = f"pipeline.stage{j}."
@@ -854,14 +858,18 @@ def pipeline_battery(emb: StageEmbedding) -> list[CheckResult]:
             stable.append(_check(pre + "prefix-stability", ok))
         else:
             stable.append(_check(pre + "prefix-stability", False, why))
-        # the matrix the stage used holds s(r) blanks in each section r, so
-        # the budget identity holds at every prefix (`s_sequence`)
-        ok = np.array_equal(plan.F.bits.sum(axis=1), s_sequence(spec, plan.stage))
-        budgets.append(_check(f"pipeline.stage{plan.stage}.blank-budget", ok))
+        fault = emb.faults[j - 3]
+        budgets.append(_check(f"pipeline.stage{j - 1}.blank-budget", not fault, fault))
+        unrun = why
         if level_ok and source_ok:
-            transitions += _transition_checks(st, st.steps[j - 3])
+            unrun = ""
+            if not st.in_box and st.first_outside < j:
+                c = st.first_outside
+                unrun = f"stage {j} coordinate {c} outside 1..{st.box()[c - 1]}"
+        if unrun:
+            transitions += [_check(pre + name, False, unrun) for name in TRANSITION_CHECKS]
         else:
-            transitions += [_check(pre + name, False, why) for name in TRANSITION_CHECKS]
+            transitions += _transition_checks(st, st.steps[j - 3])
     return out + stable + budgets + _apply_gates(transitions, spec)
 
 
@@ -1010,11 +1018,13 @@ class HypercubeEmbedding:
     rank is A[row - 1] | C[column - 1], two gathers per block of ranks.
     Construction does not check that the labels are distinct: the audit
     reports it as ``embedding.injective``, and ``embedding_blocks`` refuses
-    to write colliding labels.
+    to write colliding labels.  `diffs` holds the stage map's coordinate
+    differences, scanned once by `assemble_Hk`, the one constructor.
     """
 
     fk: StageEmbedding
     labelings: tuple[CubeLabeling, ...]
+    diffs: CoordinateDiffs
     labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -1055,11 +1065,6 @@ class HypercubeEmbedding:
     def windows(self) -> tuple[int, ...]:
         return tuple(lab.window for lab in self.labelings)
 
-    @cached_property
-    def diffs(self) -> CoordinateDiffs:
-        """The stage map's coordinate differences, scanned once per embedding."""
-        return coordinate_diffs(self.fk)
-
 
 def assemble_Hk(
     fk: StageEmbedding, labelings: list[CubeLabeling] | None = None
@@ -1070,10 +1075,12 @@ def assemble_Hk(
     labeling, falling back to the Gray labeling whenever the block's measured
     cyclic differences exceed the candidate's window (the windowed guarantee
     would then be vacuous while Gray still bounds distance by difference).
+    Either way the stage map's coordinate differences are scanned once,
+    here, and kept as the embedding's `diffs`.
     """
-    if labelings is not None:
-        return HypercubeEmbedding(fk, tuple(labelings))
     diffs = coordinate_diffs(fk)
+    if labelings is not None:
+        return HypercubeEmbedding(fk, tuple(labelings), diffs)
     per_dim = diffs.per_dimension()
     picked = []
     for jdim in range(1, fk.spec.k + 1):
@@ -1081,9 +1088,7 @@ def assemble_Hk(
         if lab.window and per_dim[jdim - 1] > lab.window:
             lab = gray_label(fk.spec.block_width(jdim))
         picked.append(lab)
-    emb = HypercubeEmbedding(fk, tuple(picked))
-    emb.__dict__["diffs"] = diffs  # the scan that chose the labelings
-    return emb
+    return HypercubeEmbedding(fk, tuple(picked), diffs)
 
 
 @dataclass(frozen=True)
@@ -1389,7 +1394,7 @@ def audit_file(text: str, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[CheckRes
 @lru_cache(maxsize=None)
 def _chain_checks(a1: int) -> tuple[CheckResult, ...]:
     """``chain_battery(a1)``, built once per a1 in a process: the battery
-    depends on nothing but a1 and the fixed m = 256."""
+    depends on nothing but a1."""
     return tuple(chain_battery(a1))
 
 

@@ -171,9 +171,9 @@ def plan_fault(spec: GridSpec, i: int, F: BinaryMatrix) -> str:
     s_i(r) blanks in section r, so that its nonblank levels are the u_i
     that stage i fills (the budget identity, `s_sequence`).  Read against
     the chain's grid, never the plan's own, so a plan made for another grid
-    is refused unless it would serve this one.  `StageEmbedding.steps`
-    compose a chain only through plans with no fault; the battery checks
-    the rest of a plan's contract on the chain it stacked."""
+    is refused unless it would serve this one.  A chain judges each plan
+    once (`StageEmbedding.faults`); the battery checks the rest of a plan's
+    contract on the chain it stacked."""
     s = s_sequence(spec, i)
     fault = _shape_fault(F, s, 1 << spec.block_width(i))
     if not fault and not np.array_equal(F.bits.sum(axis=1), s):
@@ -217,15 +217,12 @@ class StageEmbedding:
       stage 2..top - 1.  The top stage is len(plans) + 2: stage k once
       `build_fk` is done.
 
-    Every stage of one chain shares them.  The rest is derived when read
-    and kept by no embed: the `steps` and a stage's per-column level
-    (`column_levels`) and packed address (`column_address`).  No row by
-    rank but `row` and `column` is derived: a reader gathers the per-column
-    tables a block of ranks at a time (`by_rank`).  The steps
-    are the source levels of stages 3..top, composed from the plans: at
-    stage i, a table over base columns whose entry c - 1 is the nonblank
-    level of `plans[i - 3]` that base column c was inflated to, in the
-    narrowest unsigned dtype holding the plan's P w levels.
+    Every stage of one chain shares them, and each `view` shares the
+    chain's `faults` and `steps`, judged and composed once per chain.  The
+    rest is derived when read and kept by no embed: a stage's per-column
+    level (`column_levels`) and packed address (`column_address`).  No row
+    by rank but `row` and `column` is derived: a reader gathers the
+    per-column tables a block of ranks at a time (`rank_blocks`).
     Coordinates 1..i-1 of stage i are the chain's settled coordinates.  Its
     last, a level index, is the top table at the top stage, and below it
     where the next stage's source level sits in the next plan's
@@ -263,21 +260,31 @@ class StageEmbedding:
         return len(self.plans) + 2
 
     @cached_property
+    def faults(self) -> tuple[str, ...]:
+        """The `plan_fault` of each plan of stages 2..top - 1, in order, ""
+        where there is none: each plan's one verdict in the chain."""
+        return tuple(
+            plan_fault(self.spec, i, plan.F) for i, plan in enumerate(self.plans, start=2)
+        )
+
+    @cached_property
     def steps(self) -> tuple[np.ndarray, ...]:
-        """The source-level table of each stacked stage 3..top, in order, up
-        to the first plan refused: the given `sources`, or else each
-        inflated level composed from the plans as `stack` composed it, from
-        the base column at stage 2.  A plan with a `plan_fault` is refused,
-        and so is one with fewer nonblank levels than the stage below it
-        fills, so no plan's tables are read past their end; the steps stop
-        short of the top stage there, and `refused` says why."""
+        """The source levels of each stacked stage 3..top, in order, up to
+        the first plan refused.  At stage i the step is a table over base
+        columns whose entry c - 1 is the nonblank level of `plans[i - 3]`
+        that base column c was inflated to: the given `sources`, or else
+        composed from the plans as `stack` composed it, from the base column
+        at stage 2, in the narrowest unsigned dtype holding the plan's P w
+        levels.  The steps stop at the first plan with one of the `faults`,
+        and at a plan with fewer nonblank levels than the stage below it
+        fills, so no plan's tables are read past their end."""
         tables = []
         levels = np.arange(1, level_budget(self.spec, 2) + 1, dtype=np.int32)
-        for i, plan in enumerate(self.plans, start=2):
-            if plan_fault(self.spec, i, plan.F):
+        for n, plan in enumerate(self.plans):
+            if self.faults[n]:
                 break
             if self.sources is not None:
-                tables.append(self.sources[i - 2])
+                tables.append(self.sources[n])
                 continue
             if levels.max() > len(plan.level_table):
                 break
@@ -288,41 +295,18 @@ class StageEmbedding:
             levels = plan._counts(0)[tables[-1]]
         return tuple(tables)
 
-    @property
-    def refused(self) -> str:
-        """Why the `steps` stop short of the top stage, naming the plan
-        they stop at; "" when every plan is composed."""
-        i = len(self.steps) + 2
-        if i == self.top:
-            return ""
-        plan = self.plans[i - 2]
-        return plan_fault(self.spec, i, plan.F) or (
-            f"stage {i} plan refused: {len(plan.level_table)} nonblank levels, "
-            f"fewer than stage {i} fills"
-        )
-
-    def _step(self, i: int) -> np.ndarray:
-        """The source-level table of stacked stage i, or a ValueError saying
-        why the steps stop below it."""
-        if i - 3 >= len(self.steps):
-            raise ValueError(self.refused)
-        return self.steps[i - 3]
-
-    def column_levels(self) -> np.ndarray:
-        """The stage's level for each base column (int32, read-only, kept
-        by the stage): the top table plus 1 at the top stage, and below it
-        where the next step's inflated levels sit in the next plan's sorted
-        `level_table`, 1-based."""
-        return self._column_levels
-
     @cached_property
-    def _column_levels(self) -> np.ndarray:
+    def column_levels(self) -> np.ndarray:
+        """The stage's level for each base column (int32, read-only): the
+        top table plus 1 at the top stage, and below it where the next
+        step's inflated levels sit in the next plan's sorted `level_table`,
+        1-based."""
         if self.stage == self.top:
             levels = self.tables[-1].astype(np.int32)
             levels += 1
         else:
             plan = self.plans[self.stage - 2]
-            step = self._step(self.stage + 1)
+            step = self.steps[self.stage - 2]
             levels = (np.searchsorted(plan.level_table, step) + 1).astype(np.int32)
         levels.flags.writeable = False
         return levels
@@ -341,18 +325,22 @@ class StageEmbedding:
         return caps + [level_budget(spec, i)]
 
     @cached_property
+    def first_outside(self) -> int:
+        """The least coordinate j with a value outside 1..its `box` value,
+        or 0.  Each coordinate after the row is read off its table over base
+        columns: every base column holds a vertex (the grid's chains fill
+        columns 1..u_2, and a chain over the identity column every one)."""
+        settled = [(table, 0) for table in self.tables[: self.stage - 2]]
+        coords = [(self.row, 1), *settled, (self.column_levels, 1)]
+        for j, ((values, low), cap) in enumerate(zip(coords, self.box()), start=1):
+            if values.min() < low or values.max() > cap - 1 + low:
+                return j
+        return 0
+
+    @property
     def in_box(self) -> bool:
-        """Whether every coordinate lies in 1..its `box` value.  The row is
-        read by rank, and each settled coordinate and the level off its
-        table over base columns: every base column holds a vertex (the
-        grid's chains fill columns 1..u_2 in order, and a chain over the
-        identity column holds every vertex)."""
-        caps = self.box()
-        ok = self.row.min() >= 1 and self.row.max() <= caps[0]
-        for table, cap in zip(self.tables[: self.stage - 2], caps[1:]):
-            ok = ok and table.min() >= 0 and table.max() <= cap - 1
-        levels = self.column_levels()
-        return bool(ok and levels.min() >= 1 and levels.max() <= caps[-1])
+        """Whether every coordinate lies in 1..its `box` value."""
+        return not self.first_outside
 
     @cached_property
     def column_address(self) -> np.ndarray:
@@ -378,6 +366,16 @@ class StageEmbedding:
         packed.flags.writeable = False
         return packed
 
+    def rank_blocks(self, block: int, *tables: np.ndarray) -> Iterator[tuple]:
+        """(start, stop, each table over base columns read at ranks
+        start..stop - 1) for each block of `block` <= RANK_BLOCK ranks, in
+        order: one `take` per table, clipped as in `by_rank`."""
+        size = self.spec.size
+        for start in range(0, size, block):
+            stop = min(start + block, size)
+            at = self.column[start:stop] - 1
+            yield (start, stop, *[table.take(at, mode="clip") for table in tables])
+
     def is_injective(self) -> bool:
         """Whether no two vertices share a stage-i coordinate tuple.
 
@@ -386,29 +384,26 @@ class StageEmbedding:
         the level minus 1 from bit e_{i-1} up.  Keys then lie below
         2^{e_{i-1}} u_i, which is under |G| + 2^{e_{i-1}} < 3|G|, so one
         boolean mask of that size counts them, scattered a `check_block` of
-        keys at a time: the level and the address are read off their tables
-        over base columns, and no key row is built.  A coordinate outside
-        the box can alias another key, so such a chain sorts its tuples
-        (`np.unique`).
+        keys at a time (`rank_blocks`): no key row is built.  A coordinate
+        outside the box can alias another key, so such a chain sorts its
+        tuples (`np.unique`).
         """
         spec, i = self.spec, self.stage
         if not self.in_box:
             # coordinates 2..i are functions of the base column
-            per_column = np.column_stack([*self.tables[: i - 2], self.column_levels()])
+            per_column = np.column_stack([*self.tables[: i - 2], self.column_levels])
             rows = per_column.take(self.column - 1, axis=0, mode="clip")
             rows = np.column_stack([self.row, rows])
             return len(np.unique(rows, axis=0)) == spec.size
-        shift, levels = spec.exponents[i - 1], self.column_levels()
+        shift = spec.exponents[i - 1]
         seen = np.zeros(level_budget(spec, i) << shift, dtype=bool)
-        block = check_block(spec.size)
-        for start in range(0, spec.size, block):
-            # a block's ranks are fewer than RANK_BLOCK: one gather each
-            at = self.column[start : start + block] - 1
-            key = levels.take(at, mode="clip").astype(np.int64)
+        tables = self.column_levels, self.column_address
+        for start, stop, level, address in self.rank_blocks(check_block(spec.size), *tables):
+            key = level.astype(np.int64)
             key -= 1
             key <<= shift
-            key += self.column_address.take(at, mode="clip")
-            key += self.row[start : start + block]
+            key += address
+            key += self.row[start:stop]
             seen[key] = True
         return int(np.count_nonzero(seen)) == spec.size
 
@@ -417,13 +412,12 @@ class StageEmbedding:
         return [self.view(i) for i in range(2, self.stage + 1)]
 
     def view(self, i: int) -> "StageEmbedding":
-        """Stage i of the chain, sharing its `steps`, composed once for
-        every stage; it builds its per-column level and address only when
-        read."""
+        """Stage i of the chain, sharing its `faults` and `steps`; it builds
+        its per-column level and address only when read."""
         st = StageEmbedding(
             self.spec, i, self.row, self.column, self.tables, self.plans, self.sources
         )
-        vars(st)["steps"] = self.steps
+        vars(st).update(faults=self.faults, steps=self.steps)
         return st
 
 
@@ -437,7 +431,7 @@ def inflate(prev: StageEmbedding, plan: BlankPlan) -> np.ndarray:
     `build_blank_plan` checks every plan's row sums against s_i) cover
     prev's levels 1..u_i, its `box`.
     """
-    return plan.level_table[prev.column_levels() - 1]
+    return plan.level_table[prev.column_levels - 1]
 
 
 def stack(prev: StageEmbedding, plan: BlankPlan) -> StageEmbedding:
@@ -534,21 +528,19 @@ def dump_stage(emb: StageEmbedding) -> Iterator:
     time as it is taken: the header "STAGE i u_i", then "rank: (c_1, ...,
     c_i)" lines.  Each field is the rank or a coordinate in its column's
     widest decimal width, followed by its separator; the padding NULs are
-    dropped once per block.  A block reads only its own ranks' row and base
-    column, and over base columns the settled tables (plus 1) and
-    `column_levels`: every base column holds a vertex, so a table's largest
-    entry is its coordinate's largest value."""
+    dropped once per block.  A block reads only its own ranks' row and,
+    through `rank_blocks`, the settled tables (plus 1) and `column_levels`:
+    every base column holds a vertex, so a table's largest entry is its
+    coordinate's largest value."""
     spec, i = emb.spec, emb.stage
     settled = (np.add(table, 1, dtype=np.int32) for table in emb.tables[: i - 2])
-    tables = [*settled, emb.column_levels()]
+    tables = [*settled, emb.column_levels]
     seps = [b": (", *[b", "] * (i - 1), b")\n"]
     tops = [spec.size - 1, emb.row.max(), *(table.max() for table in tables)]
     widths = [len(str(int(x))) for x in tops]
     yield f"STAGE {i} {level_budget(spec, i)}\n".encode("ascii")
-    for start in range(0, spec.size, RANK_BLOCK):
-        stop = min(start + RANK_BLOCK, spec.size)
-        at = emb.column[start:stop] - 1
-        fields = [np.arange(start, stop), emb.row[start:stop], *(t[at] for t in tables)]
+    for start, stop, *columns in emb.rank_blocks(RANK_BLOCK, *tables):
+        fields = [np.arange(start, stop), emb.row[start:stop], *columns]
         block = np.empty((stop - start, sum(widths) + sum(map(len, seps))), np.uint8)
         col = 0
         for values, width, sep in zip(fields, widths, seps):
@@ -557,5 +549,5 @@ def dump_stage(emb: StageEmbedding) -> Iterator:
             block[:, col : col + len(sep)] = np.frombuffer(sep, np.uint8)
             col += len(sep)
         lines = block.tobytes().translate(None, b"\0")
-        del block, fields  # only the lines stay live while the consumer takes them
+        del block, fields, columns  # only the lines stay live while the consumer takes them
         yield lines

@@ -148,7 +148,7 @@ def coordinate(emb: StageEmbedding, j: int) -> np.ndarray:
 def level(emb: StageEmbedding) -> np.ndarray:
     """The stage's level of every vertex by rank (int32): its
     `column_levels` gathered through the base column."""
-    return by_rank(emb.column_levels(), emb.column)
+    return by_rank(emb.column_levels, emb.column)
 
 
 def address(emb: StageEmbedding) -> np.ndarray:
@@ -1046,7 +1046,7 @@ def source_level(emb: StageEmbedding) -> np.ndarray | None:
     if emb.stage == 2:
         return None
     out = np.empty(emb.spec.size, dtype=np.int32)
-    return by_rank(emb._step(emb.stage), emb.column, out)
+    return by_rank(emb.steps[emb.stage - 3], emb.column, out)
 
 
 def source_section(emb: StageEmbedding) -> np.ndarray:

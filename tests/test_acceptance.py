@@ -108,7 +108,7 @@ def test_criterion_03_golden_stack_heights():
 def test_criterion_04_chain_battery_exhaustive():
     start = time.monotonic()
     for a1 in range(3, 65):
-        results = chain_battery(a1, m=256)
+        results = chain_battery(a1)
         bad = [c.line() for c in results if not c.ok]
         assert bad == [], (a1, bad)
     assert time.monotonic() - start < 30.0

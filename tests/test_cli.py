@@ -9,13 +9,17 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import oracles
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_checks import PLAN_FAULTS, malformed_bits
 
-from gridcube.checks import assemble_Hk, dump_embedding, embedding_blocks
+from gridcube.checks import assemble_Hk, dump_embedding, embedding_blocks, parse_embedding
 from gridcube.cli import main
-from gridcube.grids import GridSpec
-from gridcube.rounding import parse_matrices
+from gridcube.grids import AboveCap, GridSpec
+from gridcube.rounding import BinaryMatrix, parse_matrices
 from gridcube.stages import build_fk, dump_stage
 
 DATA = Path(__file__).parent / "data"
@@ -192,6 +196,75 @@ def test_cap_admits_no_grid_above_2_31_vertices(command):
     code, out, err = run_cli([command, "65536", "32769", "--cap", str(1 << 40)])
     assert code == 2 and out == ""
     assert "above 2^31" in err
+
+
+@st.composite
+def malformed_seeds(draw):
+    """The sides of 3x7x4 or 3x7x4x3 and a seed file of its plans' matrices
+    with one drawn malformed: of another shape, with random bits, or with
+    one of PLAN_FAULTS."""
+    dims = draw(st.sampled_from([(3, 7, 4), (3, 7, 4, 3)]))
+    matrices = [plan.F.bits for plan in build_fk(GridSpec(dims)).plans]
+    n = draw(st.integers(0, len(matrices) - 1))
+    bits = matrices[n]
+    kind = draw(st.sampled_from(["shape", *PLAN_FAULTS]))
+    if kind == "shape":
+        m, w = draw(st.integers(1, 13)), draw(st.integers(1, 12))
+        assume((m, w) != bits.shape)
+        cells = draw(st.lists(st.integers(0, 1), min_size=m * w, max_size=m * w))
+        matrices[n] = np.array(cells, dtype=np.uint8).reshape(m, w)
+    else:
+        matrices[n] = malformed_bits(draw, bits, kind)
+    return dims, "".join(oracles.dump_matrix(BinaryMatrix(b)) for b in matrices)
+
+
+@settings(max_examples=60)
+@given(malformed_seeds())
+def test_audit_with_a_malformed_seed_exits_two(tmp_path_factory, case):
+    dims, text = case
+    seed = tmp_path_factory.mktemp("seed") / "seed.txt"
+    seed.write_text(text)
+    code, out, err = run_cli(["audit", *map(str, dims), "--seed", str(seed)])
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ")
+
+
+MUTATED_SOURCES = [
+    dump_embedding(assemble_Hk(build_fk(GridSpec(dims))))
+    for dims in [(3, 7, 4), (12, 5, 3), (11, 2, 2, 3)]
+]
+
+
+@st.composite
+def one_character_mutants(draw):
+    """An embedding file with one character substituted, inserted or
+    deleted: a digit, a separator, NUL, "é" or any other one-byte character."""
+    text = draw(st.sampled_from(MUTATED_SOURCES))
+    kind = draw(st.sampled_from(["substitute", "insert", "delete"]))
+    at = draw(st.integers(0, len(text) - (kind != "insert")))
+    chars = st.sampled_from(list("0129 \n\r.x\x00\u00e9")) | st.characters(max_codepoint=255)
+    new = "" if kind == "delete" else draw(chars)
+    return text[:at] + new + text[at + (kind != "insert") :]
+
+
+@settings(max_examples=150)
+@given(one_character_mutants())
+def test_audit_of_a_mutated_file_never_exits_three(tmp_path_factory, text):
+    # a file that fails to parse fails `file.parse` (exit 1), or names a grid
+    # above the cap (exit 2); one that parses has had a label bit or a
+    # window flipped, which its checks judge
+    path = tmp_path_factory.mktemp("audit") / "emb.txt"
+    path.write_bytes(text.encode("latin-1"))
+    code, _, err = run_cli(["audit", str(path)])
+    try:
+        parse_embedding(text)
+    except AboveCap:
+        expected = {2}
+    except ValueError:
+        expected = {1}
+    else:
+        expected = {0, 1}
+    assert code in expected, err
 
 
 def test_audit_dims_passes():

@@ -554,7 +554,7 @@ def test_chain_is_stored_coordinate_major(battery_grids):
             assert table.dtype == unsigned_dtype(spec.block_width(j))
         assert np.array_equal(oracles.level(fk), oracles.coordinate(fk, spec.k))
         for st in fk.stage_chain():
-            assert st.column_levels().dtype == np.int32
+            assert st.column_levels.dtype == np.int32
     fk = build_fk(GridSpec((5, 6, 7)))
     for bad in [
         {"row": fk.row[:-1]},
@@ -584,7 +584,7 @@ def unstacked(st):
     top of a new chain, its level by base column as the top table."""
     prev = st.stage_chain()[-2]
     i = prev.stage
-    tables = (*st.tables[: i - 2], prev.column_levels() - 1)
+    tables = (*st.tables[: i - 2], prev.column_levels - 1)
     return StageEmbedding(st.spec, i, st.row, st.column, tables, st.plans[: i - 2])
 
 
@@ -748,7 +748,7 @@ def test_stage_levels_gather_as_the_searchsorted_form(battery_grids):
         sources[i - 2][: len(odd)] = odd
         st = dataclasses.replace(oracles.per_vertex(fk, sources=sources), stage=i)
         assert np.array_equal(oracles.level(st), searchsorted_levels(st)), i
-        assert st.column_levels().dtype == np.int32
+        assert st.column_levels.dtype == np.int32
 
 
 def test_stack_heights_two_value_contract_asserts():
